@@ -43,19 +43,15 @@ from .sde import (  # noqa: F401
     NoisePath,
     StratonovichSystem,
     fd_jacobian,
-    flow,
     flow_with_jacobian,
     generate_noise,
-    heun_step,
 )
 from .currents import (  # noqa: F401
-    ActionEstimate,
     DensityCurrent,
     EmpiricalCurrent,
     derivative_current_eval,
     evaluate,
     generator_residuals,
-    mean_action,
     pullback_eval,
     strict_residuals,
     volume_current,

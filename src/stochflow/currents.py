@@ -3,10 +3,11 @@
 A current is either a density against the volume form, evaluated by
 midpoint quadrature on its grid, or a weighted sum of Dirac atoms. The
 pathwise pullback evaluates T(f o phi_t) for one noise realization by
-flowing the quadrature grid (mass-transport view) or the atoms; the
-mean action averages pullbacks over independent paths. Derivative
-currents XT(f) = -T(Xf) and the generator residual decide strict and
-mean invariance against a finite test basis.
+flowing the quadrature grid (mass-transport view) or the atoms;
+pullback_values does so over many paths, whose mean estimates the mean
+action E[T(f o phi_t)]. Derivative currents XT(f) = -T(Xf) and the
+generator residual decide strict and mean invariance against a finite
+test basis.
 """
 
 from __future__ import annotations
@@ -32,19 +33,17 @@ from .sde import (
     StratonovichSystem,
     _check_noise,
     flow_endpoints,
-    generate_noise,
+    noise_matrix,
 )
 
 __all__ = [
     "DensityCurrent",
     "EmpiricalCurrent",
     "Current",
-    "ActionEstimate",
     "volume_current",
     "evaluate",
     "pullback_eval",
     "pullback_values",
-    "mean_action",
     "derivative_current_eval",
     "generator_residuals",
     "strict_residuals",
@@ -136,21 +135,6 @@ def volume_current(m: ChartedManifold, grid_n: int = 64,
                           probability=probability)
 
 
-@dataclass(frozen=True)
-class ActionEstimate:
-    value: float
-    std_error: float
-    n_paths: int
-    t: float
-    dt: float
-
-    def __post_init__(self):
-        if self.std_error < 0:
-            raise ValueError("std_error must be >= 0")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-
-
 def evaluate(T: Current, f: ScalarField) -> float:
     """T(f)."""
     vals = np.asarray(_as_scalar_fn(f)(T.points), dtype=float)
@@ -189,9 +173,7 @@ def pullback_values(T: Current, functions: Sequence[ScalarField],
     chunk = max(1, _CHUNK_ELEMS // max(1, n_pts * sys.manifold.dim))
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
-        inc = np.empty((stop - start, steps, sys.m))
-        for p in range(start, stop):
-            inc[p - start] = generate_noise(seed, p, sys.m, dt, steps).increments
+        inc = noise_matrix(seed, range(start, stop), sys.m, dt, steps)
         ends = flow_endpoints(sys, pts, dt, inc[:, None, :, :])
         for j, fn in enumerate(fns):
             vals = np.asarray(fn(ends), dtype=float)
@@ -199,26 +181,10 @@ def pullback_values(T: Current, functions: Sequence[ScalarField],
     return out
 
 
-def mean_action(T: Current, f: ScalarField, sys: StratonovichSystem,
-                t: float, dt: float, seed: int, n_paths: int) -> ActionEstimate:
-    """Monte Carlo estimate of (phi_t * T)(f) = E[T(f o phi_t)]."""
-    if n_paths < 2:
-        raise ValueError("mean action needs n_paths >= 2")
-    vals = pullback_values(T, [f], sys, t, dt, seed, n_paths)[0]
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
-    return ActionEstimate(value=mean, std_error=stderr, n_paths=n_paths,
-                          t=t, dt=dt)
-
-
-def _resolve_manifold(T: Current) -> ChartedManifold:
-    return T.manifold
-
-
 def derivative_current_eval(X: VectorFieldSpec, T: Current,
                             f: ScalarField) -> float:
     """The derivative current XT evaluated on f: XT(f) = -T(Xf)."""
-    xf = apply_field(_resolve_manifold(T), X, f)
+    xf = apply_field(T.manifold, X, f)
     return -evaluate(T, xf)
 
 

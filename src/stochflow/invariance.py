@@ -27,6 +27,7 @@ from .manifold import (
     ChartedManifold,
     ScalarField,
     VectorFieldSpec,
+    _as_scalar_fn,
     apply_field,
     grid_points,
     heisenberg_frame,
@@ -38,14 +39,7 @@ from .manifold import (
     product_divergence_function,
     torus,
 )
-from .sde import (
-    StratonovichSystem,
-    _div_increment,
-    _divergence_functions,
-    _step_increment,
-    flow_endpoints,
-    generate_noise,
-)
+from .sde import StratonovichSystem, flow_endpoints, heun_path, noise_matrix
 
 __all__ = [
     "RealizationError",
@@ -285,23 +279,9 @@ def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
     """Pathwise volume deviation: residual = max over paths and times of
     |J - 1| from the co-evolved log-Jacobian."""
     steps = int(round(t / dt))
-    x0 = np.asarray(x0, dtype=float)
-    div_fns = _divergence_functions(sys)
-    inc = np.empty((n_paths, steps, sys.m))
-    for p in range(n_paths):
-        inc[p] = generate_noise(seed, p, sys.m, dt, steps).increments
-    x = np.broadcast_to(sys.manifold.wrap(x0), (n_paths, sys.manifold.dim)).copy()
-    logj = np.zeros(n_paths)
+    inc = noise_matrix(seed, range(n_paths), sys.m, dt, steps)
     worst = np.zeros(n_paths)
-    for k in range(steps):
-        db = inc[:, k, :]
-        pred = _step_increment(sys, x, db, dt)
-        pred_l = _div_increment(div_fns, x, db, dt)
-        xbar = x + pred
-        corr = _step_increment(sys, xbar, db, dt)
-        corr_l = _div_increment(div_fns, xbar, db, dt)
-        x = sys.manifold.wrap(x + 0.5 * (pred + corr))
-        logj = logj + 0.5 * (pred_l + corr_l)
+    for _, logj in heun_path(sys, x0, dt, inc, log_jacobian=True):
         worst = np.maximum(worst, np.abs(np.exp(logj) - 1.0))
     rows = [{"path_index": p, "value": float(worst[p])} for p in range(n_paths)]
     meta = {"dt": dt, "T": t, "n_paths": n_paths, "seed": seed}
@@ -443,16 +423,12 @@ def calibrate_bias_constant(T: Current, sys: StratonovichSystem, basis,
     """
     steps = int(round(t / dt))
     pts = T.points
-    fns = list(basis.functions)
-    diffs = np.zeros(len(fns))
-    fine = np.empty((n_paths, 2 * steps, sys.m))
-    for p in range(n_paths):
-        fine[p] = generate_noise(seed, p, sys.m, dt / 2, 2 * steps).increments
+    fine = noise_matrix(seed, range(n_paths), sys.m, dt / 2, 2 * steps)
     coarse = fine.reshape(n_paths, steps, 2, sys.m).sum(axis=2)
     ends_fine = flow_endpoints(sys, pts, dt / 2, fine[:, None, :, :])
     ends_coarse = flow_endpoints(sys, pts, dt, coarse[:, None, :, :])
-    for j, f in enumerate(fns):
-        from .manifold import _as_scalar_fn
+    diffs = np.zeros(len(basis))
+    for j, f in enumerate(basis.functions):
         fn = _as_scalar_fn(f)
         v_fine = np.asarray(fn(ends_fine), dtype=float) @ T.weights
         v_coarse = np.asarray(fn(ends_coarse), dtype=float) @ T.weights

@@ -307,19 +307,13 @@ def divergence_function(m: ChartedManifold, X: VectorFieldSpec,
     and the metric volume density is the constant 1; otherwise central
     finite differences with step h_i = 1e-5 * L_i.
     """
-    analytic = (X.analytic and m.volume_density is None
-                and (density is None or _is_expr(density)))
-    if analytic:
-        terms = expr.constant(0.0)
-        for i in range(m.dim):
-            w = X.components[i] if density is None else expr.mul(density, X.components[i])
-            terms = expr.add(terms, expr.diff(w, i))
+    terms = product_divergence_expr(m, X, density)
+    if terms is not None:
         if density is None:
             return lambda pts: expr.evaluate(terms, pts)
-        dens = density
 
         def div_analytic(pts):
-            fvals = expr.evaluate(dens, pts)
+            fvals = expr.evaluate(density, pts)
             if np.any(fvals <= 0):
                 raise DegenerateDensityError("density must be positive")
             return expr.evaluate(terms, pts) / fvals

@@ -7,11 +7,17 @@ d(log J) = sum_i div(X_i)(x) o dB^i on the augmented state, sharing the
 same noise increments; a finite-difference Jacobian serves as an
 independent cross-check.
 
+Every integrator runs the one step loop in ``heun_path``, a generator
+over the wrapped states (and log J) of a batch of points:
+``flow_with_jacobian`` records them, ``flow_endpoints`` keeps the last
+one, and the volume check in ``invariance`` keeps a running maximum.
+
 Noise is counter-based (Philox keyed by (seed, path_index)), so paths
 are bitwise reproducible and independent across path indices without
 shared state: path simulations are embarrassingly parallel, and
 aggregations over paths are done in ascending path-index order so
-serial and distributed runs agree.
+serial and distributed runs agree. ``noise_matrix`` stacks the streams
+of a range of path indices for batched integration.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,8 +43,6 @@ __all__ = [
     "generate_noise",
     "noise_matrix",
     "coarsen_noise",
-    "heun_step",
-    "flow",
     "flow_with_jacobian",
     "flow_endpoints",
     "fd_jacobian",
@@ -116,12 +119,12 @@ def generate_noise(seed: int, path_index: int, m: int, dt: float,
                      increments=increments)
 
 
-def noise_matrix(seed: int, n_paths: int, m: int, dt: float,
+def noise_matrix(seed: int, paths: range, m: int, dt: float,
                  steps: int) -> np.ndarray:
-    """Stacked increments (n_paths, steps, m) for path_index = 0..n_paths-1."""
-    out = np.empty((n_paths, steps, m))
-    for p in range(n_paths):
-        out[p] = _philox(seed, p).normal(0.0, math.sqrt(dt), size=(steps, m))
+    """Stacked increments (len(paths), steps, m), one row per path index."""
+    out = np.empty((len(paths), steps, m))
+    for row, p in enumerate(paths):
+        out[row] = generate_noise(seed, p, m, dt, steps).increments
     return out
 
 
@@ -165,20 +168,6 @@ def _div_increment(div_fns, x, db, dt):
     return out
 
 
-def heun_step(sys: StratonovichSystem, x, db) -> np.ndarray:
-    """One predictor-corrector step; db is (m+1,) increments with db[0] = dt."""
-    x = np.asarray(x, dtype=float)
-    db = np.asarray(db, dtype=float)
-    if db.shape[-1] != sys.m + 1:
-        raise ConfigurationError(f"need {sys.m + 1} increments, got {db.shape[-1]}")
-    dt = db[..., 0][..., None] if db.ndim > 1 else float(db[0])
-    dw = db[..., 1:]
-    pred = _step_increment(sys, x, dw, dt)
-    xbar = x + pred  # evaluate the corrector on the same sheet; wrap only after
-    corr = _step_increment(sys, xbar, dw, dt)
-    return sys.manifold.wrap(x + 0.5 * (pred + corr))
-
-
 def _check_noise(sys, t_final, dt, noise):
     if noise.m != sys.m:
         raise ConfigurationError(
@@ -195,7 +184,7 @@ class FlowResult:
 
     dt: float
     trajectory: np.ndarray  # (steps + 1, dim)
-    log_jacobian: Optional[np.ndarray] = None  # (steps + 1,)
+    log_jacobian: np.ndarray  # (steps + 1,)
 
     @property
     def times(self) -> np.ndarray:
@@ -206,52 +195,57 @@ class FlowResult:
         return self.trajectory[-1]
 
     @property
-    def jacobian(self) -> Optional[np.ndarray]:
-        return None if self.log_jacobian is None else np.exp(self.log_jacobian)
+    def jacobian(self) -> np.ndarray:
+        return np.exp(self.log_jacobian)
 
 
-def flow(sys: StratonovichSystem, x0, t_final: float, dt: float,
-         noise: NoisePath) -> FlowResult:
-    """Iterated Heun steps, wrapped each step; trajectory only."""
-    _check_noise(sys, t_final, dt, noise)
-    x = sys.manifold.wrap(np.asarray(x0, dtype=float))
-    traj = np.empty((noise.steps + 1,) + x.shape)
-    traj[0] = x
-    for k in range(noise.steps):
-        db = noise.increments[k]
+def heun_path(sys: StratonovichSystem, x0, dt: float, increments,
+              log_jacobian: bool = False):
+    """The Heun step loop: yields (x, log J) at t_0, t_1, ..., t_steps.
+
+    x0 has shape (..., dim) and increments (..., steps, m), broadcast
+    against each other in the leading axes. Each state is wrapped into
+    the fundamental domain; the corrector is evaluated on the same sheet
+    as the predictor and wrapping happens only after the step. log J is
+    None unless log_jacobian is set.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    increments = np.asarray(increments, dtype=float)
+    if increments.shape[-1] != sys.m:
+        raise ConfigurationError(f"noise has {increments.shape[-1]} components, "
+                                 f"system has {sys.m}")
+    lead = np.broadcast_shapes(x0.shape[:-1], increments.shape[:-2])
+    x = np.broadcast_to(sys.manifold.wrap(x0), lead + x0.shape[-1:]).copy()
+    logj = div_fns = None
+    if log_jacobian:
+        div_fns = [None if f.is_zero else divergence_function(sys.manifold, f)
+                   for f in sys.fields()]
+        logj = np.zeros(lead)
+    yield x, logj
+    for k in range(increments.shape[-2]):
+        db = increments[..., k, :]
         pred = _step_increment(sys, x, db, dt)
-        corr = _step_increment(sys, x + pred, db, dt)
+        xbar = x + pred
+        corr = _step_increment(sys, xbar, db, dt)
+        if div_fns is not None:
+            pred_l = _div_increment(div_fns, x, db, dt)
+            corr_l = _div_increment(div_fns, xbar, db, dt)
+            logj = logj + 0.5 * (pred_l + corr_l)
         x = sys.manifold.wrap(x + 0.5 * (pred + corr))
-        traj[k + 1] = x
-    return FlowResult(dt=dt, trajectory=traj)
-
-
-def _divergence_functions(sys: StratonovichSystem):
-    fns = []
-    for f in sys.fields():
-        fns.append(None if f.is_zero else divergence_function(sys.manifold, f))
-    return fns
+        yield x, logj
 
 
 def flow_with_jacobian(sys: StratonovichSystem, x0, t_final: float, dt: float,
                        noise: NoisePath) -> FlowResult:
     """Co-evolves log J through the divergence SDE with shared noise."""
     _check_noise(sys, t_final, dt, noise)
-    div_fns = _divergence_functions(sys)
-    x = sys.manifold.wrap(np.asarray(x0, dtype=float))
-    traj = np.empty((noise.steps + 1,) + x.shape)
-    logj = np.zeros((noise.steps + 1,) + x.shape[:-1])
-    traj[0] = x
-    for k in range(noise.steps):
-        db = noise.increments[k]
-        pred = _step_increment(sys, x, db, dt)
-        pred_l = _div_increment(div_fns, x, db, dt)
-        xbar = x + pred
-        corr = _step_increment(sys, xbar, db, dt)
-        corr_l = _div_increment(div_fns, xbar, db, dt)
-        x = sys.manifold.wrap(x + 0.5 * (pred + corr))
-        logj[k + 1] = logj[k] + 0.5 * (pred_l + corr_l)
-        traj[k + 1] = x
+    shape = np.shape(x0)
+    traj = np.empty((noise.steps + 1,) + shape)
+    logj = np.empty((noise.steps + 1,) + shape[:-1])
+    path = heun_path(sys, x0, dt, noise.increments, log_jacobian=True)
+    for k, (x, lj) in enumerate(path):
+        traj[k] = x
+        logj[k] = lj
     return FlowResult(dt=dt, trajectory=traj, log_jacobian=logj)
 
 
@@ -263,16 +257,8 @@ def flow_endpoints(sys: StratonovichSystem, x0, dt: float,
     against each other in the leading axes; returns the wrapped
     endpoints with the broadcast shape.
     """
-    x0 = np.asarray(x0, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    steps = increments.shape[-2]
-    lead = np.broadcast_shapes(x0.shape[:-1], increments.shape[:-2])
-    x = np.broadcast_to(sys.manifold.wrap(x0), lead + x0.shape[-1:]).copy()
-    for k in range(steps):
-        db = increments[..., k, :]
-        pred = _step_increment(sys, x, db, dt)
-        corr = _step_increment(sys, x + pred, db, dt)
-        x = sys.manifold.wrap(x + 0.5 * (pred + corr))
+    for x, _ in heun_path(sys, x0, dt, increments):
+        pass
     return x
 
 
@@ -303,12 +289,11 @@ def fd_jacobian(sys: StratonovichSystem, x0, t_final: float, dt: float,
 
 
 def write_trajectory_csv(result: FlowResult, fileobj) -> None:
-    """Columns t, x1..xn, logJ (logJ written as 0 for trajectory-only runs)."""
+    """Columns t, x1..xn, logJ."""
     dim = result.trajectory.shape[-1]
     writer = csv.writer(fileobj)
     writer.writerow(["t"] + [f"x{i + 1}" for i in range(dim)] + ["logJ"])
-    logj = result.log_jacobian
     for k, t in enumerate(result.times):
         row = [f"{t:.12g}"] + [f"{v:.17g}" for v in result.trajectory[k]]
-        row.append(f"{0.0 if logj is None else logj[k]:.17g}")
+        row.append(f"{result.log_jacobian[k]:.17g}")
         writer.writerow(row)

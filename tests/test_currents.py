@@ -5,20 +5,19 @@ import pytest
 
 from stochflow import expr
 from stochflow.currents import (
-    ActionEstimate,
     DensityCurrent,
     EmpiricalCurrent,
     derivative_current_eval,
     evaluate,
     generator_residuals,
-    mean_action,
     pullback_eval,
     pullback_values,
     strict_residuals,
     volume_current,
 )
 from stochflow.manifold import VectorFieldSpec, make_test_basis, torus
-from stochflow.sde import StratonovichSystem, flow, generate_noise
+from stochflow.invariance import empirical_check
+from stochflow.sde import StratonovichSystem, flow_with_jacobian, generate_noise
 
 T1 = torus(1.0)
 T2 = torus(1.0, 1.0)
@@ -143,41 +142,43 @@ def test_pullback_empirical_flows_atoms():
 # ---------------------------------------------------------------------------
 # mean action
 
+def mean_action(T, f, sys, t, dt, seed, n_paths):
+    """Monte Carlo mean of T(f o phi_t) over n_paths, and its std error."""
+    vals = pullback_values(T, [f], sys, t, dt, seed, n_paths)[0]
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_paths))
+
+
 def test_mean_action_zero_system():
     sys = zero_system(1)
     T = DensityCurrent(manifold=T1, density=TILTED, grid_n=16)
-    est = mean_action(T, SIN, sys, 1.0, 0.1, seed=3, n_paths=4)
-    assert est.value == pytest.approx(evaluate(T, SIN), abs=1e-14)
-    assert est.std_error == pytest.approx(0.0, abs=1e-15)
-    assert est.n_paths == 4
+    value, std_error = mean_action(T, SIN, sys, 1.0, 0.1, seed=3, n_paths=4)
+    assert value == pytest.approx(evaluate(T, SIN), abs=1e-14)
+    assert std_error == pytest.approx(0.0, abs=1e-15)
+    assert pullback_values(T, [SIN], sys, 1.0, 0.1, seed=3, n_paths=4).shape == (1, 4)
 
 
 def test_mean_action_translation_lebesgue():
     sys = translation_system(1)
     T = volume_current(T1, 16)
-    est = mean_action(T, SIN, sys, 1.0, 1e-2, seed=11, n_paths=50)
-    assert abs(est.value - 0.0) <= 3 * est.std_error + 1e-9
+    value, std_error = mean_action(T, SIN, sys, 1.0, 1e-2, seed=11, n_paths=50)
+    assert abs(value - 0.0) <= 3 * std_error + 1e-9
 
 
 def test_mean_action_deterministic_dirac():
     sys = StratonovichSystem(manifold=T1, drift=VectorFieldSpec.from_strings(["1"]),
                              diffusions=())
     T = EmpiricalCurrent(manifold=T1, atoms=[[0.0]], atom_weights=[1.0])
-    est = mean_action(T, SIN, sys, 0.25, 1e-3, seed=0, n_paths=2)
-    assert est.value == pytest.approx(1.0, abs=1e-6)
-    assert est.std_error == 0.0
+    value, std_error = mean_action(T, SIN, sys, 0.25, 1e-3, seed=0, n_paths=2)
+    assert value == pytest.approx(1.0, abs=1e-6)
+    assert std_error == 0.0
 
 
 def test_mean_action_requires_two_paths():
     sys = zero_system(1)
     T = volume_current(T1, 8)
+    basis = make_test_basis(T1, 1)
     with pytest.raises(ValueError):
-        mean_action(T, SIN, sys, 1.0, 0.1, seed=0, n_paths=1)
-
-
-def test_action_estimate_validation():
-    with pytest.raises(ValueError):
-        ActionEstimate(value=0.0, std_error=-1.0, n_paths=2, t=1.0, dt=0.1)
+        empirical_check(T, sys, basis, 1.0, 0.1, seed=0, n_paths=1, mode="mean")
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +281,7 @@ def test_discrete_commutation_of_current_and_integral(make_current):
                              diffusions=(X,))
     steps = 20
     noise = generate_noise(13, 0, 1, 0.05, steps)
-    res = flow(sys, T.points, 1.0, 0.05, noise)  # (steps+1, P, 1)
+    res = flow_with_jacobian(sys, T.points, 1.0, 0.05, noise)  # (steps+1, P, 1)
     g = expr.parse("cos(2*pi*x1)")
     gvals = np.stack([expr.evaluate(g, res.trajectory[k]) for k in range(steps)])
     db = noise.increments[:, 0]

@@ -3,12 +3,13 @@ import math
 import pytest
 
 from stochflow import expr, liealg
-from stochflow.currents import volume_current
+from stochflow.currents import EmpiricalCurrent, volume_current
 from stochflow.invariance import (
     DEFAULT_BIAS_C,
     FrameRealization,
     InvarianceReport,
     RealizationError,
+    calibrate_bias_constant,
     check_mean_nform,
     check_strict_nform,
     empirical_check,
@@ -171,6 +172,23 @@ def test_jacobian_check_hamiltonian():
     rep = jacobian_check(sys, [0.3, 0.7], 1.0, 1e-2, seed=0, n_paths=10)
     assert rep.verdict and rep.residual < 1e-2
     assert len(rep.per_basis) == 10
+
+
+def test_calibrate_bias_constant_vanishes_where_heun_is_exact():
+    sys = translation_bm_system(2)
+    T = volume_current(T2, 8)
+    basis = make_test_basis(T2, 2)
+    c = calibrate_bias_constant(T, sys, basis, 0.5, 1e-2, seed=3, n_paths=20)
+    assert 0.0 <= c <= 1e-9
+
+
+def test_calibrate_bias_constant_hamiltonian_finite_positive():
+    # a Dirac atom, not the volume: the volume is invariant and shows no bias
+    sys = hamiltonian_torus_system()
+    T = EmpiricalCurrent(manifold=T2, atoms=[[0.3, 0.7]], atom_weights=[1.0])
+    basis = make_test_basis(T2, 1)
+    c = calibrate_bias_constant(T, sys, basis, 0.5, 1e-2, seed=3, n_paths=8)
+    assert math.isfinite(c) and c > 1e-6
 
 
 def test_residual_check_modes():

@@ -4,20 +4,26 @@ import math
 import numpy as np
 import pytest
 
-from stochflow.manifold import VectorFieldSpec, heisenberg_manifold, heisenberg_frame, torus
+from stochflow.invariance import jacobian_check
+from stochflow.manifold import (
+    VectorFieldSpec,
+    divergence_function,
+    heisenberg_frame,
+    heisenberg_manifold,
+    torus,
+)
 from stochflow.sde import (
     ConfigurationError,
     StratonovichSystem,
     coarsen_noise,
     fd_jacobian,
-    flow,
     flow_endpoints,
     flow_with_jacobian,
     generate_noise,
-    heun_step,
     noise_matrix,
     write_trajectory_csv,
 )
+from stochflow.systems import builtin_systems
 
 T1 = torus(1.0)
 T2 = torus(1.0, 1.0)
@@ -62,14 +68,21 @@ def test_noise_is_deterministic_and_reproducible():
 
 
 def test_noise_matrix_matches_per_path_streams():
-    mat = noise_matrix(9, 4, 3, 0.05, 20)
+    mat = noise_matrix(9, range(4), 3, 0.05, 20)
     for p in range(4):
         assert np.array_equal(mat[p], generate_noise(9, p, 3, 0.05, 20).increments)
+    tail = noise_matrix(9, range(2, 4), 3, 0.05, 20)
+    assert np.array_equal(tail, mat[2:])
+
+
+def test_noise_matrix_validates_like_generate_noise():
+    with pytest.raises(ValueError):
+        noise_matrix(0, range(2), 1, 0.1, 0)
 
 
 def test_noise_moments():
     dt = 0.01
-    draws = noise_matrix(3, 100, 1, dt, 1000).ravel()  # 1e5 draws
+    draws = noise_matrix(3, range(100), 1, dt, 1000).ravel()  # 1e5 draws
     assert draws.size == 100000
     assert abs(draws.mean()) < 4 * math.sqrt(dt) / math.sqrt(draws.size)
     assert abs(draws.var() - dt) < 0.05 * dt
@@ -92,31 +105,38 @@ def test_coarsen_noise_sums_increments():
 # ---------------------------------------------------------------------------
 # single steps
 
+def one_step(sys, x, db, dt):
+    """One Heun step through flow_endpoints; db holds the m noise increments."""
+    return flow_endpoints(sys, x, dt, np.asarray(db, dtype=float).reshape(1, -1))
+
+
 def test_heun_step_zero_fields():
     sys = StratonovichSystem(manifold=T2, drift=VectorFieldSpec.zero(2),
                              diffusions=(VectorFieldSpec.zero(2),))
     x = np.array([0.4, 0.6])
-    np.testing.assert_array_equal(heun_step(sys, x, np.array([0.1, 0.3])), x)
+    np.testing.assert_array_equal(one_step(sys, x, [0.3], 0.1), x)
 
 
 def test_heun_step_constant_drift_exact():
     sys = StratonovichSystem(manifold=T1, drift=VectorFieldSpec.from_strings(["1"]),
                              diffusions=())
-    out = heun_step(sys, np.array([0.25]), np.array([0.1]))
+    out = one_step(sys, np.array([0.25]), [], 0.1)
     assert float(out[0]) == pytest.approx(0.35, abs=1e-15)
 
 
 def test_heun_step_additive_noise_exact():
     sys = translation_system(1)
     w = 0.3173
-    out = heun_step(sys, np.array([0.9]), np.array([0.01, w]))
+    out = one_step(sys, np.array([0.9]), [w], 0.01)
     assert float(out[0]) == pytest.approx((0.9 + w) % 1.0, abs=1e-15)
 
 
 def test_heun_step_shape_mismatch():
     sys = translation_system(1)
-    with pytest.raises(ConfigurationError):
-        heun_step(sys, np.array([0.0]), np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ConfigurationError):  # too many noise components
+        flow_endpoints(sys, np.array([0.0]), 0.1, np.full((10, 3), 0.03))
+    with pytest.raises(ConfigurationError):  # too few
+        flow_endpoints(sys, np.array([0.0]), 0.1, np.zeros((10, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +146,7 @@ def test_flow_zero_system_constant_trajectory():
     sys = StratonovichSystem(manifold=T2, drift=VectorFieldSpec.zero(2),
                              diffusions=())
     noise = generate_noise(0, 0, 0, 0.1, 10)
-    res = flow(sys, [0.2, 0.7], 1.0, 0.1, noise)
+    res = flow_with_jacobian(sys, [0.2, 0.7], 1.0, 0.1, noise)
     np.testing.assert_array_equal(res.trajectory,
                                   np.tile([0.2, 0.7], (11, 1)))
 
@@ -134,7 +154,7 @@ def test_flow_zero_system_constant_trajectory():
 def test_flow_additive_noise_closed_form():
     sys = translation_system(1)
     noise = generate_noise(11, 3, 1, 0.001, 1000)
-    res = flow(sys, [0.3], 1.0, 0.001, noise)
+    res = flow_with_jacobian(sys, [0.3], 1.0, 0.001, noise)
     want = (0.3 + noise.increments.sum()) % 1.0
     assert circle_distance(float(res.endpoint[0]), want) < 1e-12
 
@@ -145,7 +165,7 @@ def test_flow_deterministic_rotation_exact():
         manifold=T2, drift=VectorFieldSpec.from_strings(["1", f"{alpha!r}"]),
         diffusions=())
     noise = generate_noise(0, 0, 0, 1e-3, 1000)
-    res = flow(sys, [0.1, 0.2], 1.0, 1e-3, noise)
+    res = flow_with_jacobian(sys, [0.1, 0.2], 1.0, 1e-3, noise)
     want = np.array([(0.1 + 1.0) % 1.0, (0.2 + alpha) % 1.0])
     assert np.max(np.abs(res.endpoint - want)) < 1e-12
 
@@ -154,10 +174,10 @@ def test_flow_noise_shape_mismatch():
     sys = translation_system(2)
     noise = generate_noise(0, 0, 1, 0.1, 10)  # one component, system has two
     with pytest.raises(ConfigurationError):
-        flow(sys, [0.0, 0.0], 1.0, 0.1, noise)
+        flow_with_jacobian(sys, [0.0, 0.0], 1.0, 0.1, noise)
     noise2 = generate_noise(0, 0, 2, 0.1, 10)
     with pytest.raises(ConfigurationError):
-        flow(sys, [0.0, 0.0], 2.0, 0.1, noise2)
+        flow_with_jacobian(sys, [0.0, 0.0], 2.0, 0.1, noise2)
 
 
 def test_flow_results_bitwise_deterministic():
@@ -173,7 +193,7 @@ def test_flow_results_bitwise_deterministic():
 def test_flow_trajectory_is_canonical_and_starts_at_x0():
     sys = translation_system(1)
     noise = generate_noise(5, 0, 1, 0.05, 200)
-    res = flow(sys, [0.99], 10.0, 0.05, noise)
+    res = flow_with_jacobian(sys, [0.99], 10.0, 0.05, noise)
     assert res.trajectory[0][0] == pytest.approx(0.99)
     assert np.all(res.trajectory >= 0) and np.all(res.trajectory < 1)
 
@@ -226,7 +246,7 @@ def test_flow_endpoints_batches_match_single_runs():
     pts = np.array([[0.1, 0.2], [0.5, 0.6], [0.9, 0.1]])
     batch = flow_endpoints(sys, pts, 0.01, noise.increments)
     for i, p in enumerate(pts):
-        single = flow(sys, p, 0.5, 0.01, noise).endpoint
+        single = flow_with_jacobian(sys, p, 0.5, 0.01, noise).endpoint
         np.testing.assert_array_equal(batch[i], single)
 
 
@@ -236,7 +256,7 @@ def test_heisenberg_flow_stays_canonical():
     sys = StratonovichSystem(manifold=m, drift=VectorFieldSpec.zero(3),
                              diffusions=(X, Y, Z))
     noise = generate_noise(8, 0, 3, 0.01, 500)
-    res = flow(sys, [0.5, 0.5, 0.5], 5.0, 0.01, noise)
+    res = flow_with_jacobian(sys, [0.5, 0.5, 0.5], 5.0, 0.01, noise)
     assert np.all(res.trajectory >= 0) and np.all(res.trajectory < 1)
 
 
@@ -246,7 +266,7 @@ def test_heisenberg_flow_stays_canonical():
 def test_trajectory_csv_columns():
     sys = translation_system(2)
     noise = generate_noise(1, 0, 2, 0.5, 2)
-    res = flow(sys, [0.1, 0.2], 1.0, 0.5, noise)
+    res = flow_with_jacobian(sys, [0.1, 0.2], 1.0, 0.5, noise)
     buf = io.StringIO()
     write_trajectory_csv(res, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -256,3 +276,77 @@ def test_trajectory_csv_columns():
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(0.1)
     assert float(first[3]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# reference-loop oracle: every integrator must reproduce a plain Heun loop
+# bit for bit
+
+def reference_heun(sys, x0, dt, increments):
+    """Per-step Heun loop with log J; returns (trajectory, log J) over t_k.
+
+    Written out independently of stochflow.sde: increments (..., steps, m)
+    broadcast against x0 (..., dim), dB^0 = dt.
+    """
+    def step_increment(x, db):
+        out = None
+        if not sys.drift.is_zero:
+            out = sys.drift(x) * dt
+        for i, f in enumerate(sys.diffusions):
+            term = f(x) * db[..., i][..., None]
+            out = term if out is None else out + term
+        return np.zeros(np.shape(x)) if out is None else out
+
+    def div_increment(x, db):
+        out = None
+        for i, fn in enumerate(div_fns):
+            if fn is None:
+                continue
+            vals = fn(x)
+            term = vals * dt if i == 0 else vals * db[..., i - 1]
+            out = term if out is None else out + term
+        return np.zeros(np.shape(x)[:-1]) if out is None else out
+
+    div_fns = [None if f.is_zero else divergence_function(sys.manifold, f)
+               for f in sys.fields()]
+    x0 = np.asarray(x0, dtype=float)
+    lead = np.broadcast_shapes(x0.shape[:-1], increments.shape[:-2])
+    x = np.broadcast_to(sys.manifold.wrap(x0), lead + x0.shape[-1:]).copy()
+    logj = np.zeros(lead)
+    traj, logjs = [x], [logj]
+    for k in range(increments.shape[-2]):
+        db = increments[..., k, :]
+        pred = step_increment(x, db)
+        pred_l = div_increment(x, db)
+        xbar = x + pred
+        corr = step_increment(xbar, db)
+        corr_l = div_increment(xbar, db)
+        x = sys.manifold.wrap(x + 0.5 * (pred + corr))
+        logj = logj + 0.5 * (pred_l + corr_l)
+        traj.append(x)
+        logjs.append(logj)
+    return np.array(traj), np.array(logjs)
+
+
+@pytest.mark.parametrize("label", sorted(builtin_systems()))
+def test_integrators_match_reference_loop(label):
+    sys = builtin_systems()[label]
+    dim, dt, steps, n_paths = sys.manifold.dim, 0.01, 25, 3
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, 1.0, size=(4, dim))
+    noise = generate_noise(2, 0, sys.m, dt, steps)
+
+    res = flow_with_jacobian(sys, pts, steps * dt, dt, noise)
+    want_traj, want_logj = reference_heun(sys, pts, dt, noise.increments)
+    np.testing.assert_array_equal(res.trajectory, want_traj)
+    np.testing.assert_array_equal(res.log_jacobian, want_logj)
+
+    inc = noise_matrix(2, range(n_paths), sys.m, dt, steps)[:, None]
+    ends = flow_endpoints(sys, pts, dt, inc)
+    np.testing.assert_array_equal(ends, reference_heun(sys, pts, dt, inc)[0][-1])
+
+    rep = jacobian_check(sys, pts[0], steps * dt, dt, seed=2, n_paths=n_paths)
+    _, logj = reference_heun(sys, pts[0], dt, inc[:, 0])
+    worst = np.max(np.abs(np.exp(logj) - 1.0), axis=0)
+    np.testing.assert_array_equal([r["value"] for r in rep.per_basis], worst)
+    assert rep.residual == np.max(worst)

@@ -26,7 +26,6 @@ from . import expr, liealg
 from .config import CheckSpec, ConfigError, ExperimentConfig, parse_config, serialize_config
 from .currents import DensityCurrent, EmpiricalCurrent
 from .invariance import (
-    FrameRealization,
     InvarianceReport,
     check_mean_nform,
     check_strict_nform,

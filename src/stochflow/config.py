@@ -28,7 +28,7 @@ are accepted as an alternative input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import expr

@@ -34,6 +34,7 @@ from .sde import (
     _check_noise,
     flow_endpoints,
     noise_matrix,
+    step_count,
 )
 
 __all__ = [
@@ -163,9 +164,7 @@ def pullback_values(T: Current, functions: Sequence[ScalarField],
     the streams path_index = 0..n_paths-1 of the given seed, aggregated
     in ascending order so results do not depend on chunking.
     """
-    steps = int(round(t / dt))
-    if steps < 1 or abs(steps * dt - t) > 1e-9 * max(t, dt):
-        raise ValueError("t must be an integer multiple of dt")
+    steps = step_count(t, dt)
     pts = T.points
     n_pts = pts.shape[0]
     fns = [_as_scalar_fn(f) for f in functions]

@@ -38,6 +38,7 @@ __all__ = [
     "max_coordinate",
     "is_constant",
     "to_str",
+    "Lowering",
 ]
 
 
@@ -310,6 +311,66 @@ def evaluate(node: Expr, pts) -> np.ndarray:
     if np.ndim(out) == 0:
         return np.full(pts.shape[:-1], float(out))
     return np.asarray(out, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# lowering to straight-line numpy source
+
+class Lowering:
+    """Straight-line numpy source for several expressions at once.
+
+    ``emit(node, inputs)`` appends to ``lines`` the assignments that
+    compute node, with coordinate x_{i+1} read from the source variable
+    inputs[i], and returns the name that holds the value. A subtree
+    already emitted for the same inputs is not computed again, so fields,
+    their components and their derivatives share work. Constant subtrees
+    are folded to values, with the arithmetic ``evaluate`` uses, so that
+    compiled code computes what ``evaluate`` computes. The source is built
+    from the tree's node types, operators and function names only, never
+    from expression text. Emitted names are v<n> (temporaries), k<n>
+    (constants) and the function names; callers name their own variables
+    otherwise.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.namespace = dict(_FUNCTIONS)
+        self._names = {}
+        self._temps = 0
+
+    def emit(self, node: Expr, inputs) -> str:
+        constant = is_constant(node)
+        key = (node, () if constant else tuple(inputs))
+        name = self._names.get(key)
+        if name is not None:
+            return name
+        if constant:
+            name = f"k{len(self.namespace)}"
+            self.namespace[name] = float(_eval(node, None))
+        elif isinstance(node, Coord):
+            name = inputs[node.axis]
+        else:
+            if isinstance(node, Neg):
+                text = f"-{self.emit(node.arg, inputs)}"
+            elif isinstance(node, BinOp) and node.op in ("+", "-", "*", "/"):
+                text = (f"{self.emit(node.left, inputs)} {node.op} "
+                        f"{self.emit(node.right, inputs)}")
+            elif isinstance(node, Call) and node.fn in _FUNCTIONS:
+                text = f"{node.fn}({self.emit(node.arg, inputs)})"
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            name = f"v{self._temps}"
+            self._temps += 1
+            self.lines.append(f"{name} = {text}")
+        self._names[key] = name
+        return name
+
+    def define(self, source: str, name: str):
+        """Runs source, which may read every emitted name and ``np``, and
+        returns the function it defines as name."""
+        namespace = dict(self.namespace, np=np)
+        exec(compile(source, f"<lowered {name}>", "exec"), namespace)
+        return namespace[name]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .manifold import (
     product_divergence_function,
     torus,
 )
-from .sde import StratonovichSystem, flow_endpoints, heun_path, noise_matrix
+from .sde import StratonovichSystem, flow_endpoints, heun_path, noise_matrix, step_count
 
 __all__ = [
     "RealizationError",
@@ -278,7 +278,7 @@ def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
                    tolerance: float = 1e-2) -> InvarianceReport:
     """Pathwise volume deviation: residual = max over paths and times of
     |J - 1| from the co-evolved log-Jacobian."""
-    steps = int(round(t / dt))
+    steps = step_count(t, dt)
     inc = noise_matrix(seed, range(n_paths), sys.m, dt, steps)
     worst = np.zeros(n_paths)
     for _, logj in heun_path(sys, x0, dt, inc, log_jacobian=True):
@@ -421,7 +421,7 @@ def calibrate_bias_constant(T: Current, sys: StratonovichSystem, basis,
     integration; the Monte Carlo noise cancels in the difference of the
     pullback means, leaving ~C*dt/2 per basis function.
     """
-    steps = int(round(t / dt))
+    steps = step_count(t, dt)
     pts = T.points
     fine = noise_matrix(seed, range(n_paths), sys.m, dt / 2, 2 * steps)
     coarse = fine.reshape(n_paths, steps, 2, sys.m).sum(axis=2)

@@ -198,6 +198,10 @@ class VectorFieldSpec:
         return all(_is_expr(c) and isinstance(c, expr.Num) and c.value == 0.0
                    for c in self.components)
 
+    @property
+    def is_constant(self) -> bool:
+        return all(_is_expr(c) and expr.is_constant(c) for c in self.components)
+
     def component_values(self, i: int, pts) -> np.ndarray:
         c = self.components[i]
         if _is_expr(c):

@@ -8,9 +8,26 @@ same noise increments; a finite-difference Jacobian serves as an
 independent cross-check.
 
 Every integrator runs the one step loop in ``heun_path``, a generator
-over the wrapped states (and log J) of a batch of points:
-``flow_with_jacobian`` records them, ``flow_endpoints`` keeps the last
-one, and the volume check in ``invariance`` keeps a running maximum.
+over the states (and log J) of a batch of points: ``flow_with_jacobian``
+records them, ``flow_endpoints`` keeps the last one, and the volume
+check in ``invariance`` keeps a running maximum. The step is compiled
+once per system and kept on it: expression-backed fields on a manifold
+without a volume density become one straight-line function that shares
+subexpressions across components, fields and divergences; other fields
+go through ``VectorFieldSpec.__call__`` and ``divergence_function``.
+
+The loop steps unwrapped coordinates. Fields are compatible with the
+identification (checked when the system is built) and the Heun step
+commutes with the affine lattice maps, so wrapping only keeps numbers
+small: once per step a single max|x| decides whether the batch is
+still finite and within a few box lengths, re-wraps it when it has
+drifted further and raises ``InvalidPointError`` with the step and
+point when it is not finite. Results are wrapped into the fundamental
+domain when they leave the integrator. (The finite-difference route
+wraps every step when it carries log J: its divergences depend, at the
+1e-11 level, on which representative of a point they see.) When every field is constant the
+Heun step is exact, and ``flow_endpoints`` replaces the loop by one
+summed increment per path.
 
 Noise is counter-based (Philox keyed by (seed, path_index)), so paths
 are bitwise reproducible and independent across path indices without
@@ -28,11 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr
 from .manifold import (
     ChartedManifold,
+    InvalidPointError,
     VectorFieldSpec,
     divergence_function,
     is_compatible_field,
+    product_divergence_expr,
 )
 
 __all__ = [
@@ -43,6 +63,7 @@ __all__ = [
     "generate_noise",
     "noise_matrix",
     "coarsen_noise",
+    "step_count",
     "flow_with_jacobian",
     "flow_endpoints",
     "fd_jacobian",
@@ -50,6 +71,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# heun_path re-wraps a batch once some coordinate passes this many box
+# lengths; below it, rounding on unwrapped coordinates stays at ulp level
+_REWRAP_BOXES = 4.0
 
 
 class ConfigurationError(ValueError):
@@ -75,6 +100,7 @@ class StratonovichSystem:
             if not is_compatible_field(self.manifold, f):
                 raise ConfigurationError(
                     f"{name} is not compatible with the identification")
+        object.__setattr__(self, "_compiled", {})
 
     @property
     def m(self) -> int:
@@ -82,6 +108,12 @@ class StratonovichSystem:
 
     def fields(self) -> list:
         return [self.drift, *self.diffusions]
+
+    def _cached(self, key, build):
+        """build(self), computed on first use and kept on the system."""
+        if key not in self._compiled:
+            self._compiled[key] = build(self)
+        return self._compiled[key]
 
 
 @dataclass(frozen=True)
@@ -139,33 +171,121 @@ def coarsen_noise(noise: NoisePath, factor: int) -> NoisePath:
                      dt=noise.dt * factor, steps=steps, increments=inc)
 
 
+def step_count(t: float, dt: float) -> int:
+    """The number of dt steps in t; t must be a positive multiple of dt."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    steps = int(round(t / dt))
+    if steps < 1 or abs(steps * dt - t) > 1e-9 * max(t, dt):
+        raise ValueError("t must be an integer multiple of dt")
+    return steps
+
+
 # ---------------------------------------------------------------------------
 # stepping
 
-def _step_increment(sys: StratonovichSystem, x, db, dt):
-    """sum_i X_i(x) dB^i with dB^0 = dt; db has shape (..., m)."""
-    out = None
-    if not sys.drift.is_zero:
-        out = sys.drift(x) * dt
-    for i, f in enumerate(sys.diffusions):
-        term = f(x) * db[..., i][..., None]
-        out = term if out is None else out + term
-    if out is None:
-        out = np.zeros(np.shape(x))
-    return out
+def _is_zero(node) -> bool:
+    return isinstance(node, expr.Num) and node.value == 0.0
 
 
-def _div_increment(div_fns, x, db, dt):
-    out = None
-    for i, fn in enumerate(div_fns):
-        if fn is None:
-            continue
-        vals = fn(x)
-        term = vals * dt if i == 0 else vals * db[..., i - 1]
-        out = term if out is None else out + term
-    if out is None:
-        out = np.zeros(np.shape(x)[:-1])
-    return out
+def _compile_step(sys: StratonovichSystem, log_jacobian: bool):
+    """(step, wrap_each): one Heun step, step(x, db) -> (next x, increment
+    of log J or None), and whether its states must be wrapped every step.
+
+    x has shape (..., dim) and db = (dt, dB^1, ..., dB^m), each
+    broadcasting against x[..., 0]. Expression-backed fields on a
+    manifold without a volume density are lowered to one function whose
+    stages compute sum_i X_i dB^i component by component, in the order
+    and with the arithmetic of the field-by-field route, sharing
+    subexpressions; other systems use that route itself.
+    """
+    m = sys.manifold
+    fields = [(i, f) for i, f in enumerate(sys.fields()) if not f.is_zero]
+    if m.volume_density is not None or not all(f.analytic for _, f in fields):
+        return _field_step(sys, fields, log_jacobian)
+    divs = []
+    if log_jacobian:
+        divs = [(i, d) for i, f in fields
+                if not _is_zero(d := product_divergence_expr(m, f))]
+    low = expr.Lowering()
+    lines = low.lines
+
+    def stage(inputs, out):
+        # <out>j = sum_i X_i^j dB^i for each component j, and
+        # <out>l = sum_i div(X_i) dB^i
+        for j in range(m.dim):
+            terms = [f"{low.emit(f.components[j], inputs)} * db[{i}]"
+                     for i, f in fields if not _is_zero(f.components[j])]
+            lines.append(f"{out}{j} = {' + '.join(terms) or '0.0'}")
+        if log_jacobian:
+            terms = [f"{low.emit(d, inputs)} * db[{i}]" for i, d in divs]
+            lines.append(f"{out}l = {' + '.join(terms) or '0.0'}")
+
+    xs = [f"a{j}" for j in range(m.dim)]
+    lines.extend(f"a{j} = x[..., {j}]" for j in range(m.dim))
+    stage(xs, "p")
+    lines.extend(f"b{j} = a{j} + p{j}" for j in range(m.dim))
+    stage([f"b{j}" for j in range(m.dim)], "c")
+    lines.append("out = np.empty(x.shape)")
+    lines.extend(f"out[..., {j}] = a{j} + 0.5 * (p{j} + c{j})"
+                 for j in range(m.dim))
+    lines.append("return out, " + ("0.5 * (pl + cl)" if log_jacobian else "None"))
+    source = "def step(x, db):\n" + "".join(f"    {line}\n" for line in lines)
+    return low.define(source, "step"), False
+
+
+def _field_step(sys, fields, log_jacobian):
+    """The Heun step through VectorFieldSpec.__call__ and
+    divergence_function, for callable fields or a volume density.
+
+    Its divergences are central differences, whose rounding error
+    (about ulp / h, 1e-11) depends on which representative of a point
+    they see, so with log J its states are wrapped every step.
+    """
+    div_fns = ([(i, divergence_function(sys.manifold, f)) for i, f in fields]
+               if log_jacobian else [])
+
+    def increment(x, db):
+        out = np.zeros(x.shape)
+        for i, f in fields:
+            out = out + f(x) * np.expand_dims(db[i], -1)
+        return out
+
+    def div_increment(x, db):
+        return sum((fn(x) * db[i] for i, fn in div_fns), 0.0)
+
+    def step(x, db):
+        pred = increment(x, db)
+        xbar = x + pred
+        x_next = x + 0.5 * (pred + increment(xbar, db))
+        if not log_jacobian:
+            return x_next, None
+        return x_next, 0.5 * (div_increment(x, db) + div_increment(xbar, db))
+    return step, log_jacobian
+
+
+def _constant_velocities(sys: StratonovichSystem):
+    """Rows X_0..X_m when every field is a constant expression, else None."""
+    if not all(f.is_constant for f in sys.fields()):
+        return None
+    origin = np.zeros(sys.manifold.dim)
+    return np.array([f(origin) for f in sys.fields()])
+
+
+def _noise_array(sys: StratonovichSystem, increments) -> np.ndarray:
+    increments = np.asarray(increments, dtype=float)
+    if increments.shape[-1] != sys.m:
+        raise ConfigurationError(f"noise has {increments.shape[-1]} components, "
+                                 f"system has {sys.m}")
+    return increments
+
+
+def _rewrap(m: ChartedManifold, x, step: int) -> np.ndarray:
+    bad = ~np.all(np.isfinite(x), axis=-1)
+    if np.any(bad):
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise InvalidPointError(f"non-finite state at step {step}, point {where}")
+    return m.wrap(x)
 
 
 def _check_noise(sys, t_final, dt, noise):
@@ -204,34 +324,28 @@ def heun_path(sys: StratonovichSystem, x0, dt: float, increments,
     """The Heun step loop: yields (x, log J) at t_0, t_1, ..., t_steps.
 
     x0 has shape (..., dim) and increments (..., steps, m), broadcast
-    against each other in the leading axes. Each state is wrapped into
-    the fundamental domain; the corrector is evaluated on the same sheet
-    as the predictor and wrapping happens only after the step. log J is
-    None unless log_jacobian is set.
+    against each other in the leading axes. x0 is wrapped into the
+    fundamental domain; later states are not, only kept within a few box
+    lengths of it, so callers wrap what they return. A non-finite state
+    raises InvalidPointError naming the step and the first leading index
+    that holds it. log J is None unless log_jacobian is set.
     """
     x0 = np.asarray(x0, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    if increments.shape[-1] != sys.m:
-        raise ConfigurationError(f"noise has {increments.shape[-1]} components, "
-                                 f"system has {sys.m}")
+    increments = _noise_array(sys, increments)
     lead = np.broadcast_shapes(x0.shape[:-1], increments.shape[:-2])
     x = np.broadcast_to(sys.manifold.wrap(x0), lead + x0.shape[-1:]).copy()
-    logj = div_fns = None
-    if log_jacobian:
-        div_fns = [None if f.is_zero else divergence_function(sys.manifold, f)
-                   for f in sys.fields()]
-        logj = np.zeros(lead)
+    step, wrap_each = sys._cached(("step", log_jacobian),
+                                  lambda s: _compile_step(s, log_jacobian))
+    bound = _REWRAP_BOXES * max(sys.manifold.box_lengths)
+    logj = np.zeros(lead) if log_jacobian else None
     yield x, logj
-    for k in range(increments.shape[-2]):
-        db = increments[..., k, :]
-        pred = _step_increment(sys, x, db, dt)
-        xbar = x + pred
-        corr = _step_increment(sys, xbar, db, dt)
-        if div_fns is not None:
-            pred_l = _div_increment(div_fns, x, db, dt)
-            corr_l = _div_increment(div_fns, xbar, db, dt)
-            logj = logj + 0.5 * (pred_l + corr_l)
-        x = sys.manifold.wrap(x + 0.5 * (pred + corr))
+    noise = np.moveaxis(increments, (-2, -1), (0, 1))  # (steps, m, ...)
+    for k in range(noise.shape[0]):
+        x, dlogj = step(x, (dt, *noise[k]))
+        if wrap_each or not np.max(np.abs(x)) <= bound:  # true for nan
+            x = _rewrap(sys.manifold, x, k + 1)
+        if log_jacobian:
+            logj = logj + dlogj
         yield x, logj
 
 
@@ -246,7 +360,8 @@ def flow_with_jacobian(sys: StratonovichSystem, x0, t_final: float, dt: float,
     for k, (x, lj) in enumerate(path):
         traj[k] = x
         logj[k] = lj
-    return FlowResult(dt=dt, trajectory=traj, log_jacobian=logj)
+    return FlowResult(dt=dt, trajectory=sys.manifold.wrap(traj),
+                      log_jacobian=logj)
 
 
 def flow_endpoints(sys: StratonovichSystem, x0, dt: float,
@@ -255,11 +370,20 @@ def flow_endpoints(sys: StratonovichSystem, x0, dt: float,
 
     x0 has shape (..., dim) and increments (..., steps, m), broadcast
     against each other in the leading axes; returns the wrapped
-    endpoints with the broadcast shape.
+    endpoints with the broadcast shape. With constant fields each Heun
+    step adds sum_i X_i dB^i exactly, so the endpoint is x0 plus one
+    summed increment per path.
     """
+    velocities = sys._cached("velocities", _constant_velocities)
+    if velocities is not None:
+        increments = _noise_array(sys, increments)
+        steps = increments.shape[-2]
+        x = (sys.manifold.wrap(x0) + (dt * steps) * velocities[0]
+             + increments.sum(axis=-2) @ velocities[1:])
+        return sys.manifold.wrap(x)
     for x, _ in heun_path(sys, x0, dt, increments):
         pass
-    return x
+    return sys.manifold.wrap(x)
 
 
 def fd_jacobian(sys: StratonovichSystem, x0, t_final: float, dt: float,

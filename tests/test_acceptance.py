@@ -17,7 +17,6 @@ from stochflow import liealg
 from stochflow.cli import run
 from stochflow.config import parse_config
 from stochflow.currents import (
-    derivative_current_eval,
     evaluate,
     generator_residuals,
     pullback_values,
@@ -39,7 +38,7 @@ from stochflow.liealg import (
     is_nilpotent,
     tr_ad_restricted,
 )
-from stochflow.manifold import make_test_basis, torus
+from stochflow.manifold import make_test_basis
 from stochflow.presets import preset_text
 from stochflow.sde import (
     fd_jacobian,

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stochflow import expr
+from stochflow import currents, expr
 from stochflow.currents import (
     DensityCurrent,
     EmpiricalCurrent,
@@ -18,6 +20,7 @@ from stochflow.currents import (
 from stochflow.manifold import VectorFieldSpec, make_test_basis, torus
 from stochflow.invariance import empirical_check
 from stochflow.sde import StratonovichSystem, flow_with_jacobian, generate_noise
+from stochflow.systems import hamiltonian_torus_system
 
 T1 = torus(1.0)
 T2 = torus(1.0, 1.0)
@@ -301,3 +304,23 @@ def test_pullback_values_matches_pullback_eval():
         for k, f in enumerate(basis.functions):
             assert vals[k, p] == pytest.approx(
                 pullback_eval(T, f, sys, 0.5, 1e-2, noise), abs=1e-14)
+
+
+# constant fields take the summed-increment path, trig fields the stepped one
+CHUNKED_SYSTEMS = {"constant": translation_system(2),
+                   "trig": hamiltonian_torus_system()}
+CHUNKED_T = volume_current(T2, 4)
+CHUNKED_BASIS = make_test_basis(T2, 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(label=st.sampled_from(sorted(CHUNKED_SYSTEMS)),
+       chunk_elems=st.integers(1, 200), n_paths=st.integers(1, 6))
+def test_pullback_values_do_not_depend_on_chunking(label, chunk_elems, n_paths):
+    # 16 support points in 2-D: chunks of 1 to 6 paths
+    sys = CHUNKED_SYSTEMS[label]
+    args = (CHUNKED_T, CHUNKED_BASIS.functions, sys, 0.1, 0.01, 4)
+    want = pullback_values(*args, n_paths=6)
+    with mock.patch.object(currents, "_CHUNK_ELEMS", chunk_elems):
+        got = pullback_values(*args, n_paths=n_paths)
+    np.testing.assert_allclose(got, want[:, :n_paths], rtol=0, atol=1e-12)

@@ -6,7 +6,6 @@ from stochflow import expr, liealg
 from stochflow.currents import EmpiricalCurrent, volume_current
 from stochflow.invariance import (
     DEFAULT_BIAS_C,
-    FrameRealization,
     InvarianceReport,
     RealizationError,
     calibrate_bias_constant,
@@ -172,6 +171,16 @@ def test_jacobian_check_hamiltonian():
     rep = jacobian_check(sys, [0.3, 0.7], 1.0, 1e-2, seed=0, n_paths=10)
     assert rep.verdict and rep.residual < 1e-2
     assert len(rep.per_basis) == 10
+
+
+def test_horizon_must_be_a_multiple_of_dt():
+    # 1.0 is not a multiple of 0.3: the runs would stop at t = 0.9
+    with pytest.raises(ValueError, match="multiple of dt"):
+        jacobian_check(sin_drift_system(), [0.3], 1.0, 0.3, seed=0, n_paths=2)
+    T = volume_current(T2, 8)
+    basis = make_test_basis(T2, 1)
+    with pytest.raises(ValueError, match="multiple of dt"):
+        calibrate_bias_constant(T, translation_bm_system(2), basis, 1.0, 0.3)
 
 
 def test_calibrate_bias_constant_vanishes_where_heun_is_exact():

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from stochflow import liealg
 from stochflow.liealg import (
     LieAlgebraData,
     NotASubalgebraError,

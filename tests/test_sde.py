@@ -6,6 +6,8 @@ import pytest
 
 from stochflow.invariance import jacobian_check
 from stochflow.manifold import (
+    ChartedManifold,
+    InvalidPointError,
     VectorFieldSpec,
     divergence_function,
     heisenberg_frame,
@@ -280,7 +282,9 @@ def test_trajectory_csv_columns():
 
 # ---------------------------------------------------------------------------
 # reference-loop oracle: every integrator must reproduce a plain Heun loop
-# bit for bit
+# that wraps after every step. The integrators step unwrapped coordinates
+# and add constant fields up in one sum, so they agree to rounding, not
+# bit for bit.
 
 def reference_heun(sys, x0, dt, increments):
     """Per-step Heun loop with log J; returns (trajectory, log J) over t_k.
@@ -328,25 +332,85 @@ def reference_heun(sys, x0, dt, increments):
     return np.array(traj), np.array(logjs)
 
 
-@pytest.mark.parametrize("label", sorted(builtin_systems()))
-def test_integrators_match_reference_loop(label):
-    sys = builtin_systems()[label]
-    dim, dt, steps, n_paths = sys.manifold.dim, 0.01, 25, 3
+def callable_field_system():
+    """Periodic callable diffusion next to an analytic drift."""
+    diffusion = VectorFieldSpec(dim=2, components=(
+        lambda p: 0.3 * np.sin(2 * np.pi * p[..., 1]),
+        lambda p: 0.2 * np.cos(2 * np.pi * p[..., 0]),
+    ))
+    return StratonovichSystem(
+        manifold=T2, drift=VectorFieldSpec.from_strings(["0.1", "0.05*sin(2*pi*x1)"]),
+        diffusions=(diffusion,))
+
+
+def constant_fields_with_density_system():
+    """Constant fields are not divergence-free against a volume density."""
+    m = ChartedManifold(dim=2, box_lengths=(1.0, 2.0), volume_density=lambda p:
+                        2.0 + np.sin(2 * np.pi * p[..., 0]) * np.cos(np.pi * p[..., 1]))
+    return StratonovichSystem(
+        manifold=m, drift=VectorFieldSpec.from_strings(["0.3", "0.1"]),
+        diffusions=(VectorFieldSpec.from_strings(["1", "0"]),
+                    VectorFieldSpec.from_strings(["0.5", "1"])))
+
+
+def heisenberg_frame_system():
+    X, Y, Z = heisenberg_frame()
+    return StratonovichSystem(manifold=heisenberg_manifold(),
+                              drift=VectorFieldSpec.zero(3), diffusions=(X, Y, Z))
+
+
+# label -> (system, dt, steps, whether flow_with_jacobian wraps on the way);
+# the finite-difference route of callable fields and volume densities
+# wraps every step
+ORACLE_CASES = {
+    **{label: (sys, 0.01, 25, False) for label, sys in builtin_systems().items()},
+    "callable_field": (callable_field_system(), 0.01, 25, True),
+    "constant_fields_with_density": (constant_fields_with_density_system(),
+                                     0.01, 25, True),
+    # long enough for the states to cross the seam and pass the re-wrap bound
+    "heisenberg_frame": (heisenberg_frame_system(), 0.05, 400, True),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_CASES))
+def test_integrators_match_reference_loop(label, monkeypatch):
+    sys, dt, steps, wraps_midway = ORACLE_CASES[label]
+    dim, n_paths = sys.manifold.dim, 3
+    close = dict(rtol=0, atol=1e-12)
     rng = np.random.default_rng(5)
-    pts = rng.uniform(0.0, 1.0, size=(4, dim))
+    pts = rng.uniform(0.0, 1.0, size=(4, dim)) * sys.manifold.lengths
     noise = generate_noise(2, 0, sys.m, dt, steps)
 
+    wraps = []
+    wrap = ChartedManifold.wrap
+    monkeypatch.setattr(ChartedManifold, "wrap",
+                        lambda self, p: wraps.append(1) or wrap(self, p))
     res = flow_with_jacobian(sys, pts, steps * dt, dt, noise)
+    # one wrap of x0, one of the recorded trajectory, and the re-wraps
+    assert (len(wraps) > 2) == wraps_midway
+    monkeypatch.undo()
     want_traj, want_logj = reference_heun(sys, pts, dt, noise.increments)
-    np.testing.assert_array_equal(res.trajectory, want_traj)
-    np.testing.assert_array_equal(res.log_jacobian, want_logj)
+    np.testing.assert_allclose(res.trajectory, want_traj, **close)
+    np.testing.assert_allclose(res.log_jacobian, want_logj, **close)
 
     inc = noise_matrix(2, range(n_paths), sys.m, dt, steps)[:, None]
     ends = flow_endpoints(sys, pts, dt, inc)
-    np.testing.assert_array_equal(ends, reference_heun(sys, pts, dt, inc)[0][-1])
+    np.testing.assert_allclose(ends, reference_heun(sys, pts, dt, inc)[0][-1], **close)
 
     rep = jacobian_check(sys, pts[0], steps * dt, dt, seed=2, n_paths=n_paths)
     _, logj = reference_heun(sys, pts[0], dt, inc[:, 0])
     worst = np.max(np.abs(np.exp(logj) - 1.0), axis=0)
-    np.testing.assert_array_equal([r["value"] for r in rep.per_basis], worst)
-    assert rep.residual == np.max(worst)
+    np.testing.assert_allclose([r["value"] for r in rep.per_basis], worst, **close)
+    np.testing.assert_allclose(rep.residual, np.max(worst), **close)
+
+
+def test_non_finite_state_names_its_step():
+    sys = StratonovichSystem(manifold=T1,
+                             drift=VectorFieldSpec.from_strings(["1/sin(2*pi*x1)"]),
+                             diffusions=())
+    noise = generate_noise(0, 0, 0, 0.01, 10)
+    with np.errstate(all="ignore"):
+        with pytest.raises(InvalidPointError, match=r"step 1, point \(\)"):
+            flow_endpoints(sys, [0.0], 0.01, noise.increments)
+        with pytest.raises(InvalidPointError, match=r"step 1, point \(1,\)"):
+            flow_with_jacobian(sys, [[0.25], [0.0]], 0.1, 0.01, noise)

@@ -239,14 +239,19 @@ def _run_check(exp: Experiment, chk: CheckSpec, overrides) -> InvarianceReport:
 # ---------------------------------------------------------------------------
 # reports
 
+_CSV_COLUMNS = ["check", "basis_index", "field_index", "value", "std_error",
+                "tolerance"]
+
+
 def _csv_rows(report: InvarianceReport):
     prefix = report.kind
     for row in report.per_basis:
         yield (prefix, row.get("basis_index", row.get("path_index", "")),
-               row.get("field_index", ""), row.get("value"))
+               row.get("field_index", ""), row.get("value"),
+               row.get("std_error", ""), row.get("tolerance", ""))
     if report.kind == "foliation_verdict":
         for item in report.metadata.get("offending", []):
-            yield (prefix, item["index"], "", item["trace"])
+            yield (prefix, item["index"], "", item["trace"], "", "")
     for sub in report.subchecks:
         for row in _csv_rows(sub):
             yield (f"{prefix}/{row[0]}",) + row[1:]
@@ -257,7 +262,7 @@ def _write_csvs(reports, outdir: Path):
         path = outdir / f"check_{i:02d}_{rep.kind}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["check", "basis_index", "field_index", "value"])
+            writer.writerow(_CSV_COLUMNS)
             for row in _csv_rows(rep):
                 writer.writerow(row)
 

@@ -55,6 +55,10 @@ _SECTION_KEYS = {
 _CHECK_KEYS = {"tolerance", "t", "dt", "paths", "seed", "grid", "basis_k",
                "bias_c", "x0"}
 
+# keys a check kind would ignore, rejected rather than dropped: the
+# pathwise check always probes a fixed number of paths
+_UNUSED_CHECK_KEYS = {"empirical_pathwise": {"paths"}}
+
 
 @dataclass(frozen=True)
 class ConfigIssue:
@@ -260,6 +264,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 if key not in _CHECK_KEYS:
                     issues.append(ConfigIssue(f"unknown check parameter {key!r}",
                                               line, path=f"check.{kind}.{key}"))
+                elif key in _UNUSED_CHECK_KEYS.get(kind, ()):
+                    issues.append(ConfigIssue(
+                        f"[check {kind}] does not take {key!r}: it probes "
+                        f"a fixed number of paths",
+                        line, path=f"check.{kind}.{key}"))
             checks.append(CheckSpec(
                 kind=kind, params=tuple((k, v) for k, v, *_ in entries)))
         elif name in _SECTION_KEYS:

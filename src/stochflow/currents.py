@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import expr
 from .manifold import (
     ChartedManifold,
     DegenerateDensityError,
@@ -25,6 +26,7 @@ from .manifold import (
     TestBasis,
     VectorFieldSpec,
     _as_scalar_fn,
+    _is_expr,
     apply_field,
     grid_points,
 )
@@ -43,9 +45,11 @@ __all__ = [
     "Current",
     "volume_current",
     "evaluate",
+    "evaluate_many",
     "pullback_eval",
     "pullback_values",
     "derivative_current_eval",
+    "derivative_currents",
     "generator_residuals",
     "strict_residuals",
 ]
@@ -142,6 +146,46 @@ def evaluate(T: Current, f: ScalarField) -> float:
     return float(np.dot(T.weights, vals))
 
 
+class _Functions:
+    """Scalar fields evaluated together on point arrays (..., dim).
+
+    Expressions are lowered into one ``expr.Lowering``, so subexpressions
+    they share (the cos/sin factors of a trig basis, say) are computed
+    once per point array; callables keep their own route. Functions may
+    be given as an iterator: each expression is lowered as it arrives,
+    so its tree need not outlive it.
+    """
+
+    def __init__(self, functions, dim: int):
+        self._low = expr.Lowering()
+        inputs = [f"x{i}" for i in range(dim)]
+        self._plan = [self._low.emit(f, inputs) if _is_expr(f) else _as_scalar_fn(f)
+                      for f in functions]
+
+    def __len__(self):
+        return len(self._plan)
+
+    def reduce(self, pts, reduce) -> list:
+        """[reduce(f(pts)) for each function f], each value reduced, and
+        its temporaries dropped, as soon as it is computed."""
+        env = {f"x{i}": pts[..., i] for i in range(pts.shape[-1])}
+        names = [p for p in self._plan if isinstance(p, str)]
+        lowered = iter(self._low.run(names, env, reduce, pts.shape[:-1]))
+        return [next(lowered) if isinstance(p, str)
+                else reduce(np.asarray(p(pts), dtype=float)) for p in self._plan]
+
+
+def evaluate_many(T: Current, functions) -> np.ndarray:
+    """[T(f) for f in functions], equal to ``evaluate`` for each f.
+
+    Expression-backed functions are lowered together and share their
+    subexpressions; functions may be an iterator, consumed once.
+    """
+    batch = _Functions(functions, T.manifold.dim)
+    return np.array(batch.reduce(T.points, lambda v: np.dot(T.weights, v)),
+                    dtype=float)
+
+
 def pullback_eval(T: Current, f: ScalarField, sys: StratonovichSystem,
                   t: float, dt: float, noise: NoisePath) -> float:
     """Pathwise pullback (phi_t^* T)(f) = T(f o phi_t), one realization.
@@ -159,24 +203,25 @@ def pullback_values(T: Current, functions: Sequence[ScalarField],
                     seed: int, n_paths: int) -> np.ndarray:
     """Pullback values for several test functions over many paths.
 
-    Flows the support once per path chunk and reuses the endpoints for
-    every function; returns shape (len(functions), n_paths). Paths are
+    Flows the support once per path chunk and evaluates every function
+    on its endpoints in one pass, with the expressions lowered together
+    once per call (a trig basis computes each cos/sin factor once per
+    chunk); returns shape (len(functions), n_paths). Paths are
     the streams path_index = 0..n_paths-1 of the given seed, aggregated
     in ascending order so results do not depend on chunking.
     """
     steps = step_count(t, dt)
     pts = T.points
     n_pts = pts.shape[0]
-    fns = [_as_scalar_fn(f) for f in functions]
-    out = np.empty((len(fns), n_paths))
+    batch = _Functions(functions, sys.manifold.dim)
+    out = np.empty((len(batch), n_paths))
     chunk = max(1, _CHUNK_ELEMS // max(1, n_pts * sys.manifold.dim))
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
         inc = noise_matrix(seed, range(start, stop), sys.m, dt, steps)
         ends = flow_endpoints(sys, pts, dt, inc[:, None, :, :])
-        for j, fn in enumerate(fns):
-            vals = np.asarray(fn(ends), dtype=float)
-            out[j, start:stop] = vals @ T.weights
+        for j, vals in enumerate(batch.reduce(ends, lambda v: v @ T.weights)):
+            out[j, start:stop] = vals
     return out
 
 
@@ -187,33 +232,45 @@ def derivative_current_eval(X: VectorFieldSpec, T: Current,
     return -evaluate(T, xf)
 
 
+def derivative_currents(T: Current, fields: Sequence[VectorFieldSpec],
+                        functions: Sequence[ScalarField]) -> np.ndarray:
+    """(X_i T)(f_k) = -T(X_i f_k) for every field and function, in one
+    ``evaluate_many`` pass; shape (len(fields), len(functions)).
+
+    The terms go function by function, so that the factors of one test
+    function are dropped before the next one's are computed.
+    """
+    m = T.manifold
+    xfs = (apply_field(m, X, f) for f in functions for X in fields)
+    return -evaluate_many(T, xfs).reshape(len(functions), len(fields)).T
+
+
 def generator_residuals(T: Current, sys: StratonovichSystem,
                         basis: TestBasis) -> np.ndarray:
     """Mean-invariance residuals r_k = T(X_0 f_k + (1/2) sum_i X_i(X_i f_k)).
 
     This is T(L f_k) with L the Stratonovich generator; T is invariant
     in mean exactly when every residual vanishes. Derivatives stay
-    analytic whenever field and basis are expression-backed.
+    analytic whenever field and basis are expression-backed, and the
+    terms of every residual are evaluated in one ``evaluate_many`` pass.
     """
     m = sys.manifold
-    out = np.empty(len(basis))
-    for k, f in enumerate(basis.functions):
-        acc = 0.0
-        if not sys.drift.is_zero:
-            acc += evaluate(T, apply_field(m, sys.drift, f))
-        for X in sys.diffusions:
-            xf = apply_field(m, X, f)
-            acc += 0.5 * evaluate(T, apply_field(m, X, xf))
-        out[k] = acc
+    drift = [] if sys.drift.is_zero else [sys.drift]
+    weights = [1.0] * len(drift) + [0.5] * len(sys.diffusions)
+
+    def terms(f):
+        yield from (apply_field(m, X, f) for X in drift)
+        yield from (apply_field(m, X, apply_field(m, X, f)) for X in sys.diffusions)
+
+    vals = evaluate_many(T, (g for f in basis.functions for g in terms(f)))
+    out = np.zeros(len(basis))
+    for k, row in enumerate(vals.reshape(len(basis), len(weights))):
+        for c, v in zip(weights, row):
+            out[k] += c * v
     return out
 
 
 def strict_residuals(T: Current, sys: StratonovichSystem,
                      basis: TestBasis) -> np.ndarray:
     """Strict-invariance residuals s[i, k] = (X_i T)(f_k), i = 0..m."""
-    fields = sys.fields()
-    out = np.empty((len(fields), len(basis)))
-    for i, X in enumerate(fields):
-        for k, f in enumerate(basis.functions):
-            out[i, k] = derivative_current_eval(X, T, f)
-    return out
+    return derivative_currents(T, sys.fields(), basis.functions)

@@ -15,6 +15,7 @@ derivatives of any order stay analytic.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -37,6 +38,7 @@ __all__ = [
     "call",
     "max_coordinate",
     "is_constant",
+    "is_identically_zero",
     "to_str",
     "Lowering",
 ]
@@ -314,56 +316,101 @@ def evaluate(node: Expr, pts) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# lowering to straight-line numpy source
+# lowering to straight-line numpy code
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+_APPLY = {**_OPERATORS, "neg": operator.neg, **_FUNCTIONS}
+
 
 class Lowering:
-    """Straight-line numpy source for several expressions at once.
+    """Straight-line numpy code for several expressions at once.
 
-    ``emit(node, inputs)`` appends to ``lines`` the assignments that
-    compute node, with coordinate x_{i+1} read from the source variable
-    inputs[i], and returns the name that holds the value. A subtree
-    already emitted for the same inputs is not computed again, so fields,
-    their components and their derivatives share work. Constant subtrees
-    are folded to values, with the arithmetic ``evaluate`` uses, so that
-    compiled code computes what ``evaluate`` computes. The source is built
-    from the tree's node types, operators and function names only, never
-    from expression text. Emitted names are v<n> (temporaries), k<n>
-    (constants) and the function names; callers name their own variables
-    otherwise.
+    ``emit(node, inputs)`` appends the operations that compute node, with
+    coordinate x_{i+1} read from the variable inputs[i], and returns the
+    name that holds the value. Each operation is keyed on its operator
+    and operand names, so an operation already emitted, for any earlier
+    expression, is not computed again: fields, their components and
+    their derivatives share work. Within one expression a node object is
+    lowered once, however often the tree refers to it, so emitting costs
+    time linear in the number of distinct nodes. Constant subtrees are
+    folded to values with the arithmetic ``evaluate`` uses, so that the
+    code computes what ``evaluate`` computes.
+
+    The code has two back ends. ``source`` renders it as Python
+    statements, built from the tree's node types, operators and function
+    names only, never from expression text; ``define`` compiles them
+    into a function, for code that runs many times (a Heun step). ``run``
+    executes the operations directly, for code that runs once or a few
+    times (a residual pass over a test basis): it compiles nothing and
+    keeps each temporary only until its last use. Emitted names are v<n>
+    (temporaries), k<n> (constants) and the function names; callers name
+    their own variables otherwise.
     """
 
     def __init__(self):
-        self.lines = []
+        self.code = []  # (operator, *operand names); code[n] computes v<n>
         self.namespace = dict(_FUNCTIONS)
-        self._names = {}
-        self._temps = 0
+        self._names = {}  # operation or constant key -> name
+        self._values = {}  # constant name -> value as folded
 
     def emit(self, node: Expr, inputs) -> str:
-        constant = is_constant(node)
-        key = (node, () if constant else tuple(inputs))
-        name = self._names.get(key)
-        if name is not None:
-            return name
-        if constant:
-            name = f"k{len(self.namespace)}"
-            self.namespace[name] = float(_eval(node, None))
-        elif isinstance(node, Coord):
-            name = inputs[node.axis]
-        else:
-            if isinstance(node, Neg):
-                text = f"-{self.emit(node.arg, inputs)}"
-            elif isinstance(node, BinOp) and node.op in ("+", "-", "*", "/"):
-                text = (f"{self.emit(node.left, inputs)} {node.op} "
-                        f"{self.emit(node.right, inputs)}")
-            elif isinstance(node, Call) and node.fn in _FUNCTIONS:
-                text = f"{node.fn}({self.emit(node.arg, inputs)})"
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
-            name = f"v{self._temps}"
-            self._temps += 1
-            self.lines.append(f"{name} = {text}")
-        self._names[key] = name
+        return self._emit(node, tuple(inputs), {})
+
+    def _emit(self, node, inputs, seen):
+        name = seen.get(id(node))
+        if name is None:
+            name = seen[id(node)] = self._lower(node, inputs, seen)
         return name
+
+    def _lower(self, node, inputs, seen):
+        if isinstance(node, Num):
+            return self._constant(node.value)
+        if isinstance(node, Coord):
+            if node.axis >= len(inputs):
+                raise ValueError(f"expression references x{node.axis + 1} but "
+                                 f"points have dimension {len(inputs)}")
+            return inputs[node.axis]
+        if isinstance(node, Neg):
+            op, args = "neg", (node.arg,)
+        elif isinstance(node, BinOp) and node.op in _OPERATORS:
+            op, args = node.op, (node.left, node.right)
+        elif isinstance(node, Call) and node.fn in _FUNCTIONS:
+            op, args = node.fn, (node.arg,)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        key = (op, *(self._emit(a, inputs, seen) for a in args))
+        if all(n in self._values for n in key[1:]):
+            return self._constant(_APPLY[op](*(self._values[n] for n in key[1:])))
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = f"v{len(self.code)}"
+            self.code.append(key)
+        return name
+
+    def _constant(self, value):
+        # the type is part of the key: a Python float and a numpy float
+        # divide by zero differently
+        key = (type(value), float(value).hex())
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = f"k{len(self.namespace)}"
+            self.namespace[name] = float(value)
+            self._values[name] = value
+        return name
+
+    def source(self, start: int) -> list:
+        """Python statements for the operations from code[start] on."""
+        lines = []
+        for n, (op, *args) in enumerate(self.code[start:], start):
+            if op == "neg":
+                text = f"-{args[0]}"
+            elif op in _OPERATORS:
+                text = f"{args[0]} {op} {args[1]}"
+            else:
+                text = f"{op}({args[0]})"
+            lines.append(f"v{n} = {text}")
+        return lines
 
     def define(self, source: str, name: str):
         """Runs source, which may read every emitted name and ``np``, and
@@ -371,6 +418,38 @@ class Lowering:
         namespace = dict(self.namespace, np=np)
         exec(compile(source, f"<lowered {name}>", "exec"), namespace)
         return namespace[name]
+
+    def run(self, results, env, reduce, shape) -> list:
+        """[reduce(value of name) for name in results], by executing the
+        emitted code on env (input name -> array of shape ``shape``).
+
+        Each value is reduced as soon as it is computed, and each
+        temporary is dropped after its last use. A constant result is
+        reduced as np.full(shape, value), the array ``evaluate`` returns.
+        """
+        last = {}
+        for n, (_, *args) in enumerate(self.code):
+            for a in args:
+                last[a] = n
+        wanted = dict.fromkeys(results)
+        values = dict(env, **self.namespace)
+        for name in wanted:
+            if name in self._values:
+                wanted[name] = reduce(np.full(shape, self.namespace[name]))
+            elif name in env:
+                wanted[name] = reduce(env[name])
+        for n, (op, *args) in enumerate(self.code):
+            name = f"v{n}"
+            value = _APPLY[op](*[values[a] for a in args])
+            if name in wanted:
+                wanted[name] = reduce(value)
+            if last.get(name, -1) > n:
+                values[name] = value
+            for a in args:
+                if last[a] == n:
+                    values.pop(a, None)
+            del value
+        return [wanted[name] for name in results]
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +501,104 @@ def max_coordinate(node: Expr) -> int:
 
 def is_constant(node: Expr) -> bool:
     return max_coordinate(node) == 0
+
+
+# ---------------------------------------------------------------------------
+# exact zero test
+
+# a sum or product with more terms is answered "not zero"
+_MAX_ZERO_TEST_TERMS = 1024
+
+
+class _Undecided(Exception):
+    pass
+
+
+def is_identically_zero(node: Expr) -> bool:
+    """True only when node is zero as a function wherever it is defined;
+    sound, not complete.
+
+    The expression is expanded into a polynomial with exact rational
+    coefficients (every float constant is the rational it stores) over
+    atoms: the coordinates, sin, cos and exp of a canonical argument, and
+    reciprocals of non-constant denominators. node is zero when every
+    coefficient cancels. Identities between atoms, such as
+    sin^2 + cos^2 = 1, are not used, and a sum or product with more than
+    1024 terms, a non-finite constant or a division by zero answers
+    False, so False means "not shown to be zero". (Deciding zero for this
+    class of expressions is undecidable in general: Richardson, 1968.)
+    """
+    from fractions import Fraction
+
+    def add(p, q):
+        out = dict(p)
+        for mono, c in q.items():
+            c = out.get(mono, 0) + c
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+        if len(out) > _MAX_ZERO_TEST_TERMS:
+            raise _Undecided
+        return out
+
+    def mul(p, q):
+        if len(p) * len(q) > _MAX_ZERO_TEST_TERMS:
+            raise _Undecided
+        out = {}
+        for mp, cp in p.items():
+            for mq, cq in q.items():
+                powers = dict(mp)
+                for a, k in mq:
+                    powers[a] = powers.get(a, 0) + k
+                mono = frozenset(powers.items())
+                c = out.get(mono, 0) + cp * cq
+                if c:
+                    out[mono] = c
+                else:
+                    del out[mono]
+        return out
+
+    def atom(key):
+        return {frozenset({(key, 1)}): Fraction(1)}
+
+    def expand(n):
+        if id(n) in seen:
+            return seen[id(n)]
+        if isinstance(n, Num):
+            if not math.isfinite(n.value):
+                raise _Undecided
+            out = {frozenset(): Fraction(n.value)} if n.value else {}
+        elif isinstance(n, Coord):
+            out = atom(("x", n.axis))
+        elif isinstance(n, Neg):
+            out = {mono: -c for mono, c in expand(n.arg).items()}
+        elif isinstance(n, Call):
+            out = atom((n.fn, frozenset(expand(n.arg).items())))
+        elif isinstance(n, BinOp):
+            a, b = expand(n.left), expand(n.right)
+            if n.op == "+":
+                out = add(a, b)
+            elif n.op == "-":
+                out = add(a, {mono: -c for mono, c in b.items()})
+            elif n.op == "*":
+                out = mul(a, b)
+            elif not b:
+                raise _Undecided  # division by zero
+            elif set(b) == {frozenset()}:
+                out = mul(a, {frozenset(): 1 / b[frozenset()]})
+            else:
+                out = mul(a, atom(("/", frozenset(b.items()))))
+        else:
+            raise TypeError(f"not an expression node: {n!r}")
+        seen[id(n)] = out
+        return out
+
+    seen = {}
+    try:
+        return not expand(node)
+    except _Undecided:
+        return False
 
 
 def to_str(node: Expr) -> str:

@@ -15,8 +15,9 @@ import numpy as np
 from . import expr
 from .currents import (
     Current,
-    derivative_current_eval,
-    evaluate,
+    _Functions,
+    derivative_currents,
+    evaluate_many,
     generator_residuals,
     pullback_values,
     strict_residuals,
@@ -27,7 +28,6 @@ from .manifold import (
     ChartedManifold,
     ScalarField,
     VectorFieldSpec,
-    _as_scalar_fn,
     apply_field,
     grid_points,
     heisenberg_frame,
@@ -241,7 +241,7 @@ def empirical_check(T: Current, sys: StratonovichSystem, basis,
     pair is the worst basis function by signed excess so the scalar
     verdict is equivalent to the per-function requirement.
     """
-    targets = np.array([evaluate(T, f) for f in basis.functions])
+    targets = evaluate_many(T, basis.functions)
     if mode == "pathwise":
         vals = pullback_values(T, basis.functions, sys, t, dt, seed, probe_paths)
         diffs = np.abs(vals - targets[:, None])
@@ -386,9 +386,7 @@ def foliation_pipeline(g: LieAlgebraData, h: SubalgebraSpec,
         subchecks.append(_report(
             "mean_residual", float(np.max(np.abs(gen))), generator_tolerance,
             {"basisK": basis_k, "grid": grid_n}, per_basis=rows))
-        frame_vals = np.array([
-            [derivative_current_eval(V, T, f) for f in basis.functions]
-            for V in realization.frame])
+        frame_vals = derivative_currents(T, realization.frame, basis.functions)
         frame_rows = [{"field_index": i, "basis_index": k,
                        "value": float(frame_vals[i, k])}
                       for i in range(frame_vals.shape[0])
@@ -427,10 +425,9 @@ def calibrate_bias_constant(T: Current, sys: StratonovichSystem, basis,
     coarse = fine.reshape(n_paths, steps, 2, sys.m).sum(axis=2)
     ends_fine = flow_endpoints(sys, pts, dt / 2, fine[:, None, :, :])
     ends_coarse = flow_endpoints(sys, pts, dt, coarse[:, None, :, :])
-    diffs = np.zeros(len(basis))
-    for j, f in enumerate(basis.functions):
-        fn = _as_scalar_fn(f)
-        v_fine = np.asarray(fn(ends_fine), dtype=float) @ T.weights
-        v_coarse = np.asarray(fn(ends_coarse), dtype=float) @ T.weights
-        diffs[j] = abs(float(np.mean(v_coarse) - np.mean(v_fine)))
+    batch = _Functions(basis.functions, sys.manifold.dim)
+    v_fine = batch.reduce(ends_fine, lambda v: v @ T.weights)
+    v_coarse = batch.reduce(ends_coarse, lambda v: v @ T.weights)
+    diffs = np.array([abs(float(np.mean(c) - np.mean(f)))
+                      for c, f in zip(v_coarse, v_fine)])
     return float(2.0 * np.max(diffs) / dt) if diffs.size else 0.0

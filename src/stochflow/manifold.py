@@ -274,13 +274,25 @@ def identified_pairs(m: ChartedManifold, n: int = 32, seed: int = 987654321):
 
 def is_compatible_field(m: ChartedManifold, X: VectorFieldSpec,
                         tol: float = 1e-10, samples: int = 32) -> bool:
-    """True when the field descends to the quotient: dgamma V(p) = V(q)."""
-    for p, q, dgamma in identified_pairs(m, samples):
-        lhs = dgamma @ X(p)
-        rhs = X(q)
-        if np.max(np.abs(lhs - rhs)) > tol:
-            return False
-    return True
+    """True when the field descends to the quotient: dgamma V(p) = V(q).
+
+    Raises ValueError naming the component when a value of the field at
+    a sample point is not finite. The field is evaluated once on all
+    sample points p and once on all their images q.
+    """
+    p, q, dgamma = (np.array(a) for a in zip(*identified_pairs(m, samples)))
+    vp, vq = X(p), X(q)
+    with np.errstate(invalid="ignore"):
+        # a non-finite value makes the difference non-finite
+        if np.max(np.abs(np.einsum("nij,nj->ni", dgamma, vp) - vq)) <= tol:
+            return True
+    for pts, v in ((p, vp), (q, vq)):
+        bad = np.argwhere(~np.isfinite(v))
+        if bad.size:
+            row, comp = bad[0]
+            raise ValueError(f"component {comp + 1} is {v[row, comp]} "
+                             f"at x = {pts[row].tolist()}")
+    return False
 
 
 def is_invariant_function(m: ChartedManifold, f: ScalarField,

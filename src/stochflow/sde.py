@@ -13,8 +13,9 @@ records them, ``flow_endpoints`` keeps the last one, and the volume
 check in ``invariance`` keeps a running maximum. The step is compiled
 once per system and kept on it: expression-backed fields on a manifold
 without a volume density become one straight-line function that shares
-subexpressions across components, fields and divergences; other fields
-go through ``VectorFieldSpec.__call__`` and ``divergence_function``.
+subexpressions across components, fields and divergences, and leaves out
+the divergences that are identically zero; other fields go through
+``VectorFieldSpec.__call__`` and ``divergence_function``.
 
 The loop steps unwrapped coordinates. Fields are compatible with the
 identification (checked when the system is built) and the Heun step
@@ -97,7 +98,11 @@ class StratonovichSystem:
             if f.dim != self.manifold.dim:
                 raise ConfigurationError(f"{name} has dimension {f.dim}, "
                                          f"manifold has {self.manifold.dim}")
-            if not is_compatible_field(self.manifold, f):
+            try:
+                compatible = is_compatible_field(self.manifold, f)
+            except ValueError as e:
+                raise ConfigurationError(f"{name} {e}") from None
+            if not compatible:
                 raise ConfigurationError(
                     f"{name} is not compatible with the identification")
         object.__setattr__(self, "_compiled", {})
@@ -197,7 +202,11 @@ def _compile_step(sys: StratonovichSystem, log_jacobian: bool):
     manifold without a volume density are lowered to one function whose
     stages compute sum_i X_i dB^i component by component, in the order
     and with the arithmetic of the field-by-field route, sharing
-    subexpressions; other systems use that route itself.
+    subexpressions; other systems use that route itself. The lowered
+    step leaves out every divergence that ``expr.is_identically_zero``
+    shows to be zero as a function (a Hamiltonian field's, say), so a
+    divergence-free system carries log J = 0 exactly instead of its
+    rounding error; the states are computed as before.
     """
     m = sys.manifold
     fields = [(i, f) for i, f in enumerate(sys.fields()) if not f.is_zero]
@@ -206,20 +215,23 @@ def _compile_step(sys: StratonovichSystem, log_jacobian: bool):
     divs = []
     if log_jacobian:
         divs = [(i, d) for i, f in fields
-                if not _is_zero(d := product_divergence_expr(m, f))]
+                if not expr.is_identically_zero(d := product_divergence_expr(m, f))]
     low = expr.Lowering()
-    lines = low.lines
+    lines = []
 
     def stage(inputs, out):
         # <out>j = sum_i X_i^j dB^i for each component j, and
         # <out>l = sum_i div(X_i) dB^i
+        start = len(low.code)
+        sums = []
         for j in range(m.dim):
             terms = [f"{low.emit(f.components[j], inputs)} * db[{i}]"
                      for i, f in fields if not _is_zero(f.components[j])]
-            lines.append(f"{out}{j} = {' + '.join(terms) or '0.0'}")
+            sums.append(f"{out}{j} = {' + '.join(terms) or '0.0'}")
         if log_jacobian:
             terms = [f"{low.emit(d, inputs)} * db[{i}]" for i, d in divs]
-            lines.append(f"{out}l = {' + '.join(terms) or '0.0'}")
+            sums.append(f"{out}l = {' + '.join(terms) or '0.0'}")
+        lines.extend(low.source(start) + sums)
 
     xs = [f"a{j}" for j in range(m.dim)]
     lines.extend(f"a{j} = x[..., {j}]" for j in range(m.dim))

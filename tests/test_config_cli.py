@@ -152,6 +152,13 @@ def test_sl2_preset_exits_2_and_reports_offending_trace(tmp_path, capsys):
     assert chk["extra"]["offending"] == [{"index": 1, "label": "X", "trace": 2.0}]
 
 
+def test_non_finite_field_is_execution_error(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(MINIMAL_FLOW.replace("diffusion2 = 0, 1", "diffusion2 = 0, 1e999"))
+    assert main(["check", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "diffusion 2 component 2 is inf" in capsys.readouterr().err
+
+
 def test_unknown_config_is_execution_error(tmp_path):
     assert main(["check", "no_such_file.cfg", "--out", str(tmp_path)]) == 1
 
@@ -181,8 +188,43 @@ def test_csv_rows_have_documented_header(tmp_path):
     assert files
     with open(files[0], newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["check", "basis_index", "field_index", "value"]
+    assert rows[0] == ["check", "basis_index", "field_index", "value",
+                       "std_error", "tolerance"]
     assert any(r[0] == "foliation_verdict" and r[3] == "2.0" for r in rows[1:])
+
+
+def test_csv_rows_carry_std_error_and_tolerance(tmp_path):
+    args = ["check", "translation_bm_torus", "--paths", "20", "--dt", "0.01"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    for i, chk in enumerate(doc["payload"]["checks"], start=1):
+        path = tmp_path / f"check_{i:02d}_{chk['kind']}.csv"
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[-2:] == ["std_error", "tolerance"]
+        assert len(rows) == len(chk["per_basis"])
+        for row, want in zip(rows, chk["per_basis"]):
+            assert float(row[3]) == want["value"]
+            if chk["kind"] == "empirical_mean":
+                assert float(row[4]) == want["std_error"] >= 0
+                assert float(row[5]) == want["tolerance"] > 0
+            else:
+                assert row[4:] == ["", ""]
+    kinds = [chk["kind"] for chk in doc["payload"]["checks"]]
+    assert "empirical_mean" in kinds and "mean_residual" in kinds
+
+
+def test_pathwise_check_rejects_paths():
+    text = preset_text("translation_bm_torus").replace(
+        "[check empirical_pathwise]\n", "[check empirical_pathwise]\npaths = 40\n")
+    with pytest.raises(ConfigError) as e:
+        parse_config(text)
+    (issue,) = e.value.issues
+    assert "[check empirical_pathwise]" in str(issue) and "'paths'" in str(issue)
+    assert issue.path == "check.empirical_pathwise.paths"
+    # the same key stays valid where it is used
+    parse_config(text.replace("[check empirical_pathwise]\npaths = 40\n",
+                              "[check empirical_pathwise]\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,17 +11,36 @@ from stochflow.currents import (
     DensityCurrent,
     EmpiricalCurrent,
     derivative_current_eval,
+    derivative_currents,
     evaluate,
+    evaluate_many,
     generator_residuals,
     pullback_eval,
     pullback_values,
     strict_residuals,
     volume_current,
 )
-from stochflow.manifold import VectorFieldSpec, make_test_basis, torus
-from stochflow.invariance import empirical_check
-from stochflow.sde import StratonovichSystem, flow_with_jacobian, generate_noise
-from stochflow.systems import hamiltonian_torus_system
+from stochflow.manifold import (
+    VectorFieldSpec,
+    _as_scalar_fn,
+    apply_field,
+    make_test_basis,
+    torus,
+)
+from stochflow.invariance import (
+    calibrate_bias_constant,
+    empirical_check,
+    heisenberg_realization,
+    torus_translation_realization,
+)
+from stochflow.sde import (
+    StratonovichSystem,
+    flow_endpoints,
+    flow_with_jacobian,
+    generate_noise,
+    noise_matrix,
+)
+from stochflow.systems import builtin_systems, hamiltonian_torus_system
 
 T1 = torus(1.0)
 T2 = torus(1.0, 1.0)
@@ -324,3 +344,123 @@ def test_pullback_values_do_not_depend_on_chunking(label, chunk_elems, n_paths):
     with mock.patch.object(currents, "_CHUNK_ELEMS", chunk_elems):
         got = pullback_values(*args, n_paths=n_paths)
     np.testing.assert_allclose(got, want[:, :n_paths], rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one-shot passes: evaluate_many and the residual passes built on it give
+# the values of one evaluate call per expression, bit for bit
+
+def callable_diffusion_system():
+    """A callable diffusion, whose derivatives are finite differences."""
+    diffusion = VectorFieldSpec(dim=2, components=(
+        lambda p: 0.3 * np.sin(2 * np.pi * p[..., 1]),
+        lambda p: 0.2 * np.cos(2 * np.pi * p[..., 0]),
+    ))
+    return StratonovichSystem(
+        manifold=T2, drift=VectorFieldSpec.from_strings(["0.1", "0.05*sin(2*pi*x1)"]),
+        diffusions=(diffusion,))
+
+
+ONE_SHOT_SYSTEMS = {**builtin_systems(), "callable_diffusion": callable_diffusion_system()}
+
+
+def one_shot_currents(m):
+    """The volume current, a non-unit density current and weighted atoms."""
+    rng = np.random.default_rng(3)
+    return [volume_current(m, 8),
+            DensityCurrent(manifold=m, density=expr.parse("1.5 + 0.5*cos(2*pi*x1)"),
+                           grid_n=6),
+            EmpiricalCurrent(manifold=m, atoms=m.random_points(5, rng),
+                             atom_weights=rng.uniform(0.5, 1.5, 5))]
+
+
+def per_tree_generator_residuals(T, sys, basis):
+    m = sys.manifold
+    out = np.empty(len(basis))
+    for k, f in enumerate(basis.functions):
+        acc = 0.0
+        if not sys.drift.is_zero:
+            acc += evaluate(T, apply_field(m, sys.drift, f))
+        for X in sys.diffusions:
+            acc += 0.5 * evaluate(T, apply_field(m, X, apply_field(m, X, f)))
+        out[k] = acc
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(ONE_SHOT_SYSTEMS))
+def test_one_shot_residuals_equal_per_tree_route(label):
+    sys = ONE_SHOT_SYSTEMS[label]
+    basis = make_test_basis(sys.manifold, 2)
+    # a callable test function keeps its own route
+    functions = basis.functions + (lambda p: np.cos(2 * np.pi * p[..., 0]) ** 2,)
+    for T in one_shot_currents(sys.manifold):
+        np.testing.assert_array_equal(generator_residuals(T, sys, basis),
+                                      per_tree_generator_residuals(T, sys, basis))
+        np.testing.assert_array_equal(
+            strict_residuals(T, sys, basis),
+            [[derivative_current_eval(X, T, f) for f in basis.functions]
+             for X in sys.fields()])
+        np.testing.assert_array_equal(evaluate_many(T, functions),
+                                      [evaluate(T, f) for f in functions])
+        # an iterator is consumed once, in order
+        np.testing.assert_array_equal(evaluate_many(T, iter(functions)),
+                                      evaluate_many(T, functions))
+
+
+@pytest.mark.parametrize("real", [heisenberg_realization(),
+                                  torus_translation_realization(2)],
+                         ids=lambda r: r.label)
+def test_frame_derivative_currents_equal_per_tree_route(real):
+    basis = make_test_basis(real.manifold, 3)
+    for T in one_shot_currents(real.manifold):
+        np.testing.assert_array_equal(
+            derivative_currents(T, real.frame, basis.functions),
+            [[derivative_current_eval(V, T, f) for f in basis.functions]
+             for V in real.frame])
+
+
+@pytest.mark.parametrize("label", sorted(ONE_SHOT_SYSTEMS))
+def test_pullback_values_equal_per_tree_route(label):
+    sys = ONE_SHOT_SYSTEMS[label]
+    t, dt, seed, n_paths = 0.05, 0.01, 6, 3
+    functions = make_test_basis(sys.manifold, 1).functions + (
+        lambda p: np.sin(2 * np.pi * p[..., -1]),)
+    inc = noise_matrix(seed, range(n_paths), sys.m, dt, 5)
+    for T in one_shot_currents(sys.manifold):
+        ends = flow_endpoints(sys, T.points, dt, inc[:, None])
+        want = [np.asarray(_as_scalar_fn(f)(ends), dtype=float) @ T.weights
+                for f in functions]
+        np.testing.assert_array_equal(
+            pullback_values(T, functions, sys, t, dt, seed, n_paths), want)
+
+
+def test_calibrate_bias_constant_equals_per_tree_route():
+    sys = hamiltonian_torus_system()
+    T = volume_current(sys.manifold, 4)
+    basis = make_test_basis(sys.manifold, 1)
+    t, dt, seed, n_paths = 0.1, 0.02, 1, 4
+    fine = noise_matrix(seed, range(n_paths), sys.m, dt / 2, 10)
+    coarse = fine.reshape(n_paths, 5, 2, sys.m).sum(axis=2)
+    ends_fine = flow_endpoints(sys, T.points, dt / 2, fine[:, None])
+    ends_coarse = flow_endpoints(sys, T.points, dt, coarse[:, None])
+    diffs = [abs(float(np.mean(expr.evaluate(f, ends_coarse) @ T.weights)
+                       - np.mean(expr.evaluate(f, ends_fine) @ T.weights)))
+             for f in basis.functions]
+    assert calibrate_bias_constant(T, sys, basis, t, dt, seed, n_paths) == \
+        2.0 * max(diffs) / dt
+
+
+def test_generator_residual_pass_memory_stays_bounded():
+    # temporaries are dropped after their last use; what stays live is
+    # about 36 shared arrays of 64^2 points (the field components, their
+    # partials and the cos/sin tables of one axis), 1.2 MB, plus the code
+    sys = hamiltonian_torus_system()
+    T = volume_current(sys.manifold, 64)
+    basis = make_test_basis(sys.manifold, 3)
+    tracemalloc.start()
+    try:
+        generator_residuals(T, sys, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

@@ -109,3 +109,154 @@ def test_roundtrip_through_to_str():
         pts = np.random.rand(20, 2)
         np.testing.assert_allclose(expr.evaluate(node, pts),
                                    expr.evaluate(again, pts), rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# lowering
+
+def lowered(nodes, pts):
+    """Each node's values on pts through Lowering.run, reduced by identity."""
+    low = expr.Lowering()
+    inputs = [f"x{i}" for i in range(pts.shape[-1])]
+    names = [low.emit(node, inputs) for node in nodes]
+    env = {name: pts[..., i] for i, name in enumerate(inputs)}
+    return low.run(names, env, lambda v: v, pts.shape[:-1])
+
+
+def test_lowering_runs_what_evaluate_computes():
+    texts = ["sin(2*pi*x1)*cos(2*pi*x2)", "-x1/(1 + x2) + 2*3", "x2",
+             "1/sin(0*x1) + x1", "exp(-sin(2*pi*x1)) - exp(-sin(2*pi*x1))",
+             "3.5", "(x1 - 0) * (x1 - 0) * -(2*pi)"]
+    nodes = [expr.parse(t) for t in texts]
+    pts = np.random.default_rng(0).uniform(-1, 1, size=(4, 3, 2))
+    with np.errstate(divide="ignore"):
+        got = lowered(nodes, pts)
+        for node, vals in zip(nodes, got):
+            np.testing.assert_array_equal(vals, expr.evaluate(node, pts))
+
+
+def test_lowering_shares_operations_across_expressions():
+    low = expr.Lowering()
+    a = low.emit(expr.parse("sin(2*pi*x1) * x2"), ["p", "q"])
+    b = low.emit(expr.parse("x2 * sin((pi*2)*x1)"), ["p", "q"])
+    # (2*pi)*x1 with 2*pi folded, its sin, and the two products
+    assert len(low.code) == 4
+    assert a != b
+    assert low.emit(expr.parse("sin(2*pi*x1) * x2"), ["p", "q"]) == a
+    assert len(low.code) == 4
+    # other inputs are other values
+    assert low.emit(expr.parse("sin(2*pi*x1) * x2"), ["q", "p"]) != a
+
+
+def test_lowering_cost_is_linear_in_distinct_nodes():
+    # 2**60 root-to-leaf paths, 61 distinct nodes: walking the tree, or
+    # hashing it as a value, would not finish
+    node = expr.coordinate(0)
+    for _ in range(60):
+        node = expr.BinOp("+", node, node)
+    low = expr.Lowering()
+    (vals,) = lowered([node], np.array([[1.0], [0.5]]))
+    np.testing.assert_array_equal(vals, [2.0 ** 60, 2.0 ** 59])
+    low.emit(node, ["x0"])
+    assert len(low.code) == 60
+
+
+def test_lowering_checks_coordinates_against_inputs():
+    with pytest.raises(ValueError, match="references x3"):
+        expr.Lowering().emit(expr.parse("x1 + x3"), ["a", "b"])
+
+
+# ---------------------------------------------------------------------------
+# exact zero test
+
+def commuted(node):
+    """node with the operands of every sum and product swapped."""
+    if isinstance(node, expr.BinOp):
+        a, b = commuted(node.left), commuted(node.right)
+        return expr.BinOp(node.op, *((b, a) if node.op in "+*" else (a, b)))
+    if isinstance(node, expr.Neg):
+        return expr.Neg(commuted(node.arg))
+    if isinstance(node, expr.Call):
+        return expr.Call(node.fn, commuted(node.arg))
+    return node
+
+
+def distributed(node):
+    """node with a*(b+c) rewritten as a*b + a*c, and (a+b)+c as a+(b+c):
+    equal as functions, rounded differently."""
+    if isinstance(node, expr.BinOp):
+        a, b = distributed(node.left), distributed(node.right)
+        if node.op == "*" and isinstance(b, expr.BinOp) and b.op in "+-":
+            return expr.BinOp(b.op, expr.BinOp("*", a, b.left),
+                              expr.BinOp("*", a, b.right))
+        if node.op == "+" and isinstance(a, expr.BinOp) and a.op == "+":
+            return expr.BinOp("+", a.left, expr.BinOp("+", a.right, b))
+        return expr.BinOp(node.op, a, b)
+    if isinstance(node, expr.Neg):
+        return expr.Neg(distributed(node.arg))
+    if isinstance(node, expr.Call):
+        return expr.Call(node.fn, distributed(node.arg))
+    return node
+
+
+# values stay within a few units, so rounding stays far below 1e-12
+_LEAVES = st.one_of(
+    st.integers(0, 1).map(expr.Coord),
+    st.floats(-2, 2, allow_nan=False).map(expr.Num),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*"), children, children).map(
+            lambda t: expr.BinOp(*t)),
+        children.map(expr.Neg),
+        st.tuples(st.sampled_from(["sin", "cos"]), children).map(
+            lambda t: expr.Call(*t)),
+        children.map(lambda c: expr.Call("exp", expr.Call("sin", c))),
+        st.tuples(children, children).map(lambda t: expr.BinOp(
+            "/", t[0], expr.BinOp("+", expr.Num(2.0), expr.Call("cos", t[1])))),
+    )
+
+
+EXPRESSIONS = st.recursive(_LEAVES, _extend, max_leaves=6)
+POINTS = np.random.default_rng(1).uniform(0.0, 1.0, size=(64, 2))
+
+
+@given(EXPRESSIONS)
+def test_zero_test_is_sound_and_sees_commuted_and_distributed_forms(e):
+    for other in (commuted(e), distributed(e), distributed(commuted(e))):
+        d = expr.BinOp("-", e, other)
+        assert expr.is_identically_zero(d)
+        assert np.max(np.abs(expr.evaluate(d, POINTS))) <= 1e-12
+    if expr.is_identically_zero(e):
+        assert np.max(np.abs(expr.evaluate(e, POINTS))) <= 1e-12
+
+
+def test_zero_test_answers_not_zero_when_it_cannot_tell():
+    assert not expr.is_identically_zero(expr.parse("x1"))
+    assert not expr.is_identically_zero(expr.parse("1e-300"))
+    # true identities it does not use
+    assert not expr.is_identically_zero(
+        expr.parse("sin(x1)*sin(x1) + cos(x1)*cos(x1) - 1"))
+    assert not expr.is_identically_zero(expr.parse("x1*x2/x2 - x1"))
+    # undefined or too large to expand
+    assert not expr.is_identically_zero(expr.parse("x1/0 - x1/0"))
+    assert not expr.is_identically_zero(expr.parse("1e999 - 1e999"))
+    def power(base, n):
+        node = base
+        for _ in range(n - 1):
+            node = expr.BinOp("*", node, base)
+        return expr.BinOp("-", node, node)
+    # 3 terms cubed expand to 10; 5 terms to the 7th to 330, and on the
+    # way a product of 210 by 5 terms passes the 1024-term cap
+    assert expr.is_identically_zero(power(expr.parse("x1 + x2 + 1"), 3))
+    assert not expr.is_identically_zero(power(expr.parse("x1 + x2 + x3 + x4 + 1"), 7))
+
+
+def test_zero_test_on_quotients_and_constants():
+    assert expr.is_identically_zero(expr.parse("x1/(1 + x2) - x1/(x2 + 1)"))
+    assert expr.is_identically_zero(expr.parse("x1/4 - 0.25*x1"))
+    assert expr.is_identically_zero(expr.parse("2*pi*x1 - x1*pi*2"))
+    assert expr.is_identically_zero(expr.parse("exp(x1 - x2) - exp(-x2 + x1)"))
+    assert not expr.is_identically_zero(expr.parse("x1/3 - 0.3333333333333333*x1"))

@@ -97,6 +97,12 @@ def test_nonperiodic_field_rejected_on_torus():
     assert is_compatible_field(T1, good)
 
 
+def test_compatibility_check_names_a_non_finite_component():
+    with pytest.raises(ValueError, match="component 2 is inf"):
+        is_compatible_field(torus(1.0, 1.0),
+                            VectorFieldSpec.from_strings(["1", "1e999"]))
+
+
 def test_invariant_function_check():
     assert is_invariant_function(T1, expr.parse("cos(2*pi*x1)"))
     assert not is_invariant_function(T1, expr.parse("x1"))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stochflow import expr
 from stochflow.invariance import jacobian_check
 from stochflow.manifold import (
     ChartedManifold,
@@ -12,6 +13,7 @@ from stochflow.manifold import (
     divergence_function,
     heisenberg_frame,
     heisenberg_manifold,
+    product_divergence_expr,
     torus,
 )
 from stochflow.sde import (
@@ -220,6 +222,45 @@ def test_jacobian_divergence_free_pathwise():
         assert np.max(np.abs(res.log_jacobian)) < 1e-2
         fd = fd_jacobian(sys, [0.25, 0.6], 1.0, 1e-3, noise)
         assert fd == pytest.approx(1.0, abs=1e-2)
+
+
+def test_zero_divergences_leave_log_j_exactly_zero():
+    # the Hamiltonian divergences are zero as functions but round to
+    # about 1e-16 when evaluated; the compiled step leaves them out
+    sys = hamiltonian_system()
+    assert all(expr.is_identically_zero(product_divergence_expr(sys.manifold, f))
+               for f in sys.fields())
+    noise = generate_noise(17, 0, 2, 1e-2, 50)
+    pts = [[0.25, 0.6], [0.9, 0.05]]
+    res = flow_with_jacobian(sys, pts, 0.5, 1e-2, noise)
+    np.testing.assert_array_equal(res.log_jacobian, np.zeros((51, 2)))
+    # the states are those of the step without log J
+    ends = flow_endpoints(sys, pts, 1e-2, noise.increments)
+    np.testing.assert_array_equal(res.endpoint, ends)
+    rep = jacobian_check(sys, pts[0], 0.5, 1e-2, seed=3, n_paths=4)
+    assert rep.residual == 0.0
+    assert all(row["value"] == 0.0 for row in rep.per_basis)
+
+
+def test_sin_drift_divergence_is_not_zero():
+    sys = sin_drift_system()
+    assert not expr.is_identically_zero(product_divergence_expr(T1, sys.drift))
+    noise = generate_noise(0, 0, 0, 1e-2, 10)
+    assert flow_with_jacobian(sys, [0.1], 0.1, 1e-2, noise).log_jacobian[-1] > 0.1
+
+
+@pytest.mark.parametrize("field, message", [
+    (VectorFieldSpec.from_strings(["1e999"]), "diffusion 1 component 1 is inf"),
+    (VectorFieldSpec(dim=1, components=(lambda p: np.full(np.shape(p)[:-1], np.nan),)),
+     "diffusion 1 component 1 is nan"),
+])
+def test_non_finite_field_is_rejected_at_construction(field, message):
+    with pytest.raises(ConfigurationError, match=message):
+        StratonovichSystem(manifold=T1, drift=VectorFieldSpec.zero(1),
+                           diffusions=(field,))
+    with pytest.raises(ConfigurationError, match="drift component 2 is inf"):
+        StratonovichSystem(manifold=T2, drift=VectorFieldSpec.from_strings(["0", "1e999"]),
+                           diffusions=())
 
 
 def test_jacobian_sin_field_reference_and_fd():

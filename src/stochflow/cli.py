@@ -39,10 +39,18 @@ from .invariance import (
 )
 from .manifold import ChartedManifold, VectorFieldSpec, make_test_basis, torus
 from .presets import preset_names, preset_text
-from .sde import StratonovichSystem, flow_with_jacobian, generate_noise, write_trajectory_csv
+from .sde import (
+    StratonovichSystem,
+    flow_with_jacobian,
+    generate_noise,
+    step_count,
+    write_trajectory_csv,
+)
 
 __all__ = ["main", "run", "build_experiment"]
 
+# defaults for check keys that the check functions require; a tolerance
+# the config leaves out takes the default of its check function
 _DEFAULTS = {
     "t": 1.0,
     "dt": 1e-3,
@@ -50,15 +58,6 @@ _DEFAULTS = {
     "basis_k": 3,
     "paths_mean": 1000,
     "paths_jacobian": 100,
-    "tolerance": {
-        "strict_nform": 1e-8,
-        "mean_nform": 1e-6,
-        "strict_residual": 1e-8,
-        "mean_residual": 1e-6,
-        "empirical_pathwise": 1e-2,
-        "empirical_mean": 1e-2,
-        "jacobian": 1e-2,
-    },
 }
 
 
@@ -170,69 +169,62 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
 # ---------------------------------------------------------------------------
 # check dispatch
 
-def _param(chk: CheckSpec, overrides, key, default, cast):
-    if key in overrides and overrides[key] is not None:
-        return overrides[key]
-    raw = chk.get(key)
-    return default if raw is None else cast(raw)
-
-
 def _run_check(exp: Experiment, chk: CheckSpec, overrides) -> InvarianceReport:
+    """Run one check, reading the keys config.CHECK_KEYS lists for its kind."""
     kind = chk.kind
-    tol = _param(chk, {}, "tolerance", _DEFAULTS["tolerance"].get(kind), float)
-    seed = _param(chk, overrides, "seed", _DEFAULTS["seed"], int)
-    dt = _param(chk, overrides, "dt", _DEFAULTS["dt"], float)
-    t = _param(chk, {}, "t", _DEFAULTS["t"], float)
-    basis_k = _param(chk, {}, "basis_k", _DEFAULTS["basis_k"], int)
+
+    def param(key, default=None, cast=float):
+        if overrides.get(key) is not None:
+            return overrides[key]
+        raw = chk.get(key)
+        return default if raw is None else cast(raw)
+
+    def horizon():
+        return (param("t", _DEFAULTS["t"]), param("dt", _DEFAULTS["dt"]),
+                param("seed", _DEFAULTS["seed"], int))
+
+    def tolerance():
+        # passed only when set, so that each check keeps its own default
+        raw = chk.get("tolerance")
+        return {} if raw is None else {"tolerance": float(raw)}
 
     if kind == "foliation":
-        paths = _param(chk, overrides, "paths", _DEFAULTS["paths_mean"], int)
-        grid = _param(chk, {}, "grid", 8, int)
-        bias = chk.get("bias_c")
-        label = ""
-        if exp.realization is not None:
-            label = {"heisenberg": "heisenberg_foliation",
-                     "": ""}.get(exp.realization.label, "frame_divergence_torus")
+        t, dt, seed = horizon()
         return foliation_pipeline(
             exp.algebra, exp.subalgebra, exp.realization, t=t, dt=dt,
-            seed=seed, n_paths=paths, grid_n=grid, basis_k=basis_k,
-            label=label, bias_c=None if bias is None else float(bias))
+            seed=seed, n_paths=param("paths", _DEFAULTS["paths_mean"], int),
+            grid_n=param("grid", 8, int),
+            basis_k=param("basis_k", _DEFAULTS["basis_k"], int),
+            bias_c=param("bias_c"))
 
     if exp.system is None:
         raise ConfigError([f"check {kind!r} needs a flow experiment"])
     m = exp.manifold
-    grid = _param(chk, {}, "grid", None, int)
 
-    if kind == "strict_nform":
+    if kind in ("strict_nform", "mean_nform"):
         density = exp.current.density if isinstance(exp.current, DensityCurrent) else None
-        return check_strict_nform(m, density, exp.fields,
-                                  grid or exp.default_grid, tol)
-    if kind == "mean_nform":
-        density = exp.current.density if isinstance(exp.current, DensityCurrent) else None
-        return check_mean_nform(m, density, exp.fields,
-                                grid or exp.default_grid, tol)
-    if kind in ("strict_residual", "mean_residual"):
-        T = exp.current_at(grid)
-        basis = make_test_basis(m, basis_k)
-        mode = "strict" if kind == "strict_residual" else "mean"
-        return residual_check(T, exp.system, basis, mode, tol)
-    if kind in ("empirical_pathwise", "empirical_mean"):
-        T = exp.current_at(grid)
-        basis = make_test_basis(m, basis_k)
-        mode = "pathwise" if kind == "empirical_pathwise" else "mean"
-        paths = _param(chk, overrides, "paths", _DEFAULTS["paths_mean"], int)
-        bias = chk.get("bias_c")
-        return empirical_check(T, exp.system, basis, t, dt, seed, paths, mode,
-                               tolerance=tol,
-                               bias_c=None if bias is None else float(bias))
+        check = check_strict_nform if kind == "strict_nform" else check_mean_nform
+        return check(m, density, exp.fields, param("grid", exp.default_grid, int),
+                     **tolerance())
     if kind == "jacobian":
-        paths = _param(chk, overrides, "paths", _DEFAULTS["paths_jacobian"], int)
-        x0_text = chk.get("x0")
-        if x0_text is None:
-            x0 = 0.5 * m.lengths
-        else:
-            x0 = np.array([float(v) for v in x0_text.split(",")])
-        return jacobian_check(exp.system, x0, t, dt, seed, paths, tol)
+        t, dt, seed = horizon()
+        x0 = param("x0", 0.5 * m.lengths,
+                   lambda text: np.array([float(v) for v in text.split(",")]))
+        paths = param("paths", _DEFAULTS["paths_jacobian"], int)
+        return jacobian_check(exp.system, x0, t, dt, seed, paths, **tolerance())
+    T = exp.current_at(param("grid", None, int))
+    basis = make_test_basis(m, param("basis_k", _DEFAULTS["basis_k"], int))
+    if kind in ("strict_residual", "mean_residual"):
+        mode = "strict" if kind == "strict_residual" else "mean"
+        return residual_check(T, exp.system, basis, mode, **tolerance())
+    t, dt, seed = horizon()
+    if kind == "empirical_pathwise":
+        return empirical_check(T, exp.system, basis, t, dt, seed, None,
+                               "pathwise", **tolerance())
+    if kind == "empirical_mean":
+        return empirical_check(T, exp.system, basis, t, dt, seed,
+                               param("paths", _DEFAULTS["paths_mean"], int),
+                               "mean", bias_c=param("bias_c"))
     raise ConfigError([f"unhandled check kind {kind!r}"])
 
 
@@ -369,7 +361,7 @@ def _cmd_simulate(args) -> int:
             return 1
         x0 = (np.array([float(v) for v in args.x0.split(",")])
               if args.x0 else 0.5 * system.manifold.lengths)
-        steps = int(round(args.t / args.dt))
+        steps = step_count(args.t, args.dt)
         noise = generate_noise(args.seed, args.path_index, system.m, args.dt, steps)
         result = flow_with_jacobian(system, x0, args.t, args.dt, noise)
         with open(args.trajectory, "w", newline="", encoding="utf-8") as fh:

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import expr
-from .invariance import REPORT_KINDS
 
 __all__ = [
+    "CHECK_KEYS",
     "ConfigIssue",
     "ConfigError",
     "CheckSpec",
@@ -43,8 +43,6 @@ __all__ = [
     "serialize_config",
 ]
 
-CHECK_KINDS = tuple(k for k in REPORT_KINDS if k != "foliation_verdict") + ("foliation",)
-
 _SECTION_KEYS = {
     "manifold": {"type", "lengths"},
     "fields": None,  # drift plus diffusionN, validated separately
@@ -52,12 +50,20 @@ _SECTION_KEYS = {
     "liealg": {"algebra", "constants", "subalgebra", "realization"},
 }
 
-_CHECK_KEYS = {"tolerance", "t", "dt", "paths", "seed", "grid", "basis_k",
-               "bias_c", "x0"}
-
-# keys a check kind would ignore, rejected rather than dropped: the
-# pathwise check always probes a fixed number of paths
-_UNUSED_CHECK_KEYS = {"empirical_pathwise": {"paths"}}
+# The keys each check kind reads, and so accepts; parse_config rejects
+# every other key rather than drop it. The pathwise check probes a fixed
+# number of paths, the mean check's tolerance is 3*stderr + C*dt per
+# basis function, and the foliation pipeline keeps its own tolerances.
+CHECK_KEYS = {
+    "strict_nform": ("tolerance", "grid"),
+    "mean_nform": ("tolerance", "grid"),
+    "strict_residual": ("tolerance", "grid", "basis_k"),
+    "mean_residual": ("tolerance", "grid", "basis_k"),
+    "empirical_pathwise": ("tolerance", "grid", "basis_k", "t", "dt", "seed"),
+    "empirical_mean": ("grid", "basis_k", "t", "dt", "seed", "paths", "bias_c"),
+    "jacobian": ("tolerance", "t", "dt", "seed", "paths", "x0"),
+    "foliation": ("t", "dt", "seed", "paths", "grid", "basis_k", "bias_c"),
+}
 
 
 @dataclass(frozen=True)
@@ -255,20 +261,26 @@ def parse_config(text: str) -> ExperimentConfig:
     for name, header_line, entries in sections:
         if name.startswith("check"):
             kind = name[len("check"):].strip()
-            if kind not in CHECK_KINDS:
+            if kind not in CHECK_KEYS:
                 issues.append(ConfigIssue(
-                    f"unknown check kind {kind!r} (known: {', '.join(CHECK_KINDS)})",
+                    f"unknown check kind {kind!r} (known: {', '.join(CHECK_KEYS)})",
                     header_line, path=f"check.{kind or '?'}"))
                 continue
             for key, value, line, col in entries:
-                if key not in _CHECK_KEYS:
-                    issues.append(ConfigIssue(f"unknown check parameter {key!r}",
-                                              line, path=f"check.{kind}.{key}"))
-                elif key in _UNUSED_CHECK_KEYS.get(kind, ()):
+                path = f"check.{kind}.{key}"
+                if key not in CHECK_KEYS[kind]:
                     issues.append(ConfigIssue(
-                        f"[check {kind}] does not take {key!r}: it probes "
-                        f"a fixed number of paths",
-                        line, path=f"check.{kind}.{key}"))
+                        f"[check {kind}] does not take {key!r} (it takes "
+                        f"{', '.join(CHECK_KEYS[kind])})", line, path=path))
+                elif key in ("tolerance", "t", "dt", "bias_c"):
+                    _validate_number(value, issues, line, col, path,
+                                     positive=key != "bias_c")
+                elif key == "x0":
+                    for part in _expressions_of(value):
+                        _validate_number(part, issues, line, col, path)
+                else:
+                    _validate_number(value, issues, line, col, path, integer=True,
+                                     positive=key != "seed")
             checks.append(CheckSpec(
                 kind=kind, params=tuple((k, v) for k, v, *_ in entries)))
         elif name in _SECTION_KEYS:
@@ -361,17 +373,6 @@ def parse_config(text: str) -> ExperimentConfig:
             except json.JSONDecodeError as e:
                 issues.append(ConfigIssue(f"inline constants are not valid JSON: {e.msg}",
                                           line, col, "liealg.constants"))
-
-    for chk in checks:
-        for key, value in chk.params:
-            path = f"check.{chk.kind}.{key}"
-            if key in ("tolerance", "t", "dt", "bias_c"):
-                _validate_number(value, issues, None, None, path, positive=key != "bias_c")
-            elif key in ("paths", "seed", "grid", "basis_k"):
-                _validate_number(value, issues, None, None, path, integer=True)
-            elif key == "x0":
-                for part in _expressions_of(value):
-                    _validate_number(part, issues, None, None, path)
 
     if issues:
         raise ConfigError(issues)

@@ -297,11 +297,14 @@ def is_compatible_field(m: ChartedManifold, X: VectorFieldSpec,
 
 def is_invariant_function(m: ChartedManifold, f: ScalarField,
                           tol: float = 1e-10, samples: int = 32) -> bool:
+    """True when f(p) = f(q) on sampled identified pairs; f is evaluated
+    once on all sample points p and once on all their images q, and a
+    non-finite value is never invariant."""
+    p, q, _ = (np.array(a) for a in zip(*identified_pairs(m, samples)))
     fn = _as_scalar_fn(f)
-    for p, q, _ in identified_pairs(m, samples):
-        if abs(float(fn(p)) - float(fn(q))) > tol:
-            return False
-    return True
+    fp, fq = np.asarray(fn(p), dtype=float), np.asarray(fn(q), dtype=float)
+    with np.errstate(invalid="ignore"):
+        return bool(np.max(np.abs(fp - fq)) <= tol)
 
 
 # ---------------------------------------------------------------------------

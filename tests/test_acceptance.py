@@ -24,7 +24,7 @@ from stochflow.currents import (
     volume_current,
 )
 from stochflow.invariance import (
-    DEFAULT_BIAS_C,
+    EXACT_BIAS_C,
     empirical_check,
     foliation_pipeline,
     heisenberg_realization,
@@ -177,7 +177,7 @@ def test_criterion_6_mean_invariance_by_simulation():
     T = volume_current(sys.manifold, 16)
     basis = make_test_basis(sys.manifold, 3)
     n_paths, dt, t = 1000, 1e-3, 1.0
-    c = DEFAULT_BIAS_C["translation_bm_torus"]
+    c = EXACT_BIAS_C
     vals = pullback_values(T, basis.functions, sys, t, dt, seed=3, n_paths=n_paths)
     targets = np.array([evaluate(T, f) for f in basis.functions])
     means = vals.mean(axis=1)
@@ -198,8 +198,7 @@ def test_criterion_7_heisenberg_harmonic_measure():
     h = SubalgebraSpec((0, 2))
     real = heisenberg_realization()
     rep = foliation_pipeline(g, h, real, t=1.0, dt=1e-3, seed=11,
-                             n_paths=1000, grid_n=8, basis_k=3,
-                             label="heisenberg_foliation")
+                             n_paths=1000, grid_n=8, basis_k=3)
     assert rep.verdict  # algebraic trace criterion
     by_kind = {s.kind: s for s in rep.subchecks}
     gen = by_kind["mean_residual"]

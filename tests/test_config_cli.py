@@ -1,12 +1,22 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from stochflow.cli import build_experiment, main, run
-from stochflow.config import ConfigError, parse_config, serialize_config
-from stochflow.currents import DensityCurrent
+from stochflow.config import (
+    CHECK_KEYS,
+    CheckSpec,
+    ConfigError,
+    parse_config,
+    serialize_config,
+)
+from stochflow.currents import DensityCurrent, volume_current
+from stochflow.invariance import EXACT_BIAS_C, empirical_check
+from stochflow.manifold import make_test_basis
 from stochflow.presets import PRESETS, preset_names, preset_text
+from stochflow.systems import translation_bm_system
 
 MINIMAL_FLOW = """\
 [manifold]
@@ -227,6 +237,134 @@ def test_pathwise_check_rejects_paths():
                               "[check empirical_pathwise]\n"))
 
 
+def with_key(text, kind, key, value):
+    header = f"[check {kind}]\n"
+    assert header in text
+    return text.replace(header, f"{header}{key} = {value}\n")
+
+
+@pytest.mark.parametrize("preset,kind,key,value", [
+    ("frame_divergence_torus", "foliation", "tolerance", "1e-30"),
+    ("translation_bm_torus", "mean_residual", "x0", "0.1, 0.2"),
+    ("translation_bm_torus", "mean_residual", "t", "1.0"),
+    ("translation_bm_torus", "mean_residual", "bias_c", "2"),
+    ("translation_bm_torus", "empirical_pathwise", "bias_c", "2"),
+    ("translation_bm_torus", "empirical_mean", "tolerance", "1e-30"),
+    ("translation_bm_torus", "strict_nform", "dt", "0.01"),
+    ("hamiltonian_torus", "jacobian", "grid", "16"),
+])
+def test_keys_a_check_does_not_read_are_rejected(preset, kind, key, value):
+    with pytest.raises(ConfigError) as e:
+        parse_config(with_key(preset_text(preset), kind, key, value))
+    (issue,) = e.value.issues
+    assert f"[check {kind}]" in str(issue) and repr(key) in str(issue)
+    assert issue.path == f"check.{kind}.{key}"
+
+
+def test_every_key_outside_the_table_is_rejected():
+    keys = sorted(set().union(*CHECK_KEYS.values()))
+    value = {"x0": "0.5, 0.5"}
+    for kind, accepted in CHECK_KEYS.items():
+        for key in keys:
+            text = f"[liealg]\nalgebra = sl2\nsubalgebra = 1\n\n[check {kind}]\n" \
+                   f"{key} = {value.get(key, '2')}\n"
+            if key in accepted:
+                parse_config(text)
+            else:
+                with pytest.raises(ConfigError) as e:
+                    parse_config(text)
+                assert [i.path for i in e.value.issues] == [f"check.{kind}.{key}"]
+
+
+# Each check kind on a small run: the value of every key it accepts, once
+# changed, shows in the payload, and _run_check reads no other key.
+HONOURED_FLOW = """\
+[manifold]
+type = torus
+lengths = 1
+
+[fields]
+drift = 0
+diffusion1 = 0.2*sin(2*pi*x1)
+
+[current]
+density = 1
+grid = 8
+"""
+HONOURED_LIEALG = """\
+[liealg]
+algebra = heisenberg
+subalgebra = 1, 3
+realization = heisenberg
+"""
+BASE_VALUES = {"tolerance": "0.5", "grid": "8", "basis_k": "1", "t": "0.02",
+               "dt": "0.01", "seed": "1", "paths": "4", "bias_c": "2",
+               "x0": "0.3"}
+OTHER_VALUES = {"tolerance": "0.25", "grid": "6", "basis_k": "2", "t": "0.03",
+                "dt": "0.005", "seed": "2", "paths": "3", "bias_c": "3",
+                "x0": "0.6"}
+
+
+def run_one_check(tmp_path, kind, values, name):
+    experiment = HONOURED_LIEALG if kind == "foliation" else HONOURED_FLOW
+    section = "".join(f"{k} = {v}\n" for k, v in values.items())
+    cfg = parse_config(f"{experiment}\n[check {kind}]\n{section}")
+    assert run(cfg, tmp_path / name) in (0, 2)
+    doc = json.loads((tmp_path / name / "report.json").read_text())
+    (check,) = doc["payload"]["checks"]
+    return check
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_KEYS))
+def test_every_accepted_key_is_honoured(kind, tmp_path, monkeypatch):
+    base = {key: BASE_VALUES[key] for key in CHECK_KEYS[kind]}
+    read = set()
+    get = CheckSpec.get
+
+    def recording_get(self, key, default=None):
+        read.add(key)
+        return get(self, key, default)
+
+    monkeypatch.setattr(CheckSpec, "get", recording_get)
+    want = run_one_check(tmp_path, kind, base, "base")
+    monkeypatch.undo()
+    assert read == set(CHECK_KEYS[kind])
+    for key in CHECK_KEYS[kind]:
+        got = run_one_check(tmp_path, kind, {**base, key: OTHER_VALUES[key]}, key)
+        assert got != want, key
+
+
+def test_bias_constant_follows_the_system_that_runs(tmp_path):
+    def bias_constants(name):
+        out = tmp_path / "out" / Path(name).name
+        assert main(["check", name, "--paths", "4", "--dt", "0.01",
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        checks = list(doc["payload"]["checks"])
+        for chk in checks:
+            checks.extend(chk.get("subchecks", []))
+        return [c["extra"]["bias_c"] for c in checks if c["kind"] == "empirical_mean"]
+
+    for name in ("translation_bm_torus", "heisenberg_foliation",
+                 "frame_divergence_torus"):
+        assert bias_constants(name) == [EXACT_BIAS_C], name
+    cfg = tmp_path / "bias.cfg"
+    cfg.write_text(with_key(preset_text("translation_bm_torus"),
+                            "empirical_mean", "bias_c", "0.5"))
+    assert bias_constants(str(cfg)) == [0.5]
+
+
+def test_config_and_library_translations_give_one_report():
+    config_built = build_experiment(parse_config(preset_text("translation_bm_torus")))
+    reports = []
+    for sys in (config_built.system, translation_bm_system(2)):
+        T = volume_current(sys.manifold, 8)
+        basis = make_test_basis(sys.manifold, 1)
+        reports.append(empirical_check(T, sys, basis, 0.1, 0.01, 3, 20, "mean"))
+    assert reports[0].payload() == reports[1].payload()
+    assert reports[0].metadata["bias_c"] == EXACT_BIAS_C
+
+
 # ---------------------------------------------------------------------------
 # other commands
 
@@ -265,6 +403,27 @@ def test_simulate_writes_trajectory(tmp_path, capsys):
     assert rows[0] == ["t", "x1", "x2", "logJ"]
     assert len(rows) == 12
     assert float(rows[1][1]) == pytest.approx(0.5)
+
+
+def test_simulate_checks_the_realization(tmp_path, capsys):
+    # sl(2) does not commute: translations on the torus cannot realize it
+    cfg = tmp_path / "sl2_torus.cfg"
+    cfg.write_text("[liealg]\nalgebra = sl2\nsubalgebra = 1, 2\nrealization = torus\n"
+                   "\n[check foliation]\npaths = 2\n")
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", str(cfg), "--trajectory", str(out),
+                 "--t", "0.1", "--dt", "0.01"]) == 1
+    assert "frame brackets disagree with structure constants at ([X, Y])" \
+        in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["check", str(cfg), "--out", str(tmp_path / "check")]) == 1
+
+
+def test_simulate_horizon_must_be_a_multiple_of_dt(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "translation_bm_torus", "--trajectory", str(out),
+                 "--t", "0.1", "--dt", "0.03"]) == 1
+    assert "multiple of dt" in capsys.readouterr().err
 
 
 def test_presets_commands(capsys):

@@ -1,27 +1,42 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from stochflow import expr, liealg
 from stochflow.currents import EmpiricalCurrent, volume_current
 from stochflow.invariance import (
-    DEFAULT_BIAS_C,
+    EXACT_BIAS_C,
+    FALLBACK_BIAS_C,
     InvarianceReport,
     RealizationError,
     calibrate_bias_constant,
     check_mean_nform,
     check_strict_nform,
     empirical_check,
+    foliated_system,
     foliation_pipeline,
     heisenberg_realization,
     jacobian_check,
     residual_check,
     torus_translation_realization,
 )
-from stochflow.manifold import VectorFieldSpec, make_test_basis, torus
+from stochflow.manifold import (
+    ChartedManifold,
+    VectorFieldSpec,
+    apply_field,
+    grid_points,
+    make_test_basis,
+    product_divergence_expr,
+    product_divergence_function,
+    torus,
+)
 from stochflow.sde import StratonovichSystem
 from stochflow.systems import (
+    builtin_systems,
     hamiltonian_torus_system,
+    heisenberg_foliated_system,
     sin_drift_system,
     translation_bm_system,
 )
@@ -305,6 +320,117 @@ def test_strict_implies_mean_at_report_level():
     assert any(not s for _, s, _ in cases)   # and negatives
 
 
-def test_default_bias_constants_documented():
-    assert set(DEFAULT_BIAS_C) >= {"hamiltonian_torus", "translation_bm_torus",
-                                   "heisenberg_foliation", ""}
+# ---------------------------------------------------------------------------
+# bias constant of the mean-mode tolerance
+
+def mean_bias_c(sys, **kwargs):
+    T = volume_current(sys.manifold, 4)
+    basis = make_test_basis(sys.manifold, 1)
+    rep = empirical_check(T, sys, basis, 0.02, 1e-2, seed=0, n_paths=4,
+                          mode="mean", **kwargs)
+    return rep.metadata["bias_c"]
+
+
+def test_bias_constant_follows_the_fields_that_run():
+    # Heun is exact for constant fields, so only rounding needs room
+    assert mean_bias_c(translation_bm_system(2)) == EXACT_BIAS_C
+    assert mean_bias_c(heisenberg_foliated_system()) == EXACT_BIAS_C
+    assert mean_bias_c(sin_drift_system()) == FALLBACK_BIAS_C
+    assert mean_bias_c(hamiltonian_torus_system()) == FALLBACK_BIAS_C
+    # the label is a display name: it decides nothing
+    relabelled = dataclasses.replace(translation_bm_system(2),
+                                     label="hamiltonian_torus")
+    assert mean_bias_c(relabelled) == EXACT_BIAS_C
+    unlabelled = dataclasses.replace(hamiltonian_torus_system(), label="")
+    assert mean_bias_c(unlabelled) == FALLBACK_BIAS_C
+
+
+def test_explicit_bias_constant_wins():
+    for sys in (translation_bm_system(2), sin_drift_system()):
+        assert mean_bias_c(sys, bias_c=0.37) == 0.37
+    sys = translation_bm_system(2)
+    T = volume_current(sys.manifold, 4)
+    basis = make_test_basis(sys.manifold, 1)
+    rep = empirical_check(T, sys, basis, 0.02, 1e-2, seed=0, n_paths=4,
+                          mode="mean", bias_c=3.0)
+    for row in rep.per_basis:
+        assert row["tolerance"] == pytest.approx(3.0 * row["std_error"] + 3.0 * 1e-2)
+
+
+def test_foliation_bias_constant_follows_the_frame():
+    g = liealg.heisenberg3()
+    real = heisenberg_realization()
+
+    def bias(indices, **kwargs):
+        rep = foliation_pipeline(g, liealg.SubalgebraSpec(indices), real,
+                                 t=0.02, dt=1e-2, seed=0, n_paths=4, grid_n=4,
+                                 basis_k=1, **kwargs)
+        (mean,) = [s for s in rep.subchecks if s.kind == "empirical_mean"]
+        return mean.metadata["bias_c"]
+
+    assert bias((0, 2)) == EXACT_BIAS_C      # X = d/dx and Z = d/dz
+    assert bias((1, 2)) == FALLBACK_BIAS_C   # Y = d/dy + x d/dz
+    assert bias((1, 2), bias_c=0.25) == 0.25
+
+
+def test_foliated_system_checks_its_realization():
+    with pytest.raises(RealizationError, match=r"\[X, Y\]"):
+        foliated_system(liealg.sl2(), liealg.SubalgebraSpec((0, 1)),
+                        torus_translation_realization(3))
+    with pytest.raises(RealizationError, match="frame fields"):
+        foliated_system(liealg.sl2(), liealg.SubalgebraSpec((0, 1)),
+                        torus_translation_realization(2))
+
+
+# ---------------------------------------------------------------------------
+# n-form checks against one evaluation per divergence
+
+def per_tree_strict_nform(m, density, fields, grid_n):
+    pts, _ = grid_points(m, grid_n)
+    return [float(np.max(np.abs(product_divergence_function(m, X, density)(pts))))
+            for X in fields]
+
+
+def per_tree_mean_nform(m, density, fields, grid_n):
+    pts, _ = grid_points(m, grid_n)
+    acc = product_divergence_function(m, fields[0], density)(pts)
+    for X in fields[1:]:
+        b_node = product_divergence_expr(m, X, density)
+        if b_node is not None:
+            b_vals = expr.evaluate(b_node, pts)
+            xb_vals = expr.evaluate(apply_field(m, X, b_node), pts)
+            divx_vals = expr.evaluate(product_divergence_expr(m, X, None), pts)
+        else:
+            b_fn = product_divergence_function(m, X, density)
+            b_vals = b_fn(pts)
+            xb_vals = apply_field(m, X, b_fn)(pts)
+            divx_vals = product_divergence_function(m, X, None)(pts)
+        acc = acc - 0.5 * (xb_vals + divx_vals * b_vals)
+    return float(np.max(np.abs(acc)))
+
+
+def nform_cases():
+    cases = [(s.manifold, None, s.fields()) for s in builtin_systems().values()]
+    ham = hamiltonian_torus_system()
+    cases.append((T2, expr.parse("1.5 + 0.5*cos(2*pi*x1)*sin(2*pi*x2)"), ham.fields()))
+    callable_field = VectorFieldSpec(dim=2, components=(
+        lambda p: 0.3 * np.sin(2 * np.pi * p[..., 1]),
+        lambda p: 0.2 * np.cos(2 * np.pi * p[..., 0])))
+    cases.append((T2, lambda p: 1.5 + 0.5 * np.cos(2 * np.pi * p[..., 0]),
+                  [VectorFieldSpec.from_strings(["0.1", "0.05*sin(2*pi*x1)"]),
+                   callable_field, ham.diffusions[0]]))
+    weighted = ChartedManifold(dim=2, box_lengths=(1.0, 1.0),
+                               volume_density=lambda p: 2.0 + np.sin(2 * np.pi * p[..., 0]))
+    cases.append((weighted, None, ham.fields()))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(nform_cases())))
+def test_nform_checks_equal_per_tree_route(case):
+    m, density, fields = nform_cases()[case]
+    strict = check_strict_nform(m, density, fields, 16)
+    assert [row["value"] for row in strict.per_basis] == \
+        per_tree_strict_nform(m, density, fields, 16)
+    assert strict.residual == max(row["value"] for row in strict.per_basis)
+    mean = check_mean_nform(m, density, fields, 16)
+    assert mean.residual == per_tree_mean_nform(m, density, fields, 16)

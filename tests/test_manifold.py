@@ -108,6 +108,19 @@ def test_invariant_function_check():
     assert not is_invariant_function(T1, expr.parse("x1"))
 
 
+def test_invariant_function_check_is_batched_and_rejects_non_finite():
+    calls = []
+
+    def f(pts):
+        calls.append(np.shape(pts))
+        return np.cos(2 * np.pi * pts[..., 0])
+
+    assert is_invariant_function(torus(1.0, 2.0), f, samples=16)
+    # once on all sample points, once on all their images
+    assert calls == [(16, 2), (16, 2)]
+    assert not is_invariant_function(T1, lambda pts: np.full(pts.shape[:-1], np.nan))
+
+
 # ---------------------------------------------------------------------------
 # divergence
 

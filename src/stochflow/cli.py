@@ -169,12 +169,15 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
 # ---------------------------------------------------------------------------
 # check dispatch
 
-def _run_check(exp: Experiment, chk: CheckSpec, overrides) -> InvarianceReport:
-    """Run one check, reading the keys config.CHECK_KEYS lists for its kind."""
+def _run_check(exp: Experiment, chk: CheckSpec, overrides,
+               applied: set) -> InvarianceReport:
+    """Run one check, reading the keys config.CHECK_KEYS lists for its kind;
+    adds to applied the keys of the overrides it used."""
     kind = chk.kind
 
     def param(key, default=None, cast=float):
         if overrides.get(key) is not None:
+            applied.add(key)
             return overrides[key]
         raw = chk.get(key)
         return default if raw is None else cast(raw)
@@ -269,11 +272,13 @@ def run(config: ExperimentConfig, outdir, overrides=None) -> int:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         exp = build_experiment(config)
-        reports = [_run_check(exp, chk, overrides) for chk in config.checks]
+        applied = set()
+        reports = [_run_check(exp, chk, overrides, applied)
+                   for chk in config.checks]
         payload = {
             "config": serialize_config(config),
-            "overrides": {k: v for k, v in sorted(overrides.items())
-                          if v is not None},
+            # only the overrides some check used
+            "overrides": {k: overrides[k] for k in sorted(applied)},
             "checks": [r.payload() for r in reports],
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -243,6 +243,24 @@ def _manifold_dim(manifold_entries):
     return len(_expressions_of(lengths))
 
 
+def _reject_grid_checks(check_sections, issues):
+    """An empirical current is a sum of atoms: it has no grid to set, and
+    the n-form checks would test the volume form instead of the atoms
+    (the residual checks decide the atoms)."""
+    for kind, header_line, entries in check_sections:
+        if kind in ("strict_nform", "mean_nform"):
+            issues.append(ConfigIssue(
+                f"[check {kind}] tests a density, but the current is "
+                f"empirical (use strict_residual or mean_residual)",
+                header_line, path=f"check.{kind}"))
+            continue
+        for key, _, line, _ in entries:
+            if key == "grid":
+                issues.append(ConfigIssue(
+                    f"[check {kind}] cannot set 'grid': the current is "
+                    f"empirical", line, path=f"check.{kind}.grid"))
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing all problems."""
     issues = []
@@ -258,6 +276,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     plain = {}
     checks = []
+    check_sections = []
     for name, header_line, entries in sections:
         if name.startswith("check"):
             kind = name[len("check"):].strip()
@@ -283,6 +302,7 @@ def parse_config(text: str) -> ExperimentConfig:
                                      positive=key != "seed")
             checks.append(CheckSpec(
                 kind=kind, params=tuple((k, v) for k, v, *_ in entries)))
+            check_sections.append((kind, header_line, entries))
         elif name in _SECTION_KEYS:
             if name in plain:
                 issues.append(ConfigIssue(f"duplicate section [{name}]", header_line))
@@ -349,6 +369,9 @@ def parse_config(text: str) -> ExperimentConfig:
             elif key == "grid":
                 _validate_number(value, issues, line, col, "current.grid",
                                  integer=True, positive=True)
+        current_type = dict((k, v) for k, v, *_ in plain["current"]).get("type")
+        if current_type == "empirical":
+            _reject_grid_checks(check_sections, issues)
 
     if has_liealg:
         data = {k: (v, line, col) for k, v, line, col in plain["liealg"]}

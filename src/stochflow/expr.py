@@ -412,10 +412,10 @@ class Lowering:
             lines.append(f"v{n} = {text}")
         return lines
 
-    def define(self, source: str, name: str):
-        """Runs source, which may read every emitted name and ``np``, and
-        returns the function it defines as name."""
-        namespace = dict(self.namespace, np=np)
+    def define(self, source: str, name: str, **names):
+        """Runs source, which may read every emitted name, ``np`` and the
+        given names, and returns the function it defines as name."""
+        namespace = dict(self.namespace, np=np, **names)
         exec(compile(source, f"<lowered {name}>", "exec"), namespace)
         return namespace[name]
 

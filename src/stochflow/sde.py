@@ -7,14 +7,16 @@ d(log J) = sum_i div(X_i)(x) o dB^i on the augmented state, sharing the
 same noise increments; a finite-difference Jacobian serves as an
 independent cross-check.
 
-Every integrator runs the one step loop in ``heun_path``, a generator
-over the states (and log J) of a batch of points: ``flow_with_jacobian``
-records them, ``flow_endpoints`` keeps the last one, and the volume
-check in ``invariance`` keeps a running maximum. The step is compiled
-once per system and kept on it: expression-backed fields on a manifold
-without a volume density become one straight-line function that shares
-subexpressions across components, fields and divergences, and leaves out
-the divergences that are identically zero; other fields go through
+Every integrator runs one step loop, ``run_heun``. Per system and per
+consumer it compiles the whole loop over a block of noise rows into one
+function (``_compile_loop``), which steps a (dim, *lead) state in place
+and records, inside the loop, what its consumer keeps of each step:
+``flow_with_jacobian`` the states and log J, the volume check in
+``invariance`` a running max |J - 1|, ``flow_endpoints`` nothing but
+the last state. Expression-backed fields on a manifold without a volume
+density are lowered to straight-line code that shares subexpressions
+across components, fields and divergences and leaves out the
+divergences that are identically zero; other fields go through
 ``VectorFieldSpec.__call__`` and ``divergence_function``.
 
 The loop steps unwrapped coordinates. Fields are compatible with the
@@ -26,21 +28,24 @@ drifted further and raises ``InvalidPointError`` with the step and
 point when it is not finite. Results are wrapped into the fundamental
 domain when they leave the integrator. (The finite-difference route
 wraps every step when it carries log J: its divergences depend, at the
-1e-11 level, on which representative of a point they see.) When every field is constant the
-Heun step is exact, and ``flow_endpoints`` replaces the loop by one
-summed increment per path.
+1e-11 level, on which representative of a point they see.) When every
+field is constant the Heun step is exact, and ``flow_endpoints``
+replaces the loop by one summed increment per path.
 
 Noise is counter-based (Philox keyed by (seed, path_index)), so paths
 are bitwise reproducible and independent across path indices without
 shared state: path simulations are embarrassingly parallel, and
 aggregations over paths are done in ascending path-index order so
 serial and distributed runs agree. ``noise_matrix`` stacks the streams
-of a range of path indices for batched integration.
+of a range of path indices for batched integration; ``noise_blocks``
+streams the same numbers in blocks of steps of about _BLOCK_BYTES, one
+generator per path, so that a long run never holds all its noise.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +68,7 @@ __all__ = [
     "FlowResult",
     "generate_noise",
     "noise_matrix",
+    "noise_blocks",
     "coarsen_noise",
     "step_count",
     "flow_with_jacobian",
@@ -73,9 +79,12 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# heun_path re-wraps a batch once some coordinate passes this many box
+# the step loop re-wraps a batch once some coordinate passes this many box
 # lengths; below it, rounding on unwrapped coordinates stays at ulp level
 _REWRAP_BOXES = 4.0
+
+# noise rows reach the step loop in blocks of about this many bytes
+_BLOCK_BYTES = 1 << 18
 
 
 class ConfigurationError(ValueError):
@@ -141,16 +150,25 @@ def _philox(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def generate_noise(seed: int, path_index: int, m: int, dt: float,
-                   steps: int) -> NoisePath:
+def _noise_scale(m: int, dt: float, steps: int) -> float:
     if dt <= 0:
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("need at least one step")
     if m < 0:
         raise ValueError("m must be >= 0")
-    rng = _philox(seed, path_index)
-    increments = rng.normal(0.0, math.sqrt(dt), size=(steps, m))
+    return math.sqrt(dt)
+
+
+def _block_rows(m: int, width: int) -> int:
+    """Steps per noise block: rows of m * width doubles in _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, m * width)))
+
+
+def generate_noise(seed: int, path_index: int, m: int, dt: float,
+                   steps: int) -> NoisePath:
+    scale = _noise_scale(m, dt, steps)
+    increments = _philox(seed, path_index).normal(0.0, scale, size=(steps, m))
     increments.setflags(write=False)
     return NoisePath(seed=seed, path_index=path_index, dt=dt, steps=steps,
                      increments=increments)
@@ -163,6 +181,28 @@ def noise_matrix(seed: int, paths: range, m: int, dt: float,
     for row, p in enumerate(paths):
         out[row] = generate_noise(seed, p, m, dt, steps).increments
     return out
+
+
+def noise_blocks(seed: int, paths: range, m: int, dt: float, steps: int):
+    """The increments of noise_matrix(seed, paths, m, dt, steps), streamed.
+
+    Returns an iterator over (b, m, len(paths)) blocks of consecutive
+    steps, about _BLOCK_BYTES each, drawn from one Philox generator per
+    path index. A stream drawn block by block gives the numbers of one
+    whole draw, so the blocks, concatenated over the step axis, equal
+    np.moveaxis(noise_matrix(...), 0, -1) bit for bit.
+    """
+    scale = _noise_scale(m, dt, steps)
+    rngs = [_philox(seed, p) for p in paths]
+    rows = _block_rows(m, len(rngs))
+
+    def blocks():
+        for start in range(0, steps, rows):
+            block = np.empty((min(rows, steps - start), m, len(rngs)))
+            for col, rng in enumerate(rngs):
+                block[:, :, col] = rng.normal(0.0, scale, size=block.shape[:2])
+            yield block
+    return blocks()
 
 
 def coarsen_noise(noise: NoisePath, factor: int) -> NoisePath:
@@ -187,73 +227,111 @@ def step_count(t: float, dt: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# stepping
+# the step loop
 
 def _is_zero(node) -> bool:
     return isinstance(node, expr.Num) and node.value == 0.0
 
 
-def _compile_step(sys: StratonovichSystem, log_jacobian: bool):
-    """(step, wrap_each): one Heun step, step(x, db) -> (next x, increment
-    of log J or None), and whether its states must be wrapped every step.
+# What the loop keeps of each step, by consumer: the arguments it takes
+# after dt, the statements that record the state at step k (x is the
+# (..., dim) view of the state) and those that record log J (L).
+_CONSUMERS = {
+    "endpoints": ((), (), ()),
+    "trajectory": (("tx", "tl"), ("tx[k] = x",), ("tl[k] = L",)),
+    "volume": (("W",), (), ("np.maximum(W, np.abs(np.exp(L) - 1.0), out=W)",)),
+}
 
-    x has shape (..., dim) and db = (dt, dB^1, ..., dB^m), each
-    broadcasting against x[..., 0]. Expression-backed fields on a
-    manifold without a volume density are lowered to one function whose
-    stages compute sum_i X_i dB^i component by component, in the order
-    and with the arithmetic of the field-by-field route, sharing
-    subexpressions; other systems use that route itself. The lowered
-    step leaves out every divergence that ``expr.is_identically_zero``
-    shows to be zero as a function (a Hamiltonian field's, say), so a
-    divergence-free system carries log J = 0 exactly instead of its
-    rounding error; the states are computed as before.
+
+def _compile_loop(sys: StratonovichSystem, consumer: str):
+    """The Heun loop over one block of noise rows, as one function.
+
+    loop(X, L, noise, k, dt, *out) steps the state X, of shape
+    (dim, *lead), in place through the rows of noise, of shape
+    (b, m, *noise_lead) with noise_lead broadcasting against lead; k is
+    the step number before the block and L holds log J. Each state is
+    recorded into out as _CONSUMERS says. Once per step a single max|X|
+    test decides whether the state is still finite and within
+    _REWRAP_BOXES box lengths of the fundamental domain; when it is not,
+    ``_rewrap`` wraps it or raises InvalidPointError naming the step.
+
+    Expression-backed fields on a manifold without a volume density are
+    lowered to straight-line stages that compute sum_i X_i dB^i (dB^0 =
+    dt) component by component, sharing subexpressions across
+    components, fields and divergences. Each divergence that
+    ``expr.is_identically_zero`` shows to be zero (a Hamiltonian
+    field's, say) is left out, and with none left log J stays 0 exactly
+    and is not carried. Other systems step through ``_field_increments``
+    and, with log J, are wrapped every step: their central-difference
+    divergences depend, at the 1e-11 level, on which representative of a
+    point they see. Either way the update a += (p + c) / 2 runs as
+    t = p + c; t *= 0.5; a += t, the float operations of a + 0.5*(p + c).
     """
+    args, record_x, record_l = _CONSUMERS[consumer]
     m = sys.manifold
     fields = [(i, f) for i, f in enumerate(sys.fields()) if not f.is_zero]
-    if m.volume_density is not None or not all(f.analytic for _, f in fields):
-        return _field_step(sys, fields, log_jacobian)
-    divs = []
-    if log_jacobian:
-        divs = [(i, d) for i, f in fields
-                if not expr.is_identically_zero(d := product_divergence_expr(m, f))]
     low = expr.Lowering()
-    lines = []
+    names = {"rewrap": functools.partial(_rewrap, m),
+             "bound": _REWRAP_BOXES * max(m.box_lengths)}
+    wrap_each = False
+    if m.volume_density is None and all(f.analytic for _, f in fields):
+        divs = []
+        if record_l:
+            divs = [(i, d) for i, f in fields if not expr.is_identically_zero(
+                d := product_divergence_expr(m, f))]
+        noise_of = {0: "dt", **{i: f"d{i}" for i, _ in fields if i > 0}}
+        body = [f"d{i} = noise[r, {i - 1}]" for i, _ in fields if i > 0]
 
-    def stage(inputs, out):
-        # <out>j = sum_i X_i^j dB^i for each component j, and
-        # <out>l = sum_i div(X_i) dB^i
-        start = len(low.code)
-        sums = []
+        def stage(inputs, out):
+            # <out>j = sum_i X_i^j dB^i for each component j, and
+            # <out>l = sum_i div(X_i) dB^i
+            start = len(low.code)
+            sums = []
+            for j in range(m.dim):
+                terms = [f"{low.emit(f.components[j], inputs)} * {noise_of[i]}"
+                         for i, f in fields if not _is_zero(f.components[j])]
+                sums.append(f"{out}{j} = {' + '.join(terms) or '0.0'}")
+            if divs:
+                terms = [f"{low.emit(d, inputs)} * {noise_of[i]}" for i, d in divs]
+                sums.append(f"{out}l = {' + '.join(terms)}")
+            body.extend(low.source(start) + sums)
+
+        stage([f"a{j}" for j in range(m.dim)], "p")
+        body.extend(f"b{j} = a{j} + p{j}" for j in range(m.dim))
+        stage([f"b{j}" for j in range(m.dim)], "c")
         for j in range(m.dim):
-            terms = [f"{low.emit(f.components[j], inputs)} * db[{i}]"
-                     for i, f in fields if not _is_zero(f.components[j])]
-            sums.append(f"{out}{j} = {' + '.join(terms) or '0.0'}")
-        if log_jacobian:
-            terms = [f"{low.emit(d, inputs)} * db[{i}]" for i, d in divs]
-            sums.append(f"{out}l = {' + '.join(terms) or '0.0'}")
-        lines.extend(low.source(start) + sums)
+            body.extend([f"t = p{j} + c{j}", "t *= 0.5", f"a{j} += t"])
+        views = [f"a{j} = X[{j}, ...]" for j in range(m.dim)]
+        carries_logj = bool(divs)
+    else:
+        names.update(_field_increments(sys, fields, bool(record_l)))
+        body = ["db = (dt, *noise[r])", "p = increment(x, db)", "xb = x + p",
+                "c = increment(xb, db)"]
+        if record_l:
+            body += ["pl = div_increment(x, db)", "cl = div_increment(xb, db)"]
+        body += ["t = p + c", "t *= 0.5", "x += t"]
+        views = []
+        carries_logj = wrap_each = bool(record_l)
+    if carries_logj:
+        body.extend(["t = pl + cl", "t *= 0.5", "L += t"])
+    body.append("k += 1")
+    body.extend(["rewrap(X, k)"] if wrap_each else
+                ["if not np.abs(X).max() <= bound:  # true for nan",
+                 "    rewrap(X, k)"])
+    body.extend(record_x + (record_l if carries_logj else ()))
+    params = ", ".join(("X", "L", "noise", "k", "dt") + args)
+    source = (f"def loop({params}):\n"
+              + "".join(f"    {line}\n" for line in
+                        ["x = np.moveaxis(X, 0, -1)"] + views)
+              + "    for r in range(noise.shape[0]):\n"
+              + "".join(f"        {line}\n" for line in body))
+    return low.define(source, "loop", **names)
 
-    xs = [f"a{j}" for j in range(m.dim)]
-    lines.extend(f"a{j} = x[..., {j}]" for j in range(m.dim))
-    stage(xs, "p")
-    lines.extend(f"b{j} = a{j} + p{j}" for j in range(m.dim))
-    stage([f"b{j}" for j in range(m.dim)], "c")
-    lines.append("out = np.empty(x.shape)")
-    lines.extend(f"out[..., {j}] = a{j} + 0.5 * (p{j} + c{j})"
-                 for j in range(m.dim))
-    lines.append("return out, " + ("0.5 * (pl + cl)" if log_jacobian else "None"))
-    source = "def step(x, db):\n" + "".join(f"    {line}\n" for line in lines)
-    return low.define(source, "step"), False
 
-
-def _field_step(sys, fields, log_jacobian):
-    """The Heun step through VectorFieldSpec.__call__ and
-    divergence_function, for callable fields or a volume density.
-
-    Its divergences are central differences, whose rounding error
-    (about ulp / h, 1e-11) depends on which representative of a point
-    they see, so with log J its states are wrapped every step.
-    """
+def _field_increments(sys, fields, log_jacobian) -> dict:
+    """increment(x, db) = sum_i X_i(x) dB^i through VectorFieldSpec.__call__
+    and, with log J, div_increment(x, db) = sum_i div(X_i)(x) dB^i through
+    divergence_function, for callable fields or a volume density."""
     div_fns = ([(i, divergence_function(sys.manifold, f)) for i, f in fields]
                if log_jacobian else [])
 
@@ -265,15 +343,60 @@ def _field_step(sys, fields, log_jacobian):
 
     def div_increment(x, db):
         return sum((fn(x) * db[i] for i, fn in div_fns), 0.0)
+    return {"increment": increment, "div_increment": div_increment}
 
-    def step(x, db):
-        pred = increment(x, db)
-        xbar = x + pred
-        x_next = x + 0.5 * (pred + increment(xbar, db))
-        if not log_jacobian:
-            return x_next, None
-        return x_next, 0.5 * (div_increment(x, db) + div_increment(xbar, db))
-    return step, log_jacobian
+
+def _rewrap(m: ChartedManifold, X, step: int) -> None:
+    """Wraps the state X, of shape (dim, *lead), in place, or raises
+    InvalidPointError naming the step and the first leading index of a
+    non-finite point."""
+    x = np.moveaxis(X, 0, -1)
+    bad = ~np.all(np.isfinite(x), axis=-1)
+    if np.any(bad):
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise InvalidPointError(f"non-finite state at step {step}, point {where}")
+    x[...] = m.wrap(x)
+
+
+def run_heun(sys: StratonovichSystem, consumer: str, x0, dt: float,
+             steps: int, noise_lead: tuple, blocks):
+    """Runs the compiled Heun loop of consumer over the noise blocks.
+
+    x0 has shape (..., dim) and broadcasts against noise_lead, the
+    leading shape of the (b, m, *noise_lead) blocks, which hold steps
+    rows in all. Returns (x, *out): the final state, unwrapped but within
+    a few box lengths of the fundamental domain, and what the consumer
+    recorded: for "trajectory" the states (steps + 1, *lead, dim) and
+    log J (steps + 1, *lead), for "volume" max_k |J_k - 1| per leading
+    index, for "endpoints" nothing.
+    """
+    loop = sys._cached(("loop", consumer), lambda s: _compile_loop(s, consumer))
+    x0 = sys.manifold.wrap(x0)
+    lead = np.broadcast_shapes(x0.shape[:-1], noise_lead)
+    X = np.empty(x0.shape[-1:] + lead)
+    x = np.moveaxis(X, 0, -1)
+    x[...] = x0
+    L = np.zeros(lead)
+    out = ()
+    if consumer == "trajectory":
+        out = (np.empty((steps + 1,) + x.shape), np.zeros((steps + 1,) + lead))
+        out[0][0] = x
+    elif consumer == "volume":
+        out = (np.zeros(lead),)
+    k = 0
+    for block in blocks:
+        loop(X, L, block, k, dt, *out)
+        k += block.shape[0]
+    return (x, *out)
+
+
+def _array_blocks(sys: StratonovichSystem, increments):
+    """(steps, noise lead shape, blocks) for run_heun, the blocks being
+    views of increments (..., steps, m) as (b, m, ...) rows."""
+    noise = np.moveaxis(_noise_array(sys, increments), (-2, -1), (0, 1))
+    steps, lead = noise.shape[0], noise.shape[2:]
+    rows = _block_rows(sys.m, math.prod(lead))
+    return steps, lead, (noise[s:s + rows] for s in range(0, steps, rows))
 
 
 def _constant_velocities(sys: StratonovichSystem):
@@ -290,14 +413,6 @@ def _noise_array(sys: StratonovichSystem, increments) -> np.ndarray:
         raise ConfigurationError(f"noise has {increments.shape[-1]} components, "
                                  f"system has {sys.m}")
     return increments
-
-
-def _rewrap(m: ChartedManifold, x, step: int) -> np.ndarray:
-    bad = ~np.all(np.isfinite(x), axis=-1)
-    if np.any(bad):
-        where = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise InvalidPointError(f"non-finite state at step {step}, point {where}")
-    return m.wrap(x)
 
 
 def _check_noise(sys, t_final, dt, noise):
@@ -331,47 +446,12 @@ class FlowResult:
         return np.exp(self.log_jacobian)
 
 
-def heun_path(sys: StratonovichSystem, x0, dt: float, increments,
-              log_jacobian: bool = False):
-    """The Heun step loop: yields (x, log J) at t_0, t_1, ..., t_steps.
-
-    x0 has shape (..., dim) and increments (..., steps, m), broadcast
-    against each other in the leading axes. x0 is wrapped into the
-    fundamental domain; later states are not, only kept within a few box
-    lengths of it, so callers wrap what they return. A non-finite state
-    raises InvalidPointError naming the step and the first leading index
-    that holds it. log J is None unless log_jacobian is set.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    increments = _noise_array(sys, increments)
-    lead = np.broadcast_shapes(x0.shape[:-1], increments.shape[:-2])
-    x = np.broadcast_to(sys.manifold.wrap(x0), lead + x0.shape[-1:]).copy()
-    step, wrap_each = sys._cached(("step", log_jacobian),
-                                  lambda s: _compile_step(s, log_jacobian))
-    bound = _REWRAP_BOXES * max(sys.manifold.box_lengths)
-    logj = np.zeros(lead) if log_jacobian else None
-    yield x, logj
-    noise = np.moveaxis(increments, (-2, -1), (0, 1))  # (steps, m, ...)
-    for k in range(noise.shape[0]):
-        x, dlogj = step(x, (dt, *noise[k]))
-        if wrap_each or not np.max(np.abs(x)) <= bound:  # true for nan
-            x = _rewrap(sys.manifold, x, k + 1)
-        if log_jacobian:
-            logj = logj + dlogj
-        yield x, logj
-
-
 def flow_with_jacobian(sys: StratonovichSystem, x0, t_final: float, dt: float,
                        noise: NoisePath) -> FlowResult:
     """Co-evolves log J through the divergence SDE with shared noise."""
     _check_noise(sys, t_final, dt, noise)
-    shape = np.shape(x0)
-    traj = np.empty((noise.steps + 1,) + shape)
-    logj = np.empty((noise.steps + 1,) + shape[:-1])
-    path = heun_path(sys, x0, dt, noise.increments, log_jacobian=True)
-    for k, (x, lj) in enumerate(path):
-        traj[k] = x
-        logj[k] = lj
+    _, traj, logj = run_heun(sys, "trajectory", x0, dt,
+                             *_array_blocks(sys, noise.increments))
     return FlowResult(dt=dt, trajectory=sys.manifold.wrap(traj),
                       log_jacobian=logj)
 
@@ -393,9 +473,8 @@ def flow_endpoints(sys: StratonovichSystem, x0, dt: float,
         x = (sys.manifold.wrap(x0) + (dt * steps) * velocities[0]
              + increments.sum(axis=-2) @ velocities[1:])
         return sys.manifold.wrap(x)
-    for x, _ in heun_path(sys, x0, dt, increments):
-        pass
-    return sys.manifold.wrap(x)
+    x, = run_heun(sys, "endpoints", x0, dt, *_array_blocks(sys, increments))
+    return sys.manifold.wrap(x.copy())
 
 
 def fd_jacobian(sys: StratonovichSystem, x0, t_final: float, dt: float,

@@ -237,6 +237,61 @@ def test_pathwise_check_rejects_paths():
                               "[check empirical_pathwise]\n"))
 
 
+ONE_ATOM = """\
+[manifold]
+type = torus
+lengths = 1
+
+[fields]
+drift = 0
+diffusion1 = sin(2*pi*x1)
+
+[current]
+type = empirical
+atoms = 0.5
+weights = 1
+
+[check strict_residual]
+"""
+
+
+def test_empirical_current_rejects_grid_and_nform_checks(tmp_path):
+    # the atom at 0.5 is a fixed point, so its Dirac current is strictly
+    # invariant; strict_nform would test the volume form instead and
+    # report FAIL (residual 6.16 on a 16-grid)
+    text = (ONE_ATOM + "grid = 16\n\n[check strict_nform]\ngrid = 16\n\n"
+            "[check mean_nform]\n\n[check mean_residual]\ngrid = 8\n\n"
+            "[check empirical_mean]\ngrid = 8\n")
+    with pytest.raises(ConfigError) as e:
+        parse_config(text)
+    assert [i.path for i in e.value.issues] == [
+        "check.strict_residual.grid", "check.strict_nform", "check.mean_nform",
+        "check.mean_residual.grid", "check.empirical_mean.grid"]
+    assert all("empirical" in i.message for i in e.value.issues)
+    assert e.value.issues[0].line == 15
+    # without them the residual checks decide the atom
+    cfg = parse_config(ONE_ATOM + "\n[check mean_residual]\n")
+    assert run(cfg, tmp_path) == 0
+    # a density current still takes both
+    density = ONE_ATOM.replace("type = empirical\natoms = 0.5\nweights = 1\n",
+                               "density = 1\n")
+    parse_config(density + "grid = 16\n\n[check strict_nform]\n")
+
+
+def test_overrides_record_only_what_a_check_used(tmp_path):
+    def overrides(checks, name):
+        cfg = parse_config(MINIMAL_FLOW + checks)
+        assert run(cfg, tmp_path / name, {"seed": 4, "dt": 0.01, "paths": 7}) == 0
+        doc = json.loads((tmp_path / name / "report.json").read_text())
+        return doc["payload"]["overrides"]
+
+    assert overrides("", "nform") == {}
+    pathwise = "\n[check empirical_pathwise]\nt = 0.02\nbasis_k = 1\n"
+    assert overrides(pathwise, "pathwise") == {"dt": 0.01, "seed": 4}
+    mean = "\n[check empirical_mean]\nt = 0.02\nbasis_k = 1\n"
+    assert overrides(mean, "mean") == {"dt": 0.01, "paths": 7, "seed": 4}
+
+
 def with_key(text, kind, key, value):
     header = f"[check {kind}]\n"
     assert header in text

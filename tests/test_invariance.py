@@ -265,6 +265,22 @@ def test_foliation_abelian_on_torus():
     assert rep.metadata["drift_coeffs"] == [0.0, 0.0]
 
 
+def test_foliation_pathwise_tolerance_sets_only_the_pathwise_check():
+    g = liealg.abelian(2)
+    h = liealg.SubalgebraSpec((0, 1))
+
+    def subchecks(**kw):
+        rep = foliation_pipeline(g, h, torus_translation_realization(2),
+                                 t=0.1, dt=1e-2, seed=3, n_paths=10,
+                                 grid_n=8, basis_k=1, **kw)
+        return {s.kind: s for s in rep.subchecks}
+
+    default, loose = subchecks(), subchecks(pathwise_tolerance=0.5)
+    assert default["empirical_pathwise"].tolerance == 1e-2
+    assert loose["empirical_pathwise"].tolerance == 0.5
+    assert loose["empirical_mean"].payload() == default["empirical_mean"].payload()
+
+
 def test_foliation_rejects_mismatched_realization():
     g = liealg.sl2()
     h = liealg.SubalgebraSpec((0, 1))

@@ -1,10 +1,11 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stochflow import expr
+from stochflow import expr, sde
 from stochflow.invariance import jacobian_check
 from stochflow.manifold import (
     ChartedManifold,
@@ -24,6 +25,7 @@ from stochflow.sde import (
     flow_endpoints,
     flow_with_jacobian,
     generate_noise,
+    noise_blocks,
     noise_matrix,
     write_trajectory_csv,
 )
@@ -82,6 +84,26 @@ def test_noise_matrix_matches_per_path_streams():
 def test_noise_matrix_validates_like_generate_noise():
     with pytest.raises(ValueError):
         noise_matrix(0, range(2), 1, 0.1, 0)
+
+
+@pytest.mark.parametrize("rows", [1, 97, 250, 1000])
+def test_noise_blocks_equal_noise_matrix(rows, monkeypatch):
+    # 250 steps: blocks of one step, uneven blocks, one block, and a block
+    # budget larger than the whole run
+    paths, m, steps = range(3, 8), 2, 250
+    monkeypatch.setattr(sde, "_BLOCK_BYTES", rows * 8 * m * len(paths))
+    blocks = list(noise_blocks(4, paths, m, 0.01, steps))
+    assert [b.shape[0] for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert all(b.shape[1:] == (m, len(paths)) for b in blocks)
+    whole = np.moveaxis(noise_matrix(4, paths, m, 0.01, steps), 0, -1)
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
+def test_noise_blocks_validate_when_called():
+    with pytest.raises(ValueError):
+        noise_blocks(0, range(2), 1, 0.1, 0)
+    with pytest.raises(ValueError):
+        noise_blocks(0, range(2), 1, -0.1, 10)
 
 
 def test_noise_moments():
@@ -455,3 +477,67 @@ def test_non_finite_state_names_its_step():
             flow_endpoints(sys, [0.0], 0.01, noise.increments)
         with pytest.raises(InvalidPointError, match=r"step 1, point \(1,\)"):
             flow_with_jacobian(sys, [[0.25], [0.0]], 0.1, 0.01, noise)
+
+
+# ---------------------------------------------------------------------------
+# noise blocks: results do not depend on where the step loop's blocks end
+
+BLOCK_CASES = {
+    "hamiltonian": (hamiltonian_system(), 0.01, 60),
+    "callable_field": (callable_field_system(), 0.01, 60),
+    # crosses the seam and passes the re-wrap bound
+    "heisenberg_frame": (heisenberg_frame_system(), 0.05, 400),
+}
+
+
+def integrate_all(sys, dt, steps):
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(0.0, 1.0, size=(3, sys.manifold.dim)) * sys.manifold.lengths
+    noise = generate_noise(6, 1, sys.m, dt, steps)
+    res = flow_with_jacobian(sys, pts, steps * dt, dt, noise)
+    inc = noise_matrix(6, range(4), sys.m, dt, steps)[:, None]
+    ends = flow_endpoints(sys, pts, dt, inc)
+    rep = jacobian_check(sys, pts[0], steps * dt, dt, seed=6, n_paths=4)
+    return [res.trajectory, res.log_jacobian, ends,
+            np.array([r["value"] for r in rep.per_basis])]
+
+
+@pytest.mark.parametrize("label", sorted(BLOCK_CASES))
+def test_results_do_not_depend_on_the_noise_block_size(label, monkeypatch):
+    sys, dt, steps = BLOCK_CASES[label]
+    want = integrate_all(sys, dt, steps)
+    # one step per block; 97 steps per block of the jacobian check's 4
+    # paths (and 388 per block of one path)
+    for budget in (1, 97 * 8 * sys.m * 4):
+        monkeypatch.setattr(sde, "_BLOCK_BYTES", budget)
+        got = integrate_all(sys, dt, steps)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    if label == "heisenberg_frame":
+        wraps = []
+        wrap = ChartedManifold.wrap
+        monkeypatch.setattr(ChartedManifold, "wrap",
+                            lambda self, p: wraps.append(1) or wrap(self, p))
+        jacobian_check(sys, [0.1, 0.2, 0.3], steps * dt, dt, seed=6, n_paths=4)
+        assert len(wraps) > 1  # the x0 wrap and at least one re-wrap
+
+
+def volume_check_peak(steps):
+    sys = StratonovichSystem(
+        manifold=T1, drift=VectorFieldSpec.from_strings(["0.1"]),
+        diffusions=(VectorFieldSpec.from_strings(["0.2*sin(2*pi*x1)"]),))
+    jacobian_check(sys, [0.3], 10 * 1e-3, 1e-3, seed=1, n_paths=100)  # compile
+    tracemalloc.start()
+    try:
+        rep = jacobian_check(sys, [0.3], steps * 1e-3, 1e-3, seed=1, n_paths=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.residual > 0.0  # log J was carried
+    return peak
+
+
+def test_jacobian_check_memory_does_not_grow_with_steps():
+    # the whole noise of the longer run is 6.4 MB; one block is 256 KiB
+    grown = volume_check_peak(8000) - volume_check_peak(1000)
+    assert grown <= sde._BLOCK_BYTES

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import sys as _sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -265,6 +266,9 @@ def _write_csvs(reports, outdir: Path):
 def run(config: ExperimentConfig, outdir, overrides=None) -> int:
     """Execute every check; write report.json and per-check CSVs.
 
+    report.json holds the hashed ``payload``, its ``payload_sha256``, and
+    outside the hash ``generated_at`` and ``diagnostics``: per check, in
+    the order of payload["checks"], its kind and wall time ``wall_s``.
     Returns 0 when all verdicts hold, 2 when any fails, 1 on error.
     """
     overrides = dict(overrides or {})
@@ -273,8 +277,12 @@ def run(config: ExperimentConfig, outdir, overrides=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         exp = build_experiment(config)
         applied = set()
-        reports = [_run_check(exp, chk, overrides, applied)
-                   for chk in config.checks]
+        reports, timings = [], []
+        for chk in config.checks:
+            start = time.perf_counter()
+            reports.append(_run_check(exp, chk, overrides, applied))
+            timings.append({"kind": reports[-1].kind,
+                            "wall_s": time.perf_counter() - start})
         payload = {
             "config": serialize_config(config),
             # only the overrides some check used
@@ -286,6 +294,8 @@ def run(config: ExperimentConfig, outdir, overrides=None) -> int:
             "payload": payload,
             "payload_sha256": hashlib.sha256(blob.encode()).hexdigest(),
             "generated_at": datetime.now(timezone.utc).isoformat(),
+            # outside the payload, so the hash stays deterministic
+            "diagnostics": {"checks": timings},
         }
         with open(outdir / "report.json", "w", encoding="utf-8") as fh:
             json.dump(document, fh, indent=2, sort_keys=True)

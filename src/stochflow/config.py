@@ -43,10 +43,17 @@ __all__ = [
     "serialize_config",
 ]
 
+# The keys each current type reads; parse_config rejects the other
+# type's keys rather than drop them.
+_CURRENT_KEYS = {
+    "density": ("density", "grid", "normalize"),
+    "empirical": ("atoms", "weights"),
+}
+
 _SECTION_KEYS = {
     "manifold": {"type", "lengths"},
     "fields": None,  # drift plus diffusionN, validated separately
-    "current": {"type", "density", "grid", "atoms", "weights", "normalize"},
+    "current": {"type"}.union(*_CURRENT_KEYS.values()),
     "liealg": {"algebra", "constants", "subalgebra", "realization"},
 }
 
@@ -360,16 +367,27 @@ def parse_config(text: str) -> ExperimentConfig:
         issues.append(ConfigIssue("flow experiment needs a [fields] section"))
 
     if "current" in plain:
+        data = {k: (v, line) for k, v, line, _ in plain["current"]}
+        current_type, type_line = data.get("type", ("density", None))
+        if current_type not in _CURRENT_KEYS:
+            issues.append(ConfigIssue(
+                f"unknown current type {current_type!r} (known: "
+                f"{', '.join(_CURRENT_KEYS)})", type_line, path="current.type"))
         for key, value, line, col in plain["current"]:
             if key not in _SECTION_KEYS["current"]:
                 issues.append(ConfigIssue(f"unknown current key {key!r}", line,
                                           path=f"current.{key}"))
+            elif (key != "type" and current_type in _CURRENT_KEYS
+                  and key not in _CURRENT_KEYS[current_type]):
+                issues.append(ConfigIssue(
+                    f"a {current_type} current does not take {key!r} (it takes "
+                    f"{', '.join(_CURRENT_KEYS[current_type])})", line,
+                    path=f"current.{key}"))
             elif key == "density":
                 _check_expression(value, dim, issues, line, col, "current.density")
             elif key == "grid":
                 _validate_number(value, issues, line, col, "current.grid",
                                  integer=True, positive=True)
-        current_type = dict((k, v) for k, v, *_ in plain["current"]).get("type")
         if current_type == "empirical":
             _reject_grid_checks(check_sections, issues)
 

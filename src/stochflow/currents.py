@@ -54,7 +54,8 @@ __all__ = [
     "strict_residuals",
 ]
 
-# paths processed together are capped to roughly this many array elements
+# paths processed together are capped to roughly this many array
+# elements: per path, a state per support point and its noise
 _CHUNK_ELEMS = 4_000_000
 
 
@@ -208,14 +209,16 @@ def pullback_values(T: Current, functions: Sequence[ScalarField],
     once per call (a trig basis computes each cos/sin factor once per
     chunk); returns shape (len(functions), n_paths). Paths are
     the streams path_index = 0..n_paths-1 of the given seed, aggregated
-    in ascending order so results do not depend on chunking.
+    in ascending order so results do not depend on chunking. A chunk
+    holds about _CHUNK_ELEMS elements of states (support points x dim
+    per path) and noise (steps x m per path).
     """
     steps = step_count(t, dt)
     pts = T.points
     n_pts = pts.shape[0]
     batch = _Functions(functions, sys.manifold.dim)
     out = np.empty((len(batch), n_paths))
-    chunk = max(1, _CHUNK_ELEMS // max(1, n_pts * sys.manifold.dim))
+    chunk = max(1, _CHUNK_ELEMS // (n_pts * sys.manifold.dim + steps * sys.m))
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
         inc = noise_matrix(seed, range(start, stop), sys.m, dt, steps)

@@ -10,14 +10,31 @@ Grammar (coordinates are x1..xn):
 Expressions evaluate vectorized over numpy point arrays of shape
 (..., dim) and are closed under differentiation, so directional
 derivatives of any order stay analytic.
+
+Nodes are hash-consed. Every constructor (the node classes themselves,
+the smart constructors and the parser) returns the one live node with
+its type, operator or function name and children, the children compared
+by identity; so two trees of the same structure are the same object, and
+``==`` and ``hash`` are identity. Constants are keyed on the type and
+``float.hex()`` of their value, as ``Lowering`` keys them: ``Num(0.0)``
+and ``Num(-0.0)`` are two nodes and are not equal. The intern table
+holds nodes weakly, so a tree lives only as long as its users hold it.
+Shared nodes make memos cheap: ``diff`` is memoized per (node, axis),
+``max_coordinate`` is computed once per node and ``is_identically_zero``
+once per node, and ``Lowering`` lowers a node once per set of inputs.
+The memos of ``diff`` and ``Lowering`` are slots of the node, each
+replaced whole, so values stay right when threads share nodes; but
+interning takes no lock, and two threads that build the same structure
+at once may get two nodes, which then compare unequal.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import operator
 import re
-from dataclasses import dataclass
+import weakref
 from typing import Union
 
 import numpy as np
@@ -53,32 +70,104 @@ class ExprParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Coord:
-    axis: int  # zero-based
+class _Table(dict):
+    """Intern table of one node type and operator: key -> a weakref.KeyedRef
+    to the live node. Keys hold no node: a child is keyed by its id, which
+    stays its own while the parent, which holds it, lives. (Holding
+    children in the keys would keep every node whose memos lead back to
+    it alive for good: exp(u) is a factor of its own derivative.)"""
+
+    def forget(self, ref):
+        if self.get(ref.key) is ref:
+            del self[ref.key]
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+# node type -> {operator, function or value type: _Table}
+_TABLES = collections.defaultdict(dict)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
+def _intern(cls, tag, key, *fields):
+    """The live node of cls under tag and key, or a new one with the given
+    fields (cls.__slots__, in order), entered into the table only once
+    its fields are set."""
+    tables = _TABLES[cls]
+    table = tables.get(tag)
+    if table is None:
+        table = tables[tag] = _Table()
+    ref = table.get(key)
+    node = None if ref is None else ref()
+    if node is not None:
+        return node
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        _set(node, name, value)
+    _set(node, "_max_coordinate", fields[0] + 1 if cls is Coord else max(
+        (f._max_coordinate for f in fields if isinstance(f, _Node)), default=0))
+    _set(node, "_diffs", ())
+    _set(node, "_lowered", None)
+    table[key] = weakref.KeyedRef(node, table.forget, key)
+    return node
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str  # sin | cos | exp
-    arg: "Expr"
+class _Node:
+    """Base of the node types: interned, immutable, compared by identity.
+
+    Besides its fields a node carries what depends on its structure
+    alone: its highest coordinate, the derivatives ``diff`` has taken of
+    it, and the name it was last lowered to (``Lowering.emit``).
+    """
+
+    __slots__ = ("__weakref__", "_max_coordinate", "_diffs", "_lowered")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Num(_Node):
+    __slots__ = ("value",)
+
+    def __new__(cls, value: float):
+        return _intern(cls, type(value), float(value).hex(), value)
+
+
+class Coord(_Node):
+    __slots__ = ("axis",)  # zero-based
+
+    def __new__(cls, axis: int):
+        return _intern(cls, None, axis, axis)
+
+
+class Neg(_Node):
+    __slots__ = ("arg",)
+
+    def __new__(cls, arg: "Expr"):
+        return _intern(cls, None, id(arg), arg)
+
+
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")  # op is one of + - * /
+
+    def __new__(cls, op: str, left: "Expr", right: "Expr"):
+        return _intern(cls, op, id(left) << 64 | id(right), op, left, right)
+
+
+class Call(_Node):
+    __slots__ = ("fn", "arg")  # fn is sin | cos | exp
+
+    def __new__(cls, fn: str, arg: "Expr"):
+        return _intern(cls, fn, id(arg), fn, arg)
 
 
 Expr = Union[Num, Coord, Neg, BinOp, Call]
@@ -328,14 +417,18 @@ class Lowering:
 
     ``emit(node, inputs)`` appends the operations that compute node, with
     coordinate x_{i+1} read from the variable inputs[i], and returns the
-    name that holds the value. Each operation is keyed on its operator
-    and operand names, so an operation already emitted, for any earlier
-    expression, is not computed again: fields, their components and
-    their derivatives share work. Within one expression a node object is
-    lowered once, however often the tree refers to it, so emitting costs
-    time linear in the number of distinct nodes. Constant subtrees are
-    folded to values with the arithmetic ``evaluate`` uses, so that the
-    code computes what ``evaluate`` computes.
+    name that holds the value. A node is lowered once per Lowering and
+    set of inputs, across all ``emit`` calls: the node keeps the name it
+    was lowered to, marked with a token of this Lowering and inputs, so
+    a node that an earlier expression, or the same tree elsewhere, has
+    emitted is found without walking it, and emitting costs time linear
+    in the number of nodes not yet lowered. (Nodes are interned, so
+    fields, their components and their derivatives share nodes, and
+    work.) Constant subtrees are folded to values with the arithmetic
+    ``evaluate`` uses, so that the code computes what ``evaluate``
+    computes. Folding can make different nodes compute the same
+    operation ((2*pi)*x1 and (pi*2)*x1, say), so each operation is also
+    keyed on its operator and operand names and emitted once.
 
     The code has two back ends. ``source`` renders it as Python
     statements, built from the tree's node types, operators and function
@@ -353,17 +446,24 @@ class Lowering:
         self.namespace = dict(_FUNCTIONS)
         self._names = {}  # operation or constant key -> name
         self._values = {}  # constant name -> value as folded
+        self._scopes = {}  # inputs -> the token that marks a node's name
 
     def emit(self, node: Expr, inputs) -> str:
-        return self._emit(node, tuple(inputs), {})
+        inputs = tuple(inputs)
+        scope = self._scopes.get(inputs)
+        if scope is None:
+            scope = self._scopes[inputs] = object()
+        return self._emit(node, inputs, scope)
 
-    def _emit(self, node, inputs, seen):
-        name = seen.get(id(node))
-        if name is None:
-            name = seen[id(node)] = self._lower(node, inputs, seen)
+    def _emit(self, node, inputs, scope):
+        lowered = node._lowered
+        if lowered is not None and lowered[0] is scope:
+            return lowered[1]
+        name = self._lower(node, inputs, scope)
+        _set(node, "_lowered", (scope, name))
         return name
 
-    def _lower(self, node, inputs, seen):
+    def _lower(self, node, inputs, scope):
         if isinstance(node, Num):
             return self._constant(node.value)
         if isinstance(node, Coord):
@@ -379,7 +479,7 @@ class Lowering:
             op, args = node.fn, (node.arg,)
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        key = (op, *(self._emit(a, inputs, seen) for a in args))
+        key = (op, *(self._emit(a, inputs, scope) for a in args))
         if all(n in self._values for n in key[1:]):
             return self._constant(_APPLY[op](*(self._values[n] for n in key[1:])))
         name = self._names.get(key)
@@ -427,10 +527,10 @@ class Lowering:
         temporary is dropped after its last use. A constant result is
         reduced as np.full(shape, value), the array ``evaluate`` returns.
         """
-        last = {}
-        for n, (_, *args) in enumerate(self.code):
+        uses = {}  # name -> operations yet to read it
+        for _, *args in self.code:
             for a in args:
-                last[a] = n
+                uses[a] = uses.get(a, 0) + 1
         wanted = dict.fromkeys(results)
         values = dict(env, **self.namespace)
         for name in wanted:
@@ -443,10 +543,11 @@ class Lowering:
             value = _APPLY[op](*[values[a] for a in args])
             if name in wanted:
                 wanted[name] = reduce(value)
-            if last.get(name, -1) > n:
+            if name in uses:
                 values[name] = value
             for a in args:
-                if last[a] == n:
+                uses[a] -= 1
+                if not uses[a]:
                     values.pop(a, None)
             del value
         return [wanted[name] for name in results]
@@ -456,7 +557,20 @@ class Lowering:
 # symbolic differentiation
 
 def diff(node: Expr, axis: int) -> Expr:
-    """d(node)/d x_{axis+1} as a new expression tree."""
+    """d(node)/d x_{axis+1}; memoized on the node, so a subtree shared by
+    several parents is differentiated once."""
+    if not isinstance(node, _Node):
+        raise TypeError(f"not an expression node: {node!r}")
+    memo = node._diffs
+    if axis < len(memo) and memo[axis] is not None:
+        return memo[axis]
+    out = _derivative(node, axis)
+    memo += (None,) * (axis + 1 - len(memo))
+    _set(node, "_diffs", memo[:axis] + (out,) + memo[axis + 1:])
+    return out
+
+
+def _derivative(node, axis):
     if isinstance(node, Num):
         return Num(0.0)
     if isinstance(node, Coord):
@@ -488,15 +602,9 @@ def diff(node: Expr, axis: int) -> Expr:
 
 def max_coordinate(node: Expr) -> int:
     """Highest coordinate index used, 1-based (0 when constant)."""
-    if isinstance(node, Coord):
-        return node.axis + 1
-    if isinstance(node, Neg):
-        return max_coordinate(node.arg)
-    if isinstance(node, BinOp):
-        return max(max_coordinate(node.left), max_coordinate(node.right))
-    if isinstance(node, Call):
-        return max_coordinate(node.arg)
-    return 0
+    if not isinstance(node, _Node):
+        raise TypeError(f"not an expression node: {node!r}")
+    return node._max_coordinate
 
 
 def is_constant(node: Expr) -> bool:
@@ -514,9 +622,13 @@ class _Undecided(Exception):
     pass
 
 
+# node -> the answer of is_identically_zero
+_ZERO_TESTS = weakref.WeakKeyDictionary()
+
+
 def is_identically_zero(node: Expr) -> bool:
     """True only when node is zero as a function wherever it is defined;
-    sound, not complete.
+    sound, not complete; memoized on the node.
 
     The expression is expanded into a polynomial with exact rational
     coefficients (every float constant is the rational it stores) over
@@ -595,10 +707,14 @@ def is_identically_zero(node: Expr) -> bool:
         return out
 
     seen = {}
-    try:
-        return not expand(node)
-    except _Undecided:
-        return False
+    known = _ZERO_TESTS.get(node)
+    if known is None:
+        try:
+            known = not expand(node)
+        except _Undecided:
+            known = False
+        _ZERO_TESTS[node] = known
+    return known
 
 
 def to_str(node: Expr) -> str:

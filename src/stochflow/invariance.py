@@ -282,13 +282,15 @@ def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
     """Pathwise volume deviation: residual = max over paths and times of
     |J - 1| from the co-evolved log-Jacobian. The noise is streamed in
     blocks of steps, so memory does not grow with the step count."""
+    if n_paths < 1:
+        raise ValueError(f"jacobian check needs n_paths >= 1, got {n_paths}")
     steps = step_count(t, dt)
     blocks = noise_blocks(seed, range(n_paths), sys.m, dt, steps)
     _, worst = run_heun(sys, "volume", x0, dt, steps, (n_paths,), blocks)
     rows = [{"path_index": p, "value": float(worst[p])} for p in range(n_paths)]
     meta = {"dt": dt, "T": t, "n_paths": n_paths, "seed": seed}
-    return _report("jacobian", float(np.max(worst)) if n_paths else 0.0,
-                   tolerance, meta, per_basis=rows)
+    return _report("jacobian", float(np.max(worst)), tolerance, meta,
+                   per_basis=rows)
 
 
 # ---------------------------------------------------------------------------

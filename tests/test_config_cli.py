@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -183,6 +184,23 @@ def test_report_hash_is_deterministic(tmp_path):
     assert doc_a["payload"] == doc_b["payload"]
 
 
+def test_report_times_each_check_outside_the_hash(tmp_path):
+    args = ["check", "hamiltonian_torus", "--dt", "0.01"]
+    docs = []
+    for name in ("a", "b"):
+        assert main(args + ["--out", str(tmp_path / name)]) == 0
+        docs.append(json.loads((tmp_path / name / "report.json").read_text()))
+    for doc in docs:
+        timings = doc["diagnostics"]["checks"]
+        assert [t["kind"] for t in timings] == [
+            c["kind"] for c in doc["payload"]["checks"]]
+        assert all(isinstance(t["wall_s"], float) and t["wall_s"] >= 0
+                   for t in timings)
+        blob = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == doc["payload_sha256"]
+    assert docs[0]["payload_sha256"] == docs[1]["payload_sha256"]
+
+
 def test_report_hash_depends_on_seed(tmp_path):
     base = ["check", "translation_bm_torus", "--paths", "10", "--dt", "0.01"]
     main(base + ["--seed", "1", "--out", str(tmp_path / "s1")])
@@ -276,6 +294,32 @@ def test_empirical_current_rejects_grid_and_nform_checks(tmp_path):
     density = ONE_ATOM.replace("type = empirical\natoms = 0.5\nweights = 1\n",
                                "density = 1\n")
     parse_config(density + "grid = 16\n\n[check strict_nform]\n")
+
+
+def test_current_rejects_the_other_types_keys():
+    # an empirical current has no grid, density or normalization
+    text = ONE_ATOM.replace("weights = 1\n", "weights = 1\ngrid = 16\n"
+                            "density = 1 + 0.5*sin(2*pi*x1)\nnormalize = true\n")
+    with pytest.raises(ConfigError) as e:
+        parse_config(text)
+    assert [(i.path, i.line) for i in e.value.issues] == [
+        ("current.grid", 13), ("current.density", 14), ("current.normalize", 15)]
+    assert all("empirical current does not take" in i.message
+               for i in e.value.issues)
+    # a density current has no atoms or weights
+    density = ONE_ATOM.replace("type = empirical\n", "type = density\n")
+    with pytest.raises(ConfigError) as e:
+        parse_config(density)
+    assert [i.path for i in e.value.issues] == ["current.atoms", "current.weights"]
+    assert all("density current does not take" in i.message for i in e.value.issues)
+    # ... whether its type is given or not
+    with pytest.raises(ConfigError) as e:
+        parse_config(ONE_ATOM.replace("type = empirical\n", ""))
+    assert [i.path for i in e.value.issues] == ["current.atoms", "current.weights"]
+    with pytest.raises(ConfigError) as e:
+        parse_config(ONE_ATOM.replace("type = empirical", "type = dirac"))
+    assert e.value.issues[0].path == "current.type"
+    assert "unknown current type 'dirac'" in e.value.issues[0].message
 
 
 def test_overrides_record_only_what_a_check_used(tmp_path):

@@ -337,13 +337,33 @@ CHUNKED_BASIS = make_test_basis(T2, 1)
 @given(label=st.sampled_from(sorted(CHUNKED_SYSTEMS)),
        chunk_elems=st.integers(1, 200), n_paths=st.integers(1, 6))
 def test_pullback_values_do_not_depend_on_chunking(label, chunk_elems, n_paths):
-    # 16 support points in 2-D: chunks of 1 to 6 paths
+    # 16 support points in 2-D and 10 steps of 2-D noise: chunks of 1 to
+    # 3 paths
     sys = CHUNKED_SYSTEMS[label]
     args = (CHUNKED_T, CHUNKED_BASIS.functions, sys, 0.1, 0.01, 4)
     want = pullback_values(*args, n_paths=6)
     with mock.patch.object(currents, "_CHUNK_ELEMS", chunk_elems):
         got = pullback_values(*args, n_paths=n_paths)
     np.testing.assert_allclose(got, want[:, :n_paths], rtol=0, atol=1e-12)
+
+
+def test_pullback_chunks_count_the_noise():
+    # one atom, 500 paths of 100 steps of 2-D noise, in chunks of 24
+    # paths: a chunk sized on the support alone would hold every path and
+    # 0.8 MB of noise at once (peak 1.0 MB, against 0.13 MB)
+    sys = hamiltonian_torus_system()
+    T = EmpiricalCurrent(manifold=T2, atoms=[[0.3, 0.7]], atom_weights=[1.0])
+    args = (T, CHUNKED_BASIS.functions, sys, 0.1, 1e-3, 5, 500)
+    want = pullback_values(*args)
+    with mock.patch.object(currents, "_CHUNK_ELEMS", 5_000):
+        tracemalloc.start()
+        try:
+            got = pullback_values(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    np.testing.assert_array_equal(got, want)
+    assert peak < 400_000
 
 
 # ---------------------------------------------------------------------------

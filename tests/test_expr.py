@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stochflow import expr
+from stochflow.manifold import apply_field, make_test_basis
+from stochflow.systems import hamiltonian_torus_system
 
 
 def ev(text, *coords):
@@ -112,6 +115,80 @@ def test_roundtrip_through_to_str():
 
 
 # ---------------------------------------------------------------------------
+# interning and memos
+
+def test_equal_structure_is_one_node():
+    assert expr.parse("sin(2*pi*x1)*x2") is expr.parse("sin(2*pi*x1) * x2")
+    assert expr.BinOp("+", expr.Coord(0), expr.Num(1.0)) is expr.parse("x1 + 1")
+    assert expr.parse("x1 + 1") is not expr.parse("1 + x1")
+    assert expr.parse("x1 + 1") == expr.parse("(x1) + 1.0")
+    assert expr.parse("x1 + 1") != expr.parse("x1 + 2")
+
+
+def test_signed_zeros_are_two_constants():
+    assert expr.constant(0.0) is not expr.constant(-0.0)
+    assert expr.Num(0.0) != expr.Num(-0.0)
+    assert expr.constant(-0.0) is expr.neg(expr.constant(0.0))
+
+
+def test_nodes_are_immutable_and_survive_a_copy():
+    import copy
+    import pickle
+    e = expr.parse("exp(-x1) / (2 + cos(x2))")
+    with pytest.raises(AttributeError):
+        e.op = "*"
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_derivatives_are_memoized():
+    e = expr.parse("sin(2*pi*x1) * cos(x1*x2) / (2 + x2)")
+    d = expr.diff(e, 0)
+    assert expr.diff(e, 0) is d
+    assert expr.diff(e, 1) is not d
+    assert expr.diff(expr.parse("sin(2*pi*x1) * cos(x1*x2) / (2 + x2)"), 0) is d
+
+
+def live_nodes():
+    return sum(len(t) for tables in expr._TABLES.values() for t in tables.values())
+
+
+def test_intern_table_shrinks_back():
+    gc.collect()
+    before = live_nodes()
+    nodes = [expr.parse(f"sin({k}*x1) * exp(x2 / {k + 1}) + {k}") for k in range(50)]
+    nodes += [expr.diff(expr.diff(n, 0), 1) for n in nodes]
+    assert live_nodes() > before + 500
+    del nodes
+    gc.collect()
+    assert live_nodes() == before
+
+
+def test_hamiltonian_generator_terms_differentiate_each_node_once():
+    # X_i(X_i f_k) over the 49 functions of basis_k 3: 10,808 diff calls
+    # when shared subtrees were rebuilt and differentiated again
+    calls = []
+    derivative = expr._derivative
+
+    def counted(node, axis):
+        calls.append((node, axis))
+        return derivative(node, axis)
+
+    sys = hamiltonian_torus_system()
+    m = sys.manifold
+    basis = make_test_basis(m, 3)
+    expr._derivative = counted
+    try:
+        terms = [apply_field(m, X, apply_field(m, X, f))
+                 for f in basis.functions for X in sys.diffusions]
+    finally:
+        expr._derivative = derivative
+    assert len(terms) == 98
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= 1000
+
+
+# ---------------------------------------------------------------------------
 # lowering
 
 def lowered(nodes, pts):
@@ -159,6 +236,26 @@ def test_lowering_cost_is_linear_in_distinct_nodes():
     np.testing.assert_array_equal(vals, [2.0 ** 60, 2.0 ** 59])
     low.emit(node, ["x0"])
     assert len(low.code) == 60
+
+
+def test_lowering_lowers_each_node_once_across_emits():
+    low = expr.Lowering()
+    lowered_nodes = []
+    lower = low._lower
+    low._lower = lambda node, *rest: lowered_nodes.append(node) or lower(node, *rest)
+    node = expr.parse("sin(2*pi*x1)*cos(2*pi*x2) + sin(2*pi*x1)*x2")
+    name = low.emit(node, ["p", "q"])
+    code = list(low.code)
+    assert len(lowered_nodes) == len(set(lowered_nodes))
+    n_lowered = len(lowered_nodes)
+    assert low.emit(node, ["p", "q"]) == name
+    assert low.emit(expr.parse("sin(2*pi*x1) * x2"), ["p", "q"]) in {
+        f"v{n}" for n in range(len(code))}
+    assert low.code == code
+    assert len(lowered_nodes) == n_lowered
+    # other inputs lower the tree again, to other operations
+    assert low.emit(node, ["q", "p"]) != name
+    assert len(low.code) > len(code)
 
 
 def test_lowering_checks_coordinates_against_inputs():

@@ -188,6 +188,13 @@ def test_jacobian_check_hamiltonian():
     assert len(rep.per_basis) == 10
 
 
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_jacobian_check_needs_a_path(n_paths):
+    with pytest.raises(ValueError, match="n_paths >= 1"):
+        jacobian_check(hamiltonian_torus_system(), [0.3, 0.7], 0.01, 0.001,
+                       1, n_paths)
+
+
 def test_horizon_must_be_a_multiple_of_dt():
     # 1.0 is not a multiple of 0.3: the runs would stop at t = 0.9
     with pytest.raises(ValueError, match="multiple of dt"):

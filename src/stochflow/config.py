@@ -389,6 +389,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 _validate_number(value, issues, line, col, "current.grid",
                                  integer=True, positive=True)
         if current_type == "empirical":
+            for key in _CURRENT_KEYS["empirical"]:
+                if key not in data:
+                    issues.append(ConfigIssue(f"an empirical current needs {key!r}",
+                                              type_line, path=f"current.{key}"))
             _reject_grid_checks(check_sections, issues)
 
     if has_liealg:

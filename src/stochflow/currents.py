@@ -19,14 +19,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import expr
+from .expr import Expr
 from .manifold import (
     ChartedManifold,
     DegenerateDensityError,
-    ScalarField,
     TestBasis,
     VectorFieldSpec,
-    _as_scalar_fn,
-    _is_expr,
     apply_field,
     grid_points,
 )
@@ -64,7 +62,7 @@ class DensityCurrent:
     """T(f) = integral of f * density against the volume form."""
 
     manifold: ChartedManifold
-    density: Optional[ScalarField] = None  # None means the constant 1
+    density: Optional[Expr] = None  # None means the constant 1
     grid_n: int = 64
     probability: bool = False
     normalize: bool = False
@@ -74,7 +72,10 @@ class DensityCurrent:
             raise ValueError("density current needs grid_n >= 2")
         pts, weights = grid_points(self.manifold, self.grid_n)
         if self.density is not None:
-            vals = np.asarray(_as_scalar_fn(self.density)(pts), dtype=float)
+            if not isinstance(self.density, Expr):
+                raise TypeError(
+                    f"current density must be an expression, not {self.density!r}")
+            vals = expr.evaluate(self.density, pts)
             if not np.all(vals > 0):
                 raise DegenerateDensityError("current density must be positive")
             weights = weights * vals
@@ -141,53 +142,48 @@ def volume_current(m: ChartedManifold, grid_n: int = 64,
                           probability=probability)
 
 
-def evaluate(T: Current, f: ScalarField) -> float:
+def evaluate(T: Current, f: Expr) -> float:
     """T(f)."""
-    vals = np.asarray(_as_scalar_fn(f)(T.points), dtype=float)
-    return float(np.dot(T.weights, vals))
+    return float(np.dot(T.weights, expr.evaluate(f, T.points)))
 
 
 class _Functions:
     """Scalar fields evaluated together on point arrays (..., dim).
 
-    Expressions are lowered into one ``expr.Lowering``, so subexpressions
-    they share (the cos/sin factors of a trig basis, say) are computed
-    once per point array; callables keep their own route. Functions may
-    be given as an iterator: each expression is lowered as it arrives,
-    so its tree need not outlive it.
+    The expressions are lowered into one ``expr.Lowering``, so
+    subexpressions they share (the cos/sin factors of a trig basis, say)
+    are computed once per point array. Functions may be given as an
+    iterator: each expression is lowered as it arrives, so its tree need
+    not outlive it.
     """
 
     def __init__(self, functions, dim: int):
         self._low = expr.Lowering()
         inputs = [f"x{i}" for i in range(dim)]
-        self._plan = [self._low.emit(f, inputs) if _is_expr(f) else _as_scalar_fn(f)
-                      for f in functions]
+        self._names = [self._low.emit(f, inputs) for f in functions]
 
     def __len__(self):
-        return len(self._plan)
+        return len(self._names)
 
     def reduce(self, pts, reduce) -> list:
         """[reduce(f(pts)) for each function f], each value reduced, and
         its temporaries dropped, as soon as it is computed."""
         env = {f"x{i}": pts[..., i] for i in range(pts.shape[-1])}
-        names = [p for p in self._plan if isinstance(p, str)]
-        lowered = iter(self._low.run(names, env, reduce, pts.shape[:-1]))
-        return [next(lowered) if isinstance(p, str)
-                else reduce(np.asarray(p(pts), dtype=float)) for p in self._plan]
+        return self._low.run(self._names, env, reduce, pts.shape[:-1])
 
 
 def evaluate_many(T: Current, functions) -> np.ndarray:
     """[T(f) for f in functions], equal to ``evaluate`` for each f.
 
-    Expression-backed functions are lowered together and share their
-    subexpressions; functions may be an iterator, consumed once.
+    The functions are lowered together and share their subexpressions;
+    they may be an iterator, consumed once.
     """
     batch = _Functions(functions, T.manifold.dim)
     return np.array(batch.reduce(T.points, lambda v: np.dot(T.weights, v)),
                     dtype=float)
 
 
-def pullback_eval(T: Current, f: ScalarField, sys: StratonovichSystem,
+def pullback_eval(T: Current, f: Expr, sys: StratonovichSystem,
                   t: float, dt: float, noise: NoisePath) -> float:
     """Pathwise pullback (phi_t^* T)(f) = T(f o phi_t), one realization.
 
@@ -195,11 +191,10 @@ def pullback_eval(T: Current, f: ScalarField, sys: StratonovichSystem,
     """
     _check_noise(sys, t, dt, noise)
     ends = flow_endpoints(sys, T.points, dt, noise.increments)
-    vals = np.asarray(_as_scalar_fn(f)(ends), dtype=float)
-    return float(np.dot(T.weights, vals))
+    return float(np.dot(T.weights, expr.evaluate(f, ends)))
 
 
-def pullback_values(T: Current, functions: Sequence[ScalarField],
+def pullback_values(T: Current, functions: Sequence[Expr],
                     sys: StratonovichSystem, t: float, dt: float,
                     seed: int, n_paths: int) -> np.ndarray:
     """Pullback values for several test functions over many paths.
@@ -229,14 +224,14 @@ def pullback_values(T: Current, functions: Sequence[ScalarField],
 
 
 def derivative_current_eval(X: VectorFieldSpec, T: Current,
-                            f: ScalarField) -> float:
+                            f: Expr) -> float:
     """The derivative current XT evaluated on f: XT(f) = -T(Xf)."""
     xf = apply_field(T.manifold, X, f)
     return -evaluate(T, xf)
 
 
 def derivative_currents(T: Current, fields: Sequence[VectorFieldSpec],
-                        functions: Sequence[ScalarField]) -> np.ndarray:
+                        functions: Sequence[Expr]) -> np.ndarray:
     """(X_i T)(f_k) = -T(X_i f_k) for every field and function, in one
     ``evaluate_many`` pass; shape (len(fields), len(functions)).
 
@@ -253,9 +248,8 @@ def generator_residuals(T: Current, sys: StratonovichSystem,
     """Mean-invariance residuals r_k = T(X_0 f_k + (1/2) sum_i X_i(X_i f_k)).
 
     This is T(L f_k) with L the Stratonovich generator; T is invariant
-    in mean exactly when every residual vanishes. Derivatives stay
-    analytic whenever field and basis are expression-backed, and the
-    terms of every residual are evaluated in one ``evaluate_many`` pass.
+    in mean exactly when every residual vanishes. The terms of every
+    residual are evaluated in one ``evaluate_many`` pass.
     """
     m = sys.manifold
     drift = [] if sys.drift.is_zero else [sys.drift]

@@ -369,7 +369,16 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _eval(node, pts):
+def _eval(node, pts, memo):
+    """The values of node on pts; memo holds the values of the nodes
+    already evaluated in this walk, so a shared subtree is walked once."""
+    value = memo.get(node)
+    if value is None:
+        value = memo[node] = _eval_node(node, pts, memo)
+    return value
+
+
+def _eval_node(node, pts, memo):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Coord):
@@ -379,10 +388,10 @@ def _eval(node, pts):
                 f"dimension {pts.shape[-1]}")
         return pts[..., node.axis]
     if isinstance(node, Neg):
-        return -_eval(node.arg, pts)
+        return -_eval(node.arg, pts, memo)
     if isinstance(node, BinOp):
-        a = _eval(node.left, pts)
-        b = _eval(node.right, pts)
+        a = _eval(node.left, pts, memo)
+        b = _eval(node.right, pts, memo)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -391,14 +400,18 @@ def _eval(node, pts):
             return a * b
         return a / b
     if isinstance(node, Call):
-        return _FUNCTIONS[node.fn](_eval(node.arg, pts))
+        return _FUNCTIONS[node.fn](_eval(node.arg, pts, memo))
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def evaluate(node: Expr, pts) -> np.ndarray:
-    """Evaluate at points of shape (..., dim); returns shape (...,)."""
+    """Evaluate at points of shape (..., dim); returns shape (...,).
+
+    Each distinct node is evaluated once, however often the tree
+    refers to it.
+    """
     pts = np.asarray(pts, dtype=float)
-    out = _eval(node, pts)
+    out = _eval(node, pts, {})
     if np.ndim(out) == 0:
         return np.full(pts.shape[:-1], float(out))
     return np.asarray(out, dtype=float)

@@ -22,10 +22,10 @@ from .currents import (
     strict_residuals,
     volume_current,
 )
+from .expr import Expr
 from .liealg import LieAlgebraData, SubalgebraSpec, foliated_drift, invariance_verdict
 from .manifold import (
     ChartedManifold,
-    ScalarField,
     VectorFieldSpec,
     apply_field,
     grid_points,
@@ -35,7 +35,6 @@ from .manifold import (
     linear_combination,
     make_test_basis,
     product_divergence_expr,
-    product_divergence_function,
     torus,
 )
 from .sde import (
@@ -149,19 +148,13 @@ def _report(kind, residual, tolerance, metadata, per_basis=None, subchecks=None)
 # ---------------------------------------------------------------------------
 # n-form checks (divergence criteria)
 
-def _divergence(m: ChartedManifold, X: VectorFieldSpec,
-                density: Optional[ScalarField]) -> ScalarField:
-    """div_{mu_g}(density * X): an expression when analytic, else a callable."""
-    node = product_divergence_expr(m, X, density)
-    return product_divergence_function(m, X, density) if node is None else node
-
-
-def check_strict_nform(m: ChartedManifold, density: Optional[ScalarField],
+def check_strict_nform(m: ChartedManifold, density: Optional[Expr],
                        fields: Sequence[VectorFieldSpec], grid_n: int = 64,
                        tolerance: float = 1e-8) -> InvarianceReport:
     """Strict invariance of f*mu_g: residual = max_i max_p |div(f X_i)|."""
     pts, _ = grid_points(m, grid_n)
-    divs = _Functions((_divergence(m, X, density) for X in fields), m.dim)
+    divs = _Functions((product_divergence_expr(m, X, density) for X in fields),
+                      m.dim)
     peaks = divs.reduce(pts, lambda v: float(np.max(np.abs(v))) if v.size else 0.0)
     rows = [{"field_index": i, "value": peak} for i, peak in enumerate(peaks)]
     worst = max(peaks, default=0.0)
@@ -169,7 +162,7 @@ def check_strict_nform(m: ChartedManifold, density: Optional[ScalarField],
     return _report("strict_nform", worst, tolerance, meta, per_basis=rows)
 
 
-def check_mean_nform(m: ChartedManifold, density: Optional[ScalarField],
+def check_mean_nform(m: ChartedManifold, density: Optional[Expr],
                      fields: Sequence[VectorFieldSpec], grid_n: int = 64,
                      tolerance: float = 1e-6) -> InvarianceReport:
     """Mean invariance of f*mu_g via the divergence condition.
@@ -185,10 +178,10 @@ def check_mean_nform(m: ChartedManifold, density: Optional[ScalarField],
 
     def terms():
         # div(f X_0), then b_i = div(f X_i), X_i b_i and div X_i per diffusion
-        yield _divergence(m, fields[0], density)
+        yield product_divergence_expr(m, fields[0], density)
         for X in fields[1:]:
-            b = _divergence(m, X, density)
-            yield from (b, apply_field(m, X, b), _divergence(m, X, None))
+            b = product_divergence_expr(m, X, density)
+            yield from (b, apply_field(m, X, b), product_divergence_expr(m, X))
 
     acc, *rest = _Functions(terms(), m.dim).reduce(pts, lambda v: v)
     for b_vals, xb_vals, divx_vals in zip(rest[0::3], rest[1::3], rest[2::3]):

@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "divergence",
     "divergence_function",
     "product_divergence_expr",
-    "product_divergence_function",
     "lie_bracket",
     "quadrature",
     "make_test_basis",
@@ -49,9 +48,6 @@ __all__ = [
 TORUS = "torus"
 HEISENBERG = "heisenberg"
 
-# central-difference step, as a fraction of the box length per axis
-FD_STEP_FRACTION = 1e-5
-
 
 class InvalidPointError(ValueError):
     pass
@@ -61,21 +57,6 @@ class DegenerateDensityError(ValueError):
     pass
 
 
-ScalarField = Union[Expr, Callable[[np.ndarray], np.ndarray]]
-
-
-def _as_scalar_fn(f: ScalarField):
-    if isinstance(f, (expr.Num, expr.Coord, expr.Neg, expr.BinOp, expr.Call)):
-        return lambda pts: expr.evaluate(f, pts)
-    if callable(f):
-        return f
-    raise TypeError(f"not a scalar field: {f!r}")
-
-
-def _is_expr(f) -> bool:
-    return isinstance(f, (expr.Num, expr.Coord, expr.Neg, expr.BinOp, expr.Call))
-
-
 @dataclass(frozen=True)
 class ChartedManifold:
     """A compact manifold presented as a periodic box with identifications."""
@@ -83,7 +64,6 @@ class ChartedManifold:
     dim: int
     box_lengths: tuple
     identification: str = TORUS
-    volume_density: Optional[Callable[[np.ndarray], np.ndarray]] = None  # None means 1
 
     def __post_init__(self):
         if self.dim < 1:
@@ -102,23 +82,10 @@ class ChartedManifold:
             lx, ly, lz = self.box_lengths
             if abs((lx * ly / lz) - round(lx * ly / lz)) > 1e-9:
                 raise ValueError("heisenberg lattice needs Lx*Ly integer multiple of Lz")
-        if self.volume_density is not None:
-            pts, _ = _grid(self, 8)
-            vals = np.asarray(self.volume_density(pts), dtype=float)
-            if not np.all(vals > 0):
-                raise DegenerateDensityError("volume density must be positive")
 
     @property
     def lengths(self) -> np.ndarray:
         return np.asarray(self.box_lengths)
-
-    def fd_steps(self) -> np.ndarray:
-        return FD_STEP_FRACTION * self.lengths
-
-    def density_values(self, pts) -> np.ndarray:
-        if self.volume_density is None:
-            return np.ones(np.asarray(pts).shape[:-1])
-        return np.asarray(self.volume_density(pts), dtype=float)
 
     def wrap(self, p) -> np.ndarray:
         """Canonical representative in the fundamental domain [0, L_i)."""
@@ -164,7 +131,7 @@ def heisenberg_manifold() -> ChartedManifold:
 
 @dataclass(frozen=True)
 class VectorFieldSpec:
-    """Coordinate components of a vector field; expressions or callables."""
+    """Coordinate components of a vector field, as expressions."""
 
     dim: int
     components: tuple
@@ -173,12 +140,11 @@ class VectorFieldSpec:
         if len(self.components) != self.dim:
             raise ValueError("need one component per coordinate")
         for c in self.components:
-            if _is_expr(c):
-                if expr.max_coordinate(c) > self.dim:
-                    raise ValueError(
-                        f"component references x{expr.max_coordinate(c)} beyond dim {self.dim}")
-            elif not callable(c):
-                raise TypeError(f"component must be expression or callable: {c!r}")
+            if not isinstance(c, Expr):
+                raise TypeError(f"component must be an expression, not {c!r}")
+            if expr.max_coordinate(c) > self.dim:
+                raise ValueError(
+                    f"component references x{expr.max_coordinate(c)} beyond dim {self.dim}")
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "VectorFieldSpec":
@@ -190,29 +156,19 @@ class VectorFieldSpec:
         return cls(dim=dim, components=tuple(expr.constant(0.0) for _ in range(dim)))
 
     @property
-    def analytic(self) -> bool:
-        return all(_is_expr(c) for c in self.components)
-
-    @property
     def is_zero(self) -> bool:
-        return all(_is_expr(c) and isinstance(c, expr.Num) and c.value == 0.0
+        return all(isinstance(c, expr.Num) and c.value == 0.0
                    for c in self.components)
 
     @property
     def is_constant(self) -> bool:
-        return all(_is_expr(c) and expr.is_constant(c) for c in self.components)
-
-    def component_values(self, i: int, pts) -> np.ndarray:
-        c = self.components[i]
-        if _is_expr(c):
-            return expr.evaluate(c, pts)
-        return np.asarray(c(pts), dtype=float)
+        return all(expr.is_constant(c) for c in self.components)
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         out = np.empty(pts.shape)
-        for i in range(self.dim):
-            out[..., i] = self.component_values(i, pts)
+        for i, c in enumerate(self.components):
+            out[..., i] = expr.evaluate(c, pts)
         return out
 
 
@@ -226,23 +182,17 @@ def heisenberg_frame() -> tuple:
 
 def linear_combination(fields: Sequence[VectorFieldSpec],
                        coeffs: Sequence[float]) -> VectorFieldSpec:
-    """Constant-coefficient combination; stays analytic when fields are."""
+    """Constant-coefficient combination of fields."""
     if not fields:
         raise ValueError("need at least one field")
     dim = fields[0].dim
-    if all(f.analytic for f in fields):
-        comps = []
-        for i in range(dim):
-            acc = expr.constant(0.0)
-            for c, f in zip(coeffs, fields):
-                acc = expr.add(acc, expr.mul(expr.constant(c), f.components[i]))
-            comps.append(acc)
-        return VectorFieldSpec(dim=dim, components=tuple(comps))
-
-    def make(i):
-        return lambda pts: sum(c * f.component_values(i, pts)
-                               for c, f in zip(coeffs, fields))
-    return VectorFieldSpec(dim=dim, components=tuple(make(i) for i in range(dim)))
+    comps = []
+    for i in range(dim):
+        acc = expr.constant(0.0)
+        for c, f in zip(coeffs, fields):
+            acc = expr.add(acc, expr.mul(expr.constant(c), f.components[i]))
+        comps.append(acc)
+    return VectorFieldSpec(dim=dim, components=tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +245,13 @@ def is_compatible_field(m: ChartedManifold, X: VectorFieldSpec,
     return False
 
 
-def is_invariant_function(m: ChartedManifold, f: ScalarField,
+def is_invariant_function(m: ChartedManifold, f: Expr,
                           tol: float = 1e-10, samples: int = 32) -> bool:
     """True when f(p) = f(q) on sampled identified pairs; f is evaluated
     once on all sample points p and once on all their images q, and a
     non-finite value is never invariant."""
     p, q, _ = (np.array(a) for a in zip(*identified_pairs(m, samples)))
-    fn = _as_scalar_fn(f)
-    fp, fq = np.asarray(fn(p), dtype=float), np.asarray(fn(q), dtype=float)
+    fp, fq = expr.evaluate(f, p), expr.evaluate(f, q)
     with np.errstate(invalid="ignore"):
         return bool(np.max(np.abs(fp - fq)) <= tol)
 
@@ -310,80 +259,30 @@ def is_invariant_function(m: ChartedManifold, f: ScalarField,
 # ---------------------------------------------------------------------------
 # differential operators
 
-def _numeric_partial(fn, pts, axis, h):
-    pts = np.asarray(pts, dtype=float)
-    shift = np.zeros(pts.shape[-1])
-    shift[axis] = h
-    return (np.asarray(fn(pts + shift), dtype=float)
-            - np.asarray(fn(pts - shift), dtype=float)) / (2.0 * h)
-
-
 def divergence_function(m: ChartedManifold, X: VectorFieldSpec,
-                        density: Optional[ScalarField] = None):
-    """div w.r.t. (density * volume_density * dx); returns pts -> values.
-
-    Analytic when the field (and density, if any) are expression-backed
-    and the metric volume density is the constant 1; otherwise central
-    finite differences with step h_i = 1e-5 * L_i.
-    """
+                        density: Optional[Expr] = None):
+    """div w.r.t. (density * dx); returns pts -> values."""
     terms = product_divergence_expr(m, X, density)
-    if terms is not None:
-        if density is None:
-            return lambda pts: expr.evaluate(terms, pts)
+    if density is None:
+        return lambda pts: expr.evaluate(terms, pts)
 
-        def div_analytic(pts):
-            fvals = expr.evaluate(density, pts)
-            if np.any(fvals <= 0):
-                raise DegenerateDensityError("density must be positive")
-            return expr.evaluate(terms, pts) / fvals
-        return div_analytic
-
-    steps = m.fd_steps()
-    dens_fn = None if density is None else _as_scalar_fn(density)
-
-    def weight_component(i):
-        def w(pts):
-            vals = X.component_values(i, pts)
-            if dens_fn is not None:
-                vals = vals * np.asarray(dens_fn(pts), dtype=float)
-            if m.volume_density is not None:
-                vals = vals * m.density_values(pts)
-            return vals
-        return w
-
-    weights = [weight_component(i) for i in range(m.dim)]
-
-    def div_numeric(pts):
-        pts = np.asarray(pts, dtype=float)
-        acc = np.zeros(pts.shape[:-1])
-        for i in range(m.dim):
-            acc = acc + _numeric_partial(weights[i], pts, i, steps[i])
-        denom = np.ones(pts.shape[:-1])
-        if dens_fn is not None:
-            fvals = np.asarray(dens_fn(pts), dtype=float)
-            if np.any(fvals <= 0):
-                raise DegenerateDensityError("density must be positive")
-            denom = denom * fvals
-        if m.volume_density is not None:
-            denom = denom * m.density_values(pts)
-        return acc / denom
-
-    return div_numeric
+    def div(pts):
+        fvals = expr.evaluate(density, pts)
+        if np.any(fvals <= 0):
+            raise DegenerateDensityError("density must be positive")
+        return expr.evaluate(terms, pts) / fvals
+    return div
 
 
 def divergence(m: ChartedManifold, X: VectorFieldSpec, p,
-               density: Optional[ScalarField] = None):
+               density: Optional[Expr] = None):
     """Divergence of X at p with respect to density * volume form."""
     return divergence_function(m, X, density)(p)
 
 
 def product_divergence_expr(m: ChartedManifold, X: VectorFieldSpec,
-                            density: Optional[ScalarField] = None) -> Optional[Expr]:
-    """div_{mu_g}(density * X) as an expression, or None when not analytic."""
-    analytic = (X.analytic and m.volume_density is None
-                and (density is None or _is_expr(density)))
-    if not analytic:
-        return None
+                            density: Optional[Expr] = None) -> Expr:
+    """div(density * X) as an expression; div_{mu}(f X) = f * div_{f mu}(X)."""
     terms = expr.constant(0.0)
     for i in range(m.dim):
         w = X.components[i] if density is None else expr.mul(density, X.components[i])
@@ -391,67 +290,23 @@ def product_divergence_expr(m: ChartedManifold, X: VectorFieldSpec,
     return terms
 
 
-def product_divergence_function(m: ChartedManifold, X: VectorFieldSpec,
-                                density: Optional[ScalarField] = None):
-    """div_{mu_g}(density * X); differs from divergence_function by the
-    density factor: div_{mu_g}(f X) = f * div_{f mu_g}(X)."""
-    node = product_divergence_expr(m, X, density)
-    if node is not None:
-        return lambda pts: expr.evaluate(node, pts)
-    base = divergence_function(m, X, density)
-    if density is None:
-        return base
-    dens_fn = _as_scalar_fn(density)
-    return lambda pts: np.asarray(dens_fn(pts), dtype=float) * base(pts)
-
-
 def lie_bracket(m: ChartedManifold, X: VectorFieldSpec, Y: VectorFieldSpec, p):
     """[X, Y] = (X.grad)Y - (Y.grad)X at p; shape (..., dim)."""
     pts = np.asarray(p, dtype=float)
-    out = np.zeros(pts.shape)
-    steps = m.fd_steps()
-    for k in range(m.dim):
-        acc = np.zeros(pts.shape[:-1])
-        for j in range(m.dim):
-            xj = X.component_values(j, pts)
-            yj = Y.component_values(j, pts)
-            cy = Y.components[k]
-            if _is_expr(cy):
-                dyk = expr.evaluate(expr.diff(cy, j), pts)
-            else:
-                dyk = _numeric_partial(lambda q: Y.component_values(k, q), pts, j, steps[j])
-            cx = X.components[k]
-            if _is_expr(cx):
-                dxk = expr.evaluate(expr.diff(cx, j), pts)
-            else:
-                dxk = _numeric_partial(lambda q: X.component_values(k, q), pts, j, steps[j])
-            acc = acc + xj * dyk - yj * dxk
-        out[..., k] = acc
+    out = np.empty(pts.shape)
+    for k, (xk, yk) in enumerate(zip(X.components, Y.components)):
+        out[..., k] = expr.evaluate(
+            expr.sub(apply_field(m, X, yk), apply_field(m, Y, xk)), pts)
     return out
 
 
-def apply_field(m: ChartedManifold, X: VectorFieldSpec, f: ScalarField):
-    """Directional derivative Xf, as an expression when possible.
-
-    Returns an Expr when both the field and f are expression-backed,
-    so repeated application (X(Xf)) stays analytic; otherwise returns
-    a callable using central finite differences.
-    """
-    if X.analytic and _is_expr(f):
-        acc = expr.constant(0.0)
-        for i in range(m.dim):
-            acc = expr.add(acc, expr.mul(X.components[i], expr.diff(f, i)))
-        return acc
-    fn = _as_scalar_fn(f)
-    steps = m.fd_steps()
-
-    def xf(pts):
-        pts = np.asarray(pts, dtype=float)
-        acc = np.zeros(pts.shape[:-1])
-        for i in range(m.dim):
-            acc = acc + X.component_values(i, pts) * _numeric_partial(fn, pts, i, steps[i])
-        return acc
-    return xf
+def apply_field(m: ChartedManifold, X: VectorFieldSpec, f: Expr) -> Expr:
+    """Directional derivative Xf as an expression, so that repeated
+    application (X(Xf)) stays symbolic."""
+    acc = expr.constant(0.0)
+    for i in range(m.dim):
+        acc = expr.add(acc, expr.mul(X.components[i], expr.diff(f, i)))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +324,15 @@ def _grid(m: ChartedManifold, n: int):
 def grid_points(m: ChartedManifold, n: int):
     """Midpoint grid (n^dim, dim) and its quadrature weights (n^dim,)."""
     pts, cell = _grid(m, n)
-    weights = cell * m.density_values(pts)
-    return pts, weights
+    return pts, np.full(pts.shape[0], cell)
 
 
-def quadrature(m: ChartedManifold, f: ScalarField, n: int) -> float:
+def quadrature(m: ChartedManifold, f: Expr, n: int) -> float:
     """Midpoint rule on the uniform n^dim grid, exact below Nyquist."""
     if n < 2:
         raise ValueError("need at least 2 grid points per axis")
     pts, weights = grid_points(m, n)
-    vals = np.asarray(_as_scalar_fn(f)(pts), dtype=float)
-    return float(np.dot(weights, vals))
+    return float(np.dot(weights, expr.evaluate(f, pts)))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,9 @@ function (``_compile_loop``), which steps a (dim, *lead) state in place
 and records, inside the loop, what its consumer keeps of each step:
 ``flow_with_jacobian`` the states and log J, the volume check in
 ``invariance`` a running max |J - 1|, ``flow_endpoints`` nothing but
-the last state. Expression-backed fields on a manifold without a volume
-density are lowered to straight-line code that shares subexpressions
-across components, fields and divergences and leaves out the
-divergences that are identically zero; other fields go through
-``VectorFieldSpec.__call__`` and ``divergence_function``.
+the last state. The fields are lowered to straight-line code that
+shares subexpressions across components, fields and divergences and
+leaves out the divergences that are identically zero.
 
 The loop steps unwrapped coordinates. Fields are compatible with the
 identification (checked when the system is built) and the Heun step
@@ -26,11 +24,9 @@ small: once per step a single max|x| decides whether the batch is
 still finite and within a few box lengths, re-wraps it when it has
 drifted further and raises ``InvalidPointError`` with the step and
 point when it is not finite. Results are wrapped into the fundamental
-domain when they leave the integrator. (The finite-difference route
-wraps every step when it carries log J: its divergences depend, at the
-1e-11 level, on which representative of a point they see.) When every
-field is constant the Heun step is exact, and ``flow_endpoints``
-replaces the loop by one summed increment per path.
+domain when they leave the integrator. When every field is constant
+the Heun step is exact, and ``flow_endpoints`` replaces the loop by one
+summed increment per path.
 
 Noise is counter-based (Philox keyed by (seed, path_index)), so paths
 are bitwise reproducible and independent across path indices without
@@ -56,7 +52,6 @@ from .manifold import (
     ChartedManifold,
     InvalidPointError,
     VectorFieldSpec,
-    divergence_function,
     is_compatible_field,
     product_divergence_expr,
 )
@@ -255,95 +250,60 @@ def _compile_loop(sys: StratonovichSystem, consumer: str):
     _REWRAP_BOXES box lengths of the fundamental domain; when it is not,
     ``_rewrap`` wraps it or raises InvalidPointError naming the step.
 
-    Expression-backed fields on a manifold without a volume density are
-    lowered to straight-line stages that compute sum_i X_i dB^i (dB^0 =
-    dt) component by component, sharing subexpressions across
-    components, fields and divergences. Each divergence that
-    ``expr.is_identically_zero`` shows to be zero (a Hamiltonian
-    field's, say) is left out, and with none left log J stays 0 exactly
-    and is not carried. Other systems step through ``_field_increments``
-    and, with log J, are wrapped every step: their central-difference
-    divergences depend, at the 1e-11 level, on which representative of a
-    point they see. Either way the update a += (p + c) / 2 runs as
-    t = p + c; t *= 0.5; a += t, the float operations of a + 0.5*(p + c).
+    The fields are lowered to straight-line stages that compute
+    sum_i X_i dB^i (dB^0 = dt) component by component, sharing
+    subexpressions across components, fields and divergences. Each
+    divergence that ``expr.is_identically_zero`` shows to be zero (a
+    Hamiltonian field's, say) is left out, and with none left log J
+    stays 0 exactly and is not carried. The update a += (p + c) / 2 runs
+    as t = p + c; t *= 0.5; a += t, the float operations of
+    a + 0.5*(p + c).
     """
     args, record_x, record_l = _CONSUMERS[consumer]
     m = sys.manifold
     fields = [(i, f) for i, f in enumerate(sys.fields()) if not f.is_zero]
     low = expr.Lowering()
-    names = {"rewrap": functools.partial(_rewrap, m),
-             "bound": _REWRAP_BOXES * max(m.box_lengths)}
-    wrap_each = False
-    if m.volume_density is None and all(f.analytic for _, f in fields):
-        divs = []
-        if record_l:
-            divs = [(i, d) for i, f in fields if not expr.is_identically_zero(
-                d := product_divergence_expr(m, f))]
-        noise_of = {0: "dt", **{i: f"d{i}" for i, _ in fields if i > 0}}
-        body = [f"d{i} = noise[r, {i - 1}]" for i, _ in fields if i > 0]
+    divs = []
+    if record_l:
+        divs = [(i, d) for i, f in fields if not expr.is_identically_zero(
+            d := product_divergence_expr(m, f))]
+    noise_of = {0: "dt", **{i: f"d{i}" for i, _ in fields if i > 0}}
+    body = [f"d{i} = noise[r, {i - 1}]" for i, _ in fields if i > 0]
 
-        def stage(inputs, out):
-            # <out>j = sum_i X_i^j dB^i for each component j, and
-            # <out>l = sum_i div(X_i) dB^i
-            start = len(low.code)
-            sums = []
-            for j in range(m.dim):
-                terms = [f"{low.emit(f.components[j], inputs)} * {noise_of[i]}"
-                         for i, f in fields if not _is_zero(f.components[j])]
-                sums.append(f"{out}{j} = {' + '.join(terms) or '0.0'}")
-            if divs:
-                terms = [f"{low.emit(d, inputs)} * {noise_of[i]}" for i, d in divs]
-                sums.append(f"{out}l = {' + '.join(terms)}")
-            body.extend(low.source(start) + sums)
-
-        stage([f"a{j}" for j in range(m.dim)], "p")
-        body.extend(f"b{j} = a{j} + p{j}" for j in range(m.dim))
-        stage([f"b{j}" for j in range(m.dim)], "c")
+    def stage(inputs, out):
+        # <out>j = sum_i X_i^j dB^i for each component j, and
+        # <out>l = sum_i div(X_i) dB^i
+        start = len(low.code)
+        sums = []
         for j in range(m.dim):
-            body.extend([f"t = p{j} + c{j}", "t *= 0.5", f"a{j} += t"])
-        views = [f"a{j} = X[{j}, ...]" for j in range(m.dim)]
-        carries_logj = bool(divs)
-    else:
-        names.update(_field_increments(sys, fields, bool(record_l)))
-        body = ["db = (dt, *noise[r])", "p = increment(x, db)", "xb = x + p",
-                "c = increment(xb, db)"]
-        if record_l:
-            body += ["pl = div_increment(x, db)", "cl = div_increment(xb, db)"]
-        body += ["t = p + c", "t *= 0.5", "x += t"]
-        views = []
-        carries_logj = wrap_each = bool(record_l)
-    if carries_logj:
+            terms = [f"{low.emit(f.components[j], inputs)} * {noise_of[i]}"
+                     for i, f in fields if not _is_zero(f.components[j])]
+            sums.append(f"{out}{j} = {' + '.join(terms) or '0.0'}")
+        if divs:
+            terms = [f"{low.emit(d, inputs)} * {noise_of[i]}" for i, d in divs]
+            sums.append(f"{out}l = {' + '.join(terms)}")
+        body.extend(low.source(start) + sums)
+
+    stage([f"a{j}" for j in range(m.dim)], "p")
+    body.extend(f"b{j} = a{j} + p{j}" for j in range(m.dim))
+    stage([f"b{j}" for j in range(m.dim)], "c")
+    for j in range(m.dim):
+        body.extend([f"t = p{j} + c{j}", "t *= 0.5", f"a{j} += t"])
+    if divs:
         body.extend(["t = pl + cl", "t *= 0.5", "L += t"])
-    body.append("k += 1")
-    body.extend(["rewrap(X, k)"] if wrap_each else
-                ["if not np.abs(X).max() <= bound:  # true for nan",
+    body.extend(["k += 1",
+                 "if not np.abs(X).max() <= bound:  # true for nan",
                  "    rewrap(X, k)"])
-    body.extend(record_x + (record_l if carries_logj else ()))
+    body.extend(record_x + (record_l if divs else ()))
     params = ", ".join(("X", "L", "noise", "k", "dt") + args)
     source = (f"def loop({params}):\n"
               + "".join(f"    {line}\n" for line in
-                        ["x = np.moveaxis(X, 0, -1)"] + views)
+                        ["x = np.moveaxis(X, 0, -1)"]
+                        + [f"a{j} = X[{j}, ...]" for j in range(m.dim)])
               + "    for r in range(noise.shape[0]):\n"
               + "".join(f"        {line}\n" for line in body))
-    return low.define(source, "loop", **names)
-
-
-def _field_increments(sys, fields, log_jacobian) -> dict:
-    """increment(x, db) = sum_i X_i(x) dB^i through VectorFieldSpec.__call__
-    and, with log J, div_increment(x, db) = sum_i div(X_i)(x) dB^i through
-    divergence_function, for callable fields or a volume density."""
-    div_fns = ([(i, divergence_function(sys.manifold, f)) for i, f in fields]
-               if log_jacobian else [])
-
-    def increment(x, db):
-        out = np.zeros(x.shape)
-        for i, f in fields:
-            out = out + f(x) * np.expand_dims(db[i], -1)
-        return out
-
-    def div_increment(x, db):
-        return sum((fn(x) * db[i] for i, fn in div_fns), 0.0)
-    return {"increment": increment, "div_increment": div_increment}
+    return low.define(source, "loop", rewrap=functools.partial(_rewrap, m),
+                      bound=_REWRAP_BOXES * max(m.box_lengths))
 
 
 def _rewrap(m: ChartedManifold, X, step: int) -> None:

@@ -322,6 +322,23 @@ def test_current_rejects_the_other_types_keys():
     assert "unknown current type 'dirac'" in e.value.issues[0].message
 
 
+def test_empirical_current_needs_atoms_and_weights(tmp_path, capsys):
+    text = ONE_ATOM.replace("atoms = 0.5\n", "")
+    with pytest.raises(ConfigError) as e:
+        parse_config(text)
+    assert [(i.path, i.line) for i in e.value.issues] == [("current.atoms", 10)]
+    assert "empirical current needs 'atoms'" in e.value.issues[0].message
+    with pytest.raises(ConfigError) as e:
+        parse_config(ONE_ATOM.replace("atoms = 0.5\nweights = 1\n", ""))
+    assert [i.path for i in e.value.issues] == ["current.atoms", "current.weights"]
+    # check reports the issue and exits 1 instead of failing in the run
+    cfg = tmp_path / "atom.cfg"
+    cfg.write_text(text)
+    assert main(["check", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "current.atoms (line 10): an empirical current needs 'atoms'" in \
+        capsys.readouterr().err
+
+
 def test_overrides_record_only_what_a_check_used(tmp_path):
     def overrides(checks, name):
         cfg = parse_config(MINIMAL_FLOW + checks)

@@ -22,7 +22,6 @@ from stochflow.currents import (
 )
 from stochflow.manifold import (
     VectorFieldSpec,
-    _as_scalar_fn,
     apply_field,
     make_test_basis,
     torus,
@@ -115,6 +114,11 @@ def test_density_must_be_positive():
     from stochflow.manifold import DegenerateDensityError
     with pytest.raises(DegenerateDensityError):
         DensityCurrent(manifold=T1, density=expr.parse("sin(2*pi*x1)"), grid_n=16)
+
+
+def test_density_must_be_an_expression():
+    with pytest.raises(TypeError, match="current density must be an expression"):
+        DensityCurrent(manifold=T1, density=lambda p: 1.0 + 0.0 * p[..., 0], grid_n=16)
 
 
 def test_empirical_atoms_are_canonicalized():
@@ -370,18 +374,7 @@ def test_pullback_chunks_count_the_noise():
 # one-shot passes: evaluate_many and the residual passes built on it give
 # the values of one evaluate call per expression, bit for bit
 
-def callable_diffusion_system():
-    """A callable diffusion, whose derivatives are finite differences."""
-    diffusion = VectorFieldSpec(dim=2, components=(
-        lambda p: 0.3 * np.sin(2 * np.pi * p[..., 1]),
-        lambda p: 0.2 * np.cos(2 * np.pi * p[..., 0]),
-    ))
-    return StratonovichSystem(
-        manifold=T2, drift=VectorFieldSpec.from_strings(["0.1", "0.05*sin(2*pi*x1)"]),
-        diffusions=(diffusion,))
-
-
-ONE_SHOT_SYSTEMS = {**builtin_systems(), "callable_diffusion": callable_diffusion_system()}
+ONE_SHOT_SYSTEMS = builtin_systems()
 
 
 def one_shot_currents(m):
@@ -411,8 +404,7 @@ def per_tree_generator_residuals(T, sys, basis):
 def test_one_shot_residuals_equal_per_tree_route(label):
     sys = ONE_SHOT_SYSTEMS[label]
     basis = make_test_basis(sys.manifold, 2)
-    # a callable test function keeps its own route
-    functions = basis.functions + (lambda p: np.cos(2 * np.pi * p[..., 0]) ** 2,)
+    functions = basis.functions + (expr.parse("cos(2*pi*x1)*cos(2*pi*x1)"),)
     for T in one_shot_currents(sys.manifold):
         np.testing.assert_array_equal(generator_residuals(T, sys, basis),
                                       per_tree_generator_residuals(T, sys, basis))
@@ -444,12 +436,11 @@ def test_pullback_values_equal_per_tree_route(label):
     sys = ONE_SHOT_SYSTEMS[label]
     t, dt, seed, n_paths = 0.05, 0.01, 6, 3
     functions = make_test_basis(sys.manifold, 1).functions + (
-        lambda p: np.sin(2 * np.pi * p[..., -1]),)
+        expr.parse(f"sin(2*pi*x{sys.manifold.dim})"),)
     inc = noise_matrix(seed, range(n_paths), sys.m, dt, 5)
     for T in one_shot_currents(sys.manifold):
         ends = flow_endpoints(sys, T.points, dt, inc[:, None])
-        want = [np.asarray(_as_scalar_fn(f)(ends), dtype=float) @ T.weights
-                for f in functions]
+        want = [expr.evaluate(f, ends) @ T.weights for f in functions]
         np.testing.assert_array_equal(
             pullback_values(T, functions, sys, t, dt, seed, n_paths), want)
 

@@ -238,6 +238,24 @@ def test_lowering_cost_is_linear_in_distinct_nodes():
     assert len(low.code) == 60
 
 
+def test_evaluate_cost_is_linear_in_distinct_nodes(monkeypatch):
+    def doubled(n):
+        node = expr.coordinate(0)
+        for _ in range(n):
+            node = expr.BinOp("+", node, node)
+        return node
+
+    visited = []
+    eval_node = expr._eval_node
+    monkeypatch.setattr(expr, "_eval_node",
+                        lambda node, *rest: visited.append(node) or eval_node(node, *rest))
+    expr.evaluate(doubled(10), np.array([[1.0]]))
+    assert len(visited) == 11
+    # 2**60 root-to-leaf paths, 61 distinct nodes, as above
+    np.testing.assert_array_equal(expr.evaluate(doubled(60), np.array([[1.0], [0.5]])),
+                                  [2.0 ** 60, 2.0 ** 59])
+
+
 def test_lowering_lowers_each_node_once_across_emits():
     low = expr.Lowering()
     lowered_nodes = []

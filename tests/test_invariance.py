@@ -23,13 +23,11 @@ from stochflow.invariance import (
     torus_translation_realization,
 )
 from stochflow.manifold import (
-    ChartedManifold,
     VectorFieldSpec,
     apply_field,
     grid_points,
     make_test_basis,
     product_divergence_expr,
-    product_divergence_function,
     torus,
 )
 from stochflow.sde import StratonovichSystem
@@ -410,24 +408,19 @@ def test_foliated_system_checks_its_realization():
 
 def per_tree_strict_nform(m, density, fields, grid_n):
     pts, _ = grid_points(m, grid_n)
-    return [float(np.max(np.abs(product_divergence_function(m, X, density)(pts))))
+    return [float(np.max(np.abs(expr.evaluate(product_divergence_expr(m, X, density),
+                                              pts))))
             for X in fields]
 
 
 def per_tree_mean_nform(m, density, fields, grid_n):
     pts, _ = grid_points(m, grid_n)
-    acc = product_divergence_function(m, fields[0], density)(pts)
+    acc = expr.evaluate(product_divergence_expr(m, fields[0], density), pts)
     for X in fields[1:]:
-        b_node = product_divergence_expr(m, X, density)
-        if b_node is not None:
-            b_vals = expr.evaluate(b_node, pts)
-            xb_vals = expr.evaluate(apply_field(m, X, b_node), pts)
-            divx_vals = expr.evaluate(product_divergence_expr(m, X, None), pts)
-        else:
-            b_fn = product_divergence_function(m, X, density)
-            b_vals = b_fn(pts)
-            xb_vals = apply_field(m, X, b_fn)(pts)
-            divx_vals = product_divergence_function(m, X, None)(pts)
+        b = product_divergence_expr(m, X, density)
+        b_vals = expr.evaluate(b, pts)
+        xb_vals = expr.evaluate(apply_field(m, X, b), pts)
+        divx_vals = expr.evaluate(product_divergence_expr(m, X), pts)
         acc = acc - 0.5 * (xb_vals + divx_vals * b_vals)
     return float(np.max(np.abs(acc)))
 
@@ -436,15 +429,10 @@ def nform_cases():
     cases = [(s.manifold, None, s.fields()) for s in builtin_systems().values()]
     ham = hamiltonian_torus_system()
     cases.append((T2, expr.parse("1.5 + 0.5*cos(2*pi*x1)*sin(2*pi*x2)"), ham.fields()))
-    callable_field = VectorFieldSpec(dim=2, components=(
-        lambda p: 0.3 * np.sin(2 * np.pi * p[..., 1]),
-        lambda p: 0.2 * np.cos(2 * np.pi * p[..., 0])))
-    cases.append((T2, lambda p: 1.5 + 0.5 * np.cos(2 * np.pi * p[..., 0]),
+    cases.append((T2, expr.parse("1.5 + 0.5*cos(2*pi*x1)"),
                   [VectorFieldSpec.from_strings(["0.1", "0.05*sin(2*pi*x1)"]),
-                   callable_field, ham.diffusions[0]]))
-    weighted = ChartedManifold(dim=2, box_lengths=(1.0, 1.0),
-                               volume_density=lambda p: 2.0 + np.sin(2 * np.pi * p[..., 0]))
-    cases.append((weighted, None, ham.fields()))
+                   VectorFieldSpec.from_strings(["0.3*sin(2*pi*x2)", "0.2*cos(2*pi*x1)"]),
+                   ham.diffusions[0]]))
     return cases
 
 

@@ -18,7 +18,7 @@ from stochflow.manifold import (
     is_invariant_function,
     lie_bracket,
     make_test_basis,
-    product_divergence_function,
+    product_divergence_expr,
     quadrature,
     torus,
 )
@@ -97,6 +97,11 @@ def test_nonperiodic_field_rejected_on_torus():
     assert is_compatible_field(T1, good)
 
 
+def test_field_components_must_be_expressions():
+    with pytest.raises(TypeError, match="component must be an expression"):
+        VectorFieldSpec(dim=1, components=(lambda p: p[..., 0],))
+
+
 def test_compatibility_check_names_a_non_finite_component():
     with pytest.raises(ValueError, match="component 2 is inf"):
         is_compatible_field(torus(1.0, 1.0),
@@ -108,17 +113,21 @@ def test_invariant_function_check():
     assert not is_invariant_function(T1, expr.parse("x1"))
 
 
-def test_invariant_function_check_is_batched_and_rejects_non_finite():
+def test_invariant_function_check_is_batched_and_rejects_non_finite(monkeypatch):
     calls = []
+    evaluate = expr.evaluate
 
-    def f(pts):
+    def counted(node, pts):
         calls.append(np.shape(pts))
-        return np.cos(2 * np.pi * pts[..., 0])
+        return evaluate(node, pts)
 
-    assert is_invariant_function(torus(1.0, 2.0), f, samples=16)
+    monkeypatch.setattr(expr, "evaluate", counted)
+    assert is_invariant_function(torus(1.0, 2.0), expr.parse("cos(2*pi*x1)"), samples=16)
     # once on all sample points, once on all their images
     assert calls == [(16, 2), (16, 2)]
-    assert not is_invariant_function(T1, lambda pts: np.full(pts.shape[:-1], np.nan))
+    nan = expr.parse("0*1e999")
+    assert isinstance(nan, expr.BinOp)
+    assert not is_invariant_function(T1, nan)
 
 
 # ---------------------------------------------------------------------------
@@ -154,44 +163,17 @@ def test_divergence_sin_field_against_independent_fd():
             assert got == pytest.approx(fd, abs=1e-5)
 
 
-def test_divergence_numeric_path_matches_analytic():
-    X_analytic = VectorFieldSpec.from_strings(["sin(2*pi*x1)*cos(2*pi*x2)", "x1*0 + 1"])
-    X_callable = VectorFieldSpec(dim=2, components=(
-        lambda p: np.sin(2 * np.pi * p[..., 0]) * np.cos(2 * np.pi * p[..., 1]),
-        lambda p: np.ones(p.shape[:-1]),
-    ))
-    pts = np.random.default_rng(3).random((20, 2))
-    a = divergence(T2, X_analytic, pts)
-    b = divergence(T2, X_callable, pts)
-    np.testing.assert_allclose(a, b, atol=1e-7)
-
-
 def test_divergence_leibniz_relation():
-    # div_mu(f X) = f div_mu(X) + Xf, within 10 h^2 on the numeric path
+    # div_mu(f X) = f div_mu(X) + Xf
     f = expr.parse("1 + 0.5*sin(2*pi*x1)")
     X = VectorFieldSpec.from_strings(["cos(2*pi*x1)"])
     pts = np.random.default_rng(4).random((30, 1))
-    left = product_divergence_function(T1, X, f)(pts)
+    left = expr.evaluate(product_divergence_expr(T1, X, f), pts)
     divx = divergence(T1, X, pts)
     fx = expr.evaluate(f, pts)
     df = expr.evaluate(expr.diff(f, 0), pts)
     xf = df * expr.evaluate(X.components[0], pts)
     np.testing.assert_allclose(left, fx * divx + xf, atol=1e-9)
-
-
-def test_divergence_leibniz_relation_numeric_path():
-    # same Leibniz identity through the finite-difference fallback,
-    # tolerance 10 h^2 with h = 1e-5 * box length
-    f_expr = expr.parse("1 + 0.5*sin(2*pi*x1)")
-    f_call = lambda p: 1 + 0.5 * np.sin(2 * np.pi * p[..., 0])  # noqa: E731
-    X = VectorFieldSpec(dim=1, components=(
-        lambda p: np.cos(2 * np.pi * p[..., 0]),))
-    pts = np.random.default_rng(10).random((20, 1))
-    left = product_divergence_function(T1, X, f_call)(pts)
-    divx = divergence(T1, X, pts)
-    fx = expr.evaluate(f_expr, pts)
-    xf = expr.evaluate(expr.diff(f_expr, 0), pts) * np.cos(2 * np.pi * pts[..., 0])
-    np.testing.assert_allclose(left, fx * divx + xf, atol=10 * (1e-5) ** 2)
 
 
 def test_divergence_rejects_nonpositive_density():

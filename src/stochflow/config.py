@@ -250,6 +250,35 @@ def _manifold_dim(manifold_entries):
     return len(_expressions_of(lengths))
 
 
+def _validate_atoms(entries, dim, issues):
+    """The atoms of an empirical current are points of dim numbers each,
+    separated by ';', and its weights one number per atom, separated by
+    ','."""
+    data = {k: (v, line, col) for k, v, line, col in entries}
+    n_atoms = None
+    if "atoms" in data:
+        value, line, col = data["atoms"]
+        points = value.split(";")
+        n_atoms = len(points)
+        for i, point in enumerate(points):
+            coords = point.split()
+            if not coords or (dim is not None and len(coords) != dim):
+                issues.append(ConfigIssue(
+                    f"atom {i + 1} has {len(coords)} coordinates, need "
+                    f"{dim or 'at least 1'}", line, col, "current.atoms"))
+            for part in coords:
+                _validate_number(part, issues, line, col, "current.atoms")
+    if "weights" in data:
+        value, line, col = data["weights"]
+        weights = _expressions_of(value)
+        for part in weights:
+            _validate_number(part, issues, line, col, "current.weights")
+        if n_atoms is not None and len(weights) != n_atoms:
+            issues.append(ConfigIssue(
+                f"{len(weights)} weights for {n_atoms} atoms", line, col,
+                "current.weights"))
+
+
 def _reject_grid_checks(check_sections, issues):
     """An empirical current is a sum of atoms: it has no grid to set, and
     the n-form checks would test the volume form instead of the atoms
@@ -393,6 +422,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 if key not in data:
                     issues.append(ConfigIssue(f"an empirical current needs {key!r}",
                                               type_line, path=f"current.{key}"))
+            _validate_atoms(plain["current"], dim, issues)
             _reject_grid_checks(check_sections, issues)
 
     if has_liealg:

@@ -15,14 +15,20 @@ and records, inside the loop, what its consumer keeps of each step:
 ``invariance`` a running max |J - 1|, ``flow_endpoints`` nothing but
 the last state. The fields are lowered to straight-line code that
 shares subexpressions across components, fields and divergences and
-leaves out the divergences that are identically zero.
+leaves out the divergences that are identically zero. A run of one
+point (one trajectory, one path) executes the same lines on Python
+floats instead of numpy arrays, which costs a fraction of the per-call
+overhead of numpy on one element and gives the same bits; where Python
+raises on a division by zero or sin(inf) and numpy would go on with inf
+or nan, that block of steps runs again on arrays.
 
 The loop steps unwrapped coordinates. Fields are compatible with the
 identification (checked when the system is built) and the Heun step
 commutes with the affine lattice maps, so wrapping only keeps numbers
 small: once per step a single max|x| decides whether the batch is
-still finite and within a few box lengths, re-wraps it when it has
-drifted further and raises ``InvalidPointError`` with the step and
+still finite and within a few box lengths, re-wraps the points that
+have drifted further (only those, so that a point's path does not
+depend on its batch) and raises ``InvalidPointError`` with the step and
 point when it is not finite. Results are wrapped into the fundamental
 domain when they leave the integrator. When every field is constant
 the Heun step is exact, and ``flow_endpoints`` replaces the loop by one
@@ -80,6 +86,10 @@ _REWRAP_BOXES = 4.0
 
 # noise rows reach the step loop in blocks of about this many bytes
 _BLOCK_BYTES = 1 << 18
+
+# rows turned into Python floats at a time (noise rows and records of the
+# one-point step loop, trajectory CSV rows): a bound on the lists' memory
+_FLOAT_ROWS = 256
 
 
 class ConfigurationError(ValueError):
@@ -237,8 +247,22 @@ _CONSUMERS = {
     "volume": (("W",), (), ("np.maximum(W, np.abs(np.exp(L) - 1.0), out=W)",)),
 }
 
+# The same for the one-point loop, which keeps the state in floats
+# a0..a{dim-1} (x is their tuple), appends the states of a sub-block of
+# steps j..k to the flat list xs and its log J to ls, and stores both
+# once per sub-block: the statements run before the loop, the records of
+# x and of L, and the stores of xs and of ls.
+_POINT_CONSUMERS = {
+    "endpoints": ((), (), (), (), ()),
+    "trajectory": (("tx = tx.reshape(-1)", "tl = tl.reshape(-1)"),
+                   ("xs += {x}",), ("ls.append(L)",),
+                   ("tx[j * {dim}:(k + 1) * {dim}] = xs",), ("tl[j:k + 1] = ls",)),
+    "volume": ((), (), ("ls.append(L)",), (),
+               ("np.maximum(W, np.abs(np.exp(ls) - 1.0).max(), out=W)",)),
+}
 
-def _compile_loop(sys: StratonovichSystem, consumer: str):
+
+def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
     """The Heun loop over one block of noise rows, as one function.
 
     loop(X, L, noise, k, dt, *out) steps the state X, of shape
@@ -248,7 +272,8 @@ def _compile_loop(sys: StratonovichSystem, consumer: str):
     recorded into out as _CONSUMERS says. Once per step a single max|X|
     test decides whether the state is still finite and within
     _REWRAP_BOXES box lengths of the fundamental domain; when it is not,
-    ``_rewrap`` wraps it or raises InvalidPointError naming the step.
+    ``_rewrap`` wraps the points past that bound or raises
+    InvalidPointError naming the step.
 
     The fields are lowered to straight-line stages that compute
     sum_i X_i dB^i (dB^0 = dt) component by component, sharing
@@ -258,6 +283,20 @@ def _compile_loop(sys: StratonovichSystem, consumer: str):
     stays 0 exactly and is not carried. The update a += (p + c) / 2 runs
     as t = p + c; t *= 0.5; a += t, the float operations of
     a + 0.5*(p + c).
+
+    backend "array" runs those lines on numpy arrays of shape lead.
+    backend "point" runs them, for a lead of one element, on Python
+    floats a0..a{dim-1} and L, at a fraction of the cost of numpy calls
+    on one element: each sub-block of _FLOAT_ROWS noise rows is read
+    with one ``tolist``, the bound test is abs(a0) <= bound and ...
+    (false for nan, like the max), a re-wrap writes the floats to X and
+    reads them back, and each sub-block's records are stored with one
+    slice assignment (_POINT_CONSUMERS). sin and cos are math.sin and
+    math.cos, which give numpy's bits; exp stays np.exp, whose last bit
+    math.exp does not always match. Float arithmetic is the IEEE
+    arithmetic of the arrays, so the two back ends give the same bits,
+    except that Python raises where numpy returns inf or nan (1/0.0,
+    math.sin(inf)); ``run_heun`` then runs the block again on arrays.
     """
     args, record_x, record_l = _CONSUMERS[consumer]
     m = sys.manifold
@@ -268,7 +307,8 @@ def _compile_loop(sys: StratonovichSystem, consumer: str):
         divs = [(i, d) for i, f in fields if not expr.is_identically_zero(
             d := product_divergence_expr(m, f))]
     noise_of = {0: "dt", **{i: f"d{i}" for i, _ in fields if i > 0}}
-    body = [f"d{i} = noise[r, {i - 1}]" for i, _ in fields if i > 0]
+    row = "row[{}]" if backend == "point" else "noise[r, {}]"
+    body = [f"d{i} = {row.format(i - 1)}" for i, _ in fields if i > 0]
 
     def stage(inputs, out):
         # <out>j = sum_i X_i^j dB^i for each component j, and
@@ -284,38 +324,73 @@ def _compile_loop(sys: StratonovichSystem, consumer: str):
             sums.append(f"{out}l = {' + '.join(terms)}")
         body.extend(low.source(start) + sums)
 
-    stage([f"a{j}" for j in range(m.dim)], "p")
+    state = [f"a{j}" for j in range(m.dim)]
+    stage(state, "p")
     body.extend(f"b{j} = a{j} + p{j}" for j in range(m.dim))
     stage([f"b{j}" for j in range(m.dim)], "c")
     for j in range(m.dim):
         body.extend([f"t = p{j} + c{j}", "t *= 0.5", f"a{j} += t"])
     if divs:
         body.extend(["t = pl + cl", "t *= 0.5", "L += t"])
-    body.extend(["k += 1",
-                 "if not np.abs(X).max() <= bound:  # true for nan",
-                 "    rewrap(X, k)"])
-    body.extend(record_x + (record_l if divs else ()))
-    params = ", ".join(("X", "L", "noise", "k", "dt") + args)
+    body.append("k += 1")
+    bound = _REWRAP_BOXES * max(m.box_lengths)
+    names = dict(rewrap=functools.partial(_rewrap, m, bound), bound=bound)
+    if backend == "array":
+        body.extend(["if not np.abs(X).max() <= bound:  # true for nan",
+                     "    rewrap(X, k)"])
+        body.extend(record_x + (record_l if divs else ()))
+        params = ", ".join(("X", "L", "noise", "k", "dt") + args)
+        source = (f"def loop({params}):\n"
+                  + "".join(f"    {line}\n" for line in
+                            ["x = np.moveaxis(X, 0, -1)"]
+                            + [f"a{j} = X[{j}, ...]" for j in range(m.dim)])
+                  + "    for r in range(noise.shape[0]):\n"
+                  + "".join(f"        {line}\n" for line in body))
+        return low.define(source, "loop", **names)
+
+    x = ", ".join(state) + ("," if m.dim == 1 else "")
+    setup, point_x, point_l, store_x, store_l = (
+        tuple(line.format(x=x, dim=m.dim) for line in lines)
+        for lines in _POINT_CONSUMERS[consumer])
+    if not divs:
+        point_l = store_l = ()
+    test = " and ".join(f"abs({a}) <= bound" for a in state)
+    body.extend([f"if not ({test}):  # true for nan",
+                 f"    xv[:] = {x}", "    rewrap(X, k)", f"    {x} = xv.tolist()"])
+    body.extend(point_x + point_l)
+    head = ["xv = X.reshape(-1)", f"{x} = xv.tolist()", "dt = float(dt)",
+            f"noise = noise.reshape(len(noise), {sys.m})", *setup]
+    if divs:
+        head.append("L = LJ.item()")
+    params = ", ".join(("X", "LJ", "noise", "k", "dt") + args)
     source = (f"def loop({params}):\n"
-              + "".join(f"    {line}\n" for line in
-                        ["x = np.moveaxis(X, 0, -1)"]
-                        + [f"a{j} = X[{j}, ...]" for j in range(m.dim)])
-              + "    for r in range(noise.shape[0]):\n"
-              + "".join(f"        {line}\n" for line in body))
-    return low.define(source, "loop", rewrap=functools.partial(_rewrap, m),
-                      bound=_REWRAP_BOXES * max(m.box_lengths))
+              + "".join(f"    {line}\n" for line in head)
+              + f"    for s in range(0, len(noise), {_FLOAT_ROWS}):\n"
+              + "".join(f"        {line}\n" for line in
+                        (["j = k + 1"] if store_x + store_l else [])
+                        + (["xs = []"] if store_x else [])
+                        + (["ls = []"] if store_l else [])
+                        + [f"for row in noise[s:s + {_FLOAT_ROWS}].tolist():"])
+              + "".join(f"            {line}\n" for line in body)
+              + "".join(f"        {line}\n" for line in store_x + store_l)
+              + f"    xv[:] = {x}\n"
+              + ("    LJ[...] = L\n" if divs else ""))
+    return low.define(source, "loop", sin=math.sin, cos=math.cos, **names)
 
 
-def _rewrap(m: ChartedManifold, X, step: int) -> None:
-    """Wraps the state X, of shape (dim, *lead), in place, or raises
-    InvalidPointError naming the step and the first leading index of a
-    non-finite point."""
+def _rewrap(m: ChartedManifold, bound: float, X, step: int) -> None:
+    """Wraps in place the points of the state X, of shape (dim, *lead),
+    that are past bound, or raises InvalidPointError naming the step and
+    the first leading index of a non-finite point. The other points stay
+    as they are, so that a point's path does not depend on the rest of
+    its batch."""
     x = np.moveaxis(X, 0, -1)
     bad = ~np.all(np.isfinite(x), axis=-1)
     if np.any(bad):
         where = tuple(int(i) for i in np.argwhere(bad)[0])
         raise InvalidPointError(f"non-finite state at step {step}, point {where}")
-    x[...] = m.wrap(x)
+    far = np.abs(x).max(axis=-1) > bound
+    x[far] = m.wrap(x[far])
 
 
 def run_heun(sys: StratonovichSystem, consumer: str, x0, dt: float,
@@ -330,7 +405,6 @@ def run_heun(sys: StratonovichSystem, consumer: str, x0, dt: float,
     log J (steps + 1, *lead), for "volume" max_k |J_k - 1| per leading
     index, for "endpoints" nothing.
     """
-    loop = sys._cached(("loop", consumer), lambda s: _compile_loop(s, consumer))
     x0 = sys.manifold.wrap(x0)
     lead = np.broadcast_shapes(x0.shape[:-1], noise_lead)
     X = np.empty(x0.shape[-1:] + lead)
@@ -343,9 +417,26 @@ def run_heun(sys: StratonovichSystem, consumer: str, x0, dt: float,
         out[0][0] = x
     elif consumer == "volume":
         out = (np.zeros(lead),)
+
+    def loop(backend):
+        return sys._cached(("loop", consumer, backend),
+                           lambda s: _compile_loop(s, consumer, backend))
+
+    point = math.prod(lead) == 1
     k = 0
     for block in blocks:
-        loop(X, L, block, k, dt, *out)
+        if point:
+            start = X.copy(), L.copy()
+            try:
+                loop("point")(X, L, block, k, dt, *out)
+            except (ArithmeticError, ValueError):
+                # Python raised where numpy gives inf or nan (or the
+                # state is not finite): the array loop redoes the block,
+                # rewrites the same records and raises what it raises
+                X[...], L[...] = start
+                loop("array")(X, L, block, k, dt, *out)
+        else:
+            loop("array")(X, L, block, k, dt, *out)
         k += block.shape[0]
     return (x, *out)
 
@@ -468,7 +559,12 @@ def write_trajectory_csv(result: FlowResult, fileobj) -> None:
     dim = result.trajectory.shape[-1]
     writer = csv.writer(fileobj)
     writer.writerow(["t"] + [f"x{i + 1}" for i in range(dim)] + ["logJ"])
-    for k, t in enumerate(result.times):
-        row = [f"{t:.12g}"] + [f"{v:.17g}" for v in result.trajectory[k]]
-        row.append(f"{result.log_jacobian[k]:.17g}")
-        writer.writerow(row)
+    # Python floats format as numpy's do, and faster
+    times = result.times
+    for s in range(0, len(times), _FLOAT_ROWS):
+        rows = slice(s, s + _FLOAT_ROWS)
+        writer.writerows(
+            [f"{t:.12g}", *(f"{v:.17g}" for v in x), f"{logj:.17g}"]
+            for t, x, logj in zip(times[rows].tolist(),
+                                  result.trajectory[rows].tolist(),
+                                  result.log_jacobian[rows].tolist()))

@@ -339,6 +339,31 @@ def test_empirical_current_needs_atoms_and_weights(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_empirical_atoms_and_weights_must_be_numbers(tmp_path, capsys):
+    def issues(old, new):
+        with pytest.raises(ConfigError) as e:
+            parse_config(ONE_ATOM.replace(old, new))
+        return [(i.path, i.line, i.message) for i in e.value.issues]
+
+    assert issues("atoms = 0.5", "atoms = abc") == [
+        ("current.atoms", 11, "expected a number, got 'abc'")]
+    assert issues("weights = 1", "weights = one") == [
+        ("current.weights", 12, "expected a number, got 'one'")]
+    assert issues("atoms = 0.5", "atoms = 0.5; 0.25") == [
+        ("current.weights", 12, "1 weights for 2 atoms")]
+    assert issues("atoms = 0.5", "atoms = 0.5; 0.25 0.75") == [
+        ("current.atoms", 11, "atom 2 has 2 coordinates, need 1"),
+        ("current.weights", 12, "1 weights for 2 atoms")]
+    parse_config(ONE_ATOM.replace("atoms = 0.5\nweights = 1",
+                                  "atoms = 0.5; 0.25\nweights = 0.5, 0.5"))
+    cfg = tmp_path / "atom.cfg"
+    cfg.write_text(ONE_ATOM.replace("atoms = 0.5", "atoms = 0.5 abc"))
+    assert main(["check", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "current.atoms (line 11, column 9): expected a number, got 'abc'" in err
+    assert "could not convert" not in err
+
+
 def test_overrides_record_only_what_a_check_used(tmp_path):
     def overrides(checks, name):
         cfg = parse_config(MINIMAL_FLOW + checks)

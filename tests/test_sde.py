@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import tracemalloc
@@ -343,6 +344,24 @@ def test_trajectory_csv_columns():
     assert float(first[3]) == 0.0
 
 
+def test_trajectory_csv_formats_like_numpy_scalars():
+    third = np.nextafter(1 / 3, 1.0)  # 1 ulp above the double nearest 1/3
+    traj = np.array([[0.1, -0.25], [5e-324, -1e-300], [third, -third],
+                     [np.nextafter(1.0, 0.0), -0.0]])
+    res = sde.FlowResult(dt=1e-4, trajectory=traj,
+                         log_jacobian=np.array([0.0, -1e-17, third, -7.5]))
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["t", "x1", "x2", "logJ"])
+    for k, t in enumerate(res.times):  # numpy scalars, formatted one by one
+        writer.writerow([f"{t:.12g}"] + [f"{v:.17g}" for v in res.trajectory[k]]
+                        + [f"{res.log_jacobian[k]:.17g}"])
+    got = io.StringIO()
+    write_trajectory_csv(res, got)
+    assert got.getvalue() == want.getvalue()
+    assert "4.9406564584124654e-324" in got.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # reference-loop oracle: every integrator must reproduce a plain Heun loop
 # that wraps after every step. The integrators step unwrapped coordinates
@@ -451,6 +470,93 @@ def test_non_finite_state_names_its_step():
             flow_endpoints(sys, [0.0], 0.01, noise.increments)
         with pytest.raises(InvalidPointError, match=r"step 1, point \(1,\)"):
             flow_with_jacobian(sys, [[0.25], [0.0]], 0.1, 0.01, noise)
+
+
+# ---------------------------------------------------------------------------
+# one point: the float loop gives the bits of the array loop
+
+def exp_divergence_system():
+    return StratonovichSystem(
+        manifold=T1, drift=VectorFieldSpec.from_strings(["0.3*exp(sin(2*pi*x1))"]),
+        diffusions=(VectorFieldSpec.from_strings(["0.2*cos(2*pi*x1)"]),))
+
+
+POINT_CASES = {
+    **{label: (sys, dt, max(steps, 300)) for label, (sys, dt, steps, _)
+       in ORACLE_CASES.items()},
+    "exp_divergence": (exp_divergence_system(), 0.01, 300),
+}
+
+
+@pytest.mark.parametrize("label", sorted(POINT_CASES))
+def test_one_point_runs_equal_rows_of_the_batch(label):
+    sys, dt, steps = POINT_CASES[label]
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(0.0, 1.0, size=(3, sys.manifold.dim)) * sys.manifold.lengths
+    noise = generate_noise(4, 0, sys.m, dt, steps)
+    batch = flow_with_jacobian(sys, pts, steps * dt, dt, noise)
+    inc = noise_matrix(4, range(3), sys.m, dt, steps)
+    ends = flow_endpoints(sys, pts, dt, inc)
+    for i, p in enumerate(pts):
+        one = flow_with_jacobian(sys, p, steps * dt, dt, noise)
+        np.testing.assert_array_equal(one.trajectory, batch.trajectory[:, i])
+        np.testing.assert_array_equal(one.log_jacobian, batch.log_jacobian[:, i])
+        np.testing.assert_array_equal(flow_endpoints(sys, p, dt, inc[i]), ends[i])
+    one = jacobian_check(sys, pts[0], steps * dt, dt, seed=4, n_paths=1)
+    rows = jacobian_check(sys, pts[0], steps * dt, dt, seed=4, n_paths=3)
+    assert one.per_basis[0]["value"] == rows.per_basis[0]["value"]
+    if label == "exp_divergence":
+        assert np.all(batch.log_jacobian[1:] != 0.0)  # log J was carried
+
+
+def test_one_point_block_redone_on_arrays_where_python_raises(monkeypatch):
+    # at x1 = 0 the drift divides 1 by 0.0: Python raises, numpy gives
+    # exp(-inf) = 0 and steps on
+    sys = StratonovichSystem(
+        manifold=T1,
+        drift=VectorFieldSpec.from_strings(["exp(-1/(sin(2*pi*x1)*sin(2*pi*x1)))"]),
+        diffusions=(VectorFieldSpec.from_strings(["1"]),))
+    monkeypatch.setattr(sde, "_BLOCK_BYTES", 8 * 50)  # 50 steps per block
+    pts = np.array([[0.0], [0.3], [0.7]])
+    noise = generate_noise(9, 0, 1, 0.01, 200)
+    with np.errstate(all="ignore"):
+        one = flow_with_jacobian(sys, pts[0], 2.0, 0.01, noise)
+        # the first block ran on arrays, the later ones on floats again
+        assert {("loop", "trajectory", "point"),
+                ("loop", "trajectory", "array")} <= set(sys._compiled)
+        batch = flow_with_jacobian(sys, pts, 2.0, 0.01, noise)
+        inc = noise_matrix(9, range(3), 1, 0.01, 200)
+        ends = flow_endpoints(sys, pts, 0.01, inc)
+        for i, p in enumerate(pts):
+            np.testing.assert_array_equal(flow_endpoints(sys, p, 0.01, inc[i]),
+                                          ends[i])
+    assert np.all(np.isfinite(one.trajectory))
+    np.testing.assert_array_equal(one.trajectory, batch.trajectory[:, 0])
+    np.testing.assert_array_equal(one.log_jacobian, batch.log_jacobian[:, 0])
+
+
+def test_one_point_runs_take_the_float_loop():
+    sys = hamiltonian_system()
+    loops = sys._compiled  # the loop cache, keyed (loop, consumer, back end)
+    noise = generate_noise(0, 0, 2, 0.01, 300)
+    flow_with_jacobian(sys, [0.1, 0.2], 3.0, 0.01, noise)
+    assert [key for key in loops if key[0] == "loop"] == [
+        ("loop", "trajectory", "point")]
+    point = loops["loop", "trajectory", "point"]
+    calls = []
+    loops["loop", "trajectory", "point"] = (
+        lambda *args: calls.append(1) or point(*args))
+    flow_with_jacobian(sys, [[0.3, 0.4]], 3.0, 0.01, noise)  # lead (1,)
+    assert calls == [1]
+    assert ("loop", "trajectory", "array") not in loops  # no fallback
+    flow_with_jacobian(sys, [[0.1, 0.2], [0.3, 0.4]], 3.0, 0.01, noise)
+    assert calls == [1]
+    assert ("loop", "trajectory", "array") in loops
+    batched = hamiltonian_system()
+    flow_endpoints(batched, [[0.1, 0.2], [0.3, 0.4]], 0.01, noise.increments)
+    jacobian_check(batched, [0.1, 0.2], 1.0, 0.01, seed=0, n_paths=2)
+    assert [key for key in batched._compiled if key[0] == "loop"] == [
+        ("loop", "endpoints", "array"), ("loop", "volume", "array")]
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,7 @@ def _cmd_simulate(args) -> int:
               if args.x0 else 0.5 * system.manifold.lengths)
         steps = step_count(args.t, args.dt)
         noise = generate_noise(args.seed, args.path_index, system.m, args.dt, steps)
-        result = flow_with_jacobian(system, x0, args.t, args.dt, noise)
+        result = flow_with_jacobian(system, x0, noise)
         with open(args.trajectory, "w", newline="", encoding="utf-8") as fh:
             write_trajectory_csv(result, fh)
     except (ConfigError, FileNotFoundError, OSError, ValueError) as e:

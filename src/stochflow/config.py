@@ -172,6 +172,10 @@ def _json_to_sections(doc, issues):
         return sections
 
     def norm(v):
+        if isinstance(v, list) and any(isinstance(item, list) for item in v):
+            # rows, as atoms [[0.1, 0.2], [0.3, 0.4]]: "0.1 0.2; 0.3 0.4"
+            return "; ".join(" ".join(map(norm, row)) if isinstance(row, list)
+                             else norm(row) for row in v)
         if isinstance(v, list):
             return ", ".join(norm(item) for item in v)
         if isinstance(v, bool):

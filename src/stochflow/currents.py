@@ -31,7 +31,6 @@ from .manifold import (
 from .sde import (
     NoisePath,
     StratonovichSystem,
-    _check_noise,
     flow_endpoints,
     noise_matrix,
     step_count,
@@ -184,13 +183,11 @@ def evaluate_many(T: Current, functions) -> np.ndarray:
 
 
 def pullback_eval(T: Current, f: Expr, sys: StratonovichSystem,
-                  t: float, dt: float, noise: NoisePath) -> float:
-    """Pathwise pullback (phi_t^* T)(f) = T(f o phi_t), one realization.
-
-    All support points ride the same noise path.
+                  noise: NoisePath) -> float:
+    """Pathwise pullback (phi_t^* T)(f) = T(f o phi_t), one realization
+    of the noise up to its horizon t; all support points ride it.
     """
-    _check_noise(sys, t, dt, noise)
-    ends = flow_endpoints(sys, T.points, dt, noise.increments)
+    ends = flow_endpoints(sys, T.points, noise.dt, noise.increments)
     return float(np.dot(T.weights, expr.evaluate(f, ends)))
 
 

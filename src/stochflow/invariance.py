@@ -1,6 +1,6 @@
 """High-level invariance checkers and the homogeneous-foliation pipeline.
 
-Each checker produces an InvarianceReport whose verdict is exactly
+Each checker produces an InvarianceReport whose verdict is
 (residual <= tolerance); the metadata records everything needed to
 reproduce the run (dt, horizon, paths, grid, basis cutoff, seed).
 """
@@ -96,7 +96,6 @@ class InvarianceReport:
     kind: str
     residual: float
     tolerance: float
-    verdict: bool
     metadata: dict = dc_field(default_factory=dict)
     per_basis: list = dc_field(default_factory=list)
     subchecks: list = dc_field(default_factory=list)
@@ -106,9 +105,10 @@ class InvarianceReport:
             raise ValueError(f"unknown report kind {self.kind!r}")
         self.residual = float(self.residual)
         self.tolerance = float(self.tolerance)
-        self.verdict = bool(self.verdict)
-        if self.verdict != (self.residual <= self.tolerance):
-            raise ValueError("verdict must equal (residual <= tolerance)")
+
+    @property
+    def verdict(self) -> bool:
+        return self.residual <= self.tolerance
 
     def payload(self) -> dict:
         meta = self.metadata
@@ -137,14 +137,6 @@ class InvarianceReport:
         return self.verdict and all(s.all_verdicts() for s in self.subchecks)
 
 
-def _report(kind, residual, tolerance, metadata, per_basis=None, subchecks=None):
-    return InvarianceReport(kind=kind, residual=float(residual),
-                            tolerance=float(tolerance),
-                            verdict=bool(float(residual) <= float(tolerance)),
-                            metadata=metadata, per_basis=per_basis or [],
-                            subchecks=subchecks or [])
-
-
 # ---------------------------------------------------------------------------
 # n-form checks (divergence criteria)
 
@@ -159,7 +151,7 @@ def check_strict_nform(m: ChartedManifold, density: Optional[Expr],
     rows = [{"field_index": i, "value": peak} for i, peak in enumerate(peaks)]
     worst = max(peaks, default=0.0)
     meta = {"grid": grid_n, "n_fields": len(fields)}
-    return _report("strict_nform", worst, tolerance, meta, per_basis=rows)
+    return InvarianceReport("strict_nform", worst, tolerance, meta, per_basis=rows)
 
 
 def check_mean_nform(m: ChartedManifold, density: Optional[Expr],
@@ -188,7 +180,7 @@ def check_mean_nform(m: ChartedManifold, density: Optional[Expr],
         acc = acc - 0.5 * (xb_vals + divx_vals * b_vals)
     residual = float(np.max(np.abs(acc)))
     meta = {"grid": grid_n, "n_fields": len(fields)}
-    return _report("mean_nform", residual, tolerance, meta)
+    return InvarianceReport("mean_nform", residual, tolerance, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +205,7 @@ def residual_check(T: Current, sys: StratonovichSystem, basis,
     else:
         raise ValueError(f"unknown residual mode {mode!r}")
     meta = {"basisK": basis.cutoff, "grid": getattr(T, "grid_n", None)}
-    return _report(kind, residual, tol, meta, per_basis=rows)
+    return InvarianceReport(kind, residual, tol, meta, per_basis=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +236,8 @@ def empirical_check(T: Current, sys: StratonovichSystem, basis,
         residual = float(np.max(diffs)) if diffs.size else 0.0
         meta = {"dt": dt, "T": t, "n_paths": probe_paths, "seed": seed,
                 "basisK": basis.cutoff, "grid": getattr(T, "grid_n", None)}
-        return _report("empirical_pathwise", residual, tolerance, meta,
-                       per_basis=rows)
+        return InvarianceReport("empirical_pathwise", residual, tolerance, meta,
+                                per_basis=rows)
     if mode != "mean":
         raise ValueError(f"unknown empirical mode {mode!r}")
     if n_paths < 2:
@@ -265,8 +257,8 @@ def empirical_check(T: Current, sys: StratonovichSystem, basis,
     meta = {"dt": dt, "T": t, "n_paths": n_paths, "seed": seed,
             "basisK": basis.cutoff, "grid": getattr(T, "grid_n", None),
             "bias_c": bias_c}
-    return _report("empirical_mean", diffs[worst], tols[worst], meta,
-                   per_basis=rows)
+    return InvarianceReport("empirical_mean", diffs[worst], tols[worst], meta,
+                            per_basis=rows)
 
 
 def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
@@ -282,8 +274,8 @@ def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
     _, worst = run_heun(sys, "volume", x0, dt, steps, (n_paths,), blocks)
     rows = [{"path_index": p, "value": float(worst[p])} for p in range(n_paths)]
     meta = {"dt": dt, "T": t, "n_paths": n_paths, "seed": seed}
-    return _report("jacobian", float(np.max(worst)), tolerance, meta,
-                   per_basis=rows)
+    return InvarianceReport("jacobian", float(np.max(worst)), tolerance, meta,
+                            per_basis=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +371,13 @@ def foliation_pipeline(g: LieAlgebraData, h: SubalgebraSpec,
         sys = foliated_system(g, h, realization)
         basis = make_test_basis(realization.manifold, basis_k)
         T = volume_current(realization.manifold, grid_n)
-        gen = generator_residuals(T, sys, basis)
-        rows = [{"basis_index": k, "value": float(v)} for k, v in enumerate(gen)]
-        subchecks.append(_report(
-            "mean_residual", float(np.max(np.abs(gen))), generator_tolerance,
-            {"basisK": basis_k, "grid": grid_n}, per_basis=rows))
+        subchecks.append(residual_check(T, sys, basis, "mean", generator_tolerance))
         frame_vals = derivative_currents(T, realization.frame, basis.functions)
         frame_rows = [{"field_index": i, "basis_index": k,
                        "value": float(frame_vals[i, k])}
                       for i in range(frame_vals.shape[0])
                       for k in range(frame_vals.shape[1])]
-        subchecks.append(_report(
+        subchecks.append(InvarianceReport(
             "strict_residual", float(np.max(np.abs(frame_vals))), frame_tolerance,
             {"basisK": basis_k, "grid": grid_n}, per_basis=frame_rows))
         subchecks.append(empirical_check(
@@ -400,8 +388,8 @@ def foliation_pipeline(g: LieAlgebraData, h: SubalgebraSpec,
                 tolerance=pathwise_tolerance))
         meta.update({"dt": dt, "T": t, "n_paths": n_paths,
                      "grid": grid_n, "basisK": basis_k})
-    return _report("foliation_verdict", residual, 1e-10, meta,
-                   subchecks=subchecks)
+    return InvarianceReport("foliation_verdict", residual, 1e-10, meta,
+                            subchecks=subchecks)
 
 
 # ---------------------------------------------------------------------------

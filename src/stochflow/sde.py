@@ -29,7 +29,8 @@ small: once per step a single max|x| decides whether the batch is
 still finite and within a few box lengths, re-wraps the points that
 have drifted further (only those, so that a point's path does not
 depend on its batch) and raises ``InvalidPointError`` with the step and
-point when it is not finite. Results are wrapped into the fundamental
+point when it is not finite; a log J that is carried is tested for
+finiteness once per step too. Results are wrapped into the fundamental
 domain when they leave the integrator. When every field is constant
 the Heun step is exact, and ``flow_endpoints`` replaces the loop by one
 summed increment per path.
@@ -142,8 +143,11 @@ class NoisePath:
     seed: int
     path_index: int
     dt: float
-    steps: int
     increments: np.ndarray  # (steps, m)
+
+    @property
+    def steps(self) -> int:
+        return self.increments.shape[0]
 
     @property
     def m(self) -> int:
@@ -175,7 +179,7 @@ def generate_noise(seed: int, path_index: int, m: int, dt: float,
     scale = _noise_scale(m, dt, steps)
     increments = _philox(seed, path_index).normal(0.0, scale, size=(steps, m))
     increments.setflags(write=False)
-    return NoisePath(seed=seed, path_index=path_index, dt=dt, steps=steps,
+    return NoisePath(seed=seed, path_index=path_index, dt=dt,
                      increments=increments)
 
 
@@ -218,7 +222,7 @@ def coarsen_noise(noise: NoisePath, factor: int) -> NoisePath:
     inc = noise.increments.reshape(steps, factor, noise.m).sum(axis=1)
     inc.setflags(write=False)
     return NoisePath(seed=noise.seed, path_index=noise.path_index,
-                     dt=noise.dt * factor, steps=steps, increments=inc)
+                     dt=noise.dt * factor, increments=inc)
 
 
 def step_count(t: float, dt: float) -> int:
@@ -273,7 +277,9 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
     test decides whether the state is still finite and within
     _REWRAP_BOXES box lengths of the fundamental domain; when it is not,
     ``_rewrap`` wraps the points past that bound or raises
-    InvalidPointError naming the step.
+    InvalidPointError naming the step. When log J is carried, a second
+    test raises InvalidPointError at the first step where it is not
+    finite (0 * inf in a divergence, say).
 
     The fields are lowered to straight-line stages that compute
     sum_i X_i dB^i (dB^0 = dt) component by component, sharing
@@ -334,10 +340,14 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
         body.extend(["t = pl + cl", "t *= 0.5", "L += t"])
     body.append("k += 1")
     bound = _REWRAP_BOXES * max(m.box_lengths)
-    names = dict(rewrap=functools.partial(_rewrap, m, bound), bound=bound)
+    names = dict(rewrap=functools.partial(_rewrap, m, bound), bound=bound,
+                 non_finite=_non_finite, isfinite=math.isfinite)
     if backend == "array":
         body.extend(["if not np.abs(X).max() <= bound:  # true for nan",
                      "    rewrap(X, k)"])
+        if divs:
+            body.extend(["if not np.isfinite(L).all():",
+                         "    non_finite('log J', ~np.isfinite(L), k)"])
         body.extend(record_x + (record_l if divs else ()))
         params = ", ".join(("X", "L", "noise", "k", "dt") + args)
         source = (f"def loop({params}):\n"
@@ -357,6 +367,9 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
     test = " and ".join(f"abs({a}) <= bound" for a in state)
     body.extend([f"if not ({test}):  # true for nan",
                  f"    xv[:] = {x}", "    rewrap(X, k)", f"    {x} = xv.tolist()"])
+    if divs:
+        body.extend(["if not isfinite(L):",
+                     "    non_finite('log J', np.full(LJ.shape, True), k)"])
     body.extend(point_x + point_l)
     head = ["xv = X.reshape(-1)", f"{x} = xv.tolist()", "dt = float(dt)",
             f"noise = noise.reshape(len(noise), {sys.m})", *setup]
@@ -378,6 +391,13 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
     return low.define(source, "loop", sin=math.sin, cos=math.cos, **names)
 
 
+def _non_finite(what: str, bad, step: int) -> None:
+    """Raises InvalidPointError naming the step and the first leading
+    index where bad, of shape lead, is true."""
+    where = tuple(int(i) for i in np.argwhere(bad)[0])
+    raise InvalidPointError(f"non-finite {what} at step {step}, point {where}")
+
+
 def _rewrap(m: ChartedManifold, bound: float, X, step: int) -> None:
     """Wraps in place the points of the state X, of shape (dim, *lead),
     that are past bound, or raises InvalidPointError naming the step and
@@ -387,8 +407,7 @@ def _rewrap(m: ChartedManifold, bound: float, X, step: int) -> None:
     x = np.moveaxis(X, 0, -1)
     bad = ~np.all(np.isfinite(x), axis=-1)
     if np.any(bad):
-        where = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise InvalidPointError(f"non-finite state at step {step}, point {where}")
+        _non_finite("state", bad, step)
     far = np.abs(x).max(axis=-1) > bound
     x[far] = m.wrap(x[far])
 
@@ -430,8 +449,8 @@ def run_heun(sys: StratonovichSystem, consumer: str, x0, dt: float,
             try:
                 loop("point")(X, L, block, k, dt, *out)
             except (ArithmeticError, ValueError):
-                # Python raised where numpy gives inf or nan (or the
-                # state is not finite): the array loop redoes the block,
+                # Python raised where numpy gives inf or nan (or the state
+                # or log J is not finite): the array loop redoes the block,
                 # rewrites the same records and raises what it raises
                 X[...], L[...] = start
                 loop("array")(X, L, block, k, dt, *out)
@@ -466,16 +485,6 @@ def _noise_array(sys: StratonovichSystem, increments) -> np.ndarray:
     return increments
 
 
-def _check_noise(sys, t_final, dt, noise):
-    if noise.m != sys.m:
-        raise ConfigurationError(
-            f"noise has {noise.m} components, system has {sys.m}")
-    if abs(noise.dt - dt) > 1e-12 * max(dt, noise.dt):
-        raise ConfigurationError("noise step does not match dt")
-    if abs(noise.steps * dt - t_final) > 1e-9 * max(t_final, dt):
-        raise ConfigurationError("t_final does not equal steps * dt")
-
-
 @dataclass(frozen=True)
 class FlowResult:
     """Trajectory at t_k = k dt in canonical coordinates, and log J."""
@@ -497,13 +506,12 @@ class FlowResult:
         return np.exp(self.log_jacobian)
 
 
-def flow_with_jacobian(sys: StratonovichSystem, x0, t_final: float, dt: float,
+def flow_with_jacobian(sys: StratonovichSystem, x0,
                        noise: NoisePath) -> FlowResult:
-    """Co-evolves log J through the divergence SDE with shared noise."""
-    _check_noise(sys, t_final, dt, noise)
-    _, traj, logj = run_heun(sys, "trajectory", x0, dt,
+    """Co-evolves log J through the divergence SDE over the steps of noise."""
+    _, traj, logj = run_heun(sys, "trajectory", x0, noise.dt,
                              *_array_blocks(sys, noise.increments))
-    return FlowResult(dt=dt, trajectory=sys.manifold.wrap(traj),
+    return FlowResult(dt=noise.dt, trajectory=sys.manifold.wrap(traj),
                       log_jacobian=logj)
 
 
@@ -528,14 +536,13 @@ def flow_endpoints(sys: StratonovichSystem, x0, dt: float,
     return sys.manifold.wrap(x.copy())
 
 
-def fd_jacobian(sys: StratonovichSystem, x0, t_final: float, dt: float,
-                noise: NoisePath, h_fd: float = 1e-4) -> float:
+def fd_jacobian(sys: StratonovichSystem, x0, noise: NoisePath,
+                h_fd: float = 1e-4) -> float:
     """Jacobian determinant by central differences under the same noise.
 
     Column i is the minimal-image displacement between the flows of
     x0 + h e_i and x0 - h e_i divided by 2h.
     """
-    _check_noise(sys, t_final, dt, noise)
     x0 = np.asarray(x0, dtype=float)
     dim = sys.manifold.dim
     seeds = np.empty((2 * dim, dim))
@@ -544,7 +551,7 @@ def fd_jacobian(sys: StratonovichSystem, x0, t_final: float, dt: float,
         e[i] = h_fd
         seeds[2 * i] = x0 + e
         seeds[2 * i + 1] = x0 - e
-    ends = flow_endpoints(sys, seeds, dt, noise.increments)
+    ends = flow_endpoints(sys, seeds, noise.dt, noise.increments)
     lengths = sys.manifold.lengths
     cols = np.empty((dim, dim))
     for i in range(dim):

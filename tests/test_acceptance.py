@@ -120,8 +120,8 @@ def test_criterion_3_hamiltonian_volume_preservation():
     assert rep.residual < 1e-2
     for p in range(5):
         noise = generate_noise(7, p, sys.m, 1e-3, 1000)
-        j = flow_with_jacobian(sys, x0, 1.0, 1e-3, noise).jacobian[-1]
-        fd = fd_jacobian(sys, x0, 1.0, 1e-3, noise)
+        j = flow_with_jacobian(sys, x0, noise).jacobian[-1]
+        fd = fd_jacobian(sys, x0, noise)
         assert abs(fd - j) / abs(j) < 1e-2
     elapsed = time.perf_counter() - t0
     assert elapsed < 120, f"runtime {elapsed:.1f} s"
@@ -134,12 +134,12 @@ def test_criterion_4_jacobian_oracle_equivalence():
     sys = sin_drift_system()
     dt = 1e-3
     noise = generate_noise(0, 0, 0, dt, 1000)
-    j = flow_with_jacobian(sys, [0.25], 1.0, dt, noise).jacobian[-1]
+    j = flow_with_jacobian(sys, [0.25], noise).jacobian[-1]
     fine = generate_noise(0, 0, 0, dt / 100, 100000)
-    j_ref = flow_with_jacobian(sys, [0.25], 1.0, dt / 100, fine).jacobian[-1]
+    j_ref = flow_with_jacobian(sys, [0.25], fine).jacobian[-1]
     rel_ref = abs(j - j_ref) / abs(j_ref)
     assert rel_ref < 1e-3
-    fd = fd_jacobian(sys, [0.25], 1.0, dt, noise)
+    fd = fd_jacobian(sys, [0.25], noise)
     rel_fd = abs(fd - j) / abs(j)
     assert rel_fd < 1e-2
     elapsed = time.perf_counter() - t0

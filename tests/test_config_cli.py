@@ -122,6 +122,36 @@ def test_json_config_is_accepted():
     assert exp.system.m == 1
 
 
+def test_json_atoms_may_be_nested_lists():
+    doc = {
+        "manifold": {"type": "torus", "lengths": [1, 1]},
+        "fields": {"drift": "0, 0", "diffusion1": "sin(2*pi*x2), 0"},
+        "current": {"type": "empirical", "atoms": [[0.1, 0.2], [0.3, 0.4]],
+                    "weights": [0.5, 0.5]},
+        "checks": [{"kind": "strict_residual"}],
+    }
+    text = """\
+[manifold]
+type = torus
+lengths = 1, 1
+
+[fields]
+drift = 0, 0
+diffusion1 = sin(2*pi*x2), 0
+
+[current]
+type = empirical
+atoms = 0.1 0.2; 0.3 0.4
+weights = 0.5, 0.5
+
+[check strict_residual]
+"""
+    cfg = parse_config(json.dumps(doc))
+    assert cfg == parse_config(text)
+    assert cfg.section("current")["atoms"] == "0.1 0.2; 0.3 0.4"
+    assert build_experiment(cfg).current.atoms.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+
+
 def test_invalid_json_reports_position():
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config('{"manifold": }')

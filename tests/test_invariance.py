@@ -47,17 +47,17 @@ T2 = torus(1.0, 1.0)
 # report invariants
 
 def test_report_verdict_must_match_comparison():
-    with pytest.raises(ValueError):
-        InvarianceReport(kind="strict_nform", residual=2.0, tolerance=1.0,
-                         verdict=True)
-    r = InvarianceReport(kind="strict_nform", residual=0.5, tolerance=1.0,
-                         verdict=True)
+    r = InvarianceReport(kind="strict_nform", residual=2.0, tolerance=1.0)
+    assert r.verdict is False and r.payload()["verdict"] is False
+    r = InvarianceReport(kind="strict_nform", residual=0.5, tolerance=1.0)
     assert r.payload()["verdict"] is True
+    r = InvarianceReport(kind="jacobian", residual=float("nan"), tolerance=1.0)
+    assert r.verdict is False and r.payload()["verdict"] is False
+    assert not r.all_verdicts()
 
 
 def test_report_payload_carries_metadata():
     r = InvarianceReport(kind="empirical_mean", residual=0.0, tolerance=1.0,
-                         verdict=True,
                          metadata={"dt": 0.1, "T": 1.0, "n_paths": 3,
                                    "grid": 8, "basisK": 2, "seed": 5})
     p = r.payload()
@@ -149,10 +149,10 @@ def test_empirical_pathwise_sin_drift_residual_grows_with_t():
     values = {}
     for t in (0.25, 1.0):
         noise = generate_noise(0, 0, 0, 1e-3, int(t / 1e-3))
-        values[t] = abs(pullback_eval(T, cos_f, sys, t, 1e-3, noise))
+        values[t] = abs(pullback_eval(T, cos_f, sys, noise))
         # dense reference solve as an independent oracle for the same value
         fine = generate_noise(0, 0, 0, 1e-3 / 50, int(t / 1e-3) * 50)
-        ref = abs(pullback_eval(T, cos_f, sys, t, 1e-3 / 50, fine))
+        ref = abs(pullback_eval(T, cos_f, sys, fine))
         assert values[t] == pytest.approx(ref, abs=1e-4)
     assert values[1.0] > values[0.25] > 0.01
 

@@ -125,7 +125,8 @@ def test_noise_validation():
 def test_coarsen_noise_sums_increments():
     n = generate_noise(7, 0, 2, 0.01, 10)
     c = coarsen_noise(n, 5)
-    assert c.steps == 2 and c.dt == pytest.approx(0.05)
+    assert c.steps == 2 and c.increments.shape == (2, 2)
+    assert c.dt == pytest.approx(0.05)
     np.testing.assert_allclose(c.increments[0], n.increments[:5].sum(axis=0))
 
 
@@ -173,7 +174,7 @@ def test_flow_zero_system_constant_trajectory():
     sys = StratonovichSystem(manifold=T2, drift=VectorFieldSpec.zero(2),
                              diffusions=())
     noise = generate_noise(0, 0, 0, 0.1, 10)
-    res = flow_with_jacobian(sys, [0.2, 0.7], 1.0, 0.1, noise)
+    res = flow_with_jacobian(sys, [0.2, 0.7], noise)
     np.testing.assert_array_equal(res.trajectory,
                                   np.tile([0.2, 0.7], (11, 1)))
 
@@ -181,7 +182,7 @@ def test_flow_zero_system_constant_trajectory():
 def test_flow_additive_noise_closed_form():
     sys = translation_system(1)
     noise = generate_noise(11, 3, 1, 0.001, 1000)
-    res = flow_with_jacobian(sys, [0.3], 1.0, 0.001, noise)
+    res = flow_with_jacobian(sys, [0.3], noise)
     want = (0.3 + noise.increments.sum()) % 1.0
     assert circle_distance(float(res.endpoint[0]), want) < 1e-12
 
@@ -192,7 +193,7 @@ def test_flow_deterministic_rotation_exact():
         manifold=T2, drift=VectorFieldSpec.from_strings(["1", f"{alpha!r}"]),
         diffusions=())
     noise = generate_noise(0, 0, 0, 1e-3, 1000)
-    res = flow_with_jacobian(sys, [0.1, 0.2], 1.0, 1e-3, noise)
+    res = flow_with_jacobian(sys, [0.1, 0.2], noise)
     want = np.array([(0.1 + 1.0) % 1.0, (0.2 + alpha) % 1.0])
     assert np.max(np.abs(res.endpoint - want)) < 1e-12
 
@@ -200,19 +201,16 @@ def test_flow_deterministic_rotation_exact():
 def test_flow_noise_shape_mismatch():
     sys = translation_system(2)
     noise = generate_noise(0, 0, 1, 0.1, 10)  # one component, system has two
-    with pytest.raises(ConfigurationError):
-        flow_with_jacobian(sys, [0.0, 0.0], 1.0, 0.1, noise)
-    noise2 = generate_noise(0, 0, 2, 0.1, 10)
-    with pytest.raises(ConfigurationError):
-        flow_with_jacobian(sys, [0.0, 0.0], 2.0, 0.1, noise2)
+    with pytest.raises(ConfigurationError,
+                       match="noise has 1 components, system has 2"):
+        flow_with_jacobian(sys, [0.0, 0.0], noise)
 
 
 def test_flow_results_bitwise_deterministic():
     sys = hamiltonian_system()
     noise = generate_noise(21, 2, 2, 0.01, 100)
-    r1 = flow_with_jacobian(sys, [0.3, 0.4], 1.0, 0.01, noise)
-    r2 = flow_with_jacobian(sys, [0.3, 0.4], 1.0, 0.01,
-                            generate_noise(21, 2, 2, 0.01, 100))
+    r1 = flow_with_jacobian(sys, [0.3, 0.4], noise)
+    r2 = flow_with_jacobian(sys, [0.3, 0.4], generate_noise(21, 2, 2, 0.01, 100))
     assert np.array_equal(r1.trajectory, r2.trajectory)
     assert np.array_equal(r1.log_jacobian, r2.log_jacobian)
 
@@ -220,7 +218,7 @@ def test_flow_results_bitwise_deterministic():
 def test_flow_trajectory_is_canonical_and_starts_at_x0():
     sys = translation_system(1)
     noise = generate_noise(5, 0, 1, 0.05, 200)
-    res = flow_with_jacobian(sys, [0.99], 10.0, 0.05, noise)
+    res = flow_with_jacobian(sys, [0.99], noise)
     assert res.trajectory[0][0] == pytest.approx(0.99)
     assert np.all(res.trajectory >= 0) and np.all(res.trajectory < 1)
 
@@ -232,18 +230,18 @@ def test_jacobian_zero_system_is_one():
     sys = StratonovichSystem(manifold=T1, drift=VectorFieldSpec.zero(1),
                              diffusions=())
     noise = generate_noise(0, 0, 0, 0.1, 10)
-    res = flow_with_jacobian(sys, [0.5], 1.0, 0.1, noise)
+    res = flow_with_jacobian(sys, [0.5], noise)
     np.testing.assert_array_equal(res.log_jacobian, np.zeros(11))
-    assert fd_jacobian(sys, [0.5], 1.0, 0.1, noise) == pytest.approx(1.0, abs=1e-12)
+    assert fd_jacobian(sys, [0.5], noise) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jacobian_divergence_free_pathwise():
     sys = hamiltonian_system()
     for p in range(3):
         noise = generate_noise(17, p, 2, 1e-3, 1000)
-        res = flow_with_jacobian(sys, [0.25, 0.6], 1.0, 1e-3, noise)
+        res = flow_with_jacobian(sys, [0.25, 0.6], noise)
         assert np.max(np.abs(res.log_jacobian)) < 1e-2
-        fd = fd_jacobian(sys, [0.25, 0.6], 1.0, 1e-3, noise)
+        fd = fd_jacobian(sys, [0.25, 0.6], noise)
         assert fd == pytest.approx(1.0, abs=1e-2)
 
 
@@ -255,7 +253,7 @@ def test_zero_divergences_leave_log_j_exactly_zero():
                for f in sys.fields())
     noise = generate_noise(17, 0, 2, 1e-2, 50)
     pts = [[0.25, 0.6], [0.9, 0.05]]
-    res = flow_with_jacobian(sys, pts, 0.5, 1e-2, noise)
+    res = flow_with_jacobian(sys, pts, noise)
     np.testing.assert_array_equal(res.log_jacobian, np.zeros((51, 2)))
     # the states are those of the step without log J
     ends = flow_endpoints(sys, pts, 1e-2, noise.increments)
@@ -269,7 +267,7 @@ def test_sin_drift_divergence_is_not_zero():
     sys = sin_drift_system()
     assert not expr.is_identically_zero(product_divergence_expr(T1, sys.drift))
     noise = generate_noise(0, 0, 0, 1e-2, 10)
-    assert flow_with_jacobian(sys, [0.1], 0.1, 1e-2, noise).log_jacobian[-1] > 0.1
+    assert flow_with_jacobian(sys, [0.1], noise).log_jacobian[-1] > 0.1
 
 
 @pytest.mark.parametrize("field, message", [
@@ -290,12 +288,12 @@ def test_jacobian_sin_field_reference_and_fd():
     sys = sin_drift_system()
     dt = 1e-3
     noise = generate_noise(0, 0, 0, dt, 1000)
-    res = flow_with_jacobian(sys, [0.25], 1.0, dt, noise)
+    res = flow_with_jacobian(sys, [0.25], noise)
     j_coarse = res.jacobian[-1]
     fine = generate_noise(0, 0, 0, dt / 100, 100000)
-    j_ref = flow_with_jacobian(sys, [0.25], 1.0, dt / 100, fine).jacobian[-1]
+    j_ref = flow_with_jacobian(sys, [0.25], fine).jacobian[-1]
     assert abs(j_coarse - j_ref) / j_ref < 1e-3
-    fd = fd_jacobian(sys, [0.25], 1.0, dt, noise)
+    fd = fd_jacobian(sys, [0.25], noise)
     assert abs(fd - j_coarse) / j_coarse < 1e-2
 
 
@@ -303,7 +301,7 @@ def test_fd_jacobian_uses_minimal_image_across_seam():
     sys = translation_system(1)
     noise = generate_noise(31, 0, 1, 0.01, 100)
     # start next to the seam; translation flow has jacobian exactly 1
-    assert fd_jacobian(sys, [0.999], 1.0, 0.01, noise) == pytest.approx(1.0, abs=1e-10)
+    assert fd_jacobian(sys, [0.999], noise) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_flow_endpoints_batches_match_single_runs():
@@ -312,7 +310,7 @@ def test_flow_endpoints_batches_match_single_runs():
     pts = np.array([[0.1, 0.2], [0.5, 0.6], [0.9, 0.1]])
     batch = flow_endpoints(sys, pts, 0.01, noise.increments)
     for i, p in enumerate(pts):
-        single = flow_with_jacobian(sys, p, 0.5, 0.01, noise).endpoint
+        single = flow_with_jacobian(sys, p, noise).endpoint
         np.testing.assert_array_equal(batch[i], single)
 
 
@@ -322,7 +320,7 @@ def test_heisenberg_flow_stays_canonical():
     sys = StratonovichSystem(manifold=m, drift=VectorFieldSpec.zero(3),
                              diffusions=(X, Y, Z))
     noise = generate_noise(8, 0, 3, 0.01, 500)
-    res = flow_with_jacobian(sys, [0.5, 0.5, 0.5], 5.0, 0.01, noise)
+    res = flow_with_jacobian(sys, [0.5, 0.5, 0.5], noise)
     assert np.all(res.trajectory >= 0) and np.all(res.trajectory < 1)
 
 
@@ -332,7 +330,7 @@ def test_heisenberg_flow_stays_canonical():
 def test_trajectory_csv_columns():
     sys = translation_system(2)
     noise = generate_noise(1, 0, 2, 0.5, 2)
-    res = flow_with_jacobian(sys, [0.1, 0.2], 1.0, 0.5, noise)
+    res = flow_with_jacobian(sys, [0.1, 0.2], noise)
     buf = io.StringIO()
     write_trajectory_csv(res, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -441,7 +439,7 @@ def test_integrators_match_reference_loop(label, monkeypatch):
     wrap = ChartedManifold.wrap
     monkeypatch.setattr(ChartedManifold, "wrap",
                         lambda self, p: wraps.append(1) or wrap(self, p))
-    res = flow_with_jacobian(sys, pts, steps * dt, dt, noise)
+    res = flow_with_jacobian(sys, pts, noise)
     # one wrap of x0, one of the recorded trajectory, and the re-wraps
     assert (len(wraps) > 2) == wraps_midway
     monkeypatch.undo()
@@ -469,7 +467,7 @@ def test_non_finite_state_names_its_step():
         with pytest.raises(InvalidPointError, match=r"step 1, point \(\)"):
             flow_endpoints(sys, [0.0], 0.01, noise.increments)
         with pytest.raises(InvalidPointError, match=r"step 1, point \(1,\)"):
-            flow_with_jacobian(sys, [[0.25], [0.0]], 0.1, 0.01, noise)
+            flow_with_jacobian(sys, [[0.25], [0.0]], noise)
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +492,11 @@ def test_one_point_runs_equal_rows_of_the_batch(label):
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 1.0, size=(3, sys.manifold.dim)) * sys.manifold.lengths
     noise = generate_noise(4, 0, sys.m, dt, steps)
-    batch = flow_with_jacobian(sys, pts, steps * dt, dt, noise)
+    batch = flow_with_jacobian(sys, pts, noise)
     inc = noise_matrix(4, range(3), sys.m, dt, steps)
     ends = flow_endpoints(sys, pts, dt, inc)
     for i, p in enumerate(pts):
-        one = flow_with_jacobian(sys, p, steps * dt, dt, noise)
+        one = flow_with_jacobian(sys, p, noise)
         np.testing.assert_array_equal(one.trajectory, batch.trajectory[:, i])
         np.testing.assert_array_equal(one.log_jacobian, batch.log_jacobian[:, i])
         np.testing.assert_array_equal(flow_endpoints(sys, p, dt, inc[i]), ends[i])
@@ -509,47 +507,77 @@ def test_one_point_runs_equal_rows_of_the_batch(label):
         assert np.all(batch.log_jacobian[1:] != 0.0)  # log J was carried
 
 
-def test_one_point_block_redone_on_arrays_where_python_raises(monkeypatch):
+def exp_bump_system():
     # at x1 = 0 the drift divides 1 by 0.0: Python raises, numpy gives
-    # exp(-inf) = 0 and steps on
-    sys = StratonovichSystem(
+    # exp(-inf) = 0 and steps on, and the divergence is 0 * inf = nan
+    return StratonovichSystem(
         manifold=T1,
         drift=VectorFieldSpec.from_strings(["exp(-1/(sin(2*pi*x1)*sin(2*pi*x1)))"]),
         diffusions=(VectorFieldSpec.from_strings(["1"]),))
+
+
+def test_one_point_block_redone_on_arrays_where_python_raises(monkeypatch):
+    sys = exp_bump_system()
     monkeypatch.setattr(sde, "_BLOCK_BYTES", 8 * 50)  # 50 steps per block
     pts = np.array([[0.0], [0.3], [0.7]])
     noise = generate_noise(9, 0, 1, 0.01, 200)
     with np.errstate(all="ignore"):
-        one = flow_with_jacobian(sys, pts[0], 2.0, 0.01, noise)
+        one = flow_endpoints(sys, pts[0], 0.01, noise.increments)
         # the first block ran on arrays, the later ones on floats again
-        assert {("loop", "trajectory", "point"),
-                ("loop", "trajectory", "array")} <= set(sys._compiled)
-        batch = flow_with_jacobian(sys, pts, 2.0, 0.01, noise)
+        assert {("loop", "endpoints", "point"),
+                ("loop", "endpoints", "array")} <= set(sys._compiled)
+        batch = flow_endpoints(sys, pts, 0.01, noise.increments)
         inc = noise_matrix(9, range(3), 1, 0.01, 200)
         ends = flow_endpoints(sys, pts, 0.01, inc)
         for i, p in enumerate(pts):
             np.testing.assert_array_equal(flow_endpoints(sys, p, 0.01, inc[i]),
                                           ends[i])
-    assert np.all(np.isfinite(one.trajectory))
-    np.testing.assert_array_equal(one.trajectory, batch.trajectory[:, 0])
-    np.testing.assert_array_equal(one.log_jacobian, batch.log_jacobian[:, 0])
+        # the log J these runs leave out is nan from the first step
+        with pytest.raises(InvalidPointError,
+                           match=r"non-finite log J at step 1, point \(\)"):
+            flow_with_jacobian(sys, pts[0], noise)
+    assert np.all(np.isfinite(one))
+    np.testing.assert_array_equal(one, batch[0])
+
+
+def test_non_finite_log_j_names_its_step():
+    with np.errstate(all="ignore"):
+        sys = exp_bump_system()
+        with pytest.raises(InvalidPointError, match=r"log J at step 1, point \(0,\)"):
+            jacobian_check(sys, [0.0], 0.03, 0.01, seed=0, n_paths=3)
+        noise = generate_noise(0, 0, 1, 0.01, 3)
+        for x0, where in (([[0.0], [0.3]], r"\(0,\)"), ([[0.3], [0.0]], r"\(1,\)")):
+            with pytest.raises(InvalidPointError,
+                               match=rf"log J at step 1, point {where}"):
+                flow_with_jacobian(sys, x0, noise)
+        # log J overflows at step 3 while the state stays at 0, where
+        # Python floats raise nothing: the one-point loop tests log J itself
+        sys = StratonovichSystem(manifold=T1,
+                                 drift=VectorFieldSpec.from_strings(["sin(2*pi*x1)"]))
+        noise = generate_noise(0, 0, 0, 1e307, 5)
+        for x0, where in (([0.0], r"\(\)"), ([[0.0], [0.0]], r"\(0,\)")):
+            with pytest.raises(InvalidPointError,
+                               match=rf"log J at step 3, point {where}"):
+                flow_with_jacobian(sys, x0, noise)
+        with pytest.raises(InvalidPointError, match=r"log J at step 3, point \(0,\)"):
+            jacobian_check(sys, [0.0], 5e307, 1e307, seed=0, n_paths=1)
 
 
 def test_one_point_runs_take_the_float_loop():
     sys = hamiltonian_system()
     loops = sys._compiled  # the loop cache, keyed (loop, consumer, back end)
     noise = generate_noise(0, 0, 2, 0.01, 300)
-    flow_with_jacobian(sys, [0.1, 0.2], 3.0, 0.01, noise)
+    flow_with_jacobian(sys, [0.1, 0.2], noise)
     assert [key for key in loops if key[0] == "loop"] == [
         ("loop", "trajectory", "point")]
     point = loops["loop", "trajectory", "point"]
     calls = []
     loops["loop", "trajectory", "point"] = (
         lambda *args: calls.append(1) or point(*args))
-    flow_with_jacobian(sys, [[0.3, 0.4]], 3.0, 0.01, noise)  # lead (1,)
+    flow_with_jacobian(sys, [[0.3, 0.4]], noise)  # lead (1,)
     assert calls == [1]
     assert ("loop", "trajectory", "array") not in loops  # no fallback
-    flow_with_jacobian(sys, [[0.1, 0.2], [0.3, 0.4]], 3.0, 0.01, noise)
+    flow_with_jacobian(sys, [[0.1, 0.2], [0.3, 0.4]], noise)
     assert calls == [1]
     assert ("loop", "trajectory", "array") in loops
     batched = hamiltonian_system()
@@ -573,7 +601,7 @@ def integrate_all(sys, dt, steps):
     rng = np.random.default_rng(8)
     pts = rng.uniform(0.0, 1.0, size=(3, sys.manifold.dim)) * sys.manifold.lengths
     noise = generate_noise(6, 1, sys.m, dt, steps)
-    res = flow_with_jacobian(sys, pts, steps * dt, dt, noise)
+    res = flow_with_jacobian(sys, pts, noise)
     inc = noise_matrix(6, range(4), sys.m, dt, steps)[:, None]
     ends = flow_endpoints(sys, pts, dt, inc)
     rep = jacobian_check(sys, pts[0], steps * dt, dt, seed=6, n_paths=4)

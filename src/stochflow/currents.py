@@ -32,7 +32,7 @@ from .sde import (
     NoisePath,
     StratonovichSystem,
     flow_endpoints,
-    noise_matrix,
+    flow_paths,
     step_count,
 )
 
@@ -200,10 +200,10 @@ def pullback_values(T: Current, functions: Sequence[Expr],
     on its endpoints in one pass, with the expressions lowered together
     once per call (a trig basis computes each cos/sin factor once per
     chunk); returns shape (len(functions), n_paths). Paths are
-    the streams path_index = 0..n_paths-1 of the given seed, aggregated
-    in ascending order so results do not depend on chunking. A chunk
-    holds about _CHUNK_ELEMS elements of states (support points x dim
-    per path) and noise (steps x m per path).
+    the streams path_index = 0..n_paths-1 of the given seed (flow_paths),
+    aggregated in ascending order so results do not depend on chunking.
+    A chunk counts about _CHUNK_ELEMS elements of states (support points
+    x dim per path) and noise (steps x m per path).
     """
     steps = step_count(t, dt)
     pts = T.points
@@ -213,8 +213,8 @@ def pullback_values(T: Current, functions: Sequence[Expr],
     chunk = max(1, _CHUNK_ELEMS // (n_pts * sys.manifold.dim + steps * sys.m))
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
-        inc = noise_matrix(seed, range(start, stop), sys.m, dt, steps)
-        ends = flow_endpoints(sys, pts, dt, inc[:, None, :, :])
+        ends = flow_paths(sys, "endpoints", pts, dt, steps, seed,
+                          range(start, stop))
         for j, vals in enumerate(batch.reduce(ends, lambda v: v @ T.weights)):
             out[j, start:stop] = vals
     return out

@@ -37,14 +37,7 @@ from .manifold import (
     product_divergence_expr,
     torus,
 )
-from .sde import (
-    StratonovichSystem,
-    flow_endpoints,
-    noise_blocks,
-    noise_matrix,
-    run_heun,
-    step_count,
-)
+from .sde import StratonovichSystem, flow_paths, step_count
 
 __all__ = [
     "RealizationError",
@@ -269,9 +262,8 @@ def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
     blocks of steps, so memory does not grow with the step count."""
     if n_paths < 1:
         raise ValueError(f"jacobian check needs n_paths >= 1, got {n_paths}")
-    steps = step_count(t, dt)
-    blocks = noise_blocks(seed, range(n_paths), sys.m, dt, steps)
-    _, worst = run_heun(sys, "volume", x0, dt, steps, (n_paths,), blocks)
+    worst = flow_paths(sys, "volume", x0, dt, step_count(t, dt), seed,
+                       range(n_paths))
     rows = [{"path_index": p, "value": float(worst[p])} for p in range(n_paths)]
     meta = {"dt": dt, "T": t, "n_paths": n_paths, "seed": seed}
     return InvarianceReport("jacobian", float(np.max(worst)), tolerance, meta,
@@ -405,14 +397,13 @@ def calibrate_bias_constant(T: Current, sys: StratonovichSystem, basis,
     pullback means, leaving ~C*dt/2 per basis function.
     """
     steps = step_count(t, dt)
-    pts = T.points
-    fine = noise_matrix(seed, range(n_paths), sys.m, dt / 2, 2 * steps)
-    coarse = fine.reshape(n_paths, steps, 2, sys.m).sum(axis=2)
-    ends_fine = flow_endpoints(sys, pts, dt / 2, fine[:, None, :, :])
-    ends_coarse = flow_endpoints(sys, pts, dt, coarse[:, None, :, :])
     batch = _Functions(basis.functions, sys.manifold.dim)
-    v_fine = batch.reduce(ends_fine, lambda v: v @ T.weights)
-    v_coarse = batch.reduce(ends_coarse, lambda v: v @ T.weights)
-    diffs = np.array([abs(float(np.mean(c) - np.mean(f)))
-                      for c, f in zip(v_coarse, v_fine)])
+
+    def means(dt, steps, factor):
+        ends = flow_paths(sys, "endpoints", T.points, dt, steps, seed,
+                          range(n_paths), factor)
+        return batch.reduce(ends, lambda v: np.mean(v @ T.weights))
+
+    diffs = np.array([abs(float(c - f)) for c, f in
+                      zip(means(dt, steps, 2), means(dt / 2, 2 * steps, 1))])
     return float(2.0 * np.max(diffs) / dt) if diffs.size else 0.0

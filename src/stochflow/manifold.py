@@ -33,7 +33,6 @@ __all__ = [
     "heisenberg_manifold",
     "heisenberg_frame",
     "divergence",
-    "divergence_function",
     "product_divergence_expr",
     "lie_bracket",
     "quadrature",
@@ -259,25 +258,16 @@ def is_invariant_function(m: ChartedManifold, f: Expr,
 # ---------------------------------------------------------------------------
 # differential operators
 
-def divergence_function(m: ChartedManifold, X: VectorFieldSpec,
-                        density: Optional[Expr] = None):
-    """div w.r.t. (density * dx); returns pts -> values."""
-    terms = product_divergence_expr(m, X, density)
-    if density is None:
-        return lambda pts: expr.evaluate(terms, pts)
-
-    def div(pts):
-        fvals = expr.evaluate(density, pts)
-        if np.any(fvals <= 0):
-            raise DegenerateDensityError("density must be positive")
-        return expr.evaluate(terms, pts) / fvals
-    return div
-
-
 def divergence(m: ChartedManifold, X: VectorFieldSpec, p,
                density: Optional[Expr] = None):
     """Divergence of X at p with respect to density * volume form."""
-    return divergence_function(m, X, density)(p)
+    terms = product_divergence_expr(m, X, density)
+    if density is None:
+        return expr.evaluate(terms, p)
+    fvals = expr.evaluate(density, p)
+    if np.any(fvals <= 0):
+        raise DegenerateDensityError("density must be positive")
+    return expr.evaluate(terms, p) / fvals
 
 
 def product_divergence_expr(m: ChartedManifold, X: VectorFieldSpec,

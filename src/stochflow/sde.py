@@ -32,17 +32,17 @@ depend on its batch) and raises ``InvalidPointError`` with the step and
 point when it is not finite; a log J that is carried is tested for
 finiteness once per step too. Results are wrapped into the fundamental
 domain when they leave the integrator. When every field is constant
-the Heun step is exact, and ``flow_endpoints`` replaces the loop by one
-summed increment per path.
+the Heun step is exact, and ``flow_endpoints`` and ``flow_paths``
+replace the loop by one summed increment per path.
 
 Noise is counter-based (Philox keyed by (seed, path_index)), so paths
 are bitwise reproducible and independent across path indices without
 shared state: path simulations are embarrassingly parallel, and
 aggregations over paths are done in ascending path-index order so
-serial and distributed runs agree. ``noise_matrix`` stacks the streams
-of a range of path indices for batched integration; ``noise_blocks``
-streams the same numbers in blocks of steps of about _BLOCK_BYTES, one
-generator per path, so that a long run never holds all its noise.
+serial and distributed runs agree. ``flow_paths`` runs a range of path
+indices, streaming their noise in blocks of steps of about _BLOCK_BYTES
+(``noise_blocks``, one generator per path) or, on constant fields,
+summing one path's noise at a time, so a long run never holds it all.
 """
 
 from __future__ import annotations
@@ -69,12 +69,11 @@ __all__ = [
     "NoisePath",
     "FlowResult",
     "generate_noise",
-    "noise_matrix",
     "noise_blocks",
-    "coarsen_noise",
     "step_count",
     "flow_with_jacobian",
     "flow_endpoints",
+    "flow_paths",
     "fd_jacobian",
     "write_trajectory_csv",
 ]
@@ -183,46 +182,36 @@ def generate_noise(seed: int, path_index: int, m: int, dt: float,
                      increments=increments)
 
 
-def noise_matrix(seed: int, paths: range, m: int, dt: float,
-                 steps: int) -> np.ndarray:
-    """Stacked increments (len(paths), steps, m), one row per path index."""
-    out = np.empty((len(paths), steps, m))
-    for row, p in enumerate(paths):
-        out[row] = generate_noise(seed, p, m, dt, steps).increments
-    return out
-
-
-def noise_blocks(seed: int, paths: range, m: int, dt: float, steps: int):
-    """The increments of noise_matrix(seed, paths, m, dt, steps), streamed.
+def noise_blocks(seed: int, paths: range, m: int, dt: float, steps: int,
+                 factor: int = 1):
+    """The increments of the paths' streams, in blocks of steps.
 
     Returns an iterator over (b, m, len(paths)) blocks of consecutive
-    steps, about _BLOCK_BYTES each, drawn from one Philox generator per
-    path index. A stream drawn block by block gives the numbers of one
-    whole draw, so the blocks, concatenated over the step axis, equal
-    np.moveaxis(noise_matrix(...), 0, -1) bit for bit.
+    steps, about _BLOCK_BYTES of draws each, from one Philox generator
+    per path index. A stream drawn block by block gives the numbers of
+    one whole draw: column p of the blocks, concatenated over steps, is
+    generate_noise(seed, p, m, dt / factor, steps * factor) with each
+    factor consecutive increments summed (one path on the grid of dt).
     """
-    scale = _noise_scale(m, dt, steps)
+    scale = _noise_scale(m, dt / factor, steps * factor)
     rngs = [_philox(seed, p) for p in paths]
-    rows = _block_rows(m, len(rngs))
+    rows = _block_rows(m * factor, len(rngs))
 
     def blocks():
         for start in range(0, steps, rows):
-            block = np.empty((min(rows, steps - start), m, len(rngs)))
+            block = np.empty((min(rows, steps - start) * factor, m, len(rngs)))
             for col, rng in enumerate(rngs):
                 block[:, :, col] = rng.normal(0.0, scale, size=block.shape[:2])
-            yield block
+            yield _coarsen(block, factor)
     return blocks()
 
 
-def coarsen_noise(noise: NoisePath, factor: int) -> NoisePath:
-    """Sum consecutive increments: the same Brownian path on a coarser grid."""
-    if noise.steps % factor != 0:
-        raise ValueError("coarsening factor must divide the step count")
-    steps = noise.steps // factor
-    inc = noise.increments.reshape(steps, factor, noise.m).sum(axis=1)
-    inc.setflags(write=False)
-    return NoisePath(seed=noise.seed, path_index=noise.path_index,
-                     dt=noise.dt * factor, increments=inc)
+def _coarsen(increments: np.ndarray, factor: int) -> np.ndarray:
+    """Sums of factor consecutive rows of increments (steps * factor, ...)."""
+    if factor == 1:
+        return increments
+    steps = increments.shape[0] // factor
+    return increments.reshape(steps, factor, *increments.shape[1:]).sum(axis=1)
 
 
 def step_count(t: float, dt: float) -> int:
@@ -521,19 +510,48 @@ def flow_endpoints(sys: StratonovichSystem, x0, dt: float,
 
     x0 has shape (..., dim) and increments (..., steps, m), broadcast
     against each other in the leading axes; returns the wrapped
-    endpoints with the broadcast shape. With constant fields each Heun
-    step adds sum_i X_i dB^i exactly, so the endpoint is x0 plus one
-    summed increment per path.
+    endpoints with the broadcast shape.
     """
     velocities = sys._cached("velocities", _constant_velocities)
     if velocities is not None:
-        increments = _noise_array(sys, increments)
-        steps = increments.shape[-2]
-        x = (sys.manifold.wrap(x0) + (dt * steps) * velocities[0]
-             + increments.sum(axis=-2) @ velocities[1:])
-        return sys.manifold.wrap(x)
+        return _translate(sys, velocities, x0, dt, increments)
     x, = run_heun(sys, "endpoints", x0, dt, *_array_blocks(sys, increments))
     return sys.manifold.wrap(x.copy())
+
+
+def _translate(sys: StratonovichSystem, velocities: np.ndarray, x0, dt: float,
+               increments) -> np.ndarray:
+    """flow_endpoints for constant fields X_0..X_m (the rows of
+    velocities): each Heun step adds sum_i X_i dB^i exactly."""
+    increments = _noise_array(sys, increments)
+    steps = increments.shape[-2]
+    x = (sys.manifold.wrap(x0) + (dt * steps) * velocities[0]
+         + increments.sum(axis=-2) @ velocities[1:])
+    return sys.manifold.wrap(x)
+
+
+def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
+               steps: int, seed: int, paths: range,
+               factor: int = 1) -> np.ndarray:
+    """Flows x0 (..., dim) along the noise_blocks streams of paths.
+
+    The paths form the first leading axis: consumer "endpoints" returns
+    the wrapped endpoints (len(paths), ..., dim), "volume" the running
+    max_k |J_k - 1| (len(paths), ...). Constant fields sum each path's
+    increments whole, one path at a time, which gives the bits of
+    ``flow_endpoints`` on the stacked increments (numpy sums pairwise
+    when m = 1, so a sum block by block would not).
+    """
+    velocities = sys._cached("velocities", _constant_velocities)
+    if consumer == "endpoints" and velocities is not None:
+        return np.array([_translate(sys, velocities, x0, dt, _coarsen(
+            generate_noise(seed, p, sys.m, dt / factor, steps * factor).increments,
+            factor)) for p in paths])
+    lead = (len(paths),) + (1,) * (np.ndim(x0) - 1)
+    blocks = (b.reshape(b.shape[:2] + lead)
+              for b in noise_blocks(seed, paths, sys.m, dt, steps, factor))
+    x, *out = run_heun(sys, consumer, x0, dt, steps, lead, blocks)
+    return out[0] if out else sys.manifold.wrap(x.copy())
 
 
 def fd_jacobian(sys: StratonovichSystem, x0, noise: NoisePath,

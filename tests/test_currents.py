@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochflow import currents, expr
+from stochflow import currents, expr, sde
 from stochflow.currents import (
     DensityCurrent,
     EmpiricalCurrent,
@@ -37,7 +37,6 @@ from stochflow.sde import (
     flow_endpoints,
     flow_with_jacobian,
     generate_noise,
-    noise_matrix,
 )
 from stochflow.systems import builtin_systems, hamiltonian_torus_system
 
@@ -370,6 +369,27 @@ def test_pullback_chunks_count_the_noise():
     assert peak < 400_000
 
 
+def pullback_peak(steps):
+    sys = StratonovichSystem(
+        manifold=T1, drift=VectorFieldSpec.from_strings(["0.1"]),
+        diffusions=(VectorFieldSpec.from_strings(["0.2*sin(2*pi*x1)"]),))
+    T = EmpiricalCurrent(manifold=T1, atoms=[[0.3]], atom_weights=[1.0])
+    functions = make_test_basis(T1, 1).functions
+    pullback_values(T, functions, sys, 10 * 1e-3, 1e-3, 2, 100)  # compile
+    tracemalloc.start()
+    try:
+        pullback_values(T, functions, sys, steps * 1e-3, 1e-3, 2, 100)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pullback_memory_does_not_grow_with_steps():
+    # the whole noise of the longer run is 6.4 MB; one block is 256 KiB
+    grown = pullback_peak(8000) - pullback_peak(1000)
+    assert grown <= sde._BLOCK_BYTES
+
+
 # ---------------------------------------------------------------------------
 # one-shot passes: evaluate_many and the residual passes built on it give
 # the values of one evaluate call per expression, bit for bit
@@ -431,13 +451,19 @@ def test_frame_derivative_currents_equal_per_tree_route(real):
              for V in real.frame])
 
 
+def stacked_noise(seed, n_paths, m, dt, steps):
+    """The per-path streams of generate_noise, (n_paths, steps, m)."""
+    return np.array([generate_noise(seed, p, m, dt, steps).increments
+                     for p in range(n_paths)])
+
+
 @pytest.mark.parametrize("label", sorted(ONE_SHOT_SYSTEMS))
 def test_pullback_values_equal_per_tree_route(label):
     sys = ONE_SHOT_SYSTEMS[label]
     t, dt, seed, n_paths = 0.05, 0.01, 6, 3
     functions = make_test_basis(sys.manifold, 1).functions + (
         expr.parse(f"sin(2*pi*x{sys.manifold.dim})"),)
-    inc = noise_matrix(seed, range(n_paths), sys.m, dt, 5)
+    inc = stacked_noise(seed, n_paths, sys.m, dt, 5)
     for T in one_shot_currents(sys.manifold):
         ends = flow_endpoints(sys, T.points, dt, inc[:, None])
         want = [expr.evaluate(f, ends) @ T.weights for f in functions]
@@ -450,7 +476,7 @@ def test_calibrate_bias_constant_equals_per_tree_route():
     T = volume_current(sys.manifold, 4)
     basis = make_test_basis(sys.manifold, 1)
     t, dt, seed, n_paths = 0.1, 0.02, 1, 4
-    fine = noise_matrix(seed, range(n_paths), sys.m, dt / 2, 10)
+    fine = stacked_noise(seed, n_paths, sys.m, dt / 2, 10)
     coarse = fine.reshape(n_paths, 5, 2, sys.m).sum(axis=2)
     ends_fine = flow_endpoints(sys, T.points, dt / 2, fine[:, None])
     ends_coarse = flow_endpoints(sys, T.points, dt, coarse[:, None])

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import math
 import tracemalloc
@@ -12,7 +13,7 @@ from stochflow.manifold import (
     ChartedManifold,
     InvalidPointError,
     VectorFieldSpec,
-    divergence_function,
+    divergence,
     heisenberg_frame,
     heisenberg_manifold,
     product_divergence_expr,
@@ -21,16 +22,15 @@ from stochflow.manifold import (
 from stochflow.sde import (
     ConfigurationError,
     StratonovichSystem,
-    coarsen_noise,
     fd_jacobian,
     flow_endpoints,
+    flow_paths,
     flow_with_jacobian,
     generate_noise,
     noise_blocks,
-    noise_matrix,
     write_trajectory_csv,
 )
-from stochflow.systems import builtin_systems
+from stochflow.systems import builtin_systems, translation_bm_system
 
 T1 = torus(1.0)
 T2 = torus(1.0, 1.0)
@@ -74,23 +74,18 @@ def test_noise_is_deterministic_and_reproducible():
     assert not np.array_equal(a.increments, d.increments)
 
 
-def test_noise_matrix_matches_per_path_streams():
-    mat = noise_matrix(9, range(4), 3, 0.05, 20)
-    for p in range(4):
-        assert np.array_equal(mat[p], generate_noise(9, p, 3, 0.05, 20).increments)
-    tail = noise_matrix(9, range(2, 4), 3, 0.05, 20)
-    assert np.array_equal(tail, mat[2:])
-
-
-def test_noise_matrix_validates_like_generate_noise():
-    with pytest.raises(ValueError):
-        noise_matrix(0, range(2), 1, 0.1, 0)
+def noise_matrix(seed, paths, m, dt, steps):
+    """The reference layout of many paths' noise: the per-path streams
+    of generate_noise stacked, shape (len(paths), steps, m)."""
+    return np.array([generate_noise(seed, p, m, dt, steps).increments
+                     for p in paths])
 
 
 @pytest.mark.parametrize("rows", [1, 97, 250, 1000])
 def test_noise_blocks_equal_noise_matrix(rows, monkeypatch):
     # 250 steps: blocks of one step, uneven blocks, one block, and a block
-    # budget larger than the whole run
+    # budget larger than the whole run; paths 3..7 draw the streams of
+    # their own indices
     paths, m, steps = range(3, 8), 2, 250
     monkeypatch.setattr(sde, "_BLOCK_BYTES", rows * 8 * m * len(paths))
     blocks = list(noise_blocks(4, paths, m, 0.01, steps))
@@ -105,6 +100,14 @@ def test_noise_blocks_validate_when_called():
         noise_blocks(0, range(2), 1, 0.1, 0)
     with pytest.raises(ValueError):
         noise_blocks(0, range(2), 1, -0.1, 10)
+
+
+def test_flow_paths_validates_like_generate_noise():
+    # the constant fields draw through generate_noise, the others stream
+    for sys in (translation_bm_system(1), sin_drift_system()):
+        for dt, steps in ((0.1, 0), (-0.1, 10)):
+            with pytest.raises(ValueError):
+                flow_paths(sys, "endpoints", [0.3], dt, steps, 0, range(2))
 
 
 def test_noise_moments():
@@ -122,12 +125,18 @@ def test_noise_validation():
         generate_noise(0, 0, 1, 0.1, 0)
 
 
-def test_coarsen_noise_sums_increments():
-    n = generate_noise(7, 0, 2, 0.01, 10)
-    c = coarsen_noise(n, 5)
-    assert c.steps == 2 and c.increments.shape == (2, 2)
-    assert c.dt == pytest.approx(0.05)
-    np.testing.assert_allclose(c.increments[0], n.increments[:5].sum(axis=0))
+def test_coarsen_noise_sums_increments(monkeypatch):
+    # a factor of 5: each block of rows coarse steps draws 5 * rows fine
+    # ones and sums them in fives
+    paths, m = range(2), 2
+    fine = noise_matrix(7, paths, m, 0.01, 50)
+    coarse = fine.reshape(2, 10, 5, m).sum(axis=2)
+    np.testing.assert_allclose(coarse[0, 0], fine[0, :5].sum(axis=0))
+    for rows in (1, 3, 1000):
+        monkeypatch.setattr(sde, "_BLOCK_BYTES", rows * 8 * m * 5 * len(paths))
+        blocks = list(noise_blocks(7, paths, m, 0.05, 10, factor=5))
+        assert [b.shape for b in blocks[:-1]] == [(rows, m, 2)] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), np.moveaxis(coarse, 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +400,7 @@ def reference_heun(sys, x0, dt, increments):
             out = term if out is None else out + term
         return np.zeros(np.shape(x)[:-1]) if out is None else out
 
-    div_fns = [None if f.is_zero else divergence_function(sys.manifold, f)
+    div_fns = [None if f.is_zero else functools.partial(divergence, sys.manifold, f)
                for f in sys.fields()]
     x0 = np.asarray(x0, dtype=float)
     lead = np.broadcast_shapes(x0.shape[:-1], increments.shape[:-2])
@@ -627,6 +636,39 @@ def test_results_do_not_depend_on_the_noise_block_size(label, monkeypatch):
                             lambda self, p: wraps.append(1) or wrap(self, p))
         jacobian_check(sys, [0.1, 0.2, 0.3], steps * dt, dt, seed=6, n_paths=4)
         assert len(wraps) > 1  # the x0 wrap and at least one re-wrap
+
+
+# ---------------------------------------------------------------------------
+# flow_paths: many paths' noise laid out against the points
+
+FLOW_PATHS_SYSTEMS = {**builtin_systems(),
+                      "translation_bm_circle": translation_bm_system(1)}
+
+
+@pytest.mark.parametrize("label", sorted(FLOW_PATHS_SYSTEMS))
+def test_flow_paths_equal_flow_endpoints_on_stacked_noise(label, monkeypatch):
+    # translation_bm_circle has constant fields and m = 1: numpy sums its
+    # 40 increments pairwise, so only a whole sum per path gives the bits
+    # of the stacked run; the small block budget streams the others in
+    # blocks of 7 steps of 3 paths
+    sys = FLOW_PATHS_SYSTEMS[label]
+    monkeypatch.setattr(sde, "_BLOCK_BYTES", 7 * 8 * max(sys.m, 1) * 3)
+    dt, steps, seed, paths = 0.01, 40, 3, range(2, 5)
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(0.0, 1.0, size=(4, sys.manifold.dim)) * sys.manifold.lengths
+    inc = noise_matrix(seed, paths, sys.m, dt, steps)
+    got = flow_paths(sys, "endpoints", pts, dt, steps, seed, paths)
+    assert np.array_equal(got, flow_endpoints(sys, pts, dt, inc[:, None]))
+    got = flow_paths(sys, "endpoints", pts[0], dt, steps, seed, paths)
+    assert np.array_equal(got, flow_endpoints(sys, pts[0], dt, inc))
+    # factor 2: the paths drawn at dt / 2, summed in pairs onto the grid of dt
+    fine = noise_matrix(seed, paths, sys.m, dt / 2, 2 * steps)
+    coarse = fine.reshape(len(paths), steps, 2, sys.m).sum(axis=2)
+    got = flow_paths(sys, "endpoints", pts, dt, steps, seed, paths, factor=2)
+    assert np.array_equal(got, flow_endpoints(sys, pts, dt, coarse[:, None]))
+    rep = jacobian_check(sys, pts[0], steps * dt, dt, seed=seed, n_paths=5)
+    got = flow_paths(sys, "volume", pts[0], dt, steps, seed, range(5))
+    assert np.array_equal(got, [r["value"] for r in rep.per_basis])
 
 
 def volume_check_peak(steps):

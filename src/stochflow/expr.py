@@ -423,6 +423,9 @@ def evaluate(node: Expr, pts) -> np.ndarray:
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
 _APPLY = {**_OPERATORS, "neg": operator.neg, **_FUNCTIONS}
+# the numpy ufunc of each operation; buffered code calls it by its name
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "neg": np.negative, **_FUNCTIONS}
 
 
 class Lowering:
@@ -443,15 +446,19 @@ class Lowering:
     operation ((2*pi)*x1 and (pi*2)*x1, say), so each operation is also
     keyed on its operator and operand names and emitted once.
 
-    The code has two back ends. ``source`` renders it as Python
-    statements, built from the tree's node types, operators and function
-    names only, never from expression text; ``define`` compiles them
-    into a function, for code that runs many times (a Heun step). ``run``
-    executes the operations directly, for code that runs once or a few
-    times (a residual pass over a test basis): it compiles nothing and
-    keeps each temporary only until its last use. Emitted names are v<n>
-    (temporaries), k<n> (constants) and the function names; callers name
-    their own variables otherwise.
+    The code has two back ends. For code that runs many times (a Heun
+    step) it is rendered as Python source, built from the tree's node
+    types, operators and function names only, never from expression
+    text, and ``define`` compiles it into a function. ``source`` renders
+    it as statements that make a new value each; ``calls`` and
+    ``buffered`` render it as ufunc calls, each writing into an array
+    allocated once and reused once its value is dead. ``run`` executes
+    the operations directly, for code that runs once or a few times (a
+    residual pass over a test basis): it compiles nothing and keeps each
+    temporary only until its last use. Emitted names are v<n>
+    (temporaries), k<n> (constants) and the function names, and in
+    buffered code u<n> (buffers) and K<n> (constant arrays); callers
+    name their own variables otherwise.
     """
 
     def __init__(self):
@@ -525,10 +532,64 @@ class Lowering:
             lines.append(f"v{n} = {text}")
         return lines
 
+    def calls(self, start: int) -> list:
+        """The operations from code[start] on as ufunc calls for
+        ``buffered``: (ufunc name, *operand names, result name) tuples."""
+        return [(_UFUNCS[op].__name__, *args, f"v{n}")
+                for n, (op, *args) in enumerate(self.code[start:], start)]
+
+    def buffered(self, body) -> tuple:
+        """(head, lines): Python statements that run body in arrays
+        allocated once.
+
+        body holds statements (strings, kept as they are) and ufunc calls
+        (ufunc name, *operand names, result name) such as ``calls``
+        returns, each rendered as ufunc(*operands, result), which writes
+        into the array result names. The temporaries v<n> live in buffers
+        u<i>, assigned by liveness: a buffer is free once the last call
+        that reads its value has run, and that call may write its result
+        into it. Constants k<n> are read as arrays K<n> holding their
+        value. head allocates the buffers and fills the constant arrays in
+        the shape that the caller's variable ``lead`` holds. Statements
+        must not read temporaries, and every temporary must be lead-shaped.
+        """
+        last = {}  # temporary -> index of the last call that reads it
+        for i, item in enumerate(body):
+            if isinstance(item, tuple):
+                for a in item[1:-1]:
+                    last[a] = i
+        temporaries = {f"v{n}" for n in range(len(self.code))}
+        buffers, free, constants, lines = {}, [], {}, []
+        count = 0
+        for i, item in enumerate(body):
+            if isinstance(item, str):
+                lines.append(item)
+                continue
+            fn, *args, out = item
+            operands = []
+            for a in args:
+                if a in self._values:
+                    a = constants.setdefault(a, f"K{a[1:]}")
+                operands.append(buffers.get(a, a))
+            for a in set(args) & buffers.keys():
+                if last[a] == i:
+                    free.append(buffers.pop(a))
+            if out in temporaries:
+                if not free:
+                    free.append(f"u{count}")
+                    count += 1
+                buffers[out] = free.pop()
+            lines.append(f"{fn}({', '.join(operands)}, {buffers.get(out, out)})")
+        head = [f"{array} = np.full(lead, {k})" for k, array in constants.items()]
+        head += [f"u{n} = np.empty(lead)" for n in range(count)]
+        return head, lines
+
     def define(self, source: str, name: str, **names):
-        """Runs source, which may read every emitted name, ``np`` and the
-        given names, and returns the function it defines as name."""
-        namespace = dict(self.namespace, np=np, **names)
+        """Runs source, which may read every emitted name, ``np``, the
+        ufuncs that buffered code calls and the given names, and returns
+        the function it defines as name."""
+        namespace = {**self.namespace, **{u.__name__: u for u in _UFUNCS.values()},
+                     "np": np, **names}
         exec(compile(source, f"<lowered {name}>", "exec"), namespace)
         return namespace[name]
 

@@ -15,12 +15,16 @@ and records, inside the loop, what its consumer keeps of each step:
 ``invariance`` a running max |J - 1|, ``flow_endpoints`` nothing but
 the last state. The fields are lowered to straight-line code that
 shares subexpressions across components, fields and divergences and
-leaves out the divergences that are identically zero. A run of one
-point (one trajectory, one path) executes the same lines on Python
-floats instead of numpy arrays, which costs a fraction of the per-call
-overhead of numpy on one element and gives the same bits; where Python
-raises on a division by zero or sin(inf) and numpy would go on with inf
-or nan, that block of steps runs again on arrays.
+leaves out the divergences that are identically zero. On arrays that
+code is a list of ufunc calls that write into buffers allocated once per
+block, so a step allocates nothing and costs only numpy's per-call
+overhead where the batch is small. A run of one point (one trajectory,
+one path) executes the same operations on Python floats instead, which
+costs a fraction of the per-call overhead of numpy on one element. Both
+do the float operations of a + 0.5 * (p + c) in the same order, so they
+give the same bits; where Python raises on a division by zero or
+sin(inf) and numpy would go on with inf or nan, that block of steps runs
+again on arrays.
 
 The loop steps unwrapped coordinates. Fields are compatible with the
 identification (checked when the system is built) and the Heun step
@@ -198,11 +202,15 @@ def noise_blocks(seed: int, paths: range, m: int, dt: float, steps: int,
     rows = _block_rows(m * factor, len(rngs))
 
     def blocks():
+        # each path's draws fill a contiguous (b, m) array; rng.normal
+        # computes 0.0 + scale * z from the same z
         for start in range(0, steps, rows):
-            block = np.empty((min(rows, steps - start) * factor, m, len(rngs)))
+            z = np.empty((len(rngs), min(rows, steps - start) * factor, m))
             for col, rng in enumerate(rngs):
-                block[:, :, col] = rng.normal(0.0, scale, size=block.shape[:2])
-            yield _coarsen(block, factor)
+                rng.standard_normal(out=z[col])
+            z *= scale
+            z += 0.0
+            yield _coarsen(np.ascontiguousarray(z.transpose(1, 2, 0)), factor)
     return blocks()
 
 
@@ -233,11 +241,14 @@ def _is_zero(node) -> bool:
 
 # What the loop keeps of each step, by consumer: the arguments it takes
 # after dt, the statements that record the state at step k (x is the
-# (..., dim) view of the state) and those that record log J (L).
+# (..., dim) view of the state) and those that record log J (L), as
+# statements or as ufunc calls (name, *operands, result) into S, an
+# array of the leading shape.
 _CONSUMERS = {
     "endpoints": ((), (), ()),
     "trajectory": (("tx", "tl"), ("tx[k] = x",), ("tl[k] = L",)),
-    "volume": (("W",), (), ("np.maximum(W, np.abs(np.exp(L) - 1.0), out=W)",)),
+    "volume": (("W",), (), (("exp", "L", "S"), ("subtract", "S", "1.0", "S"),
+                            ("absolute", "S", "S"), "maximum(W, S, out=W)")),
 }
 
 # The same for the one-point loop, which keeps the state in floats
@@ -279,7 +290,18 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
     as t = p + c; t *= 0.5; a += t, the float operations of
     a + 0.5*(p + c).
 
-    backend "array" runs those lines on numpy arrays of shape lead.
+    backend "array" runs those operations as ufunc calls that write into
+    arrays allocated once per call of the loop (``Lowering.buffered``):
+    the lowered temporaries share buffers of shape lead by liveness, the
+    constants and dt are arrays of shape lead, and the stage sums go row
+    by row into stacked (dim, *lead) arrays P and C (a component with no
+    terms keeps a row of zeros). So the predictor input is one
+    add(X, P, B), the update is add(P, C, B); multiply(B, 0.5, B);
+    add(X, B, X), log J's the same on pl and cl, and the bound test is
+    one max|X| reduction, which an empty batch passes; a step allocates
+    no array. Row views are P[j, ...], which stays an array when lead
+    is () (the array re-run of a one-point block).
+
     backend "point" runs them, for a lead of one element, on Python
     floats a0..a{dim-1} and L, at a fraction of the cost of numpy calls
     on one element: each sub-block of _FLOAT_ROWS noise rows is read
@@ -309,44 +331,74 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
         # <out>j = sum_i X_i^j dB^i for each component j, and
         # <out>l = sum_i div(X_i) dB^i
         start = len(low.code)
-        sums = []
-        for j in range(m.dim):
-            terms = [f"{low.emit(f.components[j], inputs)} * {noise_of[i]}"
-                     for i, f in fields if not _is_zero(f.components[j])]
-            sums.append(f"{out}{j} = {' + '.join(terms) or '0.0'}")
+        sums = {f"{out}{j}": [(low.emit(f.components[j], inputs), noise_of[i])
+                              for i, f in fields if not _is_zero(f.components[j])]
+                for j in range(m.dim)}
         if divs:
-            terms = [f"{low.emit(d, inputs)} * {noise_of[i]}" for i, d in divs]
-            sums.append(f"{out}l = {' + '.join(terms)}")
-        body.extend(low.source(start) + sums)
+            sums[f"{out}l"] = [(low.emit(d, inputs), noise_of[i]) for i, d in divs]
+        if backend == "point":
+            body.extend(low.source(start) + [
+                f"{name} = {' + '.join(f'{v} * {d}' for v, d in terms) or '0.0'}"
+                for name, terms in sums.items()])
+            return
+        # each sum is added up left to right in its row of P or C (or in
+        # pl, cl); a component without terms keeps its row of zeros
+        body.extend(low.calls(start))
+        for name, terms in sums.items():
+            for n, (v, d) in enumerate(terms):
+                body.extend([("multiply", v, d, name)] if n == 0 else
+                            [("multiply", v, d, "S"), ("add", name, "S", name)])
 
     state = [f"a{j}" for j in range(m.dim)]
+    inputs = [f"b{j}" for j in range(m.dim)]
+    bound = _REWRAP_BOXES * max(m.box_lengths)
+    names = dict(rewrap=functools.partial(_rewrap, m, bound), bound=bound,
+                 non_finite=_non_finite, isfinite=math.isfinite)
+    if backend == "array":
+        # B holds a + p, then (p + c) / 2, then |X|; S is scratch
+        stage(state, "p")
+        body.append(("add", "X", "P", "B"))
+        stage(inputs, "c")
+        body.extend([("add", "P", "C", "B"), ("multiply", "B", "0.5", "B"),
+                     ("add", "X", "B", "X")])
+        if divs:
+            body.extend([("add", "pl", "cl", "S"), ("multiply", "S", "0.5", "S"),
+                         ("add", "L", "S", "L")])
+        body.extend(["k += 1",
+                     "if not maximum.reduce(absolute(X, B), None, initial=0.0) "
+                     "<= bound:  # true for nan",
+                     "    rewrap(X, k)"])
+        if divs:
+            body.extend(["if not maximum.reduce(absolute(L, S), None, initial=0.0) "
+                         "< inf:",
+                         "    non_finite('log J', ~np.isfinite(L), k)"])
+        body.extend(record_x + (record_l if divs else ()))
+        buffers, lines = low.buffered(body)
+        head = (["lead = X.shape[1:]", "x = np.moveaxis(X, 0, -1)",
+                 "P = np.zeros(X.shape)", "C = np.zeros(X.shape)",
+                 "B = np.empty(X.shape)", "S = np.empty(lead)",
+                 "dt = np.full(lead, dt)"]
+                + (["pl = np.empty(lead)", "cl = np.empty(lead)"] if divs else [])
+                + [f"{v}{j} = {a}[{j}, ...]" for v, a in
+                   (("a", "X"), ("p", "P"), ("b", "B"), ("c", "C"))
+                   for j in range(m.dim)]
+                + buffers)
+        params = ", ".join(("X", "L", "noise", "k", "dt") + args)
+        source = (f"def loop({params}):\n"
+                  + "".join(f"    {line}\n" for line in head)
+                  + "    for r in range(noise.shape[0]):\n"
+                  + "".join(f"        {line}\n" for line in lines))
+        return low.define(source, "loop", maximum=np.maximum,
+                          absolute=np.absolute, inf=math.inf, **names)
+
     stage(state, "p")
     body.extend(f"b{j} = a{j} + p{j}" for j in range(m.dim))
-    stage([f"b{j}" for j in range(m.dim)], "c")
+    stage(inputs, "c")
     for j in range(m.dim):
         body.extend([f"t = p{j} + c{j}", "t *= 0.5", f"a{j} += t"])
     if divs:
         body.extend(["t = pl + cl", "t *= 0.5", "L += t"])
     body.append("k += 1")
-    bound = _REWRAP_BOXES * max(m.box_lengths)
-    names = dict(rewrap=functools.partial(_rewrap, m, bound), bound=bound,
-                 non_finite=_non_finite, isfinite=math.isfinite)
-    if backend == "array":
-        body.extend(["if not np.abs(X).max() <= bound:  # true for nan",
-                     "    rewrap(X, k)"])
-        if divs:
-            body.extend(["if not np.isfinite(L).all():",
-                         "    non_finite('log J', ~np.isfinite(L), k)"])
-        body.extend(record_x + (record_l if divs else ()))
-        params = ", ".join(("X", "L", "noise", "k", "dt") + args)
-        source = (f"def loop({params}):\n"
-                  + "".join(f"    {line}\n" for line in
-                            ["x = np.moveaxis(X, 0, -1)"]
-                            + [f"a{j} = X[{j}, ...]" for j in range(m.dim)])
-                  + "    for r in range(noise.shape[0]):\n"
-                  + "".join(f"        {line}\n" for line in body))
-        return low.define(source, "loop", **names)
-
     x = ", ".join(state) + ("," if m.dim == 1 else "")
     setup, point_x, point_l, store_x, store_l = (
         tuple(line.format(x=x, dim=m.dim) for line in lines)
@@ -514,7 +566,7 @@ def flow_endpoints(sys: StratonovichSystem, x0, dt: float,
     """
     velocities = sys._cached("velocities", _constant_velocities)
     if velocities is not None:
-        return _translate(sys, velocities, x0, dt, increments)
+        return _translate(sys, velocities, sys.manifold.wrap(x0), dt, increments)
     x, = run_heun(sys, "endpoints", x0, dt, *_array_blocks(sys, increments))
     return sys.manifold.wrap(x.copy())
 
@@ -522,10 +574,11 @@ def flow_endpoints(sys: StratonovichSystem, x0, dt: float,
 def _translate(sys: StratonovichSystem, velocities: np.ndarray, x0, dt: float,
                increments) -> np.ndarray:
     """flow_endpoints for constant fields X_0..X_m (the rows of
-    velocities): each Heun step adds sum_i X_i dB^i exactly."""
+    velocities) from the wrapped x0: each Heun step adds sum_i X_i dB^i
+    exactly."""
     increments = _noise_array(sys, increments)
     steps = increments.shape[-2]
-    x = (sys.manifold.wrap(x0) + (dt * steps) * velocities[0]
+    x = (x0 + (dt * steps) * velocities[0]
          + increments.sum(axis=-2) @ velocities[1:])
     return sys.manifold.wrap(x)
 
@@ -544,9 +597,12 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
     """
     velocities = sys._cached("velocities", _constant_velocities)
     if consumer == "endpoints" and velocities is not None:
-        return np.array([_translate(sys, velocities, x0, dt, _coarsen(
-            generate_noise(seed, p, sys.m, dt / factor, steps * factor).increments,
-            factor)) for p in paths])
+        x0 = sys.manifold.wrap(x0)
+        ends = np.empty((len(paths),) + x0.shape)
+        for n, p in enumerate(paths):
+            ends[n] = _translate(sys, velocities, x0, dt, _coarsen(generate_noise(
+                seed, p, sys.m, dt / factor, steps * factor).increments, factor))
+        return ends
     lead = (len(paths),) + (1,) * (np.ndim(x0) - 1)
     blocks = (b.reshape(b.shape[:2] + lead)
               for b in noise_blocks(seed, paths, sys.m, dt, steps, factor))

@@ -200,6 +200,21 @@ def lowered(nodes, pts):
     return low.run(names, env, lambda v: v, pts.shape[:-1])
 
 
+def buffered(nodes, pts):
+    """Each node's values on pts through the buffered ufunc calls, each
+    copied into a row of the result, and the number of buffers used."""
+    low = expr.Lowering()
+    inputs = [f"x{i}" for i in range(pts.shape[-1])]
+    names = [low.emit(node, inputs) for node in nodes]
+    head, lines = low.buffered(low.calls(0) + [
+        ("positive", name, f"out[{i}, ...]") for i, name in enumerate(names)])
+    source = (f"def values(out, {', '.join(inputs)}):\n    lead = out.shape[1:]\n"
+              + "".join(f"    {line}\n" for line in head + lines))
+    out = np.empty((len(nodes),) + pts.shape[:-1])
+    low.define(source, "values", positive=np.positive)(out, *np.moveaxis(pts, -1, 0))
+    return out, sum(line.startswith("u") for line in head), len(low.code)
+
+
 def test_lowering_runs_what_evaluate_computes():
     texts = ["sin(2*pi*x1)*cos(2*pi*x2)", "-x1/(1 + x2) + 2*3", "x2",
              "1/sin(0*x1) + x1", "exp(-sin(2*pi*x1)) - exp(-sin(2*pi*x1))",
@@ -208,8 +223,13 @@ def test_lowering_runs_what_evaluate_computes():
     pts = np.random.default_rng(0).uniform(-1, 1, size=(4, 3, 2))
     with np.errstate(divide="ignore"):
         got = lowered(nodes, pts)
-        for node, vals in zip(nodes, got):
-            np.testing.assert_array_equal(vals, expr.evaluate(node, pts))
+        in_buffers, n_buffers, n_temporaries = buffered(nodes, pts)
+        for node, vals, buffered_vals in zip(nodes, got, in_buffers):
+            want = expr.evaluate(node, pts)
+            np.testing.assert_array_equal(vals, want)
+            np.testing.assert_array_equal(buffered_vals, want)
+    # the buffers of dead temporaries are reused
+    assert n_buffers < n_temporaries
 
 
 def test_lowering_shares_operations_across_expressions():

@@ -642,7 +642,8 @@ def test_results_do_not_depend_on_the_noise_block_size(label, monkeypatch):
 # flow_paths: many paths' noise laid out against the points
 
 FLOW_PATHS_SYSTEMS = {**builtin_systems(),
-                      "translation_bm_circle": translation_bm_system(1)}
+                      "translation_bm_circle": translation_bm_system(1),
+                      "heisenberg_frame": heisenberg_frame_system()}
 
 
 @pytest.mark.parametrize("label", sorted(FLOW_PATHS_SYSTEMS))
@@ -659,6 +660,10 @@ def test_flow_paths_equal_flow_endpoints_on_stacked_noise(label, monkeypatch):
     inc = noise_matrix(seed, paths, sys.m, dt, steps)
     got = flow_paths(sys, "endpoints", pts, dt, steps, seed, paths)
     assert np.array_equal(got, flow_endpoints(sys, pts, dt, inc[:, None]))
+    # the loop steps lead (paths, points) against noise lead (paths, 1);
+    # each endpoint is its point's one-point run on its path's noise
+    for i, j in np.ndindex(got.shape[:2]):
+        assert np.array_equal(got[i, j], flow_endpoints(sys, pts[j], dt, inc[i]))
     got = flow_paths(sys, "endpoints", pts[0], dt, steps, seed, paths)
     assert np.array_equal(got, flow_endpoints(sys, pts[0], dt, inc))
     # factor 2: the paths drawn at dt / 2, summed in pairs onto the grid of dt
@@ -669,6 +674,36 @@ def test_flow_paths_equal_flow_endpoints_on_stacked_noise(label, monkeypatch):
     rep = jacobian_check(sys, pts[0], steps * dt, dt, seed=seed, n_paths=5)
     got = flow_paths(sys, "volume", pts[0], dt, steps, seed, range(5))
     assert np.array_equal(got, [r["value"] for r in rep.per_basis])
+
+
+def test_flow_paths_wraps_x0_once_on_constant_fields(monkeypatch):
+    sys = translation_bm_system()
+    pts = np.random.default_rng(1).uniform(0.0, 1.0, size=(4, 2))
+    wrapped = []
+    wrap = ChartedManifold.wrap
+    monkeypatch.setattr(ChartedManifold, "wrap",
+                        lambda self, p: wrapped.append(np.shape(p)) or wrap(self, p))
+    flow_paths(sys, "endpoints", pts, 0.01, 10, 0, range(5))
+    # x0 once, then each path's endpoints
+    assert wrapped == [(4, 2)] * 6
+
+
+@pytest.mark.parametrize("sys", [hamiltonian_system(), translation_bm_system(),
+                                 sin_drift_system()],
+                         ids=["hamiltonian_torus", "translation_bm_torus",
+                              "sin_drift_circle"])
+def test_empty_batches_give_empty_results(sys):
+    # the loop's bound tests reduce over no points; constant fields sum
+    dim, dt, steps = sys.manifold.dim, 0.01, 5
+    x0, none = np.full(dim, 0.3), np.empty((0, dim))
+    noise = generate_noise(0, 0, sys.m, dt, steps)
+    assert flow_endpoints(sys, none, dt, noise.increments).shape == (0, dim)
+    res = flow_with_jacobian(sys, none, noise)
+    assert res.trajectory.shape == (steps + 1, 0, dim)
+    assert res.log_jacobian.shape == (steps + 1, 0)
+    for x, paths, shape in ((x0, range(0), (0, dim)), (none, range(3), (3, 0, dim))):
+        assert flow_paths(sys, "endpoints", x, dt, steps, 0, paths).shape == shape
+        assert flow_paths(sys, "volume", x, dt, steps, 0, paths).shape == shape[:-1]
 
 
 def volume_check_peak(steps):

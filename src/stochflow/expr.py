@@ -571,8 +571,8 @@ class Lowering:
                 if a in self._values:
                     a = constants.setdefault(a, f"K{a[1:]}")
                 operands.append(buffers.get(a, a))
-            for a in set(args) & buffers.keys():
-                if last[a] == i:
+            for a in dict.fromkeys(args):
+                if a in buffers and last[a] == i:
                     free.append(buffers.pop(a))
             if out in temporaries:
                 if not free:

@@ -202,15 +202,16 @@ def noise_blocks(seed: int, paths: range, m: int, dt: float, steps: int,
     rows = _block_rows(m * factor, len(rngs))
 
     def blocks():
-        # each path's draws fill a contiguous (b, m) array; rng.normal
-        # computes 0.0 + scale * z from the same z
+        # each path's draws fill a contiguous (b, m) array, and a block is
+        # a view of their stack; rng.normal computes 0.0 + scale * z from
+        # the same z
         for start in range(0, steps, rows):
             z = np.empty((len(rngs), min(rows, steps - start) * factor, m))
             for col, rng in enumerate(rngs):
                 rng.standard_normal(out=z[col])
             z *= scale
             z += 0.0
-            yield _coarsen(np.ascontiguousarray(z.transpose(1, 2, 0)), factor)
+            yield _coarsen(z.transpose(1, 2, 0), factor)
     return blocks()
 
 

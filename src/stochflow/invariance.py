@@ -259,7 +259,14 @@ def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
                    tolerance: float = 1e-2) -> InvarianceReport:
     """Pathwise volume deviation: residual = max over paths and times of
     |J - 1| from the co-evolved log-Jacobian. The noise is streamed in
-    blocks of steps, so memory does not grow with the step count."""
+    blocks of steps, so memory does not grow with the step count.
+
+    When every divergence of the system is identically zero, J = 1 on
+    every path and the check is answered exactly, without flowing: each
+    row is 0.0. A state that would blow up along such a flow is then
+    reported by the checks that do flow it (``empirical_*``,
+    ``simulate``), not by this one. n_paths, t, dt and x0 are validated
+    either way."""
     if n_paths < 1:
         raise ValueError(f"jacobian check needs n_paths >= 1, got {n_paths}")
     worst = flow_paths(sys, "volume", x0, dt, step_count(t, dt), seed,

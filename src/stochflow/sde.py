@@ -15,10 +15,11 @@ and records, inside the loop, what its consumer keeps of each step:
 ``invariance`` a running max |J - 1|, ``flow_endpoints`` nothing but
 the last state. The fields are lowered to straight-line code that
 shares subexpressions across components, fields and divergences and
-leaves out the divergences that are identically zero. On arrays that
-code is a list of ufunc calls that write into buffers allocated once per
-block, so a step allocates nothing and costs only numpy's per-call
-overhead where the batch is small. A run of one point (one trajectory,
+leaves out the divergences that are identically zero; with none left,
+J = 1 exactly and the volume check is answered without a flow. On
+arrays that code is a list of ufunc calls that write into buffers
+allocated once per block, so a step allocates nothing and costs only
+numpy's per-call overhead where the batch is small. A run of one point (one trajectory,
 one path) executes the same operations on Python floats instead, which
 costs a fraction of the per-call overhead of numpy on one element. Both
 do the float operations of a + 0.5 * (p + c) in the same order, so they
@@ -284,12 +285,15 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
 
     The fields are lowered to straight-line stages that compute
     sum_i X_i dB^i (dB^0 = dt) component by component, sharing
-    subexpressions across components, fields and divergences. Each
-    divergence that ``expr.is_identically_zero`` shows to be zero (a
+    subexpressions across components, fields and divergences. The
+    divergences are those of ``_divergences``, decided once per system:
+    each one that ``expr.is_identically_zero`` shows to be zero (a
     Hamiltonian field's, say) is left out, and with none left log J
-    stays 0 exactly and is not carried. The update a += (p + c) / 2 runs
-    as t = p + c; t *= 0.5; a += t, the float operations of
-    a + 0.5*(p + c).
+    stays 0 exactly and is not carried. Such a system never reaches the
+    "volume" loop, whose answer ``flow_paths`` then knows without
+    flowing; its other consumers step the state alone. The update
+    a += (p + c) / 2 runs as t = p + c; t *= 0.5; a += t, the float
+    operations of a + 0.5*(p + c).
 
     backend "array" runs those operations as ufunc calls that write into
     arrays allocated once per call of the loop (``Lowering.buffered``):
@@ -320,10 +324,7 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
     m = sys.manifold
     fields = [(i, f) for i, f in enumerate(sys.fields()) if not f.is_zero]
     low = expr.Lowering()
-    divs = []
-    if record_l:
-        divs = [(i, d) for i, f in fields if not expr.is_identically_zero(
-            d := product_divergence_expr(m, f))]
+    divs = sys._cached("divergences", _divergences) if record_l else []
     noise_of = {0: "dt", **{i: f"d{i}" for i, _ in fields if i > 0}}
     row = "row[{}]" if backend == "point" else "noise[r, {}]"
     body = [f"d{i} = {row.format(i - 1)}" for i, _ in fields if i > 0]
@@ -431,6 +432,15 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
               + f"    xv[:] = {x}\n"
               + ("    LJ[...] = L\n" if divs else ""))
     return low.define(source, "loop", sin=math.sin, cos=math.cos, **names)
+
+
+def _divergences(sys: StratonovichSystem) -> list:
+    """(i, div X_i) for each field X_i whose divergence
+    ``expr.is_identically_zero`` does not show to be zero. When the list
+    is empty, log J has zero coefficients and J = 1 on every path."""
+    m = sys.manifold
+    return [(i, d) for i, f in enumerate(sys.fields()) if not f.is_zero
+            and not expr.is_identically_zero(d := product_divergence_expr(m, f))]
 
 
 def _non_finite(what: str, bad, step: int) -> None:
@@ -595,7 +605,18 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
     increments whole, one path at a time, which gives the bits of
     ``flow_endpoints`` on the stacked increments (numpy sums pairwise
     when m = 1, so a sum block by block would not).
+
+    When every divergence is identically zero (``_divergences`` is
+    empty: Hamiltonian fields, translations, the Heisenberg frame), the
+    log J equation has zero coefficients, J = 1 on every path (Liouville)
+    and "volume" returns zeros without flowing: no noise is drawn and no
+    loop runs. dt, steps and x0 are validated as for a flow (a non-finite
+    x0 raises InvalidPointError), but a state that would stop being
+    finite along the way is not seen.
     """
+    if consumer == "volume" and not sys._cached("divergences", _divergences):
+        _noise_scale(sys.m, dt / factor, steps * factor)
+        return np.zeros((len(paths),) + sys.manifold.wrap(x0).shape[:-1])
     velocities = sys._cached("velocities", _constant_velocities)
     if consumer == "endpoints" and velocities is not None:
         x0 = sys.manifold.wrap(x0)

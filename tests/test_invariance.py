@@ -23,6 +23,7 @@ from stochflow.invariance import (
     torus_translation_realization,
 )
 from stochflow.manifold import (
+    InvalidPointError,
     VectorFieldSpec,
     apply_field,
     grid_points,
@@ -193,10 +194,19 @@ def test_jacobian_check_needs_a_path(n_paths):
                        1, n_paths)
 
 
+@pytest.mark.parametrize("x0", [[math.nan, 0.7], [0.3, math.inf]])
+def test_divergence_free_jacobian_check_rejects_a_non_finite_x0(x0):
+    with pytest.raises(InvalidPointError, match="non-finite"):
+        jacobian_check(hamiltonian_torus_system(), x0, 0.01, 0.001, seed=0,
+                       n_paths=2)
+
+
 def test_horizon_must_be_a_multiple_of_dt():
     # 1.0 is not a multiple of 0.3: the runs would stop at t = 0.9
-    with pytest.raises(ValueError, match="multiple of dt"):
-        jacobian_check(sin_drift_system(), [0.3], 1.0, 0.3, seed=0, n_paths=2)
+    # the divergence-free system is answered without a flow, after the same test
+    for sys, x0 in ((sin_drift_system(), [0.3]), (hamiltonian_torus_system(), [0.3, 0.7])):
+        with pytest.raises(ValueError, match="multiple of dt"):
+            jacobian_check(sys, x0, 1.0, 0.3, seed=0, n_paths=2)
     T = volume_current(T2, 8)
     basis = make_test_basis(T2, 1)
     with pytest.raises(ValueError, match="multiple of dt"):

@@ -103,11 +103,14 @@ def test_noise_blocks_validate_when_called():
 
 
 def test_flow_paths_validates_like_generate_noise():
-    # the constant fields draw through generate_noise, the others stream
-    for sys in (translation_bm_system(1), sin_drift_system()):
+    # the constant fields draw through generate_noise, the others stream;
+    # a divergence-free volume run draws nothing and validates the same
+    for sys, consumer in ((translation_bm_system(1), "endpoints"),
+                          (sin_drift_system(), "endpoints"),
+                          (translation_bm_system(1), "volume")):
         for dt, steps in ((0.1, 0), (-0.1, 10)):
             with pytest.raises(ValueError):
-                flow_paths(sys, "endpoints", [0.3], dt, steps, 0, range(2))
+                flow_paths(sys, consumer, [0.3], dt, steps, 0, range(2))
 
 
 def test_noise_moments():
@@ -592,17 +595,31 @@ def test_one_point_runs_take_the_float_loop():
     batched = hamiltonian_system()
     flow_endpoints(batched, [[0.1, 0.2], [0.3, 0.4]], 0.01, noise.increments)
     jacobian_check(batched, [0.1, 0.2], 1.0, 0.01, seed=0, n_paths=2)
+    # the Hamiltonian fields carry no log J: the check compiles no loop
     assert [key for key in batched._compiled if key[0] == "loop"] == [
-        ("loop", "endpoints", "array"), ("loop", "volume", "array")]
+        ("loop", "endpoints", "array")]
+    carried = exp_divergence_system()
+    jacobian_check(carried, [0.1], 1.0, 0.01, seed=0, n_paths=2)
+    assert [key for key in carried._compiled if key[0] == "loop"] == [
+        ("loop", "volume", "array")]
 
 
 # ---------------------------------------------------------------------------
 # noise blocks: results do not depend on where the step loop's blocks end
 
+def drifting_circle_system():
+    # moves about one box length per unit time and carries log J
+    return StratonovichSystem(
+        manifold=T1, drift=VectorFieldSpec.from_strings(["1 + 0.2*sin(2*pi*x1)"]),
+        diffusions=(VectorFieldSpec.from_strings(["0.3*cos(2*pi*x1)"]),))
+
+
 BLOCK_CASES = {
     "hamiltonian": (hamiltonian_system(), 0.01, 60),
-    # crosses the seam and passes the re-wrap bound
+    # these two cross the seam and pass the re-wrap bound; the Heisenberg
+    # frame is divergence-free, the drifting circle carries log J
     "heisenberg_frame": (heisenberg_frame_system(), 0.05, 400),
+    "drifting_circle": (drifting_circle_system(), 0.05, 400),
 }
 
 
@@ -629,13 +646,64 @@ def test_results_do_not_depend_on_the_noise_block_size(label, monkeypatch):
         got = integrate_all(sys, dt, steps)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+    if label == "hamiltonian":
+        return
+    wraps = []
+    wrap = ChartedManifold.wrap
+    monkeypatch.setattr(ChartedManifold, "wrap",
+                        lambda self, p: wraps.append(1) or wrap(self, p))
+    x0 = [0.1, 0.2, 0.3][:sys.manifold.dim]
     if label == "heisenberg_frame":
-        wraps = []
-        wrap = ChartedManifold.wrap
-        monkeypatch.setattr(ChartedManifold, "wrap",
-                            lambda self, p: wraps.append(1) or wrap(self, p))
-        jacobian_check(sys, [0.1, 0.2, 0.3], steps * dt, dt, seed=6, n_paths=4)
+        # the jacobian check does not flow a divergence-free system, so
+        # the re-wrap is seen on the endpoints
+        flow_paths(sys, "endpoints", x0, dt, steps, 6, range(4))
+        assert len(wraps) > 2  # x0, at least one re-wrap, the endpoints
+    else:
+        assert ("loop", "volume", "array") in sys._compiled
+        jacobian_check(sys, x0, steps * dt, dt, seed=6, n_paths=4)
         assert len(wraps) > 1  # the x0 wrap and at least one re-wrap
+
+
+# ---------------------------------------------------------------------------
+# the jacobian check of a divergence-free system: J = 1 without a flow
+
+DIVERGENCE_FREE = {"hamiltonian_torus": hamiltonian_system,
+                   "translation_bm_torus": translation_bm_system,
+                   "heisenberg_frame": heisenberg_frame_system}
+
+
+def no_noise(*args, **kwargs):
+    raise AssertionError("noise drawn")
+
+
+@pytest.mark.parametrize("label", sorted(DIVERGENCE_FREE))
+def test_divergence_free_jacobian_check_does_not_flow(label, monkeypatch):
+    sys = DIVERGENCE_FREE[label]()
+    dt, steps, seed, n_paths = 0.01, 50, 5, 4
+    x0 = np.full(sys.manifold.dim, 0.3)
+    inc = noise_matrix(seed, range(n_paths), sys.m, dt, steps)
+    _, logj = reference_heun(sys, x0, dt, inc)
+    worst = np.max(np.abs(np.exp(logj) - 1.0), axis=0)
+    monkeypatch.setattr(sde, "noise_blocks", no_noise)
+    monkeypatch.setattr(sde, "generate_noise", no_noise)
+    rep = jacobian_check(sys, x0, steps * dt, dt, seed=seed, n_paths=n_paths)
+    values = [r["value"] for r in rep.per_basis]
+    assert values == [0.0] * n_paths and rep.residual == 0.0
+    assert not [key for key in sys._compiled if key[:2] == ("loop", "volume")]
+    np.testing.assert_allclose(values, worst, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [sin_drift_system, exp_divergence_system],
+                         ids=["sin_drift_circle", "exp_divergence"])
+def test_carried_divergence_jacobian_check_still_flows(make, monkeypatch):
+    sys, drawn = make(), []
+    blocks = sde.noise_blocks
+    monkeypatch.setattr(sde, "noise_blocks",
+                        lambda *args: drawn.append(args) or blocks(*args))
+    rep = jacobian_check(sys, [0.3], 0.5, 0.01, seed=5, n_paths=4)
+    assert len(drawn) == 1
+    assert all(r["value"] > 0.0 for r in rep.per_basis)
+    assert ("loop", "volume", "array") in sys._compiled
 
 
 # ---------------------------------------------------------------------------

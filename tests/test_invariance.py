@@ -204,7 +204,8 @@ def test_divergence_free_jacobian_check_rejects_a_non_finite_x0(x0):
 def test_horizon_must_be_a_multiple_of_dt():
     # 1.0 is not a multiple of 0.3: the runs would stop at t = 0.9
     # the divergence-free system is answered without a flow, after the same test
-    for sys, x0 in ((sin_drift_system(), [0.3]), (hamiltonian_torus_system(), [0.3, 0.7])):
+    for sys, x0 in ((sin_drift_system(), [0.3]),
+                    (hamiltonian_torus_system(), [0.3, 0.7])):
         with pytest.raises(ValueError, match="multiple of dt"):
             jacobian_check(sys, x0, 1.0, 0.3, seed=0, n_paths=2)
     T = volume_current(T2, 8)

@@ -7,63 +7,91 @@ are invariant or invariant-in-mean under those flows, by divergence
 criteria, derivative-current residuals against trigonometric test
 bases, Monte Carlo simulation, and Lie-algebraic trace criteria for
 foliated Brownian motion on homogeneous spaces.
+
+The names below are re-exported lazily (PEP 562): ``import stochflow``
+loads no layer module, and ``stochflow.torus`` or ``from stochflow
+import torus`` imports the module that defines the name on first use,
+so a command pays only for the layers it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .manifold import (  # noqa: F401
-    ChartedManifold,
-    DegenerateDensityError,
-    InvalidPointError,
-    TestBasis,
-    VectorFieldSpec,
-    divergence,
-    heisenberg_frame,
-    heisenberg_manifold,
-    lie_bracket,
-    make_test_basis,
-    quadrature,
-    torus,
-)
-from .liealg import (  # noqa: F401
-    LieAlgebraData,
-    NotASubalgebraError,
-    SubalgebraSpec,
-    ad_matrix,
-    foliated_drift,
-    invariance_verdict,
-    is_nilpotent,
-    is_semisimple,
-    killing_form,
-    leaf_connection,
-    tr_ad_restricted,
-)
-from .sde import (  # noqa: F401
-    FlowResult,
-    NoisePath,
-    StratonovichSystem,
-    fd_jacobian,
-    flow_with_jacobian,
-    generate_noise,
-)
-from .currents import (  # noqa: F401
-    DensityCurrent,
-    EmpiricalCurrent,
-    derivative_current_eval,
-    evaluate,
-    generator_residuals,
-    pullback_eval,
-    strict_residuals,
-    volume_current,
-)
-from .invariance import (  # noqa: F401
-    FrameRealization,
-    InvarianceReport,
-    RealizationError,
-    check_mean_nform,
-    check_strict_nform,
-    empirical_check,
-    foliation_pipeline,
-    heisenberg_realization,
-    jacobian_check,
-)
+# defining module -> the names the package re-exports from it
+_EXPORTS = {
+    "manifold": (
+        "ChartedManifold",
+        "DegenerateDensityError",
+        "InvalidPointError",
+        "TestBasis",
+        "VectorFieldSpec",
+        "divergence",
+        "heisenberg_frame",
+        "heisenberg_manifold",
+        "lie_bracket",
+        "make_test_basis",
+        "quadrature",
+        "torus",
+    ),
+    "liealg": (
+        "LieAlgebraData",
+        "NotASubalgebraError",
+        "SubalgebraSpec",
+        "ad_matrix",
+        "foliated_drift",
+        "invariance_verdict",
+        "is_nilpotent",
+        "is_semisimple",
+        "killing_form",
+        "leaf_connection",
+        "tr_ad_restricted",
+    ),
+    "sde": (
+        "FlowResult",
+        "NoisePath",
+        "StratonovichSystem",
+        "fd_jacobian",
+        "flow_with_jacobian",
+        "generate_noise",
+    ),
+    "currents": (
+        "DensityCurrent",
+        "EmpiricalCurrent",
+        "derivative_current_eval",
+        "evaluate",
+        "generator_residuals",
+        "pullback_eval",
+        "strict_residuals",
+        "volume_current",
+    ),
+    "invariance": (
+        "FrameRealization",
+        "InvarianceReport",
+        "RealizationError",
+        "check_mean_nform",
+        "check_strict_nform",
+        "empirical_check",
+        "foliation_pipeline",
+        "heisenberg_realization",
+        "jacobian_check",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -23,21 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import expr, liealg
+from . import expr
 from .config import CheckSpec, ConfigError, ExperimentConfig, parse_config, serialize_config
-from .currents import DensityCurrent, EmpiricalCurrent
-from .invariance import (
-    InvarianceReport,
-    check_mean_nform,
-    check_strict_nform,
-    empirical_check,
-    foliated_system,
-    foliation_pipeline,
-    heisenberg_realization,
-    jacobian_check,
-    residual_check,
-    torus_translation_realization,
-)
 from .manifold import ChartedManifold, VectorFieldSpec, make_test_basis, torus
 from .presets import preset_names, preset_text
 from .sde import (
@@ -47,6 +34,11 @@ from .sde import (
     step_count,
     write_trajectory_csv,
 )
+
+# The invariance, liealg and currents layers are imported inside the
+# functions that use them, so that a command loads only what it runs:
+# `simulate` on a flow preset loads neither invariance nor liealg, and
+# `check` on a flow preset does not load liealg.
 
 __all__ = ["main", "run", "build_experiment"]
 
@@ -80,6 +72,8 @@ class Experiment:
         self.default_grid = 64
 
     def current_at(self, grid_n):
+        from .currents import DensityCurrent, EmpiricalCurrent
+
         if isinstance(self.current, EmpiricalCurrent) or grid_n is None:
             return self.current
         if isinstance(self.current, DensityCurrent) and self.current.grid_n == grid_n:
@@ -115,6 +109,8 @@ def _build_fields(section, dim):
 
 
 def _build_current(section, manifold, default_grid):
+    from .currents import DensityCurrent, EmpiricalCurrent
+
     section = section or {}
     if section.get("type", "density") == "empirical":
         atoms = [[float(v) for v in pt.split()]
@@ -130,6 +126,8 @@ def _build_current(section, manifold, default_grid):
 
 
 def _build_algebra(section):
+    from . import liealg
+
     if "constants" in section:
         return liealg.load_structure_constants(section["constants"])
     name = section["algebra"]
@@ -145,6 +143,9 @@ def _build_algebra(section):
 def build_experiment(config: ExperimentConfig) -> Experiment:
     exp = Experiment(config)
     if config.is_liealg:
+        from . import liealg
+        from .invariance import heisenberg_realization, torus_translation_realization
+
         section = config.section("liealg")
         exp.algebra = _build_algebra(section)
         exp.subalgebra = liealg.parse_subalgebra(section["subalgebra"])
@@ -174,6 +175,16 @@ def _run_check(exp: Experiment, chk: CheckSpec, overrides,
                applied: set) -> InvarianceReport:
     """Run one check, reading the keys config.CHECK_KEYS lists for its kind;
     adds to applied the keys of the overrides it used."""
+    from .currents import DensityCurrent
+    from .invariance import (
+        check_mean_nform,
+        check_strict_nform,
+        empirical_check,
+        foliation_pipeline,
+        jacobian_check,
+        residual_check,
+    )
+
     kind = chk.kind
 
     def param(key, default=None, cast=float):
@@ -339,6 +350,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_liealg(args) -> int:
+    from . import liealg
+
     try:
         with open(args.constants, encoding="utf-8") as fh:
             g = liealg.load_structure_constants(fh)
@@ -369,6 +382,8 @@ def _cmd_simulate(args) -> int:
         if exp.system is not None:
             system = exp.system
         elif exp.realization is not None:
+            from .invariance import foliated_system
+
             system = foliated_system(exp.algebra, exp.subalgebra, exp.realization)
         else:
             print("error: config has no simulatable system "

@@ -23,7 +23,6 @@ from .currents import (
     volume_current,
 )
 from .expr import Expr
-from .liealg import LieAlgebraData, SubalgebraSpec, foliated_drift, invariance_verdict
 from .manifold import (
     ChartedManifold,
     VectorFieldSpec,
@@ -38,6 +37,9 @@ from .manifold import (
     torus,
 )
 from .sde import StratonovichSystem, flow_paths, step_count
+
+# liealg is imported by the foliation functions that use it, so that the
+# flow checks do not load it
 
 __all__ = [
     "RealizationError",
@@ -332,6 +334,8 @@ def foliated_system(g: LieAlgebraData, h: SubalgebraSpec,
 
     Raises RealizationError unless the frame realizes g.
     """
+    from .liealg import foliated_drift
+
     _verify_realization(g, real)
     drift_coeffs = foliated_drift(g, h)
     sub_frame = [real.frame[i] for i in h.indices]
@@ -355,6 +359,8 @@ def foliation_pipeline(g: LieAlgebraData, h: SubalgebraSpec,
     the volume current, the empirical mean check, and (when the verdict
     is totally-invariant) the pathwise check.
     """
+    from .liealg import foliated_drift, invariance_verdict
+
     verdict, offending = invariance_verdict(g, h)
     drift_coeffs = foliated_drift(g, h)
     residual = max((abs(tr) for _, tr in offending), default=0.0)

@@ -197,28 +197,44 @@ def linear_combination(fields: Sequence[VectorFieldSpec],
 # ---------------------------------------------------------------------------
 # identification sampling and compatibility checks
 
-def identified_pairs(m: ChartedManifold, n: int = 32, seed: int = 987654321):
-    """Sample (p, q, dgamma) with q the image of p under a lattice element."""
-    rng = np.random.default_rng(seed)
-    pts = m.random_points(n, rng)
-    shifts = rng.integers(-2, 3, size=(n, m.dim)).astype(float)
-    zero_rows = np.all(shifts == 0, axis=1)
-    shifts[zero_rows, 0] = 1.0
+def _rd_sequence(n: int, dims: int) -> np.ndarray:
+    """The first n points of the R_d low-discrepancy sequence in [0, 1)^dims:
+    frac(0.5 + k * alpha), k = 1..n, with alpha_i = phi^-i for phi the
+    positive root of x^(dims + 1) = x + 1 (the generalised golden ratio)."""
+    phi = 2.0
+    for _ in range(64):  # a contraction by at least 1/2 per pass
+        phi = (1.0 + phi) ** (1.0 / (dims + 1))
+    alpha = phi ** -np.arange(1.0, dims + 1.0)
+    return np.mod(0.5 + np.arange(1.0, n + 1.0)[:, None] * alpha, 1.0)
+
+
+@lru_cache(maxsize=64)
+def identified_pairs(m: ChartedManifold, n: int = 32):
+    """Sample points p, their images q = gamma(p) under lattice elements
+    gamma, and the differentials dgamma: read-only arrays of shapes
+    (n, dim), (n, dim) and (n, dim, dim), computed once per (m, n).
+
+    The sample is deterministic and draws no random numbers: the first
+    dim coordinates of the R_(2 dim) sequence place p in the box, the
+    last dim pick the lattice shift per axis in {-2, ..., 2}, in box
+    lengths; a zero shift is replaced by one box length along x1.
+    """
+    dim = m.dim
+    u = _rd_sequence(n, 2 * dim)
     lengths = m.lengths
-    out = []
-    for p, s in zip(pts, shifts):
-        delta = s * lengths
-        if m.identification == TORUS:
-            q = p + delta
-            dgamma = np.eye(m.dim)
-        else:
-            a = delta[0]
-            q = np.array([p[0] + delta[0], p[1] + delta[1],
-                          p[2] + delta[2] + a * p[1]])
-            dgamma = np.eye(3)
-            dgamma[2, 1] = a
-        out.append((p, q, dgamma))
-    return out
+    p = u[:, :dim] * lengths
+    shifts = np.floor(5.0 * u[:, dim:]) - 2.0
+    shifts[np.all(shifts == 0, axis=1), 0] = 1.0
+    delta = shifts * lengths
+    q = p + delta
+    dgamma = np.tile(np.eye(dim), (n, 1, 1))
+    if m.identification == HEISENBERG:
+        # (x, y, z) -> (x + a, y + b, z + c + a*y)
+        q[:, 2] += delta[:, 0] * p[:, 1]
+        dgamma[:, 2, 1] = delta[:, 0]
+    for a in (p, q, dgamma):
+        a.setflags(write=False)
+    return p, q, dgamma
 
 
 def is_compatible_field(m: ChartedManifold, X: VectorFieldSpec,
@@ -229,7 +245,7 @@ def is_compatible_field(m: ChartedManifold, X: VectorFieldSpec,
     a sample point is not finite. The field is evaluated once on all
     sample points p and once on all their images q.
     """
-    p, q, dgamma = (np.array(a) for a in zip(*identified_pairs(m, samples)))
+    p, q, dgamma = identified_pairs(m, samples)
     vp, vq = X(p), X(q)
     with np.errstate(invalid="ignore"):
         # a non-finite value makes the difference non-finite
@@ -249,7 +265,7 @@ def is_invariant_function(m: ChartedManifold, f: Expr,
     """True when f(p) = f(q) on sampled identified pairs; f is evaluated
     once on all sample points p and once on all their images q, and a
     non-finite value is never invariant."""
-    p, q, _ = (np.array(a) for a in zip(*identified_pairs(m, samples)))
+    p, q, _ = identified_pairs(m, samples)
     fp, fq = expr.evaluate(f, p), expr.evaluate(f, q)
     with np.errstate(invalid="ignore"):
         return bool(np.max(np.abs(fp - fq)) <= tol)

@@ -52,7 +52,6 @@ summing one path's noise at a time, so a long run never holds it all.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -658,16 +657,15 @@ def fd_jacobian(sys: StratonovichSystem, x0, noise: NoisePath,
 
 
 def write_trajectory_csv(result: FlowResult, fileobj) -> None:
-    """Columns t, x1..xn, logJ."""
+    """Columns t, x1..xn, logJ, with the CRLF line ends of csv.writer."""
     dim = result.trajectory.shape[-1]
-    writer = csv.writer(fileobj)
-    writer.writerow(["t"] + [f"x{i + 1}" for i in range(dim)] + ["logJ"])
-    # Python floats format as numpy's do, and faster
+    fileobj.write(",".join(["t", *(f"x{i + 1}" for i in range(dim)), "logJ"])
+                  + "\r\n")
+    # one template per row; Python floats format as numpy's do, and faster
+    row = "%.12g," + "%.17g," * dim + "%.17g\r\n"
     times = result.times
     for s in range(0, len(times), _FLOAT_ROWS):
         rows = slice(s, s + _FLOAT_ROWS)
-        writer.writerows(
-            [f"{t:.12g}", *(f"{v:.17g}" for v in x), f"{logj:.17g}"]
-            for t, x, logj in zip(times[rows].tolist(),
-                                  result.trajectory[rows].tolist(),
-                                  result.log_jacobian[rows].tolist()))
+        table = np.column_stack((times[rows], result.trajectory[rows],
+                                 result.log_jacobian[rows]))
+        fileobj.write("".join([row % tuple(r) for r in table.tolist()]))

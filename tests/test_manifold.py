@@ -290,6 +290,31 @@ def test_basis_gradients_match_fd():
 
 
 def test_identified_pairs_relate_points():
-    for p, q, dg in identified_pairs(HEIS, 8):
+    for p, q, dg in zip(*identified_pairs(HEIS, 8)):
         assert not np.allclose(p, q)
         np.testing.assert_allclose(HEIS.wrap(p), HEIS.wrap(q), atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [T1, torus(1.0, 2.0), HEIS, torus(0.5, 1.0, 3.0, 2.0)],
+                         ids=["circle", "torus2", "heisenberg", "torus4"])
+def test_identified_pairs_are_a_fixed_spread_sample(m):
+    p, q, dgamma = identified_pairs(m, 32)
+    assert p.shape == q.shape == (32, m.dim) and dgamma.shape == (32, m.dim, m.dim)
+    assert len(np.unique(p, axis=0)) == 32
+    assert np.all((p >= 0) & (p < m.lengths))
+    # the lattice shift is a non-zero integer number of box lengths per
+    # axis, at most 2 (on the Heisenberg manifold z also moves by a*y)
+    shifts = q - p
+    if m is HEIS:
+        shifts[:, 2] -= shifts[:, 0] * p[:, 1]
+    steps = shifts / m.lengths
+    np.testing.assert_allclose(steps, np.round(steps), atol=1e-12)
+    assert np.all(np.abs(np.round(steps)) <= 2)
+    assert not np.any(np.all(np.round(steps) == 0, axis=1))
+    # cached: the same read-only arrays on every call
+    again = identified_pairs(m, 32)
+    assert all(a is b for a, b in zip((p, q, dgamma), again))
+    for a in again:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0

@@ -372,6 +372,44 @@ def test_trajectory_csv_formats_like_numpy_scalars():
     assert "4.9406564584124654e-324" in got.getvalue()
 
 
+def csv_writer_trajectory(result, fileobj):
+    """The csv.writer trajectory export that write_trajectory_csv replaced,
+    kept as its byte oracle."""
+    dim = result.trajectory.shape[-1]
+    writer = csv.writer(fileobj)
+    writer.writerow(["t"] + [f"x{i + 1}" for i in range(dim)] + ["logJ"])
+    times = result.times
+    for s in range(0, len(times), 256):
+        rows = slice(s, s + 256)
+        writer.writerows(
+            [f"{t:.12g}", *(f"{v:.17g}" for v in x), f"{logj:.17g}"]
+            for t, x, logj in zip(times[rows].tolist(),
+                                  result.trajectory[rows].tolist(),
+                                  result.log_jacobian[rows].tolist()))
+
+
+@pytest.mark.parametrize("rows", [255, 256, 257])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_trajectory_csv_bytes_match_the_csv_writer_export(dim, rows):
+    assert sde._FLOAT_ROWS == 256  # the row counts straddle one chunk
+    rng = np.random.default_rng(dim * 1000 + rows)
+    traj = rng.uniform(0.0, 1.0, size=(rows, dim))
+    logj = rng.standard_normal(rows) * 1e-3
+    # edge values on both sides of the chunk boundary and at the ends
+    for k in {0, rows - 1, 254, 255, 256} & set(range(rows)):
+        traj[k] = [-0.0, 5e-324, 1e300][:dim]
+        logj[k] = -1e300 if k % 2 else 5e-324
+    logj[rows // 2] = -2.5
+    logj[rows // 3] = 1e-300
+    res = sde.FlowResult(dt=1e-4, trajectory=traj, log_jacobian=logj)
+    want, got = io.StringIO(newline=""), io.StringIO(newline="")
+    csv_writer_trajectory(res, want)
+    write_trajectory_csv(res, got)
+    assert got.getvalue() == want.getvalue()
+    assert got.getvalue().count("\r\n") == rows + 1
+    assert "-0," in got.getvalue() and "4.9406564584124654e-324" in got.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # reference-loop oracle: every integrator must reproduce a plain Heun loop
 # that wraps after every step. The integrators step unwrapped coordinates

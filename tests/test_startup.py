@@ -1,0 +1,101 @@
+"""What a command loads at start-up, and the package's lazy re-exports.
+
+The module-load tests run each command in a fresh interpreter and read
+``sys.modules`` after ``cli.main`` returns, so that an eager import
+which loads a layer the command never runs shows up here.
+"""
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stochflow
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_RUN_MAIN = """\
+import json, sys
+import stochflow
+bare = sorted(m for m in sys.modules if m.startswith("stochflow."))
+from stochflow import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "bare": bare, "modules": sorted(sys.modules)}))
+"""
+
+
+def run_main(argv, cwd):
+    """(exit code, modules loaded by `import stochflow` alone, modules
+    loaded after cli.main(argv)), from a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _RUN_MAIN, *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    return out["code"], out["bare"], set(out["modules"])
+
+
+def test_simulate_of_a_flow_preset_loads_neither_invariance_nor_liealg(tmp_path):
+    code, bare, modules = run_main(
+        ["simulate", "hamiltonian_torus", "--t", "0.01", "--dt", "1e-3",
+         "--trajectory", str(tmp_path / "t.csv")], tmp_path)
+    assert code == 0
+    assert bare == []  # `import stochflow` loads no layer module
+    assert "stochflow.sde" in modules
+    assert "stochflow.invariance" not in modules
+    assert "stochflow.liealg" not in modules
+
+
+def test_check_of_a_flow_preset_loads_neither_liealg_nor_numpy_random(tmp_path):
+    code, _, modules = run_main(
+        ["check", "hamiltonian_torus", "--dt", "0.01", "--out",
+         str(tmp_path / "out")], tmp_path)
+    assert code == 0
+    assert "stochflow.invariance" in modules
+    assert "stochflow.liealg" not in modules
+    assert "numpy.random" not in modules
+
+
+def test_check_of_a_foliation_preset_loads_its_layers(tmp_path):
+    code, _, modules = run_main(
+        ["check", "heisenberg_foliation", "--paths", "30", "--out",
+         str(tmp_path / "out")], tmp_path)
+    assert code == 0
+    assert {"stochflow.invariance", "stochflow.liealg", "stochflow.currents",
+            "numpy.random"} <= modules
+
+
+def test_lazy_re_exports_are_the_defining_modules_objects():
+    assert stochflow.__all__
+    for name in stochflow.__all__:
+        obj = getattr(stochflow, name)
+        module = importlib.import_module(obj.__module__)
+        assert module.__name__.startswith("stochflow."), name
+        assert getattr(module, name) is obj, name
+
+
+def test_dir_lists_every_re_export():
+    assert set(stochflow.__all__) <= set(dir(stochflow))
+    assert "__version__" in dir(stochflow)
+
+
+def test_unknown_names_raise():
+    with pytest.raises(AttributeError, match="nope"):
+        stochflow.nope  # noqa: B018
+    with pytest.raises(ImportError):
+        from stochflow import nope  # noqa: F401
+
+
+def test_readme_library_tour_runs_as_written(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"^## Library tour\n+```python\n(.*?)^```$", readme,
+                     re.S | re.M)
+    assert tour, "README.md has no Library tour code block"
+    exec(compile(tour.group(1), "README.md", "exec"), {})
+    printed = [float(v) for v in capsys.readouterr().out.split()]
+    assert len(printed) == 2 and max(printed) < 1e-12

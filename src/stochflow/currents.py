@@ -7,13 +7,15 @@ flowing the quadrature grid (mass-transport view) or the atoms;
 pullback_values does so over many paths, whose mean estimates the mean
 action E[T(f o phi_t)]. Derivative currents XT(f) = -T(Xf) and the
 generator residual decide strict and mean invariance against a finite
-test basis.
+test basis; both are contractions of the fields' coefficients, weighted
+on the support once, against the partial derivatives of the basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -227,17 +229,47 @@ def derivative_current_eval(X: VectorFieldSpec, T: Current,
     return -evaluate(T, xf)
 
 
+def _contract(T: Current, terms, n_out: int, functions) -> np.ndarray:
+    """out[o, k] = sum of T(c * d_q f_k) over the terms (c, o, q), q the
+    tuple of axes d_q differentiates along; shape (n_out, len(functions)).
+
+    Coefficients that ``expr.is_identically_zero`` proves zero are
+    dropped; the others are evaluated once on T.points, times T.weights,
+    into a (rows, support) matrix. The partials d_q f_k other than the
+    constant 0 are lowered together, and each is reduced by one mat-vec
+    against that matrix as soon as it is computed, so memory stays
+    O(rows x support).
+    """
+    terms = [t for t in terms if not expr.is_identically_zero(t[0])]
+    out = np.zeros((n_out, len(functions)))
+    if not terms:
+        return out
+    dim = T.manifold.dim
+    rows = np.array(_Functions((c for c, _, _ in terms), dim).reduce(
+        T.points, lambda v: T.weights * v))
+    axes = list(dict.fromkeys(q for _, _, q in terms))
+    pairs = [[(r, o) for r, (_, o, q) in enumerate(terms) if q == qa]
+             for qa in axes]
+    zero = expr.constant(0.0)
+    wanted = [(k, i, d) for k, f in enumerate(functions)
+              for i, q in enumerate(axes)
+              if (d := reduce(expr.diff, q, f)) is not zero]
+    batch = _Functions((d for _, _, d in wanted), dim)
+    for (k, i, _), v in zip(wanted, batch.reduce(T.points, lambda v: rows @ v)):
+        for r, o in pairs[i]:
+            out[o, k] += v[r]
+    return out
+
+
 def derivative_currents(T: Current, fields: Sequence[VectorFieldSpec],
                         functions: Sequence[Expr]) -> np.ndarray:
-    """(X_i T)(f_k) = -T(X_i f_k) for every field and function, in one
-    ``evaluate_many`` pass; shape (len(fields), len(functions)).
-
-    The terms go function by function, so that the factors of one test
-    function are dropped before the next one's are computed.
+    """(X_i T)(f_k) = -T(X_i f_k) = -sum_j T(X_i^j d_j f_k) for every
+    field and function, as one contraction; shape
+    (len(fields), len(functions)).
     """
-    m = T.manifold
-    xfs = (apply_field(m, X, f) for f in functions for X in fields)
-    return -evaluate_many(T, xfs).reshape(len(functions), len(fields)).T
+    terms = [(c, i, (j,)) for i, X in enumerate(fields)
+             for j, c in enumerate(X.components)]
+    return -_contract(T, terms, len(fields), tuple(functions))
 
 
 def generator_residuals(T: Current, sys: StratonovichSystem,
@@ -245,23 +277,29 @@ def generator_residuals(T: Current, sys: StratonovichSystem,
     """Mean-invariance residuals r_k = T(X_0 f_k + (1/2) sum_i X_i(X_i f_k)).
 
     This is T(L f_k) with L the Stratonovich generator; T is invariant
-    in mean exactly when every residual vanishes. The terms of every
-    residual are evaluated in one ``evaluate_many`` pass.
+    in mean exactly when every residual vanishes. By the chain rule
+    L f = sum_j b^j d_j f + sum_{j<=l} A^{jl} d_j d_l f, with
+    b^j = X_0^j + (1/2) sum_i (X_i . grad) X_i^j and
+    A^{jl} = (1/2) sum_i X_i^j X_i^l, doubled off the diagonal; the
+    residuals are one contraction of those coefficients against the
+    partials of the basis.
     """
     m = sys.manifold
-    drift = [] if sys.drift.is_zero else [sys.drift]
-    weights = [1.0] * len(drift) + [0.5] * len(sys.diffusions)
-
-    def terms(f):
-        yield from (apply_field(m, X, f) for X in drift)
-        yield from (apply_field(m, X, apply_field(m, X, f)) for X in sys.diffusions)
-
-    vals = evaluate_many(T, (g for f in basis.functions for g in terms(f)))
-    out = np.zeros(len(basis))
-    for k, row in enumerate(vals.reshape(len(basis), len(weights))):
-        for c, v in zip(weights, row):
-            out[k] += c * v
-    return out
+    half = expr.constant(0.5)
+    terms = []
+    for j in range(m.dim):
+        corr = expr.constant(0.0)
+        for X in sys.diffusions:
+            corr = expr.add(corr, apply_field(m, X, X.components[j]))
+        terms.append((expr.add(sys.drift.components[j], expr.mul(half, corr)),
+                      0, (j,)))
+    for j in range(m.dim):
+        for l in range(j, m.dim):
+            a = expr.constant(0.0)
+            for X in sys.diffusions:
+                a = expr.add(a, expr.mul(X.components[j], X.components[l]))
+            terms.append((expr.mul(half, a) if j == l else a, 0, (j, l)))
+    return _contract(T, terms, 1, basis.functions)[0]
 
 
 def strict_residuals(T: Current, sys: StratonovichSystem,

@@ -713,7 +713,12 @@ def is_identically_zero(node: Expr) -> bool:
     1024 terms, a non-finite constant or a division by zero answers
     False, so False means "not shown to be zero". (Deciding zero for this
     class of expressions is undecidable in general: Richardson, 1968.)
+    A constant or a coordinate is answered without expanding it.
     """
+    if isinstance(node, Num):
+        return node.value == 0.0  # False for a non-finite constant
+    if isinstance(node, Coord):
+        return False
     from fractions import Fraction
 
     def add(p, q):

@@ -323,12 +323,14 @@ def _grid(m: ChartedManifold, n: int):
     axes = [(np.arange(n) + 0.5) * (li / n) for li in m.box_lengths]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
+    pts.setflags(write=False)  # shared by every caller
     cell = float(np.prod(m.lengths)) / n ** m.dim
     return pts, cell
 
 
 def grid_points(m: ChartedManifold, n: int):
-    """Midpoint grid (n^dim, dim) and its quadrature weights (n^dim,)."""
+    """Midpoint grid (n^dim, dim), read-only and computed once per (m, n),
+    and its quadrature weights (n^dim,)."""
     pts, cell = _grid(m, n)
     return pts, np.full(pts.shape[0], cell)
 
@@ -360,8 +362,10 @@ class TestBasis:
         return tuple(expr.diff(f, i) for i in range(self.manifold.dim))
 
 
+@lru_cache(maxsize=64)
 def make_test_basis(m: ChartedManifold, cutoff: int) -> TestBasis:
-    """Products of 1, cos(2 pi k x_i / L_i), sin(2 pi k x_i / L_i), k <= cutoff.
+    """Products of 1, cos(2 pi k x_i / L_i), sin(2 pi k x_i / L_i), k <= cutoff;
+    built once per (m, cutoff).
 
     On the Heisenberg manifold the basis is pulled back from the base
     torus (functions of x, y only), hence constant along the fiber.

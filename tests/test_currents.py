@@ -391,10 +391,14 @@ def test_pullback_memory_does_not_grow_with_steps():
 
 
 # ---------------------------------------------------------------------------
-# one-shot passes: evaluate_many and the residual passes built on it give
-# the values of one evaluate call per expression, bit for bit
+# one-shot passes: evaluate_many gives the values of one evaluate call
+# per expression, bit for bit; the residual passes, which contract the
+# fields' coefficients against the partials of the basis, agree with one
+# evaluate call per apply_field tree up to rounding
 
 ONE_SHOT_SYSTEMS = builtin_systems()
+RESIDUAL_SYSTEMS = {**ONE_SHOT_SYSTEMS, "zero_circle": zero_system(1),
+                    "zero_torus2": zero_system(2)}
 
 
 def one_shot_currents(m):
@@ -405,6 +409,14 @@ def one_shot_currents(m):
                            grid_n=6),
             EmpiricalCurrent(manifold=m, atoms=m.random_points(5, rng),
                              atom_weights=rng.uniform(0.5, 1.5, 5))]
+
+
+def residual_currents(m):
+    """one_shot_currents plus the tilted density, which no built-in system
+    that moves x1 leaves invariant: its residuals reach 0.15 to 5 there, so
+    a comparison on it tests more than rounding noise."""
+    return one_shot_currents(m) + [DensityCurrent(manifold=m, density=TILTED,
+                                                  grid_n=16)]
 
 
 def per_tree_generator_residuals(T, sys, basis):
@@ -420,18 +432,30 @@ def per_tree_generator_residuals(T, sys, basis):
     return out
 
 
-@pytest.mark.parametrize("label", sorted(ONE_SHOT_SYSTEMS))
+def per_tree_derivative_currents(T, fields, functions):
+    return [[derivative_current_eval(X, T, f) for f in functions] for X in fields]
+
+
+def assert_matches_per_tree(got, want):
+    """got equals the per-tree values want to 1e-12 of their largest
+    magnitude (or absolutely, below 1)."""
+    want = np.asarray(want, dtype=float)
+    atol = 1e-12 * max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert np.shape(got) == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("label", sorted(RESIDUAL_SYSTEMS))
 def test_one_shot_residuals_equal_per_tree_route(label):
-    sys = ONE_SHOT_SYSTEMS[label]
+    sys = RESIDUAL_SYSTEMS[label]
     basis = make_test_basis(sys.manifold, 2)
     functions = basis.functions + (expr.parse("cos(2*pi*x1)*cos(2*pi*x1)"),)
-    for T in one_shot_currents(sys.manifold):
-        np.testing.assert_array_equal(generator_residuals(T, sys, basis),
-                                      per_tree_generator_residuals(T, sys, basis))
-        np.testing.assert_array_equal(
+    for T in residual_currents(sys.manifold):
+        assert_matches_per_tree(generator_residuals(T, sys, basis),
+                                per_tree_generator_residuals(T, sys, basis))
+        assert_matches_per_tree(
             strict_residuals(T, sys, basis),
-            [[derivative_current_eval(X, T, f) for f in basis.functions]
-             for X in sys.fields()])
+            per_tree_derivative_currents(T, sys.fields(), basis.functions))
         np.testing.assert_array_equal(evaluate_many(T, functions),
                                       [evaluate(T, f) for f in functions])
         # an iterator is consumed once, in order
@@ -444,11 +468,79 @@ def test_one_shot_residuals_equal_per_tree_route(label):
                          ids=lambda r: r.label)
 def test_frame_derivative_currents_equal_per_tree_route(real):
     basis = make_test_basis(real.manifold, 3)
-    for T in one_shot_currents(real.manifold):
-        np.testing.assert_array_equal(
+    for T in residual_currents(real.manifold):
+        assert_matches_per_tree(
             derivative_currents(T, real.frame, basis.functions),
-            [[derivative_current_eval(V, T, f) for f in basis.functions]
-             for V in real.frame])
+            per_tree_derivative_currents(T, real.frame, basis.functions))
+
+
+def lowered_counts(run):
+    """run(), and the number of expressions each _Functions batch lowered."""
+    counts = []
+
+    class Counting(currents._Functions):
+        def __init__(self, functions, dim):
+            super().__init__(functions, dim)
+            counts.append(len(self))
+
+    with mock.patch.object(currents, "_Functions", Counting):
+        run()
+    return counts
+
+
+def test_zero_coefficients_and_partials_are_skipped():
+    # the Heisenberg foliated system has constant fields X = d/dx and
+    # Z = d/dz and a zero drift; its basis is constant along z
+    sys = builtin_systems()["heisenberg_foliation"]
+    T = volume_current(sys.manifold, 4)
+    basis = make_test_basis(sys.manifold, 1)
+    # strict: rows X^1 and Z^3; d_3 f is zero, so only d_1 f is lowered,
+    # for the 6 of 9 functions that depend on x
+    assert lowered_counts(lambda: strict_residuals(T, sys, basis)) == [2, 6]
+    # generator: b = 0 and A^{13} = 0; rows A^{11} and A^{33}
+    assert lowered_counts(lambda: generator_residuals(T, sys, basis)) == [2, 6]
+    # no fields, no rows and nothing lowered; exact zeros
+    zero = zero_system(2)
+    T = volume_current(zero.manifold, 4)
+    basis = make_test_basis(zero.manifold, 1)
+    assert lowered_counts(lambda: generator_residuals(T, zero, basis)) == []
+
+
+def trig_component():
+    """sum of up to three terms c * (1|cos|sin)(2 pi k x1) * (1|cos|sin)(2 pi k x2)."""
+    factor = st.sampled_from(["1", "cos", "sin"])
+    term = st.tuples(st.floats(-2.0, 2.0, allow_nan=False), factor,
+                     st.integers(1, 2), factor, st.integers(1, 2))
+
+    def render(terms):
+        parts = []
+        for c, f1, k1, f2, k2 in terms:
+            text = repr(c)
+            for f, k, axis in ((f1, k1, 1), (f2, k2, 2)):
+                if f != "1":
+                    text += f"*{f}(2*pi*{k}*x{axis})"
+            parts.append(f"({text})")
+        return " + ".join(parts) or "0"
+
+    return st.lists(term, max_size=3).map(render)
+
+
+trig_field = st.tuples(trig_component(), trig_component()).map(
+    VectorFieldSpec.from_strings)
+
+
+@settings(max_examples=25, deadline=None)
+@given(drift=trig_field, diffusions=st.lists(trig_field, max_size=2))
+def test_residuals_of_random_trig_fields_equal_per_tree_route(drift, diffusions):
+    sys = StratonovichSystem(manifold=T2, drift=drift, diffusions=tuple(diffusions))
+    basis = make_test_basis(T2, 2)
+    for T in (volume_current(T2, 8), DensityCurrent(manifold=T2, density=TILTED,
+                                                    grid_n=8)):
+        assert_matches_per_tree(generator_residuals(T, sys, basis),
+                                per_tree_generator_residuals(T, sys, basis))
+        assert_matches_per_tree(
+            strict_residuals(T, sys, basis),
+            per_tree_derivative_currents(T, sys.fields(), basis.functions))
 
 
 def stacked_noise(seed, n_paths, m, dt, steps):
@@ -489,8 +581,8 @@ def test_calibrate_bias_constant_equals_per_tree_route():
 
 def test_generator_residual_pass_memory_stays_bounded():
     # temporaries are dropped after their last use; what stays live is
-    # about 36 shared arrays of 64^2 points (the field components, their
-    # partials and the cos/sin tables of one axis), 1.2 MB, plus the code
+    # the (rows, support) coefficient matrix, the cos/sin tables and the
+    # partials of one function, plus the code: 1.16 MB on a first call
     sys = hamiltonian_torus_system()
     T = volume_current(sys.manifold, 64)
     basis = make_test_basis(sys.manifold, 3)
@@ -501,3 +593,26 @@ def test_generator_residual_pass_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+# tracemalloc peak of the second generator_residuals call below on the
+# per-tree route that the contraction replaced (one apply_field tree per
+# term, 98 trees): 1,742,363 bytes (1,909,637 on a first call, which
+# also builds the derivative memos); Python 3.11, numpy 2.4
+PER_TREE_GENERATOR_PEAK = 1_742_363
+
+
+def test_generator_contraction_memory_stays_under_the_per_tree_route():
+    # stacking every partial of the basis before contracting would hold
+    # 49 functions x 5 partials x 4096 points, 8 MB
+    sys = hamiltonian_torus_system()
+    T = volume_current(T2, 64)
+    basis = make_test_basis(T2, 3)
+    generator_residuals(T, sys, basis)  # the derivative memos, as measured
+    tracemalloc.start()
+    try:
+        generator_residuals(T, sys, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_TREE_GENERATOR_PEAK

@@ -11,6 +11,7 @@ from stochflow.manifold import (
     InvalidPointError,
     VectorFieldSpec,
     divergence,
+    grid_points,
     heisenberg_frame,
     heisenberg_manifold,
     identified_pairs,
@@ -245,6 +246,19 @@ def test_quadrature_linearity(a, b):
     assert quadrature(T1, combo, 16) == pytest.approx(a * qf + b * qg, abs=1e-12)
 
 
+def test_cached_grid_points_are_read_only():
+    m = torus(1.0, 2.0)
+    pts, weights = grid_points(m, 8)
+    want = pts.copy()
+    with pytest.raises(ValueError):
+        pts[0] = 99.0
+    with pytest.raises(ValueError):
+        grid_points(m, 8)[0][0] = 99.0
+    np.testing.assert_array_equal(grid_points(m, 8)[0], want)
+    weights[0] = 99.0  # the weights are the caller's own
+    assert grid_points(m, 8)[1][0] == 2.0 / 64
+
+
 # ---------------------------------------------------------------------------
 # test basis
 
@@ -255,6 +269,14 @@ def test_basis_counts_and_constant_first():
     assert float(b1.evaluate(0, np.array([0.42]))) == 1.0
     assert len(make_test_basis(T2, 1)) == 9
     assert len(make_test_basis(T2, 3)) == 49
+
+
+def test_basis_is_built_once_per_manifold_and_cutoff():
+    assert make_test_basis(T2, 3) is make_test_basis(T2, 3)
+    assert make_test_basis(torus(1.0, 1.0), 3) is make_test_basis(T2, 3)
+    assert make_test_basis(T2, 2) is not make_test_basis(T2, 3)
+    with pytest.raises(ValueError):
+        make_test_basis(T2, 0)
 
 
 def test_heisenberg_basis_constant_in_fiber():

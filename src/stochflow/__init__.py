@@ -26,42 +26,35 @@ _EXPORTS = {
         "InvalidPointError",
         "TestBasis",
         "VectorFieldSpec",
-        "divergence",
         "heisenberg_frame",
         "heisenberg_manifold",
         "lie_bracket",
         "make_test_basis",
-        "quadrature",
         "torus",
     ),
     "liealg": (
         "LieAlgebraData",
         "NotASubalgebraError",
         "SubalgebraSpec",
-        "ad_matrix",
         "foliated_drift",
         "invariance_verdict",
         "is_nilpotent",
         "is_semisimple",
         "killing_form",
-        "leaf_connection",
         "tr_ad_restricted",
     ),
     "sde": (
         "FlowResult",
         "NoisePath",
         "StratonovichSystem",
-        "fd_jacobian",
         "flow_with_jacobian",
         "generate_noise",
     ),
     "currents": (
         "DensityCurrent",
         "EmpiricalCurrent",
-        "derivative_current_eval",
-        "evaluate",
+        "evaluate_many",
         "generator_residuals",
-        "pullback_eval",
         "strict_residuals",
         "volume_current",
     ),

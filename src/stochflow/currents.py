@@ -1,14 +1,15 @@
 """0-currents and the two flow actions on them.
 
 A current is either a density against the volume form, evaluated by
-midpoint quadrature on its grid, or a weighted sum of Dirac atoms. The
-pathwise pullback evaluates T(f o phi_t) for one noise realization by
-flowing the quadrature grid (mass-transport view) or the atoms;
-pullback_values does so over many paths, whose mean estimates the mean
-action E[T(f o phi_t)]. Derivative currents XT(f) = -T(Xf) and the
-generator residual decide strict and mean invariance against a finite
-test basis; both are contractions of the fields' coefficients, weighted
-on the support once, against the partial derivatives of the basis.
+midpoint quadrature on its grid, or a weighted sum of Dirac atoms.
+pullback_values evaluates the pathwise pullback T(f o phi_t) by flowing
+the quadrature grid (mass-transport view) or the atoms along many noise
+paths; column p is the pullback of path p alone, and the mean over the
+paths estimates the mean action E[T(f o phi_t)]. Derivative currents
+XT(f) = -T(Xf) and the generator residual decide strict and mean
+invariance against a finite test basis; both are contractions of the
+fields' coefficients, weighted on the support once, against the partial
+derivatives of the basis.
 """
 
 from __future__ import annotations
@@ -30,24 +31,15 @@ from .manifold import (
     apply_field,
     grid_points,
 )
-from .sde import (
-    NoisePath,
-    StratonovichSystem,
-    flow_endpoints,
-    flow_paths,
-    step_count,
-)
+from .sde import StratonovichSystem, flow_paths, step_count
 
 __all__ = [
     "DensityCurrent",
     "EmpiricalCurrent",
     "Current",
     "volume_current",
-    "evaluate",
     "evaluate_many",
-    "pullback_eval",
     "pullback_values",
-    "derivative_current_eval",
     "derivative_currents",
     "generator_residuals",
     "strict_residuals",
@@ -143,54 +135,17 @@ def volume_current(m: ChartedManifold, grid_n: int = 64,
                           probability=probability)
 
 
-def evaluate(T: Current, f: Expr) -> float:
-    """T(f)."""
-    return float(np.dot(T.weights, expr.evaluate(f, T.points)))
-
-
-class _Functions:
-    """Scalar fields evaluated together on point arrays (..., dim).
-
-    The expressions are lowered into one ``expr.Lowering``, so
-    subexpressions they share (the cos/sin factors of a trig basis, say)
-    are computed once per point array. Functions may be given as an
-    iterator: each expression is lowered as it arrives, so its tree need
-    not outlive it.
-    """
-
-    def __init__(self, functions, dim: int):
-        self._low = expr.Lowering()
-        inputs = [f"x{i}" for i in range(dim)]
-        self._names = [self._low.emit(f, inputs) for f in functions]
-
-    def __len__(self):
-        return len(self._names)
-
-    def reduce(self, pts, reduce) -> list:
-        """[reduce(f(pts)) for each function f], each value reduced, and
-        its temporaries dropped, as soon as it is computed."""
-        env = {f"x{i}": pts[..., i] for i in range(pts.shape[-1])}
-        return self._low.run(self._names, env, reduce, pts.shape[:-1])
-
-
 def evaluate_many(T: Current, functions) -> np.ndarray:
-    """[T(f) for f in functions], equal to ``evaluate`` for each f.
+    """[T(f) for f in functions]: the dot product of T.weights with the
+    values of f on T.points, with the bits of np.dot(T.weights,
+    expr.evaluate(f, T.points)).
 
     The functions are lowered together and share their subexpressions;
     they may be an iterator, consumed once.
     """
-    batch = _Functions(functions, T.manifold.dim)
+    batch = expr.Functions(functions, T.manifold.dim)
     return np.array(batch.reduce(T.points, lambda v: np.dot(T.weights, v)),
                     dtype=float)
-
-
-def pullback_eval(T: Current, f: Expr, sys: StratonovichSystem,
-                  noise: NoisePath) -> float:
-    """Pathwise pullback (phi_t^* T)(f) = T(f o phi_t), one realization
-    of the noise up to its horizon t; all support points ride it.
-    """
-    ends = flow_endpoints(sys, T.points, noise.dt, noise.increments)
-    return float(np.dot(T.weights, expr.evaluate(f, ends)))
 
 
 def pullback_values(T: Current, functions: Sequence[Expr],
@@ -210,7 +165,7 @@ def pullback_values(T: Current, functions: Sequence[Expr],
     steps = step_count(t, dt)
     pts = T.points
     n_pts = pts.shape[0]
-    batch = _Functions(functions, sys.manifold.dim)
+    batch = expr.Functions(functions, sys.manifold.dim)
     out = np.empty((len(batch), n_paths))
     chunk = max(1, _CHUNK_ELEMS // (n_pts * sys.manifold.dim + steps * sys.m))
     for start in range(0, n_paths, chunk):
@@ -220,13 +175,6 @@ def pullback_values(T: Current, functions: Sequence[Expr],
         for j, vals in enumerate(batch.reduce(ends, lambda v: v @ T.weights)):
             out[j, start:stop] = vals
     return out
-
-
-def derivative_current_eval(X: VectorFieldSpec, T: Current,
-                            f: Expr) -> float:
-    """The derivative current XT evaluated on f: XT(f) = -T(Xf)."""
-    xf = apply_field(T.manifold, X, f)
-    return -evaluate(T, xf)
 
 
 def _contract(T: Current, terms, n_out: int, functions) -> np.ndarray:
@@ -245,7 +193,7 @@ def _contract(T: Current, terms, n_out: int, functions) -> np.ndarray:
     if not terms:
         return out
     dim = T.manifold.dim
-    rows = np.array(_Functions((c for c, _, _ in terms), dim).reduce(
+    rows = np.array(expr.Functions((c for c, _, _ in terms), dim).reduce(
         T.points, lambda v: T.weights * v))
     axes = list(dict.fromkeys(q for _, _, q in terms))
     pairs = [[(r, o) for r, (_, o, q) in enumerate(terms) if q == qa]
@@ -254,7 +202,7 @@ def _contract(T: Current, terms, n_out: int, functions) -> np.ndarray:
     wanted = [(k, i, d) for k, f in enumerate(functions)
               for i, q in enumerate(axes)
               if (d := reduce(expr.diff, q, f)) is not zero]
-    batch = _Functions((d for _, _, d in wanted), dim)
+    batch = expr.Functions((d for _, _, d in wanted), dim)
     for (k, i, _), v in zip(wanted, batch.reduce(T.points, lambda v: rows @ v)):
         for r, o in pairs[i]:
             out[o, k] += v[r]

@@ -9,7 +9,10 @@ Grammar (coordinates are x1..xn):
 
 Expressions evaluate vectorized over numpy point arrays of shape
 (..., dim) and are closed under differentiation, so directional
-derivatives of any order stay analytic.
+derivatives of any order stay analytic. There is one evaluator:
+``Lowering`` turns expressions into straight-line numpy operations,
+``Functions`` runs them for a batch of expressions on point arrays, and
+``evaluate`` is the batch of one.
 
 Nodes are hash-consed. Every constructor (the node classes themselves,
 the smart constructors and the parser) returns the one live node with
@@ -44,6 +47,7 @@ __all__ = [
     "ExprParseError",
     "parse",
     "evaluate",
+    "Functions",
     "diff",
     "constant",
     "coordinate",
@@ -367,57 +371,6 @@ def parse(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-def _eval(node, pts, memo):
-    """The values of node on pts; memo holds the values of the nodes
-    already evaluated in this walk, so a shared subtree is walked once."""
-    value = memo.get(node)
-    if value is None:
-        value = memo[node] = _eval_node(node, pts, memo)
-    return value
-
-
-def _eval_node(node, pts, memo):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Coord):
-        if node.axis >= pts.shape[-1]:
-            raise ValueError(
-                f"expression references x{node.axis + 1} but points have "
-                f"dimension {pts.shape[-1]}")
-        return pts[..., node.axis]
-    if isinstance(node, Neg):
-        return -_eval(node.arg, pts, memo)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, pts, memo)
-        b = _eval(node.right, pts, memo)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    if isinstance(node, Call):
-        return _FUNCTIONS[node.fn](_eval(node.arg, pts, memo))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def evaluate(node: Expr, pts) -> np.ndarray:
-    """Evaluate at points of shape (..., dim); returns shape (...,).
-
-    Each distinct node is evaluated once, however often the tree
-    refers to it.
-    """
-    pts = np.asarray(pts, dtype=float)
-    out = _eval(node, pts, {})
-    if np.ndim(out) == 0:
-        return np.full(pts.shape[:-1], float(out))
-    return np.asarray(out, dtype=float)
-
-
-# ---------------------------------------------------------------------------
 # lowering to straight-line numpy code
 
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -440,11 +393,13 @@ class Lowering:
     emitted is found without walking it, and emitting costs time linear
     in the number of nodes not yet lowered. (Nodes are interned, so
     fields, their components and their derivatives share nodes, and
-    work.) Constant subtrees are folded to values with the arithmetic
-    ``evaluate`` uses, so that the code computes what ``evaluate``
-    computes. Folding can make different nodes compute the same
-    operation ((2*pi)*x1 and (pi*2)*x1, say), so each operation is also
-    keyed on its operator and operand names and emitted once.
+    work.) Constant subtrees are folded to values when they are lowered,
+    by the same operations on Python floats (and on the numpy scalars
+    that sin, cos and exp return), so a constant 1/0 raises
+    ZeroDivisionError in ``emit``. Folding can make different nodes
+    compute the same operation ((2*pi)*x1 and (pi*2)*x1, say), so each
+    operation is also keyed on its operator and operand names and
+    emitted once.
 
     The code has two back ends. For code that runs many times (a Heun
     step) it is rendered as Python source, built from the tree's node
@@ -476,7 +431,7 @@ class Lowering:
         return self._emit(node, inputs, scope)
 
     def _emit(self, node, inputs, scope):
-        lowered = node._lowered
+        lowered = getattr(node, "_lowered", None)  # _lower rejects a non-node
         if lowered is not None and lowered[0] is scope:
             return lowered[1]
         name = self._lower(node, inputs, scope)
@@ -599,7 +554,7 @@ class Lowering:
 
         Each value is reduced as soon as it is computed, and each
         temporary is dropped after its last use. A constant result is
-        reduced as np.full(shape, value), the array ``evaluate`` returns.
+        reduced as np.full(shape, value).
         """
         uses = {}  # name -> operations yet to read it
         for _, *args in self.code:
@@ -625,6 +580,42 @@ class Lowering:
                     values.pop(a, None)
             del value
         return [wanted[name] for name in results]
+
+
+class Functions:
+    """Scalar fields evaluated together on point arrays (..., dim).
+
+    The expressions are lowered into one ``Lowering``, so subexpressions
+    they share (the cos/sin factors of a trig basis, say) are computed
+    once per point array. Functions may be given as an iterator: each
+    expression is lowered as it arrives, so its tree need not outlive it.
+    """
+
+    def __init__(self, functions, dim: int):
+        self._low = Lowering()
+        inputs = [f"x{i}" for i in range(dim)]
+        self._names = [self._low.emit(f, inputs) for f in functions]
+
+    def __len__(self):
+        return len(self._names)
+
+    def reduce(self, pts, reduce) -> list:
+        """[reduce(f(pts)) for each function f], each value reduced, and
+        its temporaries dropped, as soon as it is computed."""
+        env = {f"x{i}": pts[..., i] for i in range(pts.shape[-1])}
+        return self._low.run(self._names, env, reduce, pts.shape[:-1])
+
+
+def evaluate(node: Expr, pts) -> np.ndarray:
+    """Evaluate at points of shape (..., dim); returns shape (...,).
+
+    The batch of one expression in ``Functions``: each distinct node is
+    computed once, however often the tree refers to it.
+    """
+    pts = np.asarray(pts, dtype=float)
+    out, = Functions([node], pts.shape[-1]).reduce(
+        pts, lambda v: np.asarray(v, dtype=float))
+    return out
 
 
 # ---------------------------------------------------------------------------

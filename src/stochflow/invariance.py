@@ -14,7 +14,6 @@ import numpy as np
 
 from .currents import (
     Current,
-    _Functions,
     derivative_currents,
     evaluate_many,
     generator_residuals,
@@ -22,7 +21,7 @@ from .currents import (
     strict_residuals,
     volume_current,
 )
-from .expr import Expr
+from .expr import Expr, Functions
 from .manifold import (
     ChartedManifold,
     VectorFieldSpec,
@@ -140,8 +139,8 @@ def check_strict_nform(m: ChartedManifold, density: Optional[Expr],
                        tolerance: float = 1e-8) -> InvarianceReport:
     """Strict invariance of f*mu_g: residual = max_i max_p |div(f X_i)|."""
     pts, _ = grid_points(m, grid_n)
-    divs = _Functions((product_divergence_expr(m, X, density) for X in fields),
-                      m.dim)
+    divs = Functions((product_divergence_expr(m, X, density) for X in fields),
+                     m.dim)
     peaks = divs.reduce(pts, lambda v: float(np.max(np.abs(v))) if v.size else 0.0)
     rows = [{"field_index": i, "value": peak} for i, peak in enumerate(peaks)]
     worst = max(peaks, default=0.0)
@@ -170,7 +169,7 @@ def check_mean_nform(m: ChartedManifold, density: Optional[Expr],
             b = product_divergence_expr(m, X, density)
             yield from (b, apply_field(m, X, b), product_divergence_expr(m, X))
 
-    acc, *rest = _Functions(terms(), m.dim).reduce(pts, lambda v: v)
+    acc, *rest = Functions(terms(), m.dim).reduce(pts, lambda v: v)
     for b_vals, xb_vals, divx_vals in zip(rest[0::3], rest[1::3], rest[2::3]):
         acc = acc - 0.5 * (xb_vals + divx_vals * b_vals)
     residual = float(np.max(np.abs(acc)))
@@ -235,7 +234,7 @@ def empirical_check(T: Current, sys: StratonovichSystem, basis,
                                 per_basis=rows)
     if mode != "mean":
         raise ValueError(f"unknown empirical mode {mode!r}")
-    if n_paths < 2:
+    if n_paths is None or n_paths < 2:
         raise ValueError("mean mode needs n_paths >= 2")
     if bias_c is None:
         exact = all(f.is_constant for f in sys.fields())
@@ -410,7 +409,7 @@ def calibrate_bias_constant(T: Current, sys: StratonovichSystem, basis,
     pullback means, leaving ~C*dt/2 per basis function.
     """
     steps = step_count(t, dt)
-    batch = _Functions(basis.functions, sys.manifold.dim)
+    batch = Functions(basis.functions, sys.manifold.dim)
 
     def means(dt, steps, factor):
         ends = flow_paths(sys, "endpoints", T.points, dt, steps, seed,

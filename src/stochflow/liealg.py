@@ -1,16 +1,19 @@
 """Structure-constant computations for Lie algebras with orthonormal bases.
 
 Everything is expressed through the constants c[i, j, k] of
-[v_i, v_j] = sum_k c[i, j, k] v_k: adjoint matrices, restricted traces,
-the Killing form, nilpotency, leaf connection coefficients of an
-induced foliation, the drift of the foliated Brownian motion, and the
-trace criterion deciding whether the invariant volume is totally
-invariant under that motion.
+[v_i, v_j] = sum_k c[i, j, k] v_k: traces of adjoint maps restricted
+to a subalgebra, the Killing form, nilpotency, the drift of the
+foliated Brownian motion of an induced foliation, and the trace
+criterion deciding whether the invariant volume is totally invariant
+under that motion. The drift is read off the constants directly; the
+tests check it against the leaf connection of the Koszul formula, and
+the restricted traces against the adjoint matrices.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,13 +23,11 @@ __all__ = [
     "LieAlgebraData",
     "SubalgebraSpec",
     "NotASubalgebraError",
-    "ad_matrix",
     "tr_ad_restricted",
     "killing_form",
     "is_semisimple",
     "is_nilpotent",
     "is_closed",
-    "leaf_connection",
     "foliated_drift",
     "invariance_verdict",
     "abelian",
@@ -115,17 +116,6 @@ def _restricted_constants(g: LieAlgebraData, h: SubalgebraSpec) -> np.ndarray:
     return g.c.take(idx, 0).take(idx, 1).take(idx, 2)
 
 
-def ad_matrix(g: LieAlgebraData, i: int,
-              restrict: Optional[SubalgebraSpec] = None) -> np.ndarray:
-    """Matrix of ad(v_i); columns are the images of the basis vectors."""
-    if restrict is None:
-        return g.c[i].T.copy()
-    sub = _restricted_constants(g, restrict)
-    if i not in restrict.indices:
-        raise IndexError(f"basis index {i} is not in the subalgebra")
-    return sub[restrict.indices.index(i)].T.copy()
-
-
 def tr_ad_restricted(g: LieAlgebraData, h: SubalgebraSpec, i: int) -> float:
     """Trace of ad(v_i) restricted to the subalgebra: sum_{j in h} c_ij^j."""
     sub = _restricted_constants(g, h)
@@ -165,22 +155,6 @@ def is_nilpotent(g: LieAlgebraData) -> bool:
             return False
         series = nxt
     return series.shape[0] == 0
-
-
-def leaf_connection(g: LieAlgebraData, h: SubalgebraSpec,
-                    i: int, j: int) -> np.ndarray:
-    """Coefficients of nabla^E_{V_i} V_j on the subalgebra frame.
-
-    Koszul formula on an orthonormal invariant frame:
-    <nabla_{V_i} V_j, V_k> = (c_ij^k - c_jk^i - c_ik^j) / 2 for k in h.
-    """
-    _require_closed(g, h)
-    if i not in h.indices or j not in h.indices:
-        raise IndexError("connection indices must lie in the subalgebra")
-    out = np.empty(len(h.indices))
-    for a, k in enumerate(h.indices):
-        out[a] = 0.5 * (g.c[i, j, k] - g.c[j, k, i] - g.c[i, k, j])
-    return out
 
 
 def foliated_drift(g: LieAlgebraData, h: SubalgebraSpec) -> np.ndarray:
@@ -253,13 +227,39 @@ def algebra_zoo() -> dict:
 # ---------------------------------------------------------------------------
 # structure-constant files
 
+def _integer(value, what: str) -> int:
+    """value as an int, or ValueError naming what: JSON gives an index as
+    an integer or an integral float, never as null, a bool or a string."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _coefficients(coeffs, n: int, where: str) -> np.ndarray:
+    """coeffs as an array of n floats, or ValueError naming where."""
+    try:
+        numeric = isinstance(coeffs, list) and all(
+            not isinstance(v, bool) and math.isfinite(v) for v in coeffs)
+    except (TypeError, OverflowError):  # not a number, or too large a float
+        numeric = False
+    if not numeric:
+        raise ValueError(f"{where}: 'coeffs' must be a list of finite "
+                         f"numbers, not {coeffs!r}")
+    if len(coeffs) != n:
+        raise ValueError(f"{where} needs {n} coefficients")
+    return np.array(coeffs, dtype=float)
+
+
 def load_structure_constants(source) -> LieAlgebraData:
     """Read the JSON wire format for structure constants.
 
     {"dim": n, "brackets": [{"i": 1, "j": 2, "coeffs": [...n reals...]}, ...]}
 
     Indices are 1-based; unspecified brackets default to zero and the
-    antisymmetric completion is applied automatically.
+    antisymmetric completion is applied automatically. A malformed value
+    raises ValueError naming the entry.
     """
     if isinstance(source, (str, bytes)):
         data = json.loads(source)
@@ -269,18 +269,27 @@ def load_structure_constants(source) -> LieAlgebraData:
         data = source
     if not isinstance(data, dict) or "dim" not in data:
         raise ValueError("structure-constant file must be an object with 'dim'")
-    n = int(data["dim"])
+    n = _integer(data["dim"], "dim")
     if n < 1:
         raise ValueError("dim must be positive")
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ValueError(f"'brackets' must be a list, not {brackets!r}")
     c = np.zeros((n, n, n))
     seen = {}
-    for entry in data.get("brackets", []):
-        i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
+    for number, entry in enumerate(brackets, 1):
+        where = f"bracket entry {number}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object with 'i', 'j' and "
+                             f"'coeffs', not {entry!r}")
+        for key in ("i", "j", "coeffs"):
+            if key not in entry:
+                raise ValueError(f"{where} has no {key!r}")
+        i = _integer(entry["i"], f"{where}: 'i'") - 1
+        j = _integer(entry["j"], f"{where}: 'j'") - 1
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"bracket index out of range: ({i + 1}, {j + 1})")
-        coeffs = np.asarray(entry["coeffs"], dtype=float)
-        if coeffs.shape != (n,):
-            raise ValueError(f"bracket ({i + 1}, {j + 1}) needs {n} coefficients")
+        coeffs = _coefficients(entry["coeffs"], n, f"bracket ({i + 1}, {j + 1})")
         if i == j:
             if np.any(coeffs != 0):
                 raise ValueError(f"bracket ({i + 1}, {i + 1}) must vanish")
@@ -292,6 +301,8 @@ def load_structure_constants(source) -> LieAlgebraData:
         c[i, j, :] = coeffs
         c[j, i, :] = -coeffs
     labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError(f"'labels' must be a list, not {labels!r}")
     return LieAlgebraData(n=n, c=c, basis_labels=tuple(labels) if labels else None)
 
 

@@ -1,5 +1,5 @@
 """Compact charted manifolds: wrapping, fields, differential operators,
-quadrature and trigonometric test bases.
+quadrature grids and trigonometric test bases.
 
 Built-ins are flat tori of arbitrary periods and the Heisenberg
 nilmanifold presented as a periodic box with the twisted identification
@@ -32,15 +32,12 @@ __all__ = [
     "torus",
     "heisenberg_manifold",
     "heisenberg_frame",
-    "divergence",
     "product_divergence_expr",
     "lie_bracket",
-    "quadrature",
     "make_test_basis",
     "apply_field",
     "identified_pairs",
     "is_compatible_field",
-    "is_invariant_function",
     "linear_combination",
 ]
 
@@ -164,11 +161,18 @@ class VectorFieldSpec:
         return all(expr.is_constant(c) for c in self.components)
 
     def __call__(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        out = np.empty(pts.shape)
-        for i, c in enumerate(self.components):
-            out[..., i] = expr.evaluate(c, pts)
-        return out
+        return _field_values(self.components, pts)
+
+
+def _field_values(components, pts) -> np.ndarray:
+    """The components evaluated in one batch at points of shape
+    (..., dim); shape (..., dim)."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.empty(pts.shape)
+    batch = expr.Functions(components, pts.shape[-1])
+    for i, values in enumerate(batch.reduce(pts, lambda v: v)):
+        out[..., i] = values
+    return out
 
 
 def heisenberg_frame() -> tuple:
@@ -260,31 +264,8 @@ def is_compatible_field(m: ChartedManifold, X: VectorFieldSpec,
     return False
 
 
-def is_invariant_function(m: ChartedManifold, f: Expr,
-                          tol: float = 1e-10, samples: int = 32) -> bool:
-    """True when f(p) = f(q) on sampled identified pairs; f is evaluated
-    once on all sample points p and once on all their images q, and a
-    non-finite value is never invariant."""
-    p, q, _ = identified_pairs(m, samples)
-    fp, fq = expr.evaluate(f, p), expr.evaluate(f, q)
-    with np.errstate(invalid="ignore"):
-        return bool(np.max(np.abs(fp - fq)) <= tol)
-
-
 # ---------------------------------------------------------------------------
 # differential operators
-
-def divergence(m: ChartedManifold, X: VectorFieldSpec, p,
-               density: Optional[Expr] = None):
-    """Divergence of X at p with respect to density * volume form."""
-    terms = product_divergence_expr(m, X, density)
-    if density is None:
-        return expr.evaluate(terms, p)
-    fvals = expr.evaluate(density, p)
-    if np.any(fvals <= 0):
-        raise DegenerateDensityError("density must be positive")
-    return expr.evaluate(terms, p) / fvals
-
 
 def product_divergence_expr(m: ChartedManifold, X: VectorFieldSpec,
                             density: Optional[Expr] = None) -> Expr:
@@ -298,12 +279,8 @@ def product_divergence_expr(m: ChartedManifold, X: VectorFieldSpec,
 
 def lie_bracket(m: ChartedManifold, X: VectorFieldSpec, Y: VectorFieldSpec, p):
     """[X, Y] = (X.grad)Y - (Y.grad)X at p; shape (..., dim)."""
-    pts = np.asarray(p, dtype=float)
-    out = np.empty(pts.shape)
-    for k, (xk, yk) in enumerate(zip(X.components, Y.components)):
-        out[..., k] = expr.evaluate(
-            expr.sub(apply_field(m, X, yk), apply_field(m, Y, xk)), pts)
-    return out
+    return _field_values([expr.sub(apply_field(m, X, yk), apply_field(m, Y, xk))
+                          for xk, yk in zip(X.components, Y.components)], p)
 
 
 def apply_field(m: ChartedManifold, X: VectorFieldSpec, f: Expr) -> Expr:
@@ -335,14 +312,6 @@ def grid_points(m: ChartedManifold, n: int):
     return pts, np.full(pts.shape[0], cell)
 
 
-def quadrature(m: ChartedManifold, f: Expr, n: int) -> float:
-    """Midpoint rule on the uniform n^dim grid, exact below Nyquist."""
-    if n < 2:
-        raise ValueError("need at least 2 grid points per axis")
-    pts, weights = grid_points(m, n)
-    return float(np.dot(weights, expr.evaluate(f, pts)))
-
-
 @dataclass(frozen=True)
 class TestBasis:
     """Trig-monomial test functions with analytic gradients."""
@@ -353,13 +322,6 @@ class TestBasis:
 
     def __len__(self):
         return len(self.functions)
-
-    def evaluate(self, k: int, pts) -> np.ndarray:
-        return expr.evaluate(self.functions[k], pts)
-
-    def gradient(self, k: int) -> tuple:
-        f = self.functions[k]
-        return tuple(expr.diff(f, i) for i in range(self.manifold.dim))
 
 
 @lru_cache(maxsize=64)

@@ -1,9 +1,9 @@
-"""Built-in example systems used by presets, invariants and acceptance runs."""
+"""Example Stratonovich systems that the tests run."""
 
 from __future__ import annotations
 
-from .manifold import VectorFieldSpec, heisenberg_frame, heisenberg_manifold, torus
-from .sde import StratonovichSystem
+from stochflow.manifold import VectorFieldSpec, heisenberg_frame, heisenberg_manifold, torus
+from stochflow.sde import StratonovichSystem
 
 __all__ = [
     "hamiltonian_torus_system",

@@ -1,0 +1,166 @@
+"""Reference implementations that the tests compare the package against.
+
+Each computes a value the package computes by another route: a tree
+walker beside ``expr.Lowering``, one pullback or derivative current at a
+time beside the batched passes of ``currents``, a finite-difference
+Jacobian beside the co-evolved log J, invariance of a function on
+sampled identified pairs, and the adjoint matrices and Koszul leaf
+connection behind the trace criterion and the foliated drift of
+``liealg``.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from stochflow import expr
+from stochflow.currents import Current
+from stochflow.liealg import LieAlgebraData, NotASubalgebraError, SubalgebraSpec, is_closed
+from stochflow.manifold import (
+    ChartedManifold,
+    VectorFieldSpec,
+    apply_field,
+    identified_pairs,
+)
+from stochflow.sde import NoisePath, StratonovichSystem, flow_endpoints
+
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+
+
+# ---------------------------------------------------------------------------
+# expressions
+
+def _walk(node, pts, memo):
+    """The values of node on pts; memo holds the values of the nodes
+    already evaluated in this walk, so a shared subtree is walked once."""
+    value = memo.get(node)
+    if value is None:
+        value = memo[node] = _walk_node(node, pts, memo)
+    return value
+
+
+def _walk_node(node, pts, memo):
+    if isinstance(node, expr.Num):
+        return node.value
+    if isinstance(node, expr.Coord):
+        if node.axis >= pts.shape[-1]:
+            raise ValueError(
+                f"expression references x{node.axis + 1} but points have "
+                f"dimension {pts.shape[-1]}")
+        return pts[..., node.axis]
+    if isinstance(node, expr.Neg):
+        return -_walk(node.arg, pts, memo)
+    if isinstance(node, expr.BinOp):
+        a = _walk(node.left, pts, memo)
+        b = _walk(node.right, pts, memo)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        return a / b
+    if isinstance(node, expr.Call):
+        return _FUNCTIONS[node.fn](_walk(node.arg, pts, memo))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def walk(node, pts) -> np.ndarray:
+    """node at points of shape (..., dim), by walking the tree: constants
+    as Python floats, each distinct node once; shape (...,)."""
+    pts = np.asarray(pts, dtype=float)
+    out = _walk(node, pts, {})
+    if np.ndim(out) == 0:
+        return np.full(pts.shape[:-1], float(out))
+    return np.asarray(out, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# currents and flows
+
+def pullback_eval(T: Current, f, sys: StratonovichSystem,
+                  noise: NoisePath) -> float:
+    """Pathwise pullback (phi_t^* T)(f) = T(f o phi_t) for one realization
+    of the noise up to its horizon t; all support points ride it."""
+    ends = flow_endpoints(sys, T.points, noise.dt, noise.increments)
+    return float(np.dot(T.weights, walk(f, ends)))
+
+
+def current_eval(T: Current, f) -> float:
+    """T(f): the weighted sum of f's values on the support."""
+    return float(np.dot(T.weights, walk(f, T.points)))
+
+
+def derivative_current_eval(X: VectorFieldSpec, T: Current, f) -> float:
+    """The derivative current XT evaluated on f: XT(f) = -T(Xf)."""
+    return -current_eval(T, apply_field(T.manifold, X, f))
+
+
+def fd_jacobian(sys: StratonovichSystem, x0, noise: NoisePath,
+                h_fd: float = 1e-4) -> float:
+    """Jacobian determinant by central differences under the same noise.
+
+    Column i is the minimal-image displacement between the flows of
+    x0 + h e_i and x0 - h e_i divided by 2h.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    dim = sys.manifold.dim
+    seeds = np.empty((2 * dim, dim))
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = h_fd
+        seeds[2 * i] = x0 + e
+        seeds[2 * i + 1] = x0 - e
+    ends = flow_endpoints(sys, seeds, noise.dt, noise.increments)
+    lengths = sys.manifold.lengths
+    cols = np.empty((dim, dim))
+    for i in range(dim):
+        d = ends[2 * i] - ends[2 * i + 1]
+        d = d - lengths * np.round(d / lengths)  # stay off the periodic seam
+        cols[:, i] = d / (2.0 * h_fd)
+    return float(np.linalg.det(cols))
+
+
+def is_invariant_function(m: ChartedManifold, f, tol: float = 1e-10,
+                          samples: int = 32) -> bool:
+    """True when f(p) = f(q) on sampled identified pairs; a non-finite
+    value is never invariant."""
+    p, q, _ = identified_pairs(m, samples)
+    with np.errstate(invalid="ignore"):
+        return bool(np.max(np.abs(walk(f, p) - walk(f, q))) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# Lie algebras
+
+def _require_closed(g: LieAlgebraData, h: SubalgebraSpec) -> None:
+    if not is_closed(g, h):
+        raise NotASubalgebraError(f"indices {h.indices} do not span a subalgebra")
+
+
+def ad_matrix(g: LieAlgebraData, i: int,
+              restrict: Optional[SubalgebraSpec] = None) -> np.ndarray:
+    """Matrix of ad(v_i); columns are the images of the basis vectors."""
+    if restrict is None:
+        return g.c[i].T.copy()
+    _require_closed(g, restrict)
+    if i not in restrict.indices:
+        raise IndexError(f"basis index {i} is not in the subalgebra")
+    idx = list(restrict.indices)
+    return g.c[np.ix_([i], idx, idx)][0].T.copy()
+
+
+def leaf_connection(g: LieAlgebraData, h: SubalgebraSpec,
+                    i: int, j: int) -> np.ndarray:
+    """Coefficients of nabla^E_{V_i} V_j on the subalgebra frame.
+
+    Koszul formula on an orthonormal invariant frame:
+    <nabla_{V_i} V_j, V_k> = (c_ij^k - c_jk^i - c_ik^j) / 2 for k in h.
+    """
+    _require_closed(g, h)
+    if i not in h.indices or j not in h.indices:
+        raise IndexError("connection indices must lie in the subalgebra")
+    return np.array([0.5 * (g.c[i, j, k] - g.c[j, k, i] - g.c[i, k, j])
+                     for k in h.indices])

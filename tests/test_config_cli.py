@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from example_systems import translation_bm_system
 from stochflow.cli import build_experiment, main, run
 from stochflow.config import (
     CHECK_KEYS,
@@ -17,7 +18,6 @@ from stochflow.currents import DensityCurrent, volume_current
 from stochflow.invariance import EXACT_BIAS_C, empirical_check
 from stochflow.manifold import make_test_basis
 from stochflow.presets import PRESETS, preset_names, preset_text
-from stochflow.systems import translation_bm_system
 
 MINIMAL_FLOW = """\
 [manifold]
@@ -562,6 +562,50 @@ def test_liealg_command_abelian_passes(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 2, "brackets": []}))
     assert main(["liealg", str(path), "--subalgebra", "1,2"]) == 0
     assert "totally invariant: True" in capsys.readouterr().out
+
+
+def _brackets(*entries, dim=2):
+    return {"dim": dim, "brackets": list(entries)}
+
+
+MALFORMED_CONSTANTS = {
+    "no_i": (_brackets({"j": 2, "coeffs": [0, 1]}), "bracket entry 1 has no 'i'"),
+    "no_j": (_brackets({"i": 1, "coeffs": [0, 1]}), "bracket entry 1 has no 'j'"),
+    "no_coeffs": (_brackets({"i": 1, "j": 2}), "bracket entry 1 has no 'coeffs'"),
+    "entry_not_object": (_brackets([1, 2]), "bracket entry 1 must be an object"),
+    "brackets_not_list": ({"dim": 2, "brackets": 5}, "'brackets' must be a list"),
+    "null_dim": ({"dim": None}, "dim must be an integer, not None"),
+    "fractional_dim": ({"dim": 2.5}, "dim must be an integer, not 2.5"),
+    "null_index": (_brackets({"i": 1, "j": None, "coeffs": [0, 1]}),
+                   "bracket entry 1: 'j' must be an integer, not None"),
+    "string_index": (_brackets({"i": "1", "j": 2, "coeffs": [0, 1]}),
+                     "bracket entry 1: 'i' must be an integer, not '1'"),
+    "text_coeff": (_brackets({"i": 1, "j": 2, "coeffs": ["a", 1]}),
+                   "bracket (1, 2): 'coeffs' must be a list of finite numbers"),
+    "null_coeff": (_brackets({"i": 1, "j": 2, "coeffs": [None, 1]}),
+                   "bracket (1, 2): 'coeffs' must be a list of finite numbers"),
+    "coeffs_not_list": (_brackets({"i": 1, "j": 2, "coeffs": 3}),
+                        "bracket (1, 2): 'coeffs' must be a list of finite numbers"),
+}
+
+
+@pytest.mark.parametrize("route", ["file", "inline"])
+@pytest.mark.parametrize("doc,message", MALFORMED_CONSTANTS.values(),
+                         ids=list(MALFORMED_CONSTANTS))
+def test_malformed_constants_are_one_error_line(tmp_path, capsys, route, doc, message):
+    text = json.dumps(doc)
+    if route == "file":
+        path = tmp_path / "constants.json"
+        path.write_text(text)
+        code = main(["liealg", str(path), "--subalgebra", "1,2"])
+    else:
+        cfg = tmp_path / "inline.cfg"
+        cfg.write_text(f"[liealg]\nconstants = {text}\nsubalgebra = 1, 2\n\n"
+                       "[check foliation]\nseed = 0\n")
+        code = main(["check", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
 
 def test_simulate_writes_trajectory(tmp_path, capsys):

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from example_systems import builtin_systems, hamiltonian_torus_system
+from oracles import current_eval, derivative_current_eval, pullback_eval
 from stochflow import currents, expr, sde
 from stochflow.currents import (
     DensityCurrent,
     EmpiricalCurrent,
-    derivative_current_eval,
     derivative_currents,
-    evaluate,
     evaluate_many,
     generator_residuals,
-    pullback_eval,
     pullback_values,
     strict_residuals,
     volume_current,
@@ -38,7 +37,6 @@ from stochflow.sde import (
     flow_with_jacobian,
     generate_noise,
 )
-from stochflow.systems import builtin_systems, hamiltonian_torus_system
 
 T1 = torus(1.0)
 T2 = torus(1.0, 1.0)
@@ -69,31 +67,32 @@ def translation_system(dim=1):
 
 def test_eval_lebesgue_normalization():
     T = volume_current(T2, 16, probability=True)
-    assert evaluate(T, expr.parse("1")) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate_many(T, [expr.parse("1")])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eval_single_atom():
     T = EmpiricalCurrent(manifold=T1, atoms=[[0.25]], atom_weights=[2.0])
-    assert evaluate(T, SIN) == pytest.approx(2.0, abs=1e-14)
+    assert evaluate_many(T, [SIN])[0] == pytest.approx(2.0, abs=1e-14)
 
 
 def test_eval_tilted_density_closed_form():
     # integral of (1 + sin/2) sin = 1/4
     T = DensityCurrent(manifold=T1, density=TILTED, grid_n=32)
-    assert evaluate(T, SIN) == pytest.approx(0.25, abs=1e-12)
+    assert evaluate_many(T, [SIN])[0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_eval_linearity_in_f_and_weights():
     T = DensityCurrent(manifold=T1, density=TILTED, grid_n=16)
     a, b = 1.7, -2.3
     combo = expr.add(expr.mul(expr.constant(a), SIN), expr.mul(expr.constant(b), COS))
-    assert evaluate(T, combo) == pytest.approx(
-        a * evaluate(T, SIN) + b * evaluate(T, COS), abs=1e-14)
+    f_vals = evaluate_many(T, [SIN, COS])
+    assert evaluate_many(T, [combo])[0] == pytest.approx(
+        a * f_vals[0] + b * f_vals[1], abs=1e-14)
     T2x = EmpiricalCurrent(manifold=T1, atoms=[[0.1], [0.4]], atom_weights=[2.0, -1.0])
     Ta = EmpiricalCurrent(manifold=T1, atoms=[[0.1]], atom_weights=[2.0])
     Tb = EmpiricalCurrent(manifold=T1, atoms=[[0.4]], atom_weights=[-1.0])
-    assert evaluate(T2x, SIN) == pytest.approx(evaluate(Ta, SIN) + evaluate(Tb, SIN),
-                                               abs=1e-14)
+    assert evaluate_many(T2x, [SIN])[0] == pytest.approx(
+        evaluate_many(Ta, [SIN])[0] + evaluate_many(Tb, [SIN])[0], abs=1e-14)
 
 
 def test_probability_flag_validated():
@@ -106,7 +105,7 @@ def test_probability_flag_validated():
                        normalize=False)
     ok = DensityCurrent(manifold=T1, density=heavy, grid_n=16, normalize=True,
                         probability=True)
-    assert evaluate(ok, expr.parse("1")) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate_many(ok, [expr.parse("1")])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_density_must_be_positive():
@@ -133,7 +132,7 @@ def test_pullback_zero_system_is_eval():
     T = DensityCurrent(manifold=T1, density=TILTED, grid_n=16)
     noise = generate_noise(0, 0, 0, 0.1, 10)
     assert pullback_eval(T, SIN, sys, noise) == pytest.approx(
-        evaluate(T, SIN), abs=1e-14)
+        evaluate_many(T, [SIN])[0], abs=1e-14)
 
 
 def test_pullback_translation_invariance_of_lebesgue():
@@ -153,7 +152,7 @@ def test_pullback_deterministic_rotation():
     f = expr.parse("sin(2*pi*x1)*cos(2*pi*x2)")
     noise = generate_noise(0, 0, 0, 1e-2, 100)
     assert pullback_eval(T, f, sys, noise) == pytest.approx(
-        evaluate(T, f), abs=1e-8)
+        evaluate_many(T, [f])[0], abs=1e-8)
 
 
 def test_pullback_empirical_flows_atoms():
@@ -178,7 +177,7 @@ def test_mean_action_zero_system():
     sys = zero_system(1)
     T = DensityCurrent(manifold=T1, density=TILTED, grid_n=16)
     value, std_error = mean_action(T, SIN, sys, 1.0, 0.1, seed=3, n_paths=4)
-    assert value == pytest.approx(evaluate(T, SIN), abs=1e-14)
+    assert value == pytest.approx(evaluate_many(T, [SIN])[0], abs=1e-14)
     assert std_error == pytest.approx(0.0, abs=1e-15)
     assert pullback_values(T, [SIN], sys, 1.0, 0.1, seed=3, n_paths=4).shape == (1, 4)
 
@@ -205,6 +204,8 @@ def test_mean_action_requires_two_paths():
     basis = make_test_basis(T1, 1)
     with pytest.raises(ValueError):
         empirical_check(T, sys, basis, 1.0, 0.1, seed=0, n_paths=1, mode="mean")
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        empirical_check(T, sys, basis, 1.0, 0.1, seed=0, n_paths=None, mode="mean")
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +426,9 @@ def per_tree_generator_residuals(T, sys, basis):
     for k, f in enumerate(basis.functions):
         acc = 0.0
         if not sys.drift.is_zero:
-            acc += evaluate(T, apply_field(m, sys.drift, f))
+            acc += current_eval(T, apply_field(m, sys.drift, f))
         for X in sys.diffusions:
-            acc += 0.5 * evaluate(T, apply_field(m, X, apply_field(m, X, f)))
+            acc += 0.5 * current_eval(T, apply_field(m, X, apply_field(m, X, f)))
         out[k] = acc
     return out
 
@@ -457,7 +458,7 @@ def test_one_shot_residuals_equal_per_tree_route(label):
             strict_residuals(T, sys, basis),
             per_tree_derivative_currents(T, sys.fields(), basis.functions))
         np.testing.assert_array_equal(evaluate_many(T, functions),
-                                      [evaluate(T, f) for f in functions])
+                                      [current_eval(T, f) for f in functions])
         # an iterator is consumed once, in order
         np.testing.assert_array_equal(evaluate_many(T, iter(functions)),
                                       evaluate_many(T, functions))
@@ -475,15 +476,15 @@ def test_frame_derivative_currents_equal_per_tree_route(real):
 
 
 def lowered_counts(run):
-    """run(), and the number of expressions each _Functions batch lowered."""
+    """run(), and the number of expressions each Functions batch lowered."""
     counts = []
 
-    class Counting(currents._Functions):
+    class Counting(expr.Functions):
         def __init__(self, functions, dim):
             super().__init__(functions, dim)
             counts.append(len(self))
 
-    with mock.patch.object(currents, "_Functions", Counting):
+    with mock.patch.object(expr, "Functions", Counting):
         run()
     return counts
 

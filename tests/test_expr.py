@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from example_systems import hamiltonian_torus_system
+from oracles import walk
 from stochflow import expr
 from stochflow.manifold import apply_field, make_test_basis
-from stochflow.systems import hamiltonian_torus_system
 
 
 def ev(text, *coords):
@@ -218,16 +219,20 @@ def buffered(nodes, pts):
 def test_lowering_runs_what_evaluate_computes():
     texts = ["sin(2*pi*x1)*cos(2*pi*x2)", "-x1/(1 + x2) + 2*3", "x2",
              "1/sin(0*x1) + x1", "exp(-sin(2*pi*x1)) - exp(-sin(2*pi*x1))",
-             "3.5", "(x1 - 0) * (x1 - 0) * -(2*pi)"]
+             "3.5", "(x1 - 0) * (x1 - 0) * -(2*pi)",
+             # sin(0) is a numpy zero, which divides to inf where the
+             # Python zero beside it would raise
+             "1/sin(0) + 0*x1"]
     nodes = [expr.parse(t) for t in texts]
     pts = np.random.default_rng(0).uniform(-1, 1, size=(4, 3, 2))
     with np.errstate(divide="ignore"):
         got = lowered(nodes, pts)
         in_buffers, n_buffers, n_temporaries = buffered(nodes, pts)
         for node, vals, buffered_vals in zip(nodes, got, in_buffers):
-            want = expr.evaluate(node, pts)
+            want = walk(node, pts)
             np.testing.assert_array_equal(vals, want)
             np.testing.assert_array_equal(buffered_vals, want)
+            np.testing.assert_array_equal(expr.evaluate(node, pts), want)
     # the buffers of dead temporaries are reused
     assert n_buffers < n_temporaries
 
@@ -266,14 +271,78 @@ def test_evaluate_cost_is_linear_in_distinct_nodes(monkeypatch):
         return node
 
     visited = []
-    eval_node = expr._eval_node
-    monkeypatch.setattr(expr, "_eval_node",
-                        lambda node, *rest: visited.append(node) or eval_node(node, *rest))
+    lower = expr.Lowering._lower
+    monkeypatch.setattr(expr.Lowering, "_lower", lambda self, node, *rest:
+                        visited.append(node) or lower(self, node, *rest))
     expr.evaluate(doubled(10), np.array([[1.0]]))
     assert len(visited) == 11
     # 2**60 root-to-leaf paths, 61 distinct nodes, as above
     np.testing.assert_array_equal(expr.evaluate(doubled(60), np.array([[1.0], [0.5]])),
                                   [2.0 ** 60, 2.0 ** 59])
+
+
+# Trees over x1, x2 and x3, evaluated on points of dimension 2, so x3 is
+# beyond it; the constants include both zeros, infinities and exp's
+# overflow point, and subtrees are shared
+_RAW_LEAVES = st.one_of(
+    st.sampled_from([0, 1, 0, 1, 2]).map(expr.Coord),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 710.0, math.inf, -math.inf]).map(expr.Num),
+    st.floats(-3, 3).map(expr.Num),
+)
+
+
+def _raw_extend(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children).map(
+            lambda t: expr.BinOp(*t)),
+        st.tuples(st.sampled_from("+-*/"), children).map(
+            lambda t: expr.BinOp(t[0], t[1], t[1])),
+        st.tuples(st.sampled_from("+*"), children, children).map(
+            lambda t: expr.BinOp(t[0], t[1], expr.BinOp("-", t[2], t[1]))),
+        children.map(expr.Neg),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), children).map(
+            lambda t: expr.Call(*t)),
+    )
+
+
+RAW_EXPRESSIONS = st.recursive(_RAW_LEAVES, _raw_extend, max_leaves=8)
+RAW_POINTS = np.array([[0.0, -0.0], [0.5, -1.5], [800.0, -800.0],
+                       [1e308, 2.0], [-2.5, 3.0]])
+
+
+def outcome(f, node, pts):
+    """f(node, pts), or the type of the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return f(node, pts)
+    except (ArithmeticError, TypeError, ValueError) as e:
+        return type(e)
+
+
+@given(RAW_EXPRESSIONS)
+def test_evaluate_matches_the_tree_walker(node):
+    want = outcome(walk, node, RAW_POINTS)
+    got = outcome(expr.evaluate, node, RAW_POINTS)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
+        # the zeros carry the same sign (a nan's sign is not kept:
+        # constants are keyed on float.hex, which has one "nan")
+        assert np.array_equal(np.signbit(got) & (got == 0),
+                              np.signbit(want) & (want == 0))
+
+
+def test_evaluate_raises_what_the_tree_walker_raises():
+    pts = np.array([[0.5, 0.25]])
+    for text, error in (("1/0 + x1", ZeroDivisionError), ("x1 + x3", ValueError),
+                        ("x3 * (1/0)", ValueError), ("(1/0) * x3", ZeroDivisionError)):
+        node = expr.parse(text)
+        assert outcome(walk, node, pts) is error
+        assert outcome(expr.evaluate, node, pts) is error
+    for not_a_node in (1.0, "x1", expr.BinOp("+", expr.Coord(0), 2.0)):
+        assert outcome(walk, not_a_node, pts) is TypeError
+        assert outcome(expr.evaluate, not_a_node, pts) is TypeError
 
 
 def test_lowering_lowers_each_node_once_across_emits():

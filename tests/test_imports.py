@@ -6,6 +6,7 @@ re-export). ``from __future__`` imports are directives, not names.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,3 +120,94 @@ def test_every_private_name_in_src_is_read():
     found = [f"{module}:{line}: {name}"
              for module, line, name in unread_private_names(sources)]
     assert not found, "private names nothing in src/ reads:\n" + "\n".join(found)
+
+
+# Public names nothing outside the tests reads yet, each with its reason.
+# calibrate_bias_constant stays until ROADMAP item 2 moves its estimator
+# into empirical_check.
+UNREAD_PUBLIC_ALLOWED = {"invariance.calibrate_bias_constant"}
+
+
+def _exported(tree) -> list:
+    """The strings of the module's __all__ list."""
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in stmt.targets)
+                and isinstance(stmt.value, (ast.List, ast.Tuple))):
+            return [elt.value for elt in stmt.value.elts
+                    if isinstance(elt, ast.Constant)]
+    return []
+
+
+def _definition(tree, name):
+    """The module-level statement that binds name, or None."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name == name:
+            return stmt
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in stmt.targets):
+            return stmt
+    return None
+
+
+def _dotted_strings(tree) -> set:
+    """The parts of every string constant that is a dotted name, such as
+    the span names "expr.evaluate" that bench/ reads."""
+    out = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.fullmatch(r"\w+(\.\w+)*", node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def readme_tour_names(readme: str) -> set:
+    """The identifiers in the code of the README's library tour: its
+    code blocks and inline code, from its heading to the end."""
+    tour = readme.split("## Library tour", 1)[1]
+    code = re.findall(r"```.*?```|`[^`]*`", tour, flags=re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def unread_public_names(sources: dict, outside: set):
+    """layer.name for each name in a layer's __all__ that no statement of
+    the given {module: source} reads, apart from the one that defines
+    it, and that is not in outside."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [(stmt, _reads(stmt)) for tree in trees.values() for stmt in tree.body]
+    found = []
+    for module, tree in trees.items():
+        for name in _exported(tree):
+            own = _definition(tree, name)
+            if name not in outside and not any(
+                    stmt is not own and name in names for stmt, names in reads):
+                found.append(f"{Path(module).stem}.{name}")
+    return sorted(found)
+
+
+def test_unread_public_names_are_found():
+    sources = {
+        "a.py": ("__all__ = ['used', 'bench_only', 'dead', 'recursive']\n"
+                 "def used():\n    pass\n"
+                 "def bench_only():\n    pass\n"
+                 "def dead():\n    pass\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"),
+        "b.py": "from .a import used\n",
+    }
+    assert unread_public_names(sources, {"bench_only"}) == ["a.dead", "a.recursive"]
+    assert readme_tour_names("`x` ## Library tour\n```python\nf(y)\n```\n"
+                             "and `sde.z`\n") == {"python", "f", "y", "sde", "z"}
+
+
+def test_every_public_name_in_src_is_read():
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    outside = readme_tour_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside |= _reads(tree) | _dotted_strings(tree)
+    found = [name for name in unread_public_names(sources, outside)
+             if name not in UNREAD_PUBLIC_ALLOWED]
+    assert not found, ("public names that only tests read:\n"
+                       + "\n".join(found))

@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from oracles import ad_matrix, leaf_connection
 from stochflow.liealg import (
     LieAlgebraData,
     NotASubalgebraError,
     SubalgebraSpec,
     abelian,
-    ad_matrix,
     algebra_zoo,
     foliated_drift,
     heisenberg3,
@@ -18,7 +18,6 @@ from stochflow.liealg import (
     is_nilpotent,
     is_semisimple,
     killing_form,
-    leaf_connection,
     load_structure_constants,
     parse_subalgebra,
     sl2,
@@ -189,15 +188,17 @@ def _random_orthogonal_conjugate(g, seed):
     return LieAlgebraData(n=g.n, c=c)
 
 
-def test_leaf_connection_diagonal_formula_randomized():
-    # Koszul diagonal must equal -sum_k c_ik^i over a battery of algebras
-    for seed, base in enumerate((SL2, HEIS, so3())):
-        g = _random_orthogonal_conjugate(base, seed)
-        h = SubalgebraSpec(tuple(range(g.n)))  # full algebra is always closed
-        for i in h.indices:
-            got = leaf_connection(g, h, i, i)
-            want = -np.array([g.c[i, k, i] for k in h.indices])
-            np.testing.assert_allclose(got, want, atol=1e-12)
+def test_foliated_drift_is_minus_half_the_leaf_connection_trace():
+    # d = -1/2 sum_{i in h} nabla_{V_i} V_i, with the leaf connection of
+    # the Koszul formula on the orthonormal frame of h, over every closed
+    # subalgebra of the zoo and of random orthonormal conjugates (whose
+    # closed coordinate subalgebras include the whole algebra)
+    zoo = list(algebra_zoo().values())
+    conjugates = [_random_orthogonal_conjugate(g, seed) for seed, g in enumerate(zoo)]
+    for g in zoo + conjugates:
+        for h in _closed_subalgebras(g):
+            want = -0.5 * sum(leaf_connection(g, h, i, i) for i in h.indices)
+            np.testing.assert_allclose(foliated_drift(g, h), want, atol=1e-12)
 
 
 def test_foliated_drift_values():

@@ -7,13 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from example_systems import builtin_systems, translation_bm_system
+from example_systems import hamiltonian_torus_system as hamiltonian_system
+from oracles import fd_jacobian
 from stochflow import expr, sde
 from stochflow.invariance import jacobian_check
 from stochflow.manifold import (
     ChartedManifold,
     InvalidPointError,
     VectorFieldSpec,
-    divergence,
     heisenberg_frame,
     heisenberg_manifold,
     product_divergence_expr,
@@ -22,7 +24,6 @@ from stochflow.manifold import (
 from stochflow.sde import (
     ConfigurationError,
     StratonovichSystem,
-    fd_jacobian,
     flow_endpoints,
     flow_paths,
     flow_with_jacobian,
@@ -30,7 +31,6 @@ from stochflow.sde import (
     noise_blocks,
     write_trajectory_csv,
 )
-from stochflow.systems import builtin_systems, translation_bm_system
 
 T1 = torus(1.0)
 T2 = torus(1.0, 1.0)
@@ -45,9 +45,6 @@ def translation_system(dim=1):
         fields.append(VectorFieldSpec.from_strings(comps))
     return StratonovichSystem(manifold=m, drift=VectorFieldSpec.zero(dim),
                               diffusions=tuple(fields))
-
-
-from stochflow.systems import hamiltonian_torus_system as hamiltonian_system
 
 
 def sin_drift_system():
@@ -441,7 +438,8 @@ def reference_heun(sys, x0, dt, increments):
             out = term if out is None else out + term
         return np.zeros(np.shape(x)[:-1]) if out is None else out
 
-    div_fns = [None if f.is_zero else functools.partial(divergence, sys.manifold, f)
+    div_fns = [None if f.is_zero else functools.partial(
+                   expr.evaluate, product_divergence_expr(sys.manifold, f))
                for f in sys.fields()]
     x0 = np.asarray(x0, dtype=float)
     lead = np.broadcast_shapes(x0.shape[:-1], increments.shape[:-2])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import is_invariant_function
 from stochflow import expr
 from stochflow.currents import evaluate_many, volume_current
@@ -110,8 +111,21 @@ def test_compatibility_check_names_a_non_finite_component():
 
 def test_invariant_function_check():
     assert is_invariant_function(T1, expr.parse("cos(2*pi*x1)"))
-    assert is_invariant_function(torus(1.0, 2.0), expr.parse("cos(2*pi*x1)"), samples=16)
     assert not is_invariant_function(T1, expr.parse("x1"))
+
+
+def test_invariant_function_check_is_batched_and_rejects_non_finite(monkeypatch):
+    calls = []
+    walk = oracles.walk
+
+    def counted(node, pts):
+        calls.append(np.shape(pts))
+        return walk(node, pts)
+
+    monkeypatch.setattr(oracles, "walk", counted)
+    assert is_invariant_function(torus(1.0, 2.0), expr.parse("cos(2*pi*x1)"), samples=16)
+    # once on all sample points, once on all their images
+    assert calls == [(16, 2), (16, 2)]
     nan = expr.parse("0*1e999")
     assert isinstance(nan, expr.BinOp)
     assert not is_invariant_function(T1, nan)

@@ -35,7 +35,7 @@ _EXPORTS = {
     "liealg": (
         "LieAlgebraData",
         "NotASubalgebraError",
-        "SubalgebraSpec",
+        "Subalgebra",
         "foliated_drift",
         "invariance_verdict",
         "is_nilpotent",

@@ -66,7 +66,6 @@ class Experiment:
         self.fields = None
         self.system = None
         self.current = None
-        self.algebra = None
         self.subalgebra = None
         self.realization = None
         self.default_grid = 64
@@ -147,13 +146,13 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
         from .invariance import heisenberg_realization, torus_translation_realization
 
         section = config.section("liealg")
-        exp.algebra = _build_algebra(section)
-        exp.subalgebra = liealg.parse_subalgebra(section["subalgebra"])
+        algebra = _build_algebra(section)
+        exp.subalgebra = liealg.parse_subalgebra(section["subalgebra"], algebra)
         realization = section.get("realization")
         if realization == "heisenberg":
             exp.realization = heisenberg_realization()
         elif realization == "torus":
-            exp.realization = torus_translation_realization(exp.algebra.n)
+            exp.realization = torus_translation_realization(algebra.n)
         elif realization is not None:
             raise ConfigError([f"unknown realization {realization!r}"])
         return exp
@@ -206,7 +205,7 @@ def _run_check(exp: Experiment, chk: CheckSpec, overrides,
     if kind == "foliation":
         t, dt, seed = horizon()
         return foliation_pipeline(
-            exp.algebra, exp.subalgebra, exp.realization, t=t, dt=dt,
+            exp.subalgebra, exp.realization, t=t, dt=dt,
             seed=seed, n_paths=param("paths", _DEFAULTS["paths_mean"], int),
             grid_n=param("grid", 8, int),
             basis_k=param("basis_k", _DEFAULTS["basis_k"], int),
@@ -355,8 +354,8 @@ def _cmd_liealg(args) -> int:
     try:
         with open(args.constants, encoding="utf-8") as fh:
             g = liealg.load_structure_constants(fh)
-        h = liealg.parse_subalgebra(args.subalgebra)
-        ok, offending = liealg.invariance_verdict(g, h)
+        h = liealg.parse_subalgebra(args.subalgebra, g)
+        ok, offending = liealg.invariance_verdict(h)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 1
@@ -365,8 +364,8 @@ def _cmd_liealg(args) -> int:
     print(f"nilpotent: {liealg.is_nilpotent(g)}")
     print(f"semisimple: {liealg.is_semisimple(g)}")
     for i in h.indices:
-        print(f"trace ad({g.label(i)}) on h: {liealg.tr_ad_restricted(g, h, i):g}")
-    drift = liealg.foliated_drift(g, h)
+        print(f"trace ad({g.label(i)}) on h: {liealg.tr_ad_restricted(h, i):g}")
+    drift = liealg.foliated_drift(h)
     print("foliated drift: "
           + ", ".join(f"{g.label(k)}: {d:g}" for k, d in zip(h.indices, drift)))
     print(f"totally invariant: {ok}")
@@ -384,7 +383,7 @@ def _cmd_simulate(args) -> int:
         elif exp.realization is not None:
             from .invariance import foliated_system
 
-            system = foliated_system(exp.algebra, exp.subalgebra, exp.realization)
+            system = foliated_system(exp.subalgebra, exp.realization)
         else:
             print("error: config has no simulatable system "
                   "(liealg experiment without a realization)", file=_sys.stderr)

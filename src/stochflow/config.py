@@ -28,6 +28,7 @@ are accepted as an alternative input.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -237,6 +238,9 @@ def _validate_number(value, issues, line, col, path, integer=False, positive=Fal
             f"expected {'an integer' if integer else 'a number'}, got {value!r}",
             line, col, path))
         return None
+    if not math.isfinite(v):
+        issues.append(ConfigIssue("must be finite", line, col, path))
+        return None
     if positive and v <= 0:
         issues.append(ConfigIssue("must be positive", line, col, path))
         return None
@@ -332,8 +336,10 @@ def parse_config(text: str) -> ExperimentConfig:
                         f"[check {kind}] does not take {key!r} (it takes "
                         f"{', '.join(CHECK_KEYS[kind])})", line, path=path))
                 elif key in ("tolerance", "t", "dt", "bias_c"):
-                    _validate_number(value, issues, line, col, path,
-                                     positive=key != "bias_c")
+                    v = _validate_number(value, issues, line, col, path,
+                                         positive=key != "bias_c")
+                    if v is not None and v < 0:  # bias_c: the others are > 0
+                        issues.append(ConfigIssue("must be >= 0", line, col, path))
                 elif key == "x0":
                     for part in _expressions_of(value):
                         _validate_number(part, issues, line, col, path)

@@ -57,7 +57,6 @@ class DensityCurrent:
     manifold: ChartedManifold
     density: Optional[Expr] = None  # None means the constant 1
     grid_n: int = 64
-    probability: bool = False
     normalize: bool = False
 
     def __post_init__(self):
@@ -77,9 +76,6 @@ class DensityCurrent:
             raise ValueError("current has non-finite total mass")
         if self.normalize:
             weights = weights / total
-            total = 1.0
-        if self.probability and abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probability current has mass {total!r}")
         weights.setflags(write=False)
         object.__setattr__(self, "_points", pts)
         object.__setattr__(self, "_weights", weights)
@@ -100,7 +96,6 @@ class EmpiricalCurrent:
     manifold: ChartedManifold
     atoms: np.ndarray  # (k, dim)
     atom_weights: np.ndarray  # (k,)
-    probability: bool = False
 
     def __post_init__(self):
         pts = self.manifold.wrap(np.atleast_2d(np.asarray(self.atoms, dtype=float)))
@@ -109,8 +104,6 @@ class EmpiricalCurrent:
             raise ValueError("need one weight per atom")
         if not np.all(np.isfinite(w)):
             raise ValueError("atom weights must be finite")
-        if self.probability and abs(float(np.sum(w)) - 1.0) > 1e-10:
-            raise ValueError("probability current has mass != 1")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "atoms", pts)
@@ -128,11 +121,9 @@ class EmpiricalCurrent:
 Current = Union[DensityCurrent, EmpiricalCurrent]
 
 
-def volume_current(m: ChartedManifold, grid_n: int = 64,
-                   probability: bool = False) -> DensityCurrent:
+def volume_current(m: ChartedManifold, grid_n: int = 64) -> DensityCurrent:
     """The current of the invariant volume (density 1)."""
-    return DensityCurrent(manifold=m, density=None, grid_n=grid_n,
-                          probability=probability)
+    return DensityCurrent(manifold=m, density=None, grid_n=grid_n)
 
 
 def evaluate_many(T: Current, functions) -> np.ndarray:

@@ -3,6 +3,9 @@
 Each checker produces an InvarianceReport whose verdict is
 (residual <= tolerance); the metadata records everything needed to
 reproduce the run (dt, horizon, paths, grid, basis cutoff, seed).
+The foliation pipeline reads a ``liealg.Subalgebra``, checked closed
+when it was built, and tests a realization's frame at the fixed points
+of ``manifold.identified_pairs``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .manifold import (
     grid_points,
     heisenberg_frame,
     heisenberg_manifold,
+    identified_pairs,
     lie_bracket,
     linear_combination,
     make_test_basis,
@@ -79,6 +83,9 @@ REPORT_KINDS = (
 # given system.
 EXACT_BIAS_C = 0.1
 FALLBACK_BIAS_C = 1.0
+
+# independent noise paths that the pathwise empirical check probes
+_PROBE_PATHS = 5
 
 
 class RealizationError(ValueError):
@@ -184,22 +191,30 @@ def residual_check(T: Current, sys: StratonovichSystem, basis,
                    mode: str, tolerance: Optional[float] = None) -> InvarianceReport:
     """Strict (X_i T = 0) or mean ((X_0 - 1/2 sum X_i^2)T = 0) residuals."""
     if mode == "strict":
-        mat = strict_residuals(T, sys, basis)
-        tol = 1e-8 if tolerance is None else tolerance
-        rows = [{"field_index": i, "basis_index": k, "value": float(mat[i, k])}
-                for i in range(mat.shape[0]) for k in range(mat.shape[1])]
-        residual = float(np.max(np.abs(mat))) if mat.size else 0.0
-        kind = "strict_residual"
+        values = strict_residuals(T, sys, basis)
     elif mode == "mean":
-        vec = generator_residuals(T, sys, basis)
-        tol = 1e-6 if tolerance is None else tolerance
-        rows = [{"basis_index": k, "value": float(v)} for k, v in enumerate(vec)]
-        residual = float(np.max(np.abs(vec))) if vec.size else 0.0
-        kind = "mean_residual"
+        values = generator_residuals(T, sys, basis)
     else:
         raise ValueError(f"unknown residual mode {mode!r}")
+    return _residual_report(T, basis, values, tolerance)
+
+
+def _residual_report(T: Current, basis, values: np.ndarray,
+                     tolerance: Optional[float] = None) -> InvarianceReport:
+    """The strict_residual report of derivative currents values[i, k] =
+    (X_i T)(f_k), or the mean_residual report of generator residuals."""
+    if values.ndim == 2:
+        kind, default = "strict_residual", 1e-8
+        rows = [{"field_index": i, "basis_index": k, "value": float(values[i, k])}
+                for i, k in np.ndindex(values.shape)]
+    else:
+        kind, default = "mean_residual", 1e-6
+        rows = [{"basis_index": k, "value": float(v)} for k, v in enumerate(values)]
+    residual = float(np.max(np.abs(values))) if values.size else 0.0
     meta = {"basisK": basis.cutoff, "grid": getattr(T, "grid_n", None)}
-    return InvarianceReport(kind, residual, tol, meta, per_basis=rows)
+    return InvarianceReport(kind, residual,
+                            default if tolerance is None else tolerance, meta,
+                            per_basis=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +223,10 @@ def residual_check(T: Current, sys: StratonovichSystem, basis,
 def empirical_check(T: Current, sys: StratonovichSystem, basis,
                     t: float, dt: float, seed: int, n_paths: Optional[int],
                     mode: str, tolerance: float = 1e-2,
-                    bias_c: Optional[float] = None,
-                    probe_paths: int = 5) -> InvarianceReport:
+                    bias_c: Optional[float] = None) -> InvarianceReport:
     """Simulation evidence for phi_t^*T = T (pathwise) or its mean version.
 
-    Pathwise mode probes probe_paths independent noise paths and reports
+    Pathwise mode probes _PROBE_PATHS independent noise paths and reports
     the worst |pullback - eval| over basis functions and paths against
     tolerance. Mean mode runs a Monte Carlo over n_paths and requires,
     per basis function, |mean - eval| <= 3*stderr + C*dt, with C = bias_c
@@ -223,12 +237,12 @@ def empirical_check(T: Current, sys: StratonovichSystem, basis,
     """
     targets = evaluate_many(T, basis.functions)
     if mode == "pathwise":
-        vals = pullback_values(T, basis.functions, sys, t, dt, seed, probe_paths)
+        vals = pullback_values(T, basis.functions, sys, t, dt, seed, _PROBE_PATHS)
         diffs = np.abs(vals - targets[:, None])
         rows = [{"basis_index": k, "value": float(np.max(diffs[k]))}
                 for k in range(len(basis))]
         residual = float(np.max(diffs)) if diffs.size else 0.0
-        meta = {"dt": dt, "T": t, "n_paths": probe_paths, "seed": seed,
+        meta = {"dt": dt, "T": t, "n_paths": _PROBE_PATHS, "seed": seed,
                 "basisK": basis.cutoff, "grid": getattr(T, "grid_n", None)}
         return InvarianceReport("empirical_pathwise", residual, tolerance, meta,
                                 per_basis=rows)
@@ -307,89 +321,80 @@ def torus_translation_realization(dim: int) -> FrameRealization:
     return FrameRealization(manifold=m, frame=tuple(frame), label=f"torus{dim}")
 
 
-def _verify_realization(g: LieAlgebraData, real: FrameRealization,
-                        tol: float = 1e-6, samples: int = 8,
-                        seed: int = 24601) -> None:
+def _verify_realization(g: LieAlgebraData, real: FrameRealization) -> None:
+    """Raise RealizationError at the first pair i < j whose field
+    [V_i, V_j] - sum_k c_ij^k V_k exceeds 1e-6 at the identified_pairs."""
     if len(real.frame) != g.n:
         raise RealizationError(
             f"realization has {len(real.frame)} frame fields, algebra needs {g.n}")
-    rng = np.random.default_rng(seed)
-    pts = real.manifold.random_points(samples, rng)
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            got = lie_bracket(real.manifold, real.frame[i], real.frame[j], pts)
-            want = np.zeros_like(got)
-            for k in range(g.n):
-                want += g.c[i, j, k] * real.frame[k](pts)
-            if np.max(np.abs(got - want)) > tol:
-                raise RealizationError(
-                    f"frame brackets disagree with structure constants at "
-                    f"([{g.label(i)}, {g.label(j)}])")
+    m = real.manifold
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    residuals = []
+    for i, j in pairs:
+        bracket = lie_bracket(m, real.frame[i], real.frame[j])
+        residuals += linear_combination((bracket, *real.frame),
+                                        (1.0, *(-g.c[i, j]))).components
+    p, _, _ = identified_pairs(m)
+    peaks = Functions(residuals, m.dim).reduce(p, lambda v: np.max(np.abs(v)))
+    for n, (i, j) in enumerate(pairs):
+        if max(peaks[n * m.dim:(n + 1) * m.dim]) > 1e-6:
+            raise RealizationError(
+                f"frame brackets disagree with structure constants at "
+                f"([{g.label(i)}, {g.label(j)}])")
 
 
-def foliated_system(g: LieAlgebraData, h: SubalgebraSpec,
-                    real: FrameRealization) -> StratonovichSystem:
+def foliated_system(h: Subalgebra, real: FrameRealization) -> StratonovichSystem:
     """The foliated BM: drift (1/2) sum_i c_ik^i V_k, diffusions V_i, i in h.
 
-    Raises RealizationError unless the frame realizes g.
+    Raises RealizationError unless the frame realizes the algebra of h.
     """
     from .liealg import foliated_drift
 
-    _verify_realization(g, real)
-    drift_coeffs = foliated_drift(g, h)
+    _verify_realization(h.algebra, real)
     sub_frame = [real.frame[i] for i in h.indices]
-    drift = linear_combination(sub_frame, drift_coeffs)
+    drift = linear_combination(sub_frame, foliated_drift(h))
     return StratonovichSystem(manifold=real.manifold, drift=drift,
                               diffusions=tuple(sub_frame), label=real.label)
 
 
-def foliation_pipeline(g: LieAlgebraData, h: SubalgebraSpec,
+def foliation_pipeline(h: Subalgebra,
                        realization: Optional[FrameRealization] = None, *,
                        t: float = 1.0, dt: float = 1e-3, seed: int = 0,
                        n_paths: int = 1000, grid_n: int = 8,
-                       basis_k: int = 3, bias_c: Optional[float] = None,
-                       pathwise_tolerance: float = 1e-2,
-                       generator_tolerance: float = 1e-6,
-                       frame_tolerance: float = 1e-8) -> InvarianceReport:
+                       basis_k: int = 3,
+                       bias_c: Optional[float] = None) -> InvarianceReport:
     """Algebraic verdict plus, given a realization, simulation evidence.
 
     (a) trace criterion on the subalgebra; (b) foliated BM system from
     the frame; (c) generator residuals and frame derivative-currents of
     the volume current, the empirical mean check, and (when the verdict
-    is totally-invariant) the pathwise check.
+    is totally-invariant) the pathwise check, at their default tolerances.
     """
     from .liealg import foliated_drift, invariance_verdict
 
-    verdict, offending = invariance_verdict(g, h)
-    drift_coeffs = foliated_drift(g, h)
+    verdict, offending = invariance_verdict(h)
+    drift_coeffs = foliated_drift(h)
     residual = max((abs(tr) for _, tr in offending), default=0.0)
     meta = {
         "subalgebra": [i + 1 for i in h.indices],
-        "offending": [{"index": i + 1, "label": g.label(i), "trace": tr}
+        "offending": [{"index": i + 1, "label": h.algebra.label(i), "trace": tr}
                       for i, tr in offending],
         "drift_coeffs": [float(v) for v in drift_coeffs],
         "seed": seed,
     }
     subchecks = []
     if realization is not None:
-        sys = foliated_system(g, h, realization)
+        sys = foliated_system(h, realization)
         basis = make_test_basis(realization.manifold, basis_k)
         T = volume_current(realization.manifold, grid_n)
-        subchecks.append(residual_check(T, sys, basis, "mean", generator_tolerance))
-        frame_vals = derivative_currents(T, realization.frame, basis.functions)
-        frame_rows = [{"field_index": i, "basis_index": k,
-                       "value": float(frame_vals[i, k])}
-                      for i in range(frame_vals.shape[0])
-                      for k in range(frame_vals.shape[1])]
-        subchecks.append(InvarianceReport(
-            "strict_residual", float(np.max(np.abs(frame_vals))), frame_tolerance,
-            {"basisK": basis_k, "grid": grid_n}, per_basis=frame_rows))
+        subchecks.append(residual_check(T, sys, basis, "mean"))
+        subchecks.append(_residual_report(
+            T, basis, derivative_currents(T, realization.frame, basis.functions)))
         subchecks.append(empirical_check(
             T, sys, basis, t, dt, seed, n_paths, "mean", bias_c=bias_c))
         if verdict:
             subchecks.append(empirical_check(
-                T, sys, basis, t, dt, seed, n_paths, "pathwise",
-                tolerance=pathwise_tolerance))
+                T, sys, basis, t, dt, seed, n_paths, "pathwise"))
         meta.update({"dt": dt, "T": t, "n_paths": n_paths,
                      "grid": grid_n, "basisK": basis_k})
     return InvarianceReport("foliation_verdict", residual, 1e-10, meta,

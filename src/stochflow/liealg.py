@@ -5,9 +5,11 @@ Everything is expressed through the constants c[i, j, k] of
 to a subalgebra, the Killing form, nilpotency, the drift of the
 foliated Brownian motion of an induced foliation, and the trace
 criterion deciding whether the invariant volume is totally invariant
-under that motion. The drift is read off the constants directly; the
-tests check it against the leaf connection of the Koszul formula, and
-the restricted traces against the adjoint matrices.
+under that motion. A ``Subalgebra`` checks its indices and closure once,
+when it is built, and the functions that read it check nothing again.
+The drift is read off the constants directly; the tests check it against
+the leaf connection of the Koszul formula, and the restricted traces
+against the adjoint matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 __all__ = [
     "LieAlgebraData",
-    "SubalgebraSpec",
+    "Subalgebra",
     "NotASubalgebraError",
     "tr_ad_restricted",
     "killing_form",
@@ -77,51 +79,48 @@ class LieAlgebraData:
         return f"v{i + 1}"
 
 
-@dataclass(frozen=True)
-class SubalgebraSpec:
-    """Indices (0-based) of the basis vectors spanning the subalgebra."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
-        if len(set(idx)) != len(idx) or not idx:
-            raise ValueError("subalgebra indices must be a nonempty set")
-        if any(i < 0 for i in idx):
-            raise ValueError("subalgebra indices must be >= 0")
-        object.__setattr__(self, "indices", idx)
-
-
-def is_closed(g: LieAlgebraData, h: SubalgebraSpec, tol: float = TOL) -> bool:
-    inside = list(h.indices)
-    outside = [k for k in range(g.n) if k not in h.indices]
+def is_closed(g: LieAlgebraData, indices) -> bool:
+    """True when the basis vectors with these (0-based) indices span a
+    subalgebra."""
+    inside = list(indices)
+    outside = [k for k in range(g.n) if k not in inside]
     if max(inside) >= g.n:
         raise ValueError("subalgebra index beyond algebra dimension")
     if not outside:
         return True
     # on arrays this small, take costs a fraction of an np.ix_ index
     block = g.c.take(inside, 0).take(inside, 1).take(outside, 2)
-    return bool(np.abs(block).max() <= tol)
+    return bool(np.abs(block).max() <= TOL)
 
 
-def _require_closed(g, h):
-    if not is_closed(g, h):
-        raise NotASubalgebraError(f"indices {h.indices} do not span a subalgebra")
+@dataclass(frozen=True, eq=False)
+class Subalgebra:
+    """The subalgebra spanned by the basis vectors with these (0-based)
+    indices, checked once when built; ``constants`` is then the read-only
+    array of c[i, j, k] for i, j, k in the subalgebra."""
+
+    algebra: LieAlgebraData
+    indices: tuple
+
+    def __post_init__(self):
+        idx = tuple(sorted(int(i) for i in self.indices))
+        if len(set(idx)) != len(idx) or not idx:
+            raise ValueError("subalgebra indices must be a nonempty set")
+        if idx[0] < 0:
+            raise ValueError("subalgebra indices must be >= 0")
+        if not is_closed(self.algebra, idx):
+            raise NotASubalgebraError(f"indices {idx} do not span a subalgebra")
+        c = self.algebra.c.take(idx, 0).take(idx, 1).take(idx, 2)
+        c.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "constants", c)
 
 
-def _restricted_constants(g: LieAlgebraData, h: SubalgebraSpec) -> np.ndarray:
-    """c[i, j, k] for i, j, k in h, once h is checked to be closed."""
-    _require_closed(g, h)
-    idx = list(h.indices)
-    return g.c.take(idx, 0).take(idx, 1).take(idx, 2)
-
-
-def tr_ad_restricted(g: LieAlgebraData, h: SubalgebraSpec, i: int) -> float:
+def tr_ad_restricted(h: Subalgebra, i: int) -> float:
     """Trace of ad(v_i) restricted to the subalgebra: sum_{j in h} c_ij^j."""
-    sub = _restricted_constants(g, h)
     if i not in h.indices:
         raise IndexError(f"basis index {i} is not in the subalgebra")
-    return float(np.trace(sub[h.indices.index(i)]))
+    return float(np.trace(h.constants[h.indices.index(i)]))
 
 
 def killing_form(g: LieAlgebraData) -> np.ndarray:
@@ -129,17 +128,17 @@ def killing_form(g: LieAlgebraData) -> np.ndarray:
     return np.einsum("ilk,jkl->ij", g.c, g.c)
 
 
-def is_semisimple(g: LieAlgebraData, tol: float = 1e-8) -> bool:
-    return bool(abs(np.linalg.det(killing_form(g))) > tol)
+def is_semisimple(g: LieAlgebraData) -> bool:
+    return bool(abs(np.linalg.det(killing_form(g))) > 1e-8)
 
 
-def _span_rank(vectors: np.ndarray, tol: float = TOL) -> np.ndarray:
+def _span_rank(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal row basis of the span, rank decided by singular values."""
     if vectors.size == 0:
         return np.zeros((0, vectors.shape[-1]))
     u, s, vt = np.linalg.svd(vectors, full_matrices=False)
     scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > tol * max(scale, 1.0)))
+    rank = int(np.sum(s > TOL * max(scale, 1.0)))
     return vt[:rank]
 
 
@@ -157,21 +156,20 @@ def is_nilpotent(g: LieAlgebraData) -> bool:
     return series.shape[0] == 0
 
 
-def foliated_drift(g: LieAlgebraData, h: SubalgebraSpec) -> np.ndarray:
+def foliated_drift(h: Subalgebra) -> np.ndarray:
     """Drift coefficients d_k = (1/2) sum_{i in h} c_ik^i of the foliated BM."""
-    return 0.5 * np.trace(_restricted_constants(g, h), axis1=0, axis2=2)
+    return 0.5 * np.trace(h.constants, axis1=0, axis2=2)
 
 
-def invariance_verdict(g: LieAlgebraData, h: SubalgebraSpec,
-                       tol: float = TOL):
+def invariance_verdict(h: Subalgebra):
     """Trace criterion: totally invariant iff Tr_h ad(v_i) = 0 for i in h.
 
     Returns (totally_invariant, offending) where offending lists
     (index, trace) for every nonzero restricted trace.
     """
-    traces = np.trace(_restricted_constants(g, h), axis1=1, axis2=2)
+    traces = np.trace(h.constants, axis1=1, axis2=2)
     offending = [(i, float(tr)) for i, tr in zip(h.indices, traces)
-                 if abs(tr) > tol]
+                 if abs(tr) > TOL]
     return (not offending), offending
 
 
@@ -272,6 +270,8 @@ def load_structure_constants(source) -> LieAlgebraData:
     n = _integer(data["dim"], "dim")
     if n < 1:
         raise ValueError("dim must be positive")
+    if n > 32:  # the Jacobi check's n^4 arrays: about 60 MB at n = 32
+        raise ValueError(f"dim must be at most 32, not {n}")
     brackets = data.get("brackets", [])
     if not isinstance(brackets, list):
         raise ValueError(f"'brackets' must be a list, not {brackets!r}")
@@ -306,10 +306,10 @@ def load_structure_constants(source) -> LieAlgebraData:
     return LieAlgebraData(n=n, c=c, basis_labels=tuple(labels) if labels else None)
 
 
-def parse_subalgebra(text: str) -> SubalgebraSpec:
-    """Parse '1,3' (1-based, as in the wire formats) to a SubalgebraSpec."""
+def parse_subalgebra(text: str, g: LieAlgebraData) -> Subalgebra:
+    """Parse '1,3' (1-based, as in the wire formats) to a Subalgebra of g."""
     try:
         idx = tuple(int(part) - 1 for part in str(text).split(",") if part.strip())
     except ValueError as e:
         raise ValueError(f"bad subalgebra spec {text!r}") from e
-    return SubalgebraSpec(indices=idx)
+    return Subalgebra(g, idx)

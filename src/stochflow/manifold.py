@@ -110,9 +110,6 @@ class ChartedManifold:
         zw = np.where(zw >= lz, zw - lz, zw)
         return np.stack([xw, yw, zw], axis=-1)
 
-    def random_points(self, n, rng) -> np.ndarray:
-        return rng.uniform(0.0, 1.0, size=(n, self.dim)) * self.lengths
-
 
 def torus(*lengths: float) -> ChartedManifold:
     if not lengths:
@@ -161,18 +158,14 @@ class VectorFieldSpec:
         return all(expr.is_constant(c) for c in self.components)
 
     def __call__(self, pts) -> np.ndarray:
-        return _field_values(self.components, pts)
-
-
-def _field_values(components, pts) -> np.ndarray:
-    """The components evaluated in one batch at points of shape
-    (..., dim); shape (..., dim)."""
-    pts = np.asarray(pts, dtype=float)
-    out = np.empty(pts.shape)
-    batch = expr.Functions(components, pts.shape[-1])
-    for i, values in enumerate(batch.reduce(pts, lambda v: v)):
-        out[..., i] = values
-    return out
+        """The components evaluated in one batch at points of shape
+        (..., dim); shape (..., dim)."""
+        pts = np.asarray(pts, dtype=float)
+        out = np.empty(pts.shape)
+        batch = expr.Functions(self.components, pts.shape[-1])
+        for i, values in enumerate(batch.reduce(pts, lambda v: v)):
+            out[..., i] = values
+        return out
 
 
 def heisenberg_frame() -> tuple:
@@ -213,17 +206,17 @@ def _rd_sequence(n: int, dims: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def identified_pairs(m: ChartedManifold, n: int = 32):
+def identified_pairs(m: ChartedManifold):
     """Sample points p, their images q = gamma(p) under lattice elements
     gamma, and the differentials dgamma: read-only arrays of shapes
-    (n, dim), (n, dim) and (n, dim, dim), computed once per (m, n).
+    (n, dim), (n, dim) and (n, dim, dim), n = 32, computed once per m.
 
     The sample is deterministic and draws no random numbers: the first
     dim coordinates of the R_(2 dim) sequence place p in the box, the
     last dim pick the lattice shift per axis in {-2, ..., 2}, in box
     lengths; a zero shift is replaced by one box length along x1.
     """
-    dim = m.dim
+    dim, n = m.dim, 32
     u = _rd_sequence(n, 2 * dim)
     lengths = m.lengths
     p = u[:, :dim] * lengths
@@ -241,19 +234,18 @@ def identified_pairs(m: ChartedManifold, n: int = 32):
     return p, q, dgamma
 
 
-def is_compatible_field(m: ChartedManifold, X: VectorFieldSpec,
-                        tol: float = 1e-10, samples: int = 32) -> bool:
+def is_compatible_field(m: ChartedManifold, X: VectorFieldSpec) -> bool:
     """True when the field descends to the quotient: dgamma V(p) = V(q).
 
     Raises ValueError naming the component when a value of the field at
     a sample point is not finite. The field is evaluated once on all
     sample points p and once on all their images q.
     """
-    p, q, dgamma = identified_pairs(m, samples)
+    p, q, dgamma = identified_pairs(m)
     vp, vq = X(p), X(q)
     with np.errstate(invalid="ignore"):
         # a non-finite value makes the difference non-finite
-        if np.max(np.abs(np.einsum("nij,nj->ni", dgamma, vp) - vq)) <= tol:
+        if np.max(np.abs(np.einsum("nij,nj->ni", dgamma, vp) - vq)) <= 1e-10:
             return True
     for pts, v in ((p, vp), (q, vq)):
         bad = np.argwhere(~np.isfinite(v))
@@ -277,10 +269,11 @@ def product_divergence_expr(m: ChartedManifold, X: VectorFieldSpec,
     return terms
 
 
-def lie_bracket(m: ChartedManifold, X: VectorFieldSpec, Y: VectorFieldSpec, p):
-    """[X, Y] = (X.grad)Y - (Y.grad)X at p; shape (..., dim)."""
-    return _field_values([expr.sub(apply_field(m, X, yk), apply_field(m, Y, xk))
-                          for xk, yk in zip(X.components, Y.components)], p)
+def lie_bracket(m: ChartedManifold, X: VectorFieldSpec, Y: VectorFieldSpec):
+    """The field [X, Y] = (X.grad)Y - (Y.grad)X, as expressions."""
+    return VectorFieldSpec(dim=m.dim, components=tuple(
+        expr.sub(apply_field(m, X, yk), apply_field(m, Y, xk))
+        for xk, yk in zip(X.components, Y.components)))
 
 
 def apply_field(m: ChartedManifold, X: VectorFieldSpec, f: Expr) -> Expr:

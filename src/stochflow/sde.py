@@ -225,6 +225,8 @@ def _coarsen(increments: np.ndarray, factor: int) -> np.ndarray:
 
 def step_count(t: float, dt: float) -> int:
     """The number of dt steps in t; t must be a positive multiple of dt."""
+    if not (math.isfinite(t) and math.isfinite(dt)):
+        raise ValueError(f"t and dt must be finite, got t={t}, dt={dt}")
     if not dt > 0:
         raise ValueError("dt must be positive")
     steps = int(round(t / dt))

@@ -17,7 +17,7 @@ import numpy as np
 
 from stochflow import expr
 from stochflow.currents import Current
-from stochflow.liealg import LieAlgebraData, NotASubalgebraError, SubalgebraSpec, is_closed
+from stochflow.liealg import LieAlgebraData, Subalgebra
 from stochflow.manifold import (
     ChartedManifold,
     VectorFieldSpec,
@@ -125,9 +125,9 @@ def fd_jacobian(sys: StratonovichSystem, x0, noise: NoisePath,
 
 def is_invariant_function(m: ChartedManifold, f, tol: float = 1e-10,
                           samples: int = 32) -> bool:
-    """True when f(p) = f(q) on sampled identified pairs; a non-finite
-    value is never invariant."""
-    p, q, _ = identified_pairs(m, samples)
+    """True when f(p) = f(q) on the first samples (at most 32) identified
+    pairs; a non-finite value is never invariant."""
+    p, q, _ = (a[:samples] for a in identified_pairs(m))
     with np.errstate(invalid="ignore"):
         return bool(np.max(np.abs(walk(f, p) - walk(f, q))) <= tol)
 
@@ -135,32 +135,26 @@ def is_invariant_function(m: ChartedManifold, f, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # Lie algebras
 
-def _require_closed(g: LieAlgebraData, h: SubalgebraSpec) -> None:
-    if not is_closed(g, h):
-        raise NotASubalgebraError(f"indices {h.indices} do not span a subalgebra")
-
-
 def ad_matrix(g: LieAlgebraData, i: int,
-              restrict: Optional[SubalgebraSpec] = None) -> np.ndarray:
-    """Matrix of ad(v_i); columns are the images of the basis vectors."""
+              restrict: Optional[Subalgebra] = None) -> np.ndarray:
+    """Matrix of ad(v_i), or of its restriction to a subalgebra of g;
+    columns are the images of the basis vectors."""
     if restrict is None:
         return g.c[i].T.copy()
-    _require_closed(g, restrict)
     if i not in restrict.indices:
         raise IndexError(f"basis index {i} is not in the subalgebra")
     idx = list(restrict.indices)
     return g.c[np.ix_([i], idx, idx)][0].T.copy()
 
 
-def leaf_connection(g: LieAlgebraData, h: SubalgebraSpec,
-                    i: int, j: int) -> np.ndarray:
+def leaf_connection(h: Subalgebra, i: int, j: int) -> np.ndarray:
     """Coefficients of nabla^E_{V_i} V_j on the subalgebra frame.
 
     Koszul formula on an orthonormal invariant frame:
     <nabla_{V_i} V_j, V_k> = (c_ij^k - c_jk^i - c_ik^j) / 2 for k in h.
     """
-    _require_closed(g, h)
     if i not in h.indices or j not in h.indices:
         raise IndexError("connection indices must lie in the subalgebra")
+    g = h.algebra
     return np.array([0.5 * (g.c[i, j, k] - g.c[j, k, i] - g.c[i, k, j])
                      for k in h.indices])

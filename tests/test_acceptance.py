@@ -38,7 +38,7 @@ from stochflow.invariance import (
     jacobian_check,
 )
 from stochflow.liealg import (
-    SubalgebraSpec,
+    Subalgebra,
     foliated_drift,
     invariance_verdict,
     is_closed,
@@ -66,17 +66,17 @@ def best_time(fn, repeats=5):
 
 def test_criterion_1_sl2_traces_and_verdict():
     g = liealg.sl2()
-    h = SubalgebraSpec((0, 1))
-    assert tr_ad_restricted(g, h, 0) == 2.0
-    assert tr_ad_restricted(g, h, 1) == 0.0
-    ok, offending = invariance_verdict(g, h)
+    h = Subalgebra(g, (0, 1))
+    assert tr_ad_restricted(h, 0) == 2.0
+    assert tr_ad_restricted(h, 1) == 0.0
+    ok, offending = invariance_verdict(h)
     assert ok is False
     assert offending == [(0, 2.0)]
 
     def work():
-        tr_ad_restricted(g, h, 0)
-        tr_ad_restricted(g, h, 1)
-        invariance_verdict(g, h)
+        tr_ad_restricted(h, 0)
+        tr_ad_restricted(h, 1)
+        invariance_verdict(h)
 
     elapsed = best_time(work)
     assert elapsed < 1e-3, f"runtime {elapsed * 1e3:.3f} ms"
@@ -86,21 +86,21 @@ def test_criterion_1_sl2_traces_and_verdict():
 def test_criterion_2_nilpotent_total_invariance():
     g = liealg.heisenberg3()
     assert is_nilpotent(g)
-    closed = [SubalgebraSpec(idx)
+    closed = [Subalgebra(g, idx)
               for r in range(1, 4)
               for idx in itertools.combinations(range(3), r)
-              if is_closed(g, SubalgebraSpec(idx))]
+              if is_closed(g, idx)]
     assert len(closed) == 6  # {X},{Y},{Z},{X,Z},{Y,Z},{X,Y,Z}
     for h in closed:
-        ok, offending = invariance_verdict(g, h)
+        ok, offending = invariance_verdict(h)
         assert ok and not offending
-        assert np.all(foliated_drift(g, h) == 0.0)
+        assert np.all(foliated_drift(h) == 0.0)
 
     def work():
         is_nilpotent(g)
         for h in closed:
-            invariance_verdict(g, h)
-            foliated_drift(g, h)
+            invariance_verdict(h)
+            foliated_drift(h)
 
     elapsed = best_time(work)
     assert elapsed < 1e-3, f"runtime {elapsed * 1e3:.3f} ms"
@@ -191,9 +191,9 @@ def test_criterion_6_mean_invariance_by_simulation():
 def test_criterion_7_heisenberg_harmonic_measure():
     t0 = time.perf_counter()
     g = liealg.heisenberg3()
-    h = SubalgebraSpec((0, 2))
+    h = Subalgebra(g, (0, 2))
     real = heisenberg_realization()
-    rep = foliation_pipeline(g, h, real, t=1.0, dt=1e-3, seed=11,
+    rep = foliation_pipeline(h, real, t=1.0, dt=1e-3, seed=11,
                              n_paths=1000, grid_n=8, basis_k=3)
     assert rep.verdict  # algebraic trace criterion
     by_kind = {s.kind: s for s in rep.subchecks}

@@ -160,7 +160,7 @@ def test_invalid_json_reports_position():
 def test_liealg_config_builds():
     cfg = parse_config(preset_text("sl2_foliation"))
     exp = build_experiment(cfg)
-    assert exp.algebra.n == 3
+    assert exp.subalgebra.algebra.n == 3
     assert exp.subalgebra.indices == (0, 1)
     assert exp.realization is None
 
@@ -168,7 +168,7 @@ def test_liealg_config_builds():
 def test_inline_constants_build():
     cfg = parse_config(preset_text("frame_divergence_torus"))
     exp = build_experiment(cfg)
-    assert exp.algebra.n == 2
+    assert exp.subalgebra.algebra.n == 2
     assert exp.realization is not None
 
 
@@ -198,6 +198,59 @@ def test_non_finite_field_is_execution_error(tmp_path, capsys):
     cfg.write_text(MINIMAL_FLOW.replace("diffusion2 = 0, 1", "diffusion2 = 0, 1e999"))
     assert main(["check", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "diffusion 2 component 2 is inf" in capsys.readouterr().err
+
+
+TILTED_HAMILTONIAN = """\
+[manifold]
+type = torus
+lengths = 1, 1
+
+[fields]
+diffusion1 = -0.25*sin(2*pi*x1)*sin(2*pi*x2), -0.25*cos(2*pi*x1)*cos(2*pi*x2)
+diffusion2 = 0.25*cos(2*pi*x1)*cos(2*pi*x2), 0.25*sin(2*pi*x1)*sin(2*pi*x2)
+
+[current]
+density = 1 + 0.5*sin(2*pi*x1)
+grid = 16
+"""
+
+MC = "paths = 200\nt = 0.5\ndt = 0.01\nbasis_k = 2\nseed = 3\n"
+
+# the offending key is on line 14, the first of its check section
+NON_FINITE_CHECKS = {
+    "inf_bias_c": ("empirical_mean", "bias_c = inf\n" + MC,
+                   "check.empirical_mean.bias_c (line 14, column 10): must be finite"),
+    "nan_bias_c": ("empirical_mean", "bias_c = nan\n" + MC,
+                   "check.empirical_mean.bias_c (line 14, column 10): must be finite"),
+    "negative_bias_c": ("empirical_mean", "bias_c = -5\n" + MC,
+                        "check.empirical_mean.bias_c (line 14, column 10): "
+                        "must be >= 0"),
+    "nan_tolerance": ("empirical_pathwise", "tolerance = nan\nt = 0.5\ndt = 0.01\n",
+                      "check.empirical_pathwise.tolerance (line 14, column 13): "
+                      "must be finite"),
+    "inf_t": ("jacobian", "t = inf\ndt = 0.01\npaths = 200\n",
+              "check.jacobian.t (line 14, column 5): must be finite"),
+}
+
+
+@pytest.mark.parametrize("kind,body,message", NON_FINITE_CHECKS.values(),
+                         ids=list(NON_FINITE_CHECKS))
+def test_non_finite_and_negative_numbers_are_one_error_line(tmp_path, capsys,
+                                                            kind, body, message):
+    cfg = tmp_path / "tilted.cfg"
+    cfg.write_text(f"{TILTED_HAMILTONIAN}\n[check {kind}]\n{body}")
+    assert main(["check", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_simulate_rejects_a_non_finite_horizon(tmp_path, capsys, t):
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "hamiltonian_torus", "--trajectory", str(out),
+                 "--t", t, "--dt", "0.01"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: t and dt must be finite, got t={t}, dt=0.01"]
+    assert not out.exists()
 
 
 def test_unknown_config_is_execution_error(tmp_path):
@@ -586,6 +639,7 @@ MALFORMED_CONSTANTS = {
                    "bracket (1, 2): 'coeffs' must be a list of finite numbers"),
     "coeffs_not_list": (_brackets({"i": 1, "j": 2, "coeffs": 3}),
                         "bracket (1, 2): 'coeffs' must be a list of finite numbers"),
+    "huge_dim": ({"dim": 100000}, "dim must be at most 32, not 100000"),
 }
 
 
@@ -606,6 +660,33 @@ def test_malformed_constants_are_one_error_line(tmp_path, capsys, route, doc, me
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
+SUBALGEBRA_ERRORS = {
+    "out_of_range": ("1,4", "subalgebra index beyond algebra dimension"),
+    "not_closed": ("1,2", "indices (0, 1) do not span a subalgebra"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "liealg", "simulate"])
+@pytest.mark.parametrize("indices,message", SUBALGEBRA_ERRORS.values(),
+                         ids=list(SUBALGEBRA_ERRORS))
+def test_subalgebra_errors_are_one_error_line(tmp_path, capsys, command,
+                                              indices, message):
+    if command == "liealg":
+        path = tmp_path / "heisenberg.json"
+        path.write_text(json.dumps(_brackets({"i": 1, "j": 2, "coeffs": [0, 0, 1]},
+                                             dim=3)))
+        argv = ["liealg", str(path), "--subalgebra", indices]
+    else:
+        cfg = tmp_path / "heisenberg.cfg"
+        cfg.write_text(f"[liealg]\nalgebra = heisenberg\nsubalgebra = {indices}\n"
+                       "realization = heisenberg\n\n[check foliation]\npaths = 2\n")
+        out = ["--out", str(tmp_path / "out")] if command == "check" else [
+            "--trajectory", str(tmp_path / "traj.csv")]
+        argv = [command, str(cfg), *out]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_simulate_writes_trajectory(tmp_path, capsys):

@@ -66,7 +66,7 @@ def translation_system(dim=1):
 # construction and evaluation
 
 def test_eval_lebesgue_normalization():
-    T = volume_current(T2, 16, probability=True)
+    T = volume_current(T2, 16)
     assert evaluate_many(T, [expr.parse("1")])[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -96,15 +96,8 @@ def test_eval_linearity_in_f_and_weights():
 
 
 def test_probability_flag_validated():
-    with pytest.raises(ValueError):
-        EmpiricalCurrent(manifold=T1, atoms=[[0.0]], atom_weights=[2.0],
-                         probability=True)
     heavy = expr.parse("2 + sin(2*pi*x1)")
-    with pytest.raises(ValueError):
-        DensityCurrent(manifold=T1, density=heavy, grid_n=16, probability=True,
-                       normalize=False)
-    ok = DensityCurrent(manifold=T1, density=heavy, grid_n=16, normalize=True,
-                        probability=True)
+    ok = DensityCurrent(manifold=T1, density=heavy, grid_n=16, normalize=True)
     assert evaluate_many(ok, [expr.parse("1")])[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -408,7 +401,7 @@ def one_shot_currents(m):
     return [volume_current(m, 8),
             DensityCurrent(manifold=m, density=expr.parse("1.5 + 0.5*cos(2*pi*x1)"),
                            grid_n=6),
-            EmpiricalCurrent(manifold=m, atoms=m.random_points(5, rng),
+            EmpiricalCurrent(manifold=m, atoms=rng.uniform(0.0, 1.0, (5, m.dim)) * m.lengths,
                              atom_weights=rng.uniform(0.5, 1.5, 5))]
 
 

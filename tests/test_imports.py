@@ -211,3 +211,181 @@ def test_every_public_name_in_src_is_read():
              if name not in UNREAD_PUBLIC_ALLOWED]
     assert not found, ("public names that only tests read:\n"
                        + "\n".join(found))
+
+
+# Defaulted parameters that no call in src/ or bench/ sets. seed and
+# n_paths of calibrate_bias_constant stay until ROADMAP item 2 moves its
+# estimator into empirical_check.
+UNSET_DEFAULTS_ALLOWED = {"invariance.calibrate_bias_constant.seed",
+                          "invariance.calibrate_bias_constant.n_paths"}
+
+
+def _is_dataclass(stmt) -> bool:
+    return isinstance(stmt, ast.ClassDef) and any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+        for d in stmt.decorator_list)
+
+
+def _defaulted(stmt) -> list:
+    """(name, position) for each defaulted parameter of a function, or
+    defaulted field of a dataclass; position None when keyword-only."""
+    if isinstance(stmt, ast.FunctionDef):
+        args = stmt.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        return ([(a.arg, i) for i, a in enumerate(positional) if i >= first]
+                + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                   if d is not None])
+    if _is_dataclass(stmt):
+        fields = [s for s in stmt.body if isinstance(s, ast.AnnAssign)]
+        return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+    return []
+
+
+def _calls(tree) -> list:
+    """(call, scopes, names) for each call in the module: the functions
+    around it, innermost first, and the names it may call, which are the
+    callee's own name and, for a local alias bound by ``a = f`` or
+    ``a = f if c else g``, the functions it is bound to."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            value = node.value
+            branches = ([value.body, value.orelse] if isinstance(value, ast.IfExp)
+                        else [value])
+            if all(isinstance(b, ast.Name) for b in branches):
+                aliases.setdefault(node.targets[0].id, set()).update(
+                    b.id for b in branches)
+    out = []
+
+    def visit(node, scopes):
+        for child in ast.iter_child_nodes(node):
+            inner = scopes
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [child, *scopes]
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                out.append((child, scopes, {name} | aliases.get(name, set())))
+            visit(child, inner)
+
+    visit(tree, [])
+    return out
+
+
+def _star_keys(value, tree):
+    """The keys that ``**value`` can pass when value calls a function of
+    the module whose every return is a dict literal, or a choice between
+    dict literals, with constant keys; None when they cannot be told."""
+    name = getattr(value.func, "id", None) if isinstance(value, ast.Call) else None
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == name:
+            keys = set()
+            for ret in (n for n in ast.walk(fn) if isinstance(n, ast.Return)):
+                dicts = ([ret.value.body, ret.value.orelse]
+                         if isinstance(ret.value, ast.IfExp) else [ret.value])
+                if not all(isinstance(d, ast.Dict) and all(
+                        isinstance(k, ast.Constant) for k in d.keys) for d in dicts):
+                    return None
+                keys.update(k.value for d in dicts for k in d.keys)
+            return keys
+    return None
+
+
+def _argument(call, param, position, tree):
+    """The node the call passes for param; True when ``*`` or ``**`` may
+    pass it, None when the call leaves it out."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+        if kw.arg is None:
+            keys = _star_keys(kw.value, tree)
+            if keys is None or param in keys:
+                return True
+    if position is None:
+        return None
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return call.args[position] if position < len(call.args) else None
+
+
+def _gives_a_value(arg, scopes, stem, unset) -> bool:
+    """False when arg is missing, or is a parameter of a function around
+    the call that is itself never set."""
+    if arg is None:
+        return False
+    if isinstance(arg, ast.Name):
+        for fn in scopes:
+            args = fn.args
+            if arg.id in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                return f"{stem}.{fn.name}.{arg.id}" not in unset
+    return True
+
+
+def unset_defaults(layers: dict, callers: dict):
+    """layer.function.parameter (or layer.Class.field) for each defaulted
+    parameter of a function, or field of a dataclass, in a layer's
+    __all__ that no call in the {module: source} callers sets by name,
+    by position or through ``**``. A call that passes on a parameter of
+    a function around it that is itself never set does not set it."""
+    defaults = {}  # name -> [(key, param, position)]
+    for module, source in layers.items():
+        tree = ast.parse(source)
+        for name in _exported(tree):
+            for param, position in _defaulted(_definition(tree, name)):
+                defaults.setdefault(name, []).append(
+                    (f"{Path(module).stem}.{name}.{param}", param, position))
+    calls = [(*call, tree, Path(module).stem)
+             for module, source in callers.items()
+             for tree in [ast.parse(source)] for call in _calls(tree)]
+    unset = {key for params in defaults.values() for key, _, _ in params}
+    changed = True
+    while changed:  # until no parameter is found to be set
+        changed = False
+        for call, scopes, names, tree, stem in calls:
+            for key, param, position in (d for n in names for d in defaults.get(n, ())):
+                if key in unset and _gives_a_value(
+                        _argument(call, param, position, tree), scopes, stem, unset):
+                    unset.discard(key)
+                    changed = True
+    return sorted(unset)
+
+
+def test_unset_defaults_are_found():
+    layers = {"a.py": ("__all__ = ['f', 'g', 'h', 'k', 'wrap', 'D']\n"
+                       "def f(x, by_position=1, by_name=2, unset=3):\n    pass\n"
+                       "def g(x, *, through_kwargs=1, known=2, left_out=3):\n    pass\n"
+                       "def h(x, through_alias=1):\n    pass\n"
+                       "def k(x, passed_on=1):\n    pass\n"
+                       "def wrap(x, never=1):\n    k(x, never)\n"
+                       "@dataclass(frozen=True)\n"
+                       "class D:\n    a: int\n    set_field: int = 0\n"
+                       "    unset_field: int = 0\n")}
+    callers = {**layers, "b.py": ("def only():\n"
+                                  "    return {} if c else {'known': 1}\n"
+                                  "f(0, 1, by_name=2)\n"
+                                  "g(0, **options)\n"
+                                  "g(0, **only())\n"
+                                  "run = h if fast else f\n"
+                                  "run(0, 1)\n"
+                                  "wrap(0)\n"
+                                  "D(1, 2)\n")}
+    assert unset_defaults(layers, callers) == [
+        "a.D.unset_field", "a.f.unset", "a.k.passed_on", "a.wrap.never"]
+    callers["b.py"] = callers["b.py"].replace("**options", "left_out=0")
+    assert unset_defaults(layers, callers) == [
+        "a.D.unset_field", "a.f.unset", "a.g.through_kwargs", "a.k.passed_on",
+        "a.wrap.never"]
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    layers = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+              for path in sorted((ROOT / "src").rglob("*.py"))}
+    callers = dict(layers)
+    callers.update({str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+                    for path in sorted((ROOT / "bench").rglob("*.py"))})
+    found = [p for p in unset_defaults(layers, callers)
+             if p not in UNSET_DEFAULTS_ALLOWED]
+    assert not found, ("defaulted parameters that no caller in src/ or bench/ "
+                       "sets (make each a constant):\n" + "\n".join(found))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from stochflow.currents import EmpiricalCurrent, volume_current
 from stochflow.invariance import (
     EXACT_BIAS_C,
     FALLBACK_BIAS_C,
+    FrameRealization,
     InvarianceReport,
     RealizationError,
     calibrate_bias_constant,
@@ -34,6 +36,8 @@ from stochflow.manifold import (
     VectorFieldSpec,
     apply_field,
     grid_points,
+    heisenberg_frame,
+    heisenberg_manifold,
     make_test_basis,
     product_divergence_expr,
     torus,
@@ -247,9 +251,8 @@ def test_residual_check_modes():
 # foliation pipeline
 
 def test_foliation_sl2_verdict_false_no_simulation():
-    g = liealg.sl2()
-    h = liealg.SubalgebraSpec((0, 1))
-    rep = foliation_pipeline(g, h)
+    h = liealg.Subalgebra(liealg.sl2(), (0, 1))
+    rep = foliation_pipeline(h)
     assert not rep.verdict
     assert rep.residual == pytest.approx(2.0)
     off = rep.metadata["offending"]
@@ -258,9 +261,8 @@ def test_foliation_sl2_verdict_false_no_simulation():
 
 
 def test_foliation_heisenberg_with_realization():
-    g = liealg.heisenberg3()
-    h = liealg.SubalgebraSpec((0, 2))
-    rep = foliation_pipeline(g, h, heisenberg_realization(),
+    h = liealg.Subalgebra(liealg.heisenberg3(), (0, 2))
+    rep = foliation_pipeline(h, heisenberg_realization(),
                              t=0.2, dt=1e-2, seed=1, n_paths=40,
                              grid_n=8, basis_k=2)
     assert rep.verdict
@@ -272,36 +274,29 @@ def test_foliation_heisenberg_with_realization():
 
 
 def test_foliation_abelian_on_torus():
-    g = liealg.abelian(2)
-    h = liealg.SubalgebraSpec((0, 1))
-    rep = foliation_pipeline(g, h, torus_translation_realization(2),
+    h = liealg.Subalgebra(liealg.abelian(2), (0, 1))
+    rep = foliation_pipeline(h, torus_translation_realization(2),
                              t=0.2, dt=1e-2, seed=3, n_paths=40,
                              grid_n=8, basis_k=2)
     assert rep.verdict and rep.all_verdicts()
     assert rep.metadata["drift_coeffs"] == [0.0, 0.0]
 
 
-def test_foliation_pathwise_tolerance_sets_only_the_pathwise_check():
-    g = liealg.abelian(2)
-    h = liealg.SubalgebraSpec((0, 1))
-
-    def subchecks(**kw):
-        rep = foliation_pipeline(g, h, torus_translation_realization(2),
-                                 t=0.1, dt=1e-2, seed=3, n_paths=10,
-                                 grid_n=8, basis_k=1, **kw)
-        return {s.kind: s for s in rep.subchecks}
-
-    default, loose = subchecks(), subchecks(pathwise_tolerance=0.5)
-    assert default["empirical_pathwise"].tolerance == 1e-2
-    assert loose["empirical_pathwise"].tolerance == 0.5
-    assert loose["empirical_mean"].payload() == default["empirical_mean"].payload()
+def test_foliation_subchecks_keep_the_pipeline_tolerances():
+    h = liealg.Subalgebra(liealg.abelian(2), (0, 1))
+    rep = foliation_pipeline(h, torus_translation_realization(2),
+                             t=0.1, dt=1e-2, seed=3, n_paths=10,
+                             grid_n=8, basis_k=1)
+    tolerance = {s.kind: s.tolerance for s in rep.subchecks}
+    assert tolerance["mean_residual"] == 1e-6
+    assert tolerance["strict_residual"] == 1e-8
+    assert tolerance["empirical_pathwise"] == 1e-2
 
 
 def test_foliation_rejects_mismatched_realization():
-    g = liealg.sl2()
-    h = liealg.SubalgebraSpec((0, 1))
+    h = liealg.Subalgebra(liealg.sl2(), (0, 1))
     with pytest.raises(RealizationError):
-        foliation_pipeline(g, h, torus_translation_realization(3))
+        foliation_pipeline(h, torus_translation_realization(3))
 
 
 def test_nform_and_residual_verdicts_agree_on_builtin_configurations():
@@ -394,7 +389,7 @@ def test_foliation_bias_constant_follows_the_frame():
     real = heisenberg_realization()
 
     def bias(indices, **kwargs):
-        rep = foliation_pipeline(g, liealg.SubalgebraSpec(indices), real,
+        rep = foliation_pipeline(liealg.Subalgebra(g, indices), real,
                                  t=0.02, dt=1e-2, seed=0, n_paths=4, grid_n=4,
                                  basis_k=1, **kwargs)
         (mean,) = [s for s in rep.subchecks if s.kind == "empirical_mean"]
@@ -405,12 +400,32 @@ def test_foliation_bias_constant_follows_the_frame():
     assert bias((1, 2), bias_c=0.25) == 0.25
 
 
+SHEARED_TORUS = FrameRealization(
+    manifold=torus(1.0, 1.0),
+    frame=(VectorFieldSpec.from_strings(["1", "0"]),
+           VectorFieldSpec.from_strings(["0", "sin(2*pi*x1)"])))
+DOUBLED_Z = FrameRealization(
+    manifold=heisenberg_manifold(),
+    frame=(*heisenberg_frame()[:2], VectorFieldSpec.from_strings(["0", "0", "2"])))
+
+
+@pytest.mark.parametrize("algebra,real,pair", [
+    # [X, Y] = 2 pi cos(2 pi x1) d/dx2 vanishes only at x1 = 1/4 and 3/4
+    (liealg.abelian(2), SHEARED_TORUS, "[v1, v2]"),
+    # [X, Y] = Z, but the constants ask for the third frame field, 2Z
+    (liealg.heisenberg3(), DOUBLED_Z, "[X, Y]"),
+], ids=["sheared_torus", "doubled_z"])
+def test_realization_mismatch_is_found_at_the_sample_points(algebra, real, pair):
+    with pytest.raises(RealizationError, match=re.escape(f"at ({pair})")):
+        foliated_system(liealg.Subalgebra(algebra, (0,)), real)
+
+
 def test_foliated_system_checks_its_realization():
     with pytest.raises(RealizationError, match=r"\[X, Y\]"):
-        foliated_system(liealg.sl2(), liealg.SubalgebraSpec((0, 1)),
+        foliated_system(liealg.Subalgebra(liealg.sl2(), (0, 1)),
                         torus_translation_realization(3))
     with pytest.raises(RealizationError, match="frame fields"):
-        foliated_system(liealg.sl2(), liealg.SubalgebraSpec((0, 1)),
+        foliated_system(liealg.Subalgebra(liealg.sl2(), (0, 1)),
                         torus_translation_realization(2))
 
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from oracles import ad_matrix, leaf_connection
+from stochflow import liealg
+from stochflow.invariance import foliation_pipeline, heisenberg_realization
 from stochflow.liealg import (
     LieAlgebraData,
     NotASubalgebraError,
-    SubalgebraSpec,
+    Subalgebra,
     abelian,
     algebra_zoo,
     foliated_drift,
@@ -27,7 +29,7 @@ from stochflow.liealg import (
 
 SL2 = sl2()
 HEIS = heisenberg3()
-H_XY = SubalgebraSpec((0, 1))
+H_XY = Subalgebra(SL2, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -76,31 +78,31 @@ def test_ad_matrix_heisenberg_sends_y_to_z():
 
 def test_ad_matrix_restriction_requires_subalgebra():
     with pytest.raises(NotASubalgebraError):
-        ad_matrix(HEIS, 0, SubalgebraSpec((0, 1)))  # [X,Y]=Z escapes span{X,Y}
+        ad_matrix(HEIS, 0, Subalgebra(HEIS, (0, 1)))  # [X,Y]=Z escapes span{X,Y}
 
 
 def test_tr_ad_restricted_sl2_values():
-    assert tr_ad_restricted(SL2, H_XY, 0) == 2.0
-    assert tr_ad_restricted(SL2, H_XY, 1) == 0.0
+    assert tr_ad_restricted(H_XY, 0) == 2.0
+    assert tr_ad_restricted(H_XY, 1) == 0.0
 
 
 def test_tr_ad_restricted_abelian_zero():
     g = abelian(4)
-    h = SubalgebraSpec((0, 2, 3))
+    h = Subalgebra(g, (0, 2, 3))
     for i in h.indices:
-        assert tr_ad_restricted(g, h, i) == 0.0
+        assert tr_ad_restricted(h, i) == 0.0
 
 
 def test_tr_ad_restricted_rejects_outside_index():
     with pytest.raises(IndexError):
-        tr_ad_restricted(SL2, H_XY, 2)
+        tr_ad_restricted(H_XY, 2)
 
 
 def test_trace_equals_ad_matrix_trace():
     for g in (SL2, HEIS, so3()):
         for h in _closed_subalgebras(g):
             for i in h.indices:
-                assert tr_ad_restricted(g, h, i) == pytest.approx(
+                assert tr_ad_restricted(h, i) == pytest.approx(
                     np.trace(ad_matrix(g, i, h)), abs=0)
 
 
@@ -169,15 +171,15 @@ def test_nilpotency():
 
 def test_leaf_connection_abelian_vanishes():
     g = abelian(3)
-    h = SubalgebraSpec((0, 1, 2))
+    h = Subalgebra(g, (0, 1, 2))
     for i, j in itertools.product(range(3), repeat=2):
-        np.testing.assert_array_equal(leaf_connection(g, h, i, j), np.zeros(3))
+        np.testing.assert_array_equal(leaf_connection(h, i, j), np.zeros(3))
 
 
 def test_leaf_connection_sl2_diagonal_values():
     # nabla_Y Y = 2X, nabla_X X = 0
-    np.testing.assert_allclose(leaf_connection(SL2, H_XY, 1, 1), [2.0, 0.0])
-    np.testing.assert_allclose(leaf_connection(SL2, H_XY, 0, 0), [0.0, 0.0])
+    np.testing.assert_allclose(leaf_connection(H_XY, 1, 1), [2.0, 0.0])
+    np.testing.assert_allclose(leaf_connection(H_XY, 0, 0), [0.0, 0.0])
 
 
 def _random_orthogonal_conjugate(g, seed):
@@ -197,23 +199,23 @@ def test_foliated_drift_is_minus_half_the_leaf_connection_trace():
     conjugates = [_random_orthogonal_conjugate(g, seed) for seed, g in enumerate(zoo)]
     for g in zoo + conjugates:
         for h in _closed_subalgebras(g):
-            want = -0.5 * sum(leaf_connection(g, h, i, i) for i in h.indices)
-            np.testing.assert_allclose(foliated_drift(g, h), want, atol=1e-12)
+            want = -0.5 * sum(leaf_connection(h, i, i) for i in h.indices)
+            np.testing.assert_allclose(foliated_drift(h), want, atol=1e-12)
 
 
 def test_foliated_drift_values():
-    heis_h = SubalgebraSpec((0, 2))
-    np.testing.assert_array_equal(foliated_drift(HEIS, heis_h), [0.0, 0.0])
-    np.testing.assert_allclose(foliated_drift(SL2, H_XY), [-1.0, 0.0])
-    np.testing.assert_array_equal(foliated_drift(abelian(3), SubalgebraSpec((0, 1))),
+    heis_h = Subalgebra(HEIS, (0, 2))
+    np.testing.assert_array_equal(foliated_drift(heis_h), [0.0, 0.0])
+    np.testing.assert_allclose(foliated_drift(H_XY), [-1.0, 0.0])
+    np.testing.assert_array_equal(foliated_drift(Subalgebra(abelian(3), (0, 1))),
                                   [0.0, 0.0])
 
 
 def test_drift_is_minus_half_trace():
     for g in (SL2, HEIS, so3(), abelian(3)):
         for h in _closed_subalgebras(g):
-            d = foliated_drift(g, h)
-            traces = np.array([tr_ad_restricted(g, h, i) for i in h.indices])
+            d = foliated_drift(h)
+            traces = np.array([tr_ad_restricted(h, i) for i in h.indices])
             np.testing.assert_allclose(d, -0.5 * traces, atol=1e-12)
 
 
@@ -224,21 +226,20 @@ def _closed_subalgebras(g):
     out = []
     for r in range(1, g.n + 1):
         for idx in itertools.combinations(range(g.n), r):
-            h = SubalgebraSpec(idx)
-            if is_closed(g, h):
-                out.append(h)
+            if is_closed(g, idx):
+                out.append(Subalgebra(g, idx))
     return out
 
 
 def test_verdict_sl2_offending_trace():
-    ok, offending = invariance_verdict(SL2, H_XY)
+    ok, offending = invariance_verdict(H_XY)
     assert not ok
     assert offending == [(0, 2.0)]
 
 
 def test_verdict_heisenberg_all_closed_subalgebras():
     for h in _closed_subalgebras(HEIS):
-        ok, offending = invariance_verdict(HEIS, h)
+        ok, offending = invariance_verdict(h)
         assert ok and offending == []
 
 
@@ -247,13 +248,46 @@ def test_nilpotent_implies_totally_invariant_over_zoo():
         if not is_nilpotent(g):
             continue
         for h in _closed_subalgebras(g):
-            ok, _ = invariance_verdict(g, h)
+            ok, _ = invariance_verdict(h)
             assert ok, (name, h)
 
 
+@pytest.mark.parametrize("indices,error,message", [
+    ((), ValueError, "subalgebra indices must be a nonempty set"),
+    ((1, 1), ValueError, "subalgebra indices must be a nonempty set"),
+    ((-1, 0), ValueError, "subalgebra indices must be >= 0"),
+    ((0, 3), ValueError, "subalgebra index beyond algebra dimension"),
+    ((1, 0), NotASubalgebraError, r"indices \(0, 1\) do not span a subalgebra"),
+])
+def test_subalgebra_checks_its_indices_when_built(indices, error, message):
+    with pytest.raises(error, match=message):
+        Subalgebra(HEIS, indices)
+
+
+def test_closure_is_checked_once_per_subalgebra(monkeypatch):
+    calls = []
+
+    def counted(g, indices):
+        calls.append(tuple(indices))
+        return is_closed(g, indices)
+
+    monkeypatch.setattr(liealg, "is_closed", counted)
+    h = Subalgebra(HEIS, (2, 0))
+    assert h.indices == (0, 2) and calls == [(0, 2)]
+    tr_ad_restricted(h, 0)
+    foliated_drift(h)
+    invariance_verdict(h)
+    foliation_pipeline(h, heisenberg_realization(), t=0.02, dt=1e-2,
+                       n_paths=4, grid_n=4, basis_k=1)
+    assert calls == [(0, 2)]
+    assert not h.constants.flags.writeable
+    with pytest.raises(ValueError):
+        h.constants[0, 0, 0] = 1.0
+
+
 def test_xy_not_closed_in_heisenberg():
-    assert not is_closed(HEIS, SubalgebraSpec((0, 1)))
-    assert is_closed(HEIS, SubalgebraSpec((0, 2)))
+    assert not is_closed(HEIS, (0, 1))
+    assert is_closed(HEIS, (0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +331,6 @@ def test_load_structure_constants_rejects_bad_input():
 
 
 def test_parse_subalgebra_is_one_based():
-    assert parse_subalgebra("1,3").indices == (0, 2)
+    assert parse_subalgebra("1,3", SL2).indices == (0, 2)
     with pytest.raises(ValueError):
-        parse_subalgebra("a,b")
+        parse_subalgebra("a,b", SL2)

@@ -188,22 +188,22 @@ def test_divergence_leibniz_relation():
 def test_bracket_of_field_with_itself_vanishes():
     X = VectorFieldSpec.from_strings(["sin(2*pi*x1)", "cos(2*pi*x2)"])
     pts = np.random.default_rng(5).random((10, 2))
-    np.testing.assert_allclose(lie_bracket(T2, X, X, pts), 0.0, atol=1e-12)
+    np.testing.assert_allclose(lie_bracket(T2, X, X)(pts), 0.0, atol=1e-12)
 
 
 def test_bracket_heisenberg_frame():
     X, Y, Z = heisenberg_frame()
     pts = np.random.default_rng(6).random((10, 3))
-    np.testing.assert_allclose(lie_bracket(HEIS, X, Y, pts), Z(pts), atol=1e-12)
-    np.testing.assert_allclose(lie_bracket(HEIS, X, Z, pts), 0.0, atol=1e-12)
-    np.testing.assert_allclose(lie_bracket(HEIS, Y, Z, pts), 0.0, atol=1e-12)
+    np.testing.assert_allclose(lie_bracket(HEIS, X, Y)(pts), Z(pts), atol=1e-12)
+    np.testing.assert_allclose(lie_bracket(HEIS, X, Z)(pts), 0.0, atol=1e-12)
+    np.testing.assert_allclose(lie_bracket(HEIS, Y, Z)(pts), 0.0, atol=1e-12)
 
 
 def test_bracket_constant_fields_commute():
     X = VectorFieldSpec.from_strings(["1", "0"])
     Y = VectorFieldSpec.from_strings(["0", "1"])
     pts = np.random.default_rng(7).random((5, 2))
-    np.testing.assert_allclose(lie_bracket(T2, X, Y, pts), 0.0, atol=1e-12)
+    np.testing.assert_allclose(lie_bracket(T2, X, Y)(pts), 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def test_basis_gradients_match_fd():
 
 
 def test_identified_pairs_relate_points():
-    for p, q, dg in zip(*identified_pairs(HEIS, 8)):
+    for p, q, dg in zip(*identified_pairs(HEIS)):
         assert not np.allclose(p, q)
         np.testing.assert_allclose(HEIS.wrap(p), HEIS.wrap(q), atol=1e-10)
 
@@ -327,7 +327,7 @@ def test_identified_pairs_relate_points():
 @pytest.mark.parametrize("m", [T1, torus(1.0, 2.0), HEIS, torus(0.5, 1.0, 3.0, 2.0)],
                          ids=["circle", "torus2", "heisenberg", "torus4"])
 def test_identified_pairs_are_a_fixed_spread_sample(m):
-    p, q, dgamma = identified_pairs(m, 32)
+    p, q, dgamma = identified_pairs(m)
     assert p.shape == q.shape == (32, m.dim) and dgamma.shape == (32, m.dim, m.dim)
     assert len(np.unique(p, axis=0)) == 32
     assert np.all((p >= 0) & (p < m.lengths))
@@ -341,7 +341,7 @@ def test_identified_pairs_are_a_fixed_spread_sample(m):
     assert np.all(np.abs(np.round(steps)) <= 2)
     assert not np.any(np.all(np.round(steps) == 0, axis=1))
     # cached: the same read-only arrays on every call
-    again = identified_pairs(m, 32)
+    again = identified_pairs(m)
     assert all(a is b for a, b in zip((p, q, dgamma), again))
     for a in again:
         assert not a.flags.writeable

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys as _sys
@@ -23,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import expr
 from .config import CheckSpec, ConfigError, ExperimentConfig, parse_config, serialize_config
-from .manifold import ChartedManifold, VectorFieldSpec, make_test_basis, torus
+from .manifold import ChartedManifold, VectorFieldSpec, make_test_basis
 from .presets import preset_names, preset_text
 from .sde import (
     StratonovichSystem,
@@ -42,17 +42,6 @@ from .sde import (
 
 __all__ = ["main", "run", "build_experiment"]
 
-# defaults for check keys that the check functions require; a tolerance
-# the config leaves out takes the default of its check function
-_DEFAULTS = {
-    "t": 1.0,
-    "dt": 1e-3,
-    "seed": 0,
-    "basis_k": 3,
-    "paths_mean": 1000,
-    "paths_jacobian": 100,
-}
-
 
 # ---------------------------------------------------------------------------
 # building runtime objects out of a validated config
@@ -62,108 +51,56 @@ class Experiment:
 
     def __init__(self, config):
         self.config = config
-        self.manifold = None
-        self.fields = None
         self.system = None
         self.current = None
         self.subalgebra = None
         self.realization = None
-        self.default_grid = 64
-
-    def current_at(self, grid_n):
-        from .currents import DensityCurrent, EmpiricalCurrent
-
-        if isinstance(self.current, EmpiricalCurrent) or grid_n is None:
-            return self.current
-        if isinstance(self.current, DensityCurrent) and self.current.grid_n == grid_n:
-            return self.current
-        return DensityCurrent(manifold=self.current.manifold,
-                              density=self.current.density, grid_n=grid_n,
-                              normalize=self.current.normalize)
-
-
-def _build_manifold(section):
-    mtype = section.get("type", "torus")
-    if mtype == "heisenberg":
-        lengths = section.get("lengths")
-        vals = tuple(float(v) for v in lengths.split(",")) if lengths else (1.0, 1.0, 1.0)
-        return ChartedManifold(dim=3, box_lengths=vals, identification="heisenberg")
-    lengths = section.get("lengths", "1")
-    return torus(*(float(v) for v in lengths.split(",")))
-
-
-def _build_fields(section, dim):
-    drift = VectorFieldSpec.zero(dim)
-    diffusions = []
-    for key, value in sorted(section.items(),
-                             key=lambda kv: (kv[0] != "drift", kv[0])):
-        comps = [part.strip() for part in value.split(",")]
-        field = VectorFieldSpec.from_strings(comps)
-        if key == "drift":
-            drift = field
-        else:
-            diffusions.append((int(key[len("diffusion"):]), field))
-    diffusions.sort(key=lambda kv: kv[0])
-    return drift, tuple(f for _, f in diffusions)
-
-
-def _build_current(section, manifold, default_grid):
-    from .currents import DensityCurrent, EmpiricalCurrent
-
-    section = section or {}
-    if section.get("type", "density") == "empirical":
-        atoms = [[float(v) for v in pt.split()]
-                 for pt in section["atoms"].split(";")]
-        weights = [float(v) for v in section["weights"].split(",")]
-        return EmpiricalCurrent(manifold=manifold, atoms=atoms, atom_weights=weights)
-    grid_n = int(section.get("grid", default_grid))
-    density_text = section.get("density", "1").strip()
-    density = None if density_text == "1" else expr.parse(density_text)
-    normalize = section.get("normalize", "false").lower() == "true"
-    return DensityCurrent(manifold=manifold, density=density, grid_n=grid_n,
-                          normalize=normalize)
-
-
-def _build_algebra(section):
-    from . import liealg
-
-    if "constants" in section:
-        return liealg.load_structure_constants(section["constants"])
-    name = section["algebra"]
-    if name.startswith("file:"):
-        with open(name[len("file:"):], encoding="utf-8") as fh:
-            return liealg.load_structure_constants(fh)
-    zoo = liealg.algebra_zoo()
-    if name not in zoo:
-        raise ConfigError([f"unknown algebra {name!r}; known: {', '.join(sorted(zoo))}"])
-    return zoo[name]
 
 
 def build_experiment(config: ExperimentConfig) -> Experiment:
     exp = Experiment(config)
+    value = config.value
     if config.is_liealg:
         from . import liealg
         from .invariance import heisenberg_realization, torus_translation_realization
 
-        section = config.section("liealg")
-        algebra = _build_algebra(section)
-        exp.subalgebra = liealg.parse_subalgebra(section["subalgebra"], algebra)
-        realization = section.get("realization")
+        name = value("liealg.algebra")
+        if value("liealg.constants") is not None:
+            algebra = liealg.load_structure_constants(value("liealg.constants"))
+        elif isinstance(name, Path):
+            with open(name, encoding="utf-8") as fh:
+                algebra = liealg.load_structure_constants(fh)
+        else:
+            algebra = liealg.algebra_zoo().get(name)
+        if algebra is None:
+            raise ConfigError([f"unknown algebra {name!r}; known: "
+                               f"{', '.join(sorted(liealg.algebra_zoo()))}"])
+        exp.subalgebra = liealg.Subalgebra(algebra, value("liealg.subalgebra"))
+        realization = value("liealg.realization")
         if realization == "heisenberg":
             exp.realization = heisenberg_realization()
         elif realization == "torus":
             exp.realization = torus_translation_realization(algebra.n)
-        elif realization is not None:
-            raise ConfigError([f"unknown realization {realization!r}"])
         return exp
-    exp.manifold = _build_manifold(config.section("manifold"))
-    exp.default_grid = 32 if exp.manifold.dim >= 3 else 64
-    drift, diffusions = _build_fields(config.section("fields"), exp.manifold.dim)
-    exp.fields = [drift, *diffusions]
-    exp.system = StratonovichSystem(manifold=exp.manifold, drift=drift,
-                                    diffusions=diffusions)
-    exp.current = _build_current(config.section("current"), exp.manifold,
-                                 exp.default_grid)
+    from .currents import DensityCurrent, EmpiricalCurrent
+
+    dim = value("manifold.dim")
+    manifold = ChartedManifold(dim=dim, box_lengths=value("manifold.lengths"),
+                               identification=value("manifold.type"))
+    drift, *diffusions = [VectorFieldSpec(dim=dim, components=components)
+                          for components in (value("fields.drift"),
+                                             *value("fields.diffusions"))]
+    exp.system = StratonovichSystem(manifold=manifold, drift=drift,
+                                    diffusions=tuple(diffusions))
+    if value("current.type") == "empirical":
+        exp.current = EmpiricalCurrent(manifold=manifold,
+                                       atoms=value("current.atoms"),
+                                       atom_weights=value("current.weights"))
+    else:
+        exp.current = DensityCurrent(manifold=manifold,
+                                     density=value("current.density"),
+                                     grid_n=value("current.grid"),
+                                     normalize=value("current.normalize"))
     return exp
 
 
@@ -172,9 +109,8 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
 
 def _run_check(exp: Experiment, chk: CheckSpec, overrides,
                applied: set) -> InvarianceReport:
-    """Run one check, reading the keys config.CHECK_KEYS lists for its kind;
-    adds to applied the keys of the overrides it used."""
-    from .currents import DensityCurrent
+    """Run one check, reading the values of the keys config.CHECK_KEYS
+    lists for its kind; adds to applied the keys of the overrides it used."""
     from .invariance import (
         check_mean_nform,
         check_strict_nform,
@@ -186,60 +122,46 @@ def _run_check(exp: Experiment, chk: CheckSpec, overrides,
 
     kind = chk.kind
 
-    def param(key, default=None, cast=float):
+    def param(key):
         if overrides.get(key) is not None:
             applied.add(key)
             return overrides[key]
-        raw = chk.get(key)
-        return default if raw is None else cast(raw)
-
-    def horizon():
-        return (param("t", _DEFAULTS["t"]), param("dt", _DEFAULTS["dt"]),
-                param("seed", _DEFAULTS["seed"], int))
+        return chk.value(key)
 
     def tolerance():
         # passed only when set, so that each check keeps its own default
-        raw = chk.get("tolerance")
-        return {} if raw is None else {"tolerance": float(raw)}
+        value = chk.value("tolerance")
+        return {} if value is None else {"tolerance": value}
 
     if kind == "foliation":
-        t, dt, seed = horizon()
         return foliation_pipeline(
-            exp.subalgebra, exp.realization, t=t, dt=dt,
-            seed=seed, n_paths=param("paths", _DEFAULTS["paths_mean"], int),
-            grid_n=param("grid", 8, int),
-            basis_k=param("basis_k", _DEFAULTS["basis_k"], int),
-            bias_c=param("bias_c"))
+            exp.subalgebra, exp.realization, t=param("t"), dt=param("dt"),
+            seed=param("seed"), n_paths=param("paths"), grid_n=param("grid"),
+            basis_k=param("basis_k"), bias_c=param("bias_c"))
 
     if exp.system is None:
         raise ConfigError([f"check {kind!r} needs a flow experiment"])
-    m = exp.manifold
+    m = exp.system.manifold
 
     if kind in ("strict_nform", "mean_nform"):
-        density = exp.current.density if isinstance(exp.current, DensityCurrent) else None
         check = check_strict_nform if kind == "strict_nform" else check_mean_nform
-        return check(m, density, exp.fields, param("grid", exp.default_grid, int),
+        return check(m, exp.current.density, exp.system.fields(), param("grid"),
                      **tolerance())
     if kind == "jacobian":
-        t, dt, seed = horizon()
-        x0 = param("x0", 0.5 * m.lengths,
-                   lambda text: np.array([float(v) for v in text.split(",")]))
-        paths = param("paths", _DEFAULTS["paths_jacobian"], int)
-        return jacobian_check(exp.system, x0, t, dt, seed, paths, **tolerance())
-    T = exp.current_at(param("grid", None, int))
-    basis = make_test_basis(m, param("basis_k", _DEFAULTS["basis_k"], int))
+        return jacobian_check(exp.system, param("x0"), param("t"), param("dt"),
+                              param("seed"), param("paths"), **tolerance())
+    grid = param("grid")  # None: the current's own grid
+    T = exp.current if grid is None else dataclasses.replace(exp.current, grid_n=grid)
+    basis = make_test_basis(m, param("basis_k"))
     if kind in ("strict_residual", "mean_residual"):
         mode = "strict" if kind == "strict_residual" else "mean"
         return residual_check(T, exp.system, basis, mode, **tolerance())
-    t, dt, seed = horizon()
+    t, dt, seed = param("t"), param("dt"), param("seed")
     if kind == "empirical_pathwise":
         return empirical_check(T, exp.system, basis, t, dt, seed, None,
                                "pathwise", **tolerance())
-    if kind == "empirical_mean":
-        return empirical_check(T, exp.system, basis, t, dt, seed,
-                               param("paths", _DEFAULTS["paths_mean"], int),
-                               "mean", bias_c=param("bias_c"))
-    raise ConfigError([f"unhandled check kind {kind!r}"])
+    return empirical_check(T, exp.system, basis, t, dt, seed, param("paths"),
+                           "mean", bias_c=param("bias_c"))
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +377,12 @@ def main(argv=None) -> int:
     p_show.set_defaults(func=_cmd_presets)
 
     args = parser.parse_args(argv)
+    for flag in ("seed", "path_index"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            print(f"error: --{flag.replace('_', '-')} must be >= 0, got {value}",
+                  file=_sys.stderr)
+            return 1
     return args.func(args)
 
 

@@ -1,4 +1,4 @@
-"""Experiment configuration: parsing, validation and canonical form.
+"""Experiment configuration: parsing, validation and typed values.
 
 The text format is flat key-value lines under section headers:
 
@@ -20,9 +20,11 @@ The text format is flat key-value lines under section headers:
 A Lie-algebra experiment replaces [fields]/[current] with a [liealg]
 section (algebra or inline constants, subalgebra, optional
 realization). Exactly one of the two experiment types must be present.
-'#' starts a comment; values keep their raw text so a parse/serialize
-round trip is the identity. JSON documents with the same section names
-are accepted as an alternative input.
+'#' starts a comment. JSON documents with the same section names are
+accepted as an alternative input.
+
+parse_config converts each value once, by its entry in _VALUES, which
+also holds its default. The raw text is kept only for serialize_config.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 from . import expr
@@ -44,18 +47,13 @@ __all__ = [
     "serialize_config",
 ]
 
+_SECTIONS = ("manifold", "fields", "current", "liealg")
+
 # The keys each current type reads; parse_config rejects the other
 # type's keys rather than drop them.
 _CURRENT_KEYS = {
     "density": ("density", "grid", "normalize"),
     "empirical": ("atoms", "weights"),
-}
-
-_SECTION_KEYS = {
-    "manifold": {"type", "lengths"},
-    "fields": None,  # drift plus diffusionN, validated separately
-    "current": {"type"}.union(*_CURRENT_KEYS.values()),
-    "liealg": {"algebra", "constants", "subalgebra", "realization"},
 }
 
 # The keys each check kind reads, and so accepts; parse_config rejects
@@ -103,26 +101,26 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class CheckSpec:
     kind: str
-    params: tuple  # ((key, raw-value-string), ...) in declaration order
+    params: tuple  # ((key, raw text), ...) in declaration order
+    values: tuple  # ((key, typed value), ...) for each key of CHECK_KEYS[kind]
 
-    def get(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+    def value(self, key):
+        """The typed value of key, or its default when the check leaves it out."""
+        return dict(self.values)[key]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    manifold: Optional[tuple] = None
+    manifold: Optional[tuple] = None  # ((key, raw text), ...) per section
     fields: Optional[tuple] = None
     current: Optional[tuple] = None
     liealg: Optional[tuple] = None
     checks: tuple = ()
+    values: tuple = ()  # (("section.key", typed value), ...), defaults filled in
 
-    def section(self, name):
-        data = getattr(self, name)
-        return dict(data) if data is not None else None
+    def value(self, path):
+        """The typed value at "section.key", or its default."""
+        return dict(self.values)[path]
 
     @property
     def is_flow(self) -> bool:
@@ -166,6 +164,14 @@ def _parse_sections(text, issues):
     return sections
 
 
+class _JSONObject(dict):
+    """A JSON object that keeps its pairs, so a key given twice shows."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def _json_to_sections(doc, issues):
     sections = []
     if not isinstance(doc, dict):
@@ -185,141 +191,320 @@ def _json_to_sections(doc, issues):
             return json.dumps(v, sort_keys=True)
         return str(v)
 
-    for name in ("manifold", "fields", "current", "liealg"):
-        if name in doc:
-            body = doc[name]
-            if not isinstance(body, dict):
-                issues.append(ConfigIssue("section must be an object", path=name))
-                continue
+    for name, body in doc.pairs:
+        if name == "checks":
+            for i, chk in enumerate(body):
+                if not isinstance(chk, dict) or "kind" not in chk:
+                    issues.append(ConfigIssue("check needs a 'kind'",
+                                              path=f"checks[{i}]"))
+                    continue
+                sections.append((f"check {chk['kind']}", None, [
+                    (k, norm(v), None, None) for k, v in chk.pairs if k != "kind"]))
+        elif name in _SECTIONS and not isinstance(body, dict):
+            issues.append(ConfigIssue("section must be an object", path=name))
+        elif name in _SECTIONS:
             sections.append((name, None,
-                             [(k, norm(v), None, None) for k, v in body.items()]))
-    for i, chk in enumerate(doc.get("checks", [])):
-        if not isinstance(chk, dict) or "kind" not in chk:
-            issues.append(ConfigIssue("check needs a 'kind'", path=f"checks[{i}]"))
-            continue
-        entries = [(k, norm(v), None, None) for k, v in chk.items() if k != "kind"]
-        sections.append((f"check {chk['kind']}", None, entries))
+                             [(k, norm(v), None, None) for k, v in body.pairs]))
     return sections
 
 
 # ---------------------------------------------------------------------------
-# validation
+# conversion of one value
 
-def _expressions_of(value):
-    """Split a value on top-level commas (the grammar has no commas)."""
-    return [part.strip() for part in value.split(",")]
+class _Value:
+    """The text of one entry and where it was written."""
 
+    def __init__(self, text, line, col, path, issues):
+        self.text, self.line, self.col, self.path = text, line, col, path
+        self.issues = issues
+        self.failed = False
 
-def _check_expression(value, dim, issues, line, col, path):
-    offset = 0
-    for part in value.split(","):
-        text = part.strip()
-        lead = len(part) - len(part.lstrip())
-        try:
-            node = expr.parse(text)
-        except expr.ExprParseError as e:
-            issues.append(ConfigIssue(
-                f"expression error: {e.message}", line,
-                None if col is None else col + offset + lead + e.pos, path))
-        else:
-            used = expr.max_coordinate(node)
-            if dim is not None and used > dim:
-                issues.append(ConfigIssue(
-                    f"references x{used} but the manifold has dimension {dim}",
-                    line, col if col is None else col + offset + lead, path))
-        offset += len(part) + 1
+    def fail(self, message, offset=0):  # offset None: at the line alone
+        col = None if offset is None or self.col is None else self.col + offset
+        self.issues.append(ConfigIssue(message, self.line, col, self.path))
+        self.failed = True
 
 
-def _validate_number(value, issues, line, col, path, integer=False, positive=False):
+# the rules a number may have to keep: (message when it does not, test)
+_POSITIVE = ("must be positive", lambda n: n > 0)
+_NON_NEGATIVE = ("must be >= 0", lambda n: n >= 0)
+_PHILOX_KEY = ("must be in [0, 2**64)", lambda n: 0 <= n < 2 ** 64)
+
+
+def _number(value, text, integer=False, rule=None):
     try:
-        v = int(value) if integer else float(value)
+        number = int(text) if integer else float(text)
     except ValueError:
-        issues.append(ConfigIssue(
-            f"expected {'an integer' if integer else 'a number'}, got {value!r}",
-            line, col, path))
-        return None
-    if not math.isfinite(v):
-        issues.append(ConfigIssue("must be finite", line, col, path))
-        return None
-    if positive and v <= 0:
-        issues.append(ConfigIssue("must be positive", line, col, path))
-        return None
-    return v
+        return value.fail(
+            f"expected {'an integer' if integer else 'a number'}, got {text!r}")
+    if not integer and not math.isfinite(number):
+        return value.fail("must be finite")
+    if rule and not rule[1](number):
+        return value.fail(rule[0])
+    return number
 
 
-def _manifold_dim(manifold_entries):
-    data = dict((k, v) for k, v, *_ in manifold_entries)
-    mtype = data.get("type", "torus")
-    if mtype == "heisenberg":
-        return 3
-    lengths = data.get("lengths")
-    if lengths is None:
-        return None
-    return len(_expressions_of(lengths))
+def _numbers(integer=False, rule=None, one=False):
+    def convert(value, values):
+        if one:
+            return _number(value, value.text, integer, rule)
+        numbers = tuple(_number(value, part.strip(), integer, rule)
+                        for part in value.text.split(","))
+        return None if value.failed else numbers
+    return convert
 
 
-def _validate_atoms(entries, dim, issues):
-    """The atoms of an empirical current are points of dim numbers each,
-    separated by ';', and its weights one number per atom, separated by
-    ','."""
-    data = {k: (v, line, col) for k, v, line, col in entries}
-    n_atoms = None
-    if "atoms" in data:
-        value, line, col = data["atoms"]
-        points = value.split(";")
-        n_atoms = len(points)
-        for i, point in enumerate(points):
-            coords = point.split()
-            if not coords or (dim is not None and len(coords) != dim):
-                issues.append(ConfigIssue(
-                    f"atom {i + 1} has {len(coords)} coordinates, need "
-                    f"{dim or 'at least 1'}", line, col, "current.atoms"))
-            for part in coords:
-                _validate_number(part, issues, line, col, "current.atoms")
-    if "weights" in data:
-        value, line, col = data["weights"]
-        weights = _expressions_of(value)
-        for part in weights:
-            _validate_number(part, issues, line, col, "current.weights")
-        if n_atoms is not None and len(weights) != n_atoms:
+_positive = _numbers(rule=_POSITIVE, one=True)
+_count = _numbers(integer=True, rule=_POSITIVE, one=True)
+
+
+def _flag(value, values):
+    flag = {"true": True, "false": False}.get(value.text.lower())
+    if flag is None:
+        value.fail(f"expected true or false, got {value.text!r}")
+    return flag
+
+
+def _choice(what, *options):
+    def convert(value, values):
+        if value.text in options:
+            return value.text
+        return value.fail(f"unknown {what} {value.text!r} (known: "
+                          f"{', '.join(options)})", offset=None)
+    return convert
+
+
+def _lengths(value, values):
+    lengths = _numbers(rule=_POSITIVE)(value, values)
+    if lengths and values["manifold.type"] == "heisenberg" and len(lengths) != 3:
+        return value.fail(f"a heisenberg manifold has 3 lengths, got {len(lengths)}")
+    return lengths
+
+
+def _expression(value, text, offset, dim):
+    try:
+        node = expr.parse(text)
+    except expr.ExprParseError as e:
+        return value.fail(f"expression error: {e.message}", offset + e.pos)
+    used = expr.max_coordinate(node)
+    if dim is not None and used > dim:
+        return value.fail(f"references x{used} but the manifold has dimension {dim}",
+                          offset)
+    return node
+
+
+def _field(value, values):
+    """One expression per coordinate (the grammar has no commas)."""
+    dim = values.get("manifold.dim")
+    parts = value.text.split(",")
+    if dim is not None and len(parts) != dim:
+        value.fail(f"{value.path.split('.')[1]} has {len(parts)} components, "
+                   f"manifold has dimension {dim}", offset=None)
+    components, offset = [], 0
+    for part in parts:
+        lead = len(part) - len(part.lstrip())
+        components.append(_expression(value, part.strip(), offset + lead, dim))
+        offset += len(part) + 1
+    return None if value.failed else tuple(components)
+
+
+def _density(value, values):
+    node = _expression(value, value.text, 0, values.get("manifold.dim"))
+    return None if node is expr.constant(1.0) else node  # None: the volume
+
+
+def _atoms(value, values):
+    dim = values.get("manifold.dim")
+    atoms = []
+    for i, point in enumerate(value.text.split(";")):
+        coords = point.split()
+        if not coords or (dim is not None and len(coords) != dim):
+            value.fail(f"atom {i + 1} has {len(coords)} coordinates, need "
+                       f"{dim or 'at least 1'}")
+        atoms.append(tuple(_number(value, text) for text in coords))
+    return None if value.failed else tuple(atoms)
+
+
+def _constants(value, values):
+    try:
+        return json.loads(value.text)
+    except json.JSONDecodeError as e:
+        return value.fail(f"inline constants are not valid JSON: {e.msg}")
+
+
+def _algebra(value, values):
+    """A name of liealg.algebra_zoo, or file:PATH of a constants file."""
+    name = value.text
+    return Path(name[len("file:"):]) if name.startswith("file:") else name
+
+
+def _indices(value, values):  # 1-based in the config, 0-based as values
+    indices = _numbers(integer=True, rule=_POSITIVE)(value, values)
+    return indices and tuple(i - 1 for i in indices)
+
+
+def _default_grid(values):
+    return values.get("manifold.dim") and (32 if values["manifold.dim"] >= 3 else 64)
+
+
+def _check_grid(values):
+    if values["kind"] == "foliation":
+        return 8
+    if values["kind"].endswith("_nform"):
+        return _default_grid(values)
+    return None  # the current's own grid
+
+
+# Every settable value, as "section.key": its conversion and its default.
+# A conversion takes the _Value and the values converted before it, and
+# returns the typed value, or None after reporting each issue. A default
+# is a value, or a function of the values converted before it; in a
+# check, values["kind"] is its kind.
+_VALUES = {
+    "manifold.type": (_choice("manifold type", "torus", "heisenberg"), "torus"),
+    "manifold.lengths": (_lengths, lambda v: v["manifold.type"] and (1.0,) * (
+        3 if v["manifold.type"] == "heisenberg" else 1)),
+    "fields.drift": (_field, lambda v: v["manifold.dim"] and (
+        expr.constant(0.0),) * v["manifold.dim"]),
+    "fields.diffusionN": (_field, None),  # in index order as "fields.diffusions"
+    "current.type": (_choice("current type", *_CURRENT_KEYS), "density"),
+    "current.density": (_density, None),
+    "current.grid": (_count, _default_grid),
+    "current.normalize": (_flag, False),
+    "current.atoms": (_atoms, None),
+    "current.weights": (_numbers(), None),
+    "liealg.algebra": (_algebra, None),
+    "liealg.constants": (_constants, None),
+    "liealg.subalgebra": (_indices, None),
+    "liealg.realization": (_choice("realization", "heisenberg", "torus"), None),
+    "check.tolerance": (_positive, None),  # None: the check function's own
+    "check.grid": (_count, _check_grid),
+    "check.basis_k": (_count, 3),
+    "check.t": (_positive, 1.0),
+    "check.dt": (_positive, 1e-3),
+    "check.seed": (_numbers(integer=True, rule=_PHILOX_KEY, one=True), 0),
+    "check.paths": (_count, lambda v: 100 if v["kind"] == "jacobian" else 1000),
+    "check.x0": (_numbers(), lambda v: v.get("manifold.lengths") and tuple(
+        0.5 * length for length in v["manifold.lengths"])),
+    "check.bias_c": (_numbers(rule=_NON_NEGATIVE, one=True), None),
+}
+
+
+def _resolve(values, section, keys, entries):
+    """Sets values["section.key"] for each key, in order."""
+    for key in keys:
+        convert, default = _VALUES[f"{section}.{key}"]
+        if key in entries:
+            values[f"{section}.{key}"] = convert(entries[key], values)
+        else:
+            values[f"{section}.{key}"] = (default(values) if callable(default)
+                                          else default)
+
+
+# ---------------------------------------------------------------------------
+# validation and conversion of a config
+
+def _rejected(section, key):
+    """Why section ("manifold", "check.jacobian", ...) does not take key."""
+    if section.startswith("check."):
+        kind = section[len("check."):]
+        return None if key in CHECK_KEYS[kind] else (
+            f"[check {kind}] does not take {key!r} (it takes "
+            f"{', '.join(CHECK_KEYS[kind])})")
+    if section == "fields":
+        diffusion = key.startswith("diffusion") and key[len("diffusion"):].isdigit()
+        return None if key == "drift" or diffusion else (
+            f"field keys are 'drift' or 'diffusionN', got {key!r}")
+    return None if f"{section}.{key}" in _VALUES else f"unknown {section} key {key!r}"
+
+
+def _entries(section, entries, issues):
+    """key -> _Value of one section's entries; a key the section does not
+    take, or one given twice, is an issue at its line."""
+    out = {}
+    for key, text, line, col in entries:
+        rejected = f"duplicate key {key!r}" if key in out else _rejected(section, key)
+        if rejected:
+            issues.append(ConfigIssue(rejected, line, path=f"{section}.{key}"))
+        else:
+            out[key] = _Value(text, line, col, f"{section}.{key}", issues)
+    return out
+
+
+def _current_values(entries, values, issues):
+    _resolve(values, "current", ("type",), entries)
+    current_type = values["current.type"]
+    if current_type is None:
+        return
+    keys = _CURRENT_KEYS[current_type]
+    for key, value in entries.items():
+        if key not in ("type", *keys):
             issues.append(ConfigIssue(
-                f"{len(weights)} weights for {n_atoms} atoms", line, col,
-                "current.weights"))
+                f"a {current_type} current does not take {key!r} (it takes "
+                f"{', '.join(keys)})", value.line, path=value.path))
+    for key in keys:
+        if current_type == "empirical" and key not in entries:
+            issues.append(ConfigIssue(f"an empirical current needs {key!r}",
+                                      entries["type"].line, path=f"current.{key}"))
+    _resolve(values, "current", keys, entries)
+    if "atoms" in entries and "weights" in entries:
+        n_atoms = entries["atoms"].text.count(";") + 1
+        n_weights = entries["weights"].text.count(",") + 1
+        if n_weights != n_atoms:
+            entries["weights"].fail(f"{n_weights} weights for {n_atoms} atoms")
 
 
-def _reject_grid_checks(check_sections, issues):
-    """An empirical current is a sum of atoms: it has no grid to set, and
-    the n-form checks would test the volume form instead of the atoms
-    (the residual checks decide the atoms)."""
-    for kind, header_line, entries in check_sections:
+def _flow_values(plain, values, issues):
+    for name in ("manifold", "fields"):
+        if name not in plain:
+            issues.append(ConfigIssue(f"flow experiment needs a [{name}] section"))
+    if "manifold" in plain:
+        _resolve(values, "manifold", ("type", "lengths"), plain["manifold"])
+    values["manifold.dim"] = len(values.get("manifold.lengths") or ()) or None
+    fields = plain.get("fields", {})
+    _resolve(values, "fields", ("drift",), fields)
+    convert = _VALUES["fields.diffusionN"][0]
+    values["fields.diffusions"] = tuple(
+        convert(fields[key], values) for _, key in
+        sorted((int(key[len("diffusion"):]), key) for key in fields if key != "drift"))
+    _current_values(plain.get("current", {}), values, issues)
+
+
+def _check_spec(kind, header_line, entries, values, issues):
+    if values.get("current.type") == "empirical":
+        # a sum of atoms has no grid to set, and the n-form checks would
+        # test the volume form instead of the atoms (the residual checks
+        # decide the atoms)
         if kind in ("strict_nform", "mean_nform"):
             issues.append(ConfigIssue(
                 f"[check {kind}] tests a density, but the current is "
                 f"empirical (use strict_residual or mean_residual)",
                 header_line, path=f"check.{kind}"))
-            continue
-        for key, _, line, _ in entries:
-            if key == "grid":
-                issues.append(ConfigIssue(
-                    f"[check {kind}] cannot set 'grid': the current is "
-                    f"empirical", line, path=f"check.{kind}.grid"))
+        elif "grid" in entries:
+            issues.append(ConfigIssue(
+                f"[check {kind}] cannot set 'grid': the current is "
+                f"empirical", entries["grid"].line, path=f"check.{kind}.grid"))
+    scope = dict(values, kind=kind)
+    _resolve(scope, "check", CHECK_KEYS[kind], entries)
+    return CheckSpec(kind=kind,
+                     params=tuple((k, v.text) for k, v in entries.items()),
+                     values=tuple((k, scope[f"check.{k}"]) for k in CHECK_KEYS[kind]))
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate; raises ConfigError listing all problems."""
+    """Parse, validate and convert; raises ConfigError listing all problems."""
     issues = []
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
-            sections = _json_to_sections(json.loads(text), issues)
+            doc = json.loads(text, object_pairs_hook=_JSONObject)
         except json.JSONDecodeError as e:
             raise ConfigError([ConfigIssue(f"invalid JSON: {e.msg}",
                                            e.lineno, e.colno)])
+        sections = _json_to_sections(doc, issues)
     else:
         sections = _parse_sections(text, issues)
 
     plain = {}
-    checks = []
     check_sections = []
     for name, header_line, entries in sections:
         if name.startswith("check"):
@@ -329,33 +514,14 @@ def parse_config(text: str) -> ExperimentConfig:
                     f"unknown check kind {kind!r} (known: {', '.join(CHECK_KEYS)})",
                     header_line, path=f"check.{kind or '?'}"))
                 continue
-            for key, value, line, col in entries:
-                path = f"check.{kind}.{key}"
-                if key not in CHECK_KEYS[kind]:
-                    issues.append(ConfigIssue(
-                        f"[check {kind}] does not take {key!r} (it takes "
-                        f"{', '.join(CHECK_KEYS[kind])})", line, path=path))
-                elif key in ("tolerance", "t", "dt", "bias_c"):
-                    v = _validate_number(value, issues, line, col, path,
-                                         positive=key != "bias_c")
-                    if v is not None and v < 0:  # bias_c: the others are > 0
-                        issues.append(ConfigIssue("must be >= 0", line, col, path))
-                elif key == "x0":
-                    for part in _expressions_of(value):
-                        _validate_number(part, issues, line, col, path)
-                else:
-                    _validate_number(value, issues, line, col, path, integer=True,
-                                     positive=key != "seed")
-            checks.append(CheckSpec(
-                kind=kind, params=tuple((k, v) for k, v, *_ in entries)))
-            check_sections.append((kind, header_line, entries))
-        elif name in _SECTION_KEYS:
-            if name in plain:
-                issues.append(ConfigIssue(f"duplicate section [{name}]", header_line))
-                continue
-            plain[name] = entries
-        else:
+            check_sections.append(
+                (kind, header_line, _entries(f"check.{kind}", entries, issues)))
+        elif name not in _SECTIONS:
             issues.append(ConfigIssue(f"unknown section [{name}]", header_line))
+        elif name in plain:
+            issues.append(ConfigIssue(f"duplicate section [{name}]", header_line))
+        else:
+            plain[name] = _entries(name, entries, issues)
 
     has_flow = "fields" in plain or "current" in plain or "manifold" in plain
     has_liealg = "liealg" in plain
@@ -366,126 +532,33 @@ def parse_config(text: str) -> ExperimentConfig:
         issues.append(ConfigIssue(
             "config needs either [manifold]/[fields] or [liealg]"))
 
-    dim = None
-    if "manifold" in plain:
-        dim = _manifold_dim(plain["manifold"])
-        data = {k: (v, line, col) for k, v, line, col in plain["manifold"]}
-        for key, (v, line, col) in data.items():
-            if key not in _SECTION_KEYS["manifold"]:
-                issues.append(ConfigIssue(f"unknown manifold key {key!r}", line,
-                                          path=f"manifold.{key}"))
-        mtype = data.get("type", ("torus", None, None))[0]
-        if mtype not in ("torus", "heisenberg"):
-            line = data.get("type", (None, None, None))[1]
-            issues.append(ConfigIssue(f"unknown manifold type {mtype!r}", line,
-                                      path="manifold.type"))
-        if "lengths" in data:
-            v, line, col = data["lengths"]
-            for part in _expressions_of(v):
-                _validate_number(part, issues, line, col, "manifold.lengths",
-                                 positive=True)
-    elif has_flow:
-        issues.append(ConfigIssue("flow experiment needs a [manifold] section"))
-
-    if "fields" in plain:
-        seen_drift = False
-        for key, value, line, col in plain["fields"]:
-            if key == "drift":
-                seen_drift = True
-            elif not (key.startswith("diffusion") and key[len("diffusion"):].isdigit()):
-                issues.append(ConfigIssue(
-                    f"field keys are 'drift' or 'diffusionN', got {key!r}", line,
-                    path=f"fields.{key}"))
-                continue
-            if dim is not None and len(_expressions_of(value)) != dim:
-                issues.append(ConfigIssue(
-                    f"{key} has {len(_expressions_of(value))} components, "
-                    f"manifold has dimension {dim}", line, path=f"fields.{key}"))
-            _check_expression(value, dim, issues, line, col, f"fields.{key}")
-    elif has_flow:
-        issues.append(ConfigIssue("flow experiment needs a [fields] section"))
-
-    if "current" in plain:
-        data = {k: (v, line) for k, v, line, _ in plain["current"]}
-        current_type, type_line = data.get("type", ("density", None))
-        if current_type not in _CURRENT_KEYS:
-            issues.append(ConfigIssue(
-                f"unknown current type {current_type!r} (known: "
-                f"{', '.join(_CURRENT_KEYS)})", type_line, path="current.type"))
-        for key, value, line, col in plain["current"]:
-            if key not in _SECTION_KEYS["current"]:
-                issues.append(ConfigIssue(f"unknown current key {key!r}", line,
-                                          path=f"current.{key}"))
-            elif (key != "type" and current_type in _CURRENT_KEYS
-                  and key not in _CURRENT_KEYS[current_type]):
-                issues.append(ConfigIssue(
-                    f"a {current_type} current does not take {key!r} (it takes "
-                    f"{', '.join(_CURRENT_KEYS[current_type])})", line,
-                    path=f"current.{key}"))
-            elif key == "density":
-                _check_expression(value, dim, issues, line, col, "current.density")
-            elif key == "grid":
-                _validate_number(value, issues, line, col, "current.grid",
-                                 integer=True, positive=True)
-        if current_type == "empirical":
-            for key in _CURRENT_KEYS["empirical"]:
-                if key not in data:
-                    issues.append(ConfigIssue(f"an empirical current needs {key!r}",
-                                              type_line, path=f"current.{key}"))
-            _validate_atoms(plain["current"], dim, issues)
-            _reject_grid_checks(check_sections, issues)
-
+    values = {}
+    if has_flow:
+        _flow_values(plain, values, issues)
     if has_liealg:
-        data = {k: (v, line, col) for k, v, line, col in plain["liealg"]}
-        for key, (v, line, col) in data.items():
-            if key not in _SECTION_KEYS["liealg"]:
-                issues.append(ConfigIssue(f"unknown liealg key {key!r}", line,
-                                          path=f"liealg.{key}"))
-        if "algebra" not in data and "constants" not in data:
+        liealg = plain["liealg"]
+        if "algebra" not in liealg and "constants" not in liealg:
             issues.append(ConfigIssue(
                 "liealg experiment needs 'algebra' or inline 'constants'"))
-        if "subalgebra" not in data:
+        if "subalgebra" not in liealg:
             issues.append(ConfigIssue("liealg experiment needs 'subalgebra'"))
-        else:
-            v, line, col = data["subalgebra"]
-            for part in _expressions_of(v):
-                _validate_number(part, issues, line, col, "liealg.subalgebra",
-                                 integer=True, positive=True)
-        if "constants" in data:
-            v, line, col = data["constants"]
-            try:
-                json.loads(v)
-            except json.JSONDecodeError as e:
-                issues.append(ConfigIssue(f"inline constants are not valid JSON: {e.msg}",
-                                          line, col, "liealg.constants"))
-
+        _resolve(values, "liealg", ("algebra", "constants", "subalgebra",
+                                    "realization"), liealg)
+    checks = tuple(_check_spec(*section, values, issues)
+                   for section in check_sections)
     if issues:
         raise ConfigError(issues)
-
-    def freeze(name):
-        if name not in plain:
-            return None
-        return tuple((k, v) for k, v, *_ in plain[name])
-
-    return ExperimentConfig(manifold=freeze("manifold"), fields=freeze("fields"),
-                            current=freeze("current"), liealg=freeze("liealg"),
-                            checks=tuple(checks))
+    raw = {name: tuple((k, v.text) for k, v in entries.items())
+           for name, entries in plain.items()}
+    return ExperimentConfig(**raw, checks=checks, values=tuple(values.items()))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse(serialize(parse(x))) == parse(x)."""
+    sections = [(name, getattr(cfg, name)) for name in _SECTIONS]
+    sections += [(f"check {chk.kind}", chk.params) for chk in cfg.checks]
     out = []
-    for name in ("manifold", "fields", "current", "liealg"):
-        data = getattr(cfg, name)
-        if data is None:
-            continue
-        out.append(f"[{name}]")
-        for k, v in data:
-            out.append(f"{k} = {v}")
-        out.append("")
-    for chk in cfg.checks:
-        out.append(f"[check {chk.kind}]")
-        for k, v in chk.params:
-            out.append(f"{k} = {v}")
-        out.append("")
+    for name, data in sections:
+        if data is not None:
+            out += [f"[{name}]", *(f"{k} = {v}" for k, v in data), ""]
     return "\n".join(out).rstrip() + "\n"

@@ -24,7 +24,7 @@ from .currents import (
     strict_residuals,
     volume_current,
 )
-from .expr import Expr, Functions
+from .expr import Expr, Functions, constant
 from .manifold import (
     ChartedManifold,
     VectorFieldSpec,
@@ -313,12 +313,9 @@ def heisenberg_realization() -> FrameRealization:
 def torus_translation_realization(dim: int) -> FrameRealization:
     """Coordinate frame on the flat torus, realizing the abelian algebra."""
     m = torus(*([1.0] * dim))
-    frame = []
-    for i in range(dim):
-        comps = ["0"] * dim
-        comps[i] = "1"
-        frame.append(VectorFieldSpec.from_strings(comps))
-    return FrameRealization(manifold=m, frame=tuple(frame), label=f"torus{dim}")
+    frame = tuple(VectorFieldSpec(dim=dim, components=tuple(
+        constant(float(i == j)) for j in range(dim))) for i in range(dim))
+    return FrameRealization(manifold=m, frame=frame, label=f"torus{dim}")
 
 
 def _verify_realization(g: LieAlgebraData, real: FrameRealization) -> None:

@@ -170,10 +170,10 @@ class VectorFieldSpec:
 
 def heisenberg_frame() -> tuple:
     """Left-invariant frame (X, Y, Z) with [X, Y] = Z."""
-    x_field = VectorFieldSpec.from_strings(["1", "0", "0"])
-    y_field = VectorFieldSpec.from_strings(["0", "1", "x1"])
-    z_field = VectorFieldSpec.from_strings(["0", "0", "1"])
-    return x_field, y_field, z_field
+    one, zero = expr.constant(1.0), expr.constant(0.0)
+    return (VectorFieldSpec(dim=3, components=(one, zero, zero)),
+            VectorFieldSpec(dim=3, components=(zero, one, expr.coordinate(0))),
+            VectorFieldSpec(dim=3, components=(zero, zero, one)))
 
 
 def linear_combination(fields: Sequence[VectorFieldSpec],

@@ -82,8 +82,6 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-_MASK64 = (1 << 64) - 1
-
 # the step loop re-wraps a batch once some coordinate passes this many box
 # lengths; below it, rounding on unwrapped coordinates stays at ulp level
 _REWRAP_BOXES = 4.0
@@ -158,7 +156,10 @@ class NoisePath:
 
 
 def _philox(seed: int, path_index: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, path_index & _MASK64], dtype=np.uint64)
+    if not (0 <= seed < 2 ** 64 and 0 <= path_index < 2 ** 64):
+        raise ValueError(f"seed and path index must be in [0, 2**64), got "
+                         f"{seed} and {path_index}")
+    key = np.array([seed, path_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

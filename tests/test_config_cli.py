@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from example_systems import translation_bm_system
+from stochflow import expr
 from stochflow.cli import build_experiment, main, run
 from stochflow.config import (
     CHECK_KEYS,
@@ -148,7 +149,7 @@ weights = 0.5, 0.5
 """
     cfg = parse_config(json.dumps(doc))
     assert cfg == parse_config(text)
-    assert cfg.section("current")["atoms"] == "0.1 0.2; 0.3 0.4"
+    assert dict(cfg.current)["atoms"] == "0.1 0.2; 0.3 0.4"
     assert build_experiment(cfg).current.atoms.tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
 
@@ -230,6 +231,14 @@ NON_FINITE_CHECKS = {
                       "must be finite"),
     "inf_t": ("jacobian", "t = inf\ndt = 0.01\npaths = 200\n",
               "check.jacobian.t (line 14, column 5): must be finite"),
+    # a seed keys a Philox stream of two 64-bit words: -1 would alias
+    # 2**64 - 1, and 2**64 alias 0
+    "negative_seed": ("jacobian", "seed = -1\nt = 0.5\ndt = 0.01\n",
+                      "check.jacobian.seed (line 14, column 8): "
+                      "must be in [0, 2**64)"),
+    "seed_of_65_bits": ("empirical_pathwise", f"seed = {2 ** 64}\nt = 0.5\n",
+                        "check.empirical_pathwise.seed (line 14, column 8): "
+                        "must be in [0, 2**64)"),
 }
 
 
@@ -241,6 +250,97 @@ def test_non_finite_and_negative_numbers_are_one_error_line(tmp_path, capsys,
     cfg.write_text(f"{TILTED_HAMILTONIAN}\n[check {kind}]\n{body}")
     assert main(["check", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "translation_bm_torus", "--seed", "-1"],
+    ["simulate", "hamiltonian_torus", "--seed", "-1"],
+    ["simulate", "hamiltonian_torus", "--path-index", "-1"],
+], ids=["check_seed", "simulate_seed", "simulate_path_index"])
+def test_negative_seed_and_path_index_are_one_error_line(tmp_path, capsys, argv):
+    out = (["--out", str(tmp_path / "out")] if argv[0] == "check"
+           else ["--trajectory", str(tmp_path / "traj.csv")])
+    assert main(argv + out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {argv[-2]} must be >= 0, got -1"]
+    assert not list(tmp_path.iterdir())
+
+
+DUPLICATE_KEYS = {
+    "text": (MINIMAL_FLOW.replace("diffusion2 = 0, 1\n",
+                                  "diffusion2 = 0, 1\ndiffusion1 = 0, 1\n")
+             + "\n[check jacobian]\npaths = 3\npaths = 5\n",
+             [("fields.diffusion1", 9), ("check.jacobian.paths", 20)]),
+    "json": ('{"manifold": {"lengths": [1, 1]}, "fields": {"diffusion1": "1, 0", '
+             '"diffusion1": "0, 1"}, "checks": [{"kind": "jacobian", '
+             '"paths": 3, "paths": 5}]}',
+             [("fields.diffusion1", None), ("check.jacobian.paths", None)]),
+}
+
+
+@pytest.mark.parametrize("text,where", DUPLICATE_KEYS.values(),
+                         ids=list(DUPLICATE_KEYS))
+def test_a_key_given_twice_is_one_issue(text, where):
+    # the first diffusion1 would be dropped, and the check would run 3 paths
+    with pytest.raises(ConfigError) as e:
+        parse_config(text)
+    assert [(i.path, i.line) for i in e.value.issues] == where
+    assert [i.message for i in e.value.issues] == [
+        "duplicate key 'diffusion1'", "duplicate key 'paths'"]
+
+
+@pytest.mark.parametrize("text,value", [("true", True), ("FALSE", False),
+                                        ("yes", None), ("1", None)])
+def test_normalize_is_true_or_false(text, value):
+    config = MINIMAL_FLOW.replace("grid = 8\n", f"grid = 8\nnormalize = {text}\n")
+    if value is None:
+        with pytest.raises(ConfigError) as e:
+            parse_config(config)
+        assert [(i.path, i.message) for i in e.value.issues] == [
+            ("current.normalize", f"expected true or false, got {text!r}")]
+    else:
+        assert build_experiment(parse_config(config)).current.normalize is value
+
+
+# values that failed inside build_experiment, without a location
+LOCATED_AT_PARSE = {
+    "unknown_realization": (
+        "[liealg]\nalgebra = sl2\nsubalgebra = 1, 2\nrealization = sphere\n",
+        "liealg.realization", 4,
+        "unknown realization 'sphere' (known: heisenberg, torus)"),
+    "heisenberg_with_two_lengths": (
+        "[manifold]\ntype = heisenberg\nlengths = 1, 1\n\n"
+        "[fields]\ndiffusion1 = 1, 0, 0\n",
+        "manifold.lengths", 3, "a heisenberg manifold has 3 lengths, got 2"),
+    "torus_of_default_dimension": (
+        "[manifold]\ntype = torus\n\n[fields]\ndiffusion1 = 1, 0\n",
+        "fields.diffusion1", 5, "diffusion1 has 2 components, manifold has "
+        "dimension 1"),
+}
+
+
+@pytest.mark.parametrize("text,path,line,message", LOCATED_AT_PARSE.values(),
+                         ids=list(LOCATED_AT_PARSE))
+def test_values_are_rejected_at_parse_with_a_location(text, path, line, message):
+    with pytest.raises(ConfigError) as e:
+        parse_config(text)
+    assert [(i.path, i.line, i.message) for i in e.value.issues] == [
+        (path, line, message)]
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "tilted_density"])
+def test_each_expression_is_parsed_once(name, monkeypatch):
+    text = TILTED_HAMILTONIAN if name == "tilted_density" else preset_text(name)
+    parsed = []
+    parse = expr.parse
+    monkeypatch.setattr(expr, "parse", lambda s: parsed.append(s) or parse(s))
+    cfg = parse_config(text)
+    build_experiment(cfg)
+    monkeypatch.undo()
+    expressions = [part.strip() for _, value in cfg.fields or ()
+                   for part in value.split(",")]
+    expressions += [v for k, v in cfg.current or () if k == "density"]
+    assert sorted(parsed) == sorted(expressions)
 
 
 @pytest.mark.parametrize("t", ["inf", "nan"])
@@ -543,13 +643,13 @@ def run_one_check(tmp_path, kind, values, name):
 def test_every_accepted_key_is_honoured(kind, tmp_path, monkeypatch):
     base = {key: BASE_VALUES[key] for key in CHECK_KEYS[kind]}
     read = set()
-    get = CheckSpec.get
+    value = CheckSpec.value
 
-    def recording_get(self, key, default=None):
+    def recording_value(self, key):
         read.add(key)
-        return get(self, key, default)
+        return value(self, key)
 
-    monkeypatch.setattr(CheckSpec, "get", recording_get)
+    monkeypatch.setattr(CheckSpec, "value", recording_value)
     want = run_one_check(tmp_path, kind, base, "base")
     monkeypatch.undo()
     assert read == set(CHECK_KEYS[kind])

@@ -125,6 +125,19 @@ def test_noise_validation():
         generate_noise(0, 0, 1, 0.1, 0)
 
 
+@pytest.mark.parametrize("seed,path_index", [(-1, 0), (2 ** 64, 0), (0, -1),
+                                             (0, 2 ** 64)])
+def test_noise_keys_outside_64_bits_are_rejected(seed, path_index):
+    # a Philox key is two 64-bit words: -1 would draw the stream of
+    # 2**64 - 1, and 2**64 that of 0
+    with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+        generate_noise(seed, path_index, 1, 0.1, 3)
+    with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+        list(noise_blocks(seed, range(path_index, path_index + 1), 1, 0.1, 3))
+    top = 2 ** 64 - 1
+    assert generate_noise(top, top, 1, 0.1, 3).increments.shape == (3, 1)
+
+
 def test_coarsen_noise_sums_increments(monkeypatch):
     # a factor of 5: each block of rows coarse steps draws 5 * rows fine
     # ones and sums them in fives

@@ -7,7 +7,7 @@ Commands:
     presets list | show NAME
 
 Exit codes: 0 when every verdict is true, 2 when any check fails,
-1 on configuration or execution errors.
+1 on usage, configuration or execution errors.
 """
 
 from __future__ import annotations
@@ -107,10 +107,10 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
 # ---------------------------------------------------------------------------
 # check dispatch
 
-def _run_check(exp: Experiment, chk: CheckSpec, overrides,
-               applied: set) -> InvarianceReport:
+def _run_check(exp: Experiment, chk: CheckSpec) -> InvarianceReport:
     """Run one check, reading the values of the keys config.CHECK_KEYS
-    lists for its kind; adds to applied the keys of the overrides it used."""
+    lists for its kind; parse_config has matched the kind to the
+    experiment and applied the overrides."""
     from .invariance import (
         check_mean_nform,
         check_strict_nform,
@@ -120,48 +120,40 @@ def _run_check(exp: Experiment, chk: CheckSpec, overrides,
         residual_check,
     )
 
-    kind = chk.kind
-
-    def param(key):
-        if overrides.get(key) is not None:
-            applied.add(key)
-            return overrides[key]
-        return chk.value(key)
+    kind, value = chk.kind, chk.value
 
     def tolerance():
         # passed only when set, so that each check keeps its own default
-        value = chk.value("tolerance")
-        return {} if value is None else {"tolerance": value}
+        tol = value("tolerance")
+        return {} if tol is None else {"tolerance": tol}
 
     if kind == "foliation":
         return foliation_pipeline(
-            exp.subalgebra, exp.realization, t=param("t"), dt=param("dt"),
-            seed=param("seed"), n_paths=param("paths"), grid_n=param("grid"),
-            basis_k=param("basis_k"), bias_c=param("bias_c"))
+            exp.subalgebra, exp.realization, t=value("t"), dt=value("dt"),
+            seed=value("seed"), n_paths=value("paths"), grid_n=value("grid"),
+            basis_k=value("basis_k"), bias_c=value("bias_c"))
 
-    if exp.system is None:
-        raise ConfigError([f"check {kind!r} needs a flow experiment"])
     m = exp.system.manifold
 
     if kind in ("strict_nform", "mean_nform"):
         check = check_strict_nform if kind == "strict_nform" else check_mean_nform
-        return check(m, exp.current.density, exp.system.fields(), param("grid"),
+        return check(m, exp.current.density, exp.system.fields(), value("grid"),
                      **tolerance())
     if kind == "jacobian":
-        return jacobian_check(exp.system, param("x0"), param("t"), param("dt"),
-                              param("seed"), param("paths"), **tolerance())
-    grid = param("grid")  # None: the current's own grid
+        return jacobian_check(exp.system, value("x0"), value("t"), value("dt"),
+                              value("seed"), value("paths"), **tolerance())
+    grid = value("grid")  # None: the current's own grid
     T = exp.current if grid is None else dataclasses.replace(exp.current, grid_n=grid)
-    basis = make_test_basis(m, param("basis_k"))
+    basis = make_test_basis(m, value("basis_k"))
     if kind in ("strict_residual", "mean_residual"):
         mode = "strict" if kind == "strict_residual" else "mean"
         return residual_check(T, exp.system, basis, mode, **tolerance())
-    t, dt, seed = param("t"), param("dt"), param("seed")
+    t, dt, seed = value("t"), value("dt"), value("seed")
     if kind == "empirical_pathwise":
         return empirical_check(T, exp.system, basis, t, dt, seed, None,
                                "pathwise", **tolerance())
-    return empirical_check(T, exp.system, basis, t, dt, seed, param("paths"),
-                           "mean", bias_c=param("bias_c"))
+    return empirical_check(T, exp.system, basis, t, dt, seed, value("paths"),
+                           "mean", bias_c=value("bias_c"))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +187,7 @@ def _write_csvs(reports, outdir: Path):
                 writer.writerow(row)
 
 
-def run(config: ExperimentConfig, outdir, overrides=None) -> int:
+def run(config: ExperimentConfig, outdir) -> int:
     """Execute every check; write report.json and per-check CSVs.
 
     report.json holds the hashed ``payload``, its ``payload_sha256``, and
@@ -203,22 +195,19 @@ def run(config: ExperimentConfig, outdir, overrides=None) -> int:
     the order of payload["checks"], its kind and wall time ``wall_s``.
     Returns 0 when all verdicts hold, 2 when any fails, 1 on error.
     """
-    overrides = dict(overrides or {})
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         exp = build_experiment(config)
-        applied = set()
         reports, timings = [], []
         for chk in config.checks:
             start = time.perf_counter()
-            reports.append(_run_check(exp, chk, overrides, applied))
+            reports.append(_run_check(exp, chk))
             timings.append({"kind": reports[-1].kind,
                             "wall_s": time.perf_counter() - start})
         payload = {
             "config": serialize_config(config),
-            # only the overrides some check used
-            "overrides": {k: overrides[k] for k in sorted(applied)},
+            "overrides": dict(config.overrides),
             "checks": [r.payload() for r in reports],
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -256,9 +245,9 @@ def _load_config_text(path_or_name: str) -> str:
 
 
 def _cmd_check(args) -> int:
+    overrides = {"seed": args.seed, "dt": args.dt, "paths": args.paths}
     try:
-        text = _load_config_text(args.config)
-        config = parse_config(text)
+        config = parse_config(_load_config_text(args.config), overrides)
     except FileNotFoundError as e:
         print(f"error: {e}", file=_sys.stderr)
         return 1
@@ -266,8 +255,7 @@ def _cmd_check(args) -> int:
         for issue in e.issues:
             print(f"error: {issue}", file=_sys.stderr)
         return 1
-    overrides = {"seed": args.seed, "dt": args.dt, "paths": args.paths}
-    return run(config, args.out, overrides)
+    return run(config, args.out)
 
 
 def _cmd_liealg(args) -> int:
@@ -347,9 +335,9 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="run the checks of a config or preset")
     p_check.add_argument("config", help="config file path or preset name")
     p_check.add_argument("--out", default="out", help="output directory")
-    p_check.add_argument("--seed", type=int, default=None)
-    p_check.add_argument("--dt", type=float, default=None)
-    p_check.add_argument("--paths", type=int, default=None)
+    p_check.add_argument("--seed", type=int)
+    p_check.add_argument("--dt")  # converted by parse_config, as in a config
+    p_check.add_argument("--paths")
     p_check.set_defaults(func=_cmd_check)
 
     p_lie = sub.add_parser("liealg", help="trace criterion for a constants file")
@@ -376,7 +364,10 @@ def main(argv=None) -> int:
     p_show.add_argument("name")
     p_show.set_defaults(func=_cmd_presets)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 on --help
+        return 1 if e.code else 0
     for flag in ("seed", "path_index"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:

@@ -24,7 +24,9 @@ realization). Exactly one of the two experiment types must be present.
 accepted as an alternative input.
 
 parse_config converts each value once, by its entry in _VALUES, which
-also holds its default. The raw text is kept only for serialize_config.
+also holds its default; the command-line overrides --seed, --dt and
+--paths go through the same entries. The raw text is kept only for
+serialize_config.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import expr
+from .sde import step_count
 
 __all__ = [
     "CHECK_KEYS",
@@ -111,12 +114,13 @@ class CheckSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    manifold: Optional[tuple] = None  # ((key, raw text), ...) per section
-    fields: Optional[tuple] = None
-    current: Optional[tuple] = None
-    liealg: Optional[tuple] = None
-    checks: tuple = ()
-    values: tuple = ()  # (("section.key", typed value), ...), defaults filled in
+    manifold: Optional[tuple]  # ((key, raw text), ...) per section, or None
+    fields: Optional[tuple]
+    current: Optional[tuple]
+    liealg: Optional[tuple]
+    checks: tuple
+    values: tuple  # (("section.key", typed value), ...), defaults filled in
+    overrides: tuple  # ((key, typed value), ...) of the overrides a check takes
 
     def value(self, path):
         """The typed value at "section.key", or its default."""
@@ -192,17 +196,21 @@ def _json_to_sections(doc, issues):
         return str(v)
 
     for name, body in doc.pairs:
-        if name == "checks":
+        if name == "checks" and not isinstance(body, list):
+            issues.append(ConfigIssue("must be a list of check objects", path=name))
+        elif name == "checks":
             for i, chk in enumerate(body):
                 if not isinstance(chk, dict) or "kind" not in chk:
-                    issues.append(ConfigIssue("check needs a 'kind'",
+                    issues.append(ConfigIssue("check must be an object with a 'kind'",
                                               path=f"checks[{i}]"))
                     continue
                 sections.append((f"check {chk['kind']}", None, [
                     (k, norm(v), None, None) for k, v in chk.pairs if k != "kind"]))
-        elif name in _SECTIONS and not isinstance(body, dict):
+        elif name not in _SECTIONS:
+            issues.append(ConfigIssue(f"unknown section [{name}]"))
+        elif not isinstance(body, dict):
             issues.append(ConfigIssue("section must be an object", path=name))
-        elif name in _SECTIONS:
+        else:
             sections.append((name, None,
                              [(k, norm(v), None, None) for k, v in body.pairs]))
     return sections
@@ -470,7 +478,20 @@ def _flow_values(plain, values, issues):
     _current_values(plain.get("current", {}), values, issues)
 
 
-def _check_spec(kind, header_line, entries, values, issues):
+def _overrides(overrides, issues):
+    """key -> (_Value, typed value) of each override given, converted by
+    the entry of its check key."""
+    out = {}
+    for key, text in overrides.items():
+        if text is not None:
+            value = _Value(str(text), None, None, f"--{key}", issues)
+            typed = _VALUES[f"check.{key}"][0](value, {})
+            if not value.failed:
+                out[key] = (value, typed)
+    return out
+
+
+def _check_spec(kind, header_line, entries, values, overrides, issues):
     if values.get("current.type") == "empirical":
         # a sum of atoms has no grid to set, and the n-form checks would
         # test the volume form instead of the atoms (the residual checks
@@ -486,14 +507,35 @@ def _check_spec(kind, header_line, entries, values, issues):
                 f"empirical", entries["grid"].line, path=f"check.{kind}.grid"))
     scope = dict(values, kind=kind)
     _resolve(scope, "check", CHECK_KEYS[kind], entries)
+    given = dict(entries)  # where each value that is not a default came from
+    for key, (value, typed) in overrides.items():
+        if key in CHECK_KEYS[kind]:
+            scope[f"check.{key}"], given[key] = typed, value
+    x0, paths, t, dt = (scope.get(f"check.{key}") for key in ("x0", "paths", "t", "dt"))
+    if x0 and values.get("manifold.dim") not in (None, len(x0)):
+        given["x0"].fail(f"x0 has {len(x0)} coordinates, manifold has dimension "
+                         f"{values['manifold.dim']}")
+    if kind in ("empirical_mean", "foliation") and paths is not None and paths < 2:
+        given["paths"].fail("must be >= 2: the mean check estimates a standard error")
+    if t is not None and dt is not None:
+        try:
+            step_count(t, dt)
+        except ValueError as e:  # the defaults keep the rule, so one was given
+            (given.get("dt") or given["t"]).fail(str(e), offset=None)
     return CheckSpec(kind=kind,
                      params=tuple((k, v.text) for k, v in entries.items()),
                      values=tuple((k, scope[f"check.{k}"]) for k in CHECK_KEYS[kind]))
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse, validate and convert; raises ConfigError listing all problems."""
+def parse_config(text: str, overrides=None) -> ExperimentConfig:
+    """Parse, validate and convert; raises ConfigError listing all problems.
+
+    overrides maps "seed", "dt" and "paths" to command-line text, or to
+    None when not given. Each is converted as its check key is, and sets
+    that key in every check whose kind takes it.
+    """
     issues = []
+    overrides = _overrides(overrides or {}, issues)
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text, object_pairs_hook=_JSONObject)
@@ -537,20 +579,37 @@ def parse_config(text: str) -> ExperimentConfig:
         _flow_values(plain, values, issues)
     if has_liealg:
         liealg = plain["liealg"]
-        if "algebra" not in liealg and "constants" not in liealg:
+        algebra = [key for key in liealg if key in ("algebra", "constants")]
+        if not algebra:
             issues.append(ConfigIssue(
                 "liealg experiment needs 'algebra' or inline 'constants'"))
+        elif len(algebra) == 2:
+            second = liealg[algebra[1]]
+            issues.append(ConfigIssue("give 'algebra' or 'constants', not both",
+                                      second.line, path=second.path))
         if "subalgebra" not in liealg:
             issues.append(ConfigIssue("liealg experiment needs 'subalgebra'"))
         _resolve(values, "liealg", ("algebra", "constants", "subalgebra",
                                     "realization"), liealg)
-    checks = tuple(_check_spec(*section, values, issues)
-                   for section in check_sections)
+    checks = []
+    for kind, header_line, entries in check_sections:
+        # with one experiment kind, foliation runs on liealg, the rest on a flow
+        if has_flow != has_liealg and (kind == "foliation") != has_liealg:
+            experiment = "[liealg]" if has_liealg else "[manifold]/[fields]"
+            issues.append(ConfigIssue(
+                f"[check {kind}] does not run on a {experiment} experiment",
+                header_line, path=f"check.{kind}"))
+        else:
+            checks.append(_check_spec(kind, header_line, entries, values,
+                                      overrides, issues))
     if issues:
-        raise ConfigError(issues)
-    raw = {name: tuple((k, v.text) for k, v in entries.items())
-           for name, entries in plain.items()}
-    return ExperimentConfig(**raw, checks=checks, values=tuple(values.items()))
+        raise ConfigError(dict.fromkeys(issues))  # an override's issue once
+    raw = {name: tuple((k, v.text) for k, v in plain[name].items())
+           if name in plain else None for name in _SECTIONS}
+    used = sorted(key for key in overrides
+                  if any(key in CHECK_KEYS[chk.kind] for chk in checks))
+    return ExperimentConfig(**raw, checks=tuple(checks), values=tuple(values.items()),
+                            overrides=tuple((key, overrides[key][1]) for key in used))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -60,7 +60,6 @@ __all__ = [
     "max_coordinate",
     "is_constant",
     "is_identically_zero",
-    "to_str",
     "Lowering",
 ]
 
@@ -785,27 +784,3 @@ def is_identically_zero(node: Expr) -> bool:
             known = False
         _ZERO_TESTS[node] = known
     return known
-
-
-def to_str(node: Expr) -> str:
-    """Render back to grammar-compatible text (for debugging/reports)."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Coord):
-        return f"x{node.axis + 1}"
-    if isinstance(node, Neg):
-        return f"-{_paren(node.arg, atom=True)}"
-    if isinstance(node, Call):
-        return f"{node.fn}({to_str(node.arg)})"
-    if isinstance(node, BinOp):
-        left = _paren(node.left, atom=node.op in "*/")
-        right = _paren(node.right, atom=node.op in "*/-")
-        return f"{left} {node.op} {right}"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _paren(node, atom):
-    s = to_str(node)
-    if atom and isinstance(node, BinOp):
-        return f"({s})"
-    return s

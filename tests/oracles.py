@@ -6,7 +6,8 @@ time beside the batched passes of ``currents``, a finite-difference
 Jacobian beside the co-evolved log J, invariance of a function on
 sampled identified pairs, and the adjoint matrices and Koszul leaf
 connection behind the trace criterion and the foliated drift of
-``liealg``.
+``liealg``. ``to_str`` writes an expression back in the grammar that
+``expr.parse`` reads.
 """
 
 from __future__ import annotations
@@ -75,6 +76,30 @@ def walk(node, pts) -> np.ndarray:
     if np.ndim(out) == 0:
         return np.full(pts.shape[:-1], float(out))
     return np.asarray(out, dtype=float)
+
+
+def to_str(node) -> str:
+    """node as text of the expression grammar, which parses back to it."""
+    if isinstance(node, expr.Num):
+        return repr(node.value)
+    if isinstance(node, expr.Coord):
+        return f"x{node.axis + 1}"
+    if isinstance(node, expr.Neg):
+        return f"-{_paren(node.arg, atom=True)}"
+    if isinstance(node, expr.Call):
+        return f"{node.fn}({to_str(node.arg)})"
+    if isinstance(node, expr.BinOp):
+        left = _paren(node.left, atom=node.op in "*/")
+        right = _paren(node.right, atom=node.op in "*/-")
+        return f"{left} {node.op} {right}"
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _paren(node, atom):
+    s = to_str(node)
+    if atom and isinstance(node, expr.BinOp):
+        return f"({s})"
+    return s
 
 
 # ---------------------------------------------------------------------------

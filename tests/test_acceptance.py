@@ -248,11 +248,11 @@ def test_criterion_9_preset_determinism(tmp_path):
         ("frame_divergence_torus", {"paths": 10, "dt": 0.01}),
     ]
     for name, overrides in cases:
-        cfg = parse_config(preset_text(name))
+        cfg = parse_config(preset_text(name), overrides)
         hashes = []
         for attempt in ("a", "b"):
             out = tmp_path / f"{name}_{attempt}"
-            code = run(cfg, out, overrides)
+            code = run(cfg, out)
             assert code in (0, 2)
             doc = json.loads((out / "report.json").read_text())
             hashes.append(doc["payload_sha256"])

@@ -153,6 +153,23 @@ weights = 0.5, 0.5
     assert build_experiment(cfg).current.atoms.tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
 
+JSON_FLOW = '{"manifold": {"lengths": [1, 1]}, "fields": {"diffusion1": "1, 0"}, '
+
+
+@pytest.mark.parametrize("rest,path,message", [
+    ('"checks": 5}', "checks", "must be a list of check objects"),
+    ('"checks": [{"kind": "strict_nform"}, 5]}', "checks[1]",
+     "check must be an object with a 'kind'"),
+    # a misspelt [current] would run the volume current
+    ('"curent": {"density": "1 + 0.5*sin(2*pi*x1)"}}', None,
+     "unknown section [curent]"),
+], ids=["checks_not_a_list", "check_not_an_object", "unknown_section"])
+def test_json_shape_errors_are_one_issue(rest, path, message):
+    with pytest.raises(ConfigError) as e:
+        parse_config(JSON_FLOW + rest)
+    assert [(i.path, i.message) for i in e.value.issues] == [(path, message)]
+
+
 def test_invalid_json_reports_position():
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config('{"manifold": }')
@@ -302,28 +319,65 @@ def test_normalize_is_true_or_false(text, value):
         assert build_experiment(parse_config(config)).current.normalize is value
 
 
-# values that failed inside build_experiment, without a location
+TORUS2 = "[manifold]\nlengths = 1, 1\n\n[fields]\ndiffusion1 = 1, 0\n\n"
+HEISENBERG_LIEALG = "[liealg]\nalgebra = heisenberg\nsubalgebra = 1, 3\n\n"
+MEAN_RULE = "must be >= 2: the mean check estimates a standard error"
+STEP_RULE = "t must be an integer multiple of dt"
+
+# values that failed inside build_experiment, or while the checks ran,
+# each with the command-line overrides it is parsed with
 LOCATED_AT_PARSE = {
     "unknown_realization": (
-        "[liealg]\nalgebra = sl2\nsubalgebra = 1, 2\nrealization = sphere\n",
+        "[liealg]\nalgebra = sl2\nsubalgebra = 1, 2\nrealization = sphere\n", {},
         "liealg.realization", 4,
         "unknown realization 'sphere' (known: heisenberg, torus)"),
     "heisenberg_with_two_lengths": (
         "[manifold]\ntype = heisenberg\nlengths = 1, 1\n\n"
-        "[fields]\ndiffusion1 = 1, 0, 0\n",
+        "[fields]\ndiffusion1 = 1, 0, 0\n", {},
         "manifold.lengths", 3, "a heisenberg manifold has 3 lengths, got 2"),
     "torus_of_default_dimension": (
-        "[manifold]\ntype = torus\n\n[fields]\ndiffusion1 = 1, 0\n",
+        "[manifold]\ntype = torus\n\n[fields]\ndiffusion1 = 1, 0\n", {},
         "fields.diffusion1", 5, "diffusion1 has 2 components, manifold has "
         "dimension 1"),
+    "foliation_on_a_flow": (
+        TORUS2 + "[check foliation]\npaths = 2\n", {}, "check.foliation", 7,
+        "[check foliation] does not run on a [manifold]/[fields] experiment"),
+    "jacobian_on_a_liealg": (
+        HEISENBERG_LIEALG + "[check jacobian]\n", {}, "check.jacobian", 5,
+        "[check jacobian] does not run on a [liealg] experiment"),
+    "algebra_and_constants": (
+        "[liealg]\nalgebra = sl2\nsubalgebra = 1, 2\nconstants = "
+        '{"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0]}]}\n', {},
+        "liealg.constants", 4, "give 'algebra' or 'constants', not both"),
+    "x0_of_the_wrong_dimension": (
+        TORUS2 + "[check jacobian]\nx0 = 0.3\n", {}, "check.jacobian.x0", 8,
+        "x0 has 1 coordinates, manifold has dimension 2"),
+    "one_mean_path": (
+        TORUS2 + "[check empirical_mean]\npaths = 1\n", {},
+        "check.empirical_mean.paths", 8, MEAN_RULE),
+    "one_foliation_path": (
+        HEISENBERG_LIEALG + "[check foliation]\n", {"paths": "1"}, "--paths", None,
+        MEAN_RULE),
+    "zero_paths": (TORUS2 + "[check jacobian]\n", {"paths": "0"}, "--paths", None,
+                   "must be positive"),
+    "horizon_not_a_multiple": (
+        TORUS2 + "[check empirical_pathwise]\nt = 1\ndt = 0.3\n", {},
+        "check.empirical_pathwise.dt", 9, STEP_RULE),
+    # one issue for the two checks the override sets
+    "overridden_dt_not_a_divisor": (
+        TORUS2 + "[check empirical_pathwise]\n\n[check jacobian]\nt = 0.5\n",
+        {"dt": "0.3"}, "--dt", None, STEP_RULE),
+    "non_finite_dt": (TORUS2 + "[check jacobian]\n", {"dt": "nan"}, "--dt", None,
+                      "must be finite"),
 }
 
 
-@pytest.mark.parametrize("text,path,line,message", LOCATED_AT_PARSE.values(),
-                         ids=list(LOCATED_AT_PARSE))
-def test_values_are_rejected_at_parse_with_a_location(text, path, line, message):
+@pytest.mark.parametrize("text,overrides,path,line,message",
+                         LOCATED_AT_PARSE.values(), ids=list(LOCATED_AT_PARSE))
+def test_values_are_rejected_at_parse_with_a_location(text, overrides, path, line,
+                                                      message):
     with pytest.raises(ConfigError) as e:
-        parse_config(text)
+        parse_config(text, overrides)
     assert [(i.path, i.line, i.message) for i in e.value.issues] == [
         (path, line, message)]
 
@@ -355,6 +409,30 @@ def test_simulate_rejects_a_non_finite_horizon(tmp_path, capsys, t):
 
 def test_unknown_config_is_execution_error(tmp_path):
     assert main(["check", "no_such_file.cfg", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--paths", "0"], "--paths: must be positive"),
+    (["--dt", "0"], "--dt: must be positive"),
+    (["--dt", "nan"], "--dt: must be finite"),
+    (["--dt", "abc"], "--dt: expected a number, got 'abc'"),
+    (["--dt", "0.3"], "--dt: t must be an integer multiple of dt"),
+    (["--seed", str(2 ** 64)], "--seed: must be in [0, 2**64)"),
+])
+def test_overrides_are_rejected_before_any_check_runs(tmp_path, capsys, argv,
+                                                       message):
+    out = tmp_path / "out"
+    assert main(["check", "translation_bm_torus", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["check"], ["check", "translation_bm_torus",
+                                              "--seed", "abc"]],
+                         ids=["no_config", "seed_not_an_integer"])
+def test_usage_errors_exit_1(capsys, argv):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_report_hash_is_deterministic(tmp_path):
@@ -549,8 +627,8 @@ def test_empirical_atoms_and_weights_must_be_numbers(tmp_path, capsys):
 
 def test_overrides_record_only_what_a_check_used(tmp_path):
     def overrides(checks, name):
-        cfg = parse_config(MINIMAL_FLOW + checks)
-        assert run(cfg, tmp_path / name, {"seed": 4, "dt": 0.01, "paths": 7}) == 0
+        cfg = parse_config(MINIMAL_FLOW + checks, {"seed": 4, "dt": 0.01, "paths": 7})
+        assert run(cfg, tmp_path / name) == 0
         doc = json.loads((tmp_path / name / "report.json").read_text())
         return doc["payload"]["overrides"]
 
@@ -587,11 +665,12 @@ def test_keys_a_check_does_not_read_are_rejected(preset, kind, key, value):
 
 def test_every_key_outside_the_table_is_rejected():
     keys = sorted(set().union(*CHECK_KEYS.values()))
-    value = {"x0": "0.5, 0.5"}
+    value = {"x0": "0.5, 0.5", "dt": "0.5"}
     for kind, accepted in CHECK_KEYS.items():
+        experiment = ("[liealg]\nalgebra = sl2\nsubalgebra = 1\n"
+                      if kind == "foliation" else TORUS2)
         for key in keys:
-            text = f"[liealg]\nalgebra = sl2\nsubalgebra = 1\n\n[check {kind}]\n" \
-                   f"{key} = {value.get(key, '2')}\n"
+            text = f"{experiment}\n[check {kind}]\n{key} = {value.get(key, '2')}\n"
             if key in accepted:
                 parse_config(text)
             else:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from example_systems import hamiltonian_torus_system
-from oracles import walk
+from oracles import to_str, walk
 from stochflow import expr
 from stochflow.manifold import apply_field, make_test_basis
 
@@ -109,7 +109,7 @@ def test_roundtrip_through_to_str():
     for text in ["1 + 2*x1", "sin(2*pi*x1)*cos(2*pi*x2)", "-x1/(1 + x2)",
                  "exp(-sin(2*pi*x1))"]:
         node = expr.parse(text)
-        again = expr.parse(expr.to_str(node))
+        again = expr.parse(to_str(node))
         pts = np.random.rand(20, 2)
         np.testing.assert_allclose(expr.evaluate(node, pts),
                                    expr.evaluate(again, pts), rtol=1e-15)

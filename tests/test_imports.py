@@ -170,32 +170,62 @@ def readme_tour_names(readme: str) -> set:
     return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
 
 
+def _reached(start, defining) -> set:
+    """The statements that start reaches through the bare names it loads:
+    those that define such a name, and what they reach in turn. Attribute
+    names are left out, as ``.run`` of a method is not cli.run."""
+    seen, todo = set(), [start]
+    while todo:
+        names = {node.id for node in ast.walk(todo.pop()) if isinstance(node, ast.Name)}
+        for stmt in (d for name in names for d in defining.get(name, ())):
+            if stmt not in seen:
+                seen.add(stmt)
+                todo.append(stmt)
+    return seen
+
+
 def unread_public_names(sources: dict, outside: set):
-    """layer.name for each name in a layer's __all__ that no statement of
-    the given {module: source} reads, apart from the one that defines
-    it, and that is not in outside."""
+    """layer.name for each name in a layer's __all__ that is not in
+    outside and that no statement of the given {module: source} reads
+    from outside its own cycle of references: a statement that reads it
+    counts only when the name's definition does not reach it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    reads = [(stmt, _reads(stmt)) for tree in trees.values() for stmt in tree.body]
+    reads = {stmt: _reads(stmt) for tree in trees.values() for stmt in tree.body}
+    defining = {}  # name -> the module-level statements that bind it
+    for tree in trees.values():
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt]
+            for name in (getattr(t, "id", None) or getattr(t, "name", None)
+                         for t in targets):
+                defining.setdefault(name, []).append(stmt)
     found = []
     for module, tree in trees.items():
         for name in _exported(tree):
             own = _definition(tree, name)
+            cycle = _reached(own, defining) | {own}
             if name not in outside and not any(
-                    stmt is not own and name in names for stmt, names in reads):
+                    name in names for stmt, names in reads.items()
+                    if stmt not in cycle):
                 found.append(f"{Path(module).stem}.{name}")
     return sorted(found)
 
 
 def test_unread_public_names_are_found():
     sources = {
-        "a.py": ("__all__ = ['used', 'bench_only', 'dead', 'recursive']\n"
+        "a.py": ("__all__ = ['used', 'bench_only', 'dead', 'recursive', 'cycle',\n"
+                 "           'called_in_a_cycle']\n"
                  "def used():\n    pass\n"
                  "def bench_only():\n    pass\n"
                  "def dead():\n    pass\n"
-                 "def recursive(n):\n    return recursive(n - 1)\n"),
-        "b.py": "from .a import used\n",
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 # only _helper reads cycle, and only cycle reads _helper
+                 "def cycle(n):\n    return _helper(n)\n"
+                 "def _helper(n):\n    return cycle(n - 1) + called_in_a_cycle()\n"
+                 "def called_in_a_cycle():\n    pass\n"),
+        "b.py": "from .a import used\nprint(called_in_a_cycle())\n",
     }
-    assert unread_public_names(sources, {"bench_only"}) == ["a.dead", "a.recursive"]
+    assert unread_public_names(sources, {"bench_only"}) == [
+        "a.cycle", "a.dead", "a.recursive"]
     assert readme_tour_names("`x` ## Library tour\n```python\nf(y)\n```\n"
                              "and `sde.z`\n") == {"python", "f", "y", "sde", "z"}
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import sys as _sys
@@ -22,9 +21,14 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from .config import CheckSpec, ConfigError, ExperimentConfig, parse_config, serialize_config
+from .config import (
+    CheckSpec,
+    ConfigError,
+    ExperimentConfig,
+    parse_config,
+    parse_flags,
+    serialize_config,
+)
 from .manifold import ChartedManifold, VectorFieldSpec, make_test_basis
 from .presets import preset_names, preset_text
 from .sde import (
@@ -111,6 +115,7 @@ def _run_check(exp: Experiment, chk: CheckSpec) -> InvarianceReport:
     """Run one check, reading the values of the keys config.CHECK_KEYS
     lists for its kind; parse_config has matched the kind to the
     experiment and applied the overrides."""
+    from .currents import DensityCurrent
     from .invariance import (
         check_mean_nform,
         check_strict_nform,
@@ -142,8 +147,9 @@ def _run_check(exp: Experiment, chk: CheckSpec) -> InvarianceReport:
     if kind == "jacobian":
         return jacobian_check(exp.system, value("x0"), value("t"), value("dt"),
                               value("seed"), value("paths"), **tolerance())
-    grid = value("grid")  # None: the current's own grid
-    T = exp.current if grid is None else dataclasses.replace(exp.current, grid_n=grid)
+    T, grid = exp.current, value("grid")  # None: the current's own grid
+    if grid is not None:
+        T = DensityCurrent(T.manifold, T.density, grid, T.normalize)
     basis = make_test_basis(m, value("basis_k"))
     if kind in ("strict_residual", "mean_residual"):
         mode = "strict" if kind == "strict_residual" else "mean"
@@ -298,14 +304,19 @@ def _cmd_simulate(args) -> int:
             print("error: config has no simulatable system "
                   "(liealg experiment without a realization)", file=_sys.stderr)
             return 1
-        x0 = (np.array([float(v) for v in args.x0.split(",")])
-              if args.x0 else 0.5 * system.manifold.lengths)
-        steps = step_count(args.t, args.dt)
-        noise = generate_noise(args.seed, args.path_index, system.m, args.dt, steps)
-        result = flow_with_jacobian(system, x0, noise)
+        flags = parse_flags({"t": args.t, "dt": args.dt, "x0": args.x0},
+                            system.manifold)
+        steps = step_count(flags["t"], flags["dt"])
+        noise = generate_noise(args.seed, args.path_index, system.m, flags["dt"],
+                               steps)
+        result = flow_with_jacobian(system, flags["x0"], noise)
         with open(args.trajectory, "w", newline="", encoding="utf-8") as fh:
             write_trajectory_csv(result, fh)
-    except (ConfigError, FileNotFoundError, OSError, ValueError) as e:
+    except ConfigError as e:
+        for issue in e.issues:
+            print(f"error: {issue}", file=_sys.stderr)
+        return 1
+    except (FileNotFoundError, OSError, ValueError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 1
     print(f"wrote {args.trajectory} ({steps + 1} rows)")
@@ -349,8 +360,8 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="integrate one path and export CSV")
     p_sim.add_argument("config", help="config file path or preset name")
     p_sim.add_argument("--trajectory", required=True, help="output CSV path")
-    p_sim.add_argument("--t", type=float, default=1.0)
-    p_sim.add_argument("--dt", type=float, default=1e-3)
+    p_sim.add_argument("--t")  # converted by parse_flags, as a check's t
+    p_sim.add_argument("--dt")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--path-index", type=int, default=0)
     p_sim.add_argument("--x0", default=None, help="comma-separated start point")

@@ -25,7 +25,8 @@ accepted as an alternative input.
 
 parse_config converts each value once, by its entry in _VALUES, which
 also holds its default; the command-line overrides --seed, --dt and
---paths go through the same entries. The raw text is kept only for
+--paths of `check`, and --t, --dt and --x0 of `simulate` (parse_flags),
+go through the same entries. The raw text is kept only for
 serialize_config.
 """
 
@@ -33,9 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from . import expr
 from .sde import step_count
@@ -47,6 +46,7 @@ __all__ = [
     "CheckSpec",
     "ExperimentConfig",
     "parse_config",
+    "parse_flags",
     "serialize_config",
 ]
 
@@ -75,12 +75,28 @@ CHECK_KEYS = {
 }
 
 
-@dataclass(frozen=True)
 class ConfigIssue:
-    message: str
-    line: Optional[int] = None
-    col: Optional[int] = None
-    path: Optional[str] = None
+    """One problem with a config: its message, and where it was written
+    (line and column of the text, path of the value). Immutable, and
+    equal to any issue of the same message and place, so that an issue
+    several checks raise through one override is reported once."""
+
+    def __init__(self, message, line=None, col=None, path=None):
+        vars(self).update(message=message, line=line, col=col, path=path)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("ConfigIssue is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return (self.message, self.line, self.col, self.path)
+
+    def __eq__(self, other):
+        return type(other) is ConfigIssue and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __str__(self):
         where = ""
@@ -101,26 +117,42 @@ class ConfigError(ValueError):
         super().__init__("; ".join(str(i) for i in self.issues))
 
 
-@dataclass(frozen=True)
 class CheckSpec:
-    kind: str
-    params: tuple  # ((key, raw text), ...) in declaration order
-    values: tuple  # ((key, typed value), ...) for each key of CHECK_KEYS[kind]
+    """One [check ...] section: its kind, ((key, raw text), ...) in
+    declaration order, and ((key, typed value), ...) for each key of
+    CHECK_KEYS[kind]."""
+
+    def __init__(self, kind, params, values):
+        self.kind = kind
+        self.params = params
+        self.values = values
+
+    def __eq__(self, other):
+        return type(other) is CheckSpec and vars(self) == vars(other)
 
     def value(self, key):
         """The typed value of key, or its default when the check leaves it out."""
         return dict(self.values)[key]
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
-    manifold: Optional[tuple]  # ((key, raw text), ...) per section, or None
-    fields: Optional[tuple]
-    current: Optional[tuple]
-    liealg: Optional[tuple]
-    checks: tuple
-    values: tuple  # (("section.key", typed value), ...), defaults filled in
-    overrides: tuple  # ((key, typed value), ...) of the overrides a check takes
+    """A parsed config. manifold, fields, current and liealg hold
+    ((key, raw text), ...) of their section, or None without one; values
+    holds (("section.key", typed value), ...) with the defaults filled
+    in, and overrides ((key, typed value), ...) of the command-line
+    overrides some check takes."""
+
+    def __init__(self, manifold, fields, current, liealg, checks, values, overrides):
+        self.manifold = manifold
+        self.fields = fields
+        self.current = current
+        self.liealg = liealg
+        self.checks = checks
+        self.values = values
+        self.overrides = overrides
+
+    def __eq__(self, other):
+        return type(other) is ExperimentConfig and vars(self) == vars(other)
 
     def value(self, path):
         """The typed value at "section.key", or its default."""
@@ -491,7 +523,25 @@ def _overrides(overrides, issues):
     return out
 
 
-def _check_spec(kind, header_line, entries, values, overrides, issues):
+def _check_rules(scope, given):
+    """Reports each check value in scope that breaks a rule of its check
+    at the _Value in given that set it (a default keeps every rule)."""
+    x0, paths, t, dt = (scope.get(f"check.{key}") for key in ("x0", "paths", "t", "dt"))
+    dim = scope.get("manifold.dim")
+    if x0 and dim not in (None, len(x0)):
+        given["x0"].fail(f"x0 has {len(x0)} coordinates, manifold has dimension {dim}")
+    if scope.get("kind") in ("empirical_mean", "foliation") and paths is not None \
+            and paths < 2:
+        given["paths"].fail("must be >= 2: the mean check estimates a standard error")
+    if t is not None and dt is not None:
+        try:
+            step_count(t, dt)
+        except ValueError as e:
+            (given.get("dt") or given["t"]).fail(str(e), offset=None)
+
+
+def _check_spec(kind, header_line, entries, values, overrides, used, issues):
+    """The CheckSpec of one section; adds to used each override it takes."""
     if values.get("current.type") == "empirical":
         # a sum of atoms has no grid to set, and the n-form checks would
         # test the volume form instead of the atoms (the residual checks
@@ -511,17 +561,8 @@ def _check_spec(kind, header_line, entries, values, overrides, issues):
     for key, (value, typed) in overrides.items():
         if key in CHECK_KEYS[kind]:
             scope[f"check.{key}"], given[key] = typed, value
-    x0, paths, t, dt = (scope.get(f"check.{key}") for key in ("x0", "paths", "t", "dt"))
-    if x0 and values.get("manifold.dim") not in (None, len(x0)):
-        given["x0"].fail(f"x0 has {len(x0)} coordinates, manifold has dimension "
-                         f"{values['manifold.dim']}")
-    if kind in ("empirical_mean", "foliation") and paths is not None and paths < 2:
-        given["paths"].fail("must be >= 2: the mean check estimates a standard error")
-    if t is not None and dt is not None:
-        try:
-            step_count(t, dt)
-        except ValueError as e:  # the defaults keep the rule, so one was given
-            (given.get("dt") or given["t"]).fail(str(e), offset=None)
+            used.add(key)
+    _check_rules(scope, given)
     return CheckSpec(kind=kind,
                      params=tuple((k, v.text) for k, v in entries.items()),
                      values=tuple((k, scope[f"check.{k}"]) for k in CHECK_KEYS[kind]))
@@ -532,7 +573,8 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
 
     overrides maps "seed", "dt" and "paths" to command-line text, or to
     None when not given. Each is converted as its check key is, and sets
-    that key in every check whose kind takes it.
+    that key in every check whose kind takes it; a foliation check
+    without a realization flows nothing and takes none.
     """
     issues = []
     overrides = _overrides(overrides or {}, issues)
@@ -591,7 +633,7 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
             issues.append(ConfigIssue("liealg experiment needs 'subalgebra'"))
         _resolve(values, "liealg", ("algebra", "constants", "subalgebra",
                                     "realization"), liealg)
-    checks = []
+    checks, used = [], set()
     for kind, header_line, entries in check_sections:
         # with one experiment kind, foliation runs on liealg, the rest on a flow
         if has_flow != has_liealg and (kind == "foliation") != has_liealg:
@@ -599,17 +641,48 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
             issues.append(ConfigIssue(
                 f"[check {kind}] does not run on a {experiment} experiment",
                 header_line, path=f"check.{kind}"))
+        elif kind == "foliation" and "realization" not in plain.get("liealg", {}):
+            # the trace criterion alone flows nothing: it records its
+            # seed, and takes no other key and no override
+            for key in [k for k in entries if k != "seed"]:
+                value = entries.pop(key)
+                issues.append(ConfigIssue(
+                    f"[check foliation] without a realization runs no flow and "
+                    f"does not take {key!r} (it takes seed)", value.line,
+                    path=value.path))
+            checks.append(_check_spec(kind, header_line, entries, values, {},
+                                      used, issues))
         else:
             checks.append(_check_spec(kind, header_line, entries, values,
-                                      overrides, issues))
+                                      overrides, used, issues))
     if issues:
         raise ConfigError(dict.fromkeys(issues))  # an override's issue once
     raw = {name: tuple((k, v.text) for k, v in plain[name].items())
            if name in plain else None for name in _SECTIONS}
-    used = sorted(key for key in overrides
-                  if any(key in CHECK_KEYS[chk.kind] for chk in checks))
     return ExperimentConfig(**raw, checks=tuple(checks), values=tuple(values.items()),
-                            overrides=tuple((key, overrides[key][1]) for key in used))
+                            overrides=tuple((key, overrides[key][1])
+                                            for key in sorted(used)))
+
+
+def parse_flags(flags, manifold) -> dict:
+    """key -> typed value of command-line flags named after check keys
+    ("t", "dt", "x0"), checked against manifold as a check's values are.
+
+    flags maps each key to its text, or to None when not given. Each is
+    converted by its check key's entry, with its issues at path --key;
+    one not given takes that key's default (x0: the centre of the box).
+    Raises ConfigError listing every issue.
+    """
+    issues = []
+    scope = {"manifold.dim": manifold.dim, "manifold.lengths": manifold.box_lengths}
+    _resolve(scope, "check", flags, {})
+    given = {}
+    for key, (value, typed) in _overrides(flags, issues).items():
+        scope[f"check.{key}"], given[key] = typed, value
+    _check_rules(scope, given)
+    if issues:
+        raise ConfigError(issues)
+    return {key: scope[f"check.{key}"] for key in flags}
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

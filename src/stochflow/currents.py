@@ -15,7 +15,6 @@ derivatives of the basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence, Union
 
@@ -50,64 +49,53 @@ __all__ = [
 _CHUNK_ELEMS = 4_000_000
 
 
-@dataclass(frozen=True)
 class DensityCurrent:
-    """T(f) = integral of f * density against the volume form."""
+    """T(f) = integral of f * density against the volume form, as a sum
+    over the midpoint grid: points (n^dim, dim) and read-only weights
+    (n^dim,), the cell volume times the density."""
 
-    manifold: ChartedManifold
-    density: Optional[Expr] = None  # None means the constant 1
-    grid_n: int = 64
-    normalize: bool = False
-
-    def __post_init__(self):
-        if self.grid_n < 2:
+    def __init__(self, manifold: ChartedManifold, density: Optional[Expr] = None,
+                 grid_n: int = 64, normalize: bool = False):
+        self.manifold = manifold
+        self.density = density  # None means the constant 1
+        self.grid_n = grid_n
+        self.normalize = normalize
+        if grid_n < 2:
             raise ValueError("density current needs grid_n >= 2")
-        pts, weights = grid_points(self.manifold, self.grid_n)
-        if self.density is not None:
-            if not isinstance(self.density, Expr):
+        pts, weights = grid_points(manifold, grid_n)
+        if density is not None:
+            if not isinstance(density, Expr):
                 raise TypeError(
-                    f"current density must be an expression, not {self.density!r}")
-            vals = expr.evaluate(self.density, pts)
+                    f"current density must be an expression, not {density!r}")
+            vals = expr.evaluate(density, pts)
             if not np.all(vals > 0):
                 raise DegenerateDensityError("current density must be positive")
             weights = weights * vals
         total = float(np.sum(weights))
         if not math.isfinite(total):
             raise ValueError("current has non-finite total mass")
-        if self.normalize:
+        if normalize:
             weights = weights / total
         weights.setflags(write=False)
-        object.__setattr__(self, "_points", pts)
-        object.__setattr__(self, "_weights", weights)
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
+        self.points = pts
+        self.weights = weights
 
 
-@dataclass(frozen=True)
 class EmpiricalCurrent:
     """T(f) = sum_i w_i f(p_i) over canonical atoms."""
 
-    manifold: ChartedManifold
-    atoms: np.ndarray  # (k, dim)
-    atom_weights: np.ndarray  # (k,)
-
-    def __post_init__(self):
-        pts = self.manifold.wrap(np.atleast_2d(np.asarray(self.atoms, dtype=float)))
-        w = np.atleast_1d(np.asarray(self.atom_weights, dtype=float))
+    def __init__(self, manifold: ChartedManifold, atoms, atom_weights):
+        pts = manifold.wrap(np.atleast_2d(np.asarray(atoms, dtype=float)))
+        w = np.atleast_1d(np.asarray(atom_weights, dtype=float))
         if pts.shape[0] != w.shape[0]:
             raise ValueError("need one weight per atom")
         if not np.all(np.isfinite(w)):
             raise ValueError("atom weights must be finite")
         pts.setflags(write=False)
         w.setflags(write=False)
-        object.__setattr__(self, "atoms", pts)
-        object.__setattr__(self, "atom_weights", w)
+        self.manifold = manifold
+        self.atoms = pts  # (k, dim)
+        self.atom_weights = w  # (k,)
 
     @property
     def points(self) -> np.ndarray:

@@ -10,7 +10,6 @@ of ``manifold.identified_pairs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -92,20 +91,18 @@ class RealizationError(ValueError):
     pass
 
 
-@dataclass
 class InvarianceReport:
-    kind: str
-    residual: float
-    tolerance: float
-    metadata: dict = dc_field(default_factory=dict)
-    per_basis: list = dc_field(default_factory=list)
-    subchecks: list = dc_field(default_factory=list)
-
-    def __post_init__(self):
-        if self.kind not in REPORT_KINDS:
-            raise ValueError(f"unknown report kind {self.kind!r}")
-        self.residual = float(self.residual)
-        self.tolerance = float(self.tolerance)
+    def __init__(self, kind: str, residual: float, tolerance: float,
+                 metadata: Optional[dict] = None, per_basis: Optional[list] = None,
+                 subchecks: Optional[list] = None):
+        if kind not in REPORT_KINDS:
+            raise ValueError(f"unknown report kind {kind!r}")
+        self.kind = kind
+        self.residual = float(residual)
+        self.tolerance = float(tolerance)
+        self.metadata = {} if metadata is None else metadata
+        self.per_basis = [] if per_basis is None else per_basis
+        self.subchecks = [] if subchecks is None else subchecks
 
     @property
     def verdict(self) -> bool:
@@ -295,13 +292,13 @@ def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
 # ---------------------------------------------------------------------------
 # foliation pipeline
 
-@dataclass(frozen=True)
 class FrameRealization:
     """A manifold carrying frame fields that realize structure constants."""
 
-    manifold: ChartedManifold
-    frame: tuple  # one VectorFieldSpec per algebra basis vector
-    label: str = ""
+    def __init__(self, manifold: ChartedManifold, frame: tuple, label: str = ""):
+        self.manifold = manifold
+        self.frame = frame  # one VectorFieldSpec per algebra basis vector
+        self.label = label
 
 
 def heisenberg_realization() -> FrameRealization:

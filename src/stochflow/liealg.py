@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,16 +47,14 @@ class NotASubalgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class LieAlgebraData:
-    n: int
-    c: np.ndarray  # (n, n, n), c[i, j, k] with [v_i, v_j] = sum_k c[i,j,k] v_k
-    basis_labels: Optional[tuple] = None
+    """Structure constants c (n, n, n), read-only, with [v_i, v_j] =
+    sum_k c[i, j, k] v_k, and optional names of the basis vectors."""
 
-    def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.c, dtype=float))
-        if c.shape != (self.n, self.n, self.n):
-            raise ValueError(f"structure constants must be {(self.n,) * 3}, got {c.shape}")
+    def __init__(self, n: int, c: np.ndarray, basis_labels: Optional[tuple] = None):
+        c = np.ascontiguousarray(np.asarray(c, dtype=float))
+        if c.shape != (n, n, n):
+            raise ValueError(f"structure constants must be {(n,) * 3}, got {c.shape}")
         if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > TOL:
             raise ValueError("structure constants are not antisymmetric in (i, j)")
         # Jacobi: sum_m c_ij^m c_mk^l + c_jk^m c_mi^l + c_ki^m c_mj^l = 0
@@ -66,12 +63,13 @@ class LieAlgebraData:
         if np.max(np.abs(jac)) > TOL:
             raise ValueError("structure constants violate the Jacobi identity")
         c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-        if self.basis_labels is not None:
-            labels = tuple(str(s) for s in self.basis_labels)
-            if len(labels) != self.n:
+        if basis_labels is not None:
+            basis_labels = tuple(str(s) for s in basis_labels)
+            if len(basis_labels) != n:
                 raise ValueError("need one label per basis vector")
-            object.__setattr__(self, "basis_labels", labels)
+        self.n = n
+        self.c = c
+        self.basis_labels = basis_labels
 
     def label(self, i: int) -> str:
         if self.basis_labels is not None:
@@ -93,27 +91,24 @@ def is_closed(g: LieAlgebraData, indices) -> bool:
     return bool(np.abs(block).max() <= TOL)
 
 
-@dataclass(frozen=True, eq=False)
 class Subalgebra:
     """The subalgebra spanned by the basis vectors with these (0-based)
     indices, checked once when built; ``constants`` is then the read-only
     array of c[i, j, k] for i, j, k in the subalgebra."""
 
-    algebra: LieAlgebraData
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
+    def __init__(self, algebra: LieAlgebraData, indices: tuple):
+        idx = tuple(sorted(int(i) for i in indices))
         if len(set(idx)) != len(idx) or not idx:
             raise ValueError("subalgebra indices must be a nonempty set")
         if idx[0] < 0:
             raise ValueError("subalgebra indices must be >= 0")
-        if not is_closed(self.algebra, idx):
+        if not is_closed(algebra, idx):
             raise NotASubalgebraError(f"indices {idx} do not span a subalgebra")
-        c = self.algebra.c.take(idx, 0).take(idx, 1).take(idx, 2)
+        c = algebra.c.take(idx, 0).take(idx, 1).take(idx, 2)
         c.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "constants", c)
+        self.algebra = algebra
+        self.indices = idx
+        self.constants = c
 
 
 def tr_ad_restricted(h: Subalgebra, i: int) -> float:

@@ -6,15 +6,15 @@ nilmanifold presented as a periodic box with the twisted identification
 (x,y,z) ~ (x+a, y+b, z+c+a*y), carrying the left-invariant frame
 X = d/dx, Y = d/dy + x d/dz, Z = d/dz.
 
-Manifolds, fields and bases are immutable after construction; every
-operation here is pure and safe to call from concurrent workers.
+Manifolds are immutable, and fields and bases are not changed after
+construction; every operation here is pure and safe to call from
+concurrent workers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -53,31 +53,46 @@ class DegenerateDensityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ChartedManifold:
-    """A compact manifold presented as a periodic box with identifications."""
+    """A compact manifold presented as a periodic box with identifications.
 
-    dim: int
-    box_lengths: tuple
-    identification: str = TORUS
+    Immutable, and equal to every manifold of the same dimension, box
+    and identification: the caches of grids, sample pairs and test
+    bases are keyed on it.
+    """
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, box_lengths: tuple, identification: str = TORUS):
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        object.__setattr__(self, "box_lengths",
-                           tuple(float(v) for v in self.box_lengths))
-        if len(self.box_lengths) != self.dim:
+        box_lengths = tuple(float(v) for v in box_lengths)
+        if len(box_lengths) != dim:
             raise ValueError("need one period length per coordinate")
-        if any(not (v > 0 and math.isfinite(v)) for v in self.box_lengths):
+        if any(not (v > 0 and math.isfinite(v)) for v in box_lengths):
             raise ValueError("period lengths must be positive and finite")
-        if self.identification not in (TORUS, HEISENBERG):
-            raise ValueError(f"unknown identification {self.identification!r}")
-        if self.identification == HEISENBERG:
-            if self.dim != 3:
+        if identification not in (TORUS, HEISENBERG):
+            raise ValueError(f"unknown identification {identification!r}")
+        if identification == HEISENBERG:
+            if dim != 3:
                 raise ValueError("heisenberg identification needs dim 3")
-            lx, ly, lz = self.box_lengths
+            lx, ly, lz = box_lengths
             if abs((lx * ly / lz) - round(lx * ly / lz)) > 1e-9:
                 raise ValueError("heisenberg lattice needs Lx*Ly integer multiple of Lz")
+        vars(self).update(dim=dim, box_lengths=box_lengths,
+                          identification=identification)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("ChartedManifold is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return (self.dim, self.box_lengths, self.identification)
+
+    def __eq__(self, other):
+        return type(other) is ChartedManifold and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def lengths(self) -> np.ndarray:
@@ -122,22 +137,20 @@ def heisenberg_manifold() -> ChartedManifold:
                            identification=HEISENBERG)
 
 
-@dataclass(frozen=True)
 class VectorFieldSpec:
     """Coordinate components of a vector field, as expressions."""
 
-    dim: int
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.components) != self.dim:
+    def __init__(self, dim: int, components: tuple):
+        if len(components) != dim:
             raise ValueError("need one component per coordinate")
-        for c in self.components:
+        for c in components:
             if not isinstance(c, Expr):
                 raise TypeError(f"component must be an expression, not {c!r}")
-            if expr.max_coordinate(c) > self.dim:
+            if expr.max_coordinate(c) > dim:
                 raise ValueError(
-                    f"component references x{expr.max_coordinate(c)} beyond dim {self.dim}")
+                    f"component references x{expr.max_coordinate(c)} beyond dim {dim}")
+        self.dim = dim
+        self.components = components
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "VectorFieldSpec":
@@ -305,13 +318,13 @@ def grid_points(m: ChartedManifold, n: int):
     return pts, np.full(pts.shape[0], cell)
 
 
-@dataclass(frozen=True)
 class TestBasis:
     """Trig-monomial test functions with analytic gradients."""
 
-    manifold: ChartedManifold
-    cutoff: int
-    functions: tuple = field(default=())
+    def __init__(self, manifold: ChartedManifold, cutoff: int, functions: tuple):
+        self.manifold = manifold
+        self.cutoff = cutoff
+        self.functions = functions
 
     def __len__(self):
         return len(self.functions)

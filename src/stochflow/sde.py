@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,30 +97,28 @@ class ConfigurationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class StratonovichSystem:
     """Drift X_0 plus m diffusion fields X_1..X_m on a manifold."""
 
-    manifold: ChartedManifold
-    drift: VectorFieldSpec
-    diffusions: tuple = ()
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "diffusions", tuple(self.diffusions))
-        for name, f in [("drift", self.drift)] + [
+    def __init__(self, manifold: ChartedManifold, drift: VectorFieldSpec,
+                 diffusions: tuple = (), label: str = ""):
+        self.manifold = manifold
+        self.drift = drift
+        self.diffusions = tuple(diffusions)
+        self.label = label
+        for name, f in [("drift", drift)] + [
                 (f"diffusion {i + 1}", f) for i, f in enumerate(self.diffusions)]:
-            if f.dim != self.manifold.dim:
+            if f.dim != manifold.dim:
                 raise ConfigurationError(f"{name} has dimension {f.dim}, "
-                                         f"manifold has {self.manifold.dim}")
+                                         f"manifold has {manifold.dim}")
             try:
-                compatible = is_compatible_field(self.manifold, f)
+                compatible = is_compatible_field(manifold, f)
             except ValueError as e:
                 raise ConfigurationError(f"{name} {e}") from None
             if not compatible:
                 raise ConfigurationError(
                     f"{name} is not compatible with the identification")
-        object.__setattr__(self, "_compiled", {})
+        self._compiled = {}
 
     @property
     def m(self) -> int:
@@ -137,14 +134,14 @@ class StratonovichSystem:
         return self._compiled[key]
 
 
-@dataclass(frozen=True)
 class NoisePath:
     """Gaussian increments N(0, dt), reproducible from (seed, path_index)."""
 
-    seed: int
-    path_index: int
-    dt: float
-    increments: np.ndarray  # (steps, m)
+    def __init__(self, seed: int, path_index: int, dt: float, increments: np.ndarray):
+        self.seed = seed
+        self.path_index = path_index
+        self.dt = dt
+        self.increments = increments  # (steps, m)
 
     @property
     def steps(self) -> int:
@@ -539,13 +536,13 @@ def _noise_array(sys: StratonovichSystem, increments) -> np.ndarray:
     return increments
 
 
-@dataclass(frozen=True)
 class FlowResult:
     """Trajectory at t_k = k dt in canonical coordinates, and log J."""
 
-    dt: float
-    trajectory: np.ndarray  # (steps + 1, dim)
-    log_jacobian: np.ndarray  # (steps + 1,)
+    def __init__(self, dt: float, trajectory: np.ndarray, log_jacobian: np.ndarray):
+        self.dt = dt
+        self.trajectory = trajectory  # (steps + 1, dim)
+        self.log_jacobian = log_jacobian  # (steps + 1,)
 
     @property
     def times(self) -> np.ndarray:

@@ -321,14 +321,17 @@ def test_normalize_is_true_or_false(text, value):
 
 TORUS2 = "[manifold]\nlengths = 1, 1\n\n[fields]\ndiffusion1 = 1, 0\n\n"
 HEISENBERG_LIEALG = "[liealg]\nalgebra = heisenberg\nsubalgebra = 1, 3\n\n"
+HEISENBERG_REALIZED = HEISENBERG_LIEALG.replace("\n\n", "\nrealization = heisenberg\n\n")
 MEAN_RULE = "must be >= 2: the mean check estimates a standard error"
 STEP_RULE = "t must be an integer multiple of dt"
 
 # values that failed inside build_experiment, or while the checks ran,
 # each with the command-line overrides it is parsed with
 LOCATED_AT_PARSE = {
+    # one issue: the check is not taken for one without a realization
     "unknown_realization": (
-        "[liealg]\nalgebra = sl2\nsubalgebra = 1, 2\nrealization = sphere\n", {},
+        "[liealg]\nalgebra = sl2\nsubalgebra = 1, 2\nrealization = sphere\n"
+        "\n[check foliation]\npaths = 2\n", {},
         "liealg.realization", 4,
         "unknown realization 'sphere' (known: heisenberg, torus)"),
     "heisenberg_with_two_lengths": (
@@ -356,7 +359,7 @@ LOCATED_AT_PARSE = {
         TORUS2 + "[check empirical_mean]\npaths = 1\n", {},
         "check.empirical_mean.paths", 8, MEAN_RULE),
     "one_foliation_path": (
-        HEISENBERG_LIEALG + "[check foliation]\n", {"paths": "1"}, "--paths", None,
+        HEISENBERG_REALIZED + "[check foliation]\n", {"paths": "1"}, "--paths", None,
         MEAN_RULE),
     "zero_paths": (TORUS2 + "[check jacobian]\n", {"paths": "0"}, "--paths", None,
                    "must be positive"),
@@ -403,8 +406,40 @@ def test_simulate_rejects_a_non_finite_horizon(tmp_path, capsys, t):
     assert main(["simulate", "hamiltonian_torus", "--trajectory", str(out),
                  "--t", t, "--dt", "0.01"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: t and dt must be finite, got t={t}, dt=0.01"]
+    assert err == ["error: --t: must be finite"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--x0", "abc"], "--x0: expected a number, got 'abc'"),
+    (["--x0", "0.3"], "--x0: x0 has 1 coordinates, manifold has dimension 2"),
+    (["--t", "0.5", "--dt", "0.3"], "--dt: t must be an integer multiple of dt"),
+    (["--dt", "0.3"], "--dt: t must be an integer multiple of dt"),
+    (["--dt", "0"], "--dt: must be positive"),
+    (["--t", "abc", "--x0", "0.1, 0.2, 0.3"],
+     "--t: expected a number, got 'abc'\n"
+     "error: --x0: x0 has 3 coordinates, manifold has dimension 2"),
+], ids=["x0_not_a_number", "x0_of_the_wrong_dimension", "horizon_not_a_multiple",
+        "dt_not_a_divisor_of_the_default_t", "zero_dt", "two_flags"])
+def test_simulate_flags_are_converted_as_check_values(tmp_path, capsys, argv,
+                                                      message):
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "hamiltonian_torus", "--trajectory", str(out),
+                 *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_flags_left_out_take_the_check_defaults(tmp_path):
+    def rows(*argv):
+        out = tmp_path / f"traj{len(argv)}.csv"
+        assert main(["simulate", "heisenberg_foliation", "--trajectory", str(out),
+                     *argv]) == 0
+        return out.read_text()
+
+    given = rows("--t", "1.0", "--dt", "0.001", "--x0", "0.5, 0.5, 0.5")
+    assert rows() == given
+    assert given.splitlines()[1] == "0,0.5,0.5,0.5,0"
 
 
 def test_unknown_config_is_execution_error(tmp_path):
@@ -639,6 +674,32 @@ def test_overrides_record_only_what_a_check_used(tmp_path):
     assert overrides(mean, "mean") == {"dt": 0.01, "paths": 7, "seed": 4}
 
 
+SL2_ALONE = "[liealg]\nalgebra = sl2\nsubalgebra = 1, 2\n\n[check foliation]\n"
+
+
+@pytest.mark.parametrize("key", ["t", "dt", "paths", "grid", "basis_k", "bias_c"])
+def test_foliation_without_a_realization_rejects_the_flow_keys(key):
+    with pytest.raises(ConfigError) as e:
+        parse_config(f"{SL2_ALONE}seed = 1\n{key} = 2\n")
+    assert [(i.path, i.line, i.message) for i in e.value.issues] == [
+        (f"check.foliation.{key}", 7, "[check foliation] without a realization "
+         f"runs no flow and does not take {key!r} (it takes seed)")]
+
+
+def test_foliation_without_a_realization_takes_no_override(tmp_path):
+    # --paths 1 would break the mean rule of a check that flows paths
+    cfg = parse_config(SL2_ALONE + "seed = 3\n",
+                       {"seed": "5", "dt": "0.3", "paths": "1"})
+    assert cfg.overrides == ()
+    assert cfg.checks[0].value("seed") == 3
+    out = tmp_path / "out"
+    assert main(["check", "sl2_foliation", "--paths", "7", "--seed", "5",
+                 "--out", str(out)]) == 2
+    payload = json.loads((out / "report.json").read_text())["payload"]
+    assert payload["overrides"] == {}
+    assert payload["checks"][0]["seed"] == 0
+
+
 def with_key(text, kind, key, value):
     header = f"[check {kind}]\n"
     assert header in text
@@ -667,8 +728,7 @@ def test_every_key_outside_the_table_is_rejected():
     keys = sorted(set().union(*CHECK_KEYS.values()))
     value = {"x0": "0.5, 0.5", "dt": "0.5"}
     for kind, accepted in CHECK_KEYS.items():
-        experiment = ("[liealg]\nalgebra = sl2\nsubalgebra = 1\n"
-                      if kind == "foliation" else TORUS2)
+        experiment = HEISENBERG_REALIZED if kind == "foliation" else TORUS2
         for key in keys:
             text = f"{experiment}\n[check {kind}]\n{key} = {value.get(key, '2')}\n"
             if key in accepted:

@@ -55,6 +55,20 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def test_no_module_in_src_imports_dataclasses():
+    # a dataclass compiles its generated methods while its module is
+    # imported, a cost every command pays at start-up
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            modules = ([alias.name for alias in node.names]
+                       if isinstance(node, ast.Import) else
+                       [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in modules:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, "dataclasses imported at:\n" + "\n".join(found)
+
+
 def _private_definitions(stmt) -> set:
     """The private names a module-level statement binds: functions,
     classes and assignments named _name (dunder names excluded)."""
@@ -250,16 +264,14 @@ UNSET_DEFAULTS_ALLOWED = {"invariance.calibrate_bias_constant.seed",
                           "invariance.calibrate_bias_constant.n_paths"}
 
 
-def _is_dataclass(stmt) -> bool:
-    return isinstance(stmt, ast.ClassDef) and any(
-        isinstance(d, ast.Name) and d.id == "dataclass"
-        or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-        for d in stmt.decorator_list)
-
-
 def _defaulted(stmt) -> list:
-    """(name, position) for each defaulted parameter of a function, or
-    defaulted field of a dataclass; position None when keyword-only."""
+    """(name, position) for each defaulted parameter of a function, or of
+    a class's __init__ (positions counted after self); position None when
+    keyword-only."""
+    if isinstance(stmt, ast.ClassDef):
+        init = next((s for s in stmt.body if isinstance(s, ast.FunctionDef)
+                     and s.name == "__init__"), None)
+        return [(name, None if i is None else i - 1) for name, i in _defaulted(init)]
     if isinstance(stmt, ast.FunctionDef):
         args = stmt.args
         positional = args.posonlyargs + args.args
@@ -267,9 +279,6 @@ def _defaulted(stmt) -> list:
         return ([(a.arg, i) for i, a in enumerate(positional) if i >= first]
                 + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
                    if d is not None])
-    if _is_dataclass(stmt):
-        fields = [s for s in stmt.body if isinstance(s, ast.AnnAssign)]
-        return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
     return []
 
 
@@ -354,8 +363,8 @@ def _gives_a_value(arg, scopes, stem, unset) -> bool:
 
 
 def unset_defaults(layers: dict, callers: dict):
-    """layer.function.parameter (or layer.Class.field) for each defaulted
-    parameter of a function, or field of a dataclass, in a layer's
+    """layer.function.parameter (or layer.Class.parameter) for each defaulted
+    parameter of a function, or of a class's __init__, in a layer's
     __all__ that no call in the {module: source} callers sets by name,
     by position or through ``**``. A call that passes on a parameter of
     a function around it that is itself never set does not set it."""
@@ -389,9 +398,9 @@ def test_unset_defaults_are_found():
                        "def h(x, through_alias=1):\n    pass\n"
                        "def k(x, passed_on=1):\n    pass\n"
                        "def wrap(x, never=1):\n    k(x, never)\n"
-                       "@dataclass(frozen=True)\n"
-                       "class D:\n    a: int\n    set_field: int = 0\n"
-                       "    unset_field: int = 0\n")}
+                       "class D:\n"
+                       "    def __init__(self, a, set_field=0, unset_field=0):\n"
+                       "        pass\n")}
     callers = {**layers, "b.py": ("def only():\n"
                                   "    return {} if c else {'known': 1}\n"
                                   "f(0, 1, by_name=2)\n"

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import stochflow
+from stochflow.manifold import ChartedManifold, make_test_basis, torus
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,10 +41,24 @@ def run_main(argv, cwd):
     return out["code"], out["bare"], set(out["modules"])
 
 
-def test_simulate_of_a_flow_preset_loads_neither_invariance_nor_liealg(tmp_path):
-    code, bare, modules = run_main(
-        ["simulate", "hamiltonian_torus", "--t", "0.01", "--dt", "1e-3",
-         "--trajectory", str(tmp_path / "t.csv")], tmp_path)
+COMMANDS = {
+    "simulate_flow": ["simulate", "hamiltonian_torus", "--t", "0.01", "--dt", "1e-3",
+                      "--trajectory", "t.csv"],
+    "check_flow": ["check", "hamiltonian_torus", "--dt", "0.01", "--out", "flow"],
+    "check_foliation": ["check", "heisenberg_foliation", "--paths", "30", "--out",
+                        "foliation"],
+}
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """run_main of each of COMMANDS, each run once for the module."""
+    cwd = tmp_path_factory.mktemp("startup")
+    return {name: run_main(argv, cwd) for name, argv in COMMANDS.items()}
+
+
+def test_simulate_of_a_flow_preset_loads_neither_invariance_nor_liealg(loaded):
+    code, bare, modules = loaded["simulate_flow"]
     assert code == 0
     assert bare == []  # `import stochflow` loads no layer module
     assert "stochflow.sde" in modules
@@ -51,26 +66,47 @@ def test_simulate_of_a_flow_preset_loads_neither_invariance_nor_liealg(tmp_path)
     assert "stochflow.liealg" not in modules
 
 
-def test_check_of_a_flow_preset_loads_neither_liealg_nor_numpy_random(tmp_path):
-    code, _, modules = run_main(
-        ["check", "hamiltonian_torus", "--dt", "0.01", "--out",
-         str(tmp_path / "out")], tmp_path)
+def test_check_of_a_flow_preset_loads_neither_liealg_nor_numpy_random(loaded):
+    code, _, modules = loaded["check_flow"]
     assert code == 0
     assert "stochflow.invariance" in modules
     assert "stochflow.liealg" not in modules
     assert "numpy.random" not in modules
 
 
-def test_check_of_a_foliation_preset_loads_its_layers(tmp_path):
-    code, _, modules = run_main(
-        ["check", "heisenberg_foliation", "--paths", "30", "--out",
-         str(tmp_path / "out")], tmp_path)
+def test_check_of_a_foliation_preset_loads_its_layers(loaded):
+    code, _, modules = loaded["check_foliation"]
     assert code == 0
     assert {"stochflow.invariance", "stochflow.liealg", "stochflow.currents",
             "numpy.random"} <= modules
     # every coefficient of its constant fields is a constant, which the
     # zero test answers without expanding (and importing fractions)
     assert "fractions" not in modules
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_dataclasses(loaded, command):
+    # the package's classes define their methods in their class bodies,
+    # so importing them compiles no generated code
+    code, _, modules = loaded[command]
+    assert code == 0
+    assert "dataclasses" not in modules
+
+
+def test_equal_manifolds_built_apart_share_one_test_basis():
+    first, second = torus(1.0, 2.0), ChartedManifold(2, [1, 2])
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert make_test_basis(first, 2) is make_test_basis(second, 2)
+    assert make_test_basis(torus(2.0, 1.0), 2) is not make_test_basis(first, 2)
+
+
+def test_a_manifold_is_immutable():
+    m = torus(1.0)
+    for name, value in (("dim", 2), ("box_lengths", (2.0,)), ("anything", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(m, name, value)
+    assert (m.dim, m.box_lengths) == (1, (1.0,))
 
 
 def test_lazy_re_exports_are_the_defining_modules_objects():

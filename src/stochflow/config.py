@@ -267,6 +267,7 @@ class _Value:
 
 # the rules a number may have to keep: (message when it does not, test)
 _POSITIVE = ("must be positive", lambda n: n > 0)
+_GRID = ("must be >= 2", lambda n: n >= 2)
 _NON_NEGATIVE = ("must be >= 0", lambda n: n >= 0)
 _PHILOX_KEY = ("must be in [0, 2**64)", lambda n: 0 <= n < 2 ** 64)
 
@@ -296,6 +297,7 @@ def _numbers(integer=False, rule=None, one=False):
 
 _positive = _numbers(rule=_POSITIVE, one=True)
 _count = _numbers(integer=True, rule=_POSITIVE, one=True)
+_grid = _numbers(integer=True, rule=_GRID, one=True)
 
 
 def _flag(value, values):
@@ -349,8 +351,7 @@ def _field(value, values):
 
 
 def _density(value, values):
-    node = _expression(value, value.text, 0, values.get("manifold.dim"))
-    return None if node is expr.constant(1.0) else node  # None: the volume
+    return _expression(value, value.text, 0, values.get("manifold.dim"))
 
 
 def _atoms(value, values):
@@ -375,7 +376,11 @@ def _constants(value, values):
 def _algebra(value, values):
     """A name of liealg.algebra_zoo, or file:PATH of a constants file."""
     name = value.text
-    return Path(name[len("file:"):]) if name.startswith("file:") else name
+    if name.startswith("file:"):
+        return Path(name[len("file:"):])
+    from .liealg import algebra_zoo  # loaded only for a liealg experiment
+
+    return _choice("algebra", *sorted(algebra_zoo()))(value, values)
 
 
 def _indices(value, values):  # 1-based in the config, 0-based as values
@@ -408,8 +413,8 @@ _VALUES = {
         expr.constant(0.0),) * v["manifold.dim"]),
     "fields.diffusionN": (_field, None),  # in index order as "fields.diffusions"
     "current.type": (_choice("current type", *_CURRENT_KEYS), "density"),
-    "current.density": (_density, None),
-    "current.grid": (_count, _default_grid),
+    "current.density": (_density, expr.constant(1.0)),
+    "current.grid": (_grid, _default_grid),
     "current.normalize": (_flag, False),
     "current.atoms": (_atoms, None),
     "current.weights": (_numbers(), None),
@@ -417,8 +422,8 @@ _VALUES = {
     "liealg.constants": (_constants, None),
     "liealg.subalgebra": (_indices, None),
     "liealg.realization": (_choice("realization", "heisenberg", "torus"), None),
-    "check.tolerance": (_positive, None),  # None: the check function's own
-    "check.grid": (_count, _check_grid),
+    "check.tolerance": (_positive, None),  # None: invariance.DEFAULT_TOLERANCES
+    "check.grid": (_grid, _check_grid),
     "check.basis_k": (_count, 3),
     "check.t": (_positive, 1.0),
     "check.dt": (_positive, 1e-3),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -52,25 +52,24 @@ _CHUNK_ELEMS = 4_000_000
 class DensityCurrent:
     """T(f) = integral of f * density against the volume form, as a sum
     over the midpoint grid: points (n^dim, dim) and read-only weights
-    (n^dim,), the cell volume times the density."""
+    (n^dim,), the cell volume times the density. The volume is the
+    density 1, whose weights are the cell volumes bit for bit."""
 
-    def __init__(self, manifold: ChartedManifold, density: Optional[Expr] = None,
+    def __init__(self, manifold: ChartedManifold, density: Expr,
                  grid_n: int = 64, normalize: bool = False):
         self.manifold = manifold
-        self.density = density  # None means the constant 1
+        self.density = density
         self.grid_n = grid_n
         self.normalize = normalize
         if grid_n < 2:
             raise ValueError("density current needs grid_n >= 2")
+        if not isinstance(density, Expr):
+            raise TypeError(f"current density must be an expression, not {density!r}")
         pts, weights = grid_points(manifold, grid_n)
-        if density is not None:
-            if not isinstance(density, Expr):
-                raise TypeError(
-                    f"current density must be an expression, not {density!r}")
-            vals = expr.evaluate(density, pts)
-            if not np.all(vals > 0):
-                raise DegenerateDensityError("current density must be positive")
-            weights = weights * vals
+        vals = expr.evaluate(density, pts)
+        if not np.all(vals > 0):
+            raise DegenerateDensityError("current density must be positive")
+        weights = weights * vals
         total = float(np.sum(weights))
         if not math.isfinite(total):
             raise ValueError("current has non-finite total mass")
@@ -82,7 +81,8 @@ class DensityCurrent:
 
 
 class EmpiricalCurrent:
-    """T(f) = sum_i w_i f(p_i) over canonical atoms."""
+    """T(f) = sum_i w_i f(p_i) over canonical atoms: points (k, dim) and
+    read-only weights (k,), and no grid."""
 
     def __init__(self, manifold: ChartedManifold, atoms, atom_weights):
         pts = manifold.wrap(np.atleast_2d(np.asarray(atoms, dtype=float)))
@@ -94,16 +94,9 @@ class EmpiricalCurrent:
         pts.setflags(write=False)
         w.setflags(write=False)
         self.manifold = manifold
-        self.atoms = pts  # (k, dim)
-        self.atom_weights = w  # (k,)
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.atoms
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.atom_weights
+        self.points = pts
+        self.weights = w
+        self.grid_n = None
 
 
 Current = Union[DensityCurrent, EmpiricalCurrent]
@@ -111,7 +104,7 @@ Current = Union[DensityCurrent, EmpiricalCurrent]
 
 def volume_current(m: ChartedManifold, grid_n: int = 64) -> DensityCurrent:
     """The current of the invariant volume (density 1)."""
-    return DensityCurrent(manifold=m, density=None, grid_n=grid_n)
+    return DensityCurrent(manifold=m, density=expr.constant(1.0), grid_n=grid_n)
 
 
 def evaluate_many(T: Current, functions) -> np.ndarray:

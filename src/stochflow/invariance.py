@@ -16,6 +16,7 @@ import numpy as np
 
 from .currents import (
     Current,
+    DensityCurrent,
     derivative_currents,
     evaluate_many,
     generator_residuals,
@@ -23,12 +24,11 @@ from .currents import (
     strict_residuals,
     volume_current,
 )
-from .expr import Expr, Functions, constant
+from .expr import Functions, constant
 from .manifold import (
     ChartedManifold,
     VectorFieldSpec,
     apply_field,
-    grid_points,
     heisenberg_frame,
     heisenberg_manifold,
     identified_pairs,
@@ -57,20 +57,23 @@ __all__ = [
     "heisenberg_realization",
     "torus_translation_realization",
     "calibrate_bias_constant",
+    "DEFAULT_TOLERANCES",
     "EXACT_BIAS_C",
     "FALLBACK_BIAS_C",
 ]
 
-REPORT_KINDS = (
-    "strict_nform",
-    "mean_nform",
-    "strict_residual",
-    "mean_residual",
-    "empirical_pathwise",
-    "empirical_mean",
-    "foliation_verdict",
-    "jacobian",
-)
+# Each report kind and the tolerance it takes when given none. Mean Monte
+# Carlo has its own, 3*stderr + C*dt; the foliation verdict's is liealg.TOL.
+DEFAULT_TOLERANCES = {
+    "strict_nform": 1e-8,
+    "mean_nform": 1e-6,
+    "strict_residual": 1e-8,
+    "mean_residual": 1e-6,
+    "empirical_pathwise": 1e-2,
+    "empirical_mean": None,
+    "foliation_verdict": 1e-10,
+    "jacobian": 1e-2,
+}
 
 # Weak-error constant C in the mean-mode tolerance 3*stderr + C*dt when
 # no bias_c is given, decided by the system that runs. With every field
@@ -92,11 +95,16 @@ class RealizationError(ValueError):
 
 
 class InvarianceReport:
-    def __init__(self, kind: str, residual: float, tolerance: float,
+    """The verdict residual <= tolerance of one check; a tolerance of
+    None is DEFAULT_TOLERANCES[kind]."""
+
+    def __init__(self, kind: str, residual: float, tolerance: Optional[float] = None,
                  metadata: Optional[dict] = None, per_basis: Optional[list] = None,
                  subchecks: Optional[list] = None):
-        if kind not in REPORT_KINDS:
+        if kind not in DEFAULT_TOLERANCES:
             raise ValueError(f"unknown report kind {kind!r}")
+        if tolerance is None:
+            tolerance = DEFAULT_TOLERANCES[kind]
         self.kind = kind
         self.residual = float(residual)
         self.tolerance = float(tolerance)
@@ -138,24 +146,22 @@ class InvarianceReport:
 # ---------------------------------------------------------------------------
 # n-form checks (divergence criteria)
 
-def check_strict_nform(m: ChartedManifold, density: Optional[Expr],
-                       fields: Sequence[VectorFieldSpec], grid_n: int = 64,
-                       tolerance: float = 1e-8) -> InvarianceReport:
-    """Strict invariance of f*mu_g: residual = max_i max_p |div(f X_i)|."""
-    pts, _ = grid_points(m, grid_n)
-    divs = Functions((product_divergence_expr(m, X, density) for X in fields),
+def check_strict_nform(T: DensityCurrent, fields: Sequence[VectorFieldSpec],
+                       tolerance: Optional[float] = None) -> InvarianceReport:
+    """Strict invariance of T = f*mu_g: residual = max_i max_p |div(f X_i)|."""
+    m, pts = T.manifold, T.points
+    divs = Functions((product_divergence_expr(m, X, T.density) for X in fields),
                      m.dim)
     peaks = divs.reduce(pts, lambda v: float(np.max(np.abs(v))) if v.size else 0.0)
     rows = [{"field_index": i, "value": peak} for i, peak in enumerate(peaks)]
     worst = max(peaks, default=0.0)
-    meta = {"grid": grid_n, "n_fields": len(fields)}
+    meta = {"grid": T.grid_n, "n_fields": len(fields)}
     return InvarianceReport("strict_nform", worst, tolerance, meta, per_basis=rows)
 
 
-def check_mean_nform(m: ChartedManifold, density: Optional[Expr],
-                     fields: Sequence[VectorFieldSpec], grid_n: int = 64,
-                     tolerance: float = 1e-6) -> InvarianceReport:
-    """Mean invariance of f*mu_g via the divergence condition.
+def check_mean_nform(T: DensityCurrent, fields: Sequence[VectorFieldSpec],
+                     tolerance: Optional[float] = None) -> InvarianceReport:
+    """Mean invariance of T = f*mu_g via the divergence condition.
 
     Residual is max over the grid of
     |div(f X_0) - (1/2) sum_i (X_i + div X_i)(div(f X_i))|,
@@ -164,7 +170,7 @@ def check_mean_nform(m: ChartedManifold, density: Optional[Expr],
     """
     if not fields:
         raise ValueError("need at least the drift field")
-    pts, _ = grid_points(m, grid_n)
+    m, density, pts = T.manifold, T.density, T.points
 
     def terms():
         # div(f X_0), then b_i = div(f X_i), X_i b_i and div X_i per diffusion
@@ -177,7 +183,7 @@ def check_mean_nform(m: ChartedManifold, density: Optional[Expr],
     for b_vals, xb_vals, divx_vals in zip(rest[0::3], rest[1::3], rest[2::3]):
         acc = acc - 0.5 * (xb_vals + divx_vals * b_vals)
     residual = float(np.max(np.abs(acc)))
-    meta = {"grid": grid_n, "n_fields": len(fields)}
+    meta = {"grid": T.grid_n, "n_fields": len(fields)}
     return InvarianceReport("mean_nform", residual, tolerance, meta)
 
 
@@ -201,17 +207,15 @@ def _residual_report(T: Current, basis, values: np.ndarray,
     """The strict_residual report of derivative currents values[i, k] =
     (X_i T)(f_k), or the mean_residual report of generator residuals."""
     if values.ndim == 2:
-        kind, default = "strict_residual", 1e-8
+        kind = "strict_residual"
         rows = [{"field_index": i, "basis_index": k, "value": float(values[i, k])}
                 for i, k in np.ndindex(values.shape)]
     else:
-        kind, default = "mean_residual", 1e-6
+        kind = "mean_residual"
         rows = [{"basis_index": k, "value": float(v)} for k, v in enumerate(values)]
     residual = float(np.max(np.abs(values))) if values.size else 0.0
-    meta = {"basisK": basis.cutoff, "grid": getattr(T, "grid_n", None)}
-    return InvarianceReport(kind, residual,
-                            default if tolerance is None else tolerance, meta,
-                            per_basis=rows)
+    meta = {"basisK": basis.cutoff, "grid": T.grid_n}
+    return InvarianceReport(kind, residual, tolerance, meta, per_basis=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +223,7 @@ def _residual_report(T: Current, basis, values: np.ndarray,
 
 def empirical_check(T: Current, sys: StratonovichSystem, basis,
                     t: float, dt: float, seed: int, n_paths: Optional[int],
-                    mode: str, tolerance: float = 1e-2,
+                    mode: str, tolerance: Optional[float] = None,
                     bias_c: Optional[float] = None) -> InvarianceReport:
     """Simulation evidence for phi_t^*T = T (pathwise) or its mean version.
 
@@ -240,7 +244,7 @@ def empirical_check(T: Current, sys: StratonovichSystem, basis,
                 for k in range(len(basis))]
         residual = float(np.max(diffs)) if diffs.size else 0.0
         meta = {"dt": dt, "T": t, "n_paths": _PROBE_PATHS, "seed": seed,
-                "basisK": basis.cutoff, "grid": getattr(T, "grid_n", None)}
+                "basisK": basis.cutoff, "grid": T.grid_n}
         return InvarianceReport("empirical_pathwise", residual, tolerance, meta,
                                 per_basis=rows)
     if mode != "mean":
@@ -260,7 +264,7 @@ def empirical_check(T: Current, sys: StratonovichSystem, basis,
             for k in range(len(basis))]
     worst = int(np.argmax(diffs - tols))
     meta = {"dt": dt, "T": t, "n_paths": n_paths, "seed": seed,
-            "basisK": basis.cutoff, "grid": getattr(T, "grid_n", None),
+            "basisK": basis.cutoff, "grid": T.grid_n,
             "bias_c": bias_c}
     return InvarianceReport("empirical_mean", diffs[worst], tols[worst], meta,
                             per_basis=rows)
@@ -268,7 +272,7 @@ def empirical_check(T: Current, sys: StratonovichSystem, basis,
 
 def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
                    seed: int, n_paths: int,
-                   tolerance: float = 1e-2) -> InvarianceReport:
+                   tolerance: Optional[float] = None) -> InvarianceReport:
     """Pathwise volume deviation: residual = max over paths and times of
     |J - 1| from the co-evolved log-Jacobian. The noise is streamed in
     blocks of steps, so memory does not grow with the step count.
@@ -391,7 +395,7 @@ def foliation_pipeline(h: Subalgebra,
                 T, sys, basis, t, dt, seed, n_paths, "pathwise"))
         meta.update({"dt": dt, "T": t, "n_paths": n_paths,
                      "grid": grid_n, "basisK": basis_k})
-    return InvarianceReport("foliation_verdict", residual, 1e-10, meta,
+    return InvarianceReport("foliation_verdict", residual, None, meta,
                             subchecks=subchecks)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -273,12 +273,12 @@ def is_compatible_field(m: ChartedManifold, X: VectorFieldSpec) -> bool:
 # differential operators
 
 def product_divergence_expr(m: ChartedManifold, X: VectorFieldSpec,
-                            density: Optional[Expr] = None) -> Expr:
-    """div(density * X) as an expression; div_{mu}(f X) = f * div_{f mu}(X)."""
+                            density: Expr = expr.constant(1.0)) -> Expr:
+    """div(density * X) as an expression; div_{mu}(f X) = f * div_{f mu}(X).
+    The density 1 folds away: the result is div X itself."""
     terms = expr.constant(0.0)
     for i in range(m.dim):
-        w = X.components[i] if density is None else expr.mul(density, X.components[i])
-        terms = expr.add(terms, expr.diff(w, i))
+        terms = expr.add(terms, expr.diff(expr.mul(density, X.components[i]), i))
     return terms
 
 

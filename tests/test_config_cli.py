@@ -16,7 +16,7 @@ from stochflow.config import (
     serialize_config,
 )
 from stochflow.currents import DensityCurrent, volume_current
-from stochflow.invariance import EXACT_BIAS_C, empirical_check
+from stochflow.invariance import DEFAULT_TOLERANCES, EXACT_BIAS_C, empirical_check
 from stochflow.manifold import make_test_basis
 from stochflow.presets import PRESETS, preset_names, preset_text
 
@@ -150,7 +150,7 @@ weights = 0.5, 0.5
     cfg = parse_config(json.dumps(doc))
     assert cfg == parse_config(text)
     assert dict(cfg.current)["atoms"] == "0.1 0.2; 0.3 0.4"
-    assert build_experiment(cfg).current.atoms.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+    assert build_experiment(cfg).current.points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
 
 JSON_FLOW = '{"manifold": {"lengths": [1, 1]}, "fields": {"diffusion1": "1, 0"}, '
@@ -216,6 +216,36 @@ def test_non_finite_field_is_execution_error(tmp_path, capsys):
     cfg.write_text(MINIMAL_FLOW.replace("diffusion2 = 0, 1", "diffusion2 = 0, 1e999"))
     assert main(["check", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "diffusion 2 component 2 is inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,old,new", [
+    ("check", "density = 1", "density = 1/0"),
+    ("simulate", "drift = 0, 0", "drift = 1/0, 0"),
+], ids=["check_density", "simulate_drift"])
+def test_division_by_zero_is_one_error_line(tmp_path, capsys, command, old, new):
+    # constant folding divides 1 by 0 in Python floats when the
+    # expression is first evaluated
+    cfg = tmp_path / "div.cfg"
+    cfg.write_text(MINIMAL_FLOW.replace(old, new))
+    out = tmp_path / "out"
+    flag = "--out" if command == "check" else "--trajectory"
+    assert main([command, str(cfg), flag, str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: float division by zero"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("diffusion2 = 0, 1", "diffusion2 = 0, 1e999"),
+    (MINIMAL_FLOW, "[liealg]\nalgebra = file:no_such_constants.json\n"
+                   "subalgebra = 1\n\n[check foliation]\n"),
+], ids=["check", "constants_file"])
+def test_a_failed_check_makes_no_output_directory(tmp_path, capsys, old, new):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MINIMAL_FLOW.replace(old, new))
+    out = tmp_path / "out" / "nested"
+    assert main(["check", str(cfg), "--out", str(out)]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 TILTED_HAMILTONIAN = """\
@@ -324,6 +354,7 @@ HEISENBERG_LIEALG = "[liealg]\nalgebra = heisenberg\nsubalgebra = 1, 3\n\n"
 HEISENBERG_REALIZED = HEISENBERG_LIEALG.replace("\n\n", "\nrealization = heisenberg\n\n")
 MEAN_RULE = "must be >= 2: the mean check estimates a standard error"
 STEP_RULE = "t must be an integer multiple of dt"
+GRID_RULE = "must be >= 2"
 
 # values that failed inside build_experiment, or while the checks ran,
 # each with the command-line overrides it is parsed with
@@ -334,6 +365,21 @@ LOCATED_AT_PARSE = {
         "\n[check foliation]\npaths = 2\n", {},
         "liealg.realization", 4,
         "unknown realization 'sphere' (known: heisenberg, torus)"),
+    "unknown_algebra": (
+        "[liealg]\nalgebra = sl3\nsubalgebra = 1\n\n[check foliation]\n", {},
+        "liealg.algebra", 2, "unknown algebra 'sl3' (known: abelian1, abelian2, "
+        "abelian3, heisenberg, sl2, so3)"),
+    # a grid of one point, in the current or in any check that has a grid
+    "current_grid_of_one": (TORUS2 + "[current]\ngrid = 1\n", {}, "current.grid", 8,
+                            GRID_RULE),
+    "nform_grid_of_one": (TORUS2 + "[check mean_nform]\ngrid = 1\n", {},
+                          "check.mean_nform.grid", 8, GRID_RULE),
+    "residual_grid_of_one": (TORUS2 + "[check strict_residual]\ngrid = 1\n", {},
+                             "check.strict_residual.grid", 8, GRID_RULE),
+    "empirical_grid_of_one": (TORUS2 + "[check empirical_mean]\ngrid = 1\n", {},
+                              "check.empirical_mean.grid", 8, GRID_RULE),
+    "foliation_grid_of_one": (HEISENBERG_REALIZED + "[check foliation]\ngrid = 1\n",
+                              {}, "check.foliation.grid", 7, GRID_RULE),
     "heisenberg_with_two_lengths": (
         "[manifold]\ntype = heisenberg\nlengths = 1, 1\n\n"
         "[fields]\ndiffusion1 = 1, 0, 0\n", {},
@@ -515,6 +561,63 @@ def test_csv_rows_have_documented_header(tmp_path):
     assert rows[0] == ["check", "basis_index", "field_index", "value",
                        "std_error", "tolerance"]
     assert any(r[0] == "foliation_verdict" and r[3] == "2.0" for r in rows[1:])
+
+
+SMALL_MC = "t = 0.02\ndt = 0.01\nbasis_k = 1\n"
+NO_TOLERANCES = {
+    "flow": MINIMAL_FLOW.replace("tolerance = 1e-8\n", "") + (
+        "\n[check mean_nform]\n\n[check strict_residual]\nbasis_k = 1\n"
+        "\n[check mean_residual]\nbasis_k = 1\n"
+        f"\n[check empirical_pathwise]\n{SMALL_MC}"
+        f"\n[check empirical_mean]\n{SMALL_MC}paths = 4\n"
+        "\n[check jacobian]\nt = 0.02\ndt = 0.01\npaths = 2\n"),
+    "liealg": ("[liealg]\nalgebra = heisenberg\nsubalgebra = 1, 3\n"
+               f"realization = heisenberg\n\n[check foliation]\n{SMALL_MC}"
+               "paths = 4\ngrid = 4\n"),
+}
+
+
+def test_a_check_without_tolerance_reports_the_default_of_its_kind(tmp_path):
+    def reports(checks):
+        for chk in checks:
+            yield chk
+            yield from reports(chk.get("subchecks", []))
+
+    kinds = set()
+    for name, text in NO_TOLERANCES.items():
+        assert run(parse_config(text), tmp_path / name) == 0
+        doc = json.loads((tmp_path / name / "report.json").read_text())
+        for chk in reports(doc["payload"]["checks"]):
+            kinds.add(chk["kind"])
+            if chk["kind"] != "empirical_mean":  # 3*stderr + C*dt instead
+                assert chk["tolerance"] == DEFAULT_TOLERANCES[chk["kind"]], chk["kind"]
+    assert kinds == set(DEFAULT_TOLERANCES)
+
+
+def test_normalize_leaves_the_nform_residuals_of_the_raw_density(tmp_path):
+    # the n-form checks read the density expression, not the weights,
+    # which normalizing divides by the mass 3
+    nform = "\n[check strict_nform]\n\n[check mean_nform]\n"
+    tilted = TILTED_HAMILTONIAN.replace("density = 1 + 0.5*sin(2*pi*x1)",
+                                        "density = 3 + 1.5*sin(2*pi*x1)")
+    checks = []
+    for normalize in ("false", "true"):
+        text = tilted.replace("grid = 16\n",
+                              f"grid = 16\nnormalize = {normalize}\n") + nform
+        run(parse_config(text), tmp_path / normalize)
+        doc = json.loads((tmp_path / normalize / "report.json").read_text())
+        checks.append(doc["payload"]["checks"])
+    assert checks[0] == checks[1]
+    assert [c["residual"] > 0 for c in checks[0]] == [True, True]
+
+
+def test_an_nform_check_validates_the_density_at_its_own_grid(tmp_path, capsys):
+    # positive at the current's 8 midpoints per axis, where cos(8*pi*x1)
+    # is 0, but not at the 64 of the check
+    cfg = tmp_path / "dips.cfg"
+    cfg.write_text(MINIMAL_FLOW.replace("density = 1", "density = 0.5 - cos(8*pi*x1)"))
+    assert main(["check", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: current density must be positive\n"
 
 
 def test_csv_rows_carry_std_error_and_tolerance(tmp_path):

@@ -22,6 +22,8 @@ from stochflow.currents import (
 from stochflow.manifold import (
     VectorFieldSpec,
     apply_field,
+    grid_points,
+    heisenberg_manifold,
     make_test_basis,
     torus,
 )
@@ -68,6 +70,14 @@ def translation_system(dim=1):
 def test_eval_lebesgue_normalization():
     T = volume_current(T2, 16)
     assert evaluate_many(T, [expr.parse("1")])[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_volume_weights_are_the_grid_weights_bit_for_bit():
+    for m, n in ((T1, 16), (T2, 8), (heisenberg_manifold(), 4)):
+        T = volume_current(m, n)
+        pts, weights = grid_points(m, n)
+        assert T.points is pts
+        assert T.weights.tobytes() == weights.tobytes()
 
 
 def test_eval_single_atom():

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -11,9 +12,10 @@ from example_systems import (
     sin_drift_system,
     translation_bm_system,
 )
-from stochflow import expr, liealg
-from stochflow.currents import EmpiricalCurrent, volume_current
+from stochflow import expr, invariance, liealg
+from stochflow.currents import DensityCurrent, EmpiricalCurrent, volume_current
 from stochflow.invariance import (
+    DEFAULT_TOLERANCES,
     EXACT_BIAS_C,
     FALLBACK_BIAS_C,
     FrameRealization,
@@ -60,6 +62,33 @@ def test_report_verdict_must_match_comparison():
     assert not r.all_verdicts()
 
 
+def test_report_takes_the_default_tolerance_of_its_kind():
+    for kind, default in DEFAULT_TOLERANCES.items():
+        if default is not None:
+            assert InvarianceReport(kind, 0.0).tolerance == default
+    with pytest.raises(ValueError, match="unknown report kind"):
+        InvarianceReport("strict", 0.0)
+
+
+def test_foliation_default_tolerance_is_the_trace_bound():
+    # the verdict (residual <= tolerance) and the offending list (traces
+    # above liealg.TOL) must agree
+    assert DEFAULT_TOLERANCES["foliation_verdict"] == liealg.TOL
+
+
+def test_no_public_function_writes_its_own_default_tolerance():
+    # the defaults live in DEFAULT_TOLERANCES alone
+    takers = []
+    for name in invariance.__all__:
+        obj = getattr(invariance, name)
+        if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, Exception)):
+            param = inspect.signature(obj).parameters.get("tolerance")
+            if param is not None:
+                assert param.default is None, name
+                takers.append(name)
+    assert len(takers) == 6  # InvarianceReport and the five check functions
+
+
 def test_report_payload_carries_metadata():
     r = InvarianceReport(kind="empirical_mean", residual=0.0, tolerance=1.0,
                          metadata={"dt": 0.1, "T": 1.0, "n_paths": 3,
@@ -74,13 +103,13 @@ def test_report_payload_carries_metadata():
 
 def test_strict_nform_hamiltonian_passes():
     sys = hamiltonian_torus_system()
-    rep = check_strict_nform(T2, None, sys.fields(), 64)
+    rep = check_strict_nform(volume_current(T2), sys.fields())
     assert rep.verdict and rep.residual < 1e-8
 
 
 def test_strict_nform_sin_field_fails_at_2pi():
     X = VectorFieldSpec.from_strings(["sin(2*pi*x1)"])
-    rep = check_strict_nform(T1, None, [X], 64)
+    rep = check_strict_nform(volume_current(T1), [X])
     assert not rep.verdict
     assert rep.residual == pytest.approx(2 * math.pi, rel=0.01)
 
@@ -88,10 +117,11 @@ def test_strict_nform_sin_field_fails_at_2pi():
 def test_strict_nform_density_construction():
     f = expr.parse("exp(-sin(2*pi*x1))")
     X = VectorFieldSpec.from_strings(["1"])
-    rep = check_strict_nform(T1, f, [X], 64)
+    T = DensityCurrent(T1, f, 64)
+    rep = check_strict_nform(T, [X])
     assert not rep.verdict
     X_inv = VectorFieldSpec.from_strings(["exp(sin(2*pi*x1))"])  # 1/f
-    rep2 = check_strict_nform(T1, f, [X_inv], 64)
+    rep2 = check_strict_nform(T, [X_inv])
     assert rep2.verdict and rep2.residual < 1e-8
 
 
@@ -100,14 +130,14 @@ def test_strict_nform_density_construction():
 
 def test_mean_nform_passes_when_strict_passes():
     sys = translation_bm_system(1)
-    rep = check_mean_nform(T1, None, sys.fields(), 64)
+    rep = check_mean_nform(volume_current(T1), sys.fields())
     assert rep.verdict and rep.residual < 1e-12
 
 
 def test_mean_nform_detects_second_derivative_term():
     f = expr.parse("1 + 0.5*sin(2*pi*x1)")
     fields = [VectorFieldSpec.zero(1), VectorFieldSpec.from_strings(["1"])]
-    rep = check_mean_nform(T1, f, fields, 64)
+    rep = check_mean_nform(DensityCurrent(T1, f, 64), fields)
     assert not rep.verdict
     assert rep.residual == pytest.approx(math.pi ** 2, rel=0.01)
 
@@ -117,7 +147,7 @@ def test_mean_nform_drift_constructed_to_cancel():
     f = expr.parse("1 + 0.5*sin(2*pi*x1)")
     drift = VectorFieldSpec.from_strings(["pi*cos(2*pi*x1)/(2 + sin(2*pi*x1))"])
     fields = [drift, VectorFieldSpec.from_strings(["1"])]
-    rep = check_mean_nform(T1, f, fields, 64)
+    rep = check_mean_nform(DensityCurrent(T1, f, 64), fields)
     assert rep.verdict and rep.residual < 1e-6
 
 
@@ -301,7 +331,6 @@ def test_foliation_rejects_mismatched_realization():
 def test_nform_and_residual_verdicts_agree_on_builtin_configurations():
     # the divergence criterion and the derivative-current criterion are
     # two sides of the same condition; their verdicts must agree
-    from stochflow.currents import DensityCurrent
     from example_systems import multiplicative_circle_system
 
     inv_density = expr.parse("exp(-sin(2*pi*x1))")
@@ -309,11 +338,12 @@ def test_nform_and_residual_verdicts_agree_on_builtin_configurations():
     tilted = expr.parse("1 + 0.5*sin(2*pi*x1)")
     plain = VectorFieldSpec.from_strings(["1"])
 
+    volume = expr.constant(1.0)
     cases = [
-        (translation_bm_system(2), None, T2),
-        (hamiltonian_torus_system(), None, T2),
-        (sin_drift_system(), None, T1),
-        (multiplicative_circle_system(), None, T1),
+        (translation_bm_system(2), volume, T2),
+        (hamiltonian_torus_system(), volume, T2),
+        (sin_drift_system(), volume, T1),
+        (multiplicative_circle_system(), volume, T1),
         (StratonovichSystem(manifold=T1, drift=VectorFieldSpec.zero(1),
                             diffusions=(plain,)), tilted, T1),
         (StratonovichSystem(manifold=T1, drift=VectorFieldSpec.zero(1),
@@ -321,8 +351,8 @@ def test_nform_and_residual_verdicts_agree_on_builtin_configurations():
     ]
     verdicts = []
     for sys, density, m in cases:
-        nform = check_strict_nform(m, density, sys.fields(), 64, tolerance=1e-8)
         T = DensityCurrent(manifold=m, density=density, grid_n=64)
+        nform = check_strict_nform(T, sys.fields(), tolerance=1e-8)
         basis = make_test_basis(m, 3)
         residual = residual_check(T, sys, basis, "strict", tolerance=1e-8)
         assert nform.verdict == residual.verdict, sys.label
@@ -453,7 +483,8 @@ def per_tree_mean_nform(m, density, fields, grid_n):
 
 
 def nform_cases():
-    cases = [(s.manifold, None, s.fields()) for s in builtin_systems().values()]
+    cases = [(s.manifold, expr.constant(1.0), s.fields())
+             for s in builtin_systems().values()]
     ham = hamiltonian_torus_system()
     cases.append((T2, expr.parse("1.5 + 0.5*cos(2*pi*x1)*sin(2*pi*x2)"), ham.fields()))
     cases.append((T2, expr.parse("1.5 + 0.5*cos(2*pi*x1)"),
@@ -466,9 +497,10 @@ def nform_cases():
 @pytest.mark.parametrize("case", range(len(nform_cases())))
 def test_nform_checks_equal_per_tree_route(case):
     m, density, fields = nform_cases()[case]
-    strict = check_strict_nform(m, density, fields, 16)
+    T = DensityCurrent(m, density, 16)
+    strict = check_strict_nform(T, fields)
     assert [row["value"] for row in strict.per_basis] == \
         per_tree_strict_nform(m, density, fields, 16)
     assert strict.residual == max(row["value"] for row in strict.per_basis)
-    mean = check_mean_nform(m, density, fields, 16)
+    mean = check_mean_nform(T, fields)
     assert mean.residual == per_tree_mean_nform(m, density, fields, 16)

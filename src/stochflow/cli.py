@@ -13,12 +13,8 @@ Exit codes: 0 when every verdict is true, 2 when any check fails,
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import json
 import sys as _sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import (
@@ -39,12 +35,13 @@ from .sde import (
     write_trajectory_csv,
 )
 
-# The invariance, liealg and currents layers are imported inside the
-# functions that use them, so that a command loads only what it runs:
-# `simulate` on a flow preset loads neither invariance nor liealg, and
-# `check` on a flow preset does not load liealg.
+# The invariance, liealg and currents layers, and the modules that write
+# the report, are imported inside the functions that use them, so that a
+# command loads only what it runs: `simulate` on a flow preset loads
+# neither the checks' layers nor the report writer, and `check` on a
+# flow preset does not load liealg.
 
-__all__ = ["main", "run", "build_experiment"]
+__all__ = ["main", "run", "build_experiment", "build_current"]
 
 
 # ---------------------------------------------------------------------------
@@ -56,35 +53,28 @@ class Experiment:
     def __init__(self, config):
         self.config = config
         self.system = None
-        self.current = None
         self.subalgebra = None
         self.realization = None
 
 
 def build_experiment(config: ExperimentConfig) -> Experiment:
+    """The system of a flow config, or the subalgebra and realization of
+    a liealg config; run builds the [current] (build_current) only when
+    a check reads it."""
     exp = Experiment(config)
     value = config.value
     if config.is_liealg:
-        from . import liealg
         from .invariance import heisenberg_realization, torus_translation_realization
+        from .liealg import Subalgebra
 
-        name = value("liealg.algebra")
-        if value("liealg.constants") is not None:
-            algebra = liealg.load_structure_constants(value("liealg.constants"))
-        elif isinstance(name, Path):
-            with open(name, encoding="utf-8") as fh:
-                algebra = liealg.load_structure_constants(fh)
-        else:
-            algebra = liealg.algebra_zoo()[name]
-        exp.subalgebra = liealg.Subalgebra(algebra, value("liealg.subalgebra"))
+        algebra = value("liealg.constants") or value("liealg.algebra")
+        exp.subalgebra = Subalgebra(algebra, value("liealg.subalgebra"))
         realization = value("liealg.realization")
         if realization == "heisenberg":
             exp.realization = heisenberg_realization()
         elif realization == "torus":
             exp.realization = torus_translation_realization(algebra.n)
         return exp
-    from .currents import DensityCurrent, EmpiricalCurrent
-
     dim = value("manifold.dim")
     manifold = ChartedManifold(dim=dim, box_lengths=value("manifold.lengths"),
                                identification=value("manifold.type"))
@@ -93,25 +83,30 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
                                              *value("fields.diffusions"))]
     exp.system = StratonovichSystem(manifold=manifold, drift=drift,
                                     diffusions=tuple(diffusions))
-    if value("current.type") == "empirical":
-        exp.current = EmpiricalCurrent(manifold=manifold,
-                                       atoms=value("current.atoms"),
-                                       atom_weights=value("current.weights"))
-    else:
-        exp.current = DensityCurrent(manifold=manifold,
-                                     density=value("current.density"),
-                                     grid_n=value("current.grid"),
-                                     normalize=value("current.normalize"))
     return exp
+
+
+def build_current(exp: Experiment) -> Current:
+    """The [current] of a flow experiment, on its own grid."""
+    from .currents import DensityCurrent, EmpiricalCurrent
+
+    value, manifold = exp.config.value, exp.system.manifold
+    if value("current.type") == "empirical":
+        return EmpiricalCurrent(manifold=manifold, atoms=value("current.atoms"),
+                                atom_weights=value("current.weights"))
+    return DensityCurrent(manifold=manifold, density=value("current.density"),
+                          grid_n=value("current.grid"),
+                          normalize=value("current.normalize"))
 
 
 # ---------------------------------------------------------------------------
 # check dispatch
 
-def _run_check(exp: Experiment, chk: CheckSpec) -> InvarianceReport:
+def _run_check(exp: Experiment, current, chk: CheckSpec) -> InvarianceReport:
     """Run one check, reading the values of the keys config.CHECK_KEYS
     lists for its kind; parse_config has matched the kind to the
-    experiment and applied the overrides."""
+    experiment and applied the overrides. current is build_current(exp),
+    or None when no check reads it."""
     from .currents import DensityCurrent
     from .invariance import (
         check_mean_nform,
@@ -131,7 +126,7 @@ def _run_check(exp: Experiment, chk: CheckSpec) -> InvarianceReport:
     if kind == "jacobian":
         return jacobian_check(exp.system, value("x0"), value("t"), value("dt"),
                               value("seed"), value("paths"), value("tolerance"))
-    T, grid = exp.current, value("grid")  # None: the current's own grid
+    T, grid = current, value("grid")  # None: the current's own grid
     if grid not in (None, T.grid_n):
         T = DensityCurrent(T.manifold, T.density, grid, T.normalize)
     if kind in ("strict_nform", "mean_nform"):
@@ -171,6 +166,8 @@ def _csv_rows(report: InvarianceReport):
 
 
 def _write_csvs(reports, outdir: Path):
+    import csv
+
     for i, rep in enumerate(reports, start=1):
         path = outdir / f"check_{i:02d}_{rep.kind}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -189,13 +186,20 @@ def run(config: ExperimentConfig, outdir) -> int:
     Returns 0 when all verdicts hold, 2 when any fails, 1 on error; the
     output directory is made only when the checks have run.
     """
+    import hashlib
+    import json
+    from datetime import datetime, timezone
+
     outdir = Path(outdir)
     try:
         exp = build_experiment(config)
+        # built once, before any check runs, so a bad density fails first
+        reads_current = {c.kind for c in config.checks} - {"foliation", "jacobian"}
+        current = build_current(exp) if reads_current else None
         reports, timings = [], []
         for chk in config.checks:
             start = time.perf_counter()
-            reports.append(_run_check(exp, chk))
+            reports.append(_run_check(exp, current, chk))
             timings.append({"kind": reports[-1].kind,
                             "wall_s": time.perf_counter() - start})
         payload = {

@@ -32,9 +32,7 @@ serialize_config.
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
 
 from . import expr
 from .sde import step_count
@@ -224,6 +222,8 @@ def _json_to_sections(doc, issues):
         if isinstance(v, bool):
             return "true" if v else "false"
         if isinstance(v, dict):
+            import json
+
             return json.dumps(v, sort_keys=True)
         return str(v)
 
@@ -366,21 +366,30 @@ def _atoms(value, values):
     return None if value.failed else tuple(atoms)
 
 
-def _constants(value, values):
+def _constants(value, values, source=None):
+    """The algebra of the inline JSON constants, or of source, an open
+    constants file; None after reporting why it cannot be read."""
+    from .liealg import load_structure_constants  # only for a liealg experiment
+
     try:
-        return json.loads(value.text)
-    except json.JSONDecodeError as e:
-        return value.fail(f"inline constants are not valid JSON: {e.msg}")
+        return load_structure_constants(source or value.text)
+    except ValueError as e:  # a JSON syntax error included
+        return value.fail(str(e))
 
 
 def _algebra(value, values):
-    """A name of liealg.algebra_zoo, or file:PATH of a constants file."""
+    """An algebra of liealg.algebra_zoo by name, or read from file:PATH."""
     name = value.text
     if name.startswith("file:"):
-        return Path(name[len("file:"):])
+        try:
+            with open(name[len("file:"):], encoding="utf-8") as fh:
+                return _constants(value, values, fh)
+        except OSError as e:
+            return value.fail(f"cannot read the constants file: {e}")
     from .liealg import algebra_zoo  # loaded only for a liealg experiment
 
-    return _choice("algebra", *sorted(algebra_zoo()))(value, values)
+    zoo = algebra_zoo()
+    return zoo.get(_choice("algebra", *sorted(zoo))(value, values))
 
 
 def _indices(value, values):  # 1-based in the config, 0-based as values
@@ -584,6 +593,8 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     issues = []
     overrides = _overrides(overrides or {}, issues)
     if text.lstrip().startswith("{"):
+        import json
+
         try:
             doc = json.loads(text, object_pairs_hook=_JSONObject)
         except json.JSONDecodeError as e:

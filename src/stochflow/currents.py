@@ -66,7 +66,9 @@ class DensityCurrent:
         if not isinstance(density, Expr):
             raise TypeError(f"current density must be an expression, not {density!r}")
         pts, weights = grid_points(manifold, grid_n)
-        vals = expr.evaluate(density, pts)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # a value that is not finite fails one of the two tests below
+            vals = expr.evaluate(density, pts)
         if not np.all(vals > 0):
             raise DegenerateDensityError("current density must be positive")
         weights = weights * vals

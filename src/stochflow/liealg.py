@@ -49,7 +49,8 @@ class NotASubalgebraError(ValueError):
 
 class LieAlgebraData:
     """Structure constants c (n, n, n), read-only, with [v_i, v_j] =
-    sum_k c[i, j, k] v_k, and optional names of the basis vectors."""
+    sum_k c[i, j, k] v_k, and optional names of the basis vectors.
+    Equal to any algebra of the same constants and names."""
 
     def __init__(self, n: int, c: np.ndarray, basis_labels: Optional[tuple] = None):
         c = np.ascontiguousarray(np.asarray(c, dtype=float))
@@ -70,6 +71,12 @@ class LieAlgebraData:
         self.n = n
         self.c = c
         self.basis_labels = basis_labels
+
+    def __eq__(self, other):
+        return (type(other) is LieAlgebraData and np.array_equal(self.c, other.c)
+                and self.basis_labels == other.basis_labels)
+
+    __hash__ = None
 
     def label(self, i: int) -> str:
         if self.basis_labels is not None:

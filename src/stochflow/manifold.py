@@ -255,9 +255,9 @@ def is_compatible_field(m: ChartedManifold, X: VectorFieldSpec) -> bool:
     sample points p and once on all their images q.
     """
     p, q, dgamma = identified_pairs(m)
-    vp, vq = X(p), X(q)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a non-finite value makes the difference non-finite
+        vp, vq = X(p), X(q)
         if np.max(np.abs(np.einsum("nij,nj->ni", dgamma, vp) - vq)) <= 1e-10:
             return True
     for pts, v in ((p, vp), (q, vq)):

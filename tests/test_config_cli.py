@@ -1,13 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from example_systems import translation_bm_system
 from stochflow import expr
-from stochflow.cli import build_experiment, main, run
+from stochflow.cli import build_current, build_experiment, main, run
 from stochflow.config import (
     CHECK_KEYS,
     CheckSpec,
@@ -19,6 +22,8 @@ from stochflow.currents import DensityCurrent, volume_current
 from stochflow.invariance import DEFAULT_TOLERANCES, EXACT_BIAS_C, empirical_check
 from stochflow.manifold import make_test_basis
 from stochflow.presets import PRESETS, preset_names, preset_text
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL_FLOW = """\
 [manifold]
@@ -49,7 +54,7 @@ def test_hamiltonian_preset_parses_with_two_diffusions():
     assert dict(cfg.current)["density"] == "1"
     exp = build_experiment(cfg)
     assert exp.system.m == 2
-    assert isinstance(exp.current, DensityCurrent)
+    assert isinstance(build_current(exp), DensityCurrent)
 
 
 def test_all_presets_parse_and_roundtrip():
@@ -150,7 +155,8 @@ weights = 0.5, 0.5
     cfg = parse_config(json.dumps(doc))
     assert cfg == parse_config(text)
     assert dict(cfg.current)["atoms"] == "0.1 0.2; 0.3 0.4"
-    assert build_experiment(cfg).current.points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+    T = build_current(build_experiment(cfg))
+    assert T.points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
 
 JSON_FLOW = '{"manifold": {"lengths": [1, 1]}, "fields": {"diffusion1": "1, 0"}, '
@@ -246,6 +252,54 @@ def test_a_failed_check_makes_no_output_directory(tmp_path, capsys, old, new):
     assert main(["check", str(cfg), "--out", str(out)]) == 1
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_check_evaluates_the_density_once(tmp_path, monkeypatch):
+    # the preset's strict_nform runs at grid 64, the current's own grid,
+    # so it reads the current that run built before the checks
+    evaluated = []
+    evaluate = expr.evaluate
+    monkeypatch.setattr(expr, "evaluate", lambda node, points: evaluated.append(
+        (node, len(points))) or evaluate(node, points))
+    assert main(["check", "hamiltonian_torus", "--dt", "0.01",
+                 "--out", str(tmp_path)]) == 0
+    assert evaluated == [(expr.constant(1.0), 64 * 64)]
+
+
+def test_a_density_only_the_checks_read_fails_check_but_not_simulate(tmp_path,
+                                                                     capsys):
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text(MINIMAL_FLOW.replace("density = 1", "density = -1"))
+    out = tmp_path / "out"
+    assert main(["check", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: current density must be positive"]
+    assert not out.exists()
+    trajectory = tmp_path / "traj.csv"
+    assert main(["simulate", str(cfg), "--trajectory", str(trajectory),
+                 "--t", "0.1", "--dt", "0.01"]) == 0
+    assert len(trajectory.read_text().splitlines()) == 12
+
+
+@pytest.mark.parametrize("preset,old,new,message", [
+    ("hamiltonian_torus", "density = 1", "density = exp(1000*x1)",
+     "current has non-finite total mass"),
+    ("translation_bm_torus", "drift = 0, 0", "drift = exp(1000*x1), 0",
+     "drift component 1 is inf at x = "),
+], ids=["check_density", "simulate_drift"])
+def test_an_overflow_prints_only_the_error_line(tmp_path, preset, old, new, message):
+    # numpy would print a RuntimeWarning and its source line to stderr first
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(preset_text(preset).replace(old, new))
+    command = (["check", str(cfg), "--out", str(tmp_path / "out")]
+               if preset == "hamiltonian_torus" else
+               ["simulate", str(cfg), "--trajectory", str(tmp_path / "t.csv")])
+    proc = subprocess.run([sys.executable, "-m", "stochflow.cli", *command],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
 
 TILTED_HAMILTONIAN = """\
@@ -346,7 +400,8 @@ def test_normalize_is_true_or_false(text, value):
         assert [(i.path, i.message) for i in e.value.issues] == [
             ("current.normalize", f"expected true or false, got {text!r}")]
     else:
-        assert build_experiment(parse_config(config)).current.normalize is value
+        T = build_current(build_experiment(parse_config(config)))
+        assert T.normalize is value
 
 
 TORUS2 = "[manifold]\nlengths = 1, 1\n\n[fields]\ndiffusion1 = 1, 0\n\n"
@@ -982,26 +1037,47 @@ MALFORMED_CONSTANTS = {
     "coeffs_not_list": (_brackets({"i": 1, "j": 2, "coeffs": 3}),
                         "bracket (1, 2): 'coeffs' must be a list of finite numbers"),
     "huge_dim": ({"dim": 100000}, "dim must be at most 32, not 100000"),
+    "index_out_of_range": (_brackets({"i": 1, "j": 5, "coeffs": [0, 0]}),
+                           "bracket index out of range: (1, 5)"),
 }
 
 
-@pytest.mark.parametrize("route", ["file", "inline"])
+@pytest.mark.parametrize("route", ["file", "inline", "algebra_file"])
 @pytest.mark.parametrize("doc,message", MALFORMED_CONSTANTS.values(),
                          ids=list(MALFORMED_CONSTANTS))
 def test_malformed_constants_are_one_error_line(tmp_path, capsys, route, doc, message):
+    # a config reports them at the line of the key that gives the constants
     text = json.dumps(doc)
+    path = tmp_path / "constants.json"
+    path.write_text(text)
     if route == "file":
-        path = tmp_path / "constants.json"
-        path.write_text(text)
-        code = main(["liealg", str(path), "--subalgebra", "1,2"])
+        code, where = main(["liealg", str(path), "--subalgebra", "1,2"]), ""
     else:
-        cfg = tmp_path / "inline.cfg"
-        cfg.write_text(f"[liealg]\nconstants = {text}\nsubalgebra = 1, 2\n\n"
+        key, entry = (("constants", text) if route == "inline"
+                      else ("algebra", f"file:{path}"))
+        cfg = tmp_path / "liealg.cfg"
+        cfg.write_text(f"[liealg]\n{key} = {entry}\nsubalgebra = 1, 2\n\n"
                        "[check foliation]\nseed = 0\n")
         code = main(["check", str(cfg), "--out", str(tmp_path / "out")])
+        where = f"liealg.{key} (line 2, column {len(key) + 4}): "
     err = capsys.readouterr().err.splitlines()
     assert code == 1
-    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert len(err) == 1 and err[0].startswith(f"error: {where}{message}")
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_a_missing_constants_file_is_reported_at_its_key(tmp_path, capsys, command):
+    missing = tmp_path / "missing.json"
+    cfg = tmp_path / "liealg.cfg"
+    cfg.write_text(f"[liealg]\nalgebra = file:{missing}\nsubalgebra = 1, 3\n"
+                   "realization = heisenberg\n\n[check foliation]\npaths = 2\n")
+    out = tmp_path / "out"
+    flag = "--out" if command == "check" else "--trajectory"
+    assert main([command, str(cfg), flag, str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: liealg.algebra (line 2, column 11): cannot read the constants "
+        f"file: [Errno 2] No such file or directory: '{missing}'"]
+    assert not out.exists()
 
 
 SUBALGEBRA_ERRORS = {

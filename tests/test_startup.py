@@ -1,12 +1,12 @@
 """What a command loads at start-up, and the package's lazy re-exports.
 
-The module-load tests run each command in a fresh interpreter and read
-``sys.modules`` after ``cli.main`` returns, so that an eager import
-which loads a layer the command never runs shows up here.
+The module-load tests run each command, or the set-up every command
+runs, in a fresh interpreter and read ``sys.modules`` at its end, so
+that an eager import which loads a layer the command never runs shows
+up here.
 """
 
 import importlib
-import json
 import os
 import re
 import subprocess
@@ -20,25 +20,41 @@ from stochflow.manifold import ChartedManifold, make_test_basis, torus
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The scripts print without json, so that it shows only where stochflow
+# loads it: three last lines of code, then space-separated module names.
 _RUN_MAIN = """\
-import json, sys
+import sys
 import stochflow
 bare = sorted(m for m in sys.modules if m.startswith("stochflow."))
 from stochflow import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "bare": bare, "modules": sorted(sys.modules)}))
+print(code, " ".join(bare), " ".join(sorted(sys.modules)), sep="\\n")
+"""
+
+# the set-up that every command runs, after numpy, as bench/probe.py times it
+_SET_UP = """\
+import sys
+import numpy
+from stochflow import cli, config, presets
+cli.build_experiment(config.parse_config(presets.preset_text(sys.argv[1])))
+print(0, "", " ".join(sorted(sys.modules)), sep="\\n")
 """
 
 
-def run_main(argv, cwd):
+def run_script(script, argv, cwd=None):
     """(exit code, modules loaded by `import stochflow` alone, modules
-    loaded after cli.main(argv)), from a fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-c", _RUN_MAIN, *argv], cwd=cwd,
+    loaded at the end), from script run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
-    return out["code"], out["bare"], set(out["modules"])
+    code, bare, modules = proc.stdout.splitlines()[-3:]
+    return int(code), bare.split(), set(modules.split())
+
+
+def run_main(argv, cwd):
+    """run_script of cli.main(argv)."""
+    return run_script(_RUN_MAIN, argv, cwd)
 
 
 COMMANDS = {
@@ -57,6 +73,16 @@ def loaded(tmp_path_factory):
     return {name: run_main(argv, cwd) for name, argv in COMMANDS.items()}
 
 
+# what only `check` reads: the current, and the modules that write its report
+CHECK_ONLY = {"stochflow.currents", "json", "csv", "hashlib"}
+
+
+def test_set_up_of_a_flow_preset_loads_nothing_only_check_reads():
+    _, _, modules = run_script(_SET_UP, ["hamiltonian_torus"])
+    assert "stochflow.sde" in modules
+    assert not CHECK_ONLY & modules
+
+
 def test_simulate_of_a_flow_preset_loads_neither_invariance_nor_liealg(loaded):
     code, bare, modules = loaded["simulate_flow"]
     assert code == 0
@@ -64,12 +90,14 @@ def test_simulate_of_a_flow_preset_loads_neither_invariance_nor_liealg(loaded):
     assert "stochflow.sde" in modules
     assert "stochflow.invariance" not in modules
     assert "stochflow.liealg" not in modules
+    # hashlib is not asserted: numpy.random loads it to draw the noise
+    assert not (CHECK_ONLY - {"hashlib"}) & modules
 
 
 def test_check_of_a_flow_preset_loads_neither_liealg_nor_numpy_random(loaded):
     code, _, modules = loaded["check_flow"]
     assert code == 0
-    assert "stochflow.invariance" in modules
+    assert {"stochflow.invariance", *CHECK_ONLY} <= modules
     assert "stochflow.liealg" not in modules
     assert "numpy.random" not in modules
 
@@ -77,8 +105,8 @@ def test_check_of_a_flow_preset_loads_neither_liealg_nor_numpy_random(loaded):
 def test_check_of_a_foliation_preset_loads_its_layers(loaded):
     code, _, modules = loaded["check_foliation"]
     assert code == 0
-    assert {"stochflow.invariance", "stochflow.liealg", "stochflow.currents",
-            "numpy.random"} <= modules
+    assert {"stochflow.invariance", "stochflow.liealg", "numpy.random",
+            *CHECK_ONLY} <= modules
     # every coefficient of its constant fields is a constant, which the
     # zero test answers without expanding (and importing fractions)
     assert "fractions" not in modules

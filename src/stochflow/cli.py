@@ -7,7 +7,9 @@ Commands:
     presets list | show NAME
 
 Exit codes: 0 when every verdict is true, 2 when any check fails,
-1 on usage, configuration or execution errors.
+1 on usage, configuration or execution errors. The commands raise their
+errors, and main alone catches them: each issue of a ConfigError, or an
+ArithmeticError, OSError or ValueError, is one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -183,46 +185,43 @@ def run(config: ExperimentConfig, outdir) -> int:
     report.json holds the hashed ``payload``, its ``payload_sha256``, and
     outside the hash ``generated_at`` and ``diagnostics``: per check, in
     the order of payload["checks"], its kind and wall time ``wall_s``.
-    Returns 0 when all verdicts hold, 2 when any fails, 1 on error; the
-    output directory is made only when the checks have run.
+    Returns 0 when all verdicts hold and 2 when any fails; an error
+    propagates to the caller. The output directory is made only after
+    every check has run, so a failed check leaves none.
     """
     import hashlib
     import json
     from datetime import datetime, timezone
 
     outdir = Path(outdir)
-    try:
-        exp = build_experiment(config)
-        # built once, before any check runs, so a bad density fails first
-        reads_current = {c.kind for c in config.checks} - {"foliation", "jacobian"}
-        current = build_current(exp) if reads_current else None
-        reports, timings = [], []
-        for chk in config.checks:
-            start = time.perf_counter()
-            reports.append(_run_check(exp, current, chk))
-            timings.append({"kind": reports[-1].kind,
-                            "wall_s": time.perf_counter() - start})
-        payload = {
-            "config": serialize_config(config),
-            "overrides": dict(config.overrides),
-            "checks": [r.payload() for r in reports],
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        document = {
-            "payload": payload,
-            "payload_sha256": hashlib.sha256(blob.encode()).hexdigest(),
-            "generated_at": datetime.now(timezone.utc).isoformat(),
-            # outside the payload, so the hash stays deterministic
-            "diagnostics": {"checks": timings},
-        }
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_csvs(reports, outdir)
-    except (ArithmeticError, OSError, ValueError) as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 1
+    exp = build_experiment(config)
+    # built once, before any check runs, so a bad density fails first
+    reads_current = {c.kind for c in config.checks} - {"foliation", "jacobian"}
+    current = build_current(exp) if reads_current else None
+    reports, timings = [], []
+    for chk in config.checks:
+        start = time.perf_counter()
+        reports.append(_run_check(exp, current, chk))
+        timings.append({"kind": reports[-1].kind,
+                        "wall_s": time.perf_counter() - start})
+    payload = {
+        "config": serialize_config(config),
+        "overrides": dict(config.overrides),
+        "checks": [r.payload() for r in reports],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    document = {
+        "payload": payload,
+        "payload_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+        # outside the payload, so the hash stays deterministic
+        "diagnostics": {"checks": timings},
+    }
+    outdir.mkdir(parents=True, exist_ok=True)
+    with open(outdir / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    _write_csvs(reports, outdir)
     for rep in reports:
         status = "pass" if rep.all_verdicts() else "FAIL"
         print(f"[{status}] {rep.kind}: residual={rep.residual:.6g} "
@@ -235,7 +234,7 @@ def run(config: ExperimentConfig, outdir) -> int:
 
 def _load_config_text(path_or_name: str) -> str:
     path = Path(path_or_name)
-    if path.exists():
+    if path.is_file():
         return path.read_text(encoding="utf-8")
     if path_or_name in preset_names():
         return preset_text(path_or_name)
@@ -244,29 +243,16 @@ def _load_config_text(path_or_name: str) -> str:
 
 def _cmd_check(args) -> int:
     overrides = {"seed": args.seed, "dt": args.dt, "paths": args.paths}
-    try:
-        config = parse_config(_load_config_text(args.config), overrides)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 1
-    except ConfigError as e:
-        for issue in e.issues:
-            print(f"error: {issue}", file=_sys.stderr)
-        return 1
-    return run(config, args.out)
+    return run(parse_config(_load_config_text(args.config), overrides), args.out)
 
 
 def _cmd_liealg(args) -> int:
     from . import liealg
 
-    try:
-        with open(args.constants, encoding="utf-8") as fh:
-            g = liealg.load_structure_constants(fh)
-        h = liealg.parse_subalgebra(args.subalgebra, g)
-        ok, offending = liealg.invariance_verdict(h)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 1
+    with open(args.constants, encoding="utf-8") as fh:
+        g = liealg.load_structure_constants(fh)
+    h = liealg.parse_subalgebra(args.subalgebra, g)
+    ok, offending = liealg.invariance_verdict(h)
     print(f"dimension: {g.n}")
     print(f"subalgebra: {', '.join(g.label(i) for i in h.indices)}")
     print(f"nilpotent: {liealg.is_nilpotent(g)}")
@@ -283,48 +269,32 @@ def _cmd_liealg(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        config = parse_config(_load_config_text(args.config))
-        exp = build_experiment(config)
-        if exp.system is not None:
-            system = exp.system
-        elif exp.realization is not None:
-            from .invariance import foliated_system
+    exp = build_experiment(parse_config(_load_config_text(args.config)))
+    system = exp.system
+    if system is None and exp.realization is None:
+        raise ValueError("config has no simulatable system "
+                         "(liealg experiment without a realization)")
+    if system is None:
+        from .invariance import foliated_system
 
-            system = foliated_system(exp.subalgebra, exp.realization)
-        else:
-            print("error: config has no simulatable system "
-                  "(liealg experiment without a realization)", file=_sys.stderr)
-            return 1
-        flags = parse_flags({"t": args.t, "dt": args.dt, "x0": args.x0},
-                            system.manifold)
-        steps = step_count(flags["t"], flags["dt"])
-        noise = generate_noise(args.seed, args.path_index, system.m, flags["dt"],
-                               steps)
-        result = flow_with_jacobian(system, flags["x0"], noise)
-        with open(args.trajectory, "w", newline="", encoding="utf-8") as fh:
-            write_trajectory_csv(result, fh)
-    except ConfigError as e:
-        for issue in e.issues:
-            print(f"error: {issue}", file=_sys.stderr)
-        return 1
-    except (ArithmeticError, OSError, ValueError) as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 1
+        system = foliated_system(exp.subalgebra, exp.realization)
+    flags = parse_flags({"t": args.t, "dt": args.dt, "x0": args.x0,
+                         "seed": args.seed}, system.manifold)
+    steps = step_count(flags["t"], flags["dt"])
+    noise = generate_noise(flags["seed"], args.path_index, system.m, flags["dt"],
+                           steps)
+    result = flow_with_jacobian(system, flags["x0"], noise)
+    with open(args.trajectory, "w", newline="", encoding="utf-8") as fh:
+        write_trajectory_csv(result, fh)
     print(f"wrote {args.trajectory} ({steps + 1} rows)")
     return 0
 
 
 def _cmd_presets(args) -> int:
     if args.action == "list":
-        for name in preset_names():
-            print(name)
-        return 0
-    try:
+        print(*preset_names(), sep="\n")
+    else:
         print(preset_text(args.name), end="")
-    except KeyError as e:
-        print(f"error: {e.args[0]}", file=_sys.stderr)
-        return 1
     return 0
 
 
@@ -338,8 +308,8 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="run the checks of a config or preset")
     p_check.add_argument("config", help="config file path or preset name")
     p_check.add_argument("--out", default="out", help="output directory")
-    p_check.add_argument("--seed", type=int)
-    p_check.add_argument("--dt")  # converted by parse_config, as in a config
+    p_check.add_argument("--seed")  # converted by parse_config, as in a config
+    p_check.add_argument("--dt")
     p_check.add_argument("--paths")
     p_check.set_defaults(func=_cmd_check)
 
@@ -354,7 +324,7 @@ def main(argv=None) -> int:
     p_sim.add_argument("--trajectory", required=True, help="output CSV path")
     p_sim.add_argument("--t")  # converted by parse_flags, as a check's t
     p_sim.add_argument("--dt")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed")
     p_sim.add_argument("--path-index", type=int, default=0)
     p_sim.add_argument("--x0", default=None, help="comma-separated start point")
     p_sim.set_defaults(func=_cmd_simulate)
@@ -367,18 +337,19 @@ def main(argv=None) -> int:
     p_show.add_argument("name")
     p_show.set_defaults(func=_cmd_presets)
 
+    # the one error boundary: bad input is one error line per issue, exit 1
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as e:  # argparse exits 2 on a usage error, 0 on --help
         return 1 if e.code else 0
-    for flag in ("seed", "path_index"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            print(f"error: --{flag.replace('_', '-')} must be >= 0, got {value}",
-                  file=_sys.stderr)
-            return 1
-    return args.func(args)
-
+    except ConfigError as e:
+        errors = e.issues
+    except (ArithmeticError, OSError, ValueError) as e:
+        errors = [e]
+    for error in errors:
+        print(f"error: {error}", file=_sys.stderr)
+    return 1
 
 if __name__ == "__main__":
     raise SystemExit(main())

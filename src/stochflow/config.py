@@ -25,8 +25,8 @@ accepted as an alternative input.
 
 parse_config converts each value once, by its entry in _VALUES, which
 also holds its default; the command-line overrides --seed, --dt and
---paths of `check`, and --t, --dt and --x0 of `simulate` (parse_flags),
-go through the same entries. The raw text is kept only for
+--paths of `check`, and --t, --dt, --x0 and --seed of `simulate`
+(parse_flags), go through the same entries. The raw text is kept only for
 serialize_config.
 """
 
@@ -34,7 +34,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import expr
+from .manifold import ChartedManifold
 from .sde import step_count
 
 __all__ = [
@@ -318,8 +321,14 @@ def _choice(what, *options):
 
 def _lengths(value, values):
     lengths = _numbers(rule=_POSITIVE)(value, values)
-    if lengths and values["manifold.type"] == "heisenberg" and len(lengths) != 3:
+    kind = values["manifold.type"]
+    if lengths and kind == "heisenberg" and len(lengths) != 3:
         return value.fail(f"a heisenberg manifold has 3 lengths, got {len(lengths)}")
+    if lengths and kind:
+        try:  # the heisenberg lattice rule
+            ChartedManifold(len(lengths), lengths, kind)
+        except ValueError as e:
+            return value.fail(str(e), offset=None)
     return lengths
 
 
@@ -332,6 +341,11 @@ def _expression(value, text, offset, dim):
     if dim is not None and used > dim:
         return value.fail(f"references x{used} but the manifold has dimension {dim}",
                           offset)
+    try:  # fold the constants as an evaluation does, so 1/0 fails here
+        with np.errstate(all="ignore"):
+            expr.Lowering().emit(node, [f"x{i}" for i in range(used)])
+    except ArithmeticError as e:
+        return value.fail(str(e), offset)
     return node
 
 
@@ -682,7 +696,8 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
 
 def parse_flags(flags, manifold) -> dict:
     """key -> typed value of command-line flags named after check keys
-    ("t", "dt", "x0"), checked against manifold as a check's values are.
+    ("t", "dt", "x0", "seed"), checked against manifold as a check's
+    values are.
 
     flags maps each key to its text, or to None when not given. Each is
     converted by its check key's entry, with its issues at path --key;

@@ -299,16 +299,13 @@ def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
 class FrameRealization:
     """A manifold carrying frame fields that realize structure constants."""
 
-    def __init__(self, manifold: ChartedManifold, frame: tuple, label: str = ""):
+    def __init__(self, manifold: ChartedManifold, frame: tuple):
         self.manifold = manifold
         self.frame = frame  # one VectorFieldSpec per algebra basis vector
-        self.label = label
 
 
 def heisenberg_realization() -> FrameRealization:
-    return FrameRealization(manifold=heisenberg_manifold(),
-                            frame=heisenberg_frame(),
-                            label="heisenberg")
+    return FrameRealization(manifold=heisenberg_manifold(), frame=heisenberg_frame())
 
 
 def torus_translation_realization(dim: int) -> FrameRealization:
@@ -316,7 +313,7 @@ def torus_translation_realization(dim: int) -> FrameRealization:
     m = torus(*([1.0] * dim))
     frame = tuple(VectorFieldSpec(dim=dim, components=tuple(
         constant(float(i == j)) for j in range(dim))) for i in range(dim))
-    return FrameRealization(manifold=m, frame=frame, label=f"torus{dim}")
+    return FrameRealization(manifold=m, frame=frame)
 
 
 def _verify_realization(g: LieAlgebraData, real: FrameRealization) -> None:
@@ -352,7 +349,7 @@ def foliated_system(h: Subalgebra, real: FrameRealization) -> StratonovichSystem
     sub_frame = [real.frame[i] for i in h.indices]
     drift = linear_combination(sub_frame, foliated_drift(h))
     return StratonovichSystem(manifold=real.manifold, drift=drift,
-                              diffusions=tuple(sub_frame), label=real.label)
+                              diffusions=tuple(sub_frame))
 
 
 def foliation_pipeline(h: Subalgebra,

@@ -151,7 +151,6 @@ def preset_names():
 
 
 def preset_text(name: str) -> str:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
+    return PRESETS[name]

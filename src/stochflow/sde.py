@@ -101,11 +101,10 @@ class StratonovichSystem:
     """Drift X_0 plus m diffusion fields X_1..X_m on a manifold."""
 
     def __init__(self, manifold: ChartedManifold, drift: VectorFieldSpec,
-                 diffusions: tuple = (), label: str = ""):
+                 diffusions: tuple = ()):
         self.manifold = manifold
         self.drift = drift
         self.diffusions = tuple(diffusions)
-        self.label = label
         for name, f in [("drift", drift)] + [
                 (f"diffusion {i + 1}", f) for i, f in enumerate(self.diffusions)]:
             if f.dim != manifold.dim:

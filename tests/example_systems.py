@@ -39,7 +39,7 @@ def hamiltonian_torus_system(amplitude: float = HAMILTONIAN_AMPLITUDE) -> Strato
     ])
     return StratonovichSystem(manifold=torus(1.0, 1.0),
                               drift=VectorFieldSpec.zero(2),
-                              diffusions=(x1, x2), label="hamiltonian_torus")
+                              diffusions=(x1, x2))
 
 
 def translation_bm_system(dim: int = 2) -> StratonovichSystem:
@@ -51,15 +51,14 @@ def translation_bm_system(dim: int = 2) -> StratonovichSystem:
         comps[i] = "1"
         fields.append(VectorFieldSpec.from_strings(comps))
     return StratonovichSystem(manifold=m, drift=VectorFieldSpec.zero(dim),
-                              diffusions=tuple(fields),
-                              label="translation_bm_torus")
+                              diffusions=tuple(fields))
 
 
 def sin_drift_system() -> StratonovichSystem:
     """Deterministic sin(2 pi x) d/dx on the circle; not volume preserving."""
     return StratonovichSystem(manifold=torus(1.0),
                               drift=VectorFieldSpec.from_strings(["sin(2*pi*x1)"]),
-                              diffusions=(), label="sin_drift_circle")
+                              diffusions=())
 
 
 def multiplicative_circle_system() -> StratonovichSystem:
@@ -67,8 +66,7 @@ def multiplicative_circle_system() -> StratonovichSystem:
     field = VectorFieldSpec.from_strings(["sin(2*pi*x1)"])
     return StratonovichSystem(manifold=torus(1.0),
                               drift=VectorFieldSpec.zero(1),
-                              diffusions=(field,),
-                              label="multiplicative_circle")
+                              diffusions=(field,))
 
 
 def heisenberg_foliated_system() -> StratonovichSystem:
@@ -80,18 +78,14 @@ def heisenberg_foliated_system() -> StratonovichSystem:
     x_field, _, z_field = heisenberg_frame()
     return StratonovichSystem(manifold=heisenberg_manifold(),
                               drift=VectorFieldSpec.zero(3),
-                              diffusions=(x_field, z_field),
-                              label="heisenberg_foliation")
+                              diffusions=(x_field, z_field))
 
 
 def builtin_systems() -> dict:
     return {
-        s.label: s
-        for s in (
-            hamiltonian_torus_system(),
-            translation_bm_system(),
-            sin_drift_system(),
-            multiplicative_circle_system(),
-            heisenberg_foliated_system(),
-        )
+        "hamiltonian_torus": hamiltonian_torus_system(),
+        "translation_bm_torus": translation_bm_system(),
+        "sin_drift_circle": sin_drift_system(),
+        "multiplicative_circle": multiplicative_circle_system(),
+        "heisenberg_foliation": heisenberg_foliated_system(),
     }

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -224,20 +225,40 @@ def test_non_finite_field_is_execution_error(tmp_path, capsys):
     assert "diffusion 2 component 2 is inf" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,old,new", [
-    ("check", "density = 1", "density = 1/0"),
-    ("simulate", "drift = 0, 0", "drift = 1/0, 0"),
-], ids=["check_density", "simulate_drift"])
-def test_division_by_zero_is_one_error_line(tmp_path, capsys, command, old, new):
-    # constant folding divides 1 by 0 in Python floats when the
-    # expression is first evaluated
+DIVISIONS_BY_ZERO = {
+    "check_density": ("check", "density = 1", "density = 1/0",
+                      "current.density (line 11, column 11)"),
+    "simulate_drift": ("simulate", "drift = 0, 0", "drift = 1/0, 0",
+                       "fields.drift (line 6, column 9)"),
+    "simulate_density": ("simulate", "density = 1", "density = sin(1/0)",
+                         "current.density (line 11, column 11)"),
+    "check_drift": ("check", "drift = 0, 0", "drift = 0, x1 + 1/(2-2)",
+                    "fields.drift (line 6, column 12)"),
+}
+
+
+@pytest.mark.parametrize("command,old,new,where", DIVISIONS_BY_ZERO.values(),
+                         ids=list(DIVISIONS_BY_ZERO))
+def test_division_by_zero_is_one_error_line(tmp_path, capsys, command, old, new,
+                                            where):
+    # parse_config folds each expression's constants, dividing 1 by 0 in
+    # Python floats, so the error has the key and column of its component
     cfg = tmp_path / "div.cfg"
     cfg.write_text(MINIMAL_FLOW.replace(old, new))
     out = tmp_path / "out"
     flag = "--out" if command == "check" else "--trajectory"
     assert main([command, str(cfg), flag, str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: float division by zero"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {where}: float division by zero"]
     assert not out.exists()
+
+
+def test_constants_fold_at_parse_time_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_config(MINIMAL_FLOW.replace("density = 1", "density = 2 + exp(1000)"))
+        # a division by a coordinate's value is left to the evaluation
+        parse_config(MINIMAL_FLOW.replace("drift = 0, 0", "drift = x1/0, 0"))
 
 
 @pytest.mark.parametrize("old,new", [
@@ -353,17 +374,20 @@ def test_non_finite_and_negative_numbers_are_one_error_line(tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "translation_bm_torus", "--seed", "-1"],
-    ["simulate", "hamiltonian_torus", "--seed", "-1"],
-    ["simulate", "hamiltonian_torus", "--path-index", "-1"],
+@pytest.mark.parametrize("argv,message", [
+    (["check", "translation_bm_torus", "--seed", "-1"],
+     "--seed: must be in [0, 2**64)"),
+    (["simulate", "hamiltonian_torus", "--seed", "-1"],
+     "--seed: must be in [0, 2**64)"),
+    (["simulate", "hamiltonian_torus", "--path-index", "-1"],
+     "seed and path index must be in [0, 2**64), got 0 and -1"),
 ], ids=["check_seed", "simulate_seed", "simulate_path_index"])
-def test_negative_seed_and_path_index_are_one_error_line(tmp_path, capsys, argv):
+def test_negative_seed_and_path_index_are_one_error_line(tmp_path, capsys, argv,
+                                                         message):
     out = (["--out", str(tmp_path / "out")] if argv[0] == "check"
            else ["--trajectory", str(tmp_path / "traj.csv")])
     assert main(argv + out) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {argv[-2]} must be >= 0, got -1"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not list(tmp_path.iterdir())
 
 
@@ -439,6 +463,10 @@ LOCATED_AT_PARSE = {
         "[manifold]\ntype = heisenberg\nlengths = 1, 1\n\n"
         "[fields]\ndiffusion1 = 1, 0, 0\n", {},
         "manifold.lengths", 3, "a heisenberg manifold has 3 lengths, got 2"),
+    "heisenberg_lattice_rule": (
+        "[manifold]\ntype = heisenberg\nlengths = 1, 1, 2\n\n"
+        "[fields]\ndiffusion1 = 1, 0, 0\n", {},
+        "manifold.lengths", 3, "heisenberg lattice needs Lx*Ly integer multiple of Lz"),
     "torus_of_default_dimension": (
         "[manifold]\ntype = torus\n\n[fields]\ndiffusion1 = 1, 0\n", {},
         "fields.diffusion1", 5, "diffusion1 has 2 components, manifold has "
@@ -563,12 +591,72 @@ def test_overrides_are_rejected_before_any_check_runs(tmp_path, capsys, argv,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["check"], ["check", "translation_bm_torus",
-                                              "--seed", "abc"]],
-                         ids=["no_config", "seed_not_an_integer"])
-def test_usage_errors_exit_1(capsys, argv):
+@pytest.mark.parametrize("argv,err", [
+    (["check"], "usage:"),
+    # --seed is converted as --dt is: a flag error, not a usage error
+    (["check", "translation_bm_torus", "--seed", "abc"],
+     "error: --seed: expected an integer, got 'abc'\n"),
+], ids=["no_config", "seed_not_an_integer"])
+def test_usage_errors_exit_1(capsys, argv, err):
     assert main(argv) == 1
-    assert "usage:" in capsys.readouterr().err
+    assert err in capsys.readouterr().err
+
+
+BOUNDARY_ERRORS = {
+    "check_missing": (["check", "missing.cfg"],
+                      "no config file or preset named 'missing.cfg'"),
+    "simulate_missing": (["simulate", "missing.cfg"],
+                         "no config file or preset named 'missing.cfg'"),
+    "check_directory": (["check", "a_directory"],
+                        "no config file or preset named 'a_directory'"),
+    "simulate_directory": (["simulate", "a_directory"],
+                           "no config file or preset named 'a_directory'"),
+    "check_not_utf8": (["check", "latin1.cfg"], "'utf-8' codec can't decode byte "
+                       "0xe9 in position 5: invalid continuation byte"),
+    "simulate_not_utf8": (["simulate", "latin1.cfg"], "'utf-8' codec can't decode "
+                          "byte 0xe9 in position 5: invalid continuation byte"),
+    "liealg_directory": (["liealg", "a_directory", "--subalgebra", "1"],
+                         "[Errno 21] Is a directory: 'a_directory'"),
+    "presets_show_unknown": (["presets", "show", "nope"],
+                             f"unknown preset 'nope'; known: {', '.join(preset_names())}"),
+    "check_seed_not_an_integer": (["check", "translation_bm_torus", "--seed", "abc"],
+                                  "--seed: expected an integer, got 'abc'"),
+    "simulate_seed_not_an_integer": (["simulate", "hamiltonian_torus", "--seed",
+                                      "abc"], "--seed: expected an integer, got 'abc'"),
+    "check_negative_seed": (["check", "translation_bm_torus", "--seed", "-1"],
+                            "--seed: must be in [0, 2**64)"),
+    "simulate_negative_path_index": (
+        ["simulate", "hamiltonian_torus", "--path-index", "-1"],
+        "seed and path index must be in [0, 2**64), got 0 and -1"),
+}
+
+
+@pytest.mark.parametrize("argv,message", BOUNDARY_ERRORS.values(),
+                         ids=list(BOUNDARY_ERRORS))
+def test_every_command_reports_bad_input_as_one_error_line(tmp_path, monkeypatch,
+                                                           capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes(f"# caf\xe9\n{MINIMAL_FLOW}".encode("latin-1"))
+    out = {"check": ["--out", "out"], "simulate": ["--trajectory", "traj.csv"]}
+    assert main(argv + out.get(argv[0], [])) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {message}"]
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory", "latin1.cfg"]
+
+
+def test_a_directory_named_like_a_preset_runs_the_preset(tmp_path, monkeypatch):
+    # the config argument is read as a file only when it is one
+    hashes = []
+    for folder in ("plain", "with_directory"):
+        (tmp_path / folder).mkdir()
+        monkeypatch.chdir(tmp_path / folder)
+        if folder == "with_directory":
+            Path("hamiltonian_torus").mkdir()
+        assert main(["check", "hamiltonian_torus", "--out", "out"]) == 0
+        hashes.append(json.loads(Path("out/report.json").read_text())["payload_sha256"])
+    assert hashes[0] == hashes[1]
 
 
 def test_report_hash_is_deterministic(tmp_path):

@@ -469,7 +469,7 @@ def test_one_shot_residuals_equal_per_tree_route(label):
 
 @pytest.mark.parametrize("real", [heisenberg_realization(),
                                   torus_translation_realization(2)],
-                         ids=lambda r: r.label)
+                         ids=["heisenberg", "torus2"])
 def test_frame_derivative_currents_equal_per_tree_route(real):
     basis = make_test_basis(real.manifold, 3)
     for T in residual_currents(real.manifold):

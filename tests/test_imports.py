@@ -69,6 +69,36 @@ def test_no_module_in_src_imports_dataclasses():
     assert not found, "dataclasses imported at:\n" + "\n".join(found)
 
 
+# try statements, with except* ones where the grammar has them (3.11)
+_TRY = (ast.Try, *([ast.TryStar] if hasattr(ast, "TryStar") else []))
+
+
+def try_statements_outside(source: str, function: str) -> list:
+    """The lines of the try statements of source that are not inside its
+    module-level function of the given name."""
+    tree = ast.parse(source)
+    inside = {node for stmt in tree.body
+              if isinstance(stmt, ast.FunctionDef) and stmt.name == function
+              for node in ast.walk(stmt)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, _TRY) and node not in inside)
+
+
+def test_try_statements_outside_a_function_are_found():
+    source = ("try:\n    pass\nexcept E:\n    pass\n"
+              "def main():\n    try:\n        pass\n    finally:\n        pass\n"
+              "def _cmd():\n    def main():\n        try:\n            pass\n"
+              "        except E:\n            pass\n")
+    assert try_statements_outside(source, "main") == [1, 12]
+
+
+def test_cli_catches_errors_only_in_main():
+    # one error boundary: each command lets its errors reach main, which
+    # prints them as error lines, so no command handles its own
+    source = (ROOT / "src" / "stochflow" / "cli.py").read_text(encoding="utf-8")
+    assert try_statements_outside(source, "main") == []
+
+
 def _private_definitions(stmt) -> set:
     """The private names a module-level statement binds: functions,
     classes and assignments named _name (dunder names excluded)."""

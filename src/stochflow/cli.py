@@ -15,6 +15,7 @@ ArithmeticError, OSError or ValueError, is one `error:` line on stderr.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys as _sys
 import time
 from pathlib import Path
@@ -179,6 +180,20 @@ def _write_csvs(reports, outdir: Path):
                 writer.writerow(row)
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The SHA-256 of data, in hex, from CPython's built-in implementation.
+
+    hashlib maps OpenSSL's libcrypto at import (about 3 MB resident), which
+    a check that draws no noise would load for this one digest. The
+    built-in module is the constructor hashlib itself falls back to, so
+    the digest is the same; hashlib serves only a build without it.
+    """
+    name = "_sha2" if _sys.version_info >= (3, 12) else "_sha256"
+    if importlib.util.find_spec(name) is None:
+        name = "hashlib"
+    return importlib.import_module(name).sha256(data).hexdigest()
+
+
 def run(config: ExperimentConfig, outdir) -> int:
     """Execute every check; write report.json and per-check CSVs.
 
@@ -186,13 +201,15 @@ def run(config: ExperimentConfig, outdir) -> int:
     outside the hash ``generated_at`` and ``diagnostics``: per check, in
     the order of payload["checks"], its kind and wall time ``wall_s``.
     Returns 0 when all verdicts hold and 2 when any fails; an error
-    propagates to the caller. The output directory is made only after
-    every check has run, so a failed check leaves none.
+    propagates to the caller, and so does a ValueError for a config with
+    no checks. The output directory is made only after every check has
+    run, so a failed check leaves none.
     """
-    import hashlib
     import json
     from datetime import datetime, timezone
 
+    if not config.checks:  # all() of no verdicts would read as a pass
+        raise ValueError("config has no [check KIND] section, so nothing to check")
     outdir = Path(outdir)
     exp = build_experiment(config)
     # built once, before any check runs, so a bad density fails first
@@ -212,7 +229,7 @@ def run(config: ExperimentConfig, outdir) -> int:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     document = {
         "payload": payload,
-        "payload_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "payload_sha256": _sha256_hex(blob.encode()),
         "generated_at": datetime.now(timezone.utc).isoformat(),
         # outside the payload, so the hash stays deterministic
         "diagnostics": {"checks": timings},

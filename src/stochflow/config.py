@@ -332,7 +332,9 @@ def _lengths(value, values):
     return lengths
 
 
-def _expression(value, text, offset, dim):
+def _expression(value, text, offset, dim, what):
+    """The parsed expression of text, found at offset in value's text,
+    or None after reporting why not; what names it in a message."""
     try:
         node = expr.parse(text)
     except expr.ExprParseError as e:
@@ -341,11 +343,20 @@ def _expression(value, text, offset, dim):
     if dim is not None and used > dim:
         return value.fail(f"references x{used} but the manifold has dimension {dim}",
                           offset)
+    lowering = expr.Lowering()
     try:  # fold the constants as an evaluation does, so 1/0 fails here
         with np.errstate(all="ignore"):
-            expr.Lowering().emit(node, [f"x{i}" for i in range(used)])
+            result = lowering.emit(node, [f"x{i}" for i in range(used)])
     except ArithmeticError as e:
         return value.fail(str(e), offset)
+    # the constants an evaluation reads, so exp(1000) fails here too; an
+    # intermediate inf that folds away, as in 1/exp(1000), is no issue.
+    # Sorted, so the issue reported does not depend on the hash seed.
+    for name in sorted({result}.union(*(args for _, *args in lowering.code))):
+        folded = lowering.constant_value(name)
+        if folded is not None and not math.isfinite(folded):
+            part = what if name == result else f"a constant part of {what}"
+            return value.fail(f"{part} is {float(folded)}", offset)
     return node
 
 
@@ -353,19 +364,23 @@ def _field(value, values):
     """One expression per coordinate (the grammar has no commas)."""
     dim = values.get("manifold.dim")
     parts = value.text.split(",")
+    key = value.path.split(".")[1]
     if dim is not None and len(parts) != dim:
-        value.fail(f"{value.path.split('.')[1]} has {len(parts)} components, "
+        value.fail(f"{key} has {len(parts)} components, "
                    f"manifold has dimension {dim}", offset=None)
+    name = key.replace("diffusion", "diffusion ")  # as the system names it
     components, offset = [], 0
-    for part in parts:
+    for k, part in enumerate(parts, start=1):
         lead = len(part) - len(part.lstrip())
-        components.append(_expression(value, part.strip(), offset + lead, dim))
+        components.append(_expression(value, part.strip(), offset + lead, dim,
+                                      f"{name} component {k}"))
         offset += len(part) + 1
     return None if value.failed else tuple(components)
 
 
 def _density(value, values):
-    return _expression(value, value.text, 0, values.get("manifold.dim"))
+    return _expression(value, value.text, 0, values.get("manifold.dim"),
+                       "the density")
 
 
 def _atoms(value, values):

@@ -473,6 +473,11 @@ class Lowering:
             self._values[name] = value
         return name
 
+    def constant_value(self, name: str):
+        """The value that name was folded to, or None when name is not an
+        emitted constant."""
+        return self._values.get(name)
+
     def source(self, start: int) -> list:
         """Python statements for the operations from code[start] on."""
         lines = []

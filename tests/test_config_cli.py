@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from example_systems import translation_bm_system
 from stochflow import expr
-from stochflow.cli import build_current, build_experiment, main, run
+from stochflow.cli import _sha256_hex, build_current, build_experiment, main, run
 from stochflow.config import (
     CHECK_KEYS,
     CheckSpec,
@@ -256,9 +257,42 @@ def test_division_by_zero_is_one_error_line(tmp_path, capsys, command, old, new,
 def test_constants_fold_at_parse_time_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        parse_config(MINIMAL_FLOW.replace("density = 1", "density = 2 + exp(1000)"))
+        with pytest.raises(ConfigError, match="the density is inf"):
+            parse_config(MINIMAL_FLOW.replace("density = 1",
+                                              "density = 2 + exp(1000)"))
+        # an overflow that folds away is no issue
+        parse_config(MINIMAL_FLOW.replace("density = 1", "density = 2 + 1/exp(1000)"))
         # a division by a coordinate's value is left to the evaluation
         parse_config(MINIMAL_FLOW.replace("drift = 0, 0", "drift = x1/0, 0"))
+
+
+NON_FINITE_CONSTANTS = {
+    "check_drift": ("check", "drift = 0, 0", "drift = exp(1000), 0",
+                    "fields.drift (line 6, column 9): drift component 1 is inf"),
+    "simulate_drift": ("simulate", "drift = 0, 0", "drift = exp(1000), 0",
+                       "fields.drift (line 6, column 9): drift component 1 is inf"),
+    "check_part": ("check", "diffusion2 = 0, 1", "diffusion2 = 0, x1 + exp(1000)*0",
+                   "fields.diffusion2 (line 8, column 17): a constant part of "
+                   "diffusion 2 component 2 is nan"),
+    "simulate_density": ("simulate", "density = 1", "density = x1*exp(1000)",
+                         "current.density (line 11, column 11): a constant part "
+                         "of the density is inf"),
+}
+
+
+@pytest.mark.parametrize("command,old,new,message", NON_FINITE_CONSTANTS.values(),
+                         ids=list(NON_FINITE_CONSTANTS))
+def test_a_constant_that_is_not_finite_is_reported_at_its_key(
+        tmp_path, capsys, command, old, new, message):
+    # the constants an evaluation reads are checked when they are folded,
+    # so the error has the key and column of the component
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(MINIMAL_FLOW.replace(old, new))
+    out = tmp_path / "out"
+    flag = "--out" if command == "check" else "--trajectory"
+    assert main([command, str(cfg), flag, str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("old,new", [
@@ -273,6 +307,22 @@ def test_a_failed_check_makes_no_output_directory(tmp_path, capsys, old, new):
     assert main(["check", str(cfg), "--out", str(out)]) == 1
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_check_of_a_config_without_checks_is_an_error_but_simulate_runs(tmp_path,
+                                                                        capsys):
+    # a report of no checks would read as a pass
+    cfg = tmp_path / "no_checks.cfg"
+    cfg.write_text(MINIMAL_FLOW.split("[check")[0])
+    out = tmp_path / "out"
+    assert main(["check", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config has no [check KIND] section, so nothing to check"]
+    assert not out.exists()
+    csv_path = tmp_path / "t.csv"
+    assert main(["simulate", str(cfg), "--t", "0.01", "--dt", "1e-3",
+                 "--trajectory", str(csv_path)]) == 0
+    assert len(csv_path.read_text().splitlines()) == 12  # header and 11 steps
 
 
 def test_check_evaluates_the_density_once(tmp_path, monkeypatch):
@@ -684,6 +734,26 @@ def test_report_times_each_check_outside_the_hash(tmp_path):
         blob = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(blob.encode()).hexdigest() == doc["payload_sha256"]
     assert docs[0]["payload_sha256"] == docs[1]["payload_sha256"]
+
+
+# sizes about SHA-256's 64-byte block: the padding of 55 bytes fits in
+# one block, that of 56 does not
+@pytest.mark.parametrize("size", [0, 1, 55, 56, 64, 10**6])
+def test_report_digest_is_sha256(size):
+    data = (bytes(range(256)) * (size // 256 + 1))[:size]
+    assert _sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_report_digest_falls_back_to_hashlib_without_built_in_hashes(monkeypatch):
+    # a CPython built without its own hashes has only OpenSSL's
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: (
+        None if name in ("_sha2", "_sha256") else find_spec(name, *args)))
+    imported, import_module = [], importlib.import_module
+    monkeypatch.setattr(importlib, "import_module",
+                        lambda name: imported.append(name) or import_module(name))
+    assert _sha256_hex(b"abc") == hashlib.sha256(b"abc").hexdigest()
+    assert imported == ["hashlib"]
 
 
 def test_report_hash_depends_on_seed(tmp_path):

@@ -73,8 +73,13 @@ def loaded(tmp_path_factory):
     return {name: run_main(argv, cwd) for name, argv in COMMANDS.items()}
 
 
-# what only `check` reads: the current, and the modules that write its report
-CHECK_ONLY = {"stochflow.currents", "json", "csv", "hashlib"}
+# what only `check` reads: the current, and the modules that write its
+# report, with CPython's built-in SHA-256 for its digest
+CHECK_ONLY = {"stochflow.currents", "json", "csv",
+              "_sha2" if sys.version_info >= (3, 12) else "_sha256"}
+# OpenSSL's hashes, which only the commands that draw noise load, through
+# numpy.random
+OPENSSL = {"hashlib", "_hashlib"}
 
 
 def test_set_up_of_a_flow_preset_loads_nothing_only_check_reads():
@@ -90,8 +95,8 @@ def test_simulate_of_a_flow_preset_loads_neither_invariance_nor_liealg(loaded):
     assert "stochflow.sde" in modules
     assert "stochflow.invariance" not in modules
     assert "stochflow.liealg" not in modules
-    # hashlib is not asserted: numpy.random loads it to draw the noise
-    assert not (CHECK_ONLY - {"hashlib"}) & modules
+    assert not CHECK_ONLY & modules
+    # OPENSSL is not asserted: numpy.random loads hashlib to draw the noise
 
 
 def test_check_of_a_flow_preset_loads_neither_liealg_nor_numpy_random(loaded):
@@ -100,6 +105,7 @@ def test_check_of_a_flow_preset_loads_neither_liealg_nor_numpy_random(loaded):
     assert {"stochflow.invariance", *CHECK_ONLY} <= modules
     assert "stochflow.liealg" not in modules
     assert "numpy.random" not in modules
+    assert not OPENSSL & modules  # the report's digest is the built-in one
 
 
 def test_check_of_a_foliation_preset_loads_its_layers(loaded):

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import expr
 from .manifold import ChartedManifold
 from .sde import step_count
@@ -345,8 +343,7 @@ def _expression(value, text, offset, dim, what):
                           offset)
     lowering = expr.Lowering()
     try:  # fold the constants as an evaluation does, so 1/0 fails here
-        with np.errstate(all="ignore"):
-            result = lowering.emit(node, [f"x{i}" for i in range(used)])
+        result = lowering.emit(node, [f"x{i}" for i in range(used)])
     except ArithmeticError as e:
         return value.fail(str(e), offset)
     # the constants an evaluation reads, so exp(1000) fails here too; an

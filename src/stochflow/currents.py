@@ -131,10 +131,13 @@ def pullback_values(T: Current, functions: Sequence[Expr],
     on its endpoints in one pass, with the expressions lowered together
     once per call (a trig basis computes each cos/sin factor once per
     chunk); returns shape (len(functions), n_paths). Paths are
-    the streams path_index = 0..n_paths-1 of the given seed (flow_paths),
-    aggregated in ascending order so results do not depend on chunking.
-    A chunk counts about _CHUNK_ELEMS elements of states (support points
-    x dim per path) and noise (steps x m per path).
+    the streams path_index = 0..n_paths-1 of the given seed (flow_paths).
+    Column p depends on path p alone: each path's pullback is summed
+    over the support in one order (``_weigh``), so its bits do not
+    depend on the chunking or on n_paths, and the first k columns of a
+    run are the run over k paths. A chunk counts about _CHUNK_ELEMS
+    elements of states (support points x dim per path) and noise
+    (steps x m per path).
     """
     steps = step_count(t, dt)
     pts = T.points
@@ -146,9 +149,17 @@ def pullback_values(T: Current, functions: Sequence[Expr],
         stop = min(start + chunk, n_paths)
         ends = flow_paths(sys, "endpoints", pts, dt, steps, seed,
                           range(start, stop))
-        for j, vals in enumerate(batch.reduce(ends, lambda v: v @ T.weights)):
+        for j, vals in enumerate(batch.reduce(ends, lambda v: _weigh(v, T))):
             out[j, start:stop] = vals
     return out
+
+
+def _weigh(values: np.ndarray, T: Current) -> np.ndarray:
+    """T(f) per path, from the values (..., support) of f on T.points
+    moved by each path: each row is summed in the same order whatever
+    the number of rows, which a matrix-vector product (BLAS) does not
+    do."""
+    return np.einsum("...i,i->...", values, T.weights)
 
 
 def _contract(T: Current, terms, n_out: int, functions) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 from .currents import (
     Current,
     DensityCurrent,
+    _weigh,
     derivative_currents,
     evaluate_many,
     generator_residuals,
@@ -236,38 +237,65 @@ def empirical_check(T: Current, sys: StratonovichSystem, basis,
     the worst basis function by signed excess so the scalar verdict is
     equivalent to the per-function requirement.
     """
-    targets = evaluate_many(T, basis.functions)
     if mode == "pathwise":
-        vals = pullback_values(T, basis.functions, sys, t, dt, seed, _PROBE_PATHS)
-        diffs = np.abs(vals - targets[:, None])
-        rows = [{"basis_index": k, "value": float(np.max(diffs[k]))}
-                for k in range(len(basis))]
-        residual = float(np.max(diffs)) if diffs.size else 0.0
-        meta = {"dt": dt, "T": t, "n_paths": _PROBE_PATHS, "seed": seed,
-                "basisK": basis.cutoff, "grid": T.grid_n}
-        return InvarianceReport("empirical_pathwise", residual, tolerance, meta,
-                                per_basis=rows)
-    if mode != "mean":
+        n_paths = _PROBE_PATHS
+    elif mode == "mean":
+        _check_mean_paths(n_paths)
+    else:
         raise ValueError(f"unknown empirical mode {mode!r}")
+    run = _EmpiricalRun(T, sys, basis, t, dt, seed, n_paths)
+    if mode == "pathwise":
+        return run.pathwise(tolerance)
+    return run.mean(n_paths, tolerance, bias_c)
+
+
+def _check_mean_paths(n_paths: Optional[int]) -> None:
     if n_paths is None or n_paths < 2:
         raise ValueError("mean mode needs n_paths >= 2")
-    if bias_c is None:
-        exact = all(f.is_constant for f in sys.fields())
-        bias_c = EXACT_BIAS_C if exact else FALLBACK_BIAS_C
-    vals = pullback_values(T, basis.functions, sys, t, dt, seed, n_paths)
-    means = vals.mean(axis=1)
-    stderrs = vals.std(axis=1, ddof=1) / np.sqrt(n_paths)
-    diffs = np.abs(means - targets)
-    tols = 3.0 * stderrs + bias_c * dt
-    rows = [{"basis_index": k, "value": float(diffs[k]),
-             "std_error": float(stderrs[k]), "tolerance": float(tols[k])}
-            for k in range(len(basis))]
-    worst = int(np.argmax(diffs - tols))
-    meta = {"dt": dt, "T": t, "n_paths": n_paths, "seed": seed,
-            "basisK": basis.cutoff, "grid": T.grid_n,
-            "bias_c": bias_c}
-    return InvarianceReport("empirical_mean", diffs[worst], tols[worst], meta,
-                            per_basis=rows)
+
+
+class _EmpiricalRun:
+    """The targets T(f_k) and the pullbacks of paths 0..n_paths-1 of one
+    (T, sys, basis, t, dt, seed), from which the empirical reports of
+    any first paths are built: the first k columns of the pullbacks are
+    those of a run over k paths, bit for bit (``pullback_values``)."""
+
+    def __init__(self, T: Current, sys: StratonovichSystem, basis, t: float,
+                 dt: float, seed: int, n_paths: int):
+        self.sys, self.basis = sys, basis
+        self.targets = evaluate_many(T, basis.functions)
+        self.values = pullback_values(T, basis.functions, sys, t, dt, seed, n_paths)
+        self.meta = {"dt": dt, "T": t, "seed": seed, "basisK": basis.cutoff,
+                     "grid": T.grid_n}
+
+    def pathwise(self, tolerance: Optional[float] = None) -> InvarianceReport:
+        """The pathwise report of the first _PROBE_PATHS paths."""
+        diffs = np.abs(self.values[:, :_PROBE_PATHS] - self.targets[:, None])
+        rows = [{"basis_index": k, "value": float(np.max(diffs[k]))}
+                for k in range(len(self.basis))]
+        residual = float(np.max(diffs)) if diffs.size else 0.0
+        meta = {**self.meta, "n_paths": _PROBE_PATHS}
+        return InvarianceReport("empirical_pathwise", residual, tolerance, meta,
+                                per_basis=rows)
+
+    def mean(self, n_paths: int, tolerance: Optional[float] = None,
+             bias_c: Optional[float] = None) -> InvarianceReport:
+        """The mean report of the first n_paths paths."""
+        if bias_c is None:
+            exact = all(f.is_constant for f in self.sys.fields())
+            bias_c = EXACT_BIAS_C if exact else FALLBACK_BIAS_C
+        vals = self.values[:, :n_paths]
+        means = vals.mean(axis=1)
+        stderrs = vals.std(axis=1, ddof=1) / np.sqrt(n_paths)
+        diffs = np.abs(means - self.targets)
+        tols = 3.0 * stderrs + bias_c * self.meta["dt"]
+        rows = [{"basis_index": k, "value": float(diffs[k]),
+                 "std_error": float(stderrs[k]), "tolerance": float(tols[k])}
+                for k in range(len(self.basis))]
+        worst = int(np.argmax(diffs - tols))
+        meta = {**self.meta, "n_paths": n_paths, "bias_c": bias_c}
+        return InvarianceReport("empirical_mean", diffs[worst], tols[worst], meta,
+                                per_basis=rows)
 
 
 def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
@@ -364,6 +392,8 @@ def foliation_pipeline(h: Subalgebra,
     the frame; (c) generator residuals and frame derivative-currents of
     the volume current, the empirical mean check, and (when the verdict
     is totally-invariant) the pathwise check, at their default tolerances.
+    The two empirical checks are those of ``empirical_check``, bit for
+    bit, from one flow of max(n_paths, _PROBE_PATHS) paths.
     """
     from .liealg import foliated_drift, invariance_verdict
 
@@ -385,11 +415,14 @@ def foliation_pipeline(h: Subalgebra,
         subchecks.append(residual_check(T, sys, basis, "mean"))
         subchecks.append(_residual_report(
             T, basis, derivative_currents(T, realization.frame, basis.functions)))
-        subchecks.append(empirical_check(
-            T, sys, basis, t, dt, seed, n_paths, "mean", bias_c=bias_c))
+        # one run serves both Monte Carlo checks: the pathwise probe's
+        # paths are the first of the mean check's
+        _check_mean_paths(n_paths)
+        run = _EmpiricalRun(T, sys, basis, t, dt, seed,
+                            max(n_paths, _PROBE_PATHS) if verdict else n_paths)
+        subchecks.append(run.mean(n_paths, bias_c=bias_c))
         if verdict:
-            subchecks.append(empirical_check(
-                T, sys, basis, t, dt, seed, n_paths, "pathwise"))
+            subchecks.append(run.pathwise())
         meta.update({"dt": dt, "T": t, "n_paths": n_paths,
                      "grid": grid_n, "basisK": basis_k})
     return InvarianceReport("foliation_verdict", residual, None, meta,
@@ -414,7 +447,7 @@ def calibrate_bias_constant(T: Current, sys: StratonovichSystem, basis,
     def means(dt, steps, factor):
         ends = flow_paths(sys, "endpoints", T.points, dt, steps, seed,
                           range(n_paths), factor)
-        return batch.reduce(ends, lambda v: np.mean(v @ T.weights))
+        return batch.reduce(ends, lambda v: np.mean(_weigh(v, T)))
 
     diffs = np.array([abs(float(c - f)) for c, f in
                       zip(means(dt, steps, 2), means(dt / 2, 2 * steps, 1))])

@@ -373,6 +373,21 @@ def test_an_overflow_prints_only_the_error_line(tmp_path, preset, old, new, mess
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
 
+def test_simulate_prints_no_warning_for_an_overflow_that_folds_away(tmp_path):
+    # the step loop lowers the fields again, and folds exp(1000) to inf
+    cfg = tmp_path / "folded.cfg"
+    cfg.write_text(preset_text("translation_bm_torus").replace(
+        "drift = 0, 0", "drift = 1/exp(1000), 0"))
+    out = tmp_path / "t.csv"
+    proc = subprocess.run([sys.executable, "-m", "stochflow.cli", "simulate", str(cfg),
+                           "--t", "0.01", "--dt", "1e-3", "--trajectory", str(out)],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert out.read_text().count("\n") == 12
+
+
 TILTED_HAMILTONIAN = """\
 [manifold]
 type = torus

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from example_systems import builtin_systems, hamiltonian_torus_system
+from example_systems import (
+    builtin_systems,
+    hamiltonian_torus_system,
+    heisenberg_foliated_system,
+)
 from oracles import current_eval, derivative_current_eval, pullback_eval
 from stochflow import currents, expr, sde
 from stochflow.currents import (
@@ -333,25 +337,28 @@ def test_pullback_values_matches_pullback_eval():
                 pullback_eval(T, f, sys, noise), abs=1e-14)
 
 
-# constant fields take the summed-increment path, trig fields the stepped one
+# constant fields take the summed-increment path, trig fields the stepped
+# one; the Heisenberg frame is constant on a 3-D support
 CHUNKED_SYSTEMS = {"constant": translation_system(2),
-                   "trig": hamiltonian_torus_system()}
-CHUNKED_T = volume_current(T2, 4)
+                   "trig": hamiltonian_torus_system(),
+                   "heisenberg": heisenberg_foliated_system()}
 CHUNKED_BASIS = make_test_basis(T2, 1)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(label=st.sampled_from(sorted(CHUNKED_SYSTEMS)),
-       chunk_elems=st.integers(1, 200), n_paths=st.integers(1, 6))
+       chunk_elems=st.integers(1, 700), n_paths=st.integers(1, 9))
 def test_pullback_values_do_not_depend_on_chunking(label, chunk_elems, n_paths):
-    # 16 support points in 2-D and 10 steps of 2-D noise: chunks of 1 to
-    # 3 paths
+    # 16 support points in 2-D (64 in 3-D) and 10 steps of 2-D noise:
+    # chunks of 1 path up to every path; a path's bits depend neither on
+    # its chunk nor on how many paths run
     sys = CHUNKED_SYSTEMS[label]
-    args = (CHUNKED_T, CHUNKED_BASIS.functions, sys, 0.1, 0.01, 4)
-    want = pullback_values(*args, n_paths=6)
+    T = volume_current(sys.manifold, 4)
+    args = (T, make_test_basis(sys.manifold, 1).functions, sys, 0.1, 0.01, 4)
+    want = pullback_values(*args, n_paths=9)
     with mock.patch.object(currents, "_CHUNK_ELEMS", chunk_elems):
         got = pullback_values(*args, n_paths=n_paths)
-    np.testing.assert_allclose(got, want[:, :n_paths], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got, want[:, :n_paths])
 
 
 def test_pullback_chunks_count_the_noise():
@@ -547,6 +554,13 @@ def test_residuals_of_random_trig_fields_equal_per_tree_route(drift, diffusions)
             per_tree_derivative_currents(T, sys.fields(), basis.functions))
 
 
+def weigh(values, T):
+    """T(f) per path from f's values (paths, support), each row summed
+    in one order whatever the number of rows, as pullback_values does
+    (a matrix-vector product's order depends on the row count)."""
+    return np.einsum("...i,i->...", values, T.weights)
+
+
 def stacked_noise(seed, n_paths, m, dt, steps):
     """The per-path streams of generate_noise, (n_paths, steps, m)."""
     return np.array([generate_noise(seed, p, m, dt, steps).increments
@@ -562,7 +576,7 @@ def test_pullback_values_equal_per_tree_route(label):
     inc = stacked_noise(seed, n_paths, sys.m, dt, 5)
     for T in one_shot_currents(sys.manifold):
         ends = flow_endpoints(sys, T.points, dt, inc[:, None])
-        want = [expr.evaluate(f, ends) @ T.weights for f in functions]
+        want = [weigh(expr.evaluate(f, ends), T) for f in functions]
         np.testing.assert_array_equal(
             pullback_values(T, functions, sys, t, dt, seed, n_paths), want)
 
@@ -576,8 +590,8 @@ def test_calibrate_bias_constant_equals_per_tree_route():
     coarse = fine.reshape(n_paths, 5, 2, sys.m).sum(axis=2)
     ends_fine = flow_endpoints(sys, T.points, dt / 2, fine[:, None])
     ends_coarse = flow_endpoints(sys, T.points, dt, coarse[:, None])
-    diffs = [abs(float(np.mean(expr.evaluate(f, ends_coarse) @ T.weights)
-                       - np.mean(expr.evaluate(f, ends_fine) @ T.weights)))
+    diffs = [abs(float(np.mean(weigh(expr.evaluate(f, ends_coarse), T))
+                       - np.mean(weigh(expr.evaluate(f, ends_fine), T))))
              for f in basis.functions]
     assert calibrate_bias_constant(T, sys, basis, t, dt, seed, n_paths) == \
         2.0 * max(diffs) / dt

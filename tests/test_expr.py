@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from example_systems import hamiltonian_torus_system
 from oracles import to_str, walk
-from stochflow import expr
+from stochflow import expr, heun
 from stochflow.manifold import apply_field, make_test_basis
 
 
@@ -207,12 +207,13 @@ def buffered(nodes, pts):
     low = expr.Lowering()
     inputs = [f"x{i}" for i in range(pts.shape[-1])]
     names = [low.emit(node, inputs) for node in nodes]
-    head, lines = low.buffered(low.calls(0) + [
+    head, lines = heun._buffered(low, heun._calls(low, 0) + [
         ("positive", name, f"out[{i}, ...]") for i, name in enumerate(names)])
     source = (f"def values(out, {', '.join(inputs)}):\n    lead = out.shape[1:]\n"
               + "".join(f"    {line}\n" for line in head + lines))
     out = np.empty((len(nodes),) + pts.shape[:-1])
-    low.define(source, "values", positive=np.positive)(out, *np.moveaxis(pts, -1, 0))
+    heun._define(low, source, "values", positive=np.positive)(
+        out, *np.moveaxis(pts, -1, 0))
     return out, sum(line.startswith("u") for line in head), len(low.code)
 
 

@@ -322,6 +322,30 @@ def test_foliation_subchecks_keep_the_pipeline_tolerances():
     assert tolerance["empirical_pathwise"] == 1e-2
 
 
+# X and Z of the Heisenberg frame are constant, Y = d/dy + x d/dz is not
+@pytest.mark.parametrize("indices", [(0, 2), (1, 2)])
+@pytest.mark.parametrize("n_paths", [2, 5, 6, 30])
+def test_foliation_empirical_checks_share_one_flow(indices, n_paths, monkeypatch):
+    h = liealg.Subalgebra(liealg.heisenberg3(), indices)
+    real = heisenberg_realization()
+    t, dt, seed = 0.05, 1e-2, 2
+    flows = []
+    pullback = invariance.pullback_values
+    monkeypatch.setattr(invariance, "pullback_values",
+                        lambda *args: flows.append(args[-1]) or pullback(*args))
+    rep = foliation_pipeline(h, real, t=t, dt=dt, seed=seed, n_paths=n_paths,
+                             grid_n=4, basis_k=1)
+    monkeypatch.undo()
+    assert flows == [max(n_paths, 5)]
+    mean, pathwise = rep.subchecks[2:]
+    sys = foliated_system(h, real)
+    T = volume_current(real.manifold, 4)
+    basis = make_test_basis(real.manifold, 1)
+    for report, mode in ((mean, "mean"), (pathwise, "pathwise")):
+        alone = empirical_check(T, sys, basis, t, dt, seed, n_paths, mode)
+        assert report.payload() == alone.payload()
+
+
 def test_foliation_rejects_mismatched_realization():
     h = liealg.Subalgebra(liealg.sl2(), (0, 1))
     with pytest.raises(RealizationError):

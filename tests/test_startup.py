@@ -82,10 +82,21 @@ CHECK_ONLY = {"stochflow.currents", "json", "csv",
 OPENSSL = {"hashlib", "_hashlib"}
 
 
+# the Heun loop compiler, which only a flow that steps loads
+HEUN = "stochflow.heun"
+
+
 def test_set_up_of_a_flow_preset_loads_nothing_only_check_reads():
     _, _, modules = run_script(_SET_UP, ["hamiltonian_torus"])
     assert "stochflow.sde" in modules
     assert not CHECK_ONLY & modules
+    assert HEUN not in modules
+
+
+def test_set_up_of_a_liealg_preset_does_not_load_the_heun_loop():
+    _, _, modules = run_script(_SET_UP, ["heisenberg_foliation"])
+    assert {"stochflow.sde", "stochflow.invariance"} <= modules
+    assert HEUN not in modules
 
 
 def test_simulate_of_a_flow_preset_loads_neither_invariance_nor_liealg(loaded):
@@ -93,6 +104,7 @@ def test_simulate_of_a_flow_preset_loads_neither_invariance_nor_liealg(loaded):
     assert code == 0
     assert bare == []  # `import stochflow` loads no layer module
     assert "stochflow.sde" in modules
+    assert HEUN in modules  # its trajectory is stepped
     assert "stochflow.invariance" not in modules
     assert "stochflow.liealg" not in modules
     assert not CHECK_ONLY & modules
@@ -106,6 +118,8 @@ def test_check_of_a_flow_preset_loads_neither_liealg_nor_numpy_random(loaded):
     assert "stochflow.liealg" not in modules
     assert "numpy.random" not in modules
     assert not OPENSSL & modules  # the report's digest is the built-in one
+    # its fields are divergence-free, so the jacobian check steps no loop
+    assert HEUN not in modules
 
 
 def test_check_of_a_foliation_preset_loads_its_layers(loaded):
@@ -116,6 +130,8 @@ def test_check_of_a_foliation_preset_loads_its_layers(loaded):
     # every coefficient of its constant fields is a constant, which the
     # zero test answers without expanding (and importing fractions)
     assert "fractions" not in modules
+    # and constant fields flow by one summed increment per path
+    assert HEUN not in modules
 
 
 @pytest.mark.parametrize("command", COMMANDS)

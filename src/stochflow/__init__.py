@@ -59,6 +59,7 @@ _EXPORTS = {
         "volume_current",
     ),
     "invariance": (
+        "EmpiricalRun",
         "FrameRealization",
         "InvarianceReport",
         "RealizationError",

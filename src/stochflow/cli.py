@@ -105,13 +105,16 @@ def build_current(exp: Experiment) -> Current:
 # ---------------------------------------------------------------------------
 # check dispatch
 
-def _run_check(exp: Experiment, current, chk: CheckSpec) -> InvarianceReport:
+def _run_check(exp: Experiment, current, chk: CheckSpec,
+               runs: dict) -> InvarianceReport:
     """Run one check, reading the values of the keys config.CHECK_KEYS
     lists for its kind; parse_config has matched the kind to the
     experiment and applied the overrides. current is build_current(exp),
-    or None when no check reads it."""
+    or None when no check reads it. runs holds the EmpiricalRun of each _run_key."""
     from .currents import DensityCurrent
     from .invariance import (
+        _PROBE_PATHS,
+        EmpiricalRun,
         check_mean_nform,
         check_strict_nform,
         empirical_check,
@@ -139,12 +142,21 @@ def _run_check(exp: Experiment, current, chk: CheckSpec) -> InvarianceReport:
     if kind in ("strict_residual", "mean_residual"):
         mode = "strict" if kind == "strict_residual" else "mean"
         return residual_check(T, exp.system, basis, mode, value("tolerance"))
-    t, dt, seed = value("t"), value("dt"), value("seed")
+    key = _run_key(chk, current)
+    if key not in runs:  # as wide as the most paths a check of key reads
+        paths = [c.value("paths") if c.kind == "empirical_mean" else _PROBE_PATHS
+                 for c in exp.config.checks
+                 if c.kind.startswith("empirical_") and _run_key(c, current) == key]
+        runs[key] = EmpiricalRun(T, exp.system, basis, *key[2:], max(paths))
     if kind == "empirical_pathwise":
-        return empirical_check(T, exp.system, basis, t, dt, seed, None,
-                               "pathwise", value("tolerance"))
-    return empirical_check(T, exp.system, basis, t, dt, seed, value("paths"),
-                           "mean", bias_c=value("bias_c"))
+        return empirical_check(runs[key], "pathwise", tolerance=value("tolerance"))
+    return empirical_check(runs[key], "mean", value("paths"), bias_c=value("bias_c"))
+
+
+def _run_key(chk: CheckSpec, current) -> tuple:
+    """An empirical check's grid (None: the current's), basis_k, t, dt and seed."""
+    return (chk.value("grid") or current.grid_n,
+            *map(chk.value, ("basis_k", "t", "dt", "seed")))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +227,10 @@ def run(config: ExperimentConfig, outdir) -> int:
     # built once, before any check runs, so a bad density fails first
     reads_current = {c.kind for c in config.checks} - {"foliation", "jacobian"}
     current = build_current(exp) if reads_current else None
-    reports, timings = [], []
+    reports, timings, runs = [], [], {}
     for chk in config.checks:
         start = time.perf_counter()
-        reports.append(_run_check(exp, current, chk))
+        reports.append(_run_check(exp, current, chk, runs))
         timings.append({"kind": reports[-1].kind,
                         "wall_s": time.perf_counter() - start})
     payload = {

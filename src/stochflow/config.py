@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 
 from . import expr
-from .manifold import ChartedManifold
+from .manifold import ChartedManifold, is_compatible_field
 from .sde import step_count
 
 __all__ = [
@@ -376,8 +376,20 @@ def _field(value, values):
 
 
 def _density(value, values):
-    return _expression(value, value.text, 0, values.get("manifold.dim"),
+    """The density's expression, which must descend to the quotient."""
+    node = _expression(value, value.text, 0, values.get("manifold.dim"),
                        "the density")
+    lengths, kind = values.get("manifold.lengths"), values.get("manifold.type")
+    if node is None or not (lengths and kind):
+        return node
+    try:
+        descends = is_compatible_field(ChartedManifold(len(lengths), lengths, kind),
+                                       node)
+    except ValueError:  # not finite at a sample point: the current's build reports it
+        return node
+    return node if descends else value.fail(
+        "the density does not descend to the quotient: it differs at points "
+        "that the identification glues", offset=None)
 
 
 def _atoms(value, values):

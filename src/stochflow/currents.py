@@ -29,6 +29,7 @@ from .manifold import (
     VectorFieldSpec,
     apply_field,
     grid_points,
+    is_compatible_field,
 )
 from .sde import StratonovichSystem, flow_paths, step_count
 
@@ -53,7 +54,8 @@ class DensityCurrent:
     """T(f) = integral of f * density against the volume form, as a sum
     over the midpoint grid: points (n^dim, dim) and read-only weights
     (n^dim,), the cell volume times the density. The volume is the
-    density 1, whose weights are the cell volumes bit for bit."""
+    density 1, whose weights are the cell volumes bit for bit. The
+    density must be positive and descend to the quotient."""
 
     def __init__(self, manifold: ChartedManifold, density: Expr,
                  grid_n: int = 64, normalize: bool = False):
@@ -75,6 +77,9 @@ class DensityCurrent:
         total = float(np.sum(weights))
         if not math.isfinite(total):
             raise ValueError("current has non-finite total mass")
+        if not is_compatible_field(manifold, density):
+            raise DegenerateDensityError("current density does not descend to "
+                                         "the quotient")
         if normalize:
             weights = weights / total
         weights.setflags(write=False)

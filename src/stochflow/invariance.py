@@ -51,6 +51,7 @@ __all__ = [
     "check_strict_nform",
     "check_mean_nform",
     "residual_check",
+    "EmpiricalRun",
     "empirical_check",
     "jacobian_check",
     "foliated_system",
@@ -222,80 +223,68 @@ def _residual_report(T: Current, basis, values: np.ndarray,
 # ---------------------------------------------------------------------------
 # simulation-based checks
 
-def empirical_check(T: Current, sys: StratonovichSystem, basis,
-                    t: float, dt: float, seed: int, n_paths: Optional[int],
-                    mode: str, tolerance: Optional[float] = None,
-                    bias_c: Optional[float] = None) -> InvarianceReport:
-    """Simulation evidence for phi_t^*T = T (pathwise) or its mean version.
-
-    Pathwise mode probes _PROBE_PATHS independent noise paths and reports
-    the worst |pullback - eval| over basis functions and paths against
-    tolerance. Mean mode runs a Monte Carlo over n_paths and requires,
-    per basis function, |mean - eval| <= 3*stderr + C*dt, with C = bias_c
-    when given, else EXACT_BIAS_C when every field is constant and
-    FALLBACK_BIAS_C otherwise; the reported (residual, tolerance) pair is
-    the worst basis function by signed excess so the scalar verdict is
-    equivalent to the per-function requirement.
-    """
-    if mode == "pathwise":
-        n_paths = _PROBE_PATHS
-    elif mode == "mean":
-        _check_mean_paths(n_paths)
-    else:
-        raise ValueError(f"unknown empirical mode {mode!r}")
-    run = _EmpiricalRun(T, sys, basis, t, dt, seed, n_paths)
-    if mode == "pathwise":
-        return run.pathwise(tolerance)
-    return run.mean(n_paths, tolerance, bias_c)
-
-
-def _check_mean_paths(n_paths: Optional[int]) -> None:
-    if n_paths is None or n_paths < 2:
-        raise ValueError("mean mode needs n_paths >= 2")
-
-
-class _EmpiricalRun:
+class EmpiricalRun:
     """The targets T(f_k) and the pullbacks of paths 0..n_paths-1 of one
-    (T, sys, basis, t, dt, seed), from which the empirical reports of
-    any first paths are built: the first k columns of the pullbacks are
+    (T, sys, basis, t, dt, seed), from which empirical_check builds the
+    report of any first paths: the first k columns of the pullbacks are
     those of a run over k paths, bit for bit (``pullback_values``)."""
 
     def __init__(self, T: Current, sys: StratonovichSystem, basis, t: float,
                  dt: float, seed: int, n_paths: int):
-        self.sys, self.basis = sys, basis
+        exact = all(f.is_constant for f in sys.fields())
+        self.bias_c = EXACT_BIAS_C if exact else FALLBACK_BIAS_C  # when none is given
         self.targets = evaluate_many(T, basis.functions)
         self.values = pullback_values(T, basis.functions, sys, t, dt, seed, n_paths)
         self.meta = {"dt": dt, "T": t, "seed": seed, "basisK": basis.cutoff,
                      "grid": T.grid_n}
 
-    def pathwise(self, tolerance: Optional[float] = None) -> InvarianceReport:
-        """The pathwise report of the first _PROBE_PATHS paths."""
-        diffs = np.abs(self.values[:, :_PROBE_PATHS] - self.targets[:, None])
-        rows = [{"basis_index": k, "value": float(np.max(diffs[k]))}
-                for k in range(len(self.basis))]
+
+def empirical_check(run: EmpiricalRun, mode: str, n_paths: Optional[int] = None,
+                    tolerance: Optional[float] = None,
+                    bias_c: Optional[float] = None) -> InvarianceReport:
+    """Simulation evidence for phi_t^*T = T (pathwise) or its mean version,
+    from the first paths of run.
+
+    Pathwise mode compares the worst |pullback - eval| over the first
+    _PROBE_PATHS paths with tolerance; it takes no n_paths or bias_c.
+    Mean mode requires, per basis function over the first n_paths,
+    |mean - eval| <= 3*stderr + C*dt with C = bias_c, else run.bias_c;
+    that is its tolerance, so it takes no other. Its (residual,
+    tolerance) pair is the worst basis function by signed excess, so the
+    scalar verdict is the per-function rule.
+    """
+    if mode == "pathwise":
+        if n_paths is not None or bias_c is not None:
+            raise ValueError(f"pathwise mode reads the first {_PROBE_PATHS} "
+                             f"paths and takes no n_paths or bias_c")
+        n_paths = _PROBE_PATHS
+    elif mode != "mean":
+        raise ValueError(f"unknown empirical mode {mode!r}")
+    elif tolerance is not None:
+        raise ValueError("mean mode takes no tolerance: it is 3*stderr + C*dt "
+                         "per basis function (set bias_c for C)")
+    if not 2 <= (n_paths or 0) <= run.values.shape[1]:
+        raise ValueError(f"{mode} mode needs n_paths >= 2, and at most the "
+                         f"{run.values.shape[1]} paths of the run; got {n_paths}")
+    vals = run.values[:, :n_paths]
+    meta = {**run.meta, "n_paths": n_paths}
+    if mode == "pathwise":
+        diffs = np.abs(vals - run.targets[:, None])
+        rows = [{"basis_index": k, "value": float(np.max(d))}
+                for k, d in enumerate(diffs)]
         residual = float(np.max(diffs)) if diffs.size else 0.0
-        meta = {**self.meta, "n_paths": _PROBE_PATHS}
         return InvarianceReport("empirical_pathwise", residual, tolerance, meta,
                                 per_basis=rows)
-
-    def mean(self, n_paths: int, tolerance: Optional[float] = None,
-             bias_c: Optional[float] = None) -> InvarianceReport:
-        """The mean report of the first n_paths paths."""
-        if bias_c is None:
-            exact = all(f.is_constant for f in self.sys.fields())
-            bias_c = EXACT_BIAS_C if exact else FALLBACK_BIAS_C
-        vals = self.values[:, :n_paths]
-        means = vals.mean(axis=1)
-        stderrs = vals.std(axis=1, ddof=1) / np.sqrt(n_paths)
-        diffs = np.abs(means - self.targets)
-        tols = 3.0 * stderrs + bias_c * self.meta["dt"]
-        rows = [{"basis_index": k, "value": float(diffs[k]),
-                 "std_error": float(stderrs[k]), "tolerance": float(tols[k])}
-                for k in range(len(self.basis))]
-        worst = int(np.argmax(diffs - tols))
-        meta = {**self.meta, "n_paths": n_paths, "bias_c": bias_c}
-        return InvarianceReport("empirical_mean", diffs[worst], tols[worst], meta,
-                                per_basis=rows)
+    bias_c = run.bias_c if bias_c is None else bias_c
+    stderrs = vals.std(axis=1, ddof=1) / np.sqrt(n_paths)
+    diffs = np.abs(vals.mean(axis=1) - run.targets)
+    tols = 3.0 * stderrs + bias_c * run.meta["dt"]
+    rows = [{"basis_index": k, "value": float(diffs[k]),
+             "std_error": float(stderrs[k]), "tolerance": float(tols[k])}
+            for k in range(len(diffs))]
+    worst = int(np.argmax(diffs - tols))
+    return InvarianceReport("empirical_mean", diffs[worst], tols[worst],
+                            {**meta, "bias_c": bias_c}, per_basis=rows)
 
 
 def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
@@ -392,8 +381,8 @@ def foliation_pipeline(h: Subalgebra,
     the frame; (c) generator residuals and frame derivative-currents of
     the volume current, the empirical mean check, and (when the verdict
     is totally-invariant) the pathwise check, at their default tolerances.
-    The two empirical checks are those of ``empirical_check``, bit for
-    bit, from one flow of max(n_paths, _PROBE_PATHS) paths.
+    Both empirical checks read one EmpiricalRun, of max(n_paths,
+    _PROBE_PATHS) paths when both run.
     """
     from .liealg import foliated_drift, invariance_verdict
 
@@ -415,14 +404,11 @@ def foliation_pipeline(h: Subalgebra,
         subchecks.append(residual_check(T, sys, basis, "mean"))
         subchecks.append(_residual_report(
             T, basis, derivative_currents(T, realization.frame, basis.functions)))
-        # one run serves both Monte Carlo checks: the pathwise probe's
-        # paths are the first of the mean check's
-        _check_mean_paths(n_paths)
-        run = _EmpiricalRun(T, sys, basis, t, dt, seed,
-                            max(n_paths, _PROBE_PATHS) if verdict else n_paths)
-        subchecks.append(run.mean(n_paths, bias_c=bias_c))
+        run = EmpiricalRun(T, sys, basis, t, dt, seed,
+                           max(n_paths, _PROBE_PATHS) if verdict else n_paths)
+        subchecks.append(empirical_check(run, "mean", n_paths, bias_c=bias_c))
         if verdict:
-            subchecks.append(run.pathwise())
+            subchecks.append(empirical_check(run, "pathwise"))
         meta.update({"dt": dt, "T": t, "n_paths": n_paths,
                      "grid": grid_n, "basisK": basis_k})
     return InvarianceReport("foliation_verdict", residual, None, meta,

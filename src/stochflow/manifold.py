@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -247,26 +247,35 @@ def identified_pairs(m: ChartedManifold):
     return p, q, dgamma
 
 
-def is_compatible_field(m: ChartedManifold, X: VectorFieldSpec) -> bool:
-    """True when the field descends to the quotient: dgamma V(p) = V(q).
+def is_compatible_field(m: ChartedManifold, X: Union[VectorFieldSpec, Expr]) -> bool:
+    """True when X, a field or a scalar function such as a density,
+    descends to the quotient: at the identified_pairs p, q = gamma(p),
+    a field has dgamma X(p) = X(q) and a function X(p) = X(q). Both
+    manifolds' lattice maps preserve volume, so a density needs no
+    Jacobian factor.
 
-    Raises ValueError naming the component when a value of the field at
-    a sample point is not finite. The field is evaluated once on all
-    sample points p and once on all their images q.
+    Values count as equal when they differ by at most sqrt(eps) times the
+    largest magnitude compared, half the digits of a float: evaluating at
+    p and at q, a few box lengths apart, rounds far below that, and an X
+    that does not descend jumps by a fair part of its own size. Raises
+    ValueError naming the component when a value at a sample point is
+    not finite. X is evaluated once on all points p and once on all q.
     """
     p, q, dgamma = identified_pairs(m)
+    field = isinstance(X, VectorFieldSpec)
+    batch = expr.Functions(X.components if field else [X], m.dim)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # a non-finite value makes the difference non-finite
-        vp, vq = X(p), X(q)
-        if np.max(np.abs(np.einsum("nij,nj->ni", dgamma, vp) - vq)) <= 1e-10:
-            return True
+        vp, vq = (np.stack(batch.reduce(pts, lambda v: v), axis=-1) for pts in (p, q))
     for pts, v in ((p, vp), (q, vq)):
         bad = np.argwhere(~np.isfinite(v))
         if bad.size:
             row, comp = bad[0]
-            raise ValueError(f"component {comp + 1} is {v[row, comp]} "
-                             f"at x = {pts[row].tolist()}")
-    return False
+            what = f"component {comp + 1}" if field else "value"
+            raise ValueError(f"{what} is {v[row, comp]} at x = {pts[row].tolist()}")
+    if field:
+        vp = np.einsum("nij,nj->ni", dgamma, vp)
+    scale = max(np.max(np.abs(vp)), np.max(np.abs(vq)))
+    return bool(np.max(np.abs(vp - vq)) <= np.sqrt(np.finfo(float).eps) * scale)
 
 
 # ---------------------------------------------------------------------------

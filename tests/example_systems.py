@@ -11,6 +11,8 @@ __all__ = [
     "sin_drift_system",
     "multiplicative_circle_system",
     "heisenberg_foliated_system",
+    "heisenberg_fiber_system",
+    "THETA_DENSITY",
     "builtin_systems",
 ]
 
@@ -79,6 +81,22 @@ def heisenberg_foliated_system() -> StratonovichSystem:
     return StratonovichSystem(manifold=heisenberg_manifold(),
                               drift=VectorFieldSpec.zero(3),
                               diffusions=(x_field, z_field))
+
+
+def heisenberg_fiber_system() -> StratonovichSystem:
+    """sin(2 pi x1) Z on the Heisenberg nilmanifold: one diffusion along
+    the fiber, whose strength varies across the base."""
+    return StratonovichSystem(
+        manifold=heisenberg_manifold(), drift=VectorFieldSpec.zero(3),
+        diffusions=(VectorFieldSpec.from_strings(["0", "0", "sin(2*pi*x1)"]),))
+
+
+# The Weil-Brezin theta function of central frequency 1 on the Heisenberg
+# nilmanifold, truncated at |n| <= 4, as a positive density: it depends on
+# the fiber coordinate x3 and descends to the quotient.
+THETA_DENSITY = "2 + 0.5*(" + " + ".join(
+    f"exp(-(x1 {n:+d})*(x1 {n:+d})/0.08)*cos(2*pi*(x3 {n:+d}*x2))"
+    for n in range(-4, 5)) + ")"
 
 
 def builtin_systems() -> dict:

@@ -32,6 +32,7 @@ from stochflow.currents import (
 )
 from stochflow.invariance import (
     EXACT_BIAS_C,
+    EmpiricalRun,
     empirical_check,
     foliation_pipeline,
     heisenberg_realization,
@@ -180,7 +181,8 @@ def test_criterion_6_mean_invariance_by_simulation():
     stderrs = vals.std(axis=1, ddof=1) / math.sqrt(n_paths)
     for k in range(len(basis)):
         assert abs(means[k] - targets[k]) <= 3 * stderrs[k] + c * dt, k
-    rep = empirical_check(T, sys, basis, t, dt, seed=3, n_paths=n_paths, mode="mean")
+    rep = empirical_check(EmpiricalRun(T, sys, basis, t, dt, 3, n_paths), "mean",
+                          n_paths)
     assert rep.verdict
     elapsed = time.perf_counter() - t0
     assert elapsed < 300, f"runtime {elapsed:.1f} s"

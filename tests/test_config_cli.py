@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from example_systems import translation_bm_system
-from stochflow import expr
+from example_systems import THETA_DENSITY, translation_bm_system
+from stochflow import expr, invariance
 from stochflow.cli import _sha256_hex, build_current, build_experiment, main, run
 from stochflow.config import (
     CHECK_KEYS,
@@ -21,7 +21,12 @@ from stochflow.config import (
     serialize_config,
 )
 from stochflow.currents import DensityCurrent, volume_current
-from stochflow.invariance import DEFAULT_TOLERANCES, EXACT_BIAS_C, empirical_check
+from stochflow.invariance import (
+    DEFAULT_TOLERANCES,
+    EXACT_BIAS_C,
+    EmpiricalRun,
+    empirical_check,
+)
 from stochflow.manifold import make_test_basis
 from stochflow.presets import PRESETS, preset_names, preset_text
 
@@ -524,6 +529,12 @@ LOCATED_AT_PARSE = {
                               "check.empirical_mean.grid", 8, GRID_RULE),
     "foliation_grid_of_one": (HEISENBERG_REALIZED + "[check foliation]\ngrid = 1\n",
                               {}, "check.foliation.grid", 7, GRID_RULE),
+    # 1 + x1 jumps by 2 where the circle glues x1 = 1 to x1 = 0
+    "density_that_does_not_descend": (
+        "[manifold]\nlengths = 1\n\n[fields]\ndiffusion1 = 1\n\n"
+        "[current]\ndensity = 1 + x1\ngrid = 64\n", {}, "current.density", 8,
+        "the density does not descend to the quotient: it differs at points "
+        "that the identification glues"),
     "heisenberg_with_two_lengths": (
         "[manifold]\ntype = heisenberg\nlengths = 1, 1\n\n"
         "[fields]\ndiffusion1 = 1, 0, 0\n", {},
@@ -577,6 +588,17 @@ def test_values_are_rejected_at_parse_with_a_location(text, overrides, path, lin
         parse_config(text, overrides)
     assert [(i.path, i.line, i.message) for i in e.value.issues] == [
         (path, line, message)]
+
+
+def test_a_fiber_density_that_descends_is_accepted():
+    # the theta density descends to rounding (4.4e-16) on the Heisenberg
+    # nilmanifold, though it depends on the fiber coordinate
+    cfg = parse_config("[manifold]\ntype = heisenberg\n\n[fields]\n"
+                       "diffusion1 = 0, 0, sin(2*pi*x1)\n\n[current]\n"
+                       f"density = {THETA_DENSITY}\ngrid = 16\n\n"
+                       "[check strict_nform]\n")
+    T = build_current(build_experiment(cfg))
+    assert T.density == expr.parse(THETA_DENSITY)
 
 
 @pytest.mark.parametrize("name", [*preset_names(), "tilted_density"])
@@ -1154,9 +1176,78 @@ def test_config_and_library_translations_give_one_report():
     for sys in (config_built.system, translation_bm_system(2)):
         T = volume_current(sys.manifold, 8)
         basis = make_test_basis(sys.manifold, 1)
-        reports.append(empirical_check(T, sys, basis, 0.1, 0.01, 3, 20, "mean"))
+        run = EmpiricalRun(T, sys, basis, 0.1, 0.01, 3, 20)
+        reports.append(empirical_check(run, "mean", 20))
     assert reports[0].payload() == reports[1].payload()
     assert reports[0].metadata["bias_c"] == EXACT_BIAS_C
+
+
+def record_flows(monkeypatch):
+    """The n_paths of each pullback_values call of the checks, and the
+    number of evaluate_many calls, as they are made."""
+    flows, targets = [], []
+    pullback, evaluate = invariance.pullback_values, invariance.evaluate_many
+    monkeypatch.setattr(invariance, "pullback_values",
+                        lambda *args: flows.append(args[-1]) or pullback(*args))
+    monkeypatch.setattr(invariance, "evaluate_many",
+                        lambda *args: targets.append(1) or evaluate(*args))
+    return flows, targets
+
+
+def test_translation_preset_flows_its_empirical_paths_once(tmp_path, monkeypatch):
+    # the pathwise probe reads paths 0-4 of the mean check's 1000
+    flows, targets = record_flows(monkeypatch)
+    assert main(["check", "translation_bm_torus", "--out", str(tmp_path)]) == 0
+    assert flows == [1000] and len(targets) == 1
+
+
+# the current's grid is 8; a check without a grid of its own runs on it
+SHARED_RUNS = HONOURED_FLOW + """
+[check empirical_pathwise]
+t = 0.02
+dt = 0.01
+seed = 3
+
+[check empirical_mean]
+t = 0.02
+dt = 0.01
+seed = 3
+grid = 8
+paths = 12
+
+[check empirical_mean]
+t = 0.02
+dt = 0.01
+seed = 4
+paths = 3
+
+[check empirical_pathwise]
+t = 0.02
+dt = 0.01
+seed = 3
+grid = 4
+"""
+
+
+def test_empirical_checks_of_one_run_key_share_one_run(tmp_path, monkeypatch):
+    flows, targets = record_flows(monkeypatch)
+    assert run(parse_config(SHARED_RUNS), tmp_path) in (0, 2)
+    monkeypatch.undo()
+    # one run per (grid, basis_k, t, dt, seed), as wide as its checks read
+    assert flows == [12, 3, 5] and len(targets) == 3
+    # each report is that of a run of exactly the paths it reads
+    exp = build_experiment(parse_config(SHARED_RUNS))
+    checks = json.loads((tmp_path / "report.json").read_text())["payload"]["checks"]
+    for chk, check in zip(exp.config.checks, checks):
+        T = volume_current(exp.system.manifold, chk.value("grid") or 8)
+        basis = make_test_basis(T.manifold, chk.value("basis_k"))
+        paths = chk.value("paths") if chk.kind == "empirical_mean" else 5
+        alone = EmpiricalRun(T, exp.system, basis, 0.02, 0.01, chk.value("seed"),
+                             paths)
+        mode = chk.kind[len("empirical_"):]
+        want = empirical_check(alone, mode, paths) if mode == "mean" else \
+            empirical_check(alone, mode)
+        assert check == json.loads(json.dumps(want.payload()))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from stochflow.manifold import (
     torus,
 )
 from stochflow.invariance import (
+    EmpiricalRun,
     calibrate_bias_constant,
     empirical_check,
     heisenberg_realization,
@@ -119,6 +120,12 @@ def test_density_must_be_positive():
     from stochflow.manifold import DegenerateDensityError
     with pytest.raises(DegenerateDensityError):
         DensityCurrent(manifold=T1, density=expr.parse("sin(2*pi*x1)"), grid_n=16)
+
+
+def test_density_must_descend_to_the_quotient():
+    from stochflow.manifold import DegenerateDensityError
+    with pytest.raises(DegenerateDensityError, match="does not descend"):
+        DensityCurrent(manifold=T1, density=expr.parse("1 + x1"), grid_n=64)
 
 
 def test_density_must_be_an_expression():
@@ -209,10 +216,11 @@ def test_mean_action_requires_two_paths():
     sys = zero_system(1)
     T = volume_current(T1, 8)
     basis = make_test_basis(T1, 1)
+    run = EmpiricalRun(T, sys, basis, 1.0, 0.1, seed=0, n_paths=4)
     with pytest.raises(ValueError):
-        empirical_check(T, sys, basis, 1.0, 0.1, seed=0, n_paths=1, mode="mean")
+        empirical_check(run, "mean", 1)
     with pytest.raises(ValueError, match="n_paths >= 2"):
-        empirical_check(T, sys, basis, 1.0, 0.1, seed=0, n_paths=None, mode="mean")
+        empirical_check(run, "mean")
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,8 @@ def test_every_private_name_in_src_is_read():
 
 
 # Public names nothing outside the tests reads yet, each with its reason.
-# calibrate_bias_constant stays until ROADMAP item 2 moves its estimator
-# into empirical_check.
+# calibrate_bias_constant stays until ROADMAP item 5 measures the bias
+# with its estimator, on the paths of an EmpiricalRun.
 UNREAD_PUBLIC_ALLOWED = {"invariance.calibrate_bias_constant"}
 
 
@@ -288,8 +288,8 @@ def test_every_public_name_in_src_is_read():
 
 
 # Defaulted parameters that no call in src/ or bench/ sets. seed and
-# n_paths of calibrate_bias_constant stay until ROADMAP item 2 moves its
-# estimator into empirical_check.
+# n_paths of calibrate_bias_constant stay until ROADMAP item 5 measures
+# the bias with its estimator, on the paths of an EmpiricalRun.
 UNSET_DEFAULTS_ALLOWED = {"invariance.calibrate_bias_constant.seed",
                           "invariance.calibrate_bias_constant.n_paths"}
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from example_systems import THETA_DENSITY
 from oracles import is_invariant_function
 from stochflow import expr
 from stochflow.currents import evaluate_many, volume_current
@@ -98,6 +99,82 @@ def test_nonperiodic_field_rejected_on_torus():
     assert is_compatible_field(T1, good)
 
 
+def descent_gap(m, f):
+    """The largest |f(q) - f(p)| over the identified_pairs."""
+    p, q, _ = identified_pairs(m)
+    return float(np.max(np.abs(expr.evaluate(f, q) - expr.evaluate(f, p))))
+
+
+def test_a_density_that_jumps_at_the_seam_does_not_descend():
+    density = expr.parse("1 + x1")
+    assert descent_gap(T1, density) == pytest.approx(2.0)
+    assert not is_compatible_field(T1, density)
+
+
+def test_the_theta_density_descends_to_rounding():
+    density = expr.parse(THETA_DENSITY)
+    assert 0 < descent_gap(HEIS, density) <= 4.5e-16
+    assert is_compatible_field(HEIS, density)
+    # one fiber mode alone does not: the twist z -> z + a*y moves it
+    assert not is_compatible_field(HEIS, expr.parse("cos(2*pi*(x3 + x2))"))
+
+
+@st.composite
+def compatible_inputs(draw):
+    """A manifold, a random positive density and a random field that
+    descend to it, a point p and a lattice element gamma: (m, density,
+    field, p, gamma(p), dgamma). On the Heisenberg manifold the field
+    is a X + b Y + c Z with the frame's coefficients a, b, c functions
+    of x1 and x2, and the density is one of x1 and x2."""
+    heisenberg = draw(st.booleans())
+    if heisenberg:
+        lengths = (1.0, 1.0, 1.0)
+    else:
+        lengths = tuple(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                      min_size=1, max_size=2)))
+    base = lengths[:2] if heisenberg else lengths
+
+    def trig():  # a trig polynomial of period L_i in x_i, and its size bound
+        terms, size = [], 0.0
+        for _ in range(draw(st.integers(1, 3))):
+            a = draw(st.integers(-10, 10)) / 10
+            arg = " + ".join(f"{draw(st.integers(-2, 2))}*x{i + 1}/{length}"
+                             for i, length in enumerate(base))
+            terms.append(f"{a}*cos(2*pi*({arg}) + {draw(st.integers(0, 6))})")
+            size += abs(a)
+        return " + ".join(terms), size
+
+    poly, size = trig()
+    density = expr.parse(f"{size + 0.5} + {poly}")
+    if heisenberg:
+        a, b, c = (trig()[0] for _ in range(3))
+        field = VectorFieldSpec.from_strings([a, b, f"({b})*x1 + {c}"])
+    else:
+        field = VectorFieldSpec.from_strings([trig()[0] for _ in lengths])
+    m = ChartedManifold(len(lengths), lengths,
+                        "heisenberg" if heisenberg else "torus")
+    p = np.array([draw(st.floats(0, 1, exclude_max=True)) * length
+                  for length in lengths])
+    shift = np.array([draw(st.integers(-3, 3)) for _ in lengths]) * m.lengths
+    q, dgamma = p + shift, np.eye(len(lengths))
+    if heisenberg:  # (x, y, z) -> (x + a, y + b, z + c + a*y)
+        q[2] += shift[0] * p[1]
+        dgamma[2, 1] = shift[0]
+    return m, density, field, p, q, dgamma
+
+
+@settings(max_examples=60, deadline=None)
+@given(compatible_inputs())
+def test_lattice_shifts_of_compatible_inputs_give_equal_values(inputs):
+    m, density, field, p, q, dgamma = inputs
+    assert is_compatible_field(m, density) and is_compatible_field(m, field)
+    rho_p, rho_q = (expr.evaluate(density, x[None]) for x in (p, q))
+    np.testing.assert_allclose(rho_q, rho_p, rtol=1e-10)
+    v_p, v_q = field(p[None])[0], field(q[None])[0]
+    np.testing.assert_allclose(v_q, dgamma @ v_p, rtol=0, atol=1e-10 * (
+        1 + np.max(np.abs(v_p))))
+
+
 def test_field_components_must_be_expressions():
     with pytest.raises(TypeError, match="component must be an expression"):
         VectorFieldSpec(dim=1, components=(lambda p: p[..., 0],))
@@ -107,6 +184,8 @@ def test_compatibility_check_names_a_non_finite_component():
     with pytest.raises(ValueError, match="component 2 is inf"):
         is_compatible_field(torus(1.0, 1.0),
                             VectorFieldSpec.from_strings(["1", "1e999"]))
+    with pytest.raises(ValueError, match="value is inf"):
+        is_compatible_field(T1, expr.parse("1e999"))
 
 
 def test_invariant_function_check():

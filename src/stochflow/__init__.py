@@ -33,10 +33,13 @@ _EXPORTS = {
         "torus",
     ),
     "liealg": (
+        "FrameRealization",
         "LieAlgebraData",
         "NotASubalgebraError",
+        "RealizationError",
         "Subalgebra",
         "foliated_drift",
+        "heisenberg_realization",
         "invariance_verdict",
         "is_nilpotent",
         "is_semisimple",
@@ -60,14 +63,11 @@ _EXPORTS = {
     ),
     "invariance": (
         "EmpiricalRun",
-        "FrameRealization",
         "InvarianceReport",
-        "RealizationError",
         "check_mean_nform",
         "check_strict_nform",
         "empirical_check",
         "foliation_pipeline",
-        "heisenberg_realization",
         "jacobian_check",
     ),
 }

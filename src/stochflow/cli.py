@@ -40,9 +40,9 @@ from .sde import (
 
 # The invariance, liealg and currents layers, and the modules that write
 # the report, are imported inside the functions that use them, so that a
-# command loads only what it runs: `simulate` on a flow preset loads
-# neither the checks' layers nor the report writer, and `check` on a
-# flow preset does not load liealg.
+# command loads only what it runs: `simulate` loads neither the checks'
+# layers nor the report writer, the set-up of a liealg preset loads
+# liealg alone, and `check` on a flow preset does not load liealg.
 
 __all__ = ["main", "run", "build_experiment", "build_current"]
 
@@ -67,8 +67,11 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
     exp = Experiment(config)
     value = config.value
     if config.is_liealg:
-        from .invariance import heisenberg_realization, torus_translation_realization
-        from .liealg import Subalgebra
+        from .liealg import (
+            Subalgebra,
+            heisenberg_realization,
+            torus_translation_realization,
+        )
 
         algebra = value("liealg.constants") or value("liealg.algebra")
         exp.subalgebra = Subalgebra(algebra, value("liealg.subalgebra"))
@@ -304,7 +307,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError("config has no simulatable system "
                          "(liealg experiment without a realization)")
     if system is None:
-        from .invariance import foliated_system
+        from .liealg import foliated_system
 
         system = foliated_system(exp.subalgebra, exp.realization)
     flags = parse_flags({"t": args.t, "dt": args.dt, "x0": args.x0,

@@ -31,7 +31,7 @@ from .manifold import (
     grid_points,
     is_compatible_field,
 )
-from .sde import StratonovichSystem, flow_paths, step_count
+from .sde import StratonovichSystem, _endpoint_arrays, flow_paths, step_count
 
 __all__ = [
     "DensityCurrent",
@@ -46,7 +46,8 @@ __all__ = [
 ]
 
 # paths processed together are capped to roughly this many array
-# elements: per path, a state per support point and its noise
+# elements: per path, its noise and, per support point, the most values
+# that the flow or the evaluation of the test functions holds at once
 _CHUNK_ELEMS = 4_000_000
 
 
@@ -140,16 +141,19 @@ def pullback_values(T: Current, functions: Sequence[Expr],
     Column p depends on path p alone: each path's pullback is summed
     over the support in one order (``_weigh``), so its bits do not
     depend on the chunking or on n_paths, and the first k columns of a
-    run are the run over k paths. A chunk counts about _CHUNK_ELEMS
-    elements of states (support points x dim per path) and noise
-    (steps x m per path).
+    run are the run over k paths. A chunk holds about _CHUNK_ELEMS
+    elements: per path, its noise (steps x m) and, per support point,
+    the arrays of the flow's loop or, after it, the endpoints (dim) and
+    the arrays that evaluating the functions holds at once. So memory
+    does not grow with n_paths.
     """
     steps = step_count(t, dt)
     pts = T.points
     n_pts = pts.shape[0]
     batch = expr.Functions(functions, sys.manifold.dim)
     out = np.empty((len(batch), n_paths))
-    chunk = max(1, _CHUNK_ELEMS // (n_pts * sys.manifold.dim + steps * sys.m))
+    arrays = max(_endpoint_arrays(sys), sys.manifold.dim + batch.peak_arrays)
+    chunk = max(1, _CHUNK_ELEMS // (n_pts * arrays + steps * sys.m))
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
         ends = flow_paths(sys, "endpoints", pts, dt, steps, seed,

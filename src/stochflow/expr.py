@@ -489,10 +489,7 @@ class Lowering:
         temporary is dropped after its last use. A constant result is
         reduced as np.full(shape, value).
         """
-        uses = {}  # name -> operations yet to read it
-        for _, *args in self.code:
-            for a in args:
-                uses[a] = uses.get(a, 0) + 1
+        last = self._last_reads()
         wanted = dict.fromkeys(results)
         values = dict(env, **self.namespace)
         for name in wanted:
@@ -505,14 +502,30 @@ class Lowering:
             value = _APPLY[op](*[values[a] for a in args])
             if name in wanted:
                 wanted[name] = reduce(value)
-            if name in uses:
+            if name in last:
                 values[name] = value
             for a in args:
-                uses[a] -= 1
-                if not uses[a]:
+                if last[a] == n:
                     values.pop(a, None)
             del value
         return [wanted[name] for name in results]
+
+    def peak_arrays(self) -> int:
+        """The most computed values that ``run`` holds at once, each an
+        array of the points' shape: one operation's value and the earlier
+        ones still to be read, or the np.full of a constant result."""
+        last = self._last_reads()
+        live, peak = set(), 1
+        for n, (_, *args) in enumerate(self.code):
+            peak = max(peak, len(live) + 1)
+            if f"v{n}" in last:
+                live.add(f"v{n}")
+            live -= {a for a in args if last[a] == n}
+        return peak
+
+    def _last_reads(self) -> dict:
+        """name -> the index of the last operation that reads it."""
+        return {a: n for n, (_, *args) in enumerate(self.code) for a in args}
 
 
 class Functions:
@@ -531,6 +544,11 @@ class Functions:
 
     def __len__(self):
         return len(self._names)
+
+    @property
+    def peak_arrays(self) -> int:
+        """The most arrays of the points' shape that reduce holds at once."""
+        return self._low.peak_arrays()
 
     def reduce(self, pts, reduce) -> list:
         """[reduce(f(pts)) for each function f], each value reduced, and

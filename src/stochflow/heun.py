@@ -34,7 +34,7 @@ import numpy as np
 from . import expr, sde
 from .manifold import ChartedManifold, InvalidPointError
 
-__all__ = ["run_heun"]
+__all__ = ["run_heun", "loop_arrays"]
 
 # the step loop re-wraps a batch once some coordinate passes this many box
 # lengths; below it, rounding on unwrapped coordinates stays at ulp level
@@ -278,8 +278,12 @@ def _compile_loop(sys: sde.StratonovichSystem, consumer: str, backend: str):
                   + "".join(f"    {line}\n" for line in head)
                   + "    for r in range(noise.shape[0]):\n"
                   + "".join(f"        {line}\n" for line in lines))
-        return _define(low, source, "loop", maximum=np.maximum,
+        loop = _define(low, source, "loop", maximum=np.maximum,
                        absolute=np.absolute, inf=math.inf, **names)
+        # arrays of shape lead held while it runs: P, C and B (dim rows
+        # each), S, dt, pl and cl, the buffers, and run_heun's X and L
+        loop.arrays = 4 * m.dim + 3 + (2 if divs else 0) + len(buffers)
+        return loop
 
     stage(state, "p")
     body.extend(f"b{j} = a{j} + p{j}" for j in range(m.dim))
@@ -344,6 +348,18 @@ def _rewrap(m: ChartedManifold, bound: float, X, step: int) -> None:
     x[far] = m.wrap(x[far])
 
 
+def _loop(sys: sde.StratonovichSystem, consumer: str, backend: str):
+    """The compiled loop of consumer on backend, compiled once per system."""
+    return sys._cached(("loop", consumer, backend),
+                       lambda s: _compile_loop(s, consumer, backend))
+
+
+def loop_arrays(sys: sde.StratonovichSystem, consumer: str) -> int:
+    """The arrays of the leading shape that run_heun holds on arrays,
+    besides what consumer records."""
+    return _loop(sys, consumer, "array").arrays
+
+
 def run_heun(sys: sde.StratonovichSystem, consumer: str, x0, dt: float,
              steps: int, noise_lead: tuple, blocks):
     """Runs the compiled Heun loop of consumer over the noise blocks.
@@ -369,24 +385,20 @@ def run_heun(sys: sde.StratonovichSystem, consumer: str, x0, dt: float,
     elif consumer == "volume":
         out = (np.zeros(lead),)
 
-    def loop(backend):
-        return sys._cached(("loop", consumer, backend),
-                           lambda s: _compile_loop(s, consumer, backend))
-
     point = math.prod(lead) == 1
     k = 0
     for block in blocks:
         if point:
             start = X.copy(), L.copy()
             try:
-                loop("point")(X, L, block, k, dt, *out)
+                _loop(sys, consumer, "point")(X, L, block, k, dt, *out)
             except (ArithmeticError, ValueError):
                 # Python raised where numpy gives inf or nan (or the state
                 # or log J is not finite): the array loop redoes the block,
                 # rewrites the same records and raises what it raises
                 X[...], L[...] = start
-                loop("array")(X, L, block, k, dt, *out)
+                _loop(sys, consumer, "array")(X, L, block, k, dt, *out)
         else:
-            loop("array")(X, L, block, k, dt, *out)
+            _loop(sys, consumer, "array")(X, L, block, k, dt, *out)
         k += block.shape[0]
     return (x, *out)

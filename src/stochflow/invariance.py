@@ -4,8 +4,8 @@ Each checker produces an InvarianceReport whose verdict is
 (residual <= tolerance); the metadata records everything needed to
 reproduce the run (dt, horizon, paths, grid, basis cutoff, seed).
 The foliation pipeline reads a ``liealg.Subalgebra``, checked closed
-when it was built, and tests a realization's frame at the fixed points
-of ``manifold.identified_pairs``.
+when it was built, and flows the foliated BM that ``liealg`` builds from
+a realization of its algebra.
 """
 
 from __future__ import annotations
@@ -25,19 +25,12 @@ from .currents import (
     strict_residuals,
     volume_current,
 )
-from .expr import Functions, constant
+from .expr import Functions
 from .manifold import (
-    ChartedManifold,
     VectorFieldSpec,
     apply_field,
-    heisenberg_frame,
-    heisenberg_manifold,
-    identified_pairs,
-    lie_bracket,
-    linear_combination,
     make_test_basis,
     product_divergence_expr,
-    torus,
 )
 from .sde import StratonovichSystem, flow_paths, step_count
 
@@ -45,19 +38,14 @@ from .sde import StratonovichSystem, flow_paths, step_count
 # flow checks do not load it
 
 __all__ = [
-    "RealizationError",
     "InvarianceReport",
-    "FrameRealization",
     "check_strict_nform",
     "check_mean_nform",
     "residual_check",
     "EmpiricalRun",
     "empirical_check",
     "jacobian_check",
-    "foliated_system",
     "foliation_pipeline",
-    "heisenberg_realization",
-    "torus_translation_realization",
     "calibrate_bias_constant",
     "DEFAULT_TOLERANCES",
     "EXACT_BIAS_C",
@@ -90,10 +78,6 @@ FALLBACK_BIAS_C = 1.0
 
 # independent noise paths that the pathwise empirical check probes
 _PROBE_PATHS = 5
-
-
-class RealizationError(ValueError):
-    pass
 
 
 class InvarianceReport:
@@ -313,62 +297,6 @@ def jacobian_check(sys: StratonovichSystem, x0, t: float, dt: float,
 # ---------------------------------------------------------------------------
 # foliation pipeline
 
-class FrameRealization:
-    """A manifold carrying frame fields that realize structure constants."""
-
-    def __init__(self, manifold: ChartedManifold, frame: tuple):
-        self.manifold = manifold
-        self.frame = frame  # one VectorFieldSpec per algebra basis vector
-
-
-def heisenberg_realization() -> FrameRealization:
-    return FrameRealization(manifold=heisenberg_manifold(), frame=heisenberg_frame())
-
-
-def torus_translation_realization(dim: int) -> FrameRealization:
-    """Coordinate frame on the flat torus, realizing the abelian algebra."""
-    m = torus(*([1.0] * dim))
-    frame = tuple(VectorFieldSpec(dim=dim, components=tuple(
-        constant(float(i == j)) for j in range(dim))) for i in range(dim))
-    return FrameRealization(manifold=m, frame=frame)
-
-
-def _verify_realization(g: LieAlgebraData, real: FrameRealization) -> None:
-    """Raise RealizationError at the first pair i < j whose field
-    [V_i, V_j] - sum_k c_ij^k V_k exceeds 1e-6 at the identified_pairs."""
-    if len(real.frame) != g.n:
-        raise RealizationError(
-            f"realization has {len(real.frame)} frame fields, algebra needs {g.n}")
-    m = real.manifold
-    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
-    residuals = []
-    for i, j in pairs:
-        bracket = lie_bracket(m, real.frame[i], real.frame[j])
-        residuals += linear_combination((bracket, *real.frame),
-                                        (1.0, *(-g.c[i, j]))).components
-    p, _, _ = identified_pairs(m)
-    peaks = Functions(residuals, m.dim).reduce(p, lambda v: np.max(np.abs(v)))
-    for n, (i, j) in enumerate(pairs):
-        if max(peaks[n * m.dim:(n + 1) * m.dim]) > 1e-6:
-            raise RealizationError(
-                f"frame brackets disagree with structure constants at "
-                f"([{g.label(i)}, {g.label(j)}])")
-
-
-def foliated_system(h: Subalgebra, real: FrameRealization) -> StratonovichSystem:
-    """The foliated BM: drift (1/2) sum_i c_ik^i V_k, diffusions V_i, i in h.
-
-    Raises RealizationError unless the frame realizes the algebra of h.
-    """
-    from .liealg import foliated_drift
-
-    _verify_realization(h.algebra, real)
-    sub_frame = [real.frame[i] for i in h.indices]
-    drift = linear_combination(sub_frame, foliated_drift(h))
-    return StratonovichSystem(manifold=real.manifold, drift=drift,
-                              diffusions=tuple(sub_frame))
-
-
 def foliation_pipeline(h: Subalgebra,
                        realization: Optional[FrameRealization] = None, *,
                        t: float = 1.0, dt: float = 1e-3, seed: int = 0,
@@ -384,7 +312,7 @@ def foliation_pipeline(h: Subalgebra,
     Both empirical checks read one EmpiricalRun, of max(n_paths,
     _PROBE_PATHS) paths when both run.
     """
-    from .liealg import foliated_drift, invariance_verdict
+    from .liealg import foliated_drift, foliated_system, invariance_verdict
 
     verdict, offending = invariance_verdict(h)
     drift_coeffs = foliated_drift(h)

@@ -7,6 +7,9 @@ foliated Brownian motion of an induced foliation, and the trace
 criterion deciding whether the invariant volume is totally invariant
 under that motion. A ``Subalgebra`` checks its indices and closure once,
 when it is built, and the functions that read it check nothing again.
+A ``FrameRealization`` carries frame fields on a manifold that realize
+the constants; ``foliated_system`` checks them at the fixed points of
+``manifold.identified_pairs`` and builds the foliated BM from them.
 The drift is read off the constants directly; the tests check it against
 the leaf connection of the Koszul formula, and the restricted traces
 against the adjoint matrices.
@@ -14,11 +17,23 @@ against the adjoint matrices.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Optional
 
 import numpy as np
+
+from .expr import Functions, constant
+from .manifold import (
+    ChartedManifold,
+    VectorFieldSpec,
+    heisenberg_frame,
+    heisenberg_manifold,
+    identified_pairs,
+    lie_bracket,
+    linear_combination,
+    torus,
+)
+from .sde import StratonovichSystem
 
 __all__ = [
     "LieAlgebraData",
@@ -31,6 +46,11 @@ __all__ = [
     "is_closed",
     "foliated_drift",
     "invariance_verdict",
+    "RealizationError",
+    "FrameRealization",
+    "heisenberg_realization",
+    "torus_translation_realization",
+    "foliated_system",
     "abelian",
     "heisenberg3",
     "sl2",
@@ -176,6 +196,67 @@ def invariance_verdict(h: Subalgebra):
 
 
 # ---------------------------------------------------------------------------
+# realizations: frames on a manifold whose brackets are the constants
+
+class RealizationError(ValueError):
+    pass
+
+
+class FrameRealization:
+    """A manifold carrying frame fields that realize structure constants."""
+
+    def __init__(self, manifold: ChartedManifold, frame: tuple):
+        self.manifold = manifold
+        self.frame = frame  # one VectorFieldSpec per algebra basis vector
+
+
+def heisenberg_realization() -> FrameRealization:
+    return FrameRealization(manifold=heisenberg_manifold(), frame=heisenberg_frame())
+
+
+def torus_translation_realization(dim: int) -> FrameRealization:
+    """Coordinate frame on the flat torus, realizing the abelian algebra."""
+    m = torus(*([1.0] * dim))
+    frame = tuple(VectorFieldSpec(dim=dim, components=tuple(
+        constant(float(i == j)) for j in range(dim))) for i in range(dim))
+    return FrameRealization(manifold=m, frame=frame)
+
+
+def _verify_realization(g: LieAlgebraData, real: FrameRealization) -> None:
+    """Raise RealizationError at the first pair i < j whose field
+    [V_i, V_j] - sum_k c_ij^k V_k exceeds 1e-6 at the identified_pairs."""
+    if len(real.frame) != g.n:
+        raise RealizationError(
+            f"realization has {len(real.frame)} frame fields, algebra needs {g.n}")
+    m = real.manifold
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    residuals = []
+    for i, j in pairs:
+        bracket = lie_bracket(m, real.frame[i], real.frame[j])
+        residuals += linear_combination((bracket, *real.frame),
+                                        (1.0, *(-g.c[i, j]))).components
+    p, _, _ = identified_pairs(m)
+    peaks = Functions(residuals, m.dim).reduce(p, lambda v: np.max(np.abs(v)))
+    for n, (i, j) in enumerate(pairs):
+        if max(peaks[n * m.dim:(n + 1) * m.dim]) > 1e-6:
+            raise RealizationError(
+                f"frame brackets disagree with structure constants at "
+                f"([{g.label(i)}, {g.label(j)}])")
+
+
+def foliated_system(h: Subalgebra, real: FrameRealization) -> StratonovichSystem:
+    """The foliated BM: drift (1/2) sum_i c_ik^i V_k, diffusions V_i, i in h.
+
+    Raises RealizationError unless the frame realizes the algebra of h.
+    """
+    _verify_realization(h.algebra, real)
+    sub_frame = [real.frame[i] for i in h.indices]
+    drift = linear_combination(sub_frame, foliated_drift(h))
+    return StratonovichSystem(manifold=real.manifold, drift=drift,
+                              diffusions=tuple(sub_frame))
+
+
+# ---------------------------------------------------------------------------
 # built-in algebra zoo
 
 def _from_brackets(n, brackets, labels=None):
@@ -261,6 +342,8 @@ def load_structure_constants(source) -> LieAlgebraData:
     antisymmetric completion is applied automatically. A malformed value
     raises ValueError naming the entry.
     """
+    import json  # only a liealg experiment reads constants
+
     if isinstance(source, (str, bytes)):
         data = json.loads(source)
     elif hasattr(source, "read"):

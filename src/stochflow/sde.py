@@ -348,6 +348,17 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
     return out[0] if out else sys.manifold.wrap(x.copy())
 
 
+def _endpoint_arrays(sys: StratonovichSystem) -> int:
+    """The most arrays of one value per start point and path that
+    flow_paths(sys, "endpoints", ...) holds at once: the endpoints
+    themselves for constant fields, else those of the Heun loop."""
+    if sys._cached("velocities", _constant_velocities) is not None:
+        return sys.manifold.dim
+    from .heun import loop_arrays
+
+    return loop_arrays(sys, "endpoints")
+
+
 def write_trajectory_csv(result: FlowResult, fileobj) -> None:
     """Columns t, x1..xn, logJ, with the CRLF line ends of csv.writer."""
     dim = result.trajectory.shape[-1]

@@ -35,12 +35,12 @@ from stochflow.invariance import (
     EmpiricalRun,
     empirical_check,
     foliation_pipeline,
-    heisenberg_realization,
     jacobian_check,
 )
 from stochflow.liealg import (
     Subalgebra,
     foliated_drift,
+    heisenberg_realization,
     invariance_verdict,
     is_closed,
     is_nilpotent,

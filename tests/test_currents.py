@@ -31,13 +31,8 @@ from stochflow.manifold import (
     make_test_basis,
     torus,
 )
-from stochflow.invariance import (
-    EmpiricalRun,
-    calibrate_bias_constant,
-    empirical_check,
-    heisenberg_realization,
-    torus_translation_realization,
-)
+from stochflow.invariance import EmpiricalRun, calibrate_bias_constant, empirical_check
+from stochflow.liealg import heisenberg_realization, torus_translation_realization
 from stochflow.sde import (
     StratonovichSystem,
     flow_endpoints,
@@ -370,7 +365,7 @@ def test_pullback_values_do_not_depend_on_chunking(label, chunk_elems, n_paths):
 
 
 def test_pullback_chunks_count_the_noise():
-    # one atom, 500 paths of 100 steps of 2-D noise, in chunks of 24
+    # one atom, 500 paths of 100 steps of 2-D noise, in chunks of 22
     # paths: a chunk sized on the support alone would hold every path and
     # 0.8 MB of noise at once (peak 1.0 MB, against 0.13 MB)
     sys = hamiltonian_torus_system()
@@ -407,6 +402,42 @@ def test_pullback_memory_does_not_grow_with_steps():
     # the whole noise of the longer run is 6.4 MB; one block is 256 KiB
     grown = pullback_peak(8000) - pullback_peak(1000)
     assert grown <= sde._BLOCK_BYTES
+
+
+PATHS_BUDGET = 200_000  # _CHUNK_ELEMS of the test below: 1.6 MB of floats
+
+
+def pullback_paths_peak(n_paths):
+    sys = hamiltonian_torus_system()
+    T = volume_current(sys.manifold, 32)
+    functions = make_test_basis(sys.manifold, 3).functions
+    pullback_values(T, functions, sys, 0.02, 0.01, 1, 2)  # compile
+    with mock.patch.object(currents, "_CHUNK_ELEMS", PATHS_BUDGET):
+        tracemalloc.start()
+        try:
+            pullback_values(T, functions, sys, 0.05, 0.01, 1, n_paths)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_pullback_memory_does_not_grow_with_paths():
+    # per path, the Heun loop holds 20 arrays of the 1024 grid points and
+    # the basis evaluation 9 besides the endpoints, so a chunk is 9 paths
+    # (a chunk counting the states and noise alone held all 72: 12 MB)
+    small, large = pullback_paths_peak(18), pullback_paths_peak(72)
+    assert large <= 1.1 * small
+    assert large < 1.25 * 8 * PATHS_BUDGET
+
+
+def test_a_foliation_preset_pullback_is_one_chunk():
+    # the heisenberg_foliation preset at 30 paths: 512 grid points, 1000 steps
+    sys = heisenberg_foliated_system()
+    T = volume_current(sys.manifold, 8)
+    functions = make_test_basis(sys.manifold, 3).functions
+    with mock.patch.object(currents, "flow_paths", wraps=sde.flow_paths) as flow:
+        pullback_values(T, functions, sys, 1.0, 1e-3, 11, 30)
+    assert flow.call_count == 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,18 +21,20 @@ from stochflow.invariance import (
     EXACT_BIAS_C,
     FALLBACK_BIAS_C,
     EmpiricalRun,
-    FrameRealization,
     InvarianceReport,
-    RealizationError,
     calibrate_bias_constant,
     check_mean_nform,
     check_strict_nform,
     empirical_check,
-    foliated_system,
     foliation_pipeline,
-    heisenberg_realization,
     jacobian_check,
     residual_check,
+)
+from stochflow.liealg import (
+    FrameRealization,
+    RealizationError,
+    foliated_system,
+    heisenberg_realization,
     torus_translation_realization,
 )
 from stochflow.manifold import (

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import ad_matrix, leaf_connection
 from stochflow import liealg
-from stochflow.invariance import foliation_pipeline, heisenberg_realization
+from stochflow.invariance import foliation_pipeline
 from stochflow.liealg import (
     LieAlgebraData,
     NotASubalgebraError,
@@ -15,6 +15,7 @@ from stochflow.liealg import (
     algebra_zoo,
     foliated_drift,
     heisenberg3,
+    heisenberg_realization,
     invariance_verdict,
     is_closed,
     is_nilpotent,

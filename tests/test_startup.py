@@ -60,6 +60,8 @@ def run_main(argv, cwd):
 COMMANDS = {
     "simulate_flow": ["simulate", "hamiltonian_torus", "--t", "0.01", "--dt", "1e-3",
                       "--trajectory", "t.csv"],
+    "simulate_foliation": ["simulate", "heisenberg_foliation", "--t", "0.01",
+                           "--dt", "1e-3", "--trajectory", "f.csv"],
     "check_flow": ["check", "hamiltonian_torus", "--dt", "0.01", "--out", "flow"],
     "check_foliation": ["check", "heisenberg_foliation", "--paths", "30", "--out",
                         "foliation"],
@@ -95,7 +97,10 @@ def test_set_up_of_a_flow_preset_loads_nothing_only_check_reads():
 
 def test_set_up_of_a_liealg_preset_does_not_load_the_heun_loop():
     _, _, modules = run_script(_SET_UP, ["heisenberg_foliation"])
-    assert {"stochflow.sde", "stochflow.invariance"} <= modules
+    assert {"stochflow.sde", "stochflow.liealg"} <= modules
+    # its realization is built by liealg: no check layer loads before a check
+    assert "stochflow.invariance" not in modules
+    assert not CHECK_ONLY & modules
     assert HEUN not in modules
 
 
@@ -109,6 +114,14 @@ def test_simulate_of_a_flow_preset_loads_neither_invariance_nor_liealg(loaded):
     assert "stochflow.liealg" not in modules
     assert not CHECK_ONLY & modules
     # OPENSSL is not asserted: numpy.random loads hashlib to draw the noise
+
+
+def test_simulate_of_a_liealg_preset_loads_no_check_layer(loaded):
+    code, _, modules = loaded["simulate_foliation"]
+    assert code == 0
+    assert {"stochflow.sde", "stochflow.liealg"} <= modules
+    assert "stochflow.invariance" not in modules
+    assert not CHECK_ONLY & modules
 
 
 def test_check_of_a_flow_preset_loads_neither_liealg_nor_numpy_random(loaded):

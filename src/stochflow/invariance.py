@@ -17,7 +17,6 @@ import numpy as np
 from .currents import (
     Current,
     DensityCurrent,
-    _weigh,
     derivative_currents,
     evaluate_many,
     generator_residuals,
@@ -353,16 +352,10 @@ def calibrate_bias_constant(T: Current, sys: StratonovichSystem, basis,
 
     The same Brownian paths drive a fine (dt/2) and a coarsened (dt)
     integration; the Monte Carlo noise cancels in the difference of the
-    pullback means, leaving ~C*dt/2 per basis function.
+    pullback means, leaving ~C*dt/2 per basis function. Each pass is
+    pullback_values, so memory does not grow with n_paths.
     """
-    steps = step_count(t, dt)
-    batch = Functions(basis.functions, sys.manifold.dim)
-
-    def means(dt, steps, factor):
-        ends = flow_paths(sys, "endpoints", T.points, dt, steps, seed,
-                          range(n_paths), factor)
-        return batch.reduce(ends, lambda v: np.mean(_weigh(v, T)))
-
-    diffs = np.array([abs(float(c - f)) for c, f in
-                      zip(means(dt, steps, 2), means(dt / 2, 2 * steps, 1))])
+    coarse = pullback_values(T, basis.functions, sys, t, dt, seed, n_paths, 2)
+    fine = pullback_values(T, basis.functions, sys, t, dt / 2, seed, n_paths)
+    diffs = np.abs(coarse.mean(axis=1) - fine.mean(axis=1))
     return float(2.0 * np.max(diffs) / dt) if diffs.size else 0.0

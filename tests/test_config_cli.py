@@ -224,7 +224,7 @@ def test_sl2_preset_exits_2_and_reports_offending_trace(tmp_path, capsys):
     assert chk["extra"]["offending"] == [{"index": 1, "label": "X", "trace": 2.0}]
 
 
-def test_non_finite_field_is_execution_error(tmp_path, capsys):
+def test_an_infinite_field_literal_is_reported_at_its_component(tmp_path, capsys):
     cfg = tmp_path / "inf.cfg"
     cfg.write_text(MINIMAL_FLOW.replace("diffusion2 = 0, 1", "diffusion2 = 0, 1e999"))
     assert main(["check", str(cfg), "--out", str(tmp_path / "out")]) == 1

@@ -404,18 +404,28 @@ def test_pullback_memory_does_not_grow_with_steps():
     assert grown <= sde._BLOCK_BYTES
 
 
-PATHS_BUDGET = 200_000  # _CHUNK_ELEMS of the test below: 1.6 MB of floats
+PATHS_BUDGET = 200_000  # _CHUNK_ELEMS of the tests below: 1.6 MB of floats
 
 
-def pullback_paths_peak(n_paths):
+def pullback_pass(T, sys, basis, t, n_paths):
+    return pullback_values(T, basis.functions, sys, t, 0.01, 1, n_paths)
+
+
+def calibration_pass(T, sys, basis, t, n_paths):
+    return calibrate_bias_constant(T, sys, basis, t, 0.01, 1, n_paths)
+
+
+def paths_peak(run, n_paths):
+    """The tracemalloc peak of run(T, sys, basis, t, n_paths) over n_paths
+    paths of the Hamiltonian torus at _CHUNK_ELEMS = PATHS_BUDGET."""
     sys = hamiltonian_torus_system()
     T = volume_current(sys.manifold, 32)
-    functions = make_test_basis(sys.manifold, 3).functions
-    pullback_values(T, functions, sys, 0.02, 0.01, 1, 2)  # compile
+    basis = make_test_basis(sys.manifold, 3)
+    run(T, sys, basis, 0.02, 2)  # compile
     with mock.patch.object(currents, "_CHUNK_ELEMS", PATHS_BUDGET):
         tracemalloc.start()
         try:
-            pullback_values(T, functions, sys, 0.05, 0.01, 1, n_paths)
+            run(T, sys, basis, 0.05, n_paths)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,7 +435,17 @@ def test_pullback_memory_does_not_grow_with_paths():
     # per path, the Heun loop holds 20 arrays of the 1024 grid points and
     # the basis evaluation 9 besides the endpoints, so a chunk is 9 paths
     # (a chunk counting the states and noise alone held all 72: 12 MB)
-    small, large = pullback_paths_peak(18), pullback_paths_peak(72)
+    small, large = paths_peak(pullback_pass, 18), paths_peak(pullback_pass, 72)
+    assert large <= 1.1 * small
+    assert large < 1.25 * 8 * PATHS_BUDGET
+
+
+def test_calibration_memory_does_not_grow_with_paths():
+    # both passes are pullback_values chunks, the coarse one counting the
+    # noise it draws at dt / 2 (flowing every path at once, the passes
+    # peaked at 3.1 MB for 18 paths and 12.0 MB for 72)
+    small = paths_peak(calibration_pass, 18)
+    large = paths_peak(calibration_pass, 72)
     assert large <= 1.1 * small
     assert large < 1.25 * 8 * PATHS_BUDGET
 

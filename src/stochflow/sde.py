@@ -27,14 +27,17 @@ constant the Heun step is exact, and ``flow_endpoints`` and
 ``flow_paths`` replace the loop by one summed increment per path. In
 both cases no loop is compiled.
 
-Noise is counter-based (Philox keyed by (seed, path_index)), so paths
+Noise is counter-based (``noise.normals``, Philox4x32-10 keyed by the
+seed, with the path index and the draw's index as its counter), so paths
 are bitwise reproducible and independent across path indices without
 shared state: path simulations are embarrassingly parallel, and
 aggregations over paths are done in ascending path-index order so
-serial and distributed runs agree. ``flow_paths`` runs a range of path
-indices, streaming their noise in blocks of steps of about _BLOCK_BYTES
-(``noise_blocks``, one generator per path) or, on constant fields,
-summing one path's noise at a time, so a long run never holds it all.
+serial and distributed runs agree; ``noise`` is imported only where
+noise is drawn. ``flow_paths`` runs a range of path indices, streaming
+their noise in blocks of steps of about _BLOCK_BYTES (``noise_blocks``,
+any slice of a path's stream being drawn on its own) or, on constant
+fields, summing the noise of groups of paths of about _BLOCK_BYTES, so a
+long run never holds it all.
 """
 
 from __future__ import annotations
@@ -132,14 +135,6 @@ class NoisePath:
         return self.increments.shape[1]
 
 
-def _philox(seed: int, path_index: int) -> np.random.Generator:
-    if not (0 <= seed < 2 ** 64 and 0 <= path_index < 2 ** 64):
-        raise ValueError(f"seed and path index must be in [0, 2**64), got "
-                         f"{seed} and {path_index}")
-    key = np.array([seed, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _noise_scale(m: int, dt: float, steps: int) -> float:
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -155,10 +150,26 @@ def _block_rows(m: int, width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(1, m * width)))
 
 
+def _increments(seed: int, paths: range, m: int, scale: float, start: int,
+                steps: int, factor: int = 1) -> np.ndarray:
+    """Steps start .. start+steps-1 of the paths' increments, (len(paths),
+    steps, m). Fine step k, component i of a path is scale times normal
+    k*m + i of its stream; each factor consecutive fine steps are summed
+    into one step."""
+    from .noise import normals
+
+    z = normals(seed, paths, start * factor * m, steps * factor * m)
+    z *= scale
+    z = z.reshape(len(paths), steps, factor, m)
+    return z[:, :, 0] if factor == 1 else z.sum(axis=2)
+
+
 def generate_noise(seed: int, path_index: int, m: int, dt: float,
                    steps: int) -> NoisePath:
-    scale = _noise_scale(m, dt, steps)
-    increments = _philox(seed, path_index).normal(0.0, scale, size=(steps, m))
+    """The first steps rows of path_index's increments N(0, dt): row k,
+    column i is sqrt(dt) times normal k*m + i of its stream."""
+    increments = _increments(seed, range(path_index, path_index + 1), m,
+                             _noise_scale(m, dt, steps), 0, steps)[0]
     increments.setflags(write=False)
     return NoisePath(seed=seed, path_index=path_index, dt=dt,
                      increments=increments)
@@ -169,36 +180,18 @@ def noise_blocks(seed: int, paths: range, m: int, dt: float, steps: int,
     """The increments of the paths' streams, in blocks of steps.
 
     Returns an iterator over (b, m, len(paths)) blocks of consecutive
-    steps, about _BLOCK_BYTES of draws each, from one Philox generator
-    per path index. A stream drawn block by block gives the numbers of
-    one whole draw: column p of the blocks, concatenated over steps, is
-    generate_noise(seed, p, m, dt / factor, steps * factor) with each
-    factor consecutive increments summed (one path on the grid of dt).
+    steps, about _BLOCK_BYTES of draws each, each block drawing its
+    slice of every path's stream. Column p of the blocks, concatenated
+    over steps, is generate_noise(seed, p, m, dt / factor, steps * factor)
+    with each factor consecutive increments summed (one path on the grid
+    of dt), so results do not depend on the block size.
     """
     scale = _noise_scale(m, dt / factor, steps * factor)
-    rngs = [_philox(seed, p) for p in paths]
-    rows = _block_rows(m * factor, len(rngs))
-
-    def blocks():
-        # each path's draws fill a contiguous (b, m) array, and a block is
-        # a view of their stack; rng.normal computes 0.0 + scale * z from
-        # the same z
-        for start in range(0, steps, rows):
-            z = np.empty((len(rngs), min(rows, steps - start) * factor, m))
-            for col, rng in enumerate(rngs):
-                rng.standard_normal(out=z[col])
-            z *= scale
-            z += 0.0
-            yield _coarsen(z.transpose(1, 2, 0), factor)
-    return blocks()
-
-
-def _coarsen(increments: np.ndarray, factor: int) -> np.ndarray:
-    """Sums of factor consecutive rows of increments (steps * factor, ...)."""
-    if factor == 1:
-        return increments
-    steps = increments.shape[0] // factor
-    return increments.reshape(steps, factor, *increments.shape[1:]).sum(axis=1)
+    _increments(seed, paths, m, scale, 0, 0)  # raises now on a bad key
+    rows = _block_rows(m * factor, len(paths))
+    return (_increments(seed, paths, m, scale, start, min(rows, steps - start),
+                        factor).transpose(1, 2, 0)
+            for start in range(0, steps, rows))
 
 
 def step_count(t: float, dt: float) -> int:
@@ -289,7 +282,8 @@ def flow_endpoints(sys: StratonovichSystem, x0, dt: float,
     """
     velocities = sys._cached("velocities", _constant_velocities)
     if velocities is not None:
-        return _translate(sys, velocities, sys.manifold.wrap(x0), dt, increments)
+        return sys.manifold.wrap(_translate(sys, velocities, sys.manifold.wrap(x0),
+                                            dt, increments))
     from .heun import run_heun
 
     x, = run_heun(sys, "endpoints", x0, dt, *_array_blocks(sys, increments))
@@ -299,13 +293,12 @@ def flow_endpoints(sys: StratonovichSystem, x0, dt: float,
 def _translate(sys: StratonovichSystem, velocities: np.ndarray, x0, dt: float,
                increments) -> np.ndarray:
     """flow_endpoints for constant fields X_0..X_m (the rows of
-    velocities) from the wrapped x0: each Heun step adds sum_i X_i dB^i
-    exactly."""
+    velocities) from the wrapped x0, before the endpoints are wrapped:
+    each Heun step adds sum_i X_i dB^i exactly."""
     increments = _noise_array(sys, increments)
     steps = increments.shape[-2]
-    x = (x0 + (dt * steps) * velocities[0]
-         + increments.sum(axis=-2) @ velocities[1:])
-    return sys.manifold.wrap(x)
+    return (x0 + (dt * steps) * velocities[0]
+            + increments.sum(axis=-2) @ velocities[1:])
 
 
 def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
@@ -315,8 +308,9 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
 
     The paths form the first leading axis: consumer "endpoints" returns
     the wrapped endpoints (len(paths), ..., dim), "volume" the running
-    max_k |J_k - 1| (len(paths), ...). Constant fields sum each path's
-    increments whole, one path at a time, which gives the bits of
+    max_k |J_k - 1| (len(paths), ...). Constant fields draw the paths in
+    groups of about _BLOCK_BYTES of noise, at least one path a group,
+    and sum each path's increments whole, which gives the bits of
     ``flow_endpoints`` on the stacked increments (numpy sums pairwise
     when m = 1, so a sum block by block would not).
 
@@ -333,11 +327,18 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
         return np.zeros((len(paths),) + sys.manifold.wrap(x0).shape[:-1])
     velocities = sys._cached("velocities", _constant_velocities)
     if consumer == "endpoints" and velocities is not None:
+        scale = _noise_scale(sys.m, dt / factor, steps * factor)
         x0 = sys.manifold.wrap(x0)
         ends = np.empty((len(paths),) + x0.shape)
-        for n, p in enumerate(paths):
-            ends[n] = _translate(sys, velocities, x0, dt, _coarsen(generate_noise(
-                seed, p, sys.m, dt / factor, steps * factor).increments, factor))
+        group = _block_rows(steps * factor * sys.m, 1)  # paths of noise
+        lead = (1,) * (x0.ndim - 1)
+        for g in range(0, len(paths), group):
+            z = _increments(seed, paths[g:g + group], sys.m, scale, 0, steps,
+                            factor)
+            x = _translate(sys, velocities, x0, dt,
+                           z.reshape((len(z),) + lead + z.shape[1:]))
+            for n in range(len(z)):
+                ends[g + n] = sys.manifold.wrap(x[n])
         return ends
     from .heun import run_heun
 

@@ -6,12 +6,15 @@ time beside the batched passes of ``currents``, a finite-difference
 Jacobian beside the co-evolved log J, invariance of a function on
 sampled identified pairs, and the adjoint matrices and Koszul leaf
 connection behind the trace criterion and the foliated drift of
-``liealg``. ``to_str`` writes an expression back in the grammar that
-``expr.parse`` reads.
+``liealg``, and the Philox4x32-10 stream and its Box-Muller normals on
+Python ints and ``math`` beside the array arithmetic of ``noise``.
+``to_str`` writes an expression back in the grammar that ``expr.parse``
+reads.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -183,3 +186,41 @@ def leaf_connection(h: Subalgebra, i: int, j: int) -> np.ndarray:
     g = h.algebra
     return np.array([0.5 * (g.c[i, j, k] - g.c[j, k, i] - g.c[i, k, j])
                      for k in h.indices])
+
+
+# ---------------------------------------------------------------------------
+# noise
+
+_WORD = 0xFFFFFFFF
+
+
+def philox4x32(counter, key, rounds: int = 10) -> tuple:
+    """Philox4x32 of four 32-bit counter words under two key words, on
+    Python ints (Salmon et al., SC 2011)."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(rounds):
+        p0, p1 = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = ((p1 >> 32) ^ c1 ^ k0, p1 & _WORD,
+                          (p0 >> 32) ^ c3 ^ k1, p0 & _WORD)
+        k0, k1 = (k0 + 0x9E3779B9) & _WORD, (k1 + 0xBB67AE85) & _WORD
+    return c0, c1, c2, c3
+
+
+def philox_words(seed: int, path: int, block: int) -> tuple:
+    """The four words of block `block` of the stream of (seed, path)."""
+    return philox4x32((block & _WORD, block >> 32, path & _WORD, path >> 32),
+                      (seed & _WORD, seed >> 32))
+
+
+def philox_normals(seed: int, path: int, first: int, count: int) -> list:
+    """Normals first .. first+count-1 of the stream of (seed, path): Box-
+    Muller with math.log, math.cos and math.sin on each word pair."""
+    out = []
+    for block in range(first // 4, (first + count + 3) // 4):
+        w = philox_words(seed, path, block)
+        for wa, wb in ((w[0], w[1]), (w[2], w[3])):
+            r = math.sqrt(-2.0 * math.log((wa + 0.5) * 2.0 ** -32))
+            t = 2.0 * math.pi * (wb + 0.5) * 2.0 ** -32
+            out += [r * math.cos(t), r * math.sin(t)]
+    return out[first % 4:first % 4 + count]

@@ -423,7 +423,7 @@ NON_FINITE_CHECKS = {
                       "must be finite"),
     "inf_t": ("jacobian", "t = inf\ndt = 0.01\npaths = 200\n",
               "check.jacobian.t (line 14, column 5): must be finite"),
-    # a seed keys a Philox stream of two 64-bit words: -1 would alias
+    # a seed is the 64-bit key of a Philox stream: -1 would alias
     # 2**64 - 1, and 2**64 alias 0
     "negative_seed": ("jacobian", "seed = -1\nt = 0.5\ndt = 0.01\n",
                       "check.jacobian.seed (line 14, column 8): "

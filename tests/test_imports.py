@@ -69,6 +69,17 @@ def test_no_module_in_src_imports_dataclasses():
     assert not found, "dataclasses imported at:\n" + "\n".join(found)
 
 
+def test_no_module_in_src_names_numpy_random():
+    # the noise is drawn by numpy arithmetic (stochflow.noise): importing
+    # numpy's generators maps OpenSSL, through secrets and hmac
+    found = [f"{path.relative_to(ROOT)}:{n}"
+             for path in sorted((ROOT / "src" / "stochflow").rglob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8")
+                                      .splitlines(), 1)
+             if re.search(r"\b(numpy|np)\.random\b", line)]
+    assert not found, "numpy.random named at:\n" + "\n".join(found)
+
+
 # try statements, with except* ones where the grammar has them (3.11)
 _TRY = (ast.Try, *([ast.TryStar] if hasattr(ast, "TryStar") else []))
 

@@ -100,7 +100,7 @@ def test_noise_blocks_validate_when_called():
 
 
 def test_flow_paths_validates_like_generate_noise():
-    # the constant fields draw through generate_noise, the others stream;
+    # the constant fields draw groups of whole paths, the others stream;
     # a divergence-free volume run draws nothing and validates the same
     for sys, consumer in ((translation_bm_system(1), "endpoints"),
                           (sin_drift_system(), "endpoints"),
@@ -128,8 +128,9 @@ def test_noise_validation():
 @pytest.mark.parametrize("seed,path_index", [(-1, 0), (2 ** 64, 0), (0, -1),
                                              (0, 2 ** 64)])
 def test_noise_keys_outside_64_bits_are_rejected(seed, path_index):
-    # a Philox key is two 64-bit words: -1 would draw the stream of
-    # 2**64 - 1, and 2**64 that of 0
+    # the seed is the 64-bit Philox key and the path index the upper 64
+    # bits of its counter: -1 would draw the stream of 2**64 - 1, and
+    # 2**64 that of 0
     with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
         generate_noise(seed, path_index, 1, 0.1, 3)
     with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
@@ -821,6 +822,44 @@ def test_empty_batches_give_empty_results(sys):
     for x, paths, shape in ((x0, range(0), (0, dim)), (none, range(3), (3, 0, dim))):
         assert flow_paths(sys, "endpoints", x, dt, steps, 0, paths).shape == shape
         assert flow_paths(sys, "volume", x, dt, steps, 0, paths).shape == shape[:-1]
+
+
+def test_constant_fields_draw_their_paths_in_groups(monkeypatch):
+    # a budget of two paths' noise: paths 2..6 are drawn as 2, 2 and 1,
+    # and each path's increments are summed whole
+    from stochflow import noise
+
+    sys, dt, steps, seed, paths = translation_bm_system(), 0.01, 40, 3, range(2, 7)
+    monkeypatch.setattr(sde, "_BLOCK_BYTES", 2 * 8 * steps * sys.m + 8)
+    drawn = []
+    normals = noise.normals
+    monkeypatch.setattr(noise, "normals",
+                        lambda seed, p, *a: drawn.append(p) or normals(seed, p, *a))
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(4, 2))
+    got = flow_paths(sys, "endpoints", pts, dt, steps, seed, paths)
+    assert drawn == [range(2, 4), range(4, 6), range(6, 7)]
+    inc = noise_matrix(seed, paths, sys.m, dt, steps)
+    assert np.array_equal(got, flow_endpoints(sys, pts, dt, inc[:, None]))
+
+
+def translation_endpoints_peak(steps):
+    sys = translation_bm_system()
+    pts = np.full((4, 2), 0.3)
+    flow_paths(sys, "endpoints", pts, 1e-3, 10, 1, range(2))
+    tracemalloc.start()
+    try:
+        flow_paths(sys, "endpoints", pts, 1e-3, steps, 1, range(200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_constant_field_memory_does_not_grow_with_steps():
+    # the whole noise of the longer run is 25.6 MB; a group of paths
+    # draws about 256 KiB of it
+    grown = translation_endpoints_peak(8000) - translation_endpoints_peak(1000)
+    assert grown <= sde._BLOCK_BYTES
 
 
 def volume_check_peak(steps):

@@ -79,13 +79,32 @@ def loaded(tmp_path_factory):
 # report, with CPython's built-in SHA-256 for its digest
 CHECK_ONLY = {"stochflow.currents", "json", "csv",
               "_sha2" if sys.version_info >= (3, 12) else "_sha256"}
-# OpenSSL's hashes, which only the commands that draw noise load, through
-# numpy.random
+# OpenSSL's hashes, which no command loads: the report's digest is the
+# built-in one, and the noise is drawn by numpy arithmetic (stochflow.noise)
 OPENSSL = {"hashlib", "_hashlib"}
+# numpy's generators, and the modules through which importing them maps
+# OpenSSL (numpy.random.bit_generator imports secrets, secrets hmac)
+GENERATORS = {"numpy.random", "secrets", "hmac"}
+# the Philox normals, which only a command that draws noise loads
+NOISE = "stochflow.noise"
 
 
 # the Heun loop compiler, which only a flow that steps loads
 HEUN = "stochflow.heun"
+
+
+@pytest.mark.parametrize("preset", ["hamiltonian_torus", "heisenberg_foliation"])
+def test_no_set_up_loads_a_generator_or_openssl(preset):
+    _, _, modules = run_script(_SET_UP, [preset])
+    assert not (GENERATORS | OPENSSL) & modules
+    assert NOISE not in modules  # set-up draws no noise
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_a_generator_or_openssl(loaded, command):
+    code, _, modules = loaded[command]
+    assert code == 0
+    assert not (GENERATORS | OPENSSL) & modules
 
 
 def test_set_up_of_a_flow_preset_loads_nothing_only_check_reads():
@@ -113,7 +132,7 @@ def test_simulate_of_a_flow_preset_loads_neither_invariance_nor_liealg(loaded):
     assert "stochflow.invariance" not in modules
     assert "stochflow.liealg" not in modules
     assert not CHECK_ONLY & modules
-    # OPENSSL is not asserted: numpy.random loads hashlib to draw the noise
+    assert NOISE in modules  # its trajectory's increments are drawn
 
 
 def test_simulate_of_a_liealg_preset_loads_no_check_layer(loaded):
@@ -132,13 +151,15 @@ def test_check_of_a_flow_preset_loads_neither_liealg_nor_numpy_random(loaded):
     assert "numpy.random" not in modules
     assert not OPENSSL & modules  # the report's digest is the built-in one
     # its fields are divergence-free, so the jacobian check steps no loop
+    # and draws no noise
     assert HEUN not in modules
+    assert NOISE not in modules
 
 
 def test_check_of_a_foliation_preset_loads_its_layers(loaded):
     code, _, modules = loaded["check_foliation"]
     assert code == 0
-    assert {"stochflow.invariance", "stochflow.liealg", "numpy.random",
+    assert {"stochflow.invariance", "stochflow.liealg", NOISE,
             *CHECK_ONLY} <= modules
     # every coefficient of its constant fields is a constant, which the
     # zero test answers without expanding (and importing fractions)

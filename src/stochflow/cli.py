@@ -110,15 +110,15 @@ def build_current(exp: Experiment) -> Current:
 # ---------------------------------------------------------------------------
 # check dispatch
 
-def _run_check(exp: Experiment, current, chk: CheckSpec,
+def _run_check(exp: Experiment, currents: dict, chk: CheckSpec,
                runs: dict) -> InvarianceReport:
     """Run one check, reading the values of the keys config.CHECK_KEYS
     lists for its kind; parse_config has matched the kind to the
-    experiment and applied the overrides. current is build_current(exp),
-    or None when no check reads it. runs holds the EmpiricalRun of each _run_key."""
+    experiment and applied the overrides. currents holds the current of
+    each grid built so far, the [current] (build_current) under None as
+    well; runs the EmpiricalRun of each (current, basis_k, t, dt, seed)."""
     from .currents import DensityCurrent
     from .invariance import (
-        _PROBE_PATHS,
         EmpiricalRun,
         check_mean_nform,
         check_strict_nform,
@@ -137,9 +137,11 @@ def _run_check(exp: Experiment, current, chk: CheckSpec,
     if kind == "jacobian":
         return jacobian_check(exp.system, value("x0"), value("t"), value("dt"),
                               value("seed"), value("paths"), value("tolerance"))
-    T, grid = current, value("grid")  # None: the current's own grid
-    if grid not in (None, T.grid_n):
-        T = DensityCurrent(T.manifold, T.density, grid, T.normalize)
+    grid = value("grid")  # None: the current's own grid
+    if grid not in currents:
+        T = currents[None]
+        currents[grid] = DensityCurrent(T.manifold, T.density, grid, T.normalize)
+    T = currents[grid]
     if kind in ("strict_nform", "mean_nform"):
         check = check_strict_nform if kind == "strict_nform" else check_mean_nform
         return check(T, exp.system.fields(), value("tolerance"))
@@ -147,21 +149,12 @@ def _run_check(exp: Experiment, current, chk: CheckSpec,
     if kind in ("strict_residual", "mean_residual"):
         mode = "strict" if kind == "strict_residual" else "mean"
         return residual_check(T, exp.system, basis, mode, value("tolerance"))
-    key = _run_key(chk, current)
-    if key not in runs:  # as wide as the most paths a check of key reads
-        paths = [c.value("paths") if c.kind == "empirical_mean" else _PROBE_PATHS
-                 for c in exp.config.checks
-                 if c.kind.startswith("empirical_") and _run_key(c, current) == key]
-        runs[key] = EmpiricalRun(T, exp.system, basis, *key[2:], max(paths))
+    key = (T, *map(value, ("basis_k", "t", "dt", "seed")))
+    if key not in runs:
+        runs[key] = EmpiricalRun(T, exp.system, basis, *key[2:])
     if kind == "empirical_pathwise":
         return empirical_check(runs[key], "pathwise", tolerance=value("tolerance"))
     return empirical_check(runs[key], "mean", value("paths"), bias_c=value("bias_c"))
-
-
-def _run_key(chk: CheckSpec, current) -> tuple:
-    """An empirical check's grid (None: the current's), basis_k, t, dt and seed."""
-    return (chk.value("grid") or current.grid_n,
-            *map(chk.value, ("basis_k", "t", "dt", "seed")))
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +225,11 @@ def run(config: ExperimentConfig, outdir) -> int:
     # built once, before any check runs, so a bad density fails first
     reads_current = {c.kind for c in config.checks} - {"foliation", "jacobian"}
     current = build_current(exp) if reads_current else None
+    currents = {None: current, current.grid_n: current} if current else {}
     reports, timings, runs = [], [], {}
     for chk in config.checks:
         start = time.perf_counter()
-        reports.append(_run_check(exp, current, chk, runs))
+        reports.append(_run_check(exp, currents, chk, runs))
         timings.append({"kind": reports[-1].kind,
                         "wall_s": time.perf_counter() - start})
     payload = {

@@ -130,37 +130,36 @@ def evaluate_many(T: Current, functions) -> np.ndarray:
 
 def pullback_values(T: Current, functions: Sequence[Expr],
                     sys: StratonovichSystem, t: float, dt: float,
-                    seed: int, n_paths: int, factor: int = 1) -> np.ndarray:
+                    seed: int, paths: range, factor: int = 1) -> np.ndarray:
     """Pullback values for several test functions over many paths.
 
     Flows the support once per path chunk and evaluates every function
     on its endpoints in one pass, with the expressions lowered together
     once per call (a trig basis computes each cos/sin factor once per
-    chunk); returns shape (len(functions), n_paths). Paths are
-    the streams path_index = 0..n_paths-1 of the given seed, drawn at
-    dt / factor and summed onto the grid of dt (flow_paths).
-    Column p depends on path p alone: each path's pullback is summed
-    over the support in one order (``_weigh``), so its bits do not
-    depend on the chunking or on n_paths, and the first k columns of a
-    run are the run over k paths. A chunk holds about _CHUNK_ELEMS
-    elements: per path, its noise (steps x factor x m) and, per support
-    point, the arrays of the flow's loop or, after it, the endpoints
-    (dim) and the arrays that evaluating the functions holds at once. So
-    memory does not grow with n_paths.
+    chunk); returns shape (len(functions), len(paths)). Column n is the
+    stream path_index = paths[n] of the given seed, drawn at dt / factor
+    and summed onto the grid of dt (flow_paths).
+    Column n depends on path paths[n] alone: each path's pullback is
+    summed over the support in one order (``_weigh``), so its bits do not
+    depend on the chunking or on the other paths, and the columns of
+    range(k) are the first k of any range(n). A chunk holds about
+    _CHUNK_ELEMS elements: per path, its noise (steps x factor x m) and,
+    per support point, the arrays of the flow's loop or, after it, the
+    endpoints (dim) and the arrays that evaluating the functions holds at
+    once. So memory does not grow with len(paths).
     """
     steps = step_count(t, dt)
     pts = T.points
     n_pts = pts.shape[0]
     batch = expr.Functions(functions, sys.manifold.dim)
-    out = np.empty((len(batch), n_paths))
+    out = np.empty((len(batch), len(paths)))
     arrays = max(_endpoint_arrays(sys), sys.manifold.dim + batch.peak_arrays)
     chunk = max(1, _CHUNK_ELEMS // (n_pts * arrays + steps * factor * sys.m))
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
+    for start in range(0, len(paths), chunk):
         ends = flow_paths(sys, "endpoints", pts, dt, steps, seed,
-                          range(start, stop), factor)
+                          paths[start:start + chunk], factor)
         for j, vals in enumerate(batch.reduce(ends, lambda v: _weigh(v, T))):
-            out[j, start:stop] = vals
+            out[j, start:start + chunk] = vals
     return out
 
 

@@ -207,26 +207,36 @@ def _residual_report(T: Current, basis, values: np.ndarray,
 # simulation-based checks
 
 class EmpiricalRun:
-    """The targets T(f_k) and the pullbacks of paths 0..n_paths-1 of one
-    (T, sys, basis, t, dt, seed), from which empirical_check builds the
-    report of any first paths: the first k columns of the pullbacks are
-    those of a run over k paths, bit for bit (``pullback_values``)."""
+    """The targets T(f_k) and the pullbacks of the paths of one (T, sys,
+    basis, t, dt, seed), each path flowed once, on demand (``first``),
+    from which empirical_check builds the report of any first paths: the
+    first k columns are those of a run over k paths, bit for bit."""
 
     def __init__(self, T: Current, sys: StratonovichSystem, basis, t: float,
-                 dt: float, seed: int, n_paths: int):
+                 dt: float, seed: int):
         exact = all(f.is_constant for f in sys.fields())
         self.bias_c = EXACT_BIAS_C if exact else FALLBACK_BIAS_C  # when none is given
         self.targets = evaluate_many(T, basis.functions)
-        self.values = pullback_values(T, basis.functions, sys, t, dt, seed, n_paths)
+        self._flow = (T, basis.functions, sys, t, dt, seed)
+        self._values = np.empty((len(self.targets), 0))
         self.meta = {"dt": dt, "T": t, "seed": seed, "basisK": basis.cutoff,
                      "grid": T.grid_n}
+
+    def first(self, n: int) -> np.ndarray:
+        """The pullbacks of paths 0..n-1, (len(basis), n): the paths past
+        those the run holds are flowed and their columns kept."""
+        held = self._values.shape[1]
+        if n > held:
+            more = pullback_values(*self._flow, range(held, n))
+            self._values = np.concatenate((self._values, more), axis=1)
+        return self._values[:, :n]
 
 
 def empirical_check(run: EmpiricalRun, mode: str, n_paths: Optional[int] = None,
                     tolerance: Optional[float] = None,
                     bias_c: Optional[float] = None) -> InvarianceReport:
     """Simulation evidence for phi_t^*T = T (pathwise) or its mean version,
-    from the first paths of run.
+    from the first paths of run, which flows those it does not hold yet.
 
     Pathwise mode compares the worst |pullback - eval| over the first
     _PROBE_PATHS paths with tolerance; it takes no n_paths or bias_c.
@@ -246,10 +256,9 @@ def empirical_check(run: EmpiricalRun, mode: str, n_paths: Optional[int] = None,
     elif tolerance is not None:
         raise ValueError("mean mode takes no tolerance: it is 3*stderr + C*dt "
                          "per basis function (set bias_c for C)")
-    if not 2 <= (n_paths or 0) <= run.values.shape[1]:
-        raise ValueError(f"{mode} mode needs n_paths >= 2, and at most the "
-                         f"{run.values.shape[1]} paths of the run; got {n_paths}")
-    vals = run.values[:, :n_paths]
+    if (n_paths or 0) < 2:
+        raise ValueError(f"{mode} mode needs n_paths >= 2; got {n_paths}")
+    vals = run.first(n_paths)
     meta = {**run.meta, "n_paths": n_paths}
     if mode == "pathwise":
         diffs = np.abs(vals - run.targets[:, None])
@@ -308,8 +317,7 @@ def foliation_pipeline(h: Subalgebra,
     the frame; (c) generator residuals and frame derivative-currents of
     the volume current, the empirical mean check, and (when the verdict
     is totally-invariant) the pathwise check, at their default tolerances.
-    Both empirical checks read one EmpiricalRun, of max(n_paths,
-    _PROBE_PATHS) paths when both run.
+    Both empirical checks read one EmpiricalRun.
     """
     from .liealg import foliated_drift, foliated_system, invariance_verdict
 
@@ -331,8 +339,7 @@ def foliation_pipeline(h: Subalgebra,
         subchecks.append(residual_check(T, sys, basis, "mean"))
         subchecks.append(_residual_report(
             T, basis, derivative_currents(T, realization.frame, basis.functions)))
-        run = EmpiricalRun(T, sys, basis, t, dt, seed,
-                           max(n_paths, _PROBE_PATHS) if verdict else n_paths)
+        run = EmpiricalRun(T, sys, basis, t, dt, seed)
         subchecks.append(empirical_check(run, "mean", n_paths, bias_c=bias_c))
         if verdict:
             subchecks.append(empirical_check(run, "pathwise"))
@@ -355,7 +362,7 @@ def calibrate_bias_constant(T: Current, sys: StratonovichSystem, basis,
     pullback means, leaving ~C*dt/2 per basis function. Each pass is
     pullback_values, so memory does not grow with n_paths.
     """
-    coarse = pullback_values(T, basis.functions, sys, t, dt, seed, n_paths, 2)
-    fine = pullback_values(T, basis.functions, sys, t, dt / 2, seed, n_paths)
+    coarse = pullback_values(T, basis.functions, sys, t, dt, seed, range(n_paths), 2)
+    fine = pullback_values(T, basis.functions, sys, t, dt / 2, seed, range(n_paths))
     diffs = np.abs(coarse.mean(axis=1) - fine.mean(axis=1))
     return float(2.0 * np.max(diffs) / dt) if diffs.size else 0.0

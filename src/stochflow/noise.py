@@ -82,7 +82,9 @@ def normals(seed: int, paths: range, first: int, count: int) -> np.ndarray:
     contiguous, holds the stream of paths[n]. Raises ValueError unless
     seed and the path indices are in [0, 2**64).
     """
-    for p in (paths[0], paths[-1]) if paths else ():  # a range's extremes
+    # a range's extremes, or its start when empty: the seed is checked
+    # whatever the number of paths
+    for p in (paths[0], paths[-1]) if paths else (paths.start,):
         if not (0 <= seed < 2 ** 64 and 0 <= p < 2 ** 64):
             raise ValueError(f"seed and path index must be in [0, 2**64), "
                              f"got {seed} and {p}")

@@ -332,7 +332,8 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
         ends = np.empty((len(paths),) + x0.shape)
         group = _block_rows(steps * factor * sys.m, 1)  # paths of noise
         lead = (1,) * (x0.ndim - 1)
-        for g in range(0, len(paths), group):
+        # no paths still make one (empty) draw, which checks the seed
+        for g in range(0, len(paths) or 1, group):
             z = _increments(seed, paths[g:g + group], sys.m, scale, 0, steps,
                             factor)
             x = _translate(sys, velocities, x0, dt,

@@ -175,14 +175,14 @@ def test_criterion_6_mean_invariance_by_simulation():
     basis = make_test_basis(sys.manifold, 3)
     n_paths, dt, t = 1000, 1e-3, 1.0
     c = EXACT_BIAS_C
-    vals = pullback_values(T, basis.functions, sys, t, dt, seed=3, n_paths=n_paths)
+    vals = pullback_values(T, basis.functions, sys, t, dt, seed=3,
+                           paths=range(n_paths))
     targets = evaluate_many(T, basis.functions)
     means = vals.mean(axis=1)
     stderrs = vals.std(axis=1, ddof=1) / math.sqrt(n_paths)
     for k in range(len(basis)):
         assert abs(means[k] - targets[k]) <= 3 * stderrs[k] + c * dt, k
-    rep = empirical_check(EmpiricalRun(T, sys, basis, t, dt, 3, n_paths), "mean",
-                          n_paths)
+    rep = empirical_check(EmpiricalRun(T, sys, basis, t, dt, 3), "mean", n_paths)
     assert rep.verdict
     elapsed = time.perf_counter() - t0
     assert elapsed < 300, f"runtime {elapsed:.1f} s"

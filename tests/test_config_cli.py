@@ -1176,14 +1176,14 @@ def test_config_and_library_translations_give_one_report():
     for sys in (config_built.system, translation_bm_system(2)):
         T = volume_current(sys.manifold, 8)
         basis = make_test_basis(sys.manifold, 1)
-        run = EmpiricalRun(T, sys, basis, 0.1, 0.01, 3, 20)
+        run = EmpiricalRun(T, sys, basis, 0.1, 0.01, 3)
         reports.append(empirical_check(run, "mean", 20))
     assert reports[0].payload() == reports[1].payload()
     assert reports[0].metadata["bias_c"] == EXACT_BIAS_C
 
 
 def record_flows(monkeypatch):
-    """The n_paths of each pullback_values call of the checks, and the
+    """The paths of each pullback_values call of the checks, and the
     number of evaluate_many calls, as they are made."""
     flows, targets = [], []
     pullback, evaluate = invariance.pullback_values, invariance.evaluate_many
@@ -1194,11 +1194,22 @@ def record_flows(monkeypatch):
     return flows, targets
 
 
-def test_translation_preset_flows_its_empirical_paths_once(tmp_path, monkeypatch):
-    # the pathwise probe reads paths 0-4 of the mean check's 1000
+def test_translation_preset_builds_each_input_once(tmp_path, monkeypatch):
+    # the pathwise probe flows paths 0-4, and the mean check the rest of
+    # its 1000; the [current] is built at 16, strict_nform's at its
+    # default 64, and one current at 32 serves both residual checks
     flows, targets = record_flows(monkeypatch)
+    grids = []
+    init = DensityCurrent.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        grids.append(self.grid_n)
+
+    monkeypatch.setattr(DensityCurrent, "__init__", recording_init)
     assert main(["check", "translation_bm_torus", "--out", str(tmp_path)]) == 0
-    assert flows == [1000] and len(targets) == 1
+    assert flows == [range(5), range(5, 1000)] and len(targets) == 1
+    assert grids == [16, 64, 32]
 
 
 # the current's grid is 8; a check without a grid of its own runs on it
@@ -1233,8 +1244,9 @@ def test_empirical_checks_of_one_run_key_share_one_run(tmp_path, monkeypatch):
     flows, targets = record_flows(monkeypatch)
     assert run(parse_config(SHARED_RUNS), tmp_path) in (0, 2)
     monkeypatch.undo()
-    # one run per (grid, basis_k, t, dt, seed), as wide as its checks read
-    assert flows == [12, 3, 5] and len(targets) == 3
+    # one run per (grid, basis_k, t, dt, seed), each path flowed once
+    assert flows == [range(5), range(5, 12), range(3), range(5)]
+    assert len(targets) == 3
     # each report is that of a run of exactly the paths it reads
     exp = build_experiment(parse_config(SHARED_RUNS))
     checks = json.loads((tmp_path / "report.json").read_text())["payload"]["checks"]
@@ -1242,8 +1254,7 @@ def test_empirical_checks_of_one_run_key_share_one_run(tmp_path, monkeypatch):
         T = volume_current(exp.system.manifold, chk.value("grid") or 8)
         basis = make_test_basis(T.manifold, chk.value("basis_k"))
         paths = chk.value("paths") if chk.kind == "empirical_mean" else 5
-        alone = EmpiricalRun(T, exp.system, basis, 0.02, 0.01, chk.value("seed"),
-                             paths)
+        alone = EmpiricalRun(T, exp.system, basis, 0.02, 0.01, chk.value("seed"))
         mode = chk.kind[len("empirical_"):]
         want = empirical_check(alone, mode, paths) if mode == "mean" else \
             empirical_check(alone, mode)

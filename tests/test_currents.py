@@ -178,7 +178,7 @@ def test_pullback_empirical_flows_atoms():
 
 def mean_action(T, f, sys, t, dt, seed, n_paths):
     """Monte Carlo mean of T(f o phi_t) over n_paths, and its std error."""
-    vals = pullback_values(T, [f], sys, t, dt, seed, n_paths)[0]
+    vals = pullback_values(T, [f], sys, t, dt, seed, range(n_paths))[0]
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_paths))
 
 
@@ -188,7 +188,7 @@ def test_mean_action_zero_system():
     value, std_error = mean_action(T, SIN, sys, 1.0, 0.1, seed=3, n_paths=4)
     assert value == pytest.approx(evaluate_many(T, [SIN])[0], abs=1e-14)
     assert std_error == pytest.approx(0.0, abs=1e-15)
-    assert pullback_values(T, [SIN], sys, 1.0, 0.1, seed=3, n_paths=4).shape == (1, 4)
+    assert pullback_values(T, [SIN], sys, 1.0, 0.1, seed=3, paths=range(4)).shape == (1, 4)
 
 
 def test_mean_action_translation_lebesgue():
@@ -211,7 +211,7 @@ def test_mean_action_requires_two_paths():
     sys = zero_system(1)
     T = volume_current(T1, 8)
     basis = make_test_basis(T1, 1)
-    run = EmpiricalRun(T, sys, basis, 1.0, 0.1, seed=0, n_paths=4)
+    run = EmpiricalRun(T, sys, basis, 1.0, 0.1, seed=0)
     with pytest.raises(ValueError):
         empirical_check(run, "mean", 1)
     with pytest.raises(ValueError, match="n_paths >= 2"):
@@ -332,7 +332,7 @@ def test_pullback_values_matches_pullback_eval():
     sys = translation_system(1)
     T = volume_current(T1, 8)
     basis = make_test_basis(T1, 1)
-    vals = pullback_values(T, basis.functions, sys, 0.5, 1e-2, seed=7, n_paths=3)
+    vals = pullback_values(T, basis.functions, sys, 0.5, 1e-2, seed=7, paths=range(3))
     for p in range(3):
         noise = generate_noise(7, p, 1, 1e-2, 50)
         for k, f in enumerate(basis.functions):
@@ -358,9 +358,9 @@ def test_pullback_values_do_not_depend_on_chunking(label, chunk_elems, n_paths):
     sys = CHUNKED_SYSTEMS[label]
     T = volume_current(sys.manifold, 4)
     args = (T, make_test_basis(sys.manifold, 1).functions, sys, 0.1, 0.01, 4)
-    want = pullback_values(*args, n_paths=9)
+    want = pullback_values(*args, paths=range(9))
     with mock.patch.object(currents, "_CHUNK_ELEMS", chunk_elems):
-        got = pullback_values(*args, n_paths=n_paths)
+        got = pullback_values(*args, paths=range(n_paths))
     np.testing.assert_array_equal(got, want[:, :n_paths])
 
 
@@ -370,7 +370,7 @@ def test_pullback_chunks_count_the_noise():
     # 0.8 MB of noise at once (peak 1.0 MB, against 0.13 MB)
     sys = hamiltonian_torus_system()
     T = EmpiricalCurrent(manifold=T2, atoms=[[0.3, 0.7]], atom_weights=[1.0])
-    args = (T, CHUNKED_BASIS.functions, sys, 0.1, 1e-3, 5, 500)
+    args = (T, CHUNKED_BASIS.functions, sys, 0.1, 1e-3, 5, range(500))
     want = pullback_values(*args)
     with mock.patch.object(currents, "_CHUNK_ELEMS", 5_000):
         tracemalloc.start()
@@ -389,10 +389,10 @@ def pullback_peak(steps):
         diffusions=(VectorFieldSpec.from_strings(["0.2*sin(2*pi*x1)"]),))
     T = EmpiricalCurrent(manifold=T1, atoms=[[0.3]], atom_weights=[1.0])
     functions = make_test_basis(T1, 1).functions
-    pullback_values(T, functions, sys, 10 * 1e-3, 1e-3, 2, 100)  # compile
+    pullback_values(T, functions, sys, 10 * 1e-3, 1e-3, 2, range(100))  # compile
     tracemalloc.start()
     try:
-        pullback_values(T, functions, sys, steps * 1e-3, 1e-3, 2, 100)
+        pullback_values(T, functions, sys, steps * 1e-3, 1e-3, 2, range(100))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -408,7 +408,7 @@ PATHS_BUDGET = 200_000  # _CHUNK_ELEMS of the tests below: 1.6 MB of floats
 
 
 def pullback_pass(T, sys, basis, t, n_paths):
-    return pullback_values(T, basis.functions, sys, t, 0.01, 1, n_paths)
+    return pullback_values(T, basis.functions, sys, t, 0.01, 1, range(n_paths))
 
 
 def calibration_pass(T, sys, basis, t, n_paths):
@@ -456,7 +456,7 @@ def test_a_foliation_preset_pullback_is_one_chunk():
     T = volume_current(sys.manifold, 8)
     functions = make_test_basis(sys.manifold, 3).functions
     with mock.patch.object(currents, "flow_paths", wraps=sde.flow_paths) as flow:
-        pullback_values(T, functions, sys, 1.0, 1e-3, 11, 30)
+        pullback_values(T, functions, sys, 1.0, 1e-3, 11, range(30))
     assert flow.call_count == 1
 
 
@@ -637,7 +637,7 @@ def test_pullback_values_equal_per_tree_route(label):
         ends = flow_endpoints(sys, T.points, dt, inc[:, None])
         want = [weigh(expr.evaluate(f, ends), T) for f in functions]
         np.testing.assert_array_equal(
-            pullback_values(T, functions, sys, t, dt, seed, n_paths), want)
+            pullback_values(T, functions, sys, t, dt, seed, range(n_paths)), want)
 
 
 def test_calibrate_bias_constant_equals_per_tree_route():

@@ -177,6 +177,75 @@ def test_every_private_name_in_src_is_read():
     assert not found, "private names nothing in src/ reads:\n" + "\n".join(found)
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def foreign_private_reads(sources: dict) -> list:
+    """(module, "owner._name") for each private name of another module of
+    the package that a module of the given {path: source} imports by
+    name (``from .owner import _name``) or reads as ``owner._name`` of a
+    module it imported (``from . import owner``); modules by stem."""
+    found = []
+    for path, source in sources.items():
+        module = Path(path).stem
+        tree = ast.parse(source)
+        owners = {}  # local name -> the package module it is bound to
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            for alias in node.names:
+                if node.module is None:
+                    owners[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.append((module, f"{node.module}.{alias.name}"))
+        found.extend(
+            (module, f"{owners[node.value.id]}.{node.attr}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in owners and _private(node.attr))
+    return sorted(set(found))
+
+
+def test_foreign_private_reads_are_found():
+    sources = {
+        "pkg/a.py": ("from . import b as bee, c\n"
+                     "from .b import _helper, public, __version__\n"
+                     "import os\n"
+                     "def f(obj):\n"
+                     "    return bee._LIMIT, c.__name__, obj._cached, os._exit\n"),
+        "pkg/b.py": "_LIMIT = 3\ndef _helper():\n    return _LIMIT\n",
+    }
+    assert foreign_private_reads(sources) == [("a", "b._LIMIT"), ("a", "b._helper")]
+
+
+# Reads of another module's private name, each with its reason. Every
+# other private name has one owner, the module that defines it.
+FOREIGN_PRIVATE_READS_ALLOWED = {
+    # the pullback chunk rule counts the arrays that the flow holds
+    ("currents", "sde._endpoint_arrays"),
+    # heun is sde's loop compiler, split out of sde so that no set-up
+    # loads it: it reads sde's divergences and row block, and compiles
+    # expr's operators to their ufuncs
+    ("heun", "sde._divergences"),
+    ("heun", "sde._FLOAT_ROWS"),
+    ("heun", "expr._OPERATORS"),
+    ("heun", "expr._UFUNCS"),
+}
+
+
+def test_each_private_name_in_src_has_one_owner():
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "stochflow").rglob("*.py"))}
+    reads = foreign_private_reads(sources)
+    found = [f"{module} reads {name}" for module, name in reads
+             if (module, name) not in FOREIGN_PRIVATE_READS_ALLOWED]
+    assert not found, ("private names read outside their module:\n"
+                       + "\n".join(found))
+    # and no allowance outlives its read
+    assert FOREIGN_PRIVATE_READS_ALLOWED <= set(reads)
+
+
 # Public names nothing outside the tests reads yet, each with its reason.
 # calibrate_bias_constant stays until ROADMAP item 5 measures the bias
 # with its estimator, on the paths of an EmpiricalRun.

@@ -163,7 +163,7 @@ def test_empirical_pathwise_translation_invariance():
     sys = translation_bm_system(2)
     T = volume_current(T2, 16)
     basis = make_test_basis(T2, 2)
-    rep = empirical_check(EmpiricalRun(T, sys, basis, 1.0, 1e-2, 4, 5), "pathwise")
+    rep = empirical_check(EmpiricalRun(T, sys, basis, 1.0, 1e-2, 4), "pathwise")
     assert rep.verdict and rep.residual < 1e-12
     assert rep.metadata["n_paths"] == 5
 
@@ -172,7 +172,7 @@ def test_empirical_pathwise_sin_drift_fails():
     sys = sin_drift_system()
     T = volume_current(T1, 32)
     basis = make_test_basis(T1, 2)
-    rep = empirical_check(EmpiricalRun(T, sys, basis, 1.0, 1e-3, 4, 5), "pathwise")
+    rep = empirical_check(EmpiricalRun(T, sys, basis, 1.0, 1e-3, 4), "pathwise")
     assert not rep.verdict
     assert rep.residual > 0.1  # mass piles near the sink
 
@@ -198,7 +198,7 @@ def test_empirical_mean_translation():
     sys = translation_bm_system(1)
     T = volume_current(T1, 16)
     basis = make_test_basis(T1, 3)
-    rep = empirical_check(EmpiricalRun(T, sys, basis, 1.0, 1e-2, 9, 64), "mean", 64)
+    rep = empirical_check(EmpiricalRun(T, sys, basis, 1.0, 1e-2, 9), "mean", 64)
     assert rep.verdict
     assert len(rep.per_basis) == len(basis)
     assert all(row["value"] <= row["tolerance"] for row in rep.per_basis)
@@ -208,20 +208,20 @@ def test_empirical_mean_verdict_equals_per_basis_rule():
     sys = sin_drift_system()  # drift breaks invariance of Lebesgue
     T = volume_current(T1, 16)
     basis = make_test_basis(T1, 2)
-    rep = empirical_check(EmpiricalRun(T, sys, basis, 0.5, 1e-2, 2, 16), "mean", 16)
+    rep = empirical_check(EmpiricalRun(T, sys, basis, 0.5, 1e-2, 2), "mean", 16)
     per_rule = all(row["value"] <= row["tolerance"] for row in rep.per_basis)
     assert rep.verdict == per_rule
     assert not rep.verdict
 
 
-def small_run(n_paths):
+def small_run():
     sys = translation_bm_system(1)
     return EmpiricalRun(volume_current(T1, 4), sys, make_test_basis(T1, 1), 0.02,
-                        1e-2, 0, n_paths)
+                        1e-2, 0)
 
 
 def test_empirical_reports_reject_what_their_mode_does_not_read():
-    run = small_run(6)
+    run = small_run()
     # the mean report's tolerance is its own rule, 3*stderr + C*dt
     with pytest.raises(ValueError, match="mean mode takes no tolerance"):
         empirical_check(run, "mean", 4, tolerance=0.5)
@@ -232,13 +232,21 @@ def test_empirical_reports_reject_what_their_mode_does_not_read():
         empirical_check(run, "median", 4)
 
 
-def test_empirical_reports_read_no_more_paths_than_the_run_has():
-    run = small_run(4)
-    with pytest.raises(ValueError, match="at most the 4 paths of the run"):
-        empirical_check(run, "pathwise")
-    with pytest.raises(ValueError, match="at most the 4 paths of the run"):
-        empirical_check(run, "mean", 5)
-    assert empirical_check(run, "mean", 4).metadata["n_paths"] == 4
+def test_a_run_grown_by_its_reports_equals_a_fresh_run(monkeypatch):
+    # reading 3 paths, then 7, flows paths 0-2 and then 3-6, once each;
+    # the 7 columns are those of a fresh 7-path run, bit for bit
+    flows = []
+    pullback = invariance.pullback_values
+    monkeypatch.setattr(invariance, "pullback_values",
+                        lambda *args: flows.append(args[-1]) or pullback(*args))
+    run = small_run()
+    assert empirical_check(run, "mean", 3).metadata["n_paths"] == 3
+    grown = empirical_check(run, "mean", 7)
+    assert flows == [range(3), range(3, 7)]
+    fresh = empirical_check(small_run(), "mean", 7)
+    assert flows[2:] == [range(7)]
+    assert grown.payload() == fresh.payload()
+    np.testing.assert_array_equal(run.first(7), small_run().first(7))
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the pathwise verdict "
@@ -249,7 +257,7 @@ def test_pathwise_passes_the_exactly_invariant_hamiltonian_volume():
     # strictly invariant; the pathwise report gives 0.141 against 0.01
     sys = hamiltonian_torus_system()
     T = volume_current(T2, 16)
-    run = EmpiricalRun(T, sys, make_test_basis(T2, 3), 1.0, 0.04, 3, 5)
+    run = EmpiricalRun(T, sys, make_test_basis(T2, 3), 1.0, 0.04, 3)
     assert empirical_check(run, "pathwise").verdict
 
 
@@ -376,15 +384,16 @@ def test_foliation_empirical_checks_share_one_flow(indices, n_paths, monkeypatch
     rep = foliation_pipeline(h, real, t=t, dt=dt, seed=seed, n_paths=n_paths,
                              grid_n=4, basis_k=1)
     monkeypatch.undo()
-    assert flows == [max(n_paths, 5)]
+    # the mean check flows its paths, and the pathwise one any of 0-4 left
+    assert [p for paths in flows for p in paths] == list(range(max(n_paths, 5)))
     mean, pathwise = rep.subchecks[2:]
     sys = foliated_system(h, real)
     T = volume_current(real.manifold, 4)
     basis = make_test_basis(real.manifold, 1)
     # each equals the report of a run of exactly the paths it reads
-    alone = EmpiricalRun(T, sys, basis, t, dt, seed, n_paths)
+    alone = EmpiricalRun(T, sys, basis, t, dt, seed)
     assert mean.payload() == empirical_check(alone, "mean", n_paths).payload()
-    alone = EmpiricalRun(T, sys, basis, t, dt, seed, 5)
+    alone = EmpiricalRun(T, sys, basis, t, dt, seed)
     assert pathwise.payload() == empirical_check(alone, "pathwise").payload()
 
 
@@ -413,6 +422,11 @@ def test_nform_and_residual_verdicts_agree_on_builtin_configurations():
         diffusions=(VectorFieldSpec.from_strings(["0.5", "0"]),
                     VectorFieldSpec.from_strings(["0", "0.5"])))
     gibbs_density = expr.parse("exp(-(cos(2*pi*x1) + cos(2*pi*x2))/(pi*0.25))")
+    # the Gibbs circle: drift sin(2 pi x1) = -V', sigma = 0.5
+    gibbs_circle = StratonovichSystem(
+        manifold=T1, drift=VectorFieldSpec.from_strings(["sin(2*pi*x1)"]),
+        diffusions=(VectorFieldSpec.from_strings(["0.5"]),))
+    gibbs_circle_density = expr.parse("exp(-cos(2*pi*x1)/(pi*0.25))")
 
     volume = expr.constant(1.0)
     cases = [
@@ -424,6 +438,7 @@ def test_nform_and_residual_verdicts_agree_on_builtin_configurations():
                             diffusions=(plain,)), tilted, T1),
         (StratonovichSystem(manifold=T1, drift=VectorFieldSpec.zero(1),
                             diffusions=(inv_field,)), inv_density, T1),
+        (gibbs_circle, gibbs_circle_density, T1),
         (gibbs, gibbs_density, T2),
         (hamiltonian_torus_system(), tilted, T2),
     ]
@@ -440,9 +455,10 @@ def test_nform_and_residual_verdicts_agree_on_builtin_configurations():
         verdicts.append((nform.verdict, mean_nform.verdict))
     for route in zip(*verdicts):
         assert any(route) and not all(route)
-    # the Gibbs current is invariant in mean and not strictly; the tilted
-    # density on the Hamiltonian fields is neither
+    # the Gibbs currents are invariant in mean and not strictly; the
+    # tilted density on the Hamiltonian fields is neither
     assert verdicts[-2:] == [(False, True), (False, False)]
+    assert verdicts[-3] == (False, True)
 
 
 def fiber_case():
@@ -491,7 +507,7 @@ def test_strict_implies_mean_at_report_level():
 def mean_bias_c(sys, **kwargs):
     T = volume_current(sys.manifold, 4)
     basis = make_test_basis(sys.manifold, 1)
-    rep = empirical_check(EmpiricalRun(T, sys, basis, 0.02, 1e-2, 0, 4), "mean", 4,
+    rep = empirical_check(EmpiricalRun(T, sys, basis, 0.02, 1e-2, 0), "mean", 4,
                           **kwargs)
     return rep.metadata["bias_c"]
 
@@ -510,7 +526,7 @@ def test_explicit_bias_constant_wins():
     sys = translation_bm_system(2)
     T = volume_current(sys.manifold, 4)
     basis = make_test_basis(sys.manifold, 1)
-    rep = empirical_check(EmpiricalRun(T, sys, basis, 0.02, 1e-2, 0, 4), "mean", 4,
+    rep = empirical_check(EmpiricalRun(T, sys, basis, 0.02, 1e-2, 0), "mean", 4,
                           bias_c=3.0)
     for row in rep.per_basis:
         assert row["tolerance"] == pytest.approx(3.0 * row["std_error"] + 3.0 * 1e-2)

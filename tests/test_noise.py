@@ -88,7 +88,7 @@ def test_extreme_seeds_and_paths_give_distinct_streams():
 
 def test_seed_and_path_outside_64_bits_are_rejected_before_drawing():
     for seed, paths in ((-1, range(1)), (2 ** 64, range(1)), (0, range(-1, 2)),
-                        (0, range(TOP, TOP + 2))):
+                        (0, range(TOP, TOP + 2)), (-1, range(0))):
         with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
             normals(seed, paths, 0, 0)
     assert normals(TOP, range(TOP, TOP + 1), 0, 0).shape == (1, 0)

@@ -135,6 +135,12 @@ def test_noise_keys_outside_64_bits_are_rejected(seed, path_index):
         generate_noise(seed, path_index, 1, 0.1, 3)
     with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
         list(noise_blocks(seed, range(path_index, path_index + 1), 1, 0.1, 3))
+    if path_index == 0:  # a bad seed raises for no paths too, on every route
+        with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+            noise_blocks(seed, range(0), 1, 0.1, 3)
+        for sys in (translation_bm_system(), hamiltonian_system()):
+            with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+                flow_paths(sys, "endpoints", [0.3, 0.7], 0.1, 3, seed, range(0))
     top = 2 ** 64 - 1
     assert generate_noise(top, top, 1, 0.1, 3).increments.shape == (3, 1)
 

@@ -214,11 +214,42 @@ def test_unknown_names_raise():
         from stochflow import nope  # noqa: F401
 
 
+def tour_prints(block: str) -> list:
+    """The comment of each print statement of a code block, in order."""
+    return re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+
+
+def printed_as_stated(printed: str, comment: str) -> bool:
+    """Whether a printed value is what its comment states, up to the
+    first ':': "~0" for below 1e-12, "~X" for within a factor of 2 of X,
+    and anything else for the printed text itself."""
+    stated = comment.split(":", 1)[0]
+    if not stated.startswith("~"):
+        return printed == stated
+    value, want = abs(float(printed)), float(stated[1:])
+    return value < 1e-12 if want == 0 else want / 2 <= value <= 2 * want
+
+
+def test_printed_values_are_checked_against_their_comments():
+    assert tour_prints("x = 1\nprint(a)   # ~0: none\nprint(b)  # True\n") == [
+        "~0: none", "True"]
+    assert printed_as_stated("0.0", "~0: exact")
+    assert printed_as_stated("1.4e-3", "~1e-3: paths 0..4")
+    assert not printed_as_stated("2.92e-3", "~7e-3: paths 0..4")
+    assert printed_as_stated("(True, [])", "(True, []): invariant")
+    assert not printed_as_stated("False", "True: div X = 0")
+
+
 def test_readme_library_tour_runs_as_written(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    tour = re.search(r"^## Library tour\n+```python\n(.*?)^```$", readme,
-                     re.S | re.M)
-    assert tour, "README.md has no Library tour code block"
-    exec(compile(tour.group(1), "README.md", "exec"), {})
-    printed = [float(v) for v in capsys.readouterr().out.split()]
-    assert len(printed) == 2 and max(printed) < 1e-12
+    tour = readme.split("\n## Library tour\n", 1)[1]
+    blocks = re.findall(r"^```python\n(.*?)^```$", tour, re.S | re.M)
+    assert len(blocks) == 4, "README.md's Library tour has four code blocks"
+    namespace = {}  # each block runs on what the blocks before it defined
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+        printed = capsys.readouterr().out.splitlines()
+        comments = tour_prints(block)
+        assert len(printed) == len(comments)
+        for value, comment in zip(printed, comments):
+            assert printed_as_stated(value, comment), (value, comment)

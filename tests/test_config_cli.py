@@ -1194,11 +1194,17 @@ def record_flows(monkeypatch):
     return flows, targets
 
 
-def test_translation_preset_builds_each_input_once(tmp_path, monkeypatch):
+def test_translation_preset_flows_its_empirical_paths_once(tmp_path, monkeypatch):
     # the pathwise probe flows paths 0-4, and the mean check the rest of
-    # its 1000; the [current] is built at 16, strict_nform's at its
-    # default 64, and one current at 32 serves both residual checks
+    # its 1000
     flows, targets = record_flows(monkeypatch)
+    assert main(["check", "translation_bm_torus", "--out", str(tmp_path)]) == 0
+    assert flows == [range(5), range(5, 1000)] and len(targets) == 1
+
+
+def test_translation_preset_builds_one_current_per_grid(tmp_path, monkeypatch):
+    # the [current] is built at 16, strict_nform's at its default 64, and
+    # one current at 32 serves both residual checks
     grids = []
     init = DensityCurrent.__init__
 
@@ -1208,7 +1214,6 @@ def test_translation_preset_builds_each_input_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(DensityCurrent, "__init__", recording_init)
     assert main(["check", "translation_bm_torus", "--out", str(tmp_path)]) == 0
-    assert flows == [range(5), range(5, 1000)] and len(targets) == 1
     assert grids == [16, 64, 32]
 
 

@@ -48,7 +48,6 @@ _EXPORTS = {
     ),
     "sde": (
         "FlowResult",
-        "NoisePath",
         "StratonovichSystem",
         "flow_with_jacobian",
         "generate_noise",

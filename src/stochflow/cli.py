@@ -33,9 +33,9 @@ from .config import (
 from .manifold import ChartedManifold, VectorFieldSpec, make_test_basis
 from .presets import preset_names, preset_text
 from .sde import (
+    FlowResult,
     StratonovichSystem,
-    flow_with_jacobian,
-    generate_noise,
+    flow_paths,
     step_count,
     write_trajectory_csv,
 )
@@ -69,19 +69,13 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
     exp = Experiment(config)
     value = config.value
     if config.is_liealg:
-        from .liealg import (
-            Subalgebra,
-            heisenberg_realization,
-            torus_translation_realization,
-        )
+        from .liealg import REALIZATIONS, Subalgebra
 
         algebra = value("liealg.constants") or value("liealg.algebra")
         exp.subalgebra = Subalgebra(algebra, value("liealg.subalgebra"))
         realization = value("liealg.realization")
-        if realization == "heisenberg":
-            exp.realization = heisenberg_realization()
-        elif realization == "torus":
-            exp.realization = torus_translation_realization(algebra.n)
+        if realization is not None:
+            exp.realization = REALIZATIONS[realization](algebra.n)
         return exp
     dim = value("manifold.dim")
     manifold = ChartedManifold(dim=dim, box_lengths=value("manifold.lengths"),
@@ -309,11 +303,12 @@ def _cmd_simulate(args) -> int:
     flags = parse_flags({"t": args.t, "dt": args.dt, "x0": args.x0,
                          "seed": args.seed}, system.manifold)
     steps = step_count(flags["t"], flags["dt"])
-    noise = generate_noise(flags["seed"], args.path_index, system.m, flags["dt"],
-                           steps)
-    result = flow_with_jacobian(system, flags["x0"], noise)
+    states, log_j = flow_paths(system, "trajectory", flags["x0"], flags["dt"],
+                               steps, flags["seed"],
+                               range(args.path_index, args.path_index + 1))
     with open(args.trajectory, "w", newline="", encoding="utf-8") as fh:
-        write_trajectory_csv(result, fh)
+        write_trajectory_csv(FlowResult(flags["dt"], states[:, 0], log_j[:, 0]),
+                             fh)
     print(f"wrote {args.trajectory} ({steps + 1} rows)")
     return 0
 

@@ -158,10 +158,6 @@ class ExperimentConfig:
         return dict(self.values)[path]
 
     @property
-    def is_flow(self) -> bool:
-        return self.fields is not None
-
-    @property
     def is_liealg(self) -> bool:
         return self.liealg is not None
 
@@ -430,6 +426,12 @@ def _algebra(value, values):
     return zoo.get(_choice("algebra", *sorted(zoo))(value, values))
 
 
+def _realization(value, values):  # a label of liealg.REALIZATIONS
+    from .liealg import REALIZATIONS  # loaded only for a liealg experiment
+
+    return _choice("realization", *REALIZATIONS)(value, values)
+
+
 def _indices(value, values):  # 1-based in the config, 0-based as values
     indices = _numbers(integer=True, rule=_POSITIVE)(value, values)
     return indices and tuple(i - 1 for i in indices)
@@ -468,7 +470,7 @@ _VALUES = {
     "liealg.algebra": (_algebra, None),
     "liealg.constants": (_constants, None),
     "liealg.subalgebra": (_indices, None),
-    "liealg.realization": (_choice("realization", "heisenberg", "torus"), None),
+    "liealg.realization": (_realization, None),
     "check.tolerance": (_positive, None),  # None: invariance.DEFAULT_TOLERANCES
     "check.grid": (_grid, _check_grid),
     "check.basis_k": (_count, 3),

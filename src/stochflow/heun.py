@@ -3,18 +3,18 @@
 Per system and per consumer, ``_compile_loop`` compiles the whole loop
 over a block of noise rows into one function, which steps a (dim, *lead)
 state in place and records, inside the loop, what its consumer keeps of
-each step: ``sde.flow_with_jacobian`` the states and log J, the volume
-check of ``sde.flow_paths`` a running max |J - 1|, ``sde.flow_endpoints``
-nothing but the last state. ``run_heun`` drives it over the blocks. The
-fields are lowered (``expr.Lowering``) to straight-line code that shares
-subexpressions across components, fields and divergences and leaves out
-the divergences that are identically zero. On arrays that code is
-rendered as a list of ufunc calls that write into buffers allocated
-once per block, so a step allocates nothing and costs only numpy's
-per-call overhead where the batch is small. A run of one point (one
-trajectory, one path) executes the same operations on Python floats
-instead, which costs a fraction of the per-call overhead of numpy on
-one element. Both do the float operations of a + 0.5 * (p + c) in the
+each step, as ``sde.flow_paths`` names them: "trajectory" (``simulate``)
+the states and log J, "volume" (the jacobian check) a running
+max |J - 1|, "endpoints" nothing but the last state. ``run_heun``
+drives it over the blocks. The fields are lowered (``expr.Lowering``) to straight-line
+code that shares subexpressions across components, fields and
+divergences and leaves out the divergences that are identically zero. On
+arrays that code is rendered as a list of ufunc calls that write into
+buffers allocated once per block, so a step allocates nothing and costs
+only numpy's per-call overhead where the batch is small. A run of one
+point (one trajectory, one path) executes the same operations on Python
+floats instead, which costs a fraction of the per-call overhead of numpy
+on one element. Both do the float operations of a + 0.5 * (p + c) in the
 same order, so they give the same bits; where Python raises on a
 division by zero or sin(inf) and numpy would go on with inf or nan, that
 block of steps runs again on arrays.

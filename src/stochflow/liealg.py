@@ -50,6 +50,7 @@ __all__ = [
     "FrameRealization",
     "heisenberg_realization",
     "torus_translation_realization",
+    "REALIZATIONS",
     "foliated_system",
     "abelian",
     "heisenberg3",
@@ -220,6 +221,12 @@ def torus_translation_realization(dim: int) -> FrameRealization:
     frame = tuple(VectorFieldSpec(dim=dim, components=tuple(
         constant(float(i == j)) for j in range(dim))) for i in range(dim))
     return FrameRealization(manifold=m, frame=frame)
+
+
+# a config's realization labels, each naming the builder of the
+# realization of an algebra of dimension n
+REALIZATIONS = {"heisenberg": lambda n: heisenberg_realization(),
+                "torus": torus_translation_realization}
 
 
 def _verify_realization(g: LieAlgebraData, real: FrameRealization) -> None:

@@ -23,9 +23,9 @@ point when the state, or a log J that is carried, is not finite.
 Results are wrapped into the fundamental domain when they leave the
 integrator. When every divergence is identically zero, J = 1 exactly
 and the volume check is answered without a flow; when every field is
-constant the Heun step is exact, and ``flow_endpoints`` and
-``flow_paths`` replace the loop by one summed increment per path. In
-both cases no loop is compiled.
+constant the Heun step is exact, and ``flow_endpoints`` and the
+endpoints of ``flow_paths`` replace the loop by one summed increment per
+path. In both cases no loop is compiled.
 
 Noise is counter-based (``noise.normals``, Philox4x32-10 keyed by the
 seed, with the path index and the draw's index as its counter), so paths
@@ -33,11 +33,13 @@ are bitwise reproducible and independent across path indices without
 shared state: path simulations are embarrassingly parallel, and
 aggregations over paths are done in ascending path-index order so
 serial and distributed runs agree; ``noise`` is imported only where
-noise is drawn. ``flow_paths`` runs a range of path indices, streaming
-their noise in blocks of steps of about _BLOCK_BYTES (``noise_blocks``,
-any slice of a path's stream being drawn on its own) or, on constant
-fields, summing the noise of groups of paths of about _BLOCK_BYTES, so a
-long run never holds it all.
+noise is drawn. ``flow_paths``, the flow of every command, runs a range
+of path indices, streaming their noise in blocks of steps of about
+_BLOCK_BYTES (``noise_blocks``, any slice of a path's stream being drawn
+on its own) or, on constant fields, summing the noise of groups of paths
+of about _BLOCK_BYTES, so a long run never holds it all. The tests
+compare it with ``flow_endpoints`` and ``flow_with_jacobian``, which
+flow one path's increments as ``generate_noise`` draws them.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .manifold import (
 __all__ = [
     "ConfigurationError",
     "StratonovichSystem",
-    "NoisePath",
     "FlowResult",
     "generate_noise",
     "noise_blocks",
@@ -117,24 +118,6 @@ class StratonovichSystem:
         return self._compiled[key]
 
 
-class NoisePath:
-    """Gaussian increments N(0, dt), reproducible from (seed, path_index)."""
-
-    def __init__(self, seed: int, path_index: int, dt: float, increments: np.ndarray):
-        self.seed = seed
-        self.path_index = path_index
-        self.dt = dt
-        self.increments = increments  # (steps, m)
-
-    @property
-    def steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.increments.shape[1]
-
-
 def _noise_scale(m: int, dt: float, steps: int) -> float:
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -143,6 +126,15 @@ def _noise_scale(m: int, dt: float, steps: int) -> float:
     if m < 0:
         raise ValueError("m must be >= 0")
     return math.sqrt(dt)
+
+
+def _check_key(seed: int, paths: range) -> None:
+    """Raises ValueError, as ``noise.normals`` would, unless seed and the
+    path indices (the seed alone for no paths) are in [0, 2**64)."""
+    for p in (paths[0], paths[-1]) if paths else (paths.start,):
+        if not (0 <= seed < 2 ** 64 and 0 <= p < 2 ** 64):
+            raise ValueError(f"seed and path index must be in [0, 2**64), "
+                             f"got {seed} and {p}")
 
 
 def _block_rows(m: int, width: int) -> int:
@@ -165,14 +157,14 @@ def _increments(seed: int, paths: range, m: int, scale: float, start: int,
 
 
 def generate_noise(seed: int, path_index: int, m: int, dt: float,
-                   steps: int) -> NoisePath:
-    """The first steps rows of path_index's increments N(0, dt): row k,
-    column i is sqrt(dt) times normal k*m + i of its stream."""
+                   steps: int) -> np.ndarray:
+    """The first steps increments N(0, dt) of path_index's stream, as a
+    read-only (steps, m) array: row k, column i is sqrt(dt) times normal
+    k*m + i of the stream."""
     increments = _increments(seed, range(path_index, path_index + 1), m,
                              _noise_scale(m, dt, steps), 0, steps)[0]
     increments.setflags(write=False)
-    return NoisePath(seed=seed, path_index=path_index, dt=dt,
-                     increments=increments)
+    return increments
 
 
 def noise_blocks(seed: int, paths: range, m: int, dt: float, steps: int,
@@ -187,7 +179,7 @@ def noise_blocks(seed: int, paths: range, m: int, dt: float, steps: int,
     of dt), so results do not depend on the block size.
     """
     scale = _noise_scale(m, dt / factor, steps * factor)
-    _increments(seed, paths, m, scale, 0, 0)  # raises now on a bad key
+    _check_key(seed, paths)
     rows = _block_rows(m * factor, len(paths))
     return (_increments(seed, paths, m, scale, start, min(rows, steps - start),
                         factor).transpose(1, 2, 0)
@@ -245,30 +237,23 @@ class FlowResult:
 
     def __init__(self, dt: float, trajectory: np.ndarray, log_jacobian: np.ndarray):
         self.dt = dt
-        self.trajectory = trajectory  # (steps + 1, dim)
-        self.log_jacobian = log_jacobian  # (steps + 1,)
+        self.trajectory = trajectory  # (steps + 1, ..., dim)
+        self.log_jacobian = log_jacobian  # (steps + 1, ...)
 
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.trajectory.shape[0])
 
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.trajectory[-1]
 
-    @property
-    def jacobian(self) -> np.ndarray:
-        return np.exp(self.log_jacobian)
-
-
-def flow_with_jacobian(sys: StratonovichSystem, x0,
-                       noise: NoisePath) -> FlowResult:
-    """Co-evolves log J through the divergence SDE over the steps of noise."""
+def flow_with_jacobian(sys: StratonovichSystem, x0, dt: float,
+                       increments: np.ndarray) -> FlowResult:
+    """The wrapped trajectory and log J of x0 (..., dim) over increments
+    (..., steps, m), broadcast as in ``flow_endpoints``."""
     from .heun import run_heun
 
-    _, traj, logj = run_heun(sys, "trajectory", x0, noise.dt,
-                             *_array_blocks(sys, noise.increments))
-    return FlowResult(dt=noise.dt, trajectory=sys.manifold.wrap(traj),
+    _, traj, logj = run_heun(sys, "trajectory", x0, dt,
+                             *_array_blocks(sys, increments))
+    return FlowResult(dt=dt, trajectory=sys.manifold.wrap(traj),
                       log_jacobian=logj)
 
 
@@ -303,37 +288,40 @@ def _translate(sys: StratonovichSystem, velocities: np.ndarray, x0, dt: float,
 
 def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
                steps: int, seed: int, paths: range,
-               factor: int = 1) -> np.ndarray:
+               factor: int = 1):
     """Flows x0 (..., dim) along the noise_blocks streams of paths.
 
     The paths form the first leading axis: consumer "endpoints" returns
-    the wrapped endpoints (len(paths), ..., dim), "volume" the running
-    max_k |J_k - 1| (len(paths), ...). Constant fields draw the paths in
-    groups of about _BLOCK_BYTES of noise, at least one path a group,
-    and sum each path's increments whole, which gives the bits of
-    ``flow_endpoints`` on the stacked increments (numpy sums pairwise
-    when m = 1, so a sum block by block would not).
+    the wrapped endpoints (len(paths), ..., dim), "trajectory" the
+    wrapped states (steps + 1, len(paths), ..., dim) and log J
+    (steps + 1, len(paths), ...), and "volume" the running max_k
+    |J_k - 1| (len(paths), ...). dt, steps, the seed and the path
+    indices are validated before any route is taken. The endpoints of
+    constant fields draw the paths in groups of about _BLOCK_BYTES of
+    noise, at least one path a group, and sum each path's increments
+    whole, which gives the bits of ``flow_endpoints`` on the stacked
+    increments (numpy sums pairwise when m = 1, so a sum block by block
+    would not).
 
     When every divergence is identically zero (``_divergences`` is
     empty: Hamiltonian fields, translations, the Heisenberg frame), the
     log J equation has zero coefficients, J = 1 on every path (Liouville)
     and "volume" returns zeros without flowing: no noise is drawn and no
-    loop runs. dt, steps and x0 are validated as for a flow (a non-finite
-    x0 raises InvalidPointError), but a state that would stop being
-    finite along the way is not seen.
+    loop runs. x0 is validated as for a flow (a non-finite x0 raises
+    InvalidPointError), but a state that would stop being finite along
+    the way is not seen.
     """
+    scale = _noise_scale(sys.m, dt / factor, steps * factor)
+    _check_key(seed, paths)
     if consumer == "volume" and not sys._cached("divergences", _divergences):
-        _noise_scale(sys.m, dt / factor, steps * factor)
         return np.zeros((len(paths),) + sys.manifold.wrap(x0).shape[:-1])
     velocities = sys._cached("velocities", _constant_velocities)
     if consumer == "endpoints" and velocities is not None:
-        scale = _noise_scale(sys.m, dt / factor, steps * factor)
         x0 = sys.manifold.wrap(x0)
         ends = np.empty((len(paths),) + x0.shape)
         group = _block_rows(steps * factor * sys.m, 1)  # paths of noise
         lead = (1,) * (x0.ndim - 1)
-        # no paths still make one (empty) draw, which checks the seed
-        for g in range(0, len(paths) or 1, group):
+        for g in range(0, len(paths), group):
             z = _increments(seed, paths[g:g + group], sys.m, scale, 0, steps,
                             factor)
             x = _translate(sys, velocities, x0, dt,
@@ -347,6 +335,8 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
     blocks = (b.reshape(b.shape[:2] + lead)
               for b in noise_blocks(seed, paths, sys.m, dt, steps, factor))
     x, *out = run_heun(sys, consumer, x0, dt, steps, lead, blocks)
+    if consumer == "trajectory":
+        return sys.manifold.wrap(out[0]), out[1]
     return out[0] if out else sys.manifold.wrap(x.copy())
 
 

@@ -28,7 +28,7 @@ from stochflow.manifold import (
     apply_field,
     identified_pairs,
 )
-from stochflow.sde import NoisePath, StratonovichSystem, flow_endpoints
+from stochflow.sde import StratonovichSystem, flow_endpoints
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
@@ -108,11 +108,12 @@ def _paren(node, atom):
 # ---------------------------------------------------------------------------
 # currents and flows
 
-def pullback_eval(T: Current, f, sys: StratonovichSystem,
-                  noise: NoisePath) -> float:
+def pullback_eval(T: Current, f, sys: StratonovichSystem, dt: float,
+                  increments: np.ndarray) -> float:
     """Pathwise pullback (phi_t^* T)(f) = T(f o phi_t) for one realization
-    of the noise up to its horizon t; all support points ride it."""
-    ends = flow_endpoints(sys, T.points, noise.dt, noise.increments)
+    of the noise, the (steps, m) increments of steps of dt up to the
+    horizon t; all support points ride it."""
+    ends = flow_endpoints(sys, T.points, dt, increments)
     return float(np.dot(T.weights, walk(f, ends)))
 
 
@@ -126,9 +127,10 @@ def derivative_current_eval(X: VectorFieldSpec, T: Current, f) -> float:
     return -current_eval(T, apply_field(T.manifold, X, f))
 
 
-def fd_jacobian(sys: StratonovichSystem, x0, noise: NoisePath,
+def fd_jacobian(sys: StratonovichSystem, x0, dt: float, increments: np.ndarray,
                 h_fd: float = 1e-4) -> float:
-    """Jacobian determinant by central differences under the same noise.
+    """Jacobian determinant by central differences under the same noise,
+    the (steps, m) increments of steps of dt.
 
     Column i is the minimal-image displacement between the flows of
     x0 + h e_i and x0 - h e_i divided by 2h.
@@ -141,7 +143,7 @@ def fd_jacobian(sys: StratonovichSystem, x0, noise: NoisePath,
         e[i] = h_fd
         seeds[2 * i] = x0 + e
         seeds[2 * i + 1] = x0 - e
-    ends = flow_endpoints(sys, seeds, noise.dt, noise.increments)
+    ends = flow_endpoints(sys, seeds, dt, increments)
     lengths = sys.manifold.lengths
     cols = np.empty((dim, dim))
     for i in range(dim):

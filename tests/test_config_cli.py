@@ -129,7 +129,6 @@ def test_json_config_is_accepted():
         "checks": [{"kind": "strict_nform", "tolerance": "1e-8"}],
     }
     cfg = parse_config(json.dumps(doc))
-    assert cfg.is_flow
     assert cfg.checks[0].kind == "strict_nform"
     exp = build_experiment(cfg)
     assert exp.system.m == 1
@@ -1397,6 +1396,28 @@ def test_simulate_writes_trajectory(tmp_path, capsys):
     assert rows[0] == ["t", "x1", "x2", "logJ"]
     assert len(rows) == 12
     assert float(rows[1][1]) == pytest.approx(0.5)
+
+
+def test_simulate_flows_its_path_through_flow_paths(tmp_path, monkeypatch):
+    # simulate enters the flow as the checks do: the "trajectory" consumer
+    # of flow_paths on the one path it writes
+    from stochflow import cli, sde
+
+    def not_called(*args):
+        raise AssertionError("a flow outside flow_paths")
+
+    calls, flow = [], sde.flow_paths
+    monkeypatch.setattr(cli, "flow_paths",
+                        lambda *args: calls.append(args[1:]) or flow(*args))
+    monkeypatch.setattr(sde, "generate_noise", not_called)
+    monkeypatch.setattr(sde, "flow_with_jacobian", not_called)
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "hamiltonian_torus", "--trajectory", str(out),
+                 "--t", "0.1", "--dt", "0.01", "--seed", "4",
+                 "--path-index", "3"]) == 0
+    assert [(c[0], *c[2:]) for c in calls] == [
+        ("trajectory", 0.01, 10, 4, range(3, 4))]
+    assert len(out.read_text().splitlines()) == 12
 
 
 def test_simulate_checks_the_realization(tmp_path, capsys):

@@ -140,7 +140,7 @@ def test_pullback_zero_system_is_eval():
     sys = zero_system(1)
     T = DensityCurrent(manifold=T1, density=TILTED, grid_n=16)
     noise = generate_noise(0, 0, 0, 0.1, 10)
-    assert pullback_eval(T, SIN, sys, noise) == pytest.approx(
+    assert pullback_eval(T, SIN, sys, 0.1, noise) == pytest.approx(
         evaluate_many(T, [SIN])[0], abs=1e-14)
 
 
@@ -149,7 +149,7 @@ def test_pullback_translation_invariance_of_lebesgue():
     T = volume_current(T1, 16)
     for p in range(4):
         noise = generate_noise(5, p, 1, 1e-2, 100)
-        assert abs(pullback_eval(T, SIN, sys, noise)) < 1e-12
+        assert abs(pullback_eval(T, SIN, sys, 1e-2, noise)) < 1e-12
 
 
 def test_pullback_deterministic_rotation():
@@ -160,7 +160,7 @@ def test_pullback_deterministic_rotation():
     T = volume_current(T2, 16)
     f = expr.parse("sin(2*pi*x1)*cos(2*pi*x2)")
     noise = generate_noise(0, 0, 0, 1e-2, 100)
-    assert pullback_eval(T, f, sys, noise) == pytest.approx(
+    assert pullback_eval(T, f, sys, 1e-2, noise) == pytest.approx(
         evaluate_many(T, [f])[0], abs=1e-8)
 
 
@@ -169,7 +169,7 @@ def test_pullback_empirical_flows_atoms():
                              diffusions=())
     T = EmpiricalCurrent(manifold=T1, atoms=[[0.0]], atom_weights=[1.0])
     noise = generate_noise(0, 0, 0, 1e-3, 250)
-    got = pullback_eval(T, SIN, sys, noise)
+    got = pullback_eval(T, SIN, sys, 1e-3, noise)
     assert got == pytest.approx(math.sin(2 * math.pi * 0.25), abs=1e-9)
 
 
@@ -318,10 +318,10 @@ def test_discrete_commutation_of_current_and_integral(make_current):
                              diffusions=(X,))
     steps = 20
     noise = generate_noise(13, 0, 1, 0.05, steps)
-    res = flow_with_jacobian(sys, T.points, noise)  # (steps+1, P, 1)
+    res = flow_with_jacobian(sys, T.points, 0.05, noise)  # (steps+1, P, 1)
     g = expr.parse("cos(2*pi*x1)")
     gvals = np.stack([expr.evaluate(g, res.trajectory[k]) for k in range(steps)])
-    db = noise.increments[:, 0]
+    db = noise[:, 0]
     # T applied to x -> sum_k g(phi_k(x)) dB_k, versus the summed evaluations
     lhs = float(np.dot(T.weights, (gvals * db[:, None]).sum(axis=0)))
     rhs = float(sum(np.dot(T.weights, gvals[k]) * db[k] for k in range(steps)))
@@ -337,7 +337,7 @@ def test_pullback_values_matches_pullback_eval():
         noise = generate_noise(7, p, 1, 1e-2, 50)
         for k, f in enumerate(basis.functions):
             assert vals[k, p] == pytest.approx(
-                pullback_eval(T, f, sys, noise), abs=1e-14)
+                pullback_eval(T, f, sys, 1e-2, noise), abs=1e-14)
 
 
 # constant fields take the summed-increment path, trig fields the stepped
@@ -622,7 +622,7 @@ def weigh(values, T):
 
 def stacked_noise(seed, n_paths, m, dt, steps):
     """The per-path streams of generate_noise, (n_paths, steps, m)."""
-    return np.array([generate_noise(seed, p, m, dt, steps).increments
+    return np.array([generate_noise(seed, p, m, dt, steps)
                      for p in range(n_paths)])
 
 

@@ -186,10 +186,10 @@ def test_empirical_pathwise_sin_drift_residual_grows_with_t():
     values = {}
     for t in (0.25, 1.0):
         noise = generate_noise(0, 0, 0, 1e-3, int(t / 1e-3))
-        values[t] = abs(pullback_eval(T, cos_f, sys, noise))
+        values[t] = abs(pullback_eval(T, cos_f, sys, 1e-3, noise))
         # dense reference solve as an independent oracle for the same value
         fine = generate_noise(0, 0, 0, 1e-3 / 50, int(t / 1e-3) * 50)
-        ref = abs(pullback_eval(T, cos_f, sys, fine))
+        ref = abs(pullback_eval(T, cos_f, sys, 1e-3 / 50, fine))
         assert values[t] == pytest.approx(ref, abs=1e-4)
     assert values[1.0] > values[0.25] > 0.01
 
@@ -254,7 +254,7 @@ def test_a_run_grown_by_its_reports_equals_a_fresh_run(monkeypatch):
                    "quadrature and the Heun error exceed on grid 16")
 def test_pathwise_passes_the_exactly_invariant_hamiltonian_volume():
     # the Hamiltonian fields are divergence-free, so the volume current is
-    # strictly invariant; the pathwise report gives 0.141 against 0.01
+    # strictly invariant; the pathwise report gives 0.105 against 0.01
     sys = hamiltonian_torus_system()
     T = volume_current(T2, 16)
     run = EmpiricalRun(T, sys, make_test_basis(T2, 3), 1.0, 0.04, 3)

@@ -7,7 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from example_systems import builtin_systems, translation_bm_system
+from example_systems import (
+    builtin_systems,
+    multiplicative_circle_system,
+    translation_bm_system,
+)
 from example_systems import hamiltonian_torus_system as hamiltonian_system
 from oracles import fd_jacobian
 from stochflow import expr, sde
@@ -63,19 +67,19 @@ def circle_distance(a, b):
 
 def test_noise_is_deterministic_and_reproducible():
     a = generate_noise(123, 5, 2, 0.01, 50)
+    assert a.shape == (50, 2) and not a.flags.writeable
     b = generate_noise(123, 5, 2, 0.01, 50)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a, b)
     c = generate_noise(123, 6, 2, 0.01, 50)
-    assert not np.array_equal(a.increments, c.increments)
+    assert not np.array_equal(a, c)
     d = generate_noise(124, 5, 2, 0.01, 50)
-    assert not np.array_equal(a.increments, d.increments)
+    assert not np.array_equal(a, d)
 
 
 def noise_matrix(seed, paths, m, dt, steps):
     """The reference layout of many paths' noise: the per-path streams
     of generate_noise stacked, shape (len(paths), steps, m)."""
-    return np.array([generate_noise(seed, p, m, dt, steps).increments
-                     for p in paths])
+    return np.array([generate_noise(seed, p, m, dt, steps) for p in paths])
 
 
 @pytest.mark.parametrize("rows", [1, 97, 250, 1000])
@@ -104,6 +108,7 @@ def test_flow_paths_validates_like_generate_noise():
     # a divergence-free volume run draws nothing and validates the same
     for sys, consumer in ((translation_bm_system(1), "endpoints"),
                           (sin_drift_system(), "endpoints"),
+                          (sin_drift_system(), "trajectory"),
                           (translation_bm_system(1), "volume")):
         for dt, steps in ((0.1, 0), (-0.1, 10)):
             with pytest.raises(ValueError):
@@ -139,10 +144,11 @@ def test_noise_keys_outside_64_bits_are_rejected(seed, path_index):
         with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
             noise_blocks(seed, range(0), 1, 0.1, 3)
         for sys in (translation_bm_system(), hamiltonian_system()):
-            with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
-                flow_paths(sys, "endpoints", [0.3, 0.7], 0.1, 3, seed, range(0))
+            for consumer in ("endpoints", "trajectory", "volume"):
+                with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+                    flow_paths(sys, consumer, [0.3, 0.7], 0.1, 3, seed, range(0))
     top = 2 ** 64 - 1
-    assert generate_noise(top, top, 1, 0.1, 3).increments.shape == (3, 1)
+    assert generate_noise(top, top, 1, 0.1, 3).shape == (3, 1)
 
 
 def test_coarsen_noise_sums_increments(monkeypatch):
@@ -203,7 +209,7 @@ def test_flow_zero_system_constant_trajectory():
     sys = StratonovichSystem(manifold=T2, drift=VectorFieldSpec.zero(2),
                              diffusions=())
     noise = generate_noise(0, 0, 0, 0.1, 10)
-    res = flow_with_jacobian(sys, [0.2, 0.7], noise)
+    res = flow_with_jacobian(sys, [0.2, 0.7], 0.1, noise)
     np.testing.assert_array_equal(res.trajectory,
                                   np.tile([0.2, 0.7], (11, 1)))
 
@@ -211,9 +217,9 @@ def test_flow_zero_system_constant_trajectory():
 def test_flow_additive_noise_closed_form():
     sys = translation_system(1)
     noise = generate_noise(11, 3, 1, 0.001, 1000)
-    res = flow_with_jacobian(sys, [0.3], noise)
-    want = (0.3 + noise.increments.sum()) % 1.0
-    assert circle_distance(float(res.endpoint[0]), want) < 1e-12
+    res = flow_with_jacobian(sys, [0.3], 0.001, noise)
+    want = (0.3 + noise.sum()) % 1.0
+    assert circle_distance(float(res.trajectory[-1, 0]), want) < 1e-12
 
 
 def test_flow_deterministic_rotation_exact():
@@ -222,9 +228,9 @@ def test_flow_deterministic_rotation_exact():
         manifold=T2, drift=VectorFieldSpec.from_strings(["1", f"{alpha!r}"]),
         diffusions=())
     noise = generate_noise(0, 0, 0, 1e-3, 1000)
-    res = flow_with_jacobian(sys, [0.1, 0.2], noise)
+    res = flow_with_jacobian(sys, [0.1, 0.2], 1e-3, noise)
     want = np.array([(0.1 + 1.0) % 1.0, (0.2 + alpha) % 1.0])
-    assert np.max(np.abs(res.endpoint - want)) < 1e-12
+    assert np.max(np.abs(res.trajectory[-1] - want)) < 1e-12
 
 
 def test_flow_noise_shape_mismatch():
@@ -232,14 +238,15 @@ def test_flow_noise_shape_mismatch():
     noise = generate_noise(0, 0, 1, 0.1, 10)  # one component, system has two
     with pytest.raises(ConfigurationError,
                        match="noise has 1 components, system has 2"):
-        flow_with_jacobian(sys, [0.0, 0.0], noise)
+        flow_with_jacobian(sys, [0.0, 0.0], 0.1, noise)
 
 
 def test_flow_results_bitwise_deterministic():
     sys = hamiltonian_system()
     noise = generate_noise(21, 2, 2, 0.01, 100)
-    r1 = flow_with_jacobian(sys, [0.3, 0.4], noise)
-    r2 = flow_with_jacobian(sys, [0.3, 0.4], generate_noise(21, 2, 2, 0.01, 100))
+    r1 = flow_with_jacobian(sys, [0.3, 0.4], 0.01, noise)
+    r2 = flow_with_jacobian(sys, [0.3, 0.4], 0.01,
+                            generate_noise(21, 2, 2, 0.01, 100))
     assert np.array_equal(r1.trajectory, r2.trajectory)
     assert np.array_equal(r1.log_jacobian, r2.log_jacobian)
 
@@ -247,7 +254,7 @@ def test_flow_results_bitwise_deterministic():
 def test_flow_trajectory_is_canonical_and_starts_at_x0():
     sys = translation_system(1)
     noise = generate_noise(5, 0, 1, 0.05, 200)
-    res = flow_with_jacobian(sys, [0.99], noise)
+    res = flow_with_jacobian(sys, [0.99], 0.05, noise)
     assert res.trajectory[0][0] == pytest.approx(0.99)
     assert np.all(res.trajectory >= 0) and np.all(res.trajectory < 1)
 
@@ -259,18 +266,18 @@ def test_jacobian_zero_system_is_one():
     sys = StratonovichSystem(manifold=T1, drift=VectorFieldSpec.zero(1),
                              diffusions=())
     noise = generate_noise(0, 0, 0, 0.1, 10)
-    res = flow_with_jacobian(sys, [0.5], noise)
+    res = flow_with_jacobian(sys, [0.5], 0.1, noise)
     np.testing.assert_array_equal(res.log_jacobian, np.zeros(11))
-    assert fd_jacobian(sys, [0.5], noise) == pytest.approx(1.0, abs=1e-12)
+    assert fd_jacobian(sys, [0.5], 0.1, noise) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jacobian_divergence_free_pathwise():
     sys = hamiltonian_system()
     for p in range(3):
         noise = generate_noise(17, p, 2, 1e-3, 1000)
-        res = flow_with_jacobian(sys, [0.25, 0.6], noise)
+        res = flow_with_jacobian(sys, [0.25, 0.6], 1e-3, noise)
         assert np.max(np.abs(res.log_jacobian)) < 1e-2
-        fd = fd_jacobian(sys, [0.25, 0.6], noise)
+        fd = fd_jacobian(sys, [0.25, 0.6], 1e-3, noise)
         assert fd == pytest.approx(1.0, abs=1e-2)
 
 
@@ -282,11 +289,11 @@ def test_zero_divergences_leave_log_j_exactly_zero():
                for f in sys.fields())
     noise = generate_noise(17, 0, 2, 1e-2, 50)
     pts = [[0.25, 0.6], [0.9, 0.05]]
-    res = flow_with_jacobian(sys, pts, noise)
+    res = flow_with_jacobian(sys, pts, 1e-2, noise)
     np.testing.assert_array_equal(res.log_jacobian, np.zeros((51, 2)))
     # the states are those of the step without log J
-    ends = flow_endpoints(sys, pts, 1e-2, noise.increments)
-    np.testing.assert_array_equal(res.endpoint, ends)
+    ends = flow_endpoints(sys, pts, 1e-2, noise)
+    np.testing.assert_array_equal(res.trajectory[-1], ends)
     rep = jacobian_check(sys, pts[0], 0.5, 1e-2, seed=3, n_paths=4)
     assert rep.residual == 0.0
     assert all(row["value"] == 0.0 for row in rep.per_basis)
@@ -296,7 +303,7 @@ def test_sin_drift_divergence_is_not_zero():
     sys = sin_drift_system()
     assert not expr.is_identically_zero(product_divergence_expr(T1, sys.drift))
     noise = generate_noise(0, 0, 0, 1e-2, 10)
-    assert flow_with_jacobian(sys, [0.1], noise).log_jacobian[-1] > 0.1
+    assert flow_with_jacobian(sys, [0.1], 1e-2, noise).log_jacobian[-1] > 0.1
 
 
 @pytest.mark.parametrize("field, message", [
@@ -317,12 +324,12 @@ def test_jacobian_sin_field_reference_and_fd():
     sys = sin_drift_system()
     dt = 1e-3
     noise = generate_noise(0, 0, 0, dt, 1000)
-    res = flow_with_jacobian(sys, [0.25], noise)
-    j_coarse = res.jacobian[-1]
+    res = flow_with_jacobian(sys, [0.25], dt, noise)
+    j_coarse = np.exp(res.log_jacobian[-1])
     fine = generate_noise(0, 0, 0, dt / 100, 100000)
-    j_ref = flow_with_jacobian(sys, [0.25], fine).jacobian[-1]
+    j_ref = np.exp(flow_with_jacobian(sys, [0.25], dt / 100, fine).log_jacobian[-1])
     assert abs(j_coarse - j_ref) / j_ref < 1e-3
-    fd = fd_jacobian(sys, [0.25], noise)
+    fd = fd_jacobian(sys, [0.25], dt, noise)
     assert abs(fd - j_coarse) / j_coarse < 1e-2
 
 
@@ -330,16 +337,16 @@ def test_fd_jacobian_uses_minimal_image_across_seam():
     sys = translation_system(1)
     noise = generate_noise(31, 0, 1, 0.01, 100)
     # start next to the seam; translation flow has jacobian exactly 1
-    assert fd_jacobian(sys, [0.999], noise) == pytest.approx(1.0, abs=1e-10)
+    assert fd_jacobian(sys, [0.999], 0.01, noise) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_flow_endpoints_batches_match_single_runs():
     sys = hamiltonian_system()
     noise = generate_noise(3, 0, 2, 0.01, 50)
     pts = np.array([[0.1, 0.2], [0.5, 0.6], [0.9, 0.1]])
-    batch = flow_endpoints(sys, pts, 0.01, noise.increments)
+    batch = flow_endpoints(sys, pts, 0.01, noise)
     for i, p in enumerate(pts):
-        single = flow_with_jacobian(sys, p, noise).endpoint
+        single = flow_with_jacobian(sys, p, 0.01, noise).trajectory[-1]
         np.testing.assert_array_equal(batch[i], single)
 
 
@@ -349,7 +356,7 @@ def test_heisenberg_flow_stays_canonical():
     sys = StratonovichSystem(manifold=m, drift=VectorFieldSpec.zero(3),
                              diffusions=(X, Y, Z))
     noise = generate_noise(8, 0, 3, 0.01, 500)
-    res = flow_with_jacobian(sys, [0.5, 0.5, 0.5], noise)
+    res = flow_with_jacobian(sys, [0.5, 0.5, 0.5], 0.01, noise)
     assert np.all(res.trajectory >= 0) and np.all(res.trajectory < 1)
 
 
@@ -359,7 +366,7 @@ def test_heisenberg_flow_stays_canonical():
 def test_trajectory_csv_columns():
     sys = translation_system(2)
     noise = generate_noise(1, 0, 2, 0.5, 2)
-    res = flow_with_jacobian(sys, [0.1, 0.2], noise)
+    res = flow_with_jacobian(sys, [0.1, 0.2], 0.5, noise)
     buf = io.StringIO()
     write_trajectory_csv(res, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -507,11 +514,11 @@ def test_integrators_match_reference_loop(label, monkeypatch):
     wrap = ChartedManifold.wrap
     monkeypatch.setattr(ChartedManifold, "wrap",
                         lambda self, p: wraps.append(1) or wrap(self, p))
-    res = flow_with_jacobian(sys, pts, noise)
+    res = flow_with_jacobian(sys, pts, dt, noise)
     # one wrap of x0, one of the recorded trajectory, and the re-wraps
     assert (len(wraps) > 2) == wraps_midway
     monkeypatch.undo()
-    want_traj, want_logj = reference_heun(sys, pts, dt, noise.increments)
+    want_traj, want_logj = reference_heun(sys, pts, dt, noise)
     np.testing.assert_allclose(res.trajectory, want_traj, **close)
     np.testing.assert_allclose(res.log_jacobian, want_logj, **close)
 
@@ -533,9 +540,9 @@ def test_non_finite_state_names_its_step():
     noise = generate_noise(0, 0, 0, 0.01, 10)
     with np.errstate(all="ignore"):
         with pytest.raises(InvalidPointError, match=r"step 1, point \(\)"):
-            flow_endpoints(sys, [0.0], 0.01, noise.increments)
+            flow_endpoints(sys, [0.0], 0.01, noise)
         with pytest.raises(InvalidPointError, match=r"step 1, point \(1,\)"):
-            flow_with_jacobian(sys, [[0.25], [0.0]], noise)
+            flow_with_jacobian(sys, [[0.25], [0.0]], 0.01, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +567,11 @@ def test_one_point_runs_equal_rows_of_the_batch(label):
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 1.0, size=(3, sys.manifold.dim)) * sys.manifold.lengths
     noise = generate_noise(4, 0, sys.m, dt, steps)
-    batch = flow_with_jacobian(sys, pts, noise)
+    batch = flow_with_jacobian(sys, pts, dt, noise)
     inc = noise_matrix(4, range(3), sys.m, dt, steps)
     ends = flow_endpoints(sys, pts, dt, inc)
     for i, p in enumerate(pts):
-        one = flow_with_jacobian(sys, p, noise)
+        one = flow_with_jacobian(sys, p, dt, noise)
         np.testing.assert_array_equal(one.trajectory, batch.trajectory[:, i])
         np.testing.assert_array_equal(one.log_jacobian, batch.log_jacobian[:, i])
         np.testing.assert_array_equal(flow_endpoints(sys, p, dt, inc[i]), ends[i])
@@ -590,11 +597,11 @@ def test_one_point_block_redone_on_arrays_where_python_raises(monkeypatch):
     pts = np.array([[0.0], [0.3], [0.7]])
     noise = generate_noise(9, 0, 1, 0.01, 200)
     with np.errstate(all="ignore"):
-        one = flow_endpoints(sys, pts[0], 0.01, noise.increments)
+        one = flow_endpoints(sys, pts[0], 0.01, noise)
         # the first block ran on arrays, the later ones on floats again
         assert {("loop", "endpoints", "point"),
                 ("loop", "endpoints", "array")} <= set(sys._compiled)
-        batch = flow_endpoints(sys, pts, 0.01, noise.increments)
+        batch = flow_endpoints(sys, pts, 0.01, noise)
         inc = noise_matrix(9, range(3), 1, 0.01, 200)
         ends = flow_endpoints(sys, pts, 0.01, inc)
         for i, p in enumerate(pts):
@@ -603,7 +610,7 @@ def test_one_point_block_redone_on_arrays_where_python_raises(monkeypatch):
         # the log J these runs leave out is nan from the first step
         with pytest.raises(InvalidPointError,
                            match=r"non-finite log J at step 1, point \(\)"):
-            flow_with_jacobian(sys, pts[0], noise)
+            flow_with_jacobian(sys, pts[0], 0.01, noise)
     assert np.all(np.isfinite(one))
     np.testing.assert_array_equal(one, batch[0])
 
@@ -617,7 +624,7 @@ def test_non_finite_log_j_names_its_step():
         for x0, where in (([[0.0], [0.3]], r"\(0,\)"), ([[0.3], [0.0]], r"\(1,\)")):
             with pytest.raises(InvalidPointError,
                                match=rf"log J at step 1, point {where}"):
-                flow_with_jacobian(sys, x0, noise)
+                flow_with_jacobian(sys, x0, 0.01, noise)
         # log J overflows at step 3 while the state stays at 0, where
         # Python floats raise nothing: the one-point loop tests log J itself
         sys = StratonovichSystem(manifold=T1,
@@ -626,7 +633,7 @@ def test_non_finite_log_j_names_its_step():
         for x0, where in (([0.0], r"\(\)"), ([[0.0], [0.0]], r"\(0,\)")):
             with pytest.raises(InvalidPointError,
                                match=rf"log J at step 3, point {where}"):
-                flow_with_jacobian(sys, x0, noise)
+                flow_with_jacobian(sys, x0, 1e307, noise)
         with pytest.raises(InvalidPointError, match=r"log J at step 3, point \(0,\)"):
             jacobian_check(sys, [0.0], 5e307, 1e307, seed=0, n_paths=1)
 
@@ -635,21 +642,21 @@ def test_one_point_runs_take_the_float_loop():
     sys = hamiltonian_system()
     loops = sys._compiled  # the loop cache, keyed (loop, consumer, back end)
     noise = generate_noise(0, 0, 2, 0.01, 300)
-    flow_with_jacobian(sys, [0.1, 0.2], noise)
+    flow_with_jacobian(sys, [0.1, 0.2], 0.01, noise)
     assert [key for key in loops if key[0] == "loop"] == [
         ("loop", "trajectory", "point")]
     point = loops["loop", "trajectory", "point"]
     calls = []
     loops["loop", "trajectory", "point"] = (
         lambda *args: calls.append(1) or point(*args))
-    flow_with_jacobian(sys, [[0.3, 0.4]], noise)  # lead (1,)
+    flow_with_jacobian(sys, [[0.3, 0.4]], 0.01, noise)  # lead (1,)
     assert calls == [1]
     assert ("loop", "trajectory", "array") not in loops  # no fallback
-    flow_with_jacobian(sys, [[0.1, 0.2], [0.3, 0.4]], noise)
+    flow_with_jacobian(sys, [[0.1, 0.2], [0.3, 0.4]], 0.01, noise)
     assert calls == [1]
     assert ("loop", "trajectory", "array") in loops
     batched = hamiltonian_system()
-    flow_endpoints(batched, [[0.1, 0.2], [0.3, 0.4]], 0.01, noise.increments)
+    flow_endpoints(batched, [[0.1, 0.2], [0.3, 0.4]], 0.01, noise)
     jacobian_check(batched, [0.1, 0.2], 1.0, 0.01, seed=0, n_paths=2)
     # the Hamiltonian fields carry no log J: the check compiles no loop
     assert [key for key in batched._compiled if key[0] == "loop"] == [
@@ -683,7 +690,7 @@ def integrate_all(sys, dt, steps):
     rng = np.random.default_rng(8)
     pts = rng.uniform(0.0, 1.0, size=(3, sys.manifold.dim)) * sys.manifold.lengths
     noise = generate_noise(6, 1, sys.m, dt, steps)
-    res = flow_with_jacobian(sys, pts, noise)
+    res = flow_with_jacobian(sys, pts, dt, noise)
     inc = noise_matrix(6, range(4), sys.m, dt, steps)[:, None]
     ends = flow_endpoints(sys, pts, dt, inc)
     rep = jacobian_check(sys, pts[0], steps * dt, dt, seed=6, n_paths=4)
@@ -749,6 +756,19 @@ def test_divergence_free_jacobian_check_does_not_flow(label, monkeypatch):
     np.testing.assert_allclose(values, worst, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [-5, 2 ** 64])
+def test_divergence_free_jacobian_check_rejects_a_seed_outside_64_bits(seed):
+    # no noise is drawn, yet the seed is rejected as the generator does
+    from stochflow import noise
+
+    with pytest.raises(ValueError) as drawn:
+        noise.normals(seed, range(3), 0, 1)
+    with pytest.raises(ValueError) as checked:
+        jacobian_check(hamiltonian_system(), [0.3, 0.7], 0.1, 0.01, seed=seed,
+                       n_paths=3)
+    assert str(checked.value) == str(drawn.value)
+
+
 @pytest.mark.parametrize("make", [sin_drift_system, exp_divergence_system],
                          ids=["sin_drift_circle", "exp_divergence"])
 def test_carried_divergence_jacobian_check_still_flows(make, monkeypatch):
@@ -790,6 +810,10 @@ def test_flow_paths_equal_flow_endpoints_on_stacked_noise(label, monkeypatch):
         assert np.array_equal(got[i, j], flow_endpoints(sys, pts[j], dt, inc[i]))
     got = flow_paths(sys, "endpoints", pts[0], dt, steps, seed, paths)
     assert np.array_equal(got, flow_endpoints(sys, pts[0], dt, inc))
+    states, log_j = flow_paths(sys, "trajectory", pts, dt, steps, seed, paths)
+    want = flow_with_jacobian(sys, pts, dt, inc[:, None])
+    assert np.array_equal(states, want.trajectory)
+    assert np.array_equal(log_j, want.log_jacobian)
     # factor 2: the paths drawn at dt / 2, summed in pairs onto the grid of dt
     fine = noise_matrix(seed, paths, sys.m, dt / 2, 2 * steps)
     coarse = fine.reshape(len(paths), steps, 2, sys.m).sum(axis=2)
@@ -798,6 +822,31 @@ def test_flow_paths_equal_flow_endpoints_on_stacked_noise(label, monkeypatch):
     rep = jacobian_check(sys, pts[0], steps * dt, dt, seed=seed, n_paths=5)
     got = flow_paths(sys, "volume", pts[0], dt, steps, seed, range(5))
     assert np.array_equal(got, [r["value"] for r in rep.per_basis])
+
+
+# label -> (system, dt, steps); the long run takes two blocks of noise of
+# its one path (sde._BLOCK_BYTES holds 32768 steps of one component)
+TRAJECTORY_CASES = {
+    **{label: (sys, 0.01, 300) for label, sys in builtin_systems().items()},
+    "translation_bm_circle": (translation_bm_system(1), 0.01, 300),
+    "multiplicative_circle_40k": (multiplicative_circle_system(), 1e-4, 40000),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TRAJECTORY_CASES))
+def test_flow_paths_trajectory_equals_flow_with_jacobian(label):
+    # simulate's flow: one path through the "trajectory" consumer gives
+    # the bits of flow_with_jacobian on that path's increments
+    sys, dt, steps = TRAJECTORY_CASES[label]
+    seed, p = 5, 3
+    x0 = 0.3 * sys.manifold.lengths
+    states, log_j = flow_paths(sys, "trajectory", x0, dt, steps, seed,
+                               range(p, p + 1))
+    assert states.shape == (steps + 1, 1, sys.manifold.dim)
+    assert log_j.shape == (steps + 1, 1)
+    want = flow_with_jacobian(sys, x0, dt, generate_noise(seed, p, sys.m, dt, steps))
+    assert np.array_equal(states[:, 0], want.trajectory)
+    assert np.array_equal(log_j[:, 0], want.log_jacobian)
 
 
 def test_flow_paths_wraps_x0_once_on_constant_fields(monkeypatch):
@@ -821,13 +870,16 @@ def test_empty_batches_give_empty_results(sys):
     dim, dt, steps = sys.manifold.dim, 0.01, 5
     x0, none = np.full(dim, 0.3), np.empty((0, dim))
     noise = generate_noise(0, 0, sys.m, dt, steps)
-    assert flow_endpoints(sys, none, dt, noise.increments).shape == (0, dim)
-    res = flow_with_jacobian(sys, none, noise)
+    assert flow_endpoints(sys, none, dt, noise).shape == (0, dim)
+    res = flow_with_jacobian(sys, none, dt, noise)
     assert res.trajectory.shape == (steps + 1, 0, dim)
     assert res.log_jacobian.shape == (steps + 1, 0)
     for x, paths, shape in ((x0, range(0), (0, dim)), (none, range(3), (3, 0, dim))):
         assert flow_paths(sys, "endpoints", x, dt, steps, 0, paths).shape == shape
         assert flow_paths(sys, "volume", x, dt, steps, 0, paths).shape == shape[:-1]
+        states, log_j = flow_paths(sys, "trajectory", x, dt, steps, 0, paths)
+        assert states.shape == (steps + 1,) + shape
+        assert log_j.shape == (steps + 1,) + shape[:-1]
 
 
 def test_constant_fields_draw_their_paths_in_groups(monkeypatch):

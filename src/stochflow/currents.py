@@ -143,10 +143,11 @@ def pullback_values(T: Current, functions: Sequence[Expr],
     summed over the support in one order (``_weigh``), so its bits do not
     depend on the chunking or on the other paths, and the columns of
     range(k) are the first k of any range(n). A chunk holds about
-    _CHUNK_ELEMS elements: per path, its noise (steps x factor x m) and,
-    per support point, the arrays of the flow's loop or, after it, the
-    endpoints (dim) and the arrays that evaluating the functions holds at
-    once. So memory does not grow with len(paths).
+    _CHUNK_ELEMS elements: per path, its noise (steps x factor x m: a run
+    shorter than a noise block draws it all at once) and, per support
+    point, the arrays of the flow or, after it, the endpoints (dim) and
+    the arrays that evaluating the functions holds at once. So memory
+    does not grow with len(paths).
     """
     steps = step_count(t, dt)
     pts = T.points

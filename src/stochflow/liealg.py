@@ -107,11 +107,12 @@ class LieAlgebraData:
 
 def is_closed(g: LieAlgebraData, indices) -> bool:
     """True when the basis vectors with these (0-based) indices span a
-    subalgebra."""
+    subalgebra; an index past the algebra is named 1-based."""
     inside = list(indices)
     outside = [k for k in range(g.n) if k not in inside]
     if max(inside) >= g.n:
-        raise ValueError("subalgebra index beyond algebra dimension")
+        raise ValueError(f"subalgebra index {max(inside) + 1} beyond algebra "
+                         f"dimension {g.n}")
     if not outside:
         return True
     # on arrays this small, take costs a fraction of an np.ix_ index
@@ -122,16 +123,21 @@ def is_closed(g: LieAlgebraData, indices) -> bool:
 class Subalgebra:
     """The subalgebra spanned by the basis vectors with these (0-based)
     indices, checked once when built; ``constants`` is then the read-only
-    array of c[i, j, k] for i, j, k in the subalgebra."""
+    array of c[i, j, k] for i, j, k in the subalgebra. Errors name the
+    indices 1-based, as the wire formats and the config write them."""
 
     def __init__(self, algebra: LieAlgebraData, indices: tuple):
         idx = tuple(sorted(int(i) for i in indices))
-        if len(set(idx)) != len(idx) or not idx:
+        if not idx:
             raise ValueError("subalgebra indices must be a nonempty set")
+        for i, j in zip(idx, idx[1:]):
+            if i == j:
+                raise ValueError(f"subalgebra indices repeat index {i + 1}")
         if idx[0] < 0:
-            raise ValueError("subalgebra indices must be >= 0")
+            raise ValueError("subalgebra indices must be positive")
         if not is_closed(algebra, idx):
-            raise NotASubalgebraError(f"indices {idx} do not span a subalgebra")
+            raise NotASubalgebraError(f"indices {tuple(i + 1 for i in idx)} "
+                                      "do not span a subalgebra")
         c = algebra.c.take(idx, 0).take(idx, 1).take(idx, 2)
         c.setflags(write=False)
         self.algebra = algebra
@@ -399,9 +405,15 @@ def load_structure_constants(source) -> LieAlgebraData:
 
 
 def parse_subalgebra(text: str, g: LieAlgebraData) -> Subalgebra:
-    """Parse '1,3' (1-based, as in the wire formats) to a Subalgebra of g."""
-    try:
-        idx = tuple(int(part) - 1 for part in str(text).split(",") if part.strip())
-    except ValueError as e:
-        raise ValueError(f"bad subalgebra spec {text!r}") from e
+    """Parse '1,3' (1-based, as in the wire formats) to a Subalgebra of g;
+    every comma-separated part is a positive integer, as in the config."""
+    idx = []
+    for part in str(text).split(","):
+        try:
+            idx.append(int(part) - 1)
+        except ValueError:
+            raise ValueError(f"bad subalgebra spec {text!r}: expected an "
+                             f"integer, got {part.strip()!r}") from None
+        if idx[-1] < 0:
+            raise ValueError(f"bad subalgebra spec {text!r}: must be positive")
     return Subalgebra(g, idx)

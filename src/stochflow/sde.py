@@ -8,11 +8,12 @@ same noise increments. The tests check log J against the determinant of
 a finite-difference Jacobian of ``flow_endpoints`` under the same noise,
 which differentiates the flow itself and so is independent of it.
 
-Every integrator runs one step loop, ``heun.run_heun``, which compiles,
-per system and consumer, the loop over a block of noise rows into one
-function; ``heun`` is imported only where a loop runs. Arrays of
-points and runs of a single point (one trajectory, one path) give the
-same bits, and a point's path does not depend on its batch.
+Every flow runs one core, ``_flow``, over blocks of noise rows, and
+its step loop ``heun.run_heun`` compiles, per system and consumer, the
+loop over a block into one function; ``heun`` is imported only where a
+loop runs. Arrays of points and runs of a single point (one trajectory,
+one path) give the same bits, and a point's path does not depend on its
+batch.
 
 The loop steps unwrapped coordinates. Fields are compatible with the
 identification (checked when the system is built) and the Heun step
@@ -23,9 +24,9 @@ point when the state, or a log J that is carried, is not finite.
 Results are wrapped into the fundamental domain when they leave the
 integrator. When every divergence is identically zero, J = 1 exactly
 and the volume check is answered without a flow; when every field is
-constant the Heun step is exact, and ``flow_endpoints`` and the
-endpoints of ``flow_paths`` replace the loop by one summed increment per
-path. In both cases no loop is compiled.
+constant the Heun step is exact, and the endpoints take one increment
+per path, summed in step order across the blocks. In both cases no loop
+is compiled.
 
 Noise is counter-based (``noise.normals``, Philox4x32-10 keyed by the
 seed, with the path index and the draw's index as its counter), so paths
@@ -33,13 +34,11 @@ are bitwise reproducible and independent across path indices without
 shared state: path simulations are embarrassingly parallel, and
 aggregations over paths are done in ascending path-index order so
 serial and distributed runs agree; ``noise`` is imported only where
-noise is drawn. ``flow_paths``, the flow of every command, runs a range
-of path indices, streaming their noise in blocks of steps of about
-_BLOCK_BYTES (``noise_blocks``, any slice of a path's stream being drawn
-on its own) or, on constant fields, summing the noise of groups of paths
-of about _BLOCK_BYTES, so a long run never holds it all. The tests
-compare it with ``flow_endpoints`` and ``flow_with_jacobian``, which
-flow one path's increments as ``generate_noise`` draws them.
+noise is drawn. ``flow_paths``, the flow of every command, streams the
+paths' noise in blocks of steps of about _BLOCK_BYTES (``noise_blocks``,
+any slice of a path's stream being drawn on its own), so a long run
+never holds it all; ``flow_endpoints`` and ``flow_with_jacobian``, which
+the tests compare it with, flow explicit increments.
 """
 
 from __future__ import annotations
@@ -208,9 +207,13 @@ def _divergences(sys: StratonovichSystem) -> list:
 
 
 def _array_blocks(sys: StratonovichSystem, increments):
-    """(steps, noise lead shape, blocks) for heun.run_heun, the blocks being
+    """(steps, noise lead shape, blocks) for ``_flow``, the blocks being
     views of increments (..., steps, m) as (b, m, ...) rows."""
-    noise = np.moveaxis(_noise_array(sys, increments), (-2, -1), (0, 1))
+    increments = np.asarray(increments, dtype=float)
+    if increments.shape[-1] != sys.m:
+        raise ConfigurationError(f"noise has {increments.shape[-1]} components, "
+                                 f"system has {sys.m}")
+    noise = np.moveaxis(increments, (-2, -1), (0, 1))
     steps, lead = noise.shape[0], noise.shape[2:]
     rows = _block_rows(sys.m, math.prod(lead))
     return steps, lead, (noise[s:s + rows] for s in range(0, steps, rows))
@@ -224,12 +227,31 @@ def _constant_velocities(sys: StratonovichSystem):
     return np.array([f(origin) for f in sys.fields()])
 
 
-def _noise_array(sys: StratonovichSystem, increments) -> np.ndarray:
-    increments = np.asarray(increments, dtype=float)
-    if increments.shape[-1] != sys.m:
-        raise ConfigurationError(f"noise has {increments.shape[-1]} components, "
-                                 f"system has {sys.m}")
-    return increments
+def _flow(sys: StratonovichSystem, consumer: str, x0, dt: float, steps: int,
+          lead: tuple, blocks):
+    """What flow_paths' consumer returns for x0 (..., dim) over the
+    (b, m, *lead) noise blocks, steps rows in all. On constant fields
+    X_0..X_m the endpoints are x0 + dt*steps*X_0 + sum_i B^i X_i, each
+    path's B summed in step order across the blocks, and are wrapped a
+    row of points (the last leading axis) at a time."""
+    velocities = sys._cached("velocities", _constant_velocities)
+    if consumer == "endpoints" and velocities is not None:
+        x0 = sys.manifold.wrap(x0)
+        total = np.zeros((sys.m,) + lead)
+        for block in blocks:
+            sums = np.concatenate((total[None], block))
+            total = np.cumsum(sums, axis=0, out=sums)[-1]
+        x = (x0 + (dt * steps) * velocities[0]
+             + np.ascontiguousarray(np.moveaxis(total, 0, -1)) @ velocities[1:])
+        for row in x.reshape((math.prod(x.shape[:-2]),) + x.shape[-2:]):
+            row[...] = sys.manifold.wrap(row)
+        return x
+    from .heun import run_heun
+
+    x, *out = run_heun(sys, consumer, x0, dt, steps, lead, blocks)
+    if consumer == "trajectory":
+        return sys.manifold.wrap(out[0]), out[1]
+    return out[0] if out else sys.manifold.wrap(x.copy())
 
 
 class FlowResult:
@@ -249,12 +271,8 @@ def flow_with_jacobian(sys: StratonovichSystem, x0, dt: float,
                        increments: np.ndarray) -> FlowResult:
     """The wrapped trajectory and log J of x0 (..., dim) over increments
     (..., steps, m), broadcast as in ``flow_endpoints``."""
-    from .heun import run_heun
-
-    _, traj, logj = run_heun(sys, "trajectory", x0, dt,
-                             *_array_blocks(sys, increments))
-    return FlowResult(dt=dt, trajectory=sys.manifold.wrap(traj),
-                      log_jacobian=logj)
+    traj, logj = _flow(sys, "trajectory", x0, dt, *_array_blocks(sys, increments))
+    return FlowResult(dt=dt, trajectory=traj, log_jacobian=logj)
 
 
 def flow_endpoints(sys: StratonovichSystem, x0, dt: float,
@@ -265,25 +283,7 @@ def flow_endpoints(sys: StratonovichSystem, x0, dt: float,
     against each other in the leading axes; returns the wrapped
     endpoints with the broadcast shape.
     """
-    velocities = sys._cached("velocities", _constant_velocities)
-    if velocities is not None:
-        return sys.manifold.wrap(_translate(sys, velocities, sys.manifold.wrap(x0),
-                                            dt, increments))
-    from .heun import run_heun
-
-    x, = run_heun(sys, "endpoints", x0, dt, *_array_blocks(sys, increments))
-    return sys.manifold.wrap(x.copy())
-
-
-def _translate(sys: StratonovichSystem, velocities: np.ndarray, x0, dt: float,
-               increments) -> np.ndarray:
-    """flow_endpoints for constant fields X_0..X_m (the rows of
-    velocities) from the wrapped x0, before the endpoints are wrapped:
-    each Heun step adds sum_i X_i dB^i exactly."""
-    increments = _noise_array(sys, increments)
-    steps = increments.shape[-2]
-    return (x0 + (dt * steps) * velocities[0]
-            + increments.sum(axis=-2) @ velocities[1:])
+    return _flow(sys, "endpoints", x0, dt, *_array_blocks(sys, increments))
 
 
 def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
@@ -296,12 +296,7 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
     wrapped states (steps + 1, len(paths), ..., dim) and log J
     (steps + 1, len(paths), ...), and "volume" the running max_k
     |J_k - 1| (len(paths), ...). dt, steps, the seed and the path
-    indices are validated before any route is taken. The endpoints of
-    constant fields draw the paths in groups of about _BLOCK_BYTES of
-    noise, at least one path a group, and sum each path's increments
-    whole, which gives the bits of ``flow_endpoints`` on the stacked
-    increments (numpy sums pairwise when m = 1, so a sum block by block
-    would not).
+    indices are validated before any route is taken.
 
     When every divergence is identically zero (``_divergences`` is
     empty: Hamiltonian fields, translations, the Heisenberg frame), the
@@ -311,33 +306,14 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
     InvalidPointError), but a state that would stop being finite along
     the way is not seen.
     """
-    scale = _noise_scale(sys.m, dt / factor, steps * factor)
+    _noise_scale(sys.m, dt / factor, steps * factor)
     _check_key(seed, paths)
     if consumer == "volume" and not sys._cached("divergences", _divergences):
         return np.zeros((len(paths),) + sys.manifold.wrap(x0).shape[:-1])
-    velocities = sys._cached("velocities", _constant_velocities)
-    if consumer == "endpoints" and velocities is not None:
-        x0 = sys.manifold.wrap(x0)
-        ends = np.empty((len(paths),) + x0.shape)
-        group = _block_rows(steps * factor * sys.m, 1)  # paths of noise
-        lead = (1,) * (x0.ndim - 1)
-        for g in range(0, len(paths), group):
-            z = _increments(seed, paths[g:g + group], sys.m, scale, 0, steps,
-                            factor)
-            x = _translate(sys, velocities, x0, dt,
-                           z.reshape((len(z),) + lead + z.shape[1:]))
-            for n in range(len(z)):
-                ends[g + n] = sys.manifold.wrap(x[n])
-        return ends
-    from .heun import run_heun
-
     lead = (len(paths),) + (1,) * (np.ndim(x0) - 1)
     blocks = (b.reshape(b.shape[:2] + lead)
               for b in noise_blocks(seed, paths, sys.m, dt, steps, factor))
-    x, *out = run_heun(sys, consumer, x0, dt, steps, lead, blocks)
-    if consumer == "trajectory":
-        return sys.manifold.wrap(out[0]), out[1]
-    return out[0] if out else sys.manifold.wrap(x.copy())
+    return _flow(sys, consumer, x0, dt, steps, lead, blocks)
 
 
 def _endpoint_arrays(sys: StratonovichSystem) -> int:

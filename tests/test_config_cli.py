@@ -1359,17 +1359,27 @@ def test_a_missing_constants_file_is_reported_at_its_key(tmp_path, capsys, comma
     assert not out.exists()
 
 
+# id -> (indices as written, message, whether the text itself is bad: its
+# message then names the flag's value or the config entry); the indices
+# are named 1-based, as written
 SUBALGEBRA_ERRORS = {
-    "out_of_range": ("1,4", "subalgebra index beyond algebra dimension"),
-    "not_closed": ("1,2", "indices (0, 1) do not span a subalgebra"),
+    "zero": ("0", "must be positive", True),
+    "empty_part": ("1,,2", "expected an integer, got ''", True),
+    "repeated": ("2,2", "subalgebra indices repeat index 2", False),
+    "out_of_range": ("1,4", "subalgebra index 4 beyond algebra dimension 3", False),
+    "not_closed": ("1, 2", "indices (1, 2) do not span a subalgebra", False),
 }
 
 
 @pytest.mark.parametrize("command", ["check", "liealg", "simulate"])
-@pytest.mark.parametrize("indices,message", SUBALGEBRA_ERRORS.values(),
+@pytest.mark.parametrize("indices,message,bad_text", SUBALGEBRA_ERRORS.values(),
                          ids=list(SUBALGEBRA_ERRORS))
 def test_subalgebra_errors_are_one_error_line(tmp_path, capsys, command,
-                                              indices, message):
+                                              indices, message, bad_text):
+    if bad_text:
+        message = (f"bad subalgebra spec {indices!r}: {message}"
+                   if command == "liealg" else
+                   f"liealg.subalgebra (line 3, column 14): {message}")
     if command == "liealg":
         path = tmp_path / "heisenberg.json"
         path.write_text(json.dumps(_brackets({"i": 1, "j": 2, "coeffs": [0, 0, 1]},

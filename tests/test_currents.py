@@ -366,8 +366,9 @@ def test_pullback_values_do_not_depend_on_chunking(label, chunk_elems, n_paths):
 
 def test_pullback_chunks_count_the_noise():
     # one atom, 500 paths of 100 steps of 2-D noise, in chunks of 22
-    # paths: a chunk sized on the support alone would hold every path and
-    # 0.8 MB of noise at once (peak 1.0 MB, against 0.13 MB)
+    # paths: a chunk sized on the support alone would hold 250 paths, and
+    # the noise stream would draw 65 of their 100 steps in one block of
+    # 0.26 MB (peak 1.4 MB, against 0.23 MB)
     sys = hamiltonian_torus_system()
     T = EmpiricalCurrent(manifold=T2, atoms=[[0.3, 0.7]], atom_weights=[1.0])
     args = (T, CHUNKED_BASIS.functions, sys, 0.1, 1e-3, 5, range(500))

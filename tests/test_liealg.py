@@ -254,11 +254,12 @@ def test_nilpotent_implies_totally_invariant_over_zoo():
 
 
 @pytest.mark.parametrize("indices,error,message", [
+    # the indices are 0-based; the messages name them 1-based, as written
     ((), ValueError, "subalgebra indices must be a nonempty set"),
-    ((1, 1), ValueError, "subalgebra indices must be a nonempty set"),
-    ((-1, 0), ValueError, "subalgebra indices must be >= 0"),
-    ((0, 3), ValueError, "subalgebra index beyond algebra dimension"),
-    ((1, 0), NotASubalgebraError, r"indices \(0, 1\) do not span a subalgebra"),
+    ((1, 1), ValueError, "subalgebra indices repeat index 2"),
+    ((-1, 0), ValueError, "subalgebra indices must be positive"),
+    ((0, 3), ValueError, "subalgebra index 4 beyond algebra dimension 3"),
+    ((1, 0), NotASubalgebraError, r"indices \(1, 2\) do not span a subalgebra"),
 ])
 def test_subalgebra_checks_its_indices_when_built(indices, error, message):
     with pytest.raises(error, match=message):

@@ -17,6 +17,7 @@ from oracles import fd_jacobian
 from stochflow import expr, sde
 from stochflow.invariance import jacobian_check
 from stochflow.manifold import (
+    HEISENBERG,
     ChartedManifold,
     InvalidPointError,
     VectorFieldSpec,
@@ -104,8 +105,8 @@ def test_noise_blocks_validate_when_called():
 
 
 def test_flow_paths_validates_like_generate_noise():
-    # the constant fields draw groups of whole paths, the others stream;
-    # a divergence-free volume run draws nothing and validates the same
+    # every flow streams noise_blocks, constant fields too; a
+    # divergence-free volume run draws nothing and validates the same
     for sys, consumer in ((translation_bm_system(1), "endpoints"),
                           (sin_drift_system(), "endpoints"),
                           (sin_drift_system(), "trajectory"),
@@ -792,10 +793,8 @@ FLOW_PATHS_SYSTEMS = {**builtin_systems(),
 
 @pytest.mark.parametrize("label", sorted(FLOW_PATHS_SYSTEMS))
 def test_flow_paths_equal_flow_endpoints_on_stacked_noise(label, monkeypatch):
-    # translation_bm_circle has constant fields and m = 1: numpy sums its
-    # 40 increments pairwise, so only a whole sum per path gives the bits
-    # of the stacked run; the small block budget streams the others in
-    # blocks of 7 steps of 3 paths
+    # the small block budget streams every system in blocks of 7 steps of
+    # 3 paths, translation_bm_circle's constant fields with m = 1 too
     sys = FLOW_PATHS_SYSTEMS[label]
     monkeypatch.setattr(sde, "_BLOCK_BYTES", 7 * 8 * max(sys.m, 1) * 3)
     dt, steps, seed, paths = 0.01, 40, 3, range(2, 5)
@@ -849,6 +848,54 @@ def test_flow_paths_trajectory_equals_flow_with_jacobian(label):
     assert np.array_equal(log_j[:, 0], want.log_jacobian)
 
 
+def wrapped_gap(manifold, a, b):
+    """The largest coordinate of b - a once b is moved by the lattice
+    element nearest to a: whole box lengths along x (which on the
+    Heisenberg manifold also move z by lx * y each), then along the other
+    axes. Points on either side of a seam are close in it."""
+    lengths = np.asarray(manifold.box_lengths)
+    d = b - a
+    n = np.round(d[..., 0] / lengths[0])
+    d[..., 0] -= n * lengths[0]
+    if manifold.identification == HEISENBERG:
+        d[..., 2] -= n * lengths[0] * b[..., 1]
+    d[..., 1:] -= np.round(d[..., 1:] / lengths[1:]) * lengths[1:]
+    return np.abs(d).max()
+
+
+def heisenberg_xz_system():
+    # constant fields on the twisted wrap: a drift and the frame's X and Z
+    X, _, Z = heisenberg_frame()
+    return StratonovichSystem(manifold=heisenberg_manifold(),
+                              drift=VectorFieldSpec.from_strings(["0.3", "0", "0.1"]),
+                              diffusions=(X, Z))
+
+
+# label -> (system, dt, steps); the runs cross the seams
+SHORTCUT_CASES = {
+    "translation_bm_circle": (translation_bm_system(1), 0.01, 300),
+    "translation_bm_torus": (translation_bm_system(2), 0.01, 300),
+    "heisenberg_xz": (heisenberg_xz_system(), 0.05, 400),
+    "heisenberg_frame": (heisenberg_frame_system(), 0.05, 400),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SHORTCUT_CASES))
+def test_flow_paths_endpoints_equal_the_last_heun_state(label):
+    # the endpoints of constant fields skip the loop; the "trajectory"
+    # consumer steps the same noise through the Heun loop (the frame's Y
+    # is not constant, so there both consumers run the loop)
+    sys, dt, steps = SHORTCUT_CASES[label]
+    constant = sys._cached("velocities", sde._constant_velocities) is not None
+    assert constant == (label != "heisenberg_frame")
+    pts = (np.random.default_rng(13).uniform(0.0, 1.0, size=(4, sys.manifold.dim))
+           * sys.manifold.lengths)
+    ends = flow_paths(sys, "endpoints", pts, dt, steps, 7, range(3))
+    states, _ = flow_paths(sys, "trajectory", pts, dt, steps, 7, range(3))
+    assert ends.shape == states[-1].shape == (3, 4, sys.manifold.dim)
+    assert wrapped_gap(sys.manifold, states[-1], ends) <= 1e-12
+
+
 def test_flow_paths_wraps_x0_once_on_constant_fields(monkeypatch):
     sys = translation_bm_system()
     pts = np.random.default_rng(1).uniform(0.0, 1.0, size=(4, 2))
@@ -857,8 +904,12 @@ def test_flow_paths_wraps_x0_once_on_constant_fields(monkeypatch):
     monkeypatch.setattr(ChartedManifold, "wrap",
                         lambda self, p: wrapped.append(np.shape(p)) or wrap(self, p))
     flow_paths(sys, "endpoints", pts, 0.01, 10, 0, range(5))
-    # x0 once, then each path's endpoints
+    # x0 once, then each path's row of endpoints
     assert wrapped == [(4, 2)] * 6
+    wrapped.clear()
+    flow_paths(sys, "endpoints", pts[0], 0.01, 10, 0, range(5))
+    # one start point: x0, then the one row of every path's endpoint
+    assert wrapped == [(2,), (5, 2)]
 
 
 @pytest.mark.parametrize("sys", [hamiltonian_system(), translation_bm_system(),
@@ -882,22 +933,25 @@ def test_empty_batches_give_empty_results(sys):
         assert log_j.shape == (steps + 1,) + shape[:-1]
 
 
-def test_constant_fields_draw_their_paths_in_groups(monkeypatch):
-    # a budget of two paths' noise: paths 2..6 are drawn as 2, 2 and 1,
-    # and each path's increments are summed whole
-    from stochflow import noise
-
-    sys, dt, steps, seed, paths = translation_bm_system(), 0.01, 40, 3, range(2, 7)
-    monkeypatch.setattr(sde, "_BLOCK_BYTES", 2 * 8 * steps * sys.m + 8)
-    drawn = []
-    normals = noise.normals
-    monkeypatch.setattr(noise, "normals",
-                        lambda seed, p, *a: drawn.append(p) or normals(seed, p, *a))
-    pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(4, 2))
-    got = flow_paths(sys, "endpoints", pts, dt, steps, seed, paths)
-    assert drawn == [range(2, 4), range(4, 6), range(6, 7)]
-    inc = noise_matrix(seed, paths, sys.m, dt, steps)
-    assert np.array_equal(got, flow_endpoints(sys, pts, dt, inc[:, None]))
+def test_constant_field_endpoints_add_the_increments_in_step_order(monkeypatch):
+    # translation_bm_circle (m = 1) and translation_bm_torus (m = 2): each
+    # path's increments are added in step order, running across the
+    # blocks, so one step per block and all 40 in one block give the bits
+    # of a Python loop over the steps
+    dt, steps, seed, paths = 0.01, 40, 3, range(2, 7)
+    for m in (1, 2):
+        sys = translation_bm_system(m)
+        pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(4, m))
+        inc = noise_matrix(seed, paths, m, dt, steps)
+        total = np.zeros((len(paths), m))
+        for k in range(steps):
+            total += inc[:, k]
+        want = sys.manifold.wrap(sys.manifold.wrap(pts) + total[:, None])
+        for budget in (1, 8 * m * len(paths) * steps):
+            monkeypatch.setattr(sde, "_BLOCK_BYTES", budget)
+            got = flow_paths(sys, "endpoints", pts, dt, steps, seed, paths)
+            assert np.array_equal(got, want)
+            assert np.array_equal(flow_endpoints(sys, pts, dt, inc[:, None]), want)
 
 
 def translation_endpoints_peak(steps):
@@ -914,8 +968,8 @@ def translation_endpoints_peak(steps):
 
 
 def test_constant_field_memory_does_not_grow_with_steps():
-    # the whole noise of the longer run is 25.6 MB; a group of paths
-    # draws about 256 KiB of it
+    # the whole noise of the longer run is 25.6 MB; it streams in blocks
+    # of about 256 KiB
     grown = translation_endpoints_peak(8000) - translation_endpoints_peak(1000)
     assert grown <= sde._BLOCK_BYTES
 

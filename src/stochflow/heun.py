@@ -6,18 +6,25 @@ state in place and records, inside the loop, what its consumer keeps of
 each step, as ``sde.flow_paths`` names them: "trajectory" (``simulate``)
 the states and log J, "volume" (the jacobian check) a running
 max |J - 1|, "endpoints" nothing but the last state. ``run_heun``
-drives it over the blocks. The fields are lowered (``expr.Lowering``) to straight-line
+drives it over the blocks.
+
+The step is written once, as a program of operations in ``expr``'s
+operator codes: the fields lowered (``expr.Lowering``) to straight-line
 code that shares subexpressions across components, fields and
-divergences and leaves out the divergences that are identically zero. On
-arrays that code is rendered as a list of ufunc calls that write into
-buffers allocated once per block, so a step allocates nothing and costs
-only numpy's per-call overhead where the batch is small. A run of one
-point (one trajectory, one path) executes the same operations on Python
-floats instead, which costs a fraction of the per-call overhead of numpy
-on one element. Both do the float operations of a + 0.5 * (p + c) in the
-same order, so they give the same bits; where Python raises on a
-division by zero or sin(inf) and numpy would go on with inf or nan, that
-block of steps runs again on arrays.
+divergences and leaves out the divergences that are identically zero,
+the stage sums, the predictor, and the update of the state and of log J.
+Two renderers turn that program into Python source.
+
+On arrays, each operation becomes a ufunc call that writes into buffers
+allocated once per block, so a step allocates nothing and costs only
+numpy's per-call overhead where the batch is small.
+
+A run of one point (one trajectory, one path) renders the same program
+as statements on Python floats, which costs a fraction of numpy's
+per-call overhead on one element. Both renderings do the same float
+operations on the same operands, so they give the same bits; where
+Python raises on a division by zero or sin(inf) and numpy would go on
+with inf or nan, that block of steps runs again on arrays.
 
 ``sde`` imports this module only where a loop runs, so a command whose
 flows need no time stepping (constant fields, a volume check of
@@ -40,51 +47,35 @@ __all__ = ["run_heun", "loop_arrays"]
 # lengths; below it, rounding on unwrapped coordinates stays at ulp level
 _REWRAP_BOXES = 4.0
 
+# the stacked (dim, *lead) arrays of a step program, and the prefix of
+# their rows' names: the state X, the stage sums P and C, and B
+_ROWS = {"X": "a", "P": "p", "B": "b", "C": "c"}
+
 
 def _is_zero(node) -> bool:
     return isinstance(node, expr.Num) and node.value == 0.0
 
 
 # ---------------------------------------------------------------------------
-# rendering a Lowering's code as Python source
-
-def _source(low: expr.Lowering, start: int) -> list:
-    """Python statements for the operations from low.code[start] on."""
-    lines = []
-    for n, (op, *args) in enumerate(low.code[start:], start):
-        if op == "neg":
-            text = f"-{args[0]}"
-        elif op in expr._OPERATORS:
-            text = f"{args[0]} {op} {args[1]}"
-        else:
-            text = f"{op}({args[0]})"
-        lines.append(f"v{n} = {text}")
-    return lines
-
-
-def _calls(low: expr.Lowering, start: int) -> list:
-    """The operations from low.code[start] on as ufunc calls for
-    ``_buffered``: (ufunc name, *operand names, result name) tuples."""
-    return [(expr._UFUNCS[op].__name__, *args, f"v{n}")
-            for n, (op, *args) in enumerate(low.code[start:], start)]
-
+# rendering a step program as Python source
 
 def _buffered(low: expr.Lowering, body) -> tuple:
     """(head, lines): Python statements that run body in arrays
     allocated once.
 
-    body holds statements (strings, kept as they are) and ufunc calls
-    (ufunc name, *operand names, result name) such as ``_calls``
-    returns, each rendered as ufunc(*operands, result), which writes
-    into the array result names. The temporaries v<n> live in buffers
-    u<i>, assigned by liveness: a buffer is free once the last call
-    that reads its value has run, and that call may write its result
-    into it. Constants k<n> are read as arrays K<n> holding their
-    value. head allocates the buffers and fills the constant arrays in
-    the shape that the caller's variable ``lead`` holds. Statements
-    must not read temporaries, and every temporary must be lead-shaped.
+    body holds statements (strings, kept as they are) and operations
+    (op, *operand names, result name) in ``expr``'s operator codes, each
+    rendered as a call ufunc(*operands, result) of op's ufunc, which
+    writes into the array result names. The temporaries v<n> live in
+    buffers u<i>, assigned by liveness: a buffer is free once the last
+    operation that reads its value has run, and that operation may write
+    its result into it. Constants k<n> are read as arrays K<n> holding
+    their value. head allocates the buffers and fills the constant
+    arrays in the shape that the caller's variable ``lead`` holds.
+    Statements must not read temporaries, and every temporary must be
+    lead-shaped.
     """
-    last = {}  # temporary -> index of the last call that reads it
+    last = {}  # temporary -> index of the last operation that reads it
     for i, item in enumerate(body):
         if isinstance(item, tuple):
             for a in item[1:-1]:
@@ -96,7 +87,7 @@ def _buffered(low: expr.Lowering, body) -> tuple:
         if isinstance(item, str):
             lines.append(item)
             continue
-        fn, *args, out = item
+        op, *args, out = item
         operands = []
         for a in args:
             if low.constant_value(a) is not None:
@@ -110,10 +101,24 @@ def _buffered(low: expr.Lowering, body) -> tuple:
                 free.append(f"u{count}")
                 count += 1
             buffers[out] = free.pop()
-        lines.append(f"{fn}({', '.join(operands)}, {buffers.get(out, out)})")
+        lines.append(f"{expr._UFUNCS[op].__name__}({', '.join(operands)}, "
+                     f"{buffers.get(out, out)})")
     head = [f"{array} = np.full(lead, {k})" for k, array in constants.items()]
     head += [f"u{n} = np.empty(lead)" for n in range(count)]
     return head, lines
+
+
+def _floats(program, dim: int) -> list:
+    """Python statements that run program on floats: an operation on
+    the stacked arrays of _ROWS runs as one statement per row."""
+    lines = []
+    for op, *args, out in program:
+        for j in range(dim) if out in _ROWS else [""]:
+            *a, out_j = (f"{_ROWS[n]}{j}" if n in _ROWS else n for n in (*args, out))
+            text = (f"{a[0]} {op} {a[1]}" if len(a) == 2 else
+                    f"-{a[0]}" if op == "neg" else f"{op}({a[0]})")
+            lines.append(f"{out_j} = {text}")
+    return lines
 
 
 def _define(low: expr.Lowering, source: str, name: str, **names):
@@ -130,29 +135,22 @@ def _define(low: expr.Lowering, source: str, name: str, **names):
 # the step loop
 
 # What the loop keeps of each step, by consumer: the arguments it takes
-# after dt, the statements that record the state at step k (x is the
-# (..., dim) view of the state) and those that record log J (L), as
-# statements or as ufunc calls (name, *operands, result) into S, an
-# array of the leading shape.
+# after dt, then on arrays and on floats what records the state and what
+# records log J. On arrays these are statements that run at step k, with
+# x the (..., dim) view of the state and S an array of the leading shape.
+# On floats, whose state is a0..a{dim-1} (x is their tuple), they are
+# the statements that append step k to the list xs or ls, then those
+# that store xs and ls, the steps j..k, once per sub-block of steps.
 _CONSUMERS = {
-    "endpoints": ((), (), ()),
-    "trajectory": (("tx", "tl"), ("tx[k] = x",), ("tl[k] = L",)),
-    "volume": (("W",), (), (("exp", "L", "S"), ("subtract", "S", "1.0", "S"),
-                            ("absolute", "S", "S"), "maximum(W, S, out=W)")),
-}
-
-# The same for the one-point loop, which keeps the state in floats
-# a0..a{dim-1} (x is their tuple), appends the states of a sub-block of
-# steps j..k to the flat list xs and its log J to ls, and stores both
-# once per sub-block: the statements run before the loop, the records of
-# x and of L, and the stores of xs and of ls.
-_POINT_CONSUMERS = {
-    "endpoints": ((), (), (), (), ()),
-    "trajectory": (("tx = tx.reshape(-1)", "tl = tl.reshape(-1)"),
-                   ("xs += {x}",), ("ls.append(L)",),
-                   ("tx[j * {dim}:(k + 1) * {dim}] = xs",), ("tl[j:k + 1] = ls",)),
-    "volume": ((), (), ("ls.append(L)",), (),
-               ("np.maximum(W, np.abs(np.exp(ls) - 1.0).max(), out=W)",)),
+    "endpoints": ((), ((), ()), ((), (), (), ())),
+    "trajectory": (("tx", "tl"), (("tx[k] = x",), ("tl[k] = L",)),
+                   (("xs += {x}",), ("ls.append(L)",),
+                    ("tx.reshape(-1)[j * {dim}:(k + 1) * {dim}] = xs",),
+                    ("tl.reshape(-1)[j:k + 1] = ls",))),
+    "volume": (("W",), ((), ("exp(L, S)", "subtract(S, 1.0, S)", "absolute(S, S)",
+                             "maximum(W, S, out=W)")),
+               ((), ("ls.append(L)",), (),
+                ("np.maximum(W, np.abs(np.exp(ls) - 1.0).max(), out=W)",))),
 }
 
 
@@ -171,51 +169,58 @@ def _compile_loop(sys: sde.StratonovichSystem, consumer: str, backend: str):
     test raises InvalidPointError at the first step where it is not
     finite (0 * inf in a divergence, say).
 
-    The fields are lowered to straight-line stages that compute
+    The step is one program of (op, *operands, result) operations in
+    ``expr``'s operator codes. X, P, C and B name stacked (dim, *lead)
+    arrays, whose rows are a<j>, p<j>, c<j> and b<j>: the state X, the
+    stage sums P at X and C at the predictor B = X + P, and B. The
+    fields are lowered to straight-line code that computes
     sum_i X_i dB^i (dB^0 = dt) component by component, sharing
-    subexpressions across components, fields and divergences. The
+    subexpressions across components, fields and divergences; each sum
+    is added up left to right, through the scratch value S, into its row
+    of P or C, and a component with no terms keeps its 0. The
     divergences are those of ``sde._divergences``, decided once per
     system: each one that ``expr.is_identically_zero`` shows to be zero
     (a Hamiltonian field's, say) is left out, and with none left log J
     stays 0 exactly and is not carried. Such a system never reaches the
     "volume" loop, whose answer ``sde.flow_paths`` then knows without
     flowing; its other consumers step the state alone. The update
-    a += (p + c) / 2 runs as t = p + c; t *= 0.5; a += t, the float
-    operations of a + 0.5*(p + c).
+    X += (P + C) / 2 runs as B = P + C; B *= 0.5; X += B, the float
+    operations of X + 0.5*(P + C), and log J's the same on its stage
+    sums pl and cl, through S.
 
-    backend "array" runs those operations as ufunc calls that write into
-    arrays allocated once per call of the loop (``_buffered``): the
-    lowered temporaries share buffers of shape lead by liveness, the
-    constants and dt are arrays of shape lead, and the stage sums go row
-    by row into stacked (dim, *lead) arrays P and C (a component with no
-    terms keeps a row of zeros). So the predictor input is one
-    add(X, P, B), the update is add(P, C, B); multiply(B, 0.5, B);
-    add(X, B, X), log J's the same on pl and cl, and the bound test is
-    one max|X| reduction, which an empty batch passes; a step allocates
-    no array. Row views are P[j, ...], which stays an array when lead
-    is () (the array re-run of a one-point block).
+    backend "array" renders each operation as a ufunc call into arrays
+    allocated once per call of the loop (``_buffered``): the lowered
+    temporaries share buffers of shape lead by liveness, the constants,
+    dt and S are arrays of shape lead, P and C start as zeros, and the
+    rows are views P[j, ...], which stay arrays when lead is () (the
+    array re-run of a one-point block). The bound test is one max|X|
+    reduction, which an empty batch passes; a step allocates no array.
 
-    backend "point" runs them, for a lead of one element, on Python
-    floats a0..a{dim-1} and L, at a fraction of the cost of numpy calls
-    on one element: each sub-block of sde._FLOAT_ROWS noise rows is read
-    with one ``tolist``, the bound test is abs(a0) <= bound and ...
-    (false for nan, like the max), a re-wrap writes the floats to X and
-    reads them back, and each sub-block's records are stored with one
-    slice assignment (_POINT_CONSUMERS). sin and cos are math.sin and
-    math.cos, which give numpy's bits; exp stays np.exp, whose last bit
-    math.exp does not always match. Float arithmetic is the IEEE
-    arithmetic of the arrays, so the two back ends give the same bits,
-    except that Python raises where numpy returns inf or nan (1/0.0,
-    math.sin(inf)); ``run_heun`` then runs the block again on arrays.
+    backend "point" renders it, for a lead of one element, as statements
+    on Python floats (``_floats``), at a fraction of the cost of numpy
+    calls on one element: an operation on a stacked array runs row by
+    row, and the rows of P and C start at 0.0. Each sub-block of
+    sde._FLOAT_ROWS noise rows is read with one ``tolist``, the bound
+    test is abs(a0) <= bound and ... (false for nan, like the max), a
+    re-wrap writes the floats to X and reads them back, and each
+    sub-block's records are stored with one slice assignment. sin and
+    cos are math.sin and math.cos, which give numpy's bits; exp stays
+    np.exp, whose last bit math.exp does not always match. Float
+    arithmetic is the IEEE arithmetic of the arrays, so the two back
+    ends give the same bits, except that Python raises where numpy
+    returns inf or nan (1/0.0, math.sin(inf)); ``run_heun`` then runs
+    the block again on arrays.
     """
-    args, record_x, record_l = _CONSUMERS[consumer]
+    args, on_arrays, on_floats = _CONSUMERS[consumer]
+    record_x, record_l, *store = on_arrays if backend == "array" else on_floats
     m = sys.manifold
     fields = [(i, f) for i, f in enumerate(sys.fields()) if not f.is_zero]
     low = expr.Lowering()
     divs = sys._cached("divergences", sde._divergences) if record_l else []
+    if not divs:
+        record_l, store = (), store[:1]
     noise_of = {0: "dt", **{i: f"d{i}" for i, _ in fields if i > 0}}
-    row = "row[{}]" if backend == "point" else "noise[r, {}]"
-    body = [f"d{i} = {row.format(i - 1)}" for i, _ in fields if i > 0]
+    program = []
 
     def stage(inputs, out):
         # <out>j = sum_i X_i^j dB^i for each component j, and
@@ -226,51 +231,44 @@ def _compile_loop(sys: sde.StratonovichSystem, consumer: str, backend: str):
                 for j in range(m.dim)}
         if divs:
             sums[f"{out}l"] = [(low.emit(d, inputs), noise_of[i]) for i, d in divs]
-        if backend == "point":
-            body.extend(_source(low, start) + [
-                f"{name} = {' + '.join(f'{v} * {d}' for v, d in terms) or '0.0'}"
-                for name, terms in sums.items()])
-            return
-        # each sum is added up left to right in its row of P or C (or in
-        # pl, cl); a component without terms keeps its row of zeros
-        body.extend(_calls(low, start))
+        program.extend((op, *a, f"v{n}")
+                       for n, (op, *a) in enumerate(low.code[start:], start))
         for name, terms in sums.items():
             for n, (v, d) in enumerate(terms):
-                body.extend([("multiply", v, d, name)] if n == 0 else
-                            [("multiply", v, d, "S"), ("add", name, "S", name)])
+                program.extend([("*", v, d, name)] if n == 0 else
+                               [("*", v, d, "S"), ("+", name, "S", name)])
 
     state = [f"a{j}" for j in range(m.dim)]
-    inputs = [f"b{j}" for j in range(m.dim)]
+    stage(state, "p")
+    program.append(("+", "X", "P", "B"))
+    stage([f"b{j}" for j in range(m.dim)], "c")
+    program += [("+", "P", "C", "B"), ("*", "B", "0.5", "B"), ("+", "X", "B", "X")]
+    if divs:
+        program += [("+", "pl", "cl", "S"), ("*", "S", "0.5", "S"), ("+", "L", "S", "L")]
+
+    row = "noise[r, {}]" if backend == "array" else "row[{}]"
+    body = [f"d{i} = {row.format(i - 1)}" for i in noise_of if i > 0]
     bound = _REWRAP_BOXES * max(m.box_lengths)
     names = dict(rewrap=functools.partial(_rewrap, m, bound), bound=bound,
                  non_finite=_non_finite, isfinite=math.isfinite)
     if backend == "array":
-        # B holds a + p, then (p + c) / 2, then |X|; S is scratch
-        stage(state, "p")
-        body.append(("add", "X", "P", "B"))
-        stage(inputs, "c")
-        body.extend([("add", "P", "C", "B"), ("multiply", "B", "0.5", "B"),
-                     ("add", "X", "B", "X")])
-        if divs:
-            body.extend([("add", "pl", "cl", "S"), ("multiply", "S", "0.5", "S"),
-                         ("add", "L", "S", "L")])
-        body.extend(["k += 1",
-                     "if not maximum.reduce(absolute(X, B), None, initial=0.0) "
-                     "<= bound:  # true for nan",
-                     "    rewrap(X, k)"])
+        # B also holds |X| for the bound test, and S |L|
+        body.extend(program + [
+            "k += 1",
+            "if not maximum.reduce(absolute(X, B), None, initial=0.0) "
+            "<= bound:  # true for nan",
+            "    rewrap(X, k)"])
         if divs:
             body.extend(["if not maximum.reduce(absolute(L, S), None, initial=0.0) "
                          "< inf:",
                          "    non_finite('log J', ~np.isfinite(L), k)"])
-        body.extend(record_x + (record_l if divs else ()))
-        buffers, lines = _buffered(low, body)
+        buffers, lines = _buffered(low, body + [*record_x, *record_l])
         head = (["lead = X.shape[1:]", "x = np.moveaxis(X, 0, -1)",
                  "P = np.zeros(X.shape)", "C = np.zeros(X.shape)",
                  "B = np.empty(X.shape)", "S = np.empty(lead)",
                  "dt = np.full(lead, dt)"]
                 + (["pl = np.empty(lead)", "cl = np.empty(lead)"] if divs else [])
-                + [f"{v}{j} = {a}[{j}, ...]" for v, a in
-                   (("a", "X"), ("p", "P"), ("b", "B"), ("c", "C"))
+                + [f"{v}{j} = {a}[{j}, ...]" for a, v in _ROWS.items()
                    for j in range(m.dim)]
                 + buffers)
         params = ", ".join(("X", "L", "noise", "k", "dt") + args)
@@ -285,29 +283,19 @@ def _compile_loop(sys: sde.StratonovichSystem, consumer: str, backend: str):
         loop.arrays = 4 * m.dim + 3 + (2 if divs else 0) + len(buffers)
         return loop
 
-    stage(state, "p")
-    body.extend(f"b{j} = a{j} + p{j}" for j in range(m.dim))
-    stage(inputs, "c")
-    for j in range(m.dim):
-        body.extend([f"t = p{j} + c{j}", "t *= 0.5", f"a{j} += t"])
-    if divs:
-        body.extend(["t = pl + cl", "t *= 0.5", "L += t"])
-    body.append("k += 1")
     x = ", ".join(state) + ("," if m.dim == 1 else "")
-    setup, point_x, point_l, store_x, store_l = (
-        tuple(line.format(x=x, dim=m.dim) for line in lines)
-        for lines in _POINT_CONSUMERS[consumer])
-    if not divs:
-        point_l = store_l = ()
     test = " and ".join(f"abs({a}) <= bound" for a in state)
-    body.extend([f"if not ({test}):  # true for nan",
-                 f"    xv[:] = {x}", "    rewrap(X, k)", f"    {x} = xv.tolist()"])
+    body.extend(_floats(program, m.dim) + [
+        "k += 1", f"if not ({test}):  # true for nan",
+        f"    xv[:] = {x}", "    rewrap(X, k)", f"    {x} = xv.tolist()"])
     if divs:
         body.extend(["if not isfinite(L):",
                      "    non_finite('log J', np.full(LJ.shape, True), k)"])
-    body.extend(point_x + point_l)
+    body.extend(line.format(x=x, dim=m.dim) for line in record_x + record_l)
+    store = [line.format(x=x, dim=m.dim) for line in sum(store, ())]
     head = ["xv = X.reshape(-1)", f"{x} = xv.tolist()", "dt = float(dt)",
-            f"noise = noise.reshape(len(noise), {sys.m})", *setup]
+            f"noise = noise.reshape(len(noise), {sys.m})",
+            " = ".join(f"{v}{j}" for v in "pc" for j in range(m.dim)) + " = 0.0"]
     if divs:
         head.append("L = LJ.item()")
     params = ", ".join(("X", "LJ", "noise", "k", "dt") + args)
@@ -316,12 +304,10 @@ def _compile_loop(sys: sde.StratonovichSystem, consumer: str, backend: str):
               + "".join(f"    {line}\n" for line in head)
               + f"    for s in range(0, len(noise), {rows}):\n"
               + "".join(f"        {line}\n" for line in
-                        (["j = k + 1"] if store_x + store_l else [])
-                        + (["xs = []"] if store_x else [])
-                        + (["ls = []"] if store_l else [])
+                        (["j = k + 1", "xs, ls = [], []"] if store else [])
                         + [f"for row in noise[s:s + {rows}].tolist():"])
               + "".join(f"            {line}\n" for line in body)
-              + "".join(f"        {line}\n" for line in store_x + store_l)
+              + "".join(f"        {line}\n" for line in store)
               + f"    xv[:] = {x}\n"
               + ("    LJ[...] = L\n" if divs else ""))
     return _define(low, source, "loop", sin=math.sin, cos=math.cos, **names)

@@ -158,7 +158,10 @@ def killing_form(g: LieAlgebraData) -> np.ndarray:
 
 
 def is_semisimple(g: LieAlgebraData) -> bool:
-    return bool(abs(np.linalg.det(killing_form(g))) > 1e-8)
+    """Cartan's criterion: the Killing form is nondegenerate, its rank
+    decided as ``is_nilpotent`` decides ranks, so that scaling the
+    constants, which scales det K by s^(2n), does not change the answer."""
+    return _span_rank(killing_form(g)).shape[0] == g.n
 
 
 def _span_rank(vectors: np.ndarray) -> np.ndarray:

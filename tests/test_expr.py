@@ -203,17 +203,18 @@ def lowered(nodes, pts):
 
 def buffered(nodes, pts):
     """Each node's values on pts through the buffered ufunc calls, each
-    copied into a row of the result, and the number of buffers used."""
+    copied (times 1.0, which is exact) into a row of the result, and the
+    number of buffers used."""
     low = expr.Lowering()
     inputs = [f"x{i}" for i in range(pts.shape[-1])]
     names = [low.emit(node, inputs) for node in nodes]
-    head, lines = heun._buffered(low, heun._calls(low, 0) + [
-        ("positive", name, f"out[{i}, ...]") for i, name in enumerate(names)])
+    head, lines = heun._buffered(low, [
+        *((op, *args, f"v{n}") for n, (op, *args) in enumerate(low.code)),
+        *(("*", name, "1.0", f"out[{i}, ...]") for i, name in enumerate(names))])
     source = (f"def values(out, {', '.join(inputs)}):\n    lead = out.shape[1:]\n"
               + "".join(f"    {line}\n" for line in head + lines))
     out = np.empty((len(nodes),) + pts.shape[:-1])
-    heun._define(low, source, "values", positive=np.positive)(
-        out, *np.moveaxis(pts, -1, 0))
+    heun._define(low, source, "values")(out, *np.moveaxis(pts, -1, 0))
     return out, sum(line.startswith("u") for line in head), len(low.code)
 
 

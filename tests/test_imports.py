@@ -226,10 +226,9 @@ FOREIGN_PRIVATE_READS_ALLOWED = {
     ("currents", "sde._endpoint_arrays"),
     # heun is sde's loop compiler, split out of sde so that no set-up
     # loads it: it reads sde's divergences and row block, and compiles
-    # expr's operators to their ufuncs
+    # expr's operator codes to their ufuncs
     ("heun", "sde._divergences"),
     ("heun", "sde._FLOAT_ROWS"),
-    ("heun", "expr._OPERATORS"),
     ("heun", "expr._UFUNCS"),
 }
 

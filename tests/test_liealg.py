@@ -137,6 +137,13 @@ def test_semisimplicity():
     assert is_semisimple(so3())
 
 
+@pytest.mark.parametrize("scale", [1e-2, 1e-1, 1.0, 1e3])
+def test_semisimplicity_does_not_depend_on_the_scale_of_the_constants(scale):
+    # det K scales as scale^(2n): -8e-12 for so(3) at scale 1e-2
+    for g, semisimple in ((so3(), True), (SL2, True), (HEIS, False), (abelian(3), False)):
+        assert is_semisimple(LieAlgebraData(g.n, scale * g.c)) == semisimple
+
+
 def _lower_central_series_oracle(g):
     # explicit span computation with exact small-integer arithmetic
     basis = [np.eye(g.n)[i] for i in range(g.n)]

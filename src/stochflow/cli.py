@@ -28,6 +28,7 @@ from .config import (
     ExperimentConfig,
     parse_config,
     parse_flags,
+    parse_liealg_args,
     serialize_config,
 )
 from .manifold import ChartedManifold, VectorFieldSpec, make_test_basis
@@ -271,9 +272,8 @@ def _cmd_check(args) -> int:
 def _cmd_liealg(args) -> int:
     from . import liealg
 
-    with open(args.constants, encoding="utf-8") as fh:
-        g = liealg.load_structure_constants(fh)
-    h = liealg.parse_subalgebra(args.subalgebra, g)
+    g, indices = parse_liealg_args(args.constants, args.subalgebra)
+    h = liealg.Subalgebra(g, indices)
     ok, offending = liealg.invariance_verdict(h)
     print(f"dimension: {g.n}")
     print(f"subalgebra: {', '.join(g.label(i) for i in h.indices)}")

@@ -25,9 +25,10 @@ accepted as an alternative input.
 
 parse_config converts each value once, by its entry in _VALUES, which
 also holds its default; the command-line overrides --seed, --dt and
---paths of `check`, and --t, --dt, --x0 and --seed of `simulate`
-(parse_flags), go through the same entries. The raw text is kept only for
-serialize_config.
+--paths of `check`, --t, --dt, --x0 and --seed of `simulate`
+(parse_flags), and the constants file and --subalgebra of `liealg`
+(parse_liealg_args) go through the same entries. The raw text is kept
+only for serialize_config.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "parse_flags",
+    "parse_liealg_args",
     "serialize_config",
 ]
 
@@ -740,6 +742,18 @@ def parse_flags(flags, manifold) -> dict:
     if issues:
         raise ConfigError(issues)
     return {key: scope[f"check.{key}"] for key in flags}
+
+
+def parse_liealg_args(constants, subalgebra):
+    """(algebra, 0-based indices) of the `liealg` command's constants file
+    and --subalgebra, converted as [liealg] algebra = file:PATH and
+    subalgebra are, each issue at its input's name; raises ConfigError."""
+    issues = []
+    algebra = _algebra(_Value(f"file:{constants}", None, None, constants, issues), {})
+    indices = _indices(_Value(subalgebra, None, None, "--subalgebra", issues), {})
+    if issues:
+        raise ConfigError(issues)
+    return algebra, indices
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

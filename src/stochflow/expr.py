@@ -1,6 +1,6 @@
 """Parser, evaluator and symbolic derivatives for field expressions.
 
-Grammar (coordinates are x1..xn):
+Grammar (coordinates are x1..xn), read by Python's parser (``parse``):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -33,10 +33,11 @@ at once may get two nodes, which then compare unequal.
 
 from __future__ import annotations
 
+import ast
 import collections
 import math
 import operator
-import re
+import warnings
 import weakref
 from typing import Union
 
@@ -256,117 +257,68 @@ def call(fn: str, a: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[a-zA-Z]+\d*)"
-    r"|(?P<op>[-+*/()]))"
-)
-
-_COORD_RE = re.compile(r"x(\d+)$")
-
-
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message, pos=None):
-        raise ExprParseError(message, self.pos if pos is None else pos)
-
-    def next_token(self):
-        m = _TOKEN_RE.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos:]
-            stripped = rest.lstrip()
-            if not stripped:
-                self.pos = len(self.text)
-                return None, None, len(self.text)
-            bad = self.pos + (len(rest) - len(stripped))
-            self.error(f"unexpected character {stripped[0]!r}", bad)
-        self.pos = m.end()
-        for kind in ("number", "name", "op"):
-            if m.group(kind) is not None:
-                return kind, m.group(kind), m.start(kind)
-        raise AssertionError("unreachable")
-
-    def expect_op(self, op, opened_at=None):
-        kind, text, pos = self.next_token()
-        if kind != "op" or text != op:
-            if op == ")" and opened_at is not None:
-                self.error("unclosed parenthesis opened here", opened_at)
-            where = pos if kind is not None else len(self.text)
-            self.error(f"expected {op!r}", where)
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while True:
-            save = self.pos
-            kind, text, _ = self.next_token()
-            if kind == "op" and text in "+-":
-                rhs = self.parse_term()
-                node = BinOp(text, node, rhs)
-            else:
-                self.pos = save
-                return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            save = self.pos
-            kind, text, _ = self.next_token()
-            if kind == "op" and text in "*/":
-                rhs = self.parse_factor()
-                node = BinOp(text, node, rhs)
-            else:
-                self.pos = save
-                return node
-
-    def parse_factor(self):
-        kind, text, pos = self.next_token()
-        if kind is None:
-            self.error("unexpected end of expression", len(self.text))
-        if kind == "number":
-            return Num(float(text))
-        if kind == "name":
-            if text == "pi":
-                return Num(math.pi)
-            if text in _FUNCTIONS:
-                kind2, text2, pos2 = self.next_token()
-                if kind2 != "op" or text2 != "(":
-                    self.error(f"expected '(' after {text!r}",
-                               pos2 if kind2 is not None else len(self.text))
-                arg = self.parse_expr()
-                self.expect_op(")", opened_at=pos2)
-                return Call(text, arg)
-            m = _COORD_RE.match(text)
-            if m:
-                index = int(m.group(1))
-                if index < 1:
-                    self.error("coordinates start at x1", pos)
-                return Coord(index - 1)
-            self.error(f"unknown identifier {text!r}", pos)
-        if kind == "op":
-            if text == "-":
-                return Neg(self.parse_factor())
-            if text == "(":
-                node = self.parse_expr()
-                self.expect_op(")", opened_at=pos)
-                return node
-        self.error(f"unexpected token {text!r}", pos)
-
-    def parse_all(self):
-        node = self.parse_expr()
-        kind, text, pos = self.next_token()
-        if kind is not None:
-            self.error(f"unexpected trailing token {text!r}", pos)
-        return node
+_OPERATOR_NODES = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression string; raises ExprParseError with a position."""
-    if not text.strip():
+    """Parse an expression string; raises ExprParseError with a position.
+
+    Python's parser reads the text; what the grammar writes is converted,
+    anything else raises at its node. Any whitespace separates tokens, a
+    line break too; '#' (a comment to Python) and ',' are rejected first.
+    """
+    source = (text if text.isprintable()  # no whitespace but ' '
+              else "".join(" " if c.isspace() else c for c in text)).lstrip()
+    if not source:
         raise ExprParseError("empty expression", 0)
-    return _Parser(text).parse_all()
+    lead = len(text) - len(source)
+    hidden = [text.index(c) for c in "#,\0" if c in text]
+    if hidden:
+        raise ExprParseError(f"unexpected character {text[min(hidden)]!r}", min(hidden))
+    try:
+        with warnings.catch_warnings():  # 1in(x1) warns, then fails: fail at once
+            warnings.simplefilter("error")
+            tree = ast.parse(source, mode="eval")
+    except SyntaxError as e:
+        if not e.offset:  # where Python runs out of text
+            raise ExprParseError("unexpected end of expression", len(text)) from None
+        message = ("unclosed parenthesis opened here"
+                   if e.msg == "'(' was never closed" else e.msg)
+        raise ExprParseError(message, lead + e.offset - 1) from None
+    data = source.encode()  # Python's columns count UTF-8 bytes
+
+    def fail(message, node):
+        raise ExprParseError(message, lead + len(data[:node.col_offset].decode()))
+
+    def convert(node):
+        kind = type(node)
+        if kind is ast.BinOp and type(node.op) in _OPERATOR_NODES:
+            return BinOp(_OPERATOR_NODES[type(node.op)], convert(node.left),
+                         convert(node.right))
+        if kind is ast.UnaryOp and type(node.op) is ast.USub:
+            return Neg(convert(node.operand))
+        # as written: Python reads ｘ1 as x1, and (sin)(x1) as a call of sin
+        name = data[node.col_offset:node.end_col_offset].decode()
+        if kind is ast.Constant and type(node.value) in (int, float) \
+                and set(name) <= set("0123456789.eE+-"):  # not 1_0, 0x1f or 2j
+            return Num(float(name))
+        if kind is ast.Name and name == "pi":
+            return Num(math.pi)
+        if kind is ast.Name and name[:1] == "x" and name[1:].isdecimal():
+            if int(name[1:]) < 1:
+                fail("coordinates start at x1", node)
+            return Coord(int(name[1:]) - 1)
+        if kind is ast.Name:
+            fail(f"expected '(' after {name!r}" if name in _FUNCTIONS
+                 else f"unknown identifier {name!r}", node)
+        if kind is ast.Call and type(node.func) is ast.Name \
+                and node.func.id in _FUNCTIONS and name.startswith(node.func.id):
+            if len(node.args) != 1 or node.keywords:
+                fail(f"{node.func.id} takes one argument", node)
+            return Call(node.func.id, convert(node.args[0]))
+        fail(f"not in the expression grammar: {name!r}", node)
+
+    return convert(tree.body)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ __all__ = [
     "so3",
     "algebra_zoo",
     "load_structure_constants",
-    "parse_subalgebra",
 ]
 
 TOL = 1e-10
@@ -405,18 +404,3 @@ def load_structure_constants(source) -> LieAlgebraData:
     if labels is not None and not isinstance(labels, list):
         raise ValueError(f"'labels' must be a list, not {labels!r}")
     return LieAlgebraData(n=n, c=c, basis_labels=tuple(labels) if labels else None)
-
-
-def parse_subalgebra(text: str, g: LieAlgebraData) -> Subalgebra:
-    """Parse '1,3' (1-based, as in the wire formats) to a Subalgebra of g;
-    every comma-separated part is a positive integer, as in the config."""
-    idx = []
-    for part in str(text).split(","):
-        try:
-            idx.append(int(part) - 1)
-        except ValueError:
-            raise ValueError(f"bad subalgebra spec {text!r}: expected an "
-                             f"integer, got {part.strip()!r}") from None
-        if idx[-1] < 0:
-            raise ValueError(f"bad subalgebra spec {text!r}: must be positive")
-    return Subalgebra(g, idx)

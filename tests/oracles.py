@@ -81,26 +81,31 @@ def walk(node, pts) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
 def to_str(node) -> str:
-    """node as text of the expression grammar, which parses back to it."""
+    """node as text of the expression grammar, which parses back to node
+    itself when its constants are finite and not negative."""
     if isinstance(node, expr.Num):
-        return repr(node.value)
+        return "pi" if node.value == math.pi else repr(node.value)
     if isinstance(node, expr.Coord):
         return f"x{node.axis + 1}"
     if isinstance(node, expr.Neg):
-        return f"-{_paren(node.arg, atom=True)}"
+        return f"-{_operand(node.arg, 3)}"  # binds tighter than * and /
     if isinstance(node, expr.Call):
         return f"{node.fn}({to_str(node.arg)})"
     if isinstance(node, expr.BinOp):
-        left = _paren(node.left, atom=node.op in "*/")
-        right = _paren(node.right, atom=node.op in "*/-")
+        binds = _PRECEDENCE[node.op]  # and groups to the left
+        left, right = _operand(node.left, binds), _operand(node.right, binds + 1)
         return f"{left} {node.op} {right}"
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _paren(node, atom):
+def _operand(node, binds):
+    """node as an operand of an operator that binds as tightly as binds."""
     s = to_str(node)
-    if atom and isinstance(node, expr.BinOp):
+    if isinstance(node, expr.BinOp) and _PRECEDENCE[node.op] < binds:
         return f"({s})"
     return s
 

@@ -702,6 +702,7 @@ BOUNDARY_ERRORS = {
     "simulate_not_utf8": (["simulate", "latin1.cfg"], "'utf-8' codec can't decode "
                           "byte 0xe9 in position 5: invalid continuation byte"),
     "liealg_directory": (["liealg", "a_directory", "--subalgebra", "1"],
+                         "a_directory: cannot read the constants file: "
                          "[Errno 21] Is a directory: 'a_directory'"),
     "presets_show_unknown": (["presets", "show", "nope"],
                              f"unknown preset 'nope'; known: {', '.join(preset_names())}"),
@@ -1325,12 +1326,13 @@ MALFORMED_CONSTANTS = {
 @pytest.mark.parametrize("doc,message", MALFORMED_CONSTANTS.values(),
                          ids=list(MALFORMED_CONSTANTS))
 def test_malformed_constants_are_one_error_line(tmp_path, capsys, route, doc, message):
-    # a config reports them at the line of the key that gives the constants
+    # a config reports them at the line of the key that gives the
+    # constants, the liealg command at the file's name
     text = json.dumps(doc)
     path = tmp_path / "constants.json"
     path.write_text(text)
     if route == "file":
-        code, where = main(["liealg", str(path), "--subalgebra", "1,2"]), ""
+        code, where = main(["liealg", str(path), "--subalgebra", "1,2"]), f"{path}: "
     else:
         key, entry = (("constants", text) if route == "inline"
                       else ("algebra", f"file:{path}"))
@@ -1342,6 +1344,14 @@ def test_malformed_constants_are_one_error_line(tmp_path, capsys, route, doc, me
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith(f"error: {where}{message}")
+
+
+def test_the_liealg_command_names_a_constants_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "constants.json"
+    path.write_text("dim = 3\n")
+    assert main(["liealg", str(path), "--subalgebra", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: Expecting value: line 1 column 1 (char 0)"]
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])
@@ -1360,7 +1370,7 @@ def test_a_missing_constants_file_is_reported_at_its_key(tmp_path, capsys, comma
 
 
 # id -> (indices as written, message, whether the text itself is bad: its
-# message then names the flag's value or the config entry); the indices
+# message then names the flag or the config entry); the indices
 # are named 1-based, as written
 SUBALGEBRA_ERRORS = {
     "zero": ("0", "must be positive", True),
@@ -1377,8 +1387,7 @@ SUBALGEBRA_ERRORS = {
 def test_subalgebra_errors_are_one_error_line(tmp_path, capsys, command,
                                               indices, message, bad_text):
     if bad_text:
-        message = (f"bad subalgebra spec {indices!r}: {message}"
-                   if command == "liealg" else
+        message = (f"--subalgebra: {message}" if command == "liealg" else
                    f"liealg.subalgebra (line 3, column 14): {message}")
     if command == "liealg":
         path = tmp_path / "heisenberg.json"

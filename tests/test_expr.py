@@ -61,6 +61,34 @@ def test_vectorized_evaluation_shapes():
     ("", 1),
     ("sin 2", 5),
     ("(1 + 2", 1),
+    # Python reads these; the grammar has none of them, so each is
+    # reported at the node, or at the character it begins with
+    ("x1 ** 2", 1),
+    ("1 + x1 ** 2", 5),
+    ("x1 % 2", 1),
+    ("x1 // 2", 1),
+    ("+x1", 1),
+    ("not x1", 1),
+    ("x1 < 2", 1),
+    ("sin(x1, x2)", 7),
+    ("sin(x1,)", 7),
+    ("sin(x=1)", 1),
+    ("2*sin()", 3),
+    ("(sin)(x1)", 1),
+    ("\uff53in(x1)", 1),       # a fullwidth s
+    ("1_0", 1),
+    ("0x1f", 1),
+    ("2j", 1),
+    ("'a'", 1),
+    ("True", 1),
+    ("x1 # c", 4),            # not a comment
+    ("x1.real", 1),
+    ("x1[0]", 1),
+    ("(x1, x2)", 4),
+    ("\uff581", 1),            # a fullwidth x, which Python reads as x
+    ("x\u0661 + x0", 6),       # columns count characters, not UTF-8 bytes
+    ("x\u0661 + (1", 6),
+    ("01", 1),                # Python has no leading-zero integers
 ])
 def test_parse_errors_carry_position(bad, column):
     with pytest.raises(expr.ExprParseError) as e:
@@ -103,16 +131,6 @@ def test_max_coordinate_and_constants():
     assert expr.max_coordinate(expr.parse("2 * pi")) == 0
     assert expr.is_constant(expr.parse("1 + 2"))
     assert not expr.is_constant(expr.parse("x1"))
-
-
-def test_roundtrip_through_to_str():
-    for text in ["1 + 2*x1", "sin(2*pi*x1)*cos(2*pi*x2)", "-x1/(1 + x2)",
-                 "exp(-sin(2*pi*x1))"]:
-        node = expr.parse(text)
-        again = expr.parse(to_str(node))
-        pts = np.random.rand(20, 2)
-        np.testing.assert_allclose(expr.evaluate(node, pts),
-                                   expr.evaluate(again, pts), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +326,13 @@ def _raw_extend(children):
 
 
 RAW_EXPRESSIONS = st.recursive(_RAW_LEAVES, _raw_extend, max_leaves=8)
+# Trees the grammar can write: its constants are finite and not negative
+# (it writes -1 as Neg(1))
+WRITTEN_EXPRESSIONS = st.recursive(st.one_of(
+    st.integers(0, 2).map(expr.Coord),
+    st.just(math.pi).map(expr.Num),
+    st.floats(0.0, allow_infinity=False).map(expr.Num),
+), _raw_extend, max_leaves=8)
 RAW_POINTS = np.array([[0.0, -0.0], [0.5, -1.5], [800.0, -800.0],
                        [1e308, 2.0], [-2.5, 3.0]])
 
@@ -333,6 +358,11 @@ def test_evaluate_matches_the_tree_walker(node):
         # constants are keyed on float.hex, which has one "nan")
         assert np.array_equal(np.signbit(got) & (got == 0),
                               np.signbit(want) & (want == 0))
+
+
+@given(WRITTEN_EXPRESSIONS)
+def test_roundtrip_through_to_str(node):
+    assert expr.parse(to_str(node)) is node
 
 
 def test_evaluate_raises_what_the_tree_walker_raises():

@@ -55,18 +55,31 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
-def test_no_module_in_src_imports_dataclasses():
-    # a dataclass compiles its generated methods while its module is
-    # imported, a cost every command pays at start-up
+def imports_in_src(module):
+    """path:line of each import of module in src/."""
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             modules = ([alias.name for alias in node.names]
                        if isinstance(node, ast.Import) else
                        [node.module] if isinstance(node, ast.ImportFrom) else [])
-            if "dataclasses" in modules:
+            if module in modules:
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_no_module_in_src_imports_dataclasses():
+    # a dataclass compiles its generated methods while its module is
+    # imported, a cost every command pays at start-up
+    found = imports_in_src("dataclasses")
     assert not found, "dataclasses imported at:\n" + "\n".join(found)
+
+
+def test_no_module_in_src_imports_re():
+    # a pattern is compiled when its module is imported, a cost every
+    # command pays at start-up; expressions are read by Python's parser
+    found = imports_in_src("re")
+    assert not found, "re imported at:\n" + "\n".join(found)
 
 
 def test_no_module_in_src_names_numpy_random():

@@ -22,7 +22,6 @@ from stochflow.liealg import (
     is_semisimple,
     killing_form,
     load_structure_constants,
-    parse_subalgebra,
     sl2,
     so3,
     tr_ad_restricted,
@@ -338,8 +337,3 @@ def test_load_structure_constants_rejects_bad_input():
             {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 1]},
                                     {"i": 2, "j": 1, "coeffs": [0, 0, 1]}]})
 
-
-def test_parse_subalgebra_is_one_based():
-    assert parse_subalgebra("1,3", SL2).indices == (0, 2)
-    with pytest.raises(ValueError):
-        parse_subalgebra("a,b", SL2)

@@ -24,6 +24,7 @@ _EXPORTS = {
         "ChartedManifold",
         "DegenerateDensityError",
         "InvalidPointError",
+        "StratonovichSystem",
         "TestBasis",
         "VectorFieldSpec",
         "heisenberg_frame",
@@ -48,7 +49,6 @@ _EXPORTS = {
     ),
     "sde": (
         "FlowResult",
-        "StratonovichSystem",
         "flow_with_jacobian",
         "generate_noise",
     ),

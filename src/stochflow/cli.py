@@ -15,15 +15,12 @@ A process that ends when its command returns runs console, not main.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import importlib.util
 import sys as _sys
 import time
 from pathlib import Path
 
 from .config import (
-    CheckSpec,
     ConfigError,
     ExperimentConfig,
     parse_config,
@@ -31,21 +28,21 @@ from .config import (
     parse_liealg_args,
     serialize_config,
 )
-from .manifold import ChartedManifold, VectorFieldSpec, make_test_basis
-from .presets import preset_names, preset_text
-from .sde import (
-    FlowResult,
+from .manifold import (
+    ChartedManifold,
     StratonovichSystem,
-    flow_paths,
+    VectorFieldSpec,
     step_count,
-    write_trajectory_csv,
 )
+from .presets import preset_names, preset_text
 
-# The invariance, liealg and currents layers, and the modules that write
-# the report, are imported inside the functions that use them, so that a
-# command loads only what it runs: `simulate` loads neither the checks'
-# layers nor the report writer, the set-up of a liealg preset loads
-# liealg alone, and `check` on a flow preset does not load liealg.
+# Set-up (parse_config and build_experiment), which every command runs,
+# loads only config, expr, manifold and presets, and liealg for a
+# [liealg] config. The run layers are imported inside the functions that
+# use them, so that a command loads only what it runs: `simulate` loads
+# sde and neither the checks' layers nor the report writer, `check`
+# loads the check runner (checks) with invariance and currents, and on
+# a flow preset not liealg; argparse is imported by main.
 
 __all__ = ["console", "main", "run", "build_experiment", "build_current"]
 
@@ -103,101 +100,7 @@ def build_current(exp: Experiment) -> Current:
 
 
 # ---------------------------------------------------------------------------
-# check dispatch
-
-def _run_check(exp: Experiment, currents: dict, chk: CheckSpec,
-               runs: dict) -> InvarianceReport:
-    """Run one check, reading the values of the keys config.CHECK_KEYS
-    lists for its kind; parse_config has matched the kind to the
-    experiment and applied the overrides. currents holds the current of
-    each grid built so far, the [current] (build_current) under None as
-    well; runs the EmpiricalRun of each (current, basis_k, t, dt, seed)."""
-    from .currents import DensityCurrent
-    from .invariance import (
-        EmpiricalRun,
-        check_mean_nform,
-        check_strict_nform,
-        empirical_check,
-        foliation_pipeline,
-        jacobian_check,
-        residual_check,
-    )
-
-    kind, value = chk.kind, chk.value
-    if kind == "foliation":
-        return foliation_pipeline(
-            exp.subalgebra, exp.realization, t=value("t"), dt=value("dt"),
-            seed=value("seed"), n_paths=value("paths"), grid_n=value("grid"),
-            basis_k=value("basis_k"), bias_c=value("bias_c"))
-    if kind == "jacobian":
-        return jacobian_check(exp.system, value("x0"), value("t"), value("dt"),
-                              value("seed"), value("paths"), value("tolerance"))
-    grid = value("grid")  # None: the current's own grid
-    if grid not in currents:
-        T = currents[None]
-        currents[grid] = DensityCurrent(T.manifold, T.density, grid, T.normalize)
-    T = currents[grid]
-    if kind in ("strict_nform", "mean_nform"):
-        check = check_strict_nform if kind == "strict_nform" else check_mean_nform
-        return check(T, exp.system.fields(), value("tolerance"))
-    basis = make_test_basis(T.manifold, value("basis_k"))
-    if kind in ("strict_residual", "mean_residual"):
-        mode = "strict" if kind == "strict_residual" else "mean"
-        return residual_check(T, exp.system, basis, mode, value("tolerance"))
-    key = (T, *map(value, ("basis_k", "t", "dt", "seed")))
-    if key not in runs:
-        runs[key] = EmpiricalRun(T, exp.system, basis, *key[2:])
-    if kind == "empirical_pathwise":
-        return empirical_check(runs[key], "pathwise", tolerance=value("tolerance"))
-    return empirical_check(runs[key], "mean", value("paths"), bias_c=value("bias_c"))
-
-
-# ---------------------------------------------------------------------------
 # reports
-
-_CSV_COLUMNS = ["check", "basis_index", "field_index", "value", "std_error",
-                "tolerance"]
-
-
-def _csv_rows(report: InvarianceReport):
-    prefix = report.kind
-    for row in report.per_basis:
-        yield (prefix, row.get("basis_index", row.get("path_index", "")),
-               row.get("field_index", ""), row.get("value"),
-               row.get("std_error", ""), row.get("tolerance", ""))
-    if report.kind == "foliation_verdict":
-        for item in report.metadata.get("offending", []):
-            yield (prefix, item["index"], "", item["trace"], "", "")
-    for sub in report.subchecks:
-        for row in _csv_rows(sub):
-            yield (f"{prefix}/{row[0]}",) + row[1:]
-
-
-def _write_csvs(reports, outdir: Path):
-    import csv
-
-    for i, rep in enumerate(reports, start=1):
-        path = outdir / f"check_{i:02d}_{rep.kind}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS)
-            for row in _csv_rows(rep):
-                writer.writerow(row)
-
-
-def _sha256_hex(data: bytes) -> str:
-    """The SHA-256 of data, in hex, from CPython's built-in implementation.
-
-    hashlib maps OpenSSL's libcrypto at import (about 3 MB resident), which
-    a check that draws no noise would load for this one digest. The
-    built-in module is the constructor hashlib itself falls back to, so
-    the digest is the same; hashlib serves only a build without it.
-    """
-    name = "_sha2" if _sys.version_info >= (3, 12) else "_sha256"
-    if importlib.util.find_spec(name) is None:
-        name = "hashlib"
-    return importlib.import_module(name).sha256(data).hexdigest()
-
 
 def run(config: ExperimentConfig, outdir) -> int:
     """Execute every check; write report.json and per-check CSVs.
@@ -213,6 +116,8 @@ def run(config: ExperimentConfig, outdir) -> int:
     import json
     from datetime import datetime, timezone
 
+    from .checks import run_check, sha256_hex, write_csvs
+
     if not config.checks:  # all() of no verdicts would read as a pass
         raise ValueError("config has no [check KIND] section, so nothing to check")
     outdir = Path(outdir)
@@ -224,7 +129,7 @@ def run(config: ExperimentConfig, outdir) -> int:
     reports, timings, runs = [], [], {}
     for chk in config.checks:
         start = time.perf_counter()
-        reports.append(_run_check(exp, currents, chk, runs))
+        reports.append(run_check(exp, currents, chk, runs))
         timings.append({"kind": reports[-1].kind,
                         "wall_s": time.perf_counter() - start})
     payload = {
@@ -235,7 +140,7 @@ def run(config: ExperimentConfig, outdir) -> int:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     document = {
         "payload": payload,
-        "payload_sha256": _sha256_hex(blob.encode()),
+        "payload_sha256": sha256_hex(blob.encode()),
         "generated_at": datetime.now(timezone.utc).isoformat(),
         # outside the payload, so the hash stays deterministic
         "diagnostics": {"checks": timings},
@@ -244,7 +149,7 @@ def run(config: ExperimentConfig, outdir) -> int:
     with open(outdir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_csvs(reports, outdir)
+    write_csvs(reports, outdir)
     for rep in reports:
         status = "pass" if rep.all_verdicts() else "FAIL"
         print(f"[{status}] {rep.kind}: residual={rep.residual:.6g} "
@@ -303,6 +208,8 @@ def _cmd_simulate(args) -> int:
     flags = parse_flags({"t": args.t, "dt": args.dt, "x0": args.x0,
                          "seed": args.seed}, system.manifold)
     steps = step_count(flags["t"], flags["dt"])
+    from .sde import FlowResult, flow_paths, write_trajectory_csv
+
     states, log_j = flow_paths(system, "trajectory", flags["x0"], flags["dt"],
                                steps, flags["seed"],
                                range(args.path_index, args.path_index + 1))
@@ -322,6 +229,8 @@ def _cmd_presets(args) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # with gettext about 1.5 ms, which set-up does not need
+
     parser = argparse.ArgumentParser(
         prog="stochflow",
         description="Stochastic flows on compact manifolds and "

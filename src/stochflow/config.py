@@ -36,8 +36,7 @@ from __future__ import annotations
 import math
 
 from . import expr
-from .manifold import ChartedManifold, is_compatible_field
-from .sde import step_count
+from .manifold import ChartedManifold, is_compatible_field, step_count
 
 __all__ = [
     "CHECK_KEYS",

@@ -25,13 +25,15 @@ from .expr import Expr
 from .manifold import (
     ChartedManifold,
     DegenerateDensityError,
+    StratonovichSystem,
     TestBasis,
     VectorFieldSpec,
     apply_field,
     grid_points,
     is_compatible_field,
+    step_count,
 )
-from .sde import StratonovichSystem, _endpoint_arrays, flow_paths, step_count
+from .sde import _endpoint_arrays, flow_paths
 
 __all__ = [
     "DensityCurrent",

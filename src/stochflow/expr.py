@@ -62,6 +62,7 @@ __all__ = [
     "is_constant",
     "is_identically_zero",
     "Lowering",
+    "MAX_DEPTH",
 ]
 
 
@@ -258,6 +259,12 @@ def call(fn: str, a: Expr) -> Expr:
 # parsing
 
 _OPERATOR_NODES = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+# the most operations parse nests one in another. Lowering keeps its own
+# stack, but diff and the zero test recurse once per level, on derivatives
+# up to about three times as deep as what was parsed: at this depth a
+# check stays within a third of Python's default recursion limit
+MAX_DEPTH = 100
+_TOO_DEEP = f"operations nested more than {MAX_DEPTH} deep"
 
 
 def parse(text: str) -> Expr:
@@ -266,6 +273,9 @@ def parse(text: str) -> Expr:
     Python's parser reads the text; what the grammar writes is converted,
     anything else raises at its node. Any whitespace separates tokens, a
     line break too; '#' (a comment to Python) and ',' are rejected first.
+    An operation nested in MAX_DEPTH others, such as the last '+' of a
+    sum of 102 terms, raises at its node, and so does Python's parser at a
+    depth it cannot read.
     """
     source = (text if text.isprintable()  # no whitespace but ' '
               else "".join(" " if c.isspace() else c for c in text)).lstrip()
@@ -279,6 +289,8 @@ def parse(text: str) -> Expr:
         with warnings.catch_warnings():  # 1in(x1) warns, then fails: fail at once
             warnings.simplefilter("error")
             tree = ast.parse(source, mode="eval")
+    except (RecursionError, MemoryError):  # Python's parser gives up on depth
+        raise ExprParseError(_TOO_DEEP, lead) from None
     except SyntaxError as e:
         if not e.offset:  # where Python runs out of text
             raise ExprParseError("unexpected end of expression", len(text)) from None
@@ -290,13 +302,16 @@ def parse(text: str) -> Expr:
     def fail(message, node):
         raise ExprParseError(message, lead + len(data[:node.col_offset].decode()))
 
-    def convert(node):
+    def convert(node, depth):
+        """node as an expression; depth operations enclose it."""
         kind = type(node)
+        if depth == MAX_DEPTH and kind in (ast.BinOp, ast.UnaryOp, ast.Call):
+            fail(_TOO_DEEP, node)
         if kind is ast.BinOp and type(node.op) in _OPERATOR_NODES:
-            return BinOp(_OPERATOR_NODES[type(node.op)], convert(node.left),
-                         convert(node.right))
+            return BinOp(_OPERATOR_NODES[type(node.op)], convert(node.left, depth + 1),
+                         convert(node.right, depth + 1))
         if kind is ast.UnaryOp and type(node.op) is ast.USub:
-            return Neg(convert(node.operand))
+            return Neg(convert(node.operand, depth + 1))
         # as written: Python reads ｘ1 as x1, and (sin)(x1) as a call of sin
         name = data[node.col_offset:node.end_col_offset].decode()
         if kind is ast.Constant and type(node.value) in (int, float) \
@@ -315,10 +330,10 @@ def parse(text: str) -> Expr:
                 and node.func.id in _FUNCTIONS and name.startswith(node.func.id):
             if len(node.args) != 1 or node.keywords:
                 fail(f"{node.func.id} takes one argument", node)
-            return Call(node.func.id, convert(node.args[0]))
+            return Call(node.func.id, convert(node.args[0], depth + 1))
         fail(f"not in the expression grammar: {name!r}", node)
 
-    return convert(tree.body)
+    return convert(tree.body, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +346,25 @@ _APPLY = {**_OPERATORS, "neg": operator.neg, **_FUNCTIONS}
 # name
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
            "neg": np.negative, **_FUNCTIONS}
+
+
+def _operation(node):
+    """(operator, operands) of a node; (None, ()) for a leaf."""
+    if isinstance(node, (Num, Coord)):
+        return None, ()
+    if isinstance(node, Neg):
+        return "neg", (node.arg,)
+    if isinstance(node, BinOp) and node.op in _OPERATORS:
+        return node.op, (node.left, node.right)
+    if isinstance(node, Call) and node.fn in _FUNCTIONS:
+        return node.fn, (node.arg,)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _lowered_name(node, scope):
+    """The name node was lowered to under scope, or None."""
+    lowered = getattr(node, "_lowered", None)  # None for a non-node
+    return lowered[1] if lowered is not None and lowered[0] is scope else None
 
 
 class Lowering:
@@ -381,14 +415,27 @@ class Lowering:
         return self._emit(node, inputs, scope)
 
     def _emit(self, node, inputs, scope):
-        lowered = getattr(node, "_lowered", None)  # _lower rejects a non-node
-        if lowered is not None and lowered[0] is scope:
-            return lowered[1]
-        name = self._lower(node, inputs, scope)
-        _set(node, "_lowered", (scope, name))
-        return name
+        """The name of node's value, lowering first, in order, each operand
+        not yet lowered. The tree is walked with a stack of the nodes still
+        to lower, not by recursion, so its depth meets no recursion limit."""
+        stack = [node]
+        while stack:
+            top = stack[-1]
+            if _lowered_name(top, scope) is not None:
+                stack.pop()
+                continue
+            op, args = _operation(top)
+            pending = [a for a in args if _lowered_name(a, scope) is None]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            stack.pop()
+            name = self._lower(top, op, [_lowered_name(a, scope) for a in args],
+                               inputs)
+            _set(top, "_lowered", (scope, name))
+        return _lowered_name(node, scope)
 
-    def _lower(self, node, inputs, scope):
+    def _lower(self, node, op, operands, inputs):
         if isinstance(node, Num):
             return self._constant(node.value)
         if isinstance(node, Coord):
@@ -396,20 +443,12 @@ class Lowering:
                 raise ValueError(f"expression references x{node.axis + 1} but "
                                  f"points have dimension {len(inputs)}")
             return inputs[node.axis]
-        if isinstance(node, Neg):
-            op, args = "neg", (node.arg,)
-        elif isinstance(node, BinOp) and node.op in _OPERATORS:
-            op, args = node.op, (node.left, node.right)
-        elif isinstance(node, Call) and node.fn in _FUNCTIONS:
-            op, args = node.fn, (node.arg,)
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        key = (op, *(self._emit(a, inputs, scope) for a in args))
-        if all(n in self._values for n in key[1:]):
+        key = (op, *operands)
+        if all(n in self._values for n in operands):
             # numpy's exp(1000) is inf, as an evaluation gives, without a
             # warning; a Python float's 1/0 still raises
             with np.errstate(all="ignore"):
-                value = _APPLY[op](*(self._values[n] for n in key[1:]))
+                value = _APPLY[op](*(self._values[n] for n in operands))
             return self._constant(value)
         name = self._names.get(key)
         if name is None:

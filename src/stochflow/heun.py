@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from . import expr, sde
-from .manifold import ChartedManifold, InvalidPointError
+from .manifold import ChartedManifold, InvalidPointError, StratonovichSystem
 
 __all__ = ["run_heun", "loop_arrays"]
 
@@ -154,7 +154,7 @@ _CONSUMERS = {
 }
 
 
-def _compile_loop(sys: sde.StratonovichSystem, consumer: str, backend: str):
+def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
     """The Heun loop over one block of noise rows, as one function.
 
     loop(X, L, noise, k, dt, *out) steps the state X, of shape
@@ -334,19 +334,19 @@ def _rewrap(m: ChartedManifold, bound: float, X, step: int) -> None:
     x[far] = m.wrap(x[far])
 
 
-def _loop(sys: sde.StratonovichSystem, consumer: str, backend: str):
+def _loop(sys: StratonovichSystem, consumer: str, backend: str):
     """The compiled loop of consumer on backend, compiled once per system."""
     return sys._cached(("loop", consumer, backend),
                        lambda s: _compile_loop(s, consumer, backend))
 
 
-def loop_arrays(sys: sde.StratonovichSystem, consumer: str) -> int:
+def loop_arrays(sys: StratonovichSystem, consumer: str) -> int:
     """The arrays of the leading shape that run_heun holds on arrays,
     besides what consumer records."""
     return _loop(sys, consumer, "array").arrays
 
 
-def run_heun(sys: sde.StratonovichSystem, consumer: str, x0, dt: float,
+def run_heun(sys: StratonovichSystem, consumer: str, x0, dt: float,
              steps: int, noise_lead: tuple, blocks):
     """Runs the compiled Heun loop of consumer over the noise blocks.
 

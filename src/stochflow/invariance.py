@@ -26,12 +26,14 @@ from .currents import (
 )
 from .expr import Functions
 from .manifold import (
+    StratonovichSystem,
     VectorFieldSpec,
     apply_field,
     make_test_basis,
     product_divergence_expr,
+    step_count,
 )
-from .sde import StratonovichSystem, flow_paths, step_count
+from .sde import flow_paths
 
 # liealg is imported by the foliation functions that use it, so that the
 # flow checks do not load it

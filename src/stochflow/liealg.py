@@ -25,6 +25,7 @@ import numpy as np
 from .expr import Functions, constant
 from .manifold import (
     ChartedManifold,
+    StratonovichSystem,
     VectorFieldSpec,
     heisenberg_frame,
     heisenberg_manifold,
@@ -33,7 +34,6 @@ from .manifold import (
     linear_combination,
     torus,
 )
-from .sde import StratonovichSystem
 
 __all__ = [
     "LieAlgebraData",

@@ -1,10 +1,16 @@
-"""Compact charted manifolds: wrapping, fields, differential operators,
-quadrature grids and trigonometric test bases.
+"""Compact charted manifolds: wrapping, fields, Stratonovich systems of
+fields, differential operators, quadrature grids and trigonometric test
+bases.
 
 Built-ins are flat tori of arbitrary periods and the Heisenberg
 nilmanifold presented as a periodic box with the twisted identification
 (x,y,z) ~ (x+a, y+b, z+c+a*y), carrying the left-invariant frame
 X = d/dx, Y = d/dy + x d/dz, Z = d/dz.
+
+A ``StratonovichSystem`` (its fields checked against the
+identification) and ``step_count`` live here, not in ``sde``, which
+flows them: building an experiment, which every command does, then
+loads no flow code.
 
 Manifolds are immutable, and fields and bases are not changed after
 construction; every operation here is pure and safe to call from
@@ -39,6 +45,9 @@ __all__ = [
     "identified_pairs",
     "is_compatible_field",
     "linear_combination",
+    "ConfigurationError",
+    "StratonovichSystem",
+    "step_count",
 ]
 
 TORUS = "torus"
@@ -276,6 +285,61 @@ def is_compatible_field(m: ChartedManifold, X: Union[VectorFieldSpec, Expr]) -> 
         vp = np.einsum("nij,nj->ni", dgamma, vp)
     scale = max(np.max(np.abs(vp)), np.max(np.abs(vq)))
     return bool(np.max(np.abs(vp - vq)) <= np.sqrt(np.finfo(float).eps) * scale)
+
+
+# ---------------------------------------------------------------------------
+# Stratonovich systems
+
+class ConfigurationError(ValueError):
+    pass
+
+
+class StratonovichSystem:
+    """Drift X_0 plus m diffusion fields X_1..X_m on a manifold."""
+
+    def __init__(self, manifold: ChartedManifold, drift: VectorFieldSpec,
+                 diffusions: tuple = ()):
+        self.manifold = manifold
+        self.drift = drift
+        self.diffusions = tuple(diffusions)
+        for name, f in [("drift", drift)] + [
+                (f"diffusion {i + 1}", f) for i, f in enumerate(self.diffusions)]:
+            if f.dim != manifold.dim:
+                raise ConfigurationError(f"{name} has dimension {f.dim}, "
+                                         f"manifold has {manifold.dim}")
+            try:
+                compatible = is_compatible_field(manifold, f)
+            except ValueError as e:
+                raise ConfigurationError(f"{name} {e}") from None
+            if not compatible:
+                raise ConfigurationError(
+                    f"{name} is not compatible with the identification")
+        self._compiled = {}
+
+    @property
+    def m(self) -> int:
+        return len(self.diffusions)
+
+    def fields(self) -> list:
+        return [self.drift, *self.diffusions]
+
+    def _cached(self, key, build):
+        """build(self), computed on first use and kept on the system."""
+        if key not in self._compiled:
+            self._compiled[key] = build(self)
+        return self._compiled[key]
+
+
+def step_count(t: float, dt: float) -> int:
+    """The number of dt steps in t; t must be a positive multiple of dt."""
+    if not (math.isfinite(t) and math.isfinite(dt)):
+        raise ValueError(f"t and dt must be finite, got t={t}, dt={dt}")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    steps = int(round(t / dt))
+    if steps < 1 or abs(steps * dt - t) > 1e-9 * max(t, dt):
+        raise ValueError("t must be an integer multiple of dt")
+    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,11 @@ paths' noise in blocks of steps of about _BLOCK_BYTES (``noise_blocks``,
 any slice of a path's stream being drawn on its own), so a long run
 never holds it all; ``flow_endpoints`` and ``flow_with_jacobian``, which
 the tests compare it with, flow explicit increments.
+
+The systems this module flows, ``StratonovichSystem``, and
+``step_count`` are defined in ``manifold``, so that building an
+experiment loads no flow code; both, and ``ConfigurationError``, can
+be imported from here too.
 """
 
 from __future__ import annotations
@@ -49,19 +54,16 @@ import numpy as np
 
 from . import expr
 from .manifold import (
-    ChartedManifold,
-    VectorFieldSpec,
-    is_compatible_field,
+    ConfigurationError,
+    StratonovichSystem,
     product_divergence_expr,
 )
+from .manifold import step_count  # noqa: F401 (importable from sde too)
 
 __all__ = [
-    "ConfigurationError",
-    "StratonovichSystem",
     "FlowResult",
     "generate_noise",
     "noise_blocks",
-    "step_count",
     "flow_with_jacobian",
     "flow_endpoints",
     "flow_paths",
@@ -75,46 +77,6 @@ _BLOCK_BYTES = 1 << 18
 # heun's one-point step loop, trajectory CSV rows): a bound on the lists'
 # memory
 _FLOAT_ROWS = 256
-
-
-class ConfigurationError(ValueError):
-    pass
-
-
-class StratonovichSystem:
-    """Drift X_0 plus m diffusion fields X_1..X_m on a manifold."""
-
-    def __init__(self, manifold: ChartedManifold, drift: VectorFieldSpec,
-                 diffusions: tuple = ()):
-        self.manifold = manifold
-        self.drift = drift
-        self.diffusions = tuple(diffusions)
-        for name, f in [("drift", drift)] + [
-                (f"diffusion {i + 1}", f) for i, f in enumerate(self.diffusions)]:
-            if f.dim != manifold.dim:
-                raise ConfigurationError(f"{name} has dimension {f.dim}, "
-                                         f"manifold has {manifold.dim}")
-            try:
-                compatible = is_compatible_field(manifold, f)
-            except ValueError as e:
-                raise ConfigurationError(f"{name} {e}") from None
-            if not compatible:
-                raise ConfigurationError(
-                    f"{name} is not compatible with the identification")
-        self._compiled = {}
-
-    @property
-    def m(self) -> int:
-        return len(self.diffusions)
-
-    def fields(self) -> list:
-        return [self.drift, *self.diffusions]
-
-    def _cached(self, key, build):
-        """build(self), computed on first use and kept on the system."""
-        if key not in self._compiled:
-            self._compiled[key] = build(self)
-        return self._compiled[key]
 
 
 def _noise_scale(m: int, dt: float, steps: int) -> float:
@@ -183,18 +145,6 @@ def noise_blocks(seed: int, paths: range, m: int, dt: float, steps: int,
     return (_increments(seed, paths, m, scale, start, min(rows, steps - start),
                         factor).transpose(1, 2, 0)
             for start in range(0, steps, rows))
-
-
-def step_count(t: float, dt: float) -> int:
-    """The number of dt steps in t; t must be a positive multiple of dt."""
-    if not (math.isfinite(t) and math.isfinite(dt)):
-        raise ValueError(f"t and dt must be finite, got t={t}, dt={dt}")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    steps = int(round(t / dt))
-    if steps < 1 or abs(steps * dt - t) > 1e-9 * max(t, dt):
-        raise ValueError("t must be an integer multiple of dt")
-    return steps
 
 
 def _divergences(sys: StratonovichSystem) -> list:
@@ -332,11 +282,12 @@ def write_trajectory_csv(result: FlowResult, fileobj) -> None:
     dim = result.trajectory.shape[-1]
     fileobj.write(",".join(["t", *(f"x{i + 1}" for i in range(dim)), "logJ"])
                   + "\r\n")
-    # one template per row; Python floats format as numpy's do, and faster
+    # one % over the row template repeated for each row of a block;
+    # Python floats format as numpy's do, and faster
     row = "%.12g," + "%.17g," * dim + "%.17g\r\n"
     times = result.times
     for s in range(0, len(times), _FLOAT_ROWS):
         rows = slice(s, s + _FLOAT_ROWS)
         table = np.column_stack((times[rows], result.trajectory[rows],
                                  result.log_jacobian[rows]))
-        fileobj.write("".join([row % tuple(r) for r in table.tolist()]))
+        fileobj.write((row * len(table)) % tuple(table.ravel().tolist()))

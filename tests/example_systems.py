@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-from stochflow.manifold import VectorFieldSpec, heisenberg_frame, heisenberg_manifold, torus
-from stochflow.sde import StratonovichSystem
+from stochflow.manifold import (
+    StratonovichSystem,
+    VectorFieldSpec,
+    heisenberg_frame,
+    heisenberg_manifold,
+    torus,
+)
 
 __all__ = [
     "hamiltonian_torus_system",

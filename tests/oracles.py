@@ -24,11 +24,12 @@ from stochflow.currents import Current
 from stochflow.liealg import LieAlgebraData, Subalgebra
 from stochflow.manifold import (
     ChartedManifold,
+    StratonovichSystem,
     VectorFieldSpec,
     apply_field,
     identified_pairs,
 )
-from stochflow.sde import StratonovichSystem, flow_endpoints
+from stochflow.sde import flow_endpoints
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 

@@ -12,7 +12,8 @@ import pytest
 
 from example_systems import THETA_DENSITY, translation_bm_system
 from stochflow import expr, invariance
-from stochflow.cli import _sha256_hex, build_current, build_experiment, main, run
+from stochflow.checks import sha256_hex
+from stochflow.cli import build_current, build_experiment, main, run
 from stochflow.config import (
     CHECK_KEYS,
     CheckSpec,
@@ -257,6 +258,22 @@ def test_division_by_zero_is_one_error_line(tmp_path, capsys, command, old, new,
         f"error: {where}: float division by zero"]
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_a_deeply_nested_expression_is_one_error_line(tmp_path, capsys, command):
+    # 600 summed terms nest 599 operations, past expr.MAX_DEPTH: one error
+    # line at the key, not a RecursionError from a walk of the tree
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(MINIMAL_FLOW.replace(
+        "drift = 0, 0", "drift = " + "+".join(["0*x1"] * 600) + ", 0"))
+    out = tmp_path / "out"
+    flag = "--out" if command == "check" else "--trajectory"
+    assert main([command, str(cfg), flag, str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: fields.drift (line 6, column 9): expression error: "
+        f"operations nested more than {expr.MAX_DEPTH} deep"]
+    assert not out.exists()
 
 def test_constants_fold_at_parse_time_without_a_warning():
     with warnings.catch_warnings():
@@ -778,7 +795,7 @@ def test_report_times_each_check_outside_the_hash(tmp_path):
 @pytest.mark.parametrize("size", [0, 1, 55, 56, 64, 10**6])
 def test_report_digest_is_sha256(size):
     data = (bytes(range(256)) * (size // 256 + 1))[:size]
-    assert _sha256_hex(data) == hashlib.sha256(data).hexdigest()
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_report_digest_falls_back_to_hashlib_without_built_in_hashes(monkeypatch):
@@ -789,7 +806,7 @@ def test_report_digest_falls_back_to_hashlib_without_built_in_hashes(monkeypatch
     imported, import_module = [], importlib.import_module
     monkeypatch.setattr(importlib, "import_module",
                         lambda name: imported.append(name) or import_module(name))
-    assert _sha256_hex(b"abc") == hashlib.sha256(b"abc").hexdigest()
+    assert sha256_hex(b"abc") == hashlib.sha256(b"abc").hexdigest()
     assert imported == ["hashlib"]
 
 
@@ -1093,7 +1110,7 @@ def test_every_key_outside_the_table_is_rejected():
 
 
 # Each check kind on a small run: the value of every key it accepts, once
-# changed, shows in the payload, and _run_check reads no other key.
+# changed, shows in the payload, and checks.run_check reads no other key.
 HONOURED_FLOW = """\
 [manifold]
 type = torus
@@ -1420,13 +1437,13 @@ def test_simulate_writes_trajectory(tmp_path, capsys):
 def test_simulate_flows_its_path_through_flow_paths(tmp_path, monkeypatch):
     # simulate enters the flow as the checks do: the "trajectory" consumer
     # of flow_paths on the one path it writes
-    from stochflow import cli, sde
+    from stochflow import sde
 
     def not_called(*args):
         raise AssertionError("a flow outside flow_paths")
 
     calls, flow = [], sde.flow_paths
-    monkeypatch.setattr(cli, "flow_paths",
+    monkeypatch.setattr(sde, "flow_paths",
                         lambda *args: calls.append(args[1:]) or flow(*args))
     monkeypatch.setattr(sde, "generate_noise", not_called)
     monkeypatch.setattr(sde, "flow_with_jacobian", not_called)

@@ -24,6 +24,7 @@ from stochflow.currents import (
     volume_current,
 )
 from stochflow.manifold import (
+    StratonovichSystem,
     VectorFieldSpec,
     apply_field,
     grid_points,
@@ -34,7 +35,6 @@ from stochflow.manifold import (
 from stochflow.invariance import EmpiricalRun, calibrate_bias_constant, empirical_check
 from stochflow.liealg import heisenberg_realization, torus_translation_realization
 from stochflow.sde import (
-    StratonovichSystem,
     flow_endpoints,
     flow_with_jacobian,
     generate_noise,

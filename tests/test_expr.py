@@ -96,6 +96,40 @@ def test_parse_errors_carry_position(bad, column):
     assert e.value.pos + 1 == column
 
 
+
+def nested(depth: int) -> str:
+    """An expression whose deepest operation has depth operations above it:
+    a sum of depth + 2 terms, nested to the left."""
+    return "+".join(["x1"] * (depth + 2))
+
+
+def test_parse_reads_operations_nested_up_to_max_depth():
+    for text in (nested(expr.MAX_DEPTH - 1),
+                 "-" * expr.MAX_DEPTH + "x1",
+                 "sin(" * expr.MAX_DEPTH + "x1" + ")" * expr.MAX_DEPTH):
+        assert expr.parse(text) is not None
+    # at the operation nested in MAX_DEPTH others, or where the text
+    # starts when Python's own parser gives up
+    for text, column in ((nested(expr.MAX_DEPTH), 1),
+                         ("  " + nested(5000), 3),
+                         ("  " + "-" * 5000 + "x1", 3),
+                         ("1 + " + "-" * (expr.MAX_DEPTH + 1) + "x1",
+                          4 + expr.MAX_DEPTH)):
+        with pytest.raises(expr.ExprParseError,
+                           match=f"nested more than {expr.MAX_DEPTH} deep") as e:
+            expr.parse(text)
+        assert e.value.pos + 1 == column
+
+
+def test_lowering_walks_a_tree_of_any_depth():
+    # the lowering keeps its own stack, so a tree built deeper than
+    # Python's recursion limit, and deeper than parse reads, evaluates
+    node = expr.coordinate(0)
+    for k in range(5000):
+        node = expr.add(node, expr.constant(float(k % 3)))
+    assert expr.evaluate(node, np.array([[0.5], [1.0]])).tolist() == [
+        0.5 + 4999, 1.0 + 4999]
+
 def test_derivative_basics():
     node = expr.parse("sin(2*pi*x1)")
     d = expr.diff(node, 0)
@@ -173,6 +207,11 @@ def live_nodes():
 
 
 def test_intern_table_shrinks_back():
+    # diff memoizes 0 and 1 on the leaves it derives, and a leaf may live
+    # for the process (manifold's default density is the constant 1), so
+    # whether 0 and 1 outlive this test depends on the tests before it:
+    # held here, they are counted before and after alike
+    zero_and_one = expr.constant(0.0), expr.constant(1.0)
     gc.collect()
     before = live_nodes()
     nodes = [expr.parse(f"sin({k}*x1) * exp(x2 / {k + 1}) + {k}") for k in range(50)]

@@ -306,13 +306,26 @@ def readme_tour_names(readme: str) -> set:
     return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
 
 
+def _free_names(stmt) -> set:
+    """The bare names stmt reads that it does not bind itself: a
+    parameter or local of a function in it, such as the ``run`` of
+    ``empirical_check(run, ...)``, is not the module-level cli.run."""
+    loaded, bound = set(), set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            (loaded if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+    return loaded - bound
+
+
 def _reached(start, defining) -> set:
-    """The statements that start reaches through the bare names it loads:
-    those that define such a name, and what they reach in turn. Attribute
+    """The statements that start reaches through its free names: those
+    that define such a name, and what they reach in turn. Attribute
     names are left out, as ``.run`` of a method is not cli.run."""
     seen, todo = set(), [start]
     while todo:
-        names = {node.id for node in ast.walk(todo.pop()) if isinstance(node, ast.Name)}
+        names = _free_names(todo.pop())
         for stmt in (d for name in names for d in defining.get(name, ())):
             if stmt not in seen:
                 seen.add(stmt)
@@ -359,8 +372,15 @@ def test_unread_public_names_are_found():
                  "def _helper(n):\n    return cycle(n - 1) + called_in_a_cycle()\n"
                  "def called_in_a_cycle():\n    pass\n"),
         "b.py": "from .a import used\nprint(called_in_a_cycle())\n",
+        # run_one is read only by run, and reaches no run: the run of
+        # check is its parameter, and that of check_all a local
+        "c.py": ("__all__ = ['run', 'run_one', 'check', 'check_all']\n"
+                 "def run():\n    return run_one()\n"
+                 "def run_one():\n    return check(0) + check_all()\n"
+                 "def check(run):\n    return run\n"
+                 "def check_all():\n    run = 1\n    return check(run)\n"),
     }
-    assert unread_public_names(sources, {"bench_only"}) == [
+    assert unread_public_names(sources, {"bench_only", "run"}) == [
         "a.cycle", "a.dead", "a.recursive"]
     assert readme_tour_names("`x` ## Library tour\n```python\nf(y)\n```\n"
                              "and `sde.z`\n") == {"python", "f", "y", "sde", "z"}

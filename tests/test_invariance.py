@@ -39,6 +39,7 @@ from stochflow.liealg import (
 )
 from stochflow.manifold import (
     InvalidPointError,
+    StratonovichSystem,
     VectorFieldSpec,
     apply_field,
     grid_points,
@@ -48,7 +49,6 @@ from stochflow.manifold import (
     product_divergence_expr,
     torus,
 )
-from stochflow.sde import StratonovichSystem
 
 T1 = torus(1.0)
 T2 = torus(1.0, 1.0)

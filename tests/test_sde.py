@@ -19,7 +19,9 @@ from stochflow.invariance import jacobian_check
 from stochflow.manifold import (
     HEISENBERG,
     ChartedManifold,
+    ConfigurationError,
     InvalidPointError,
+    StratonovichSystem,
     VectorFieldSpec,
     heisenberg_frame,
     heisenberg_manifold,
@@ -27,8 +29,6 @@ from stochflow.manifold import (
     torus,
 )
 from stochflow.sde import (
-    ConfigurationError,
-    StratonovichSystem,
     flow_endpoints,
     flow_paths,
     flow_with_jacobian,

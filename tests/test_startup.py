@@ -6,6 +6,7 @@ that an eager import which loads a layer the command never runs shows
 up here.
 """
 
+import ast
 import importlib
 import os
 import re
@@ -75,9 +76,9 @@ def loaded(tmp_path_factory):
     return {name: run_main(argv, cwd) for name, argv in COMMANDS.items()}
 
 
-# what only `check` reads: the current, and the modules that write its
-# report, with CPython's built-in SHA-256 for its digest
-CHECK_ONLY = {"stochflow.currents", "json", "csv",
+# what only `check` reads: the check runner, the current, and the modules
+# that write its report, with CPython's built-in SHA-256 for its digest
+CHECK_ONLY = {"stochflow.checks", "stochflow.currents", "json", "csv",
               "_sha2" if sys.version_info >= (3, 12) else "_sha256"}
 # OpenSSL's hashes, which no command loads: the report's digest is the
 # built-in one, and the noise is drawn by numpy arithmetic (stochflow.noise)
@@ -91,6 +92,12 @@ NOISE = "stochflow.noise"
 
 # the Heun loop compiler, which only a flow that steps loads
 HEUN = "stochflow.heun"
+# what a command runs once set-up is over: the flow, its loop and noise,
+# the checks, and the command line parser that only main reads
+RUN_LAYERS = {"stochflow.sde", HEUN, NOISE, "stochflow.currents",
+              "stochflow.invariance", "stochflow.checks", "argparse", "gettext"}
+# the modules of set-up, which every command runs
+SET_UP_MODULES = ("cli", "config", "expr", "manifold", "presets", "liealg")
 
 
 @pytest.mark.parametrize("preset", ["hamiltonian_torus", "heisenberg_foliation"])
@@ -109,18 +116,50 @@ def test_no_command_loads_a_generator_or_openssl(loaded, command):
 
 def test_set_up_of_a_flow_preset_loads_nothing_only_check_reads():
     _, _, modules = run_script(_SET_UP, ["hamiltonian_torus"])
-    assert "stochflow.sde" in modules
+    assert {"stochflow.cli", "stochflow.manifold"} <= modules
+    # the system is built by manifold: set-up loads no flow code
+    assert not RUN_LAYERS & modules
     assert not CHECK_ONLY & modules
-    assert HEUN not in modules
 
 
 def test_set_up_of_a_liealg_preset_does_not_load_the_heun_loop():
     _, _, modules = run_script(_SET_UP, ["heisenberg_foliation"])
-    assert {"stochflow.sde", "stochflow.liealg"} <= modules
-    # its realization is built by liealg: no check layer loads before a check
-    assert "stochflow.invariance" not in modules
+    assert "stochflow.liealg" in modules
+    # its realization is built by liealg: no flow or check layer loads
+    # before a command runs
+    assert not RUN_LAYERS & modules
     assert not CHECK_ONLY & modules
-    assert HEUN not in modules
+
+
+def top_level_imports(source: str, package: str = "stochflow") -> set:
+    """The modules that the import statements at the top level of a
+    module of package name: ``import a.b`` names a.b, ``from .x import
+    y`` names package.x, and ``from . import y`` names package.y."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Import):
+            found.update(alias.name for alias in stmt.names)
+        elif isinstance(stmt, ast.ImportFrom):
+            base = stmt.module if not stmt.level else ".".join(
+                filter(None, (package, stmt.module)))
+            found.update([base] if stmt.module else
+                         (f"{base}.{alias.name}" for alias in stmt.names))
+    return found
+
+
+def test_top_level_imports_are_found():
+    source = ("import argparse, os.path\nfrom . import sde, expr\n"
+              "from .manifold import torus\nfrom json import dumps\n"
+              "def f():\n    import gettext\n")
+    assert top_level_imports(source) == {
+        "argparse", "os.path", "stochflow.sde", "stochflow.expr",
+        "stochflow.manifold", "json"}
+
+
+@pytest.mark.parametrize("module", SET_UP_MODULES)
+def test_no_set_up_module_imports_a_run_layer_at_its_top(module):
+    source = (ROOT / "src" / "stochflow" / f"{module}.py").read_text(encoding="utf-8")
+    assert not RUN_LAYERS & top_level_imports(source)
 
 
 def test_simulate_of_a_flow_preset_loads_neither_invariance_nor_liealg(loaded):

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 
 from . import expr
-from .manifold import ChartedManifold, is_compatible_field, step_count
+from .manifold import QUOTIENTS, ChartedManifold, is_compatible_field, step_count
 
 __all__ = [
     "CHECK_KEYS",
@@ -317,10 +317,8 @@ def _choice(what, *options):
 def _lengths(value, values):
     lengths = _numbers(rule=_POSITIVE)(value, values)
     kind = values["manifold.type"]
-    if lengths and kind == "heisenberg" and len(lengths) != 3:
-        return value.fail(f"a heisenberg manifold has 3 lengths, got {len(lengths)}")
     if lengths and kind:
-        try:  # the heisenberg lattice rule
+        try:  # the quotient's dimension and lattice rules
             ChartedManifold(len(lengths), lengths, kind)
         except ValueError as e:
             return value.fail(str(e), offset=None)
@@ -456,9 +454,9 @@ def _check_grid(values):
 # is a value, or a function of the values converted before it; in a
 # check, values["kind"] is its kind.
 _VALUES = {
-    "manifold.type": (_choice("manifold type", "torus", "heisenberg"), "torus"),
+    "manifold.type": (_choice("manifold type", *QUOTIENTS), next(iter(QUOTIENTS))),
     "manifold.lengths": (_lengths, lambda v: v["manifold.type"] and (1.0,) * (
-        3 if v["manifold.type"] == "heisenberg" else 1)),
+        QUOTIENTS[v["manifold.type"]][0] or 1)),
     "fields.drift": (_field, lambda v: v["manifold.dim"] and (
         expr.constant(0.0),) * v["manifold.dim"]),
     "fields.diffusionN": (_field, None),  # in index order as "fields.diffusions"

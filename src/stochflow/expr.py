@@ -259,10 +259,9 @@ def call(fn: str, a: Expr) -> Expr:
 # parsing
 
 _OPERATOR_NODES = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
-# the most operations parse nests one in another. Lowering keeps its own
-# stack, but diff and the zero test recurse once per level, on derivatives
-# up to about three times as deep as what was parsed: at this depth a
-# check stays within a third of Python's default recursion limit
+# the most operations parse nests one in another. Lowering, diff and the
+# zero test walk a tree with their own stack (_post_order), but parse's
+# converter recurses once per level, as Python's parser does
 MAX_DEPTH = 100
 _TOO_DEEP = f"operations nested more than {MAX_DEPTH} deep"
 
@@ -361,6 +360,25 @@ def _operation(node):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _post_order(node, done, finish):
+    """Calls finish(n) on node and on each node below it that is not
+    done(n), each after its operands. The tree is walked with a stack of
+    the nodes still to finish, not by recursion, so its depth meets no
+    recursion limit; a node shared by several parents is finished once."""
+    stack = [node]
+    while stack:
+        top = stack[-1]
+        if done(top):
+            stack.pop()
+            continue
+        pending = [a for a in _operation(top)[1] if not done(a)]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        finish(top)
+
+
 def _lowered_name(node, scope):
     """The name node was lowered to under scope, or None."""
     lowered = getattr(node, "_lowered", None)  # None for a non-node
@@ -412,27 +430,13 @@ class Lowering:
         scope = self._scopes.get(inputs)
         if scope is None:
             scope = self._scopes[inputs] = object()
-        return self._emit(node, inputs, scope)
 
-    def _emit(self, node, inputs, scope):
-        """The name of node's value, lowering first, in order, each operand
-        not yet lowered. The tree is walked with a stack of the nodes still
-        to lower, not by recursion, so its depth meets no recursion limit."""
-        stack = [node]
-        while stack:
-            top = stack[-1]
-            if _lowered_name(top, scope) is not None:
-                stack.pop()
-                continue
-            op, args = _operation(top)
-            pending = [a for a in args if _lowered_name(a, scope) is None]
-            if pending:
-                stack.extend(reversed(pending))
-                continue
-            stack.pop()
-            name = self._lower(top, op, [_lowered_name(a, scope) for a in args],
-                               inputs)
-            _set(top, "_lowered", (scope, name))
+        def lower(n):  # each operand not yet lowered first (_post_order)
+            op, args = _operation(n)
+            name = self._lower(n, op, [_lowered_name(a, scope) for a in args], inputs)
+            _set(n, "_lowered", (scope, name))
+
+        _post_order(node, lambda n: _lowered_name(n, scope) is not None, lower)
         return _lowered_name(node, scope)
 
     def _lower(self, node, op, operands, inputs):
@@ -565,28 +569,30 @@ def evaluate(node: Expr, pts) -> np.ndarray:
 
 def diff(node: Expr, axis: int) -> Expr:
     """d(node)/d x_{axis+1}; memoized on the node, so a subtree shared by
-    several parents is differentiated once."""
+    several parents is differentiated once, and walked by ``_post_order``,
+    each node after its operands."""
     if not isinstance(node, _Node):
         raise TypeError(f"not an expression node: {node!r}")
-    memo = node._diffs
-    if axis < len(memo) and memo[axis] is not None:
-        return memo[axis]
-    out = _derivative(node, axis)
-    memo += (None,) * (axis + 1 - len(memo))
-    _set(node, "_diffs", memo[:axis] + (out,) + memo[axis + 1:])
-    return out
+
+    def remember(n):
+        memo = n._diffs + (None,) * (axis + 1 - len(n._diffs))
+        _set(n, "_diffs", memo[:axis] + (_derivative(n, axis),) + memo[axis + 1:])
+
+    _post_order(node, lambda n: axis < len(n._diffs) and n._diffs[axis] is not None,
+                remember)
+    return node._diffs[axis]
 
 
 def _derivative(node, axis):
+    """d(node)/d x_{axis+1}, its operands' derivatives being in their memos."""
     if isinstance(node, Num):
         return Num(0.0)
     if isinstance(node, Coord):
         return Num(1.0 if node.axis == axis else 0.0)
     if isinstance(node, Neg):
-        return neg(diff(node.arg, axis))
+        return neg(node.arg._diffs[axis])
     if isinstance(node, BinOp):
-        da = diff(node.left, axis)
-        db = diff(node.right, axis)
+        da, db = node.left._diffs[axis], node.right._diffs[axis]
         if node.op == "+":
             return add(da, db)
         if node.op == "-":
@@ -595,16 +601,14 @@ def _derivative(node, axis):
             return add(mul(da, node.right), mul(node.left, db))
         num = sub(mul(da, node.right), mul(node.left, db))
         return div(num, mul(node.right, node.right))
-    if isinstance(node, Call):
-        du = diff(node.arg, axis)
-        if node.fn == "sin":
-            outer = call("cos", node.arg)
-        elif node.fn == "cos":
-            outer = neg(call("sin", node.arg))
-        else:
-            outer = node
-        return mul(outer, du)
-    raise TypeError(f"not an expression node: {node!r}")
+    du = node.arg._diffs[axis]  # a Call: _operation admits no other node
+    if node.fn == "sin":
+        outer = call("cos", node.arg)
+    elif node.fn == "cos":
+        outer = neg(call("sin", node.arg))
+    else:
+        outer = node
+    return mul(outer, du)
 
 
 def max_coordinate(node: Expr) -> int:
@@ -686,43 +690,36 @@ def is_identically_zero(node: Expr) -> bool:
     def atom(key):
         return {frozenset({(key, 1)}): Fraction(1)}
 
-    def expand(n):
-        if id(n) in seen:
-            return seen[id(n)]
+    def expand(n):  # n's polynomial, those of its operands being in seen
         if isinstance(n, Num):
             if not math.isfinite(n.value):
                 raise _Undecided
-            out = {frozenset(): Fraction(n.value)} if n.value else {}
-        elif isinstance(n, Coord):
-            out = atom(("x", n.axis))
-        elif isinstance(n, Neg):
-            out = {mono: -c for mono, c in expand(n.arg).items()}
-        elif isinstance(n, Call):
-            out = atom((n.fn, frozenset(expand(n.arg).items())))
-        elif isinstance(n, BinOp):
-            a, b = expand(n.left), expand(n.right)
-            if n.op == "+":
-                out = add(a, b)
-            elif n.op == "-":
-                out = add(a, {mono: -c for mono, c in b.items()})
-            elif n.op == "*":
-                out = mul(a, b)
-            elif not b:
-                raise _Undecided  # division by zero
-            elif set(b) == {frozenset()}:
-                out = mul(a, {frozenset(): 1 / b[frozenset()]})
-            else:
-                out = mul(a, atom(("/", frozenset(b.items()))))
-        else:
-            raise TypeError(f"not an expression node: {n!r}")
-        seen[id(n)] = out
-        return out
+            return {frozenset(): Fraction(n.value)} if n.value else {}
+        if isinstance(n, Coord):
+            return atom(("x", n.axis))
+        if isinstance(n, Neg):
+            return {mono: -c for mono, c in seen[n.arg].items()}
+        if isinstance(n, Call):
+            return atom((n.fn, frozenset(seen[n.arg].items())))
+        a, b = seen[n.left], seen[n.right]  # a BinOp
+        if n.op == "+":
+            return add(a, b)
+        if n.op == "-":
+            return add(a, {mono: -c for mono, c in b.items()})
+        if n.op == "*":
+            return mul(a, b)
+        if not b:
+            raise _Undecided  # division by zero
+        if set(b) == {frozenset()}:
+            return mul(a, {frozenset(): 1 / b[frozenset()]})
+        return mul(a, atom(("/", frozenset(b.items()))))
 
     seen = {}
     known = _ZERO_TESTS.get(node)
     if known is None:
         try:
-            known = not expand(node)
+            _post_order(node, seen.__contains__, lambda n: seen.__setitem__(n, expand(n)))
+            known = not seen[node]
         except _Undecided:
             known = False
         _ZERO_TESTS[node] = known

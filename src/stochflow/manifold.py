@@ -2,9 +2,11 @@
 fields, differential operators, quadrature grids and trigonometric test
 bases.
 
-Built-ins are flat tori of arbitrary periods and the Heisenberg
-nilmanifold presented as a periodic box with the twisted identification
-(x,y,z) ~ (x+a, y+b, z+c+a*y), carrying the left-invariant frame
+A manifold is a periodic box glued by a lattice, which QUOTIENTS
+describes by its shears: a shear (i, j, k) moves x_k by n*L_i*x_j when
+x_i moves by n*L_i, so L_i*L_j/L_k must be an integer. A flat torus of
+any periods has none. The Heisenberg nilmanifold has (0, 1, 2), that is
+(x,y,z) ~ (x+a, y+b, z+c+a*y), and carries the left-invariant frame
 X = d/dx, Y = d/dy + x d/dz, Z = d/dz.
 
 A ``StratonovichSystem`` (its fields checked against the
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -32,6 +34,7 @@ from .expr import Expr
 __all__ = [
     "InvalidPointError",
     "DegenerateDensityError",
+    "QUOTIENTS",
     "ChartedManifold",
     "VectorFieldSpec",
     "TestBasis",
@@ -50,8 +53,12 @@ __all__ = [
     "step_count",
 ]
 
-TORUS = "torus"
-HEISENBERG = "heisenberg"
+# name -> (the dimension it needs, None for any; its shears (i, j, k), each
+# j and k after its i, messages naming them x, y, z); the first is the default
+QUOTIENTS = {
+    "torus": (None, ()),
+    "heisenberg": (3, ((0, 1, 2),)),
+}
 
 
 class InvalidPointError(ValueError):
@@ -66,11 +73,11 @@ class ChartedManifold:
     """A compact manifold presented as a periodic box with identifications.
 
     Immutable, and equal to every manifold of the same dimension, box
-    and identification: the caches of grids, sample pairs and test
-    bases are keyed on it.
+    and identification, a key of QUOTIENTS: the caches of grids, sample
+    pairs and test bases are keyed on it.
     """
 
-    def __init__(self, dim: int, box_lengths: tuple, identification: str = TORUS):
+    def __init__(self, dim: int, box_lengths: tuple, identification: str = "torus"):
         if dim < 1:
             raise ValueError("dimension must be positive")
         box_lengths = tuple(float(v) for v in box_lengths)
@@ -78,14 +85,16 @@ class ChartedManifold:
             raise ValueError("need one period length per coordinate")
         if any(not (v > 0 and math.isfinite(v)) for v in box_lengths):
             raise ValueError("period lengths must be positive and finite")
-        if identification not in (TORUS, HEISENBERG):
+        if identification not in QUOTIENTS:
             raise ValueError(f"unknown identification {identification!r}")
-        if identification == HEISENBERG:
-            if dim != 3:
-                raise ValueError("heisenberg identification needs dim 3")
-            lx, ly, lz = box_lengths
-            if abs((lx * ly / lz) - round(lx * ly / lz)) > 1e-9:
-                raise ValueError("heisenberg lattice needs Lx*Ly integer multiple of Lz")
+        need, shears = QUOTIENTS[identification]
+        if need not in (None, dim):
+            raise ValueError(f"a {identification} manifold has {need} lengths, got {dim}")
+        for i, j, k in shears:  # a lattice only when x_k's move is a multiple of L_k
+            ratio = box_lengths[i] * box_lengths[j] / box_lengths[k]
+            if abs(ratio - round(ratio)) > 1e-9:
+                raise ValueError(f"{identification} lattice needs L{'xyz'[i]}*L{'xyz'[j]} "
+                                 f"integer multiple of L{'xyz'[k]}")
         vars(self).update(dim=dim, box_lengths=box_lengths,
                           identification=identification)
 
@@ -107,32 +116,30 @@ class ChartedManifold:
     def lengths(self) -> np.ndarray:
         return np.asarray(self.box_lengths)
 
+    @property
+    def shears(self) -> tuple:
+        """The (i, j, k) shears of the quotient (QUOTIENTS)."""
+        return QUOTIENTS[self.identification][1]
+
     def wrap(self, p) -> np.ndarray:
-        """Canonical representative in the fundamental domain [0, L_i)."""
-        p = np.asarray(p, dtype=float)
-        if p.shape[-1:] != (self.dim,):
+        """Canonical representative in the fundamental domain [0, L_i): the
+        axes are reduced in order, x_i by its count n of box lengths, each
+        of its shears (i, j, k) moving x_k by -n*L_i*x_j, x_j not yet reduced."""
+        out = np.array(p, dtype=float)
+        if out.shape[-1:] != (self.dim,):
             raise InvalidPointError(
-                f"point has {p.shape[-1] if p.ndim else 0} coordinates, need {self.dim}")
-        if not np.all(np.isfinite(p)):
+                f"point has {out.shape[-1] if out.ndim else 0} coordinates, need {self.dim}")
+        if not np.all(np.isfinite(out)):
             raise InvalidPointError("non-finite coordinate")
-        lengths = self.lengths
-        if self.identification == TORUS:
-            q = np.mod(p, lengths)
-            return np.where(q >= lengths, q - lengths, q)
-        lx, ly, lz = self.box_lengths
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        a = np.floor(x / lx)
-        xw = x - a * lx
-        bump = xw >= lx  # float rounding can land exactly on the boundary
-        a = a + bump
-        xw = np.where(bump, xw - lx, xw)
-        # lattice element (-a*lx, ., .) also shifts z by -a*lx*y
-        z1 = z - a * lx * y
-        yw = np.mod(y, ly)
-        yw = np.where(yw >= ly, yw - ly, yw)
-        zw = np.mod(z1, lz)
-        zw = np.where(zw >= lz, zw - lz, zw)
-        return np.stack([xw, yw, zw], axis=-1)
+        for i, li in enumerate(self.box_lengths):
+            x = out[..., i]
+            n = np.divmod(x, li, out=(None, x))[0]
+            bump = x >= li  # float rounding can land exactly on the boundary
+            np.subtract(x, li, out=x, where=bump)
+            for a, j, k in self.shears:
+                if a == i:
+                    out[..., k] -= (n + bump) * li * out[..., j]
+        return out
 
 
 def torus(*lengths: float) -> ChartedManifold:
@@ -143,7 +150,7 @@ def torus(*lengths: float) -> ChartedManifold:
 
 def heisenberg_manifold() -> ChartedManifold:
     return ChartedManifold(dim=3, box_lengths=(1.0, 1.0, 1.0),
-                           identification=HEISENBERG)
+                           identification="heisenberg")
 
 
 class VectorFieldSpec:
@@ -247,10 +254,9 @@ def identified_pairs(m: ChartedManifold):
     delta = shifts * lengths
     q = p + delta
     dgamma = np.tile(np.eye(dim), (n, 1, 1))
-    if m.identification == HEISENBERG:
-        # (x, y, z) -> (x + a, y + b, z + c + a*y)
-        q[:, 2] += delta[:, 0] * p[:, 1]
-        dgamma[:, 2, 1] = delta[:, 0]
+    for i, j, k in m.shears:  # x_k also moves by delta_i * x_j
+        q[:, k] += delta[:, i] * p[:, j]
+        dgamma[:, k, j] = delta[:, i]
     for a in (p, q, dgamma):
         a.setflags(write=False)
     return p, q, dgamma
@@ -259,9 +265,9 @@ def identified_pairs(m: ChartedManifold):
 def is_compatible_field(m: ChartedManifold, X: Union[VectorFieldSpec, Expr]) -> bool:
     """True when X, a field or a scalar function such as a density,
     descends to the quotient: at the identified_pairs p, q = gamma(p),
-    a field has dgamma X(p) = X(q) and a function X(p) = X(q). Both
-    manifolds' lattice maps preserve volume, so a density needs no
-    Jacobian factor.
+    a field has dgamma X(p) = X(q) and a function X(p) = X(q). A lattice
+    map is a shift times shears, each of determinant 1, so it preserves
+    volume and a density needs no Jacobian factor.
 
     Values count as equal when they differ by at most sqrt(eps) times the
     largest magnitude compared, half the digits of a float: evaluating at
@@ -405,31 +411,25 @@ class TestBasis:
 
 @lru_cache(maxsize=64)
 def make_test_basis(m: ChartedManifold, cutoff: int) -> TestBasis:
-    """Products of 1, cos(2 pi k x_i / L_i), sin(2 pi k x_i / L_i), k <= cutoff;
-    built once per (m, cutoff).
+    """Products of 1, cos(2 pi k x_i / L_i), sin(2 pi k x_i / L_i), k <= cutoff,
+    over the axes x_i that are no shear's target x_k; built once per
+    (m, cutoff).
 
-    On the Heisenberg manifold the basis is pulled back from the base
-    torus (functions of x, y only), hence constant along the fiber.
+    On a torus that is every axis. On the Heisenberg manifold it is x and
+    y: the basis is pulled back from the base torus, constant along the
+    fiber, so it cannot tell apart densities that differ only along z.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    if m.identification == HEISENBERG:
-        active_axes = [0, 1]
-    else:
-        active_axes = list(range(m.dim))
+    twisted = {k for _, _, k in m.shears}
     per_axis = []
-    for i in active_axes:
-        li = m.box_lengths[i]
+    for i in sorted(set(range(m.dim)) - twisted):
         factors = [expr.constant(1.0)]
         for k in range(1, cutoff + 1):
-            arg = expr.mul(expr.constant(2.0 * math.pi * k / li), expr.coordinate(i))
-            factors.append(expr.call("cos", arg))
-            factors.append(expr.call("sin", arg))
+            arg = expr.mul(expr.constant(2.0 * math.pi * k / m.box_lengths[i]),
+                           expr.coordinate(i))
+            factors += [expr.call("cos", arg), expr.call("sin", arg)]
         per_axis.append(factors)
-    functions = []
-    for combo in itertools.product(*per_axis):
-        node = expr.constant(1.0)
-        for f in combo:
-            node = expr.mul(node, f)
-        functions.append(node)
+    functions = [reduce(expr.mul, combo, expr.constant(1.0))
+                 for combo in itertools.product(*per_axis)]
     return TestBasis(manifold=m, cutoff=cutoff, functions=tuple(functions))

@@ -182,8 +182,8 @@ def _flow(sys: StratonovichSystem, consumer: str, x0, dt: float, steps: int,
     """What flow_paths' consumer returns for x0 (..., dim) over the
     (b, m, *lead) noise blocks, steps rows in all. On constant fields
     X_0..X_m the endpoints are x0 + dt*steps*X_0 + sum_i B^i X_i, each
-    path's B summed in step order across the blocks, and are wrapped a
-    row of points (the last leading axis) at a time."""
+    path's B summed in step order across the blocks, and are wrapped in
+    one call."""
     velocities = sys._cached("velocities", _constant_velocities)
     if consumer == "endpoints" and velocities is not None:
         x0 = sys.manifold.wrap(x0)
@@ -191,11 +191,9 @@ def _flow(sys: StratonovichSystem, consumer: str, x0, dt: float, steps: int,
         for block in blocks:
             sums = np.concatenate((total[None], block))
             total = np.cumsum(sums, axis=0, out=sums)[-1]
-        x = (x0 + (dt * steps) * velocities[0]
-             + np.ascontiguousarray(np.moveaxis(total, 0, -1)) @ velocities[1:])
-        for row in x.reshape((math.prod(x.shape[:-2]),) + x.shape[-2:]):
-            row[...] = sys.manifold.wrap(row)
-        return x
+        return sys.manifold.wrap(
+            x0 + (dt * steps) * velocities[0]
+            + np.ascontiguousarray(np.moveaxis(total, 0, -1)) @ velocities[1:])
     from .heun import run_heun
 
     x, *out = run_heun(sys, consumer, x0, dt, steps, lead, blocks)
@@ -268,10 +266,11 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
 
 def _endpoint_arrays(sys: StratonovichSystem) -> int:
     """The most arrays of one value per start point and path that
-    flow_paths(sys, "endpoints", ...) holds at once: the endpoints
-    themselves for constant fields, else those of the Heun loop."""
+    flow_paths(sys, "endpoints", ...) holds at once: for constant fields
+    the endpoints, wrap's copy of them and its three temporaries, else
+    those of the Heun loop."""
     if sys._cached("velocities", _constant_velocities) is not None:
-        return sys.manifold.dim
+        return 2 * sys.manifold.dim + 3
     from .heun import loop_arrays
 
     return loop_arrays(sys, "endpoints")

@@ -1,10 +1,13 @@
 """Reference implementations that the tests compare the package against.
 
 Each computes a value the package computes by another route: a tree
-walker beside ``expr.Lowering``, one pullback or derivative current at a
+walker beside ``expr.Lowering``, a recursive derivative beside the
+stack walk of ``expr.diff``, one pullback or derivative current at a
 time beside the batched passes of ``currents``, a finite-difference
 Jacobian beside the co-evolved log J, invariance of a function on
-sampled identified pairs, and the adjoint matrices and Koszul leaf
+sampled identified pairs, the torus and Heisenberg quotients written
+out by name beside ``manifold``'s table of shears (wrapping, lattice
+pairs, test bases and the lattice rule), and the adjoint matrices and Koszul leaf
 connection behind the trace criterion and the foliated drift of
 ``liealg``, and the Philox4x32-10 stream and its Box-Muller normals on
 Python ints and ``math`` beside the array arithmetic of ``noise``.
@@ -14,6 +17,8 @@ reads.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import Optional
 
@@ -80,6 +85,40 @@ def walk(node, pts) -> np.ndarray:
     if np.ndim(out) == 0:
         return np.full(pts.shape[:-1], float(out))
     return np.asarray(out, dtype=float)
+
+
+def recursive_diff(node, axis, memo=None):
+    """d(node)/d x_{axis+1} by recursion, one frame per tree level, with
+    the smart constructors of ``expr``: nodes are interned, so it returns
+    the very node that ``expr.diff`` does."""
+    memo = {} if memo is None else memo
+    if node in memo:
+        return memo[node]
+    d = functools.partial(recursive_diff, axis=axis, memo=memo)
+    if isinstance(node, expr.Num):
+        out = expr.constant(0.0)
+    elif isinstance(node, expr.Coord):
+        out = expr.constant(1.0 if node.axis == axis else 0.0)
+    elif isinstance(node, expr.Neg):
+        out = expr.neg(d(node.arg))
+    elif isinstance(node, expr.BinOp):
+        da, db = d(node.left), d(node.right)
+        if node.op == "+":
+            out = expr.add(da, db)
+        elif node.op == "-":
+            out = expr.sub(da, db)
+        elif node.op == "*":
+            out = expr.add(expr.mul(da, node.right), expr.mul(node.left, db))
+        else:
+            out = expr.div(expr.sub(expr.mul(da, node.right), expr.mul(node.left, db)),
+                           expr.mul(node.right, node.right))
+    else:
+        outer = {"sin": lambda u: expr.call("cos", u),
+                 "cos": lambda u: expr.neg(expr.call("sin", u)),
+                 "exp": lambda u: node}[node.fn](node.arg)
+        out = expr.mul(outer, d(node.arg))
+    memo[node] = out
+    return out
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -166,6 +205,100 @@ def is_invariant_function(m: ChartedManifold, f, tol: float = 1e-10,
     p, q, _ = (a[:samples] for a in identified_pairs(m))
     with np.errstate(invalid="ignore"):
         return bool(np.max(np.abs(walk(f, p) - walk(f, q))) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# the two quotients written out by name: (x, y, z) ~ (x + a, y + b,
+# z + c + a*y) on the Heisenberg box, whole box lengths on a torus
+
+def lattice_issue(kind: str, lengths: tuple) -> Optional[str]:
+    """Why ChartedManifold rejects a quotient of this kind and these box
+    lengths, or None when it accepts it."""
+    if kind == "heisenberg":
+        if len(lengths) != 3:
+            return f"a heisenberg manifold has 3 lengths, got {len(lengths)}"
+        lx, ly, lz = lengths
+        if abs((lx * ly / lz) - round(lx * ly / lz)) > 1e-9:
+            return "heisenberg lattice needs Lx*Ly integer multiple of Lz"
+    return None
+
+
+def named_wrap(m: ChartedManifold, p) -> np.ndarray:
+    """The canonical representative of p in [0, L_i): x_i - floor(x_i/L_i)
+    * L_i for the Heisenberg x, whose count of box lengths moves z by
+    -count * lx * y before y and z are reduced, and np.mod elsewhere."""
+    p = np.asarray(p, dtype=float)
+    lengths = m.lengths
+    if m.identification == "torus":
+        q = np.mod(p, lengths)
+        return np.where(q >= lengths, q - lengths, q)
+    lx, ly, lz = m.box_lengths
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    a = np.floor(x / lx)
+    xw = x - a * lx
+    bump = xw >= lx
+    a = a + bump
+    xw = np.where(bump, xw - lx, xw)
+    z1 = z - a * lx * y
+    yw = np.mod(y, ly)
+    yw = np.where(yw >= ly, yw - ly, yw)
+    zw = np.mod(z1, lz)
+    zw = np.where(zw >= lz, zw - lz, zw)
+    return np.stack([xw, yw, zw], axis=-1)
+
+
+def named_pairs(m: ChartedManifold):
+    """identified_pairs(m) by its recipe: the same R_(2 dim) sample of p
+    and shifts, q = p + shift, and on the Heisenberg box z also moved by
+    the x shift times y."""
+    dim, n = m.dim, 32
+    phi = 2.0  # the R_(2 dim) sequence: frac(0.5 + k * alpha), k = 1..n
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (2 * dim + 1))
+    alpha = phi ** -np.arange(1.0, 2 * dim + 1.0)
+    u = np.mod(0.5 + np.arange(1.0, n + 1.0)[:, None] * alpha, 1.0)
+    p = u[:, :dim] * m.lengths
+    shifts = np.floor(5.0 * u[:, dim:]) - 2.0
+    shifts[np.all(shifts == 0, axis=1), 0] = 1.0
+    delta = shifts * m.lengths
+    q = p + delta
+    dgamma = np.tile(np.eye(dim), (n, 1, 1))
+    if m.identification == "heisenberg":
+        q[:, 2] += delta[:, 0] * p[:, 1]
+        dgamma[:, 2, 1] = delta[:, 0]
+    return p, q, dgamma
+
+
+def named_basis(m: ChartedManifold, cutoff: int) -> tuple:
+    """The functions of make_test_basis(m, cutoff): products of 1 and the
+    cos and sin of 2 pi k x_i / L_i, k <= cutoff, over x and y alone on
+    the Heisenberg box and over every axis of a torus."""
+    axes = [0, 1] if m.identification == "heisenberg" else range(m.dim)
+    per_axis = []
+    for i in axes:
+        factors = [expr.constant(1.0)]
+        for k in range(1, cutoff + 1):
+            arg = expr.mul(expr.constant(2.0 * math.pi * k / m.box_lengths[i]),
+                           expr.coordinate(i))
+            factors += [expr.call("cos", arg), expr.call("sin", arg)]
+        per_axis.append(factors)
+    return tuple(functools.reduce(expr.mul, combo, expr.constant(1.0))
+                 for combo in itertools.product(*per_axis))
+
+
+def quotient_gap(m: ChartedManifold, a, b):
+    """|b - a| per coordinate once b is moved by the lattice element
+    nearest to a: whole box lengths along each axis in turn, the move
+    along x_i also moving x_k by L_i * x_j of b for each shear (i, j, k)
+    of the quotient. Points on either side of a seam are close in it."""
+    d = np.asarray(b, dtype=float) - a
+    for i, li in enumerate(m.box_lengths):
+        n = np.round(d[..., i] / li)
+        d[..., i] -= n * li
+        for s, j, k in m.shears:
+            if s == i:
+                d[..., k] -= n * li * b[..., j]
+    return np.abs(d)
 
 
 # ---------------------------------------------------------------------------

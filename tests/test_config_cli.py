@@ -606,6 +606,62 @@ def test_values_are_rejected_at_parse_with_a_location(text, overrides, path, lin
         (path, line, message)]
 
 
+# (type or None, lengths or None, density, want): want is the manifold's
+# lengths, or the (path, message) of each issue, as they were when the
+# quotients were written out by name
+QUOTIENT_CONFIGS = {
+    "default_torus": (None, None, "1", (1.0,)),
+    "torus_of_0.7_and_a_third": (
+        "torus", "0.7, 0.3333333333333333", "2 + cos(2*pi*x1/0.7)*sin(6*pi*x2)",
+        (0.7, 1 / 3)),
+    "torus4": ("torus", "1, 2, 0.5, 3", "2 + sin(2*pi*x4/3)", (1.0, 2.0, 0.5, 3.0)),
+    "circle_density_with_a_seam": ("torus", "1", "1 + x1", [(
+        "current.density", "the density does not descend to the quotient: it "
+        "differs at points that the identification glues")]),
+    "default_heisenberg": ("heisenberg", None, "1", (1.0, 1.0, 1.0)),
+    "heisenberg_theta_density": ("heisenberg", "1, 1, 1", THETA_DENSITY, (1.0, 1.0, 1.0)),
+    "heisenberg_one_fiber_mode": ("heisenberg", "1, 1, 1", "2 + cos(2*pi*(x3 + x2))", [(
+        "current.density", "the density does not descend to the quotient: it "
+        "differs at points that the identification glues")]),
+    "heisenberg_box": ("heisenberg", "2, 0.5, 1", "2 + cos(pi*x1)*sin(4*pi*x2)",
+                       (2.0, 0.5, 1.0)),
+    "heisenberg_box_fiber_mode": ("heisenberg", "2, 0.5, 1", "2 + sin(2*pi*x3)", [(
+        "current.density", "the density does not descend to the quotient: it "
+        "differs at points that the identification glues")]),
+    "heisenberg_non_dyadic": ("heisenberg", "0.7, 1.4285714285714286, 1", "1",
+                              (0.7, 10 / 7, 1.0)),
+    "heisenberg_two_lengths": ("heisenberg", "1, 1", "1", [
+        ("manifold.lengths", "a heisenberg manifold has 3 lengths, got 2")]),
+    "heisenberg_four_lengths": ("heisenberg", "1, 1, 1, 1", "1", [
+        ("manifold.lengths", "a heisenberg manifold has 3 lengths, got 4")]),
+    "heisenberg_lattice_rule": ("heisenberg", "1, 1, 0.7", "1", [
+        ("manifold.lengths", "heisenberg lattice needs Lx*Ly integer multiple of Lz")]),
+    "quotient_outside_the_table": ("sol", "1, 1, 1", "1", [
+        ("manifold.type", "unknown manifold type 'sol' (known: torus, heisenberg)")]),
+}
+
+
+@pytest.mark.parametrize("kind,lengths,density,want", QUOTIENT_CONFIGS.values(),
+                         ids=list(QUOTIENT_CONFIGS))
+def test_each_quotient_config_descends_or_is_rejected_as_before(kind, lengths,
+                                                                density, want):
+    dim = len(want) if isinstance(want, tuple) else len((lengths or "1").split(","))
+    text = ("[manifold]\n" + (f"type = {kind}\n" if kind else "")
+            + (f"lengths = {lengths}\n" if lengths else "")
+            + "\n[fields]\ndiffusion1 = " + ", ".join(["1"] + ["0"] * (dim - 1))
+            + f"\n\n[current]\ndensity = {density}\ngrid = 8\n\n[check strict_nform]\n")
+    if isinstance(want, list):
+        with pytest.raises(ConfigError) as e:
+            parse_config(text)
+        assert [(i.path, i.message) for i in e.value.issues] == want
+        return
+    cfg = parse_config(text)
+    assert cfg.value("manifold.lengths") == want
+    exp = build_experiment(cfg)
+    assert exp.system.manifold.identification == (kind or "torus")
+    assert build_current(exp).density == expr.parse(density)
+
+
 def test_a_fiber_density_that_descends_is_accepted():
     # the theta density descends to rounding (4.4e-16) on the Heisenberg
     # nilmanifold, though it depends on the fiber coordinate

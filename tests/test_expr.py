@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from example_systems import hamiltonian_torus_system
-from oracles import to_str, walk
+from oracles import recursive_diff, to_str, walk
 from stochflow import expr, heun
 from stochflow.manifold import apply_field, make_test_basis
 
@@ -129,6 +129,22 @@ def test_lowering_walks_a_tree_of_any_depth():
         node = expr.add(node, expr.constant(float(k % 3)))
     assert expr.evaluate(node, np.array([[0.5], [1.0]])).tolist() == [
         0.5 + 4999, 1.0 + 4999]
+
+def test_diff_and_the_zero_test_walk_a_tree_of_any_depth():
+    # 1000 products of sin(x1), built with the smart constructors, nest
+    # deeper than Python's recursion limit lets a recursive walk go
+    s = expr.call("sin", expr.coordinate(0))
+    left = right = s
+    for _ in range(1000):
+        left, right = expr.mul(left, s), expr.mul(s, right)
+    x = 1.5  # d/dx sin(x)^1001 = 1001 sin(x)^1000 cos(x)
+    want = 1001 * math.sin(x) ** 1000 * math.cos(x)
+    assert float(expr.evaluate(expr.diff(left, 0), np.array([x]))) == pytest.approx(
+        want, rel=1e-10)
+    assert expr.diff(left, 0) is expr.diff(left, 0)
+    assert not expr.is_identically_zero(left)
+    assert expr.is_identically_zero(expr.sub(left, right))
+
 
 def test_derivative_basics():
     node = expr.parse("sin(2*pi*x1)")
@@ -506,6 +522,13 @@ def test_zero_test_is_sound_and_sees_commuted_and_distributed_forms(e):
         assert np.max(np.abs(expr.evaluate(d, POINTS))) <= 1e-12
     if expr.is_identically_zero(e):
         assert np.max(np.abs(expr.evaluate(e, POINTS))) <= 1e-12
+
+
+@given(EXPRESSIONS, st.integers(0, 1))
+def test_diff_returns_the_node_of_the_recursive_derivative(e, axis):
+    # the stack walk builds each derivative with the same constructors,
+    # so interning hands back the very node the recursion builds
+    assert expr.diff(e, axis) is recursive_diff(e, axis)
 
 
 def test_zero_test_answers_not_zero_when_it_cannot_tell():

@@ -82,6 +82,104 @@ def test_no_module_in_src_imports_re():
     assert not found, "re imported at:\n" + "\n".join(found)
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope) -> list:
+    """The nodes of a module or function that no function in it encloses."""
+    nodes, todo = [], list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return nodes
+
+
+def quotient_name_tests(source: str) -> list:
+    """The lines of source that compare a quotient's name with a string.
+
+    A quotient's name is an ``identification``, a read of the config
+    value "manifold.type", or a name that its function (or the module)
+    assigns one of these. A string is a constant, a name the module
+    assigns one, or a tuple, list or set holding one."""
+    tree = ast.parse(source)
+    strings = {t.id for stmt in tree.body if isinstance(stmt, ast.Assign)
+               and isinstance(stmt.value, ast.Constant) and isinstance(stmt.value.value, str)
+               for t in stmt.targets if isinstance(t, ast.Name)}
+
+    def is_string(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_string(n) for n in node.elts)
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                or isinstance(node, ast.Name) and node.id in strings)
+
+    found = set()
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, _SCOPES))]:
+        nodes, names = _own_nodes(scope), set()
+
+        def is_quotient(node):
+            if isinstance(node, ast.Attribute):
+                return node.attr == "identification"
+            if isinstance(node, ast.Name):
+                return node.id in names or node.id == "identification"
+            return isinstance(node, (ast.Call, ast.Subscript)) and any(
+                isinstance(n, ast.Constant) and n.value == "manifold.type"
+                for n in ast.walk(node))
+
+        for node in (n for n in nodes if isinstance(n, ast.Assign)):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                names.update(t.id for t, v in pairs
+                             if isinstance(t, ast.Name) and is_quotient(v))
+        for node in (n for n in nodes if isinstance(n, ast.Compare)):
+            operands = [node.left, *node.comparators]
+            if any(is_quotient(a) and any(is_string(b) for b in operands if b is not a)
+                   for a in operands):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_quotient_name_tests_are_found():
+    source = ("TORUS = 'torus'\n"
+              "def f(m, values, identification):\n"
+              "    kind = values['manifold.type']\n"
+              "    lengths, other = values.get('manifold.lengths'), value('manifold.type')\n"
+              "    if m.identification == TORUS: pass\n"  # 5
+              "    if kind == 'heisenberg' and len(lengths) != 3: pass\n"
+              "    if 'heisenberg' != other: pass\n"
+              "    if identification not in (TORUS, 'heisenberg'): pass\n"
+              "    if value('manifold.type') in ['sol']: pass\n"
+              "    if m.identification in QUOTIENTS or lengths == 'x': pass\n"  # 10
+              "    if m.identification == other.identification: pass\n"
+              "def g(kind):\n"  # a kind of another function's scope
+              "    return kind == 'foliation'\n")
+    assert quotient_name_tests(source) == [5, 6, 7, 8, 9]
+
+
+def test_no_module_in_src_compares_a_quotient_name():
+    # a quotient is a row of manifold.QUOTIENTS, read through its shears
+    # and needed dimension: a branch on its name is a second description
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in quotient_name_tests(path.read_text(encoding="utf-8"))]
+    assert not found, "quotient name compared with a string at:\n" + "\n".join(found)
+
+
+def test_config_and_cli_name_no_quotient():
+    # the manifold.type choices and default lengths come from the table
+    from stochflow.manifold import QUOTIENTS
+
+    found = [f"{name}:{node.lineno}: {node.value!r}"
+             for name in ("config.py", "cli.py")
+             for node in ast.walk(ast.parse(
+                 (ROOT / "src" / "stochflow" / name).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and node.value in QUOTIENTS]
+    assert not found, "quotient named at:\n" + "\n".join(found)
+
+
 def test_no_module_in_src_names_numpy_random():
     # the noise is drawn by numpy arithmetic (stochflow.noise): importing
     # numpy's generators maps OpenSSL, through secrets and hmac

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,94 @@ def test_wrap_rejects_nonfinite():
 def test_heisenberg_needs_compatible_lattice():
     with pytest.raises(ValueError):
         ChartedManifold(dim=3, box_lengths=(1.0, 1.0, 0.7), identification="heisenberg")
+
+
+@pytest.mark.parametrize("kind", ["torus", "heisenberg"])
+@pytest.mark.parametrize("lengths", [
+    (1.0,), (0.7, 1 / 3), (1.0, 1.0), (1.0, 2.0, 0.5, 3.0), (1.0, 1.0, 1.0),
+    (1.0, 1.0, 0.7), (1.0, 1.0, 2.0), (2.0, 0.5, 1.0), (1.0, 1.0, 0.5),
+    (0.7, 10 / 7, 1.0), (0.1, 10.0, 1.0), (1.0, 1.0, 1 / 3), (3.0, 1 / 3, 0.5),
+    (1.0, 1.0, 1.000001), (1.0, 1.0, 1.0 + 1e-12)])
+def test_the_table_accepts_the_quotients_the_names_did(kind, lengths):
+    issue = oracles.lattice_issue(kind, lengths)
+    if issue is None:
+        assert ChartedManifold(len(lengths), lengths, kind).identification == kind
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(issue)}$"):
+            ChartedManifold(len(lengths), lengths, kind)
+
+
+def test_a_quotient_outside_the_table_is_rejected():
+    with pytest.raises(ValueError, match="unknown identification 'sol'"):
+        ChartedManifold(3, (1.0, 1.0, 1.0), "sol")
+
+
+@st.composite
+def quotient_points(draw):
+    """(m, points, dyadic): a torus of up to 4 arbitrary lengths, 0.7 and
+    1/3 among them, or a Heisenberg box (Lx, k*Lz/Lx, Lz), and points up
+    to 1e6 box lengths out, whole multiples of the box among them;
+    dyadic when every length that a shear multiplies is a power of 2."""
+    length = st.sampled_from([0.7, 1 / 3, 0.1]) | st.integers(-3, 3).map(
+        lambda e: 2.0 ** e) | st.floats(0.05, 20)
+    if draw(st.booleans()):
+        m = torus(*draw(st.lists(length, min_size=1, max_size=4)))
+    else:
+        lx, lz = draw(length), draw(length)
+        m = ChartedManifold(3, (lx, draw(st.integers(1, 4)) * lz / lx, lz), "heisenberg")
+    scale = draw(st.sampled_from([4, 1000, 10 ** 6]))
+    unit = st.floats(-scale, scale) | st.integers(-scale, scale).map(float)
+    units = draw(st.lists(st.lists(unit, min_size=m.dim, max_size=m.dim),
+                          min_size=1, max_size=16))
+    dyadic = all(math.frexp(m.box_lengths[i])[0] == 0.5 for i, _, _ in m.shears)
+    return m, np.array(units) * m.lengths, dyadic
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_points())
+def test_wrap_equals_the_named_wrap(case):
+    # bit for bit on every torus and on a Heisenberg box whose Lx is a
+    # power of 2. At another Lx the named wrap rounds x twice, and can
+    # pick the neighbouring representative, its x a rounding below 0
+    # (test_wrap_lands_in_the_box_where_the_named_wrap_did_not). The wrap
+    # lands in the box and is the same point of the quotient to rounding:
+    # the other axes within 2 ulp of the largest input or box length, and
+    # the target x_k of a shear (i, j, k) within 8 ulp of that or of the
+    # shear's products x_i * x_j and L_i * L_j, which both sides round
+    # (measured: 1 and 3.7 ulp over 5 million points, multiples of Lx
+    # among them)
+    m, p, dyadic = case
+    got, want = m.wrap(p), oracles.named_wrap(m, p)
+    assert np.all((got >= 0) & (got < m.lengths))
+    if dyadic:
+        assert np.array_equal(got, want)
+        return
+    size = np.maximum(np.abs(p).max(axis=-1, keepdims=True), m.lengths.max()) * np.ones(m.dim)
+    ulps = np.full(m.dim, 2.0)
+    for i, j, k in m.shears:
+        size[:, k] = np.maximum(size[:, k], np.maximum(np.abs(p[:, i] * p[:, j]),
+                                                       m.lengths[i] * m.lengths[j]))
+        ulps[k] = 8.0
+    assert np.all(oracles.quotient_gap(m, want, got) <= ulps * np.spacing(size))
+
+
+def test_wrap_lands_in_the_box_where_the_named_wrap_did_not():
+    # 1.7 / 0.1 rounds up to 17, so the named wrap took x one box length
+    # too far, to -2.2e-16, and z by one y too far
+    m = ChartedManifold(3, (0.1, 10.0, 1.0), "heisenberg")
+    p = np.array([1.7, 0.25, 0.5])
+    named = oracles.named_wrap(m, p)
+    assert named[0] == -2.220446049250313e-16
+    got = m.wrap(p)
+    assert got.tolist() == [0.09999999999999987, 0.25, 0.09999999999999998]
+    assert oracles.quotient_gap(m, named, got).max() <= 1e-15
+
+
+def test_wrap_writes_a_new_array():
+    p = np.array([[1.2, 0.5, 0.1], [-0.3, 2.5, 7.0]])
+    before = p.copy()
+    assert HEIS.wrap(p) is not p
+    np.testing.assert_array_equal(p, before)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +492,21 @@ def test_identified_pairs_relate_points():
         np.testing.assert_allclose(HEIS.wrap(p), HEIS.wrap(q), atol=1e-10)
 
 
+QUOTIENT_CASES = {"circle": T1, "torus2": torus(1.0, 2.0), "heisenberg": HEIS,
+                  "torus4": torus(0.5, 1.0, 3.0, 2.0),
+                  "heisenberg_box": ChartedManifold(3, (2.0, 0.5, 1.0), "heisenberg")}
+
+
+@pytest.mark.parametrize("m", QUOTIENT_CASES.values(), ids=list(QUOTIENT_CASES))
+def test_identified_pairs_and_the_basis_equal_the_named_ones(m):
+    for got, want in zip(identified_pairs(m), oracles.named_pairs(m)):
+        assert np.array_equal(got, want)
+    for cutoff in (1, 2):
+        got = make_test_basis(m, cutoff).functions
+        assert len(got) == len(oracles.named_basis(m, cutoff))
+        assert all(f is g for f, g in zip(got, oracles.named_basis(m, cutoff)))
+
+
 @pytest.mark.parametrize("m", [T1, torus(1.0, 2.0), HEIS, torus(0.5, 1.0, 3.0, 2.0)],
                          ids=["circle", "torus2", "heisenberg", "torus4"])
 def test_identified_pairs_are_a_fixed_spread_sample(m):
@@ -411,10 +515,11 @@ def test_identified_pairs_are_a_fixed_spread_sample(m):
     assert len(np.unique(p, axis=0)) == 32
     assert np.all((p >= 0) & (p < m.lengths))
     # the lattice shift is a non-zero integer number of box lengths per
-    # axis, at most 2 (on the Heisenberg manifold z also moves by a*y)
+    # axis, at most 2 (x_k also moves by the shift of x_i times x_j for
+    # each shear (i, j, k) of the quotient)
     shifts = q - p
-    if m is HEIS:
-        shifts[:, 2] -= shifts[:, 0] * p[:, 1]
+    for i, j, k in m.shears:
+        shifts[:, k] -= shifts[:, i] * p[:, j]
     steps = shifts / m.lengths
     np.testing.assert_allclose(steps, np.round(steps), atol=1e-12)
     assert np.all(np.abs(np.round(steps)) <= 2)

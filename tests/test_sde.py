@@ -13,11 +13,10 @@ from example_systems import (
     translation_bm_system,
 )
 from example_systems import hamiltonian_torus_system as hamiltonian_system
-from oracles import fd_jacobian
+from oracles import fd_jacobian, quotient_gap
 from stochflow import expr, sde
 from stochflow.invariance import jacobian_check
 from stochflow.manifold import (
-    HEISENBERG,
     ChartedManifold,
     ConfigurationError,
     InvalidPointError,
@@ -848,21 +847,6 @@ def test_flow_paths_trajectory_equals_flow_with_jacobian(label):
     assert np.array_equal(log_j[:, 0], want.log_jacobian)
 
 
-def wrapped_gap(manifold, a, b):
-    """The largest coordinate of b - a once b is moved by the lattice
-    element nearest to a: whole box lengths along x (which on the
-    Heisenberg manifold also move z by lx * y each), then along the other
-    axes. Points on either side of a seam are close in it."""
-    lengths = np.asarray(manifold.box_lengths)
-    d = b - a
-    n = np.round(d[..., 0] / lengths[0])
-    d[..., 0] -= n * lengths[0]
-    if manifold.identification == HEISENBERG:
-        d[..., 2] -= n * lengths[0] * b[..., 1]
-    d[..., 1:] -= np.round(d[..., 1:] / lengths[1:]) * lengths[1:]
-    return np.abs(d).max()
-
-
 def heisenberg_xz_system():
     # constant fields on the twisted wrap: a drift and the frame's X and Z
     X, _, Z = heisenberg_frame()
@@ -893,7 +877,7 @@ def test_flow_paths_endpoints_equal_the_last_heun_state(label):
     ends = flow_paths(sys, "endpoints", pts, dt, steps, 7, range(3))
     states, _ = flow_paths(sys, "trajectory", pts, dt, steps, 7, range(3))
     assert ends.shape == states[-1].shape == (3, 4, sys.manifold.dim)
-    assert wrapped_gap(sys.manifold, states[-1], ends) <= 1e-12
+    assert quotient_gap(sys.manifold, states[-1], ends).max() <= 1e-12
 
 
 def test_flow_paths_wraps_x0_once_on_constant_fields(monkeypatch):
@@ -904,11 +888,10 @@ def test_flow_paths_wraps_x0_once_on_constant_fields(monkeypatch):
     monkeypatch.setattr(ChartedManifold, "wrap",
                         lambda self, p: wrapped.append(np.shape(p)) or wrap(self, p))
     flow_paths(sys, "endpoints", pts, 0.01, 10, 0, range(5))
-    # x0 once, then each path's row of endpoints
-    assert wrapped == [(4, 2)] * 6
+    # x0 once, then every path's endpoints in one call
+    assert wrapped == [(4, 2), (5, 4, 2)]
     wrapped.clear()
     flow_paths(sys, "endpoints", pts[0], 0.01, 10, 0, range(5))
-    # one start point: x0, then the one row of every path's endpoint
     assert wrapped == [(2,), (5, 2)]
 
 

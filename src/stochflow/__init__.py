@@ -25,12 +25,10 @@ _EXPORTS = {
         "DegenerateDensityError",
         "InvalidPointError",
         "StratonovichSystem",
-        "TestBasis",
         "VectorFieldSpec",
         "heisenberg_frame",
         "heisenberg_manifold",
         "lie_bracket",
-        "make_test_basis",
         "torus",
     ),
     "liealg": (
@@ -55,8 +53,10 @@ _EXPORTS = {
     "currents": (
         "DensityCurrent",
         "EmpiricalCurrent",
+        "TestBasis",
         "evaluate_many",
         "generator_residuals",
+        "make_test_basis",
         "strict_residuals",
         "volume_current",
     ),

@@ -14,7 +14,7 @@ import sys as _sys
 from pathlib import Path
 
 from .config import CheckSpec
-from .currents import DensityCurrent
+from .currents import DensityCurrent, make_test_basis
 from .invariance import (
     EmpiricalRun,
     InvarianceReport,
@@ -25,7 +25,6 @@ from .invariance import (
     jacobian_check,
     residual_check,
 )
-from .manifold import make_test_basis
 
 __all__ = ["run_check", "write_csvs", "sha256_hex"]
 

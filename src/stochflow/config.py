@@ -21,7 +21,8 @@ A Lie-algebra experiment replaces [fields]/[current] with a [liealg]
 section (algebra or inline constants, subalgebra, optional
 realization). Exactly one of the two experiment types must be present.
 '#' starts a comment. JSON documents with the same section names are
-accepted as an alternative input.
+accepted as an alternative input. ``jsonformats`` reads them, and the
+JSON constants of a [liealg] section, and is imported only to read JSON.
 
 parse_config converts each value once, by its entry in _VALUES, which
 also holds its default; the command-line overrides --seed, --dt and
@@ -196,56 +197,6 @@ def _parse_sections(text, issues):
     return sections
 
 
-class _JSONObject(dict):
-    """A JSON object that keeps its pairs, so a key given twice shows."""
-
-    def __init__(self, pairs):
-        super().__init__(pairs)
-        self.pairs = pairs
-
-
-def _json_to_sections(doc, issues):
-    sections = []
-    if not isinstance(doc, dict):
-        issues.append(ConfigIssue("JSON config must be an object"))
-        return sections
-
-    def norm(v):
-        if isinstance(v, list) and any(isinstance(item, list) for item in v):
-            # rows, as atoms [[0.1, 0.2], [0.3, 0.4]]: "0.1 0.2; 0.3 0.4"
-            return "; ".join(" ".join(map(norm, row)) if isinstance(row, list)
-                             else norm(row) for row in v)
-        if isinstance(v, list):
-            return ", ".join(norm(item) for item in v)
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, dict):
-            import json
-
-            return json.dumps(v, sort_keys=True)
-        return str(v)
-
-    for name, body in doc.pairs:
-        if name == "checks" and not isinstance(body, list):
-            issues.append(ConfigIssue("must be a list of check objects", path=name))
-        elif name == "checks":
-            for i, chk in enumerate(body):
-                if not isinstance(chk, dict) or "kind" not in chk:
-                    issues.append(ConfigIssue("check must be an object with a 'kind'",
-                                              path=f"checks[{i}]"))
-                    continue
-                sections.append((f"check {chk['kind']}", None, [
-                    (k, norm(v), None, None) for k, v in chk.pairs if k != "kind"]))
-        elif name not in _SECTIONS:
-            issues.append(ConfigIssue(f"unknown section [{name}]"))
-        elif not isinstance(body, dict):
-            issues.append(ConfigIssue("section must be an object", path=name))
-        else:
-            sections.append((name, None,
-                             [(k, norm(v), None, None) for k, v in body.pairs]))
-    return sections
-
-
 # ---------------------------------------------------------------------------
 # conversion of one value
 
@@ -402,7 +353,7 @@ def _atoms(value, values):
 def _constants(value, values, source=None):
     """The algebra of the inline JSON constants, or of source, an open
     constants file; None after reporting why it cannot be read."""
-    from .liealg import load_structure_constants  # only for a liealg experiment
+    from .jsonformats import load_structure_constants  # only to read constants
 
     try:
         return load_structure_constants(source or value.text)
@@ -411,7 +362,8 @@ def _constants(value, values, source=None):
 
 
 def _algebra(value, values):
-    """An algebra of liealg.algebra_zoo by name, or read from file:PATH."""
+    """An algebra of liealg.ALGEBRAS by name, built alone, or read from
+    file:PATH."""
     name = value.text
     if name.startswith("file:"):
         try:
@@ -419,10 +371,10 @@ def _algebra(value, values):
                 return _constants(value, values, fh)
         except OSError as e:
             return value.fail(f"cannot read the constants file: {e}")
-    from .liealg import algebra_zoo  # loaded only for a liealg experiment
+    from .liealg import ALGEBRAS  # loaded only for a liealg experiment
 
-    zoo = algebra_zoo()
-    return zoo.get(_choice("algebra", *sorted(zoo))(value, values))
+    name = _choice("algebra", *sorted(ALGEBRAS))(value, values)
+    return name and ALGEBRAS[name]()
 
 
 def _realization(value, values):  # a label of liealg.REALIZATIONS
@@ -632,14 +584,14 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     issues = []
     overrides = _overrides(overrides or {}, issues)
     if text.lstrip().startswith("{"):
-        import json
+        from .jsonformats import config_pairs, config_sections  # JSON text only
 
-        try:
-            doc = json.loads(text, object_pairs_hook=_JSONObject)
-        except json.JSONDecodeError as e:
-            raise ConfigError([ConfigIssue(f"invalid JSON: {e.msg}",
-                                           e.lineno, e.colno)])
-        sections = _json_to_sections(doc, issues)
+        sections = []
+        for name, body in config_pairs(text, issues):
+            if name == "checks" or name in _SECTIONS:
+                sections += config_sections(name, body, issues)
+            else:
+                issues.append(ConfigIssue(f"unknown section [{name}]"))
     else:
         sections = _parse_sections(text, issues)
 

@@ -10,12 +10,18 @@ XT(f) = -T(Xf) and the generator residual decide strict and mean
 invariance against a finite test basis; both are contractions of the
 fields' coefficients, weighted on the support once, against the partial
 derivatives of the basis.
+
+The midpoint grid (``grid_points``) and the trigonometric test basis
+(``make_test_basis``) are defined here, beside the currents that
+integrate test functions, and not in ``manifold``: building an
+experiment, which every command does, compiles neither.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -26,16 +32,18 @@ from .manifold import (
     ChartedManifold,
     DegenerateDensityError,
     StratonovichSystem,
-    TestBasis,
     VectorFieldSpec,
     apply_field,
-    grid_points,
     is_compatible_field,
     step_count,
 )
+from .proofs import is_identically_zero
 from .sde import _endpoint_arrays, flow_paths
 
 __all__ = [
+    "grid_points",
+    "TestBasis",
+    "make_test_basis",
     "DensityCurrent",
     "EmpiricalCurrent",
     "Current",
@@ -52,6 +60,67 @@ __all__ = [
 # that the flow or the evaluation of the test functions holds at once
 _CHUNK_ELEMS = 4_000_000
 
+
+# ---------------------------------------------------------------------------
+# quadrature and test bases
+
+@lru_cache(maxsize=64)
+def _grid(m: ChartedManifold, n: int):
+    axes = [(np.arange(n) + 0.5) * (li / n) for li in m.box_lengths]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
+    pts.setflags(write=False)  # shared by every caller
+    cell = float(np.prod(m.lengths)) / n ** m.dim
+    return pts, cell
+
+
+def grid_points(m: ChartedManifold, n: int):
+    """Midpoint grid (n^dim, dim), read-only and computed once per (m, n),
+    and its quadrature weights (n^dim,)."""
+    pts, cell = _grid(m, n)
+    return pts, np.full(pts.shape[0], cell)
+
+
+class TestBasis:
+    """Trig-monomial test functions with analytic gradients."""
+
+    def __init__(self, manifold: ChartedManifold, cutoff: int, functions: tuple):
+        self.manifold = manifold
+        self.cutoff = cutoff
+        self.functions = functions
+
+    def __len__(self):
+        return len(self.functions)
+
+
+@lru_cache(maxsize=64)
+def make_test_basis(m: ChartedManifold, cutoff: int) -> TestBasis:
+    """Products of 1, cos(2 pi k x_i / L_i), sin(2 pi k x_i / L_i), k <= cutoff,
+    over the axes x_i that are no shear's target x_k; built once per
+    (m, cutoff).
+
+    On a torus that is every axis. On the Heisenberg manifold it is x and
+    y: the basis is pulled back from the base torus, constant along the
+    fiber, so it cannot tell apart densities that differ only along z.
+    """
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    twisted = {k for _, _, k in m.shears}
+    per_axis = []
+    for i in sorted(set(range(m.dim)) - twisted):
+        factors = [expr.constant(1.0)]
+        for k in range(1, cutoff + 1):
+            arg = expr.mul(expr.constant(2.0 * math.pi * k / m.box_lengths[i]),
+                           expr.coordinate(i))
+            factors += [expr.call("cos", arg), expr.call("sin", arg)]
+        per_axis.append(factors)
+    functions = [reduce(expr.mul, combo, expr.constant(1.0))
+                 for combo in itertools.product(*per_axis)]
+    return TestBasis(manifold=m, cutoff=cutoff, functions=tuple(functions))
+
+
+# ---------------------------------------------------------------------------
+# currents
 
 class DensityCurrent:
     """T(f) = integral of f * density against the volume form, as a sum
@@ -178,14 +247,14 @@ def _contract(T: Current, terms, n_out: int, functions) -> np.ndarray:
     """out[o, k] = sum of T(c * d_q f_k) over the terms (c, o, q), q the
     tuple of axes d_q differentiates along; shape (n_out, len(functions)).
 
-    Coefficients that ``expr.is_identically_zero`` proves zero are
+    Coefficients that ``proofs.is_identically_zero`` proves zero are
     dropped; the others are evaluated once on T.points, times T.weights,
     into a (rows, support) matrix. The partials d_q f_k other than the
     constant 0 are lowered together, and each is reduced by one mat-vec
     against that matrix as soon as it is computed, so memory stays
     O(rows x support).
     """
-    terms = [t for t in terms if not expr.is_identically_zero(t[0])]
+    terms = [t for t in terms if not is_identically_zero(t[0])]
     out = np.zeros((n_out, len(functions)))
     if not terms:
         return out

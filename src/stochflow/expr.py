@@ -23,8 +23,10 @@ by identity; so two trees of the same structure are the same object, and
 and ``Num(-0.0)`` are two nodes and are not equal. The intern table
 holds nodes weakly, so a tree lives only as long as its users hold it.
 Shared nodes make memos cheap: ``diff`` is memoized per (node, axis),
-``max_coordinate`` is computed once per node and ``is_identically_zero``
-once per node, and ``Lowering`` lowers a node once per set of inputs.
+``max_coordinate`` is computed once per node, and ``Lowering`` lowers a
+node once per set of inputs; ``proofs.is_identically_zero`` keeps one
+answer per node. ``post_order`` is the tree walker that ``Lowering``,
+``diff`` and that zero test share.
 The memos of ``diff`` and ``Lowering`` are slots of the node, each
 replaced whole, so values stay right when threads share nodes; but
 interning takes no lock, and two threads that build the same structure
@@ -60,7 +62,7 @@ __all__ = [
     "call",
     "max_coordinate",
     "is_constant",
-    "is_identically_zero",
+    "post_order",
     "Lowering",
     "MAX_DEPTH",
 ]
@@ -260,7 +262,7 @@ def call(fn: str, a: Expr) -> Expr:
 
 _OPERATOR_NODES = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 # the most operations parse nests one in another. Lowering, diff and the
-# zero test walk a tree with their own stack (_post_order), but parse's
+# zero test walk a tree with their own stack (post_order), but parse's
 # converter recurses once per level, as Python's parser does
 MAX_DEPTH = 100
 _TOO_DEEP = f"operations nested more than {MAX_DEPTH} deep"
@@ -360,7 +362,7 @@ def _operation(node):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _post_order(node, done, finish):
+def post_order(node, done, finish):
     """Calls finish(n) on node and on each node below it that is not
     done(n), each after its operands. The tree is walked with a stack of
     the nodes still to finish, not by recursion, so its depth meets no
@@ -431,12 +433,12 @@ class Lowering:
         if scope is None:
             scope = self._scopes[inputs] = object()
 
-        def lower(n):  # each operand not yet lowered first (_post_order)
+        def lower(n):  # each operand not yet lowered first (post_order)
             op, args = _operation(n)
             name = self._lower(n, op, [_lowered_name(a, scope) for a in args], inputs)
             _set(n, "_lowered", (scope, name))
 
-        _post_order(node, lambda n: _lowered_name(n, scope) is not None, lower)
+        post_order(node, lambda n: _lowered_name(n, scope) is not None, lower)
         return _lowered_name(node, scope)
 
     def _lower(self, node, op, operands, inputs):
@@ -569,7 +571,7 @@ def evaluate(node: Expr, pts) -> np.ndarray:
 
 def diff(node: Expr, axis: int) -> Expr:
     """d(node)/d x_{axis+1}; memoized on the node, so a subtree shared by
-    several parents is differentiated once, and walked by ``_post_order``,
+    several parents is differentiated once, and walked by ``post_order``,
     each node after its operands."""
     if not isinstance(node, _Node):
         raise TypeError(f"not an expression node: {node!r}")
@@ -578,7 +580,7 @@ def diff(node: Expr, axis: int) -> Expr:
         memo = n._diffs + (None,) * (axis + 1 - len(n._diffs))
         _set(n, "_diffs", memo[:axis] + (_derivative(n, axis),) + memo[axis + 1:])
 
-    _post_order(node, lambda n: axis < len(n._diffs) and n._diffs[axis] is not None,
+    post_order(node, lambda n: axis < len(n._diffs) and n._diffs[axis] is not None,
                 remember)
     return node._diffs[axis]
 
@@ -620,107 +622,3 @@ def max_coordinate(node: Expr) -> int:
 
 def is_constant(node: Expr) -> bool:
     return max_coordinate(node) == 0
-
-
-# ---------------------------------------------------------------------------
-# exact zero test
-
-# a sum or product with more terms is answered "not zero"
-_MAX_ZERO_TEST_TERMS = 1024
-
-
-class _Undecided(Exception):
-    pass
-
-
-# node -> the answer of is_identically_zero
-_ZERO_TESTS = weakref.WeakKeyDictionary()
-
-
-def is_identically_zero(node: Expr) -> bool:
-    """True only when node is zero as a function wherever it is defined;
-    sound, not complete; memoized on the node.
-
-    The expression is expanded into a polynomial with exact rational
-    coefficients (every float constant is the rational it stores) over
-    atoms: the coordinates, sin, cos and exp of a canonical argument, and
-    reciprocals of non-constant denominators. node is zero when every
-    coefficient cancels. Identities between atoms, such as
-    sin^2 + cos^2 = 1, are not used, and a sum or product with more than
-    1024 terms, a non-finite constant or a division by zero answers
-    False, so False means "not shown to be zero". (Deciding zero for this
-    class of expressions is undecidable in general: Richardson, 1968.)
-    A constant or a coordinate is answered without expanding it.
-    """
-    if isinstance(node, Num):
-        return node.value == 0.0  # False for a non-finite constant
-    if isinstance(node, Coord):
-        return False
-    from fractions import Fraction
-
-    def add(p, q):
-        out = dict(p)
-        for mono, c in q.items():
-            c = out.get(mono, 0) + c
-            if c:
-                out[mono] = c
-            else:
-                del out[mono]
-        if len(out) > _MAX_ZERO_TEST_TERMS:
-            raise _Undecided
-        return out
-
-    def mul(p, q):
-        if len(p) * len(q) > _MAX_ZERO_TEST_TERMS:
-            raise _Undecided
-        out = {}
-        for mp, cp in p.items():
-            for mq, cq in q.items():
-                powers = dict(mp)
-                for a, k in mq:
-                    powers[a] = powers.get(a, 0) + k
-                mono = frozenset(powers.items())
-                c = out.get(mono, 0) + cp * cq
-                if c:
-                    out[mono] = c
-                else:
-                    del out[mono]
-        return out
-
-    def atom(key):
-        return {frozenset({(key, 1)}): Fraction(1)}
-
-    def expand(n):  # n's polynomial, those of its operands being in seen
-        if isinstance(n, Num):
-            if not math.isfinite(n.value):
-                raise _Undecided
-            return {frozenset(): Fraction(n.value)} if n.value else {}
-        if isinstance(n, Coord):
-            return atom(("x", n.axis))
-        if isinstance(n, Neg):
-            return {mono: -c for mono, c in seen[n.arg].items()}
-        if isinstance(n, Call):
-            return atom((n.fn, frozenset(seen[n.arg].items())))
-        a, b = seen[n.left], seen[n.right]  # a BinOp
-        if n.op == "+":
-            return add(a, b)
-        if n.op == "-":
-            return add(a, {mono: -c for mono, c in b.items()})
-        if n.op == "*":
-            return mul(a, b)
-        if not b:
-            raise _Undecided  # division by zero
-        if set(b) == {frozenset()}:
-            return mul(a, {frozenset(): 1 / b[frozenset()]})
-        return mul(a, atom(("/", frozenset(b.items()))))
-
-    seen = {}
-    known = _ZERO_TESTS.get(node)
-    if known is None:
-        try:
-            _post_order(node, seen.__contains__, lambda n: seen.__setitem__(n, expand(n)))
-            known = not seen[node]
-        except _Undecided:
-            known = False
-        _ZERO_TESTS[node] = known
-    return known

@@ -179,7 +179,7 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
     is added up left to right, through the scratch value S, into its row
     of P or C, and a component with no terms keeps its 0. The
     divergences are those of ``sde._divergences``, decided once per
-    system: each one that ``expr.is_identically_zero`` shows to be zero
+    system: each one that ``proofs.is_identically_zero`` shows to be zero
     (a Hamiltonian field's, say) is left out, and with none left log J
     stays 0 exactly and is not carried. Such a system never reaches the
     "volume" loop, whose answer ``sde.flow_paths`` then knows without

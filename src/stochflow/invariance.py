@@ -20,6 +20,7 @@ from .currents import (
     derivative_currents,
     evaluate_many,
     generator_residuals,
+    make_test_basis,
     pullback_values,
     strict_residuals,
     volume_current,
@@ -29,7 +30,6 @@ from .manifold import (
     StratonovichSystem,
     VectorFieldSpec,
     apply_field,
-    make_test_basis,
     product_divergence_expr,
     step_count,
 )

@@ -12,12 +12,13 @@ the constants; ``foliated_system`` checks them at the fixed points of
 ``manifold.identified_pairs`` and builds the foliated BM from them.
 The drift is read off the constants directly; the tests check it against
 the leaf connection of the Koszul formula, and the restricted traces
-against the adjoint matrices.
+against the adjoint matrices. ``ALGEBRAS`` names the built-in algebras;
+the JSON file format of structure constants is read by
+``jsonformats.load_structure_constants``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -56,8 +57,7 @@ __all__ = [
     "heisenberg3",
     "sl2",
     "so3",
-    "algebra_zoo",
-    "load_structure_constants",
+    "ALGEBRAS",
 ]
 
 TOL = 1e-10
@@ -309,98 +309,13 @@ def so3() -> LieAlgebraData:
     }, labels=("e1", "e2", "e3"))
 
 
-def algebra_zoo() -> dict:
-    return {
-        "abelian1": abelian(1),
-        "abelian2": abelian(2),
-        "abelian3": abelian(3),
-        "heisenberg": heisenberg3(),
-        "sl2": sl2(),
-        "so3": so3(),
-    }
-
-
-# ---------------------------------------------------------------------------
-# structure-constant files
-
-def _integer(value, what: str) -> int:
-    """value as an int, or ValueError naming what: JSON gives an index as
-    an integer or an integral float, never as null, a bool or a string."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
-def _coefficients(coeffs, n: int, where: str) -> np.ndarray:
-    """coeffs as an array of n floats, or ValueError naming where."""
-    try:
-        numeric = isinstance(coeffs, list) and all(
-            not isinstance(v, bool) and math.isfinite(v) for v in coeffs)
-    except (TypeError, OverflowError):  # not a number, or too large a float
-        numeric = False
-    if not numeric:
-        raise ValueError(f"{where}: 'coeffs' must be a list of finite "
-                         f"numbers, not {coeffs!r}")
-    if len(coeffs) != n:
-        raise ValueError(f"{where} needs {n} coefficients")
-    return np.array(coeffs, dtype=float)
-
-
-def load_structure_constants(source) -> LieAlgebraData:
-    """Read the JSON wire format for structure constants.
-
-    {"dim": n, "brackets": [{"i": 1, "j": 2, "coeffs": [...n reals...]}, ...]}
-
-    Indices are 1-based; unspecified brackets default to zero and the
-    antisymmetric completion is applied automatically. A malformed value
-    raises ValueError naming the entry.
-    """
-    import json  # only a liealg experiment reads constants
-
-    if isinstance(source, (str, bytes)):
-        data = json.loads(source)
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        data = source
-    if not isinstance(data, dict) or "dim" not in data:
-        raise ValueError("structure-constant file must be an object with 'dim'")
-    n = _integer(data["dim"], "dim")
-    if n < 1:
-        raise ValueError("dim must be positive")
-    if n > 32:  # the Jacobi check's n^4 arrays: about 60 MB at n = 32
-        raise ValueError(f"dim must be at most 32, not {n}")
-    brackets = data.get("brackets", [])
-    if not isinstance(brackets, list):
-        raise ValueError(f"'brackets' must be a list, not {brackets!r}")
-    c = np.zeros((n, n, n))
-    seen = {}
-    for number, entry in enumerate(brackets, 1):
-        where = f"bracket entry {number}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} must be an object with 'i', 'j' and "
-                             f"'coeffs', not {entry!r}")
-        for key in ("i", "j", "coeffs"):
-            if key not in entry:
-                raise ValueError(f"{where} has no {key!r}")
-        i = _integer(entry["i"], f"{where}: 'i'") - 1
-        j = _integer(entry["j"], f"{where}: 'j'") - 1
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"bracket index out of range: ({i + 1}, {j + 1})")
-        coeffs = _coefficients(entry["coeffs"], n, f"bracket ({i + 1}, {j + 1})")
-        if i == j:
-            if np.any(coeffs != 0):
-                raise ValueError(f"bracket ({i + 1}, {i + 1}) must vanish")
-            continue
-        for key, value in ((i, j), coeffs), ((j, i), -coeffs):
-            if key in seen and not np.array_equal(seen[key], value):
-                raise ValueError(f"conflicting entries for bracket {key}")
-            seen[key] = value
-        c[i, j, :] = coeffs
-        c[j, i, :] = -coeffs
-    labels = data.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise ValueError(f"'labels' must be a list, not {labels!r}")
-    return LieAlgebraData(n=n, c=c, basis_labels=tuple(labels) if labels else None)
+# a config's algebra names, each naming the builder of its algebra, as
+# REALIZATIONS names realizations: a config builds only the one it names
+ALGEBRAS = {
+    "abelian1": lambda: abelian(1),
+    "abelian2": lambda: abelian(2),
+    "abelian3": lambda: abelian(3),
+    "heisenberg": heisenberg3,
+    "sl2": sl2,
+    "so3": so3,
+}

@@ -1,6 +1,5 @@
 """Compact charted manifolds: wrapping, fields, Stratonovich systems of
-fields, differential operators, quadrature grids and trigonometric test
-bases.
+fields and differential operators.
 
 A manifold is a periodic box glued by a lattice, which QUOTIENTS
 describes by its shears: a shear (i, j, k) moves x_k by n*L_i*x_j when
@@ -14,16 +13,15 @@ identification) and ``step_count`` live here, not in ``sde``, which
 flows them: building an experiment, which every command does, then
 loads no flow code.
 
-Manifolds are immutable, and fields and bases are not changed after
+Manifolds are immutable, and fields are not changed after
 construction; every operation here is pure and safe to call from
 concurrent workers.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -37,13 +35,11 @@ __all__ = [
     "QUOTIENTS",
     "ChartedManifold",
     "VectorFieldSpec",
-    "TestBasis",
     "torus",
     "heisenberg_manifold",
     "heisenberg_frame",
     "product_divergence_expr",
     "lie_bracket",
-    "make_test_basis",
     "apply_field",
     "identified_pairs",
     "is_compatible_field",
@@ -375,61 +371,3 @@ def apply_field(m: ChartedManifold, X: VectorFieldSpec, f: Expr) -> Expr:
     for i in range(m.dim):
         acc = expr.add(acc, expr.mul(X.components[i], expr.diff(f, i)))
     return acc
-
-
-# ---------------------------------------------------------------------------
-# quadrature and test bases
-
-@lru_cache(maxsize=64)
-def _grid(m: ChartedManifold, n: int):
-    axes = [(np.arange(n) + 0.5) * (li / n) for li in m.box_lengths]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    pts.setflags(write=False)  # shared by every caller
-    cell = float(np.prod(m.lengths)) / n ** m.dim
-    return pts, cell
-
-
-def grid_points(m: ChartedManifold, n: int):
-    """Midpoint grid (n^dim, dim), read-only and computed once per (m, n),
-    and its quadrature weights (n^dim,)."""
-    pts, cell = _grid(m, n)
-    return pts, np.full(pts.shape[0], cell)
-
-
-class TestBasis:
-    """Trig-monomial test functions with analytic gradients."""
-
-    def __init__(self, manifold: ChartedManifold, cutoff: int, functions: tuple):
-        self.manifold = manifold
-        self.cutoff = cutoff
-        self.functions = functions
-
-    def __len__(self):
-        return len(self.functions)
-
-
-@lru_cache(maxsize=64)
-def make_test_basis(m: ChartedManifold, cutoff: int) -> TestBasis:
-    """Products of 1, cos(2 pi k x_i / L_i), sin(2 pi k x_i / L_i), k <= cutoff,
-    over the axes x_i that are no shear's target x_k; built once per
-    (m, cutoff).
-
-    On a torus that is every axis. On the Heisenberg manifold it is x and
-    y: the basis is pulled back from the base torus, constant along the
-    fiber, so it cannot tell apart densities that differ only along z.
-    """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    twisted = {k for _, _, k in m.shears}
-    per_axis = []
-    for i in sorted(set(range(m.dim)) - twisted):
-        factors = [expr.constant(1.0)]
-        for k in range(1, cutoff + 1):
-            arg = expr.mul(expr.constant(2.0 * math.pi * k / m.box_lengths[i]),
-                           expr.coordinate(i))
-            factors += [expr.call("cos", arg), expr.call("sin", arg)]
-        per_axis.append(factors)
-    functions = [reduce(expr.mul, combo, expr.constant(1.0))
-                 for combo in itertools.product(*per_axis)]
-    return TestBasis(manifold=m, cutoff=cutoff, functions=tuple(functions))

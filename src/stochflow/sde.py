@@ -52,13 +52,13 @@ import math
 
 import numpy as np
 
-from . import expr
 from .manifold import (
     ConfigurationError,
     StratonovichSystem,
     product_divergence_expr,
 )
 from .manifold import step_count  # noqa: F401 (importable from sde too)
+from .proofs import is_identically_zero
 
 __all__ = [
     "FlowResult",
@@ -149,11 +149,11 @@ def noise_blocks(seed: int, paths: range, m: int, dt: float, steps: int,
 
 def _divergences(sys: StratonovichSystem) -> list:
     """(i, div X_i) for each field X_i whose divergence
-    ``expr.is_identically_zero`` does not show to be zero. When the list
+    ``proofs.is_identically_zero`` does not show to be zero. When the list
     is empty, log J has zero coefficients and J = 1 on every path."""
     m = sys.manifold
     return [(i, d) for i, f in enumerate(sys.fields()) if not f.is_zero
-            and not expr.is_identically_zero(d := product_divergence_expr(m, f))]
+            and not is_identically_zero(d := product_divergence_expr(m, f))]
 
 
 def _array_blocks(sys: StratonovichSystem, increments):

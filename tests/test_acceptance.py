@@ -26,6 +26,7 @@ from stochflow.config import parse_config
 from stochflow.currents import (
     evaluate_many,
     generator_residuals,
+    make_test_basis,
     pullback_values,
     strict_residuals,
     volume_current,
@@ -46,7 +47,6 @@ from stochflow.liealg import (
     is_nilpotent,
     tr_ad_restricted,
 )
-from stochflow.manifold import make_test_basis
 from stochflow.presets import preset_text
 from stochflow.sde import flow_endpoints, flow_with_jacobian, generate_noise
 

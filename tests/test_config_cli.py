@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from example_systems import THETA_DENSITY, translation_bm_system
-from stochflow import expr, invariance
+from stochflow import expr, invariance, liealg
 from stochflow.checks import sha256_hex
 from stochflow.cli import build_current, build_experiment, main, run
 from stochflow.config import (
@@ -21,14 +21,13 @@ from stochflow.config import (
     parse_config,
     serialize_config,
 )
-from stochflow.currents import DensityCurrent, volume_current
+from stochflow.currents import DensityCurrent, make_test_basis, volume_current
 from stochflow.invariance import (
     DEFAULT_TOLERANCES,
     EXACT_BIAS_C,
     EmpiricalRun,
     empirical_check,
 )
-from stochflow.manifold import make_test_basis
 from stochflow.presets import PRESETS, preset_names, preset_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,6 +193,16 @@ def test_liealg_config_builds():
     assert exp.subalgebra.algebra.n == 3
     assert exp.subalgebra.indices == (0, 1)
     assert exp.realization is None
+
+
+def test_a_liealg_config_builds_only_the_algebra_it_names(monkeypatch):
+    built = []
+    for name, build in liealg.ALGEBRAS.items():
+        monkeypatch.setitem(liealg.ALGEBRAS, name,
+                            lambda name=name, build=build: built.append(name) or build())
+    cfg = parse_config(preset_text("sl2_foliation"))
+    assert built == ["sl2"]
+    assert cfg.value("liealg.algebra") == liealg.sl2()
 
 
 def test_inline_constants_build():

@@ -19,6 +19,8 @@ from stochflow.currents import (
     derivative_currents,
     evaluate_many,
     generator_residuals,
+    grid_points,
+    make_test_basis,
     pullback_values,
     strict_residuals,
     volume_current,
@@ -27,9 +29,7 @@ from stochflow.manifold import (
     StratonovichSystem,
     VectorFieldSpec,
     apply_field,
-    grid_points,
     heisenberg_manifold,
-    make_test_basis,
     torus,
 )
 from stochflow.invariance import EmpiricalRun, calibrate_bias_constant, empirical_check

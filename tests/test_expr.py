@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 from example_systems import hamiltonian_torus_system
 from oracles import recursive_diff, to_str, walk
 from stochflow import expr, heun
-from stochflow.manifold import apply_field, make_test_basis
+from stochflow.currents import make_test_basis
+from stochflow.manifold import apply_field
+from stochflow.proofs import is_identically_zero
 
 
 def ev(text, *coords):
@@ -142,8 +144,8 @@ def test_diff_and_the_zero_test_walk_a_tree_of_any_depth():
     assert float(expr.evaluate(expr.diff(left, 0), np.array([x]))) == pytest.approx(
         want, rel=1e-10)
     assert expr.diff(left, 0) is expr.diff(left, 0)
-    assert not expr.is_identically_zero(left)
-    assert expr.is_identically_zero(expr.sub(left, right))
+    assert not is_identically_zero(left)
+    assert is_identically_zero(expr.sub(left, right))
 
 
 def test_derivative_basics():
@@ -518,9 +520,9 @@ POINTS = np.random.default_rng(1).uniform(0.0, 1.0, size=(64, 2))
 def test_zero_test_is_sound_and_sees_commuted_and_distributed_forms(e):
     for other in (commuted(e), distributed(e), distributed(commuted(e))):
         d = expr.BinOp("-", e, other)
-        assert expr.is_identically_zero(d)
+        assert is_identically_zero(d)
         assert np.max(np.abs(expr.evaluate(d, POINTS))) <= 1e-12
-    if expr.is_identically_zero(e):
+    if is_identically_zero(e):
         assert np.max(np.abs(expr.evaluate(e, POINTS))) <= 1e-12
 
 
@@ -532,15 +534,15 @@ def test_diff_returns_the_node_of_the_recursive_derivative(e, axis):
 
 
 def test_zero_test_answers_not_zero_when_it_cannot_tell():
-    assert not expr.is_identically_zero(expr.parse("x1"))
-    assert not expr.is_identically_zero(expr.parse("1e-300"))
+    assert not is_identically_zero(expr.parse("x1"))
+    assert not is_identically_zero(expr.parse("1e-300"))
     # true identities it does not use
-    assert not expr.is_identically_zero(
+    assert not is_identically_zero(
         expr.parse("sin(x1)*sin(x1) + cos(x1)*cos(x1) - 1"))
-    assert not expr.is_identically_zero(expr.parse("x1*x2/x2 - x1"))
+    assert not is_identically_zero(expr.parse("x1*x2/x2 - x1"))
     # undefined or too large to expand
-    assert not expr.is_identically_zero(expr.parse("x1/0 - x1/0"))
-    assert not expr.is_identically_zero(expr.parse("1e999 - 1e999"))
+    assert not is_identically_zero(expr.parse("x1/0 - x1/0"))
+    assert not is_identically_zero(expr.parse("1e999 - 1e999"))
     def power(base, n):
         node = base
         for _ in range(n - 1):
@@ -548,13 +550,13 @@ def test_zero_test_answers_not_zero_when_it_cannot_tell():
         return expr.BinOp("-", node, node)
     # 3 terms cubed expand to 10; 5 terms to the 7th to 330, and on the
     # way a product of 210 by 5 terms passes the 1024-term cap
-    assert expr.is_identically_zero(power(expr.parse("x1 + x2 + 1"), 3))
-    assert not expr.is_identically_zero(power(expr.parse("x1 + x2 + x3 + x4 + 1"), 7))
+    assert is_identically_zero(power(expr.parse("x1 + x2 + 1"), 3))
+    assert not is_identically_zero(power(expr.parse("x1 + x2 + x3 + x4 + 1"), 7))
 
 
 def test_zero_test_on_quotients_and_constants():
-    assert expr.is_identically_zero(expr.parse("x1/(1 + x2) - x1/(x2 + 1)"))
-    assert expr.is_identically_zero(expr.parse("x1/4 - 0.25*x1"))
-    assert expr.is_identically_zero(expr.parse("2*pi*x1 - x1*pi*2"))
-    assert expr.is_identically_zero(expr.parse("exp(x1 - x2) - exp(-x2 + x1)"))
-    assert not expr.is_identically_zero(expr.parse("x1/3 - 0.3333333333333333*x1"))
+    assert is_identically_zero(expr.parse("x1/(1 + x2) - x1/(x2 + 1)"))
+    assert is_identically_zero(expr.parse("x1/4 - 0.25*x1"))
+    assert is_identically_zero(expr.parse("2*pi*x1 - x1*pi*2"))
+    assert is_identically_zero(expr.parse("exp(x1 - x2) - exp(-x2 + x1)"))
+    assert not is_identically_zero(expr.parse("x1/3 - 0.3333333333333333*x1"))

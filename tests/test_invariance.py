@@ -15,7 +15,13 @@ from example_systems import (
     translation_bm_system,
 )
 from stochflow import expr, invariance, liealg
-from stochflow.currents import DensityCurrent, EmpiricalCurrent, volume_current
+from stochflow.currents import (
+    DensityCurrent,
+    EmpiricalCurrent,
+    grid_points,
+    make_test_basis,
+    volume_current,
+)
 from stochflow.invariance import (
     DEFAULT_TOLERANCES,
     EXACT_BIAS_C,
@@ -42,10 +48,8 @@ from stochflow.manifold import (
     StratonovichSystem,
     VectorFieldSpec,
     apply_field,
-    grid_points,
     heisenberg_frame,
     heisenberg_manifold,
-    make_test_basis,
     product_divergence_expr,
     torus,
 )

@@ -22,9 +22,8 @@ from example_systems import hamiltonian_torus_system, translation_bm_system
 from stochflow import expr
 from stochflow.cli import run
 from stochflow.config import parse_config
-from stochflow.currents import DensityCurrent, volume_current
+from stochflow.currents import DensityCurrent, make_test_basis, volume_current
 from stochflow.invariance import EmpiricalRun, empirical_check
-from stochflow.manifold import make_test_basis
 
 GIBBS_DENSITY = "exp(-cos(2*pi*x1)/(pi*0.25))"
 

@@ -7,12 +7,13 @@ import pytest
 from oracles import ad_matrix, leaf_connection
 from stochflow import liealg
 from stochflow.invariance import foliation_pipeline
+from stochflow.jsonformats import load_structure_constants
 from stochflow.liealg import (
     LieAlgebraData,
     NotASubalgebraError,
     Subalgebra,
+    ALGEBRAS,
     abelian,
-    algebra_zoo,
     foliated_drift,
     heisenberg3,
     heisenberg_realization,
@@ -21,7 +22,6 @@ from stochflow.liealg import (
     is_nilpotent,
     is_semisimple,
     killing_form,
-    load_structure_constants,
     sl2,
     so3,
     tr_ad_restricted,
@@ -29,6 +29,8 @@ from stochflow.liealg import (
 
 SL2 = sl2()
 HEIS = heisenberg3()
+# the built-in algebras, each built once for the module
+ZOO = {name: build() for name, build in ALGEBRAS.items()}
 H_XY = Subalgebra(SL2, (0, 1))
 
 
@@ -52,7 +54,7 @@ def test_construction_rejects_jacobi_violation():
 
 
 def test_zoo_members_are_valid():
-    for name, g in algebra_zoo().items():
+    for name, g in ZOO.items():
         assert g.c.shape == (g.n, g.n, g.n), name
 
 
@@ -202,7 +204,7 @@ def test_foliated_drift_is_minus_half_the_leaf_connection_trace():
     # the Koszul formula on the orthonormal frame of h, over every closed
     # subalgebra of the zoo and of random orthonormal conjugates (whose
     # closed coordinate subalgebras include the whole algebra)
-    zoo = list(algebra_zoo().values())
+    zoo = list(ZOO.values())
     conjugates = [_random_orthogonal_conjugate(g, seed) for seed, g in enumerate(zoo)]
     for g in zoo + conjugates:
         for h in _closed_subalgebras(g):
@@ -251,7 +253,7 @@ def test_verdict_heisenberg_all_closed_subalgebras():
 
 
 def test_nilpotent_implies_totally_invariant_over_zoo():
-    for name, g in algebra_zoo().items():
+    for name, g in ZOO.items():
         if not is_nilpotent(g):
             continue
         for h in _closed_subalgebras(g):

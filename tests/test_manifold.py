@@ -9,18 +9,16 @@ import oracles
 from example_systems import THETA_DENSITY
 from oracles import is_invariant_function
 from stochflow import expr
-from stochflow.currents import evaluate_many, volume_current
+from stochflow.currents import evaluate_many, grid_points, make_test_basis, volume_current
 from stochflow.manifold import (
     ChartedManifold,
     InvalidPointError,
     VectorFieldSpec,
-    grid_points,
     heisenberg_frame,
     heisenberg_manifold,
     identified_pairs,
     is_compatible_field,
     lie_bracket,
-    make_test_basis,
     product_divergence_expr,
     torus,
 )

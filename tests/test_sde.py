@@ -16,6 +16,7 @@ from example_systems import hamiltonian_torus_system as hamiltonian_system
 from oracles import fd_jacobian, quotient_gap
 from stochflow import expr, sde
 from stochflow.invariance import jacobian_check
+from stochflow.proofs import is_identically_zero
 from stochflow.manifold import (
     ChartedManifold,
     ConfigurationError,
@@ -285,7 +286,7 @@ def test_zero_divergences_leave_log_j_exactly_zero():
     # the Hamiltonian divergences are zero as functions but round to
     # about 1e-16 when evaluated; the compiled step leaves them out
     sys = hamiltonian_system()
-    assert all(expr.is_identically_zero(product_divergence_expr(sys.manifold, f))
+    assert all(is_identically_zero(product_divergence_expr(sys.manifold, f))
                for f in sys.fields())
     noise = generate_noise(17, 0, 2, 1e-2, 50)
     pts = [[0.25, 0.6], [0.9, 0.05]]
@@ -301,7 +302,7 @@ def test_zero_divergences_leave_log_j_exactly_zero():
 
 def test_sin_drift_divergence_is_not_zero():
     sys = sin_drift_system()
-    assert not expr.is_identically_zero(product_divergence_expr(T1, sys.drift))
+    assert not is_identically_zero(product_divergence_expr(T1, sys.drift))
     noise = generate_noise(0, 0, 0, 1e-2, 10)
     assert flow_with_jacobian(sys, [0.1], 1e-2, noise).log_jacobian[-1] > 0.1
 

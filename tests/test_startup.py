@@ -8,6 +8,7 @@ up here.
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -17,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import stochflow
-from stochflow.manifold import ChartedManifold, make_test_basis, torus
+from stochflow.currents import make_test_basis
+from stochflow.manifold import ChartedManifold, torus
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,6 +40,16 @@ import sys
 import numpy
 from stochflow import cli, config, presets
 cli.build_experiment(config.parse_config(presets.preset_text(sys.argv[1])))
+print(0, "", " ".join(sorted(sys.modules)), sep="\\n")
+"""
+
+# the same set-up of the config file named by the first argument
+_SET_UP_FILE = """\
+import sys
+import numpy
+from stochflow import cli, config
+with open(sys.argv[1], encoding="utf-8") as fh:
+    cli.build_experiment(config.parse_config(fh.read()))
 print(0, "", " ".join(sorted(sys.modules)), sep="\\n")
 """
 
@@ -92,12 +104,30 @@ NOISE = "stochflow.noise"
 
 # the Heun loop compiler, which only a flow that steps loads
 HEUN = "stochflow.heun"
-# what a command runs once set-up is over: the flow, its loop and noise,
-# the checks, and the command line parser that only main reads
-RUN_LAYERS = {"stochflow.sde", HEUN, NOISE, "stochflow.currents",
-              "stochflow.invariance", "stochflow.checks", "argparse", "gettext"}
+# the zero test, which the flow and the residual checks ask
+PROOFS = "stochflow.proofs"
+# the readers of JSON configs and structure constants, which set-up
+# loads only to read JSON
+JSONFORMATS = "stochflow.jsonformats"
+# what set-up does not load for a text config: what a command runs once
+# set-up is over (the flow, its loop, noise and zero test, the checks,
+# and the command line parser that only main reads) and the JSON readers
+RUN_LAYERS = {"stochflow.sde", HEUN, NOISE, PROOFS, "stochflow.currents",
+              "stochflow.invariance", "stochflow.checks", JSONFORMATS,
+              "argparse", "gettext"}
 # the modules of set-up, which every command runs
-SET_UP_MODULES = ("cli", "config", "expr", "manifold", "presets", "liealg")
+SET_UP_MODULES = ("__init__", "cli", "config", "expr", "manifold", "presets", "liealg")
+
+
+def test_every_module_is_in_one_table():
+    # each module states when it loads: set-up loads it, or it is loaded
+    # only when needed; a module added to src/ has to say which
+    modules = sorted(path.stem for path in (ROOT / "src" / "stochflow").glob("*.py"))
+    tables = [*SET_UP_MODULES, *(name.split(".", 1)[1] for name in RUN_LAYERS
+                                 if name.startswith("stochflow."))]
+    counts = {module: tables.count(module) for module in modules}
+    assert {m: n for m, n in counts.items() if n != 1} == {}
+    assert set(tables) <= set(modules)
 
 
 @pytest.mark.parametrize("preset", ["hamiltonian_torus", "heisenberg_foliation"])
@@ -120,6 +150,25 @@ def test_set_up_of_a_flow_preset_loads_nothing_only_check_reads():
     # the system is built by manifold: set-up loads no flow code
     assert not RUN_LAYERS & modules
     assert not CHECK_ONLY & modules
+
+
+@pytest.mark.parametrize("source", ["json_config", "constants_file"])
+def test_set_up_of_json_input_loads_the_json_readers(tmp_path, source):
+    constants = tmp_path / "heisenberg.json"
+    constants.write_text(json.dumps({"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "coeffs": [0, 0, 1]}]}), encoding="utf-8")
+    texts = {
+        "json_config": json.dumps({"manifold": {"lengths": [1, 1]},
+                                   "fields": {"diffusion1": "1, 0"}}),
+        "constants_file": f"[liealg]\nalgebra = file:{constants}\nsubalgebra = 1, 3\n",
+    }
+    config = tmp_path / "config"
+    config.write_text(texts[source], encoding="utf-8")
+    _, _, modules = run_script(_SET_UP_FILE, [str(config)])
+    assert JSONFORMATS in modules
+    assert not (RUN_LAYERS - {JSONFORMATS}) & modules
+    if source == "json_config":  # a flow: the constants reader builds no algebra
+        assert "stochflow.liealg" not in modules
 
 
 def test_set_up_of_a_liealg_preset_does_not_load_the_heun_loop():
@@ -198,13 +247,20 @@ def test_check_of_a_flow_preset_loads_neither_liealg_nor_numpy_random(loaded):
 def test_check_of_a_foliation_preset_loads_its_layers(loaded):
     code, _, modules = loaded["check_foliation"]
     assert code == 0
-    assert {"stochflow.invariance", "stochflow.liealg", NOISE,
+    assert {"stochflow.invariance", "stochflow.liealg", NOISE, PROOFS,
             *CHECK_ONLY} <= modules
     # every coefficient of its constant fields is a constant, which the
     # zero test answers without expanding (and importing fractions)
     assert "fractions" not in modules
     # and constant fields flow by one summed increment per path
     assert HEUN not in modules
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_of_a_text_config_loads_the_json_readers(loaded, command):
+    code, _, modules = loaded[command]
+    assert code == 0
+    assert JSONFORMATS not in modules
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -581,7 +581,7 @@ def diff(node: Expr, axis: int) -> Expr:
         _set(n, "_diffs", memo[:axis] + (_derivative(n, axis),) + memo[axis + 1:])
 
     post_order(node, lambda n: axis < len(n._diffs) and n._diffs[axis] is not None,
-                remember)
+               remember)
     return node._diffs[axis]
 
 

@@ -9,10 +9,10 @@ from stochflow import liealg
 from stochflow.invariance import foliation_pipeline
 from stochflow.jsonformats import load_structure_constants
 from stochflow.liealg import (
+    ALGEBRAS,
     LieAlgebraData,
     NotASubalgebraError,
     Subalgebra,
-    ALGEBRAS,
     abelian,
     foliated_drift,
     heisenberg3,

@@ -1,16 +1,16 @@
 """Configuration-driven experiment runner and command line interface.
 
-Commands:
-    check <config> [--out DIR] [--seed S] [--dt D] [--paths N]
-    liealg <constants.json> --subalgebra i,j,...
-    simulate <config> --trajectory out.csv [--t T] [--dt D] [--seed S]
-    presets list | show NAME
+usage:
+    stochflow check <config> [--out DIR] [--seed S] [--dt D] [--paths N]
+    stochflow liealg <constants.json> --subalgebra i,j,...
+    stochflow simulate <config> --trajectory out.csv [--t T] [--dt D] [--seed S]
+                       [--x0 X] [--path-index P]
+    stochflow presets list
+    stochflow presets show NAME
 
-Exit codes: 0 when every verdict is true, 2 when any check fails,
-1 on usage, configuration or execution errors. The commands raise their
-errors, and main alone catches them: each issue of a ConfigError, or an
-ArithmeticError, OSError or ValueError, is one `error:` line on stderr.
-A process that ends when its command returns runs console, not main.
+<config> is a config file or the name of a preset; -h or --help prints
+this text. Exit codes: 0 when every verdict is true, 2 when any check
+fails, 1 on usage, configuration or execution errors.
 """
 
 from __future__ import annotations
@@ -147,8 +147,7 @@ def run(config: ExperimentConfig, outdir) -> int:
     }
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
     write_csvs(reports, outdir)
     for rep in reports:
         status = "pass" if rep.all_verdicts() else "FAIL"
@@ -169,15 +168,15 @@ def _load_config_text(path_or_name: str) -> str:
     raise FileNotFoundError(f"no config file or preset named {path_or_name!r}")
 
 
-def _cmd_check(args) -> int:
-    overrides = {"seed": args.seed, "dt": args.dt, "paths": args.paths}
-    return run(parse_config(_load_config_text(args.config), overrides), args.out)
+def _cmd_check(config, out, seed, dt, paths) -> int:
+    overrides = {"seed": seed, "dt": dt, "paths": paths}
+    return run(parse_config(_load_config_text(config), overrides), out)
 
 
-def _cmd_liealg(args) -> int:
+def _cmd_liealg(constants, subalgebra) -> int:
     from . import liealg
 
-    g, indices = parse_liealg_args(args.constants, args.subalgebra)
+    g, indices = parse_liealg_args(constants, subalgebra)
     h = liealg.Subalgebra(g, indices)
     ok, offending = liealg.invariance_verdict(h)
     print(f"dimension: {g.n}")
@@ -195,8 +194,9 @@ def _cmd_liealg(args) -> int:
     return 0 if ok else 2
 
 
-def _cmd_simulate(args) -> int:
-    exp = build_experiment(parse_config(_load_config_text(args.config)))
+def _cmd_simulate(config, trajectory, t, dt, seed, path_index, x0) -> int:
+    first = int(path_index)
+    exp = build_experiment(parse_config(_load_config_text(config)))
     system = exp.system
     if system is None and exp.realization is None:
         raise ValueError("config has no simulatable system "
@@ -205,76 +205,67 @@ def _cmd_simulate(args) -> int:
         from .liealg import foliated_system
 
         system = foliated_system(exp.subalgebra, exp.realization)
-    flags = parse_flags({"t": args.t, "dt": args.dt, "x0": args.x0,
-                         "seed": args.seed}, system.manifold)
+    flags = parse_flags({"t": t, "dt": dt, "x0": x0, "seed": seed}, system.manifold)
     steps = step_count(flags["t"], flags["dt"])
     from .sde import FlowResult, flow_paths, write_trajectory_csv
 
     states, log_j = flow_paths(system, "trajectory", flags["x0"], flags["dt"],
-                               steps, flags["seed"],
-                               range(args.path_index, args.path_index + 1))
-    with open(args.trajectory, "w", newline="", encoding="utf-8") as fh:
+                               steps, flags["seed"], range(first, first + 1))
+    with open(trajectory, "w", newline="", encoding="utf-8") as fh:
         write_trajectory_csv(FlowResult(flags["dt"], states[:, 0], log_j[:, 0]),
                              fh)
-    print(f"wrote {args.trajectory} ({steps + 1} rows)")
+    print(f"wrote {trajectory} ({steps + 1} rows)")
     return 0
 
 
-def _cmd_presets(args) -> int:
-    if args.action == "list":
+def _cmd_presets(name=None) -> int:
+    if name is None:
         print(*preset_names(), sep="\n")
     else:
-        print(preset_text(args.name), end="")
+        print(preset_text(name), end="")
     return 0
+
+
+# The commands of the usage in the module docstring, by their words: the
+# handler, its number of positionals, and the default of each option, or
+# ... for an option that must be given. Each option takes one value, as
+# --opt VALUE or --opt=VALUE, and the last one given wins; main passes
+# the positionals in order and each option by its name, with - read as _.
+_COMMANDS = {
+    "check": (_cmd_check, 1, {"out": "out", "seed": None, "dt": None, "paths": None}),
+    "liealg": (_cmd_liealg, 1, {"subalgebra": ...}),
+    "simulate": (_cmd_simulate, 1, {"trajectory": ..., "t": None, "dt": None,
+                                    "seed": None, "path_index": 0, "x0": None}),
+    "presets list": (_cmd_presets, 0, {}),
+    "presets show": (_cmd_presets, 1, {}),
+}
 
 
 def main(argv=None) -> int:
-    import argparse  # with gettext about 1.5 ms, which set-up does not need
-
-    parser = argparse.ArgumentParser(
-        prog="stochflow",
-        description="Stochastic flows on compact manifolds and "
-                    "invariance checks for 0-currents.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="run the checks of a config or preset")
-    p_check.add_argument("config", help="config file path or preset name")
-    p_check.add_argument("--out", default="out", help="output directory")
-    p_check.add_argument("--seed")  # converted by parse_config, as in a config
-    p_check.add_argument("--dt")
-    p_check.add_argument("--paths")
-    p_check.set_defaults(func=_cmd_check)
-
-    p_lie = sub.add_parser("liealg", help="trace criterion for a constants file")
-    p_lie.add_argument("constants", help="structure-constant JSON file")
-    p_lie.add_argument("--subalgebra", required=True,
-                       help="1-based indices, e.g. 1,2")
-    p_lie.set_defaults(func=_cmd_liealg)
-
-    p_sim = sub.add_parser("simulate", help="integrate one path and export CSV")
-    p_sim.add_argument("config", help="config file path or preset name")
-    p_sim.add_argument("--trajectory", required=True, help="output CSV path")
-    p_sim.add_argument("--t")  # converted by parse_flags, as a check's t
-    p_sim.add_argument("--dt")
-    p_sim.add_argument("--seed")
-    p_sim.add_argument("--path-index", type=int, default=0)
-    p_sim.add_argument("--x0", default=None, help="comma-separated start point")
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_pre = sub.add_parser("presets", help="list or show shipped presets")
-    pre_sub = p_pre.add_subparsers(dest="action", required=True)
-    p_list = pre_sub.add_parser("list")
-    p_list.set_defaults(func=_cmd_presets)
-    p_show = pre_sub.add_parser("show")
-    p_show.add_argument("name")
-    p_show.set_defaults(func=_cmd_presets)
-
-    # the one error boundary: bad input is one error line per issue, exit 1
+    # The one error boundary: the commands raise their errors, and main
+    # alone catches them. Each issue of a ConfigError, or an
+    # ArithmeticError, OSError or ValueError, is one `error:` line on
+    # stderr, and main returns 1. A usage error prints the module
+    # docstring first. A process that ends when its command returns runs
+    # console, not main.
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except SystemExit as e:  # argparse exits 2 on a usage error, 0 on --help
-        return 1 if e.code else 0
+        words, values, given = iter(_sys.argv[1:] if argv is None else argv), [], {}
+        for word in words:
+            if word in ("-h", "--help"):
+                print(__doc__)
+                return 0
+            if word.startswith("--"):
+                flag, eq, value = word[2:].partition("=")
+                given[flag.replace("-", "_")] = value if eq else next(words, ...)
+            else:
+                values.append(word)
+        name = values[:2] if " ".join(values[:2]) in _COMMANDS else values[:1]
+        handler, count, options = _COMMANDS.get(" ".join(name), (None, -1, {}))
+        args, values = {**options, **given}, values[len(name):]
+        if len(values) != count or ... in args.values() or given.keys() - options.keys():
+            print(__doc__, file=_sys.stderr)
+            raise ValueError("the arguments do not match the usage above")
+        return handler(*values, **args)
     except ConfigError as e:
         errors = e.issues
     except (ArithmeticError, OSError, ValueError) as e:

@@ -2,8 +2,7 @@
 
 ``sde`` asks it which fields are divergence-free, and ``currents`` which
 coefficients of a residual contraction vanish. Neither runs while an
-experiment is set up, so no set-up compiles this module, and only a
-test that has to expand a tree imports ``fractions``.
+experiment is set up, so no set-up compiles this module.
 """
 
 from __future__ import annotations
@@ -23,6 +22,12 @@ class _Undecided(Exception):
     pass
 
 
+def _ratio(n: int, d: int) -> tuple:
+    """n/d as (numerator, denominator) in lowest terms, d > 0."""
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    return n // g, d // g
+
+
 # node -> the answer of is_identically_zero
 _ZERO_TESTS = weakref.WeakKeyDictionary()
 
@@ -32,7 +37,8 @@ def is_identically_zero(node: Expr) -> bool:
     sound, not complete; memoized on the node.
 
     The expression is expanded into a polynomial with exact rational
-    coefficients (every float constant is the rational it stores) over
+    coefficients, each a reduced (numerator, denominator) pair of ints
+    (every float constant is the rational it stores) over
     atoms: the coordinates, sin, cos and exp of a canonical argument, and
     reciprocals of non-constant denominators. node is zero when every
     coefficient cancels. Identities between atoms, such as
@@ -46,16 +52,20 @@ def is_identically_zero(node: Expr) -> bool:
         return node.value == 0.0  # False for a non-finite constant
     if isinstance(node, Coord):
         return False
-    from fractions import Fraction
+
+    def put(out, mono, n, d):  # out[mono] += n/d, dropping a zero sum
+        if mono in out:
+            m, e = out[mono]
+            n, d = m * d + n * e, e * d
+        if n:
+            out[mono] = _ratio(n, d)
+        else:
+            del out[mono]
 
     def add(p, q):
         out = dict(p)
-        for mono, c in q.items():
-            c = out.get(mono, 0) + c
-            if c:
-                out[mono] = c
-            else:
-                del out[mono]
+        for mono, (n, d) in q.items():
+            put(out, mono, n, d)
         if len(out) > _MAX_ZERO_TEST_TERMS:
             raise _Undecided
         return out
@@ -64,44 +74,43 @@ def is_identically_zero(node: Expr) -> bool:
         if len(p) * len(q) > _MAX_ZERO_TEST_TERMS:
             raise _Undecided
         out = {}
-        for mp, cp in p.items():
-            for mq, cq in q.items():
+        for mp, (n, d) in p.items():
+            for mq, (m, e) in q.items():
                 powers = dict(mp)
                 for a, k in mq:
                     powers[a] = powers.get(a, 0) + k
-                mono = frozenset(powers.items())
-                c = out.get(mono, 0) + cp * cq
-                if c:
-                    out[mono] = c
-                else:
-                    del out[mono]
+                put(out, frozenset(powers.items()), n * m, d * e)
         return out
 
+    def neg(p):
+        return {mono: (-n, d) for mono, (n, d) in p.items()}
+
     def atom(key):
-        return {frozenset({(key, 1)}): Fraction(1)}
+        return {frozenset({(key, 1)}): (1, 1)}
 
     def expand(n):  # n's polynomial, those of its operands being in seen
         if isinstance(n, Num):
             if not math.isfinite(n.value):
                 raise _Undecided
-            return {frozenset(): Fraction(n.value)} if n.value else {}
+            return {frozenset(): float(n.value).as_integer_ratio()} if n.value else {}
         if isinstance(n, Coord):
             return atom(("x", n.axis))
         if isinstance(n, Neg):
-            return {mono: -c for mono, c in seen[n.arg].items()}
+            return neg(seen[n.arg])
         if isinstance(n, Call):
             return atom((n.fn, frozenset(seen[n.arg].items())))
         a, b = seen[n.left], seen[n.right]  # a BinOp
         if n.op == "+":
             return add(a, b)
         if n.op == "-":
-            return add(a, {mono: -c for mono, c in b.items()})
+            return add(a, neg(b))
         if n.op == "*":
             return mul(a, b)
         if not b:
             raise _Undecided  # division by zero
-        if set(b) == {frozenset()}:
-            return mul(a, {frozenset(): 1 / b[frozenset()]})
+        if set(b) == {frozenset()}:  # times the reciprocal constant
+            m, e = b[frozenset()]
+            return mul(a, {frozenset(): _ratio(e, m)})
         return mul(a, atom(("/", frozenset(b.items()))))
 
     seen = {}

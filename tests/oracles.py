@@ -12,14 +12,19 @@ connection behind the trace criterion and the foliated drift of
 ``liealg``, and the Philox4x32-10 stream and its Box-Muller normals on
 Python ints and ``math`` beside the array arithmetic of ``noise``.
 ``to_str`` writes an expression back in the grammar that ``expr.parse``
-reads.
+reads. ``fraction_is_identically_zero`` is the zero test with
+``fractions.Fraction`` coefficients beside the integer pairs of
+``proofs``, and ``argparse_parser`` the command line as ``argparse``
+reads it beside the table of ``cli.main``.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 import math
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -121,6 +126,85 @@ def recursive_diff(node, axis, memo=None):
     return out
 
 
+def fraction_is_identically_zero(node, max_terms: int = 1024) -> bool:
+    """proofs.is_identically_zero with Fraction coefficients and no memo:
+    the expansion into a polynomial over atoms (coordinates, sin, cos and
+    exp of a canonical argument, reciprocals of non-constant
+    denominators), False for a sum or product of more than max_terms
+    terms, a non-finite constant or a division by zero."""
+    if isinstance(node, expr.Num):
+        return node.value == 0.0
+    if isinstance(node, expr.Coord):
+        return False
+
+    class Undecided(Exception):
+        pass
+
+    def add(p, q):
+        out = dict(p)
+        for mono, c in q.items():
+            c = out.get(mono, 0) + c
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+        if len(out) > max_terms:
+            raise Undecided
+        return out
+
+    def mul(p, q):
+        if len(p) * len(q) > max_terms:
+            raise Undecided
+        out = {}
+        for mp, cp in p.items():
+            for mq, cq in q.items():
+                powers = dict(mp)
+                for a, k in mq:
+                    powers[a] = powers.get(a, 0) + k
+                mono = frozenset(powers.items())
+                c = out.get(mono, 0) + cp * cq
+                if c:
+                    out[mono] = c
+                else:
+                    del out[mono]
+        return out
+
+    def atom(key):
+        return {frozenset({(key, 1)}): Fraction(1)}
+
+    def expand(n):
+        if isinstance(n, expr.Num):
+            if not math.isfinite(n.value):
+                raise Undecided
+            return {frozenset(): Fraction(n.value)} if n.value else {}
+        if isinstance(n, expr.Coord):
+            return atom(("x", n.axis))
+        if isinstance(n, expr.Neg):
+            return {mono: -c for mono, c in seen[n.arg].items()}
+        if isinstance(n, expr.Call):
+            return atom((n.fn, frozenset(seen[n.arg].items())))
+        a, b = seen[n.left], seen[n.right]
+        if n.op == "+":
+            return add(a, b)
+        if n.op == "-":
+            return add(a, {mono: -c for mono, c in b.items()})
+        if n.op == "*":
+            return mul(a, b)
+        if not b:
+            raise Undecided
+        if set(b) == {frozenset()}:
+            return mul(a, {frozenset(): 1 / b[frozenset()]})
+        return mul(a, atom(("/", frozenset(b.items()))))
+
+    seen = {}
+    try:
+        expr.post_order(node, seen.__contains__,
+                        lambda n: seen.__setitem__(n, expand(n)))
+    except Undecided:
+        return False
+    return not seen[node]
+
+
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
@@ -148,6 +232,41 @@ def _operand(node, binds):
     if isinstance(node, expr.BinOp) and _PRECEDENCE[node.op] < binds:
         return f"({s})"
     return s
+
+
+# ---------------------------------------------------------------------------
+# the command line
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The stochflow command line as argparse reads it: each command's
+    positionals and options under their handler's parameter names, and
+    the command's words under ``command``."""
+    parser = argparse.ArgumentParser(prog="stochflow")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_check = sub.add_parser("check")
+    p_check.add_argument("config")
+    p_check.add_argument("--out", default="out")
+    p_check.add_argument("--seed")
+    p_check.add_argument("--dt")
+    p_check.add_argument("--paths")
+    p_lie = sub.add_parser("liealg")
+    p_lie.add_argument("constants")
+    p_lie.add_argument("--subalgebra", required=True)
+    p_sim = sub.add_parser("simulate")
+    p_sim.add_argument("config")
+    p_sim.add_argument("--trajectory", required=True)
+    p_sim.add_argument("--t")
+    p_sim.add_argument("--dt")
+    p_sim.add_argument("--seed")
+    p_sim.add_argument("--path-index", type=int, default=0)
+    p_sim.add_argument("--x0", default=None)
+    p_pre = sub.add_parser("presets")
+    pre_sub = p_pre.add_subparsers(dest="action", required=True)
+    pre_sub.add_parser("list").set_defaults(command="presets list")
+    p_show = pre_sub.add_parser("show")
+    p_show.add_argument("name")
+    p_show.set_defaults(command="presets show")
+    return parser
 
 
 # ---------------------------------------------------------------------------

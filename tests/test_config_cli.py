@@ -1,6 +1,9 @@
+import contextlib
 import csv
 import hashlib
 import importlib.util
+import inspect
+import io
 import json
 import os
 import subprocess
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from example_systems import THETA_DENSITY, translation_bm_system
-from stochflow import expr, invariance, liealg
+from oracles import argparse_parser
+from stochflow import cli, expr, invariance, liealg
 from stochflow.checks import sha256_hex
 from stochflow.cli import build_current, build_experiment, main, run
 from stochflow.config import (
@@ -768,6 +772,167 @@ def test_overrides_are_rejected_before_any_check_runs(tmp_path, capsys, argv,
 def test_usage_errors_exit_1(capsys, argv, err):
     assert main(argv) == 1
     assert err in capsys.readouterr().err
+
+
+def readme_command_lines() -> list:
+    """Each synopsis line of README.md's "Command line" block as two
+    argv lists: with every bracketed option given, its placeholder as
+    its value (1 for the integer --path-index), and with none of them."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    lines = [line.split()[1:] for line in block.split("```", 1)[0].splitlines()]
+    out = []
+    for words in lines:
+        full = [w.strip("[]<>") for w in words]
+        full = ["1" if prev == "--path-index" else w
+                for prev, w in zip([None, *full], full)]
+        optional = {i for i, w in enumerate(words) if w.startswith("[")}
+        optional |= {i + 1 for i in optional}
+        out += [full, [w.strip("<>") for i, w in enumerate(words) if i not in optional]]
+    return out
+
+
+# argv lists for the command line's table and argparse alike: README's
+# lines, each option written both ways, missing, unknown and repeated
+# options, help, and values that start with "-"
+ARGV_CORPUS = [
+    *readme_command_lines(),
+    *([*base, *pair] for base in (["check", "cfg"],
+                                  ["simulate", "cfg", "--trajectory", "t.csv"])
+      for flag in ("--out", "--seed", "--dt", "--paths", "--trajectory", "--t",
+                   "--path-index", "--x0")
+      for pair in ([flag, "7"], [f"{flag}=7"])),
+    ["liealg", "c.json", "--subalgebra", "1,2"],
+    ["liealg", "c.json", "--subalgebra=1,2"],
+    ["liealg", "--subalgebra", "1", "c.json"],
+    ["check", "--out", "o", "cfg", "--seed", "3"],
+    ["check", "cfg", "--out=", "--dt", "0.1"],
+    ["check", "cfg", "--out=a=b"],
+    ["presets", "list"],
+    ["presets", "show", "hamiltonian_torus"],
+    # missing
+    [], ["check"], ["check", "--out", "o"], ["check", "cfg", "--seed"],
+    ["simulate", "cfg"], ["simulate", "cfg", "--trajectory"], ["liealg", "c.json"],
+    ["presets"], ["presets", "show"], ["presets", "show", "--out", "x"],
+    # unknown
+    ["bogus"], ["presets", "bogus"], ["check", "cfg", "--bogus", "1"],
+    ["check", "cfg", "extra"], ["presets", "list", "extra"], ["--out", "o"],
+    ["check", "cfg", "-x"], ["check", "cfg", "--t", "1"], ["liealg", "c.json", "--out", "o"],
+    ["check", "cfg", "--out", "--seed", "1"],
+    # repeated: the last wins
+    ["check", "cfg", "--seed", "1", "--seed=2"],
+    ["simulate", "cfg", "--trajectory", "a.csv", "--trajectory", "b.csv",
+     "--path-index", "1", "--path-index", "2"],
+    # help, at the top and per command
+    ["-h"], ["--help"], ["check", "-h"], ["check", "cfg", "--help"], ["liealg", "-h"],
+    ["simulate", "--help"], ["presets", "-h"], ["presets", "list", "-h"],
+    ["presets", "show", "-h"], ["check", "-h", "--bogus"],
+    # integers and values that start with "-"
+    ["simulate", "cfg", "--trajectory", "t.csv", "--path-index", "abc"],
+    ["simulate", "cfg", "--trajectory", "t.csv", "--path-index=-1"],
+    ["simulate", "cfg", "--trajectory", "t.csv", "--path-index", " 2 "],
+    ["check", "cfg", "--seed", "-1"], ["check", "cfg", "--dt", "-0.5"],
+    ["check", "cfg", "--dt=-1e-3"], ["check", "-1"], ["check", "-"],
+    ["simulate", "cfg", "--trajectory", "-"],
+]
+
+# Where the table and argparse differ: argv -> (argparse's exit code,
+# main's), 0 where argparse accepts or main runs the handler; the test
+# checks that each still does.
+ARGV_DIFFERENCES = {
+    # argparse completes a unique prefix of an option; the table does not
+    ("simulate", "cfg", "--traj", "t.csv"): (0, 1),
+    ("check", "cfg", "--se", "1"): (0, 1),
+    # argparse reads a word after "--" as a positional; the table has no "--"
+    ("check", "--", "cfg"): (0, 1),
+    # the table takes the word after an option as its value, where
+    # argparse reads a word that starts with "-" and is not a plain
+    # negative number as a missing value, or as the next option
+    ("simulate", "cfg", "--trajectory", "t.csv", "--x0", "-0.5,0.5"): (2, 0),
+    ("check", "cfg", "--dt", "-1e-3"): (2, 0),
+    ("check", "cfg", "--out", "-h"): (2, 0),
+    ("check", "--bogus", "-h"): (0, 1),
+    # the table reads - and _ in an option's name alike
+    ("simulate", "cfg", "--trajectory", "t.csv", "--path_index", "2"): (2, 0),
+    # the table finds the command among the positionals, so a command's
+    # options may stand before its words
+    ("--out", "o", "check", "cfg"): (2, 0),
+    # -h asks for help wherever it stands as an option, where argparse
+    # first rejects an unknown command
+    ("bogus", "-h"): (2, 0),
+    ("presets", "bogus", "--help"): (2, 0),
+}
+
+
+def table_run(argv, capsys):
+    """(exit code, the arguments by name that main passes its handler or
+    None, stdout, stderr) of main(argv), each handler replaced by one
+    that records them."""
+    calls = []
+
+    def recorder(name, handler):
+        def record(*args, **kwargs):
+            bound = inspect.signature(handler).bind(*args, **kwargs).arguments
+            calls.append(dict(bound, command=name))
+            return 0
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, (handler, *rest) in list(cli._COMMANDS.items()):
+            patch.setitem(cli._COMMANDS, name, (recorder(name, handler), *rest))
+        code = main(list(argv))
+    out, err = capsys.readouterr()
+    [args] = calls or [None]
+    return code, args, out, err
+
+
+def argparse_run(argv):
+    """(exit code or None, the namespace as a dict) of argparse on argv."""
+    try:
+        args = vars(argparse_parser().parse_args(list(argv)))
+    except SystemExit as e:
+        return e.code, None
+    args.pop("action", None)
+    return None, args
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+def test_the_table_reads_what_argparse_reads(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert tuple(argv) not in ARGV_DIFFERENCES
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        want_code, want = argparse_run(argv)
+    code, got, out, err = table_run(argv, capsys)
+    if want is not None:  # argparse accepts: main passes the same values,
+        # --path-index as the handler reads it, by int() as type=int did
+        if got and "path_index" in got:
+            got["path_index"] = int(got["path_index"])
+        assert (code, got) == (0, want)
+    elif want_code == 0:  # help
+        assert (code, got, err) == (0, None, "")
+        assert "usage:" in out
+    elif got is None:  # argparse rejects, and so does main, with the usage
+        assert (code, out) == (1, "")
+        assert err.startswith(cli.__doc__)
+        assert err.endswith("\nerror: the arguments do not match the usage above\n")
+    else:  # --path-index abc: the handler's int() rejects it
+        assert main(list(argv)) == 1
+        assert capsys.readouterr() == (
+            "", "error: invalid literal for int() with base 10: 'abc'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", ARGV_DIFFERENCES, ids=" ".join)
+def test_the_table_and_argparse_differ_only_as_listed(capsys, argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        want_code, want = argparse_run(argv)
+    code, got, out, _ = table_run(argv, capsys)
+    assert (want_code or 0, code) == ARGV_DIFFERENCES[argv]
+    assert (want is not None) == (want_code is None)
+    if code == 0:  # main ran the handler, or printed the help
+        assert (got is None) == out.startswith(cli.__doc__)
 
 
 BOUNDARY_ERRORS = {

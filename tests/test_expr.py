@@ -1,15 +1,21 @@
 import gc
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from example_systems import hamiltonian_torus_system
-from oracles import recursive_diff, to_str, walk
+from oracles import fraction_is_identically_zero, recursive_diff, to_str, walk
 from stochflow import expr, heun
 from stochflow.currents import make_test_basis
-from stochflow.manifold import apply_field
+from stochflow.manifold import (
+    VectorFieldSpec,
+    apply_field,
+    product_divergence_expr,
+    torus,
+)
 from stochflow.proofs import is_identically_zero
 
 
@@ -146,6 +152,8 @@ def test_diff_and_the_zero_test_walk_a_tree_of_any_depth():
     assert expr.diff(left, 0) is expr.diff(left, 0)
     assert not is_identically_zero(left)
     assert is_identically_zero(expr.sub(left, right))
+    assert not fraction_is_identically_zero(left)
+    assert fraction_is_identically_zero(expr.sub(left, right))
 
 
 def test_derivative_basics():
@@ -560,3 +568,88 @@ def test_zero_test_on_quotients_and_constants():
     assert is_identically_zero(expr.parse("2*pi*x1 - x1*pi*2"))
     assert is_identically_zero(expr.parse("exp(x1 - x2) - exp(-x2 + x1)"))
     assert not is_identically_zero(expr.parse("x1/3 - 0.3333333333333333*x1"))
+
+
+# The zero test against its Fraction reference: trees of + - * / and
+# Neg over the coordinates and constants, with divisions by constants
+# that are not dyadic (3, 0.1, pi) and by zero, and sin, cos and exp of
+# affine arguments. Each tree is tested as it is, minus its commuted and
+# distributed forms (which the zero test proves zero), and minus another
+# tree.
+_CONSTANTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 0.1, math.pi]),
+                       st.floats(-3, 3))
+_AFFINE = st.builds(
+    lambda a, b, c: expr.add(expr.add(expr.mul(expr.constant(a), expr.coordinate(0)),
+                                      expr.mul(expr.constant(b), expr.coordinate(1))),
+                             expr.constant(c)),
+    st.sampled_from([0.0, 1.0, -2.0, 2 * math.pi]), st.sampled_from([0.0, 1.0, math.pi]),
+    _CONSTANTS)
+
+
+def _zero_test_extend(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children).map(
+            lambda t: expr.BinOp(*t)),
+        children.map(expr.Neg),
+        st.tuples(children, st.sampled_from([3.0, 0.1, math.pi, -2.0, 0.0])).map(
+            lambda t: expr.BinOp("/", t[0], expr.Num(t[1]))),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), _AFFINE).map(
+            lambda t: expr.Call(*t)),
+    )
+
+
+ZERO_TEST_TREES = st.recursive(
+    st.one_of(st.integers(0, 1).map(expr.Coord), _CONSTANTS.map(expr.Num)),
+    _zero_test_extend, max_leaves=8)
+
+
+def _over(e, p, q):
+    """e*p/q as a tree, p and q ints."""
+    return expr.BinOp("/", expr.BinOp("*", e, expr.Num(float(p))), expr.Num(float(q)))
+
+
+_SMALL_INTS = st.integers(-9, 9).filter(bool)
+
+
+@given(ZERO_TEST_TREES, ZERO_TEST_TREES, st.tuples(*[_SMALL_INTS] * 4))
+def test_the_zero_test_gives_the_verdicts_of_its_fraction_reference(e, other, ints):
+    # e*p/q + e*r/s - e*P/Q with P/Q = p/q + r/s, which cancels only when
+    # the sums are exact and reduced, as it stands and inside sin: a sum
+    # of one value written two ways is one atom
+    p, q, r, s = ints
+    total = Fraction(p, q) + Fraction(r, s)
+    left = expr.BinOp("+", _over(e, p, q), _over(e, r, s))
+    right = _over(e, total.numerator, total.denominator)
+    for tree in (e, expr.BinOp("-", e, commuted(e)), expr.BinOp("-", e, distributed(e)),
+                 expr.BinOp("-", e, other), expr.BinOp("+", e, expr.Neg(e)),
+                 expr.BinOp("-", left, right),
+                 expr.BinOp("-", expr.Call("sin", left), expr.Call("sin", right))):
+        assert is_identically_zero(tree) == fraction_is_identically_zero(tree)
+
+
+@pytest.mark.parametrize("identity", [
+    "sin(x1)*sin(x1) + cos(x1)*cos(x1) - 1",
+    "sin(4*pi*x1) - 2*sin(2*pi*x1)*cos(2*pi*x1)",
+    "cos(2*pi*(x1 + x2)) - (cos(2*pi*x1)*cos(2*pi*x2) - sin(2*pi*x1)*sin(2*pi*x2))",
+])
+def test_trig_identities_stay_not_shown_zero(identity):
+    # identities between atoms are not used, by either expansion
+    node = expr.parse(identity)
+    assert not is_identically_zero(node)
+    assert not fraction_is_identically_zero(node)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.15, 0.1])
+def test_the_gibbs_density_is_proved_invariant_in_mean(sigma):
+    # m(rho) = div(rho X_0) - (1/2)(X_1 b + div(X_1) b), b = div(rho X_1),
+    # on the circle with drift sin(2*pi*x1) and additive noise sigma
+    m = torus(1.0)
+    rho = expr.parse(f"exp(-cos(2*pi*x1)/(pi*{sigma}*{sigma}))")
+    drift = VectorFieldSpec(dim=1, components=(expr.parse("sin(2*pi*x1)"),))
+    noise = VectorFieldSpec(dim=1, components=(expr.constant(sigma),))
+    b = product_divergence_expr(m, noise, rho)
+    m_rho = expr.sub(product_divergence_expr(m, drift, rho), expr.mul(
+        expr.constant(0.5),
+        expr.add(apply_field(m, noise, b), expr.mul(product_divergence_expr(m, noise), b))))
+    assert is_identically_zero(m_rho)
+    assert fraction_is_identically_zero(m_rho)

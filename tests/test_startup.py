@@ -110,11 +110,15 @@ PROOFS = "stochflow.proofs"
 # loads only to read JSON
 JSONFORMATS = "stochflow.jsonformats"
 # what set-up does not load for a text config: what a command runs once
-# set-up is over (the flow, its loop, noise and zero test, the checks,
-# and the command line parser that only main reads) and the JSON readers
+# set-up is over (the flow, its loop, noise and zero test, and the
+# checks) and the JSON readers
 RUN_LAYERS = {"stochflow.sde", HEUN, NOISE, PROOFS, "stochflow.currents",
-              "stochflow.invariance", "stochflow.checks", JSONFORMATS,
-              "argparse", "gettext"}
+              "stochflow.invariance", "stochflow.checks", JSONFORMATS}
+# standard modules that no command needs: main reads argv by its table of
+# commands, not argparse (which loads gettext, and locale as its parser
+# is built), and the zero test keeps its rationals as pairs of ints,
+# not as fractions.Fraction (which loads decimal)
+UNNEEDED = {"argparse", "gettext", "locale", "fractions", "decimal"}
 # the modules of set-up, which every command runs
 SET_UP_MODULES = ("__init__", "cli", "config", "expr", "manifold", "presets", "liealg")
 
@@ -142,6 +146,15 @@ def test_no_command_loads_a_generator_or_openssl(loaded, command):
     code, _, modules = loaded[command]
     assert code == 0
     assert not (GENERATORS | OPENSSL) & modules
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_the_command_line_or_rational_modules(loaded, command):
+    # each command reads its argv, and all but the foliation check expand
+    # a tree in the zero test
+    code, _, modules = loaded[command]
+    assert code == 0
+    assert not UNNEEDED & modules
 
 
 def test_set_up_of_a_flow_preset_loads_nothing_only_check_reads():
@@ -249,10 +262,7 @@ def test_check_of_a_foliation_preset_loads_its_layers(loaded):
     assert code == 0
     assert {"stochflow.invariance", "stochflow.liealg", NOISE, PROOFS,
             *CHECK_ONLY} <= modules
-    # every coefficient of its constant fields is a constant, which the
-    # zero test answers without expanding (and importing fractions)
-    assert "fractions" not in modules
-    # and constant fields flow by one summed increment per path
+    # constant fields flow by one summed increment per path
     assert HEUN not in modules
 
 

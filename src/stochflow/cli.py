@@ -42,7 +42,7 @@ from .presets import preset_names, preset_text
 # use them, so that a command loads only what it runs: `simulate` loads
 # sde and neither the checks' layers nor the report writer, `check`
 # loads the check runner (checks) with invariance and currents, and on
-# a flow preset not liealg; argparse is imported by main.
+# a flow preset not liealg.
 
 __all__ = ["console", "main", "run", "build_experiment", "build_current"]
 
@@ -244,8 +244,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     # The one error boundary: the commands raise their errors, and main
     # alone catches them. Each issue of a ConfigError, or an
-    # ArithmeticError, OSError or ValueError, is one `error:` line on
-    # stderr, and main returns 1. A usage error prints the module
+    # ArithmeticError, MemoryError, OSError or ValueError, is one `error:`
+    # line on stderr, and main returns 1. A usage error prints the module
     # docstring first. A process that ends when its command returns runs
     # console, not main.
     try:
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         return handler(*values, **args)
     except ConfigError as e:
         errors = e.issues
-    except (ArithmeticError, OSError, ValueError) as e:
+    except (ArithmeticError, MemoryError, OSError, ValueError) as e:
         errors = [e]
     for error in errors:
         print(f"error: {error}", file=_sys.stderr)

@@ -38,7 +38,7 @@ from .manifold import (
     step_count,
 )
 from .proofs import is_identically_zero
-from .sde import _endpoint_arrays, flow_paths
+from .sde import endpoint_arrays, flow_paths
 
 __all__ = [
     "grid_points",
@@ -225,7 +225,7 @@ def pullback_values(T: Current, functions: Sequence[Expr],
     n_pts = pts.shape[0]
     batch = expr.Functions(functions, sys.manifold.dim)
     out = np.empty((len(batch), len(paths)))
-    arrays = max(_endpoint_arrays(sys), sys.manifold.dim + batch.peak_arrays)
+    arrays = max(endpoint_arrays(sys), sys.manifold.dim + batch.peak_arrays)
     chunk = max(1, _CHUNK_ELEMS // (n_pts * arrays + steps * factor * sys.m))
     for start in range(0, len(paths), chunk):
         ends = flow_paths(sys, "endpoints", pts, dt, steps, seed,

@@ -27,16 +27,15 @@ Shared nodes make memos cheap: ``diff`` is memoized per (node, axis),
 node once per set of inputs; ``proofs.is_identically_zero`` keeps one
 answer per node. ``post_order`` is the tree walker that ``Lowering``,
 ``diff`` and that zero test share.
-The memos of ``diff`` and ``Lowering`` are slots of the node, each
-replaced whole, so values stay right when threads share nodes; but
-interning takes no lock, and two threads that build the same structure
-at once may get two nodes, which then compare unequal.
+The memo of ``diff`` is a slot of the node, replaced whole, so values
+stay right when threads share nodes; but interning takes no lock, and
+two threads that build the same structure at once may get two nodes,
+which then compare unequal.
 """
 
 from __future__ import annotations
 
 import ast
-import collections
 import math
 import operator
 import warnings
@@ -79,32 +78,26 @@ class ExprParseError(ValueError):
 
 _set = object.__setattr__
 
-
-class _Table(dict):
-    """Intern table of one node type and operator: key -> a weakref.KeyedRef
-    to the live node. Keys hold no node: a child is keyed by its id, which
-    stays its own while the parent, which holds it, lives. (Holding
-    children in the keys would keep every node whose memos lead back to
-    it alive for good: exp(u) is a factor of its own derivative.)"""
-
-    def forget(self, ref):
-        if self.get(ref.key) is ref:
-            del self[ref.key]
+# The intern table: (node type, operator, function or value type, key) ->
+# a weakref.KeyedRef to the live node. Keys hold no node: a child is
+# keyed by its id, which stays its own while the parent, which holds it,
+# lives. (Holding children in the keys would keep every node whose memos
+# lead back to it alive for good: exp(u) is a factor of its own
+# derivative.)
+_TABLE = {}
 
 
-# node type -> {operator, function or value type: _Table}
-_TABLES = collections.defaultdict(dict)
+def _forget(ref):
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
 
 
 def _intern(cls, tag, key, *fields):
     """The live node of cls under tag and key, or a new one with the given
     fields (cls.__slots__, in order), entered into the table only once
     its fields are set."""
-    tables = _TABLES[cls]
-    table = tables.get(tag)
-    if table is None:
-        table = tables[tag] = _Table()
-    ref = table.get(key)
+    key = (cls, tag, key)
+    ref = _TABLE.get(key)
     node = None if ref is None else ref()
     if node is not None:
         return node
@@ -114,8 +107,7 @@ def _intern(cls, tag, key, *fields):
     _set(node, "_max_coordinate", fields[0] + 1 if cls is Coord else max(
         (f._max_coordinate for f in fields if isinstance(f, _Node)), default=0))
     _set(node, "_diffs", ())
-    _set(node, "_lowered", None)
-    table[key] = weakref.KeyedRef(node, table.forget, key)
+    _TABLE[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
 
@@ -123,11 +115,11 @@ class _Node:
     """Base of the node types: interned, immutable, compared by identity.
 
     Besides its fields a node carries what depends on its structure
-    alone: its highest coordinate, the derivatives ``diff`` has taken of
-    it, and the name it was last lowered to (``Lowering.emit``).
+    alone: its highest coordinate and the derivatives ``diff`` has taken
+    of it.
     """
 
-    __slots__ = ("__weakref__", "_max_coordinate", "_diffs", "_lowered")
+    __slots__ = ("__weakref__", "_max_coordinate", "_diffs")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -343,10 +335,6 @@ def parse(text: str) -> Expr:
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
 _APPLY = {**_OPERATORS, "neg": operator.neg, **_FUNCTIONS}
-# the numpy ufunc of each operation; heun's buffered code calls it by its
-# name
-_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-           "neg": np.negative, **_FUNCTIONS}
 
 
 def _operation(node):
@@ -381,31 +369,25 @@ def post_order(node, done, finish):
         finish(top)
 
 
-def _lowered_name(node, scope):
-    """The name node was lowered to under scope, or None."""
-    lowered = getattr(node, "_lowered", None)  # None for a non-node
-    return lowered[1] if lowered is not None and lowered[0] is scope else None
-
-
 class Lowering:
     """Straight-line numpy code for several expressions at once.
 
     ``emit(node, inputs)`` appends the operations that compute node, with
     coordinate x_{i+1} read from the variable inputs[i], and returns the
     name that holds the value. A node is lowered once per Lowering and
-    set of inputs, across all ``emit`` calls: the node keeps the name it
-    was lowered to, marked with a token of this Lowering and inputs, so
-    a node that an earlier expression, or the same tree elsewhere, has
-    emitted is found without walking it, and emitting costs time linear
-    in the number of nodes not yet lowered. (Nodes are interned, so
-    fields, their components and their derivatives share nodes, and
-    work.) Constant subtrees are folded to values when they are lowered,
-    by the same operations on Python floats (and on the numpy scalars
-    that sin, cos and exp return), so a constant 1/0 raises
-    ZeroDivisionError in ``emit``. Folding can make different nodes
-    compute the same operation ((2*pi)*x1 and (pi*2)*x1, say), so each
-    operation is also keyed on its operator and operand names and
-    emitted once.
+    set of inputs, across all ``emit`` calls: the Lowering keeps, per
+    inputs, the name each node was lowered to, so a node that an earlier
+    expression, or the same tree elsewhere, has emitted is found without
+    walking it, and emitting costs time linear in the number of nodes
+    not yet lowered. (Nodes are interned, so fields, their components
+    and their derivatives share nodes, and work.) The Lowering holds the
+    nodes it has lowered for as long as it lives. Constant subtrees are
+    folded to values when they are lowered, by the same operations on
+    Python floats (and on the numpy scalars that sin, cos and exp
+    return), so a constant 1/0 raises ZeroDivisionError in ``emit``.
+    Folding can make different nodes compute the same operation
+    ((2*pi)*x1 and (pi*2)*x1, say), so each operation is also keyed on
+    its operator and operand names and emitted once.
 
     The code has two back ends. ``run`` executes the operations
     directly, for code that runs once or a few times (a residual pass
@@ -425,21 +407,18 @@ class Lowering:
         self.namespace = dict(_FUNCTIONS)
         self._names = {}  # operation or constant key -> name
         self._values = {}  # constant name -> value as folded
-        self._scopes = {}  # inputs -> the token that marks a node's name
+        self._lowered = {}  # inputs -> {node: the name it was lowered to}
 
     def emit(self, node: Expr, inputs) -> str:
         inputs = tuple(inputs)
-        scope = self._scopes.get(inputs)
-        if scope is None:
-            scope = self._scopes[inputs] = object()
+        names = self._lowered.setdefault(inputs, {})
 
         def lower(n):  # each operand not yet lowered first (post_order)
             op, args = _operation(n)
-            name = self._lower(n, op, [_lowered_name(a, scope) for a in args], inputs)
-            _set(n, "_lowered", (scope, name))
+            names[n] = self._lower(n, op, [names[a] for a in args], inputs)
 
-        post_order(node, lambda n: _lowered_name(n, scope) is not None, lower)
-        return _lowered_name(node, scope)
+        post_order(node, names.__contains__, lower)
+        return names[node]
 
     def _lower(self, node, op, operands, inputs):
         if isinstance(node, Num):
@@ -530,8 +509,9 @@ class Functions:
 
     The expressions are lowered into one ``Lowering``, so subexpressions
     they share (the cos/sin factors of a trig basis, say) are computed
-    once per point array. Functions may be given as an iterator: each
-    expression is lowered as it arrives, so its tree need not outlive it.
+    once per point array. Functions may be given as an iterator, each
+    expression lowered as it arrives; the Lowering holds every node it
+    has lowered, so the trees live as long as the Functions does.
     """
 
     def __init__(self, functions, dim: int):

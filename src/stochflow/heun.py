@@ -51,6 +51,15 @@ _REWRAP_BOXES = 4.0
 # their rows' names: the state X, the stage sums P and C, and B
 _ROWS = {"X": "a", "P": "p", "B": "b", "C": "c"}
 
+# the numpy ufunc of each of expr's operator codes; buffered code calls
+# it by its name
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "neg": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp}
+
+# noise rows that the one-point loop turns into Python floats at a time,
+# and records it stores at a time: a bound on the lists' memory
+_FLOAT_ROWS = 256
+
 
 def _is_zero(node) -> bool:
     return isinstance(node, expr.Num) and node.value == 0.0
@@ -101,7 +110,7 @@ def _buffered(low: expr.Lowering, body) -> tuple:
                 free.append(f"u{count}")
                 count += 1
             buffers[out] = free.pop()
-        lines.append(f"{expr._UFUNCS[op].__name__}({', '.join(operands)}, "
+        lines.append(f"{_UFUNCS[op].__name__}({', '.join(operands)}, "
                      f"{buffers.get(out, out)})")
     head = [f"{array} = np.full(lead, {k})" for k, array in constants.items()]
     head += [f"u{n} = np.empty(lead)" for n in range(count)]
@@ -125,7 +134,7 @@ def _define(low: expr.Lowering, source: str, name: str, **names):
     """Runs source, which may read every name low emitted, ``np``, the
     ufuncs that buffered code calls and the given names, and returns the
     function it defines as name."""
-    namespace = {**low.namespace, **{u.__name__: u for u in expr._UFUNCS.values()},
+    namespace = {**low.namespace, **{u.__name__: u for u in _UFUNCS.values()},
                  "np": np, **names}
     exec(compile(source, f"<lowered {name}>", "exec"), namespace)
     return namespace[name]
@@ -178,7 +187,7 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
     subexpressions across components, fields and divergences; each sum
     is added up left to right, through the scratch value S, into its row
     of P or C, and a component with no terms keeps its 0. The
-    divergences are those of ``sde._divergences``, decided once per
+    divergences are those of ``sde.divergences``, decided once per
     system: each one that ``proofs.is_identically_zero`` shows to be zero
     (a Hamiltonian field's, say) is left out, and with none left log J
     stays 0 exactly and is not carried. Such a system never reaches the
@@ -200,7 +209,7 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
     on Python floats (``_floats``), at a fraction of the cost of numpy
     calls on one element: an operation on a stacked array runs row by
     row, and the rows of P and C start at 0.0. Each sub-block of
-    sde._FLOAT_ROWS noise rows is read with one ``tolist``, the bound
+    _FLOAT_ROWS noise rows is read with one ``tolist``, the bound
     test is abs(a0) <= bound and ... (false for nan, like the max), a
     re-wrap writes the floats to X and reads them back, and each
     sub-block's records are stored with one slice assignment. sin and
@@ -216,7 +225,7 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
     m = sys.manifold
     fields = [(i, f) for i, f in enumerate(sys.fields()) if not f.is_zero]
     low = expr.Lowering()
-    divs = sys._cached("divergences", sde._divergences) if record_l else []
+    divs = sde.divergences(sys) if record_l else []
     if not divs:
         record_l, store = (), store[:1]
     noise_of = {0: "dt", **{i: f"d{i}" for i, _ in fields if i > 0}}
@@ -299,13 +308,12 @@ def _compile_loop(sys: StratonovichSystem, consumer: str, backend: str):
     if divs:
         head.append("L = LJ.item()")
     params = ", ".join(("X", "LJ", "noise", "k", "dt") + args)
-    rows = sde._FLOAT_ROWS
     source = (f"def loop({params}):\n"
               + "".join(f"    {line}\n" for line in head)
-              + f"    for s in range(0, len(noise), {rows}):\n"
+              + f"    for s in range(0, len(noise), {_FLOAT_ROWS}):\n"
               + "".join(f"        {line}\n" for line in
                         (["j = k + 1", "xs, ls = [], []"] if store else [])
-                        + [f"for row in noise[s:s + {rows}].tolist():"])
+                        + [f"for row in noise[s:s + {_FLOAT_ROWS}].tolist():"])
               + "".join(f"            {line}\n" for line in body)
               + "".join(f"        {line}\n" for line in store)
               + f"    xv[:] = {x}\n"

@@ -338,6 +338,8 @@ def step_count(t: float, dt: float) -> int:
         raise ValueError(f"t and dt must be finite, got t={t}, dt={dt}")
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(t / dt):  # round would raise OverflowError
+        raise ValueError(f"t / dt is too large, got t={t}, dt={dt}")
     steps = int(round(t / dt))
     if steps < 1 or abs(steps * dt - t) > 1e-9 * max(t, dt):
         raise ValueError("t must be an integer multiple of dt")

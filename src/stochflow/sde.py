@@ -22,11 +22,13 @@ small: once per step the loop re-wraps the points that have drifted a
 few box lengths away and raises ``InvalidPointError`` with the step and
 point when the state, or a log J that is carried, is not finite.
 Results are wrapped into the fundamental domain when they leave the
-integrator. When every divergence is identically zero, J = 1 exactly
-and the volume check is answered without a flow; when every field is
-constant the Heun step is exact, and the endpoints take one increment
-per path, summed in step order across the blocks. In both cases no loop
-is compiled.
+integrator. ``divergences`` decides, once per system, which
+divergences log J carries, for this module and heun's loops alike.
+When every divergence is identically zero, J = 1 exactly and the
+volume check is answered without a flow; when every field is constant
+the Heun step is exact, and the endpoints take one increment per path,
+summed in step order across the blocks. In both cases no loop is
+compiled.
 
 Noise is counter-based (``noise.normals``, Philox4x32-10 keyed by the
 seed, with the path index and the draw's index as its counter), so paths
@@ -42,8 +44,7 @@ the tests compare it with, flow explicit increments.
 
 The systems this module flows, ``StratonovichSystem``, and
 ``step_count`` are defined in ``manifold``, so that building an
-experiment loads no flow code; both, and ``ConfigurationError``, can
-be imported from here too.
+experiment loads no flow code.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .manifold import (
     StratonovichSystem,
     product_divergence_expr,
 )
-from .manifold import step_count  # noqa: F401 (importable from sde too)
 from .proofs import is_identically_zero
 
 __all__ = [
@@ -67,16 +67,17 @@ __all__ = [
     "flow_with_jacobian",
     "flow_endpoints",
     "flow_paths",
+    "divergences",
+    "endpoint_arrays",
     "write_trajectory_csv",
 ]
 
 # noise rows reach the step loop in blocks of about this many bytes
 _BLOCK_BYTES = 1 << 18
 
-# rows turned into Python floats at a time (noise rows and records of
-# heun's one-point step loop, trajectory CSV rows): a bound on the lists'
-# memory
-_FLOAT_ROWS = 256
+# trajectory rows that write_trajectory_csv formats at a time: a bound on
+# the memory of their Python floats and text
+_CSV_ROWS = 256
 
 
 def _noise_scale(m: int, dt: float, steps: int) -> float:
@@ -145,15 +146,6 @@ def noise_blocks(seed: int, paths: range, m: int, dt: float, steps: int,
     return (_increments(seed, paths, m, scale, start, min(rows, steps - start),
                         factor).transpose(1, 2, 0)
             for start in range(0, steps, rows))
-
-
-def _divergences(sys: StratonovichSystem) -> list:
-    """(i, div X_i) for each field X_i whose divergence
-    ``proofs.is_identically_zero`` does not show to be zero. When the list
-    is empty, log J has zero coefficients and J = 1 on every path."""
-    m = sys.manifold
-    return [(i, d) for i, f in enumerate(sys.fields()) if not f.is_zero
-            and not is_identically_zero(d := product_divergence_expr(m, f))]
 
 
 def _array_blocks(sys: StratonovichSystem, increments):
@@ -246,7 +238,7 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
     |J_k - 1| (len(paths), ...). dt, steps, the seed and the path
     indices are validated before any route is taken.
 
-    When every divergence is identically zero (``_divergences`` is
+    When every divergence is identically zero (``divergences`` is
     empty: Hamiltonian fields, translations, the Heisenberg frame), the
     log J equation has zero coefficients, J = 1 on every path (Liouville)
     and "volume" returns zeros without flowing: no noise is drawn and no
@@ -256,7 +248,7 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
     """
     _noise_scale(sys.m, dt / factor, steps * factor)
     _check_key(seed, paths)
-    if consumer == "volume" and not sys._cached("divergences", _divergences):
+    if consumer == "volume" and not divergences(sys):
         return np.zeros((len(paths),) + sys.manifold.wrap(x0).shape[:-1])
     lead = (len(paths),) + (1,) * (np.ndim(x0) - 1)
     blocks = (b.reshape(b.shape[:2] + lead)
@@ -264,7 +256,20 @@ def flow_paths(sys: StratonovichSystem, consumer: str, x0, dt: float,
     return _flow(sys, consumer, x0, dt, steps, lead, blocks)
 
 
-def _endpoint_arrays(sys: StratonovichSystem) -> int:
+def divergences(sys: StratonovichSystem) -> list:
+    """(i, div X_i) for each field X_i whose divergence
+    ``proofs.is_identically_zero`` does not show to be zero, decided once
+    per system. When the list is empty, log J has zero coefficients and
+    J = 1 on every path."""
+    def find(s):
+        m = s.manifold
+        return [(i, d) for i, f in enumerate(s.fields()) if not f.is_zero
+                and not is_identically_zero(d := product_divergence_expr(m, f))]
+
+    return sys._cached("divergences", find)
+
+
+def endpoint_arrays(sys: StratonovichSystem) -> int:
     """The most arrays of one value per start point and path that
     flow_paths(sys, "endpoints", ...) holds at once: for constant fields
     the endpoints, wrap's copy of them and its three temporaries, else
@@ -285,8 +290,8 @@ def write_trajectory_csv(result: FlowResult, fileobj) -> None:
     # Python floats format as numpy's do, and faster
     row = "%.12g," + "%.17g," * dim + "%.17g\r\n"
     times = result.times
-    for s in range(0, len(times), _FLOAT_ROWS):
-        rows = slice(s, s + _FLOAT_ROWS)
+    for s in range(0, len(times), _CSV_ROWS):
+        rows = slice(s, s + _CSV_ROWS)
         table = np.column_stack((times[rows], result.trajectory[rows],
                                  result.log_jacobian[rows]))
         fileobj.write((row * len(table)) % tuple(table.ravel().tolist()))

@@ -532,6 +532,8 @@ HEISENBERG_LIEALG = "[liealg]\nalgebra = heisenberg\nsubalgebra = 1, 3\n\n"
 HEISENBERG_REALIZED = HEISENBERG_LIEALG.replace("\n\n", "\nrealization = heisenberg\n\n")
 MEAN_RULE = "must be >= 2: the mean check estimates a standard error"
 STEP_RULE = "t must be an integer multiple of dt"
+# t / dt is inf, which round() cannot make an integer
+TOO_MANY_STEPS = "t / dt is too large, got t={}, dt={}"
 GRID_RULE = "must be >= 2"
 
 # values that failed inside build_experiment, or while the checks ran,
@@ -606,6 +608,9 @@ LOCATED_AT_PARSE = {
         {"dt": "0.3"}, "--dt", None, STEP_RULE),
     "non_finite_dt": (TORUS2 + "[check jacobian]\n", {"dt": "nan"}, "--dt", None,
                       "must be finite"),
+    "steps_past_the_float_range": (
+        TORUS2 + "[check jacobian]\nt = 1e300\ndt = 1e-300\n", {},
+        "check.jacobian.dt", 9, TOO_MANY_STEPS.format("1e+300", "1e-300")),
 }
 
 
@@ -717,17 +722,31 @@ def test_simulate_rejects_a_non_finite_horizon(tmp_path, capsys, t):
     (["--t", "0.5", "--dt", "0.3"], "--dt: t must be an integer multiple of dt"),
     (["--dt", "0.3"], "--dt: t must be an integer multiple of dt"),
     (["--dt", "0"], "--dt: must be positive"),
+    (["--t", "1e300", "--dt", "1e-300"],
+     "--dt: " + TOO_MANY_STEPS.format("1e+300", "1e-300")),
     (["--t", "abc", "--x0", "0.1, 0.2, 0.3"],
      "--t: expected a number, got 'abc'\n"
      "error: --x0: x0 has 3 coordinates, manifold has dimension 2"),
 ], ids=["x0_not_a_number", "x0_of_the_wrong_dimension", "horizon_not_a_multiple",
-        "dt_not_a_divisor_of_the_default_t", "zero_dt", "two_flags"])
+        "dt_not_a_divisor_of_the_default_t", "zero_dt", "steps_past_the_float_range",
+        "two_flags"])
 def test_simulate_flags_are_converted_as_check_values(tmp_path, capsys, argv,
                                                       message):
     out = tmp_path / "traj.csv"
     assert main(["simulate", "hamiltonian_torus", "--trajectory", str(out),
                  *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_trajectory_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
+    # 10**15 steps: numpy refuses the 14.2 PiB of states before it
+    # allocates any, and the CSV is opened only after the flow
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "hamiltonian_torus", "--t", "1", "--dt", "1e-15",
+                 "--trajectory", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate 14.2 PiB")
     assert not out.exists()
 
 
@@ -754,6 +773,7 @@ def test_unknown_config_is_execution_error(tmp_path):
     (["--dt", "abc"], "--dt: expected a number, got 'abc'"),
     (["--dt", "0.3"], "--dt: t must be an integer multiple of dt"),
     (["--seed", str(2 ** 64)], "--seed: must be in [0, 2**64)"),
+    (["--dt", "1e-320"], "--dt: " + TOO_MANY_STEPS.format("1.0", "1e-320")),
 ])
 def test_overrides_are_rejected_before_any_check_runs(tmp_path, capsys, argv,
                                                        message):

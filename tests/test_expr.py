@@ -229,7 +229,7 @@ def test_derivatives_are_memoized():
 
 
 def live_nodes():
-    return sum(len(t) for tables in expr._TABLES.values() for t in tables.values())
+    return len(expr._TABLE)
 
 
 def test_intern_table_shrinks_back():
@@ -460,6 +460,21 @@ def test_lowering_lowers_each_node_once_across_emits():
     # other inputs lower the tree again, to other operations
     assert low.emit(node, ["q", "p"]) != name
     assert len(low.code) > len(code)
+
+
+def test_two_lowerings_each_lower_a_node_once(monkeypatch):
+    # each Lowering keeps its own names: lowering the tree in another one
+    # in between does not make the first walk it again
+    calls = []
+    lower = expr.Lowering._lower
+    monkeypatch.setattr(expr.Lowering, "_lower", lambda self, node, *rest:
+                        calls.append((self, node)) or lower(self, node, *rest))
+    node = expr.parse("sin(2*pi*x1)*cos(2*pi*x2) + sin(2*pi*x1)*x2")
+    first, second = expr.Lowering(), expr.Lowering()
+    names = [low.emit(node, ["p", "q"]) for low in (first, second, first, second)]
+    assert names[:2] == names[2:]
+    assert len(calls) == len(set(calls)) == 2 * 12  # 12 distinct nodes
+    assert first.code == second.code
 
 
 def test_lowering_checks_coordinates_against_inputs():

@@ -330,30 +330,49 @@ def test_foreign_private_reads_are_found():
     assert foreign_private_reads(sources) == [("a", "b._LIMIT"), ("a", "b._helper")]
 
 
-# Reads of another module's private name, each with its reason. Every
-# other private name has one owner, the module that defines it.
-FOREIGN_PRIVATE_READS_ALLOWED = {
-    # the pullback chunk rule counts the arrays that the flow holds
-    ("currents", "sde._endpoint_arrays"),
-    # heun is sde's loop compiler, split out of sde so that no set-up
-    # loads it: it reads sde's divergences and row block, and compiles
-    # expr's operator codes to their ufuncs
-    ("heun", "sde._divergences"),
-    ("heun", "sde._FLOAT_ROWS"),
-    ("heun", "expr._UFUNCS"),
-}
-
-
 def test_each_private_name_in_src_has_one_owner():
+    # a private name is read only by the module that defines it
     sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src" / "stochflow").rglob("*.py"))}
-    reads = foreign_private_reads(sources)
-    found = [f"{module} reads {name}" for module, name in reads
-             if (module, name) not in FOREIGN_PRIVATE_READS_ALLOWED]
+    found = [f"{module} reads {name}"
+             for module, name in foreign_private_reads(sources)]
     assert not found, ("private names read outside their module:\n"
                        + "\n".join(found))
-    # and no allowance outlives its read
-    assert FOREIGN_PRIVATE_READS_ALLOWED <= set(reads)
+
+
+def cached_keys(sources: dict) -> dict:
+    """key -> the modules (by stem) of the given {path: source} that pass
+    it to a ``_cached(key, build)`` call: the key's string, or the first
+    string of a tuple key."""
+    found = {}
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_cached" and node.args):
+                continue
+            key = node.args[0]
+            if isinstance(key, ast.Tuple) and key.elts:
+                key = key.elts[0]
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                found.setdefault(key.value, set()).add(Path(path).stem)
+    return found
+
+
+def test_cached_keys_are_found():
+    sources = {"pkg/a.py": ("def f(s):\n    return s._cached('v', g), "
+                            "s._cached(('loop', 1), g)\n"),
+               "pkg/b.py": "x = sys._cached('v', h)\ny = d.get('loop')\n"}
+    assert cached_keys(sources) == {"v": {"a", "b"}, "loop": {"a"}}
+
+
+def test_each_cached_key_has_one_module():
+    # what a system caches under a key is built by one module, which
+    # other modules ask through it (sde.divergences, say)
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "stochflow").rglob("*.py"))}
+    shared = {key: sorted(modules) for key, modules in cached_keys(sources).items()
+              if len(modules) > 1}
+    assert not shared, f"keys cached by more than one module: {shared}"
 
 
 # Public names nothing outside the tests reads yet, each with its reason.

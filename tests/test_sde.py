@@ -416,7 +416,7 @@ def csv_writer_trajectory(result, fileobj):
 @pytest.mark.parametrize("rows", [255, 256, 257])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_trajectory_csv_bytes_match_the_csv_writer_export(dim, rows):
-    assert sde._FLOAT_ROWS == 256  # the row counts straddle one chunk
+    assert sde._CSV_ROWS == 256  # the row counts straddle one chunk
     rng = np.random.default_rng(dim * 1000 + rows)
     traj = rng.uniform(0.0, 1.0, size=(rows, dim))
     logj = rng.standard_normal(rows) * 1e-3
@@ -871,7 +871,7 @@ def test_flow_paths_endpoints_equal_the_last_heun_state(label):
     # consumer steps the same noise through the Heun loop (the frame's Y
     # is not constant, so there both consumers run the loop)
     sys, dt, steps = SHORTCUT_CASES[label]
-    constant = sys._cached("velocities", sde._constant_velocities) is not None
+    constant = sde._constant_velocities(sys) is not None
     assert constant == (label != "heisenberg_frame")
     pts = (np.random.default_rng(13).uniform(0.0, 1.0, size=(4, sys.manifold.dim))
            * sys.manifold.lengths)
